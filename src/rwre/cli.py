@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .environment import (EnvironmentModel, StepSupport, check_hypotheses,
                           make_environment, derive_env_seed)
-from .clt import clt_check, quenched_samples
+from .clt import clt_check, quenched_mean_variance, quenched_samples
 from .envprocess import (constant_function, drift_projection, ergodic_average,
                          variation_proxy)
 from .fitting import fit_exponent
@@ -138,6 +138,10 @@ def build_chain_spec(ccfg: dict) -> PerturbedChainSpec:
 def validate_config(cfg: dict, kind=None) -> list:
     """Schema errors as 'field: reason' strings; empty list when valid."""
     errors: list = []
+    if not isinstance(cfg, dict):
+        _err(errors, "config",
+             f"must be a JSON object (got {type(cfg).__name__})")
+        return errors
     kind = kind or cfg.get("kind")
     if kind not in KINDS:
         _err(errors, "kind", f"unknown experiment kind {kind!r}; "
@@ -195,8 +199,10 @@ def validate_config(cfg: dict, kind=None) -> list:
         _check_int(errors, params, "n", 1, 100_000)
         _check_int(errors, params, "n_runs", 1, 20)
         psi = params.get("psi", {"type": "drift_projection"})
-        if psi.get("type", "drift_projection") not in ("drift_projection",
-                                                       "constant"):
+        if not isinstance(psi, dict):
+            _err(errors, "params.psi", "must be an object")
+        elif psi.get("type", "drift_projection") not in ("drift_projection",
+                                                         "constant"):
             _err(errors, "params.psi.type",
                  "must be drift_projection or constant")
     elif kind == "variation":
@@ -217,7 +223,10 @@ def validate_config(cfg: dict, kind=None) -> list:
         _check_int(errors, params, "reps", 1, 10_000)
     elif kind in ("green-bound", "exit-time"):
         try:
-            build_chain_spec(params.get("chain") or {})
+            chain = params.get("chain") or {}
+            if not isinstance(chain, dict):
+                raise TypeError("must be an object")
+            build_chain_spec(chain)
         except (KeyError, TypeError) as e:
             _err(errors, "params.chain", f"missing or malformed field ({e})")
         except ValueError as e:
@@ -319,53 +328,20 @@ def _run_clt(model, params, seed, workers):
     return {"clt_envs": (header, rows)}, summary
 
 
-def _qmv_env_task(args, model=None, m_walks=0):
-    seed, ni, n, e = args
-    from .walk import simulate_finals_many
-    env = make_environment(model, derive_env_seed(seed, 0x9D02, ni, e))
-    wseeds = [derive_key(seed, 0x9D02, ni, e, i) for i in range(m_walks)]
-    d = model.support.dimension
-    finals = simulate_finals_many(
-        env, np.zeros((m_walks, d), dtype=np.int64), n, wseeds).astype(float)
-    return finals.mean(axis=0), finals.var(axis=0, ddof=1)
-
-
 def _run_quenched_mean(model, params, seed, workers):
-    n_grid = sorted(params["n_grid"])
-    n_env = params.get("n_env", 200)
-    m_walks = params.get("m_walks", 200)
-    d = model.support.dimension
-    task = partial(_qmv_env_task, model=model, m_walks=m_walks)
-    rows = []
-    floored = []
-    traces = []
-    for ni, n in enumerate(n_grid):
-        res = _pmap(task, [(seed, ni, n, e) for e in range(n_env)], workers)
-        env_means = np.array([r[0] for r in res])
-        within = np.array([r[1] for r in res])
-        between = env_means.var(axis=0, ddof=1)
-        corrected = between - within.mean(axis=0) / m_walks
-        if (corrected < 0).any():
-            floored.append(n)
-        corrected = np.maximum(corrected, 0.0)
-        trace = float(corrected.sum())
-        jk = np.empty(n_env)
-        for e in range(n_env):
-            mask = np.arange(n_env) != e
-            b = env_means[mask].var(axis=0, ddof=1)
-            c = np.maximum(b - within[mask].mean(axis=0) / m_walks, 0.0)
-            jk[e] = c.sum()
-        se = float(np.sqrt((n_env - 1) / n_env * ((jk - jk.mean()) ** 2).sum()))
-        rows.append((n, *corrected.tolist(), trace, se))
-        traces.append(trace)
-    fit = None
-    if sum(t > 0 for t in traces) >= 2:
-        fit = fit_exponent(n_grid, traces)
-    header = ["n"] + [f"var_corrected_{j+1}" for j in range(d)] + ["trace", "se"]
+    res = quenched_mean_variance(
+        model, params["n_grid"], params.get("n_env", 200),
+        params.get("m_walks", 200),
+        seed=seed, map_fn=partial(_pmap, workers=workers), blocks=workers)
+    fit = res["fit"]
+    rows = [(n, *corrected.tolist(), trace, se)
+            for n, corrected, trace, se in res["rows"]]
+    header = ["n"] + [f"var_corrected_{j+1}"
+                      for j in range(model.support.dimension)] + ["trace", "se"]
     summary = {"fit_slope": fit.slope if fit else None,
                "fit_slope_se": fit.slope_se if fit else None,
                "fit_intercept": fit.intercept if fit else None,
-               "floored": floored,
+               "floored": res["floored"],
                "hypotheses": check_hypotheses(model).__dict__}
     return {"quenched_mean": (header, rows)}, summary
 

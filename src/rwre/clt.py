@@ -9,6 +9,7 @@ centering of the annealed mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import linalg as _sla
@@ -17,7 +18,8 @@ from scipy import stats as _sst
 from .environment import EnvironmentModel, make_environment, derive_env_seed
 from .fitting import fit_exponent
 from .rng import derive_key
-from .walk import simulate_finals_many, simulate_finals_many_envs
+from .walk import (simulate_finals_many, simulate_finals_many_envs,
+                   walk_seed_array)
 
 _TAG_QS = 0x9D01
 _TAG_QMV = 0x9D02
@@ -126,8 +128,32 @@ def degeneracy_directions(model: EnvironmentModel) -> np.ndarray:
     return basis.T
 
 
+def _qmv_block(envs, model=None, n=0, m_walks=0, seed=0, ni=0):
+    """Quenched means and within variances (len(envs), d) at time n for a
+    contiguous block of environment indices, all walked in one engine call."""
+    d = model.support.dimension
+    env_keys = np.array(
+        [make_environment(model, derive_env_seed(seed, _TAG_QMV, ni, e)).env_key
+         for e in envs], dtype=np.uint64)
+    # one seed list per environment, read as a separate engine call reads it
+    wseeds = np.concatenate([
+        walk_seed_array([derive_key(seed, _TAG_QMV, ni, e, i)
+                         for i in range(m_walks)]) for e in envs])
+    starts = np.zeros((len(envs) * m_walks, d), dtype=np.int64)
+    finals = simulate_finals_many_envs(model, np.repeat(env_keys, m_walks),
+                                       starts, n, wseeds).astype(float)
+    means = np.empty((len(envs), d))
+    within = np.empty((len(envs), d))
+    for j in range(len(envs)):
+        f = finals[j * m_walks:(j + 1) * m_walks]
+        means[j] = f.mean(axis=0)
+        within[j] = f.var(axis=0, ddof=1)
+    return means, within
+
+
 def quenched_mean_variance(model: EnvironmentModel, n_grid, n_env: int,
-                           m_walks: int, seed: int = 0) -> dict:
+                           m_walks: int, seed: int = 0, map_fn=map,
+                           blocks: int = 1) -> dict:
     """Bias-corrected between-environment variance of the quenched mean.
 
     For each n the environments are sampled independently; within each,
@@ -135,25 +161,28 @@ def quenched_mean_variance(model: EnvironmentModel, n_grid, n_env: int,
     sampling noise inflates the raw between-environment variance by
     (within variance)/m_walks, which is subtracted; negative corrected
     values at small n are floored at zero and flagged.
+
+    The environments of each n are split into `blocks` contiguous blocks
+    that map_fn (a deterministic, order-preserving map such as the
+    built-in one or a process pool's) walks one engine call per block.
+    Every value is a pure function of (seed, n index, environment, walk),
+    so the result does not depend on `blocks` or on map_fn.
     """
     if n_env < 30:
         raise ValueError("need n_env >= 30 environments")
     if m_walks < 2:
         raise ValueError("need m_walks >= 2")
     n_grid = sorted(int(n) for n in n_grid)
-    d = model.support.dimension
+    env_blocks = [r.tolist() for r in np.array_split(np.arange(n_env), blocks)
+                  if r.size]
     rows = []
     floored = []
     for ni, n in enumerate(n_grid):
-        env_means = np.empty((n_env, d))
-        within = np.empty((n_env, d))
-        for e in range(n_env):
-            env = make_environment(model, derive_env_seed(seed, _TAG_QMV, ni, e))
-            wseeds = [derive_key(seed, _TAG_QMV, ni, e, i) for i in range(m_walks)]
-            finals = simulate_finals_many(
-                env, np.zeros((m_walks, d), dtype=np.int64), n, wseeds).astype(float)
-            env_means[e] = finals.mean(axis=0)
-            within[e] = finals.var(axis=0, ddof=1)
+        task = partial(_qmv_block, model=model, n=n, m_walks=m_walks,
+                       seed=seed, ni=ni)
+        res = list(map_fn(task, env_blocks))
+        env_means = np.concatenate([r[0] for r in res])
+        within = np.concatenate([r[1] for r in res])
         between = env_means.var(axis=0, ddof=1)
         corrected = between - within.mean(axis=0) / m_walks
         flag = bool((corrected < 0).any())

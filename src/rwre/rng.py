@@ -10,6 +10,10 @@ same value, and no draw ever has to be stored.
 
 Scalar helpers operate on Python ints (masked to 64 bits); the `*_array`
 variants operate on numpy uint64 arrays and produce bit-identical values.
+The array variants keep every intermediate an array of at least one
+dimension: uint64 array arithmetic wraps silently, whereas numpy uint64
+*scalars* (what a 0-d array turns into after one operation) warn on
+overflow.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ _M2 = 0x94D049BB133111EB
 _U_GAMMA = np.uint64(_GAMMA)
 _U_M1 = np.uint64(_M1)
 _U_M2 = np.uint64(_M2)
+# shift counts as numpy scalars made once: building them per call costs
+# more than the shifts themselves on small arrays
+_U_30, _U_27, _U_31, _U_11 = (np.uint64(c) for c in (30, 27, 31, 11))
 
 # fixed purpose tags so that unrelated streams never share a key
 TAG_SITE = 0x51BE5EED
@@ -40,12 +47,16 @@ def mix64(h: int) -> int:
     return h ^ (h >> 31)
 
 
+def _u64_1d(x) -> np.ndarray:
+    """x as a uint64 array of at least one dimension, copied only if needed."""
+    return np.array(x, dtype=np.uint64, copy=None, ndmin=1)
+
+
 def mix64_array(h: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer on uint64 arrays."""
-    with np.errstate(over="ignore"):
-        h = (h ^ (h >> np.uint64(30))) * _U_M1
-        h = (h ^ (h >> np.uint64(27))) * _U_M2
-        return h ^ (h >> np.uint64(31))
+    """Vectorized splitmix64 finalizer on uint64 arrays (ndim >= 1)."""
+    h = (h ^ (h >> _U_30)) * _U_M1
+    h = (h ^ (h >> _U_27)) * _U_M2
+    return h ^ (h >> _U_31)
 
 
 def derive_key(seed: int, *parts: int) -> int:
@@ -53,6 +64,15 @@ def derive_key(seed: int, *parts: int) -> int:
     h = mix64(seed + _GAMMA)
     for p in parts:
         h = mix64((h + _GAMMA) ^ (p & MASK64))
+    return h
+
+
+def derive_key_array(seeds: np.ndarray, *parts: int) -> np.ndarray:
+    """derive_key(seed, *parts) for each of an array of uint64 seeds
+    (bit-identical)."""
+    h = mix64_array(_u64_1d(seeds) + _U_GAMMA)
+    for p in parts:
+        h = mix64_array((h + _U_GAMMA) ^ np.uint64(p & MASK64))
     return h
 
 
@@ -73,21 +93,19 @@ def site_keys(env_key: int, sites: np.ndarray) -> np.ndarray:
     if sites.ndim == 1:
         sites = sites[None, :]
     h = np.full(sites.shape[0], mix64(env_key + _GAMMA), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for j in range(sites.shape[1]):
-            c = sites[:, j].astype(np.int64).view(np.uint64)
-            h = mix64_array((h + _U_GAMMA) ^ c)
+    for j in range(sites.shape[1]):
+        c = sites[:, j].astype(np.int64).view(np.uint64)
+        h = mix64_array((h + _U_GAMMA) ^ c)
     return h
 
 
 def site_keys_mixed(env_keys: np.ndarray, sites: np.ndarray) -> np.ndarray:
     """Like site_keys but with a separate environment key per row."""
     sites = np.asarray(sites)
-    h = mix64_array(np.asarray(env_keys, dtype=np.uint64) + _U_GAMMA)
-    with np.errstate(over="ignore"):
-        for j in range(sites.shape[1]):
-            c = sites[:, j].astype(np.int64).view(np.uint64)
-            h = mix64_array((h + _U_GAMMA) ^ c)
+    h = mix64_array(_u64_1d(env_keys) + _U_GAMMA)
+    for j in range(sites.shape[1]):
+        c = sites[:, j].astype(np.int64).view(np.uint64)
+        h = mix64_array((h + _U_GAMMA) ^ c)
     return h
 
 
@@ -102,20 +120,16 @@ def stream_u01(key: int, ctr: int) -> float:
 
 
 def stream_u64_array(keys: np.ndarray, ctr: int) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return mix64_array(np.asarray(keys, dtype=np.uint64)
-                           + np.uint64((ctr * _GAMMA) & MASK64))
+    return mix64_array(_u64_1d(keys) + np.uint64((ctr * _GAMMA) & MASK64))
 
 
 def stream_u01_array(keys: np.ndarray, ctr: int) -> np.ndarray:
     """Uniforms in (0, 1), one per key, all at the same counter."""
     v = stream_u64_array(keys, ctr)
-    return ((v >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return ((v >> _U_11).astype(np.float64) + 0.5) * 2.0**-53
 
 
 def counter_u01_array(key: int, ctrs: np.ndarray) -> np.ndarray:
     """Uniforms in (0, 1) for one key across an array of counters."""
-    with np.errstate(over="ignore"):
-        v = mix64_array(np.uint64(key)
-                        + np.asarray(ctrs, dtype=np.uint64) * _U_GAMMA)
-    return ((v >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    v = mix64_array(np.uint64(key) + _u64_1d(ctrs) * _U_GAMMA)
+    return ((v >> _U_11).astype(np.float64) + 0.5) * 2.0**-53

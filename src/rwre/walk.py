@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import Environment, EnvironmentModel, cum_vectors_from_keys
-from .rng import (TAG_WALK, derive_key, site_keys, site_keys_mixed,
-                  counter_u01_array, stream_u01, stream_u01_array)
+from .rng import (MASK64, TAG_WALK, counter_u01_array, derive_key,
+                  derive_key_array, site_keys, site_keys_mixed, stream_u01,
+                  stream_u01_array)
 
 
 @dataclass
@@ -50,6 +51,20 @@ class WalkPath:
 
 def walk_key(walk_seed: int) -> int:
     return derive_key(walk_seed, TAG_WALK)
+
+
+def walk_seed_array(walk_seeds) -> np.ndarray:
+    """Walk seeds as the many-walk engines read them, as uint64 (mod 2**64,
+    which leaves walk_key unchanged).
+
+    The engines read a seed list through np.asarray, which turns a list
+    mixing seeds below and above 2**63 into float64 and so rounds them to
+    53 bits; realized walks depend on this rule.  A caller that batches
+    several seed lists into one engine call converts each list here and
+    concatenates the arrays, which the engines then read exactly.
+    """
+    return np.array([int(s) & MASK64 for s in np.asarray(walk_seeds)],
+                    dtype=np.uint64)
 
 
 def simulate(env: Environment, start, n: int, walk_seed: int) -> WalkPath:
@@ -114,14 +129,64 @@ def diffusive_scale(path: WalkPath, v, n: int, t_grid) -> np.ndarray:
 # vectorized many-walk engines
 
 
-def _steps_from_unique_keys(model: EnvironmentModel, keys: np.ndarray,
-                            u: np.ndarray, steps_arr: np.ndarray) -> np.ndarray:
-    """Inverse-CDF steps for walkers with site keys `keys` and uniforms `u`."""
-    uniq, inv = np.unique(keys, return_inverse=True)
-    cums = cum_vectors_from_keys(model, uniq)[inv]
-    idx = (cums < u[:, None]).sum(axis=1)
-    idx = np.minimum(idx, steps_arr.shape[0] - 1)
-    return steps_arr[idx]
+# Site-vector cache size: sixteen slots per walker, a power of two, at most
+# _CACHE_MAX_BYTES of keys, occupancy flags and cumulative vectors.
+_CACHE_SLOTS_PER_WALKER = 16
+_CACHE_MIN_SLOTS = 64
+_CACHE_MAX_BYTES = 4 << 20
+
+
+class _SiteCache:
+    """Direct-mapped cache of cumulative site vectors, keyed by site key.
+
+    A site vector is a pure function of its site key, so an entry may be
+    evicted at any time and recomputed exactly: colliding keys simply
+    overwrite each other.  The table size is fixed when the engine starts,
+    so memory stays bounded however long the walk, and a lookup is
+    O(walkers) vectorized work with no sort over the hits.
+    """
+
+    def __init__(self, model: EnvironmentModel, walkers: int):
+        k = len(model.support.steps)
+        cap = _CACHE_MAX_BYTES // (8 * k + 9)
+        size = _CACHE_MIN_SLOTS
+        while size < _CACHE_SLOTS_PER_WALKER * walkers and 2 * size <= cap:
+            size *= 2
+        self.model = model
+        self.size = size
+        self._mask = np.uint64(size - 1)
+        self._keys = np.zeros(size, dtype=np.uint64)
+        self._full = np.zeros(size, dtype=bool)
+        self._cums = np.zeros((size, k))
+        # numpy scatters a (n, k) float array several times faster when each
+        # row is one opaque record, so rows are also moved through this dtype
+        self._row = np.dtype((np.void, 8 * k))
+
+    def _records(self, a: np.ndarray) -> np.ndarray:
+        """C-contiguous (n, k) float array a as a view of n row records."""
+        return a.view(self._row)[:, 0]
+
+    def cums(self, keys: np.ndarray) -> np.ndarray:
+        """Cumulative vectors (m, k) for site keys (m,)."""
+        slot = (keys & self._mask).astype(np.intp)
+        # the occupancy flag keeps a key of 0 from matching an empty slot
+        hit = self._full.take(slot) & (self._keys.take(slot) == keys)
+        out = self._cums.take(slot, axis=0)
+        if hit.all():
+            return out
+        miss = np.flatnonzero(~hit)
+        uniq, inv = np.unique(keys[miss], return_inverse=True)
+        vals = self._records(np.ascontiguousarray(
+            cum_vectors_from_keys(self.model, uniq)))
+        self._records(out)[miss] = vals.take(inv)
+        # distinct keys may share a slot; store each slot's vector under the
+        # key that won it, whichever order the assignment took
+        uslot = (uniq & self._mask).astype(np.intp)
+        self._keys[uslot] = uniq
+        won = self._keys.take(uslot) == uniq
+        self._records(self._cums).put(uslot[won], vals[won])
+        self._full[uslot] = True
+        return out
 
 
 def _iter_positions(model: EnvironmentModel, env_keys, starts: np.ndarray,
@@ -129,12 +194,12 @@ def _iter_positions(model: EnvironmentModel, env_keys, starts: np.ndarray,
     """Advance m walkers in lockstep, yielding positions after each step.
 
     env_keys may be a scalar (shared environment) or one key per walker.
+    Site vectors come from a _SiteCache local to the call.
     """
     starts = np.asarray(starts, dtype=np.int64)
     pos = starts.copy()
     m = pos.shape[0]
-    wkeys = np.array([walk_key(int(s)) for s in np.asarray(walk_seeds)],
-                     dtype=np.uint64)
+    wkeys = derive_key_array(walk_seed_array(walk_seeds), TAG_WALK)
     steps_arr = model.support.steps_array
     shared = np.isscalar(env_keys)
     if not shared:
@@ -148,13 +213,20 @@ def _iter_positions(model: EnvironmentModel, env_keys, starts: np.ndarray,
             pos += steps_arr[idx]
             yield t, pos
         return
+    cache = _SiteCache(model, m)
     for t in range(n):
         if shared:
             keys = site_keys(env_keys, pos)
         else:
             keys = site_keys_mixed(env_keys, pos)
         u = stream_u01_array(wkeys, t)
-        pos += _steps_from_unique_keys(model, keys, u, steps_arr)
+        cums = cache.cums(keys)
+        # inverse CDF: the number of cumulative components below u, clipped
+        # to the last step for a u above a last component rounded below 1
+        idx = (cums[:, 0] < u).astype(np.intp)
+        for j in range(1, cums.shape[1]):
+            idx += cums[:, j] < u
+        pos += steps_arr.take(idx, axis=0, mode="clip")
         yield t, pos
 
 

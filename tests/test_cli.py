@@ -54,6 +54,19 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     assert main(["validate", str(broken)]) == 1
 
 
+@pytest.mark.parametrize("cfg, field", [
+    ([1, 2], "config"),
+    ({"kind": "ergodic", "model": DRIFT_MODEL,
+      "params": {"n": 100, "n_runs": 2, "psi": "constant"}}, "params.psi"),
+    ({"kind": "exit-time", "params": {"chain": [1], "r_grid": [2],
+                                      "reps": 4}}, "params.chain"),
+])
+def test_cli_validate_non_object_names_field(tmp_path, capsys, cfg, field):
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert main(["validate", path]) == 1
+    assert f"error: {field}:" in capsys.readouterr().err
+
+
 def test_check_run_writes_summary(tmp_path):
     cfg = {"kind": "check", "model": DRIFT_MODEL, "params": {},
            "master_seed": 3, "out_dir": str(tmp_path / "out")}
@@ -75,13 +88,27 @@ def test_run_rerun_byte_identical(tmp_path):
         (tmp_path / "b" / "slabs.csv").read_bytes()
 
 
+DIRICHLET_MODEL = {"dimension": 2, "steps": [[1, 0], [0, 1], [0, -1]],
+                   "u_hat": [1, 0], "law": "dirichlet",
+                   "alpha": [4.0, 1.0, 1.0], "floor": 0.1}
+
+
 def test_run_worker_count_invariance(tmp_path):
-    cfg = {"kind": "regen", "model": DRIFT_MODEL,
-           "params": {"n_paths": 4, "horizon": 3000, "margin": 10},
-           "master_seed": 6}
-    m1 = run(cfg, out_dir=tmp_path / "w1", workers=1)
-    m2 = run(cfg, out_dir=tmp_path / "w2", workers=4)
-    assert m1["outputs"] == m2["outputs"]
+    cases = [
+        ("regen", DRIFT_MODEL,
+         {"n_paths": 4, "horizon": 3000, "margin": 10}, 4),
+        ("quenched-mean", DIRICHLET_MODEL,
+         {"n_grid": [8, 16], "n_env": 30, "m_walks": 4}, 2),
+        ("clt", DIRICHLET_MODEL,
+         {"n": 16, "m_walks": 32, "n_env": 2, "v": [0.6, 0.0],
+          "D": [[0.25, 0.0], [0.0, 0.4]]}, 2),
+    ]
+    for kind, model, params, workers in cases:
+        cfg = {"kind": kind, "model": model, "params": params,
+               "master_seed": 6}
+        m1 = run(cfg, out_dir=tmp_path / kind / "w1", workers=1)
+        m2 = run(cfg, out_dir=tmp_path / kind / "w2", workers=workers)
+        assert m1["outputs"] == m2["outputs"], kind
 
 
 def test_csv_header_and_lf_endings(tmp_path):

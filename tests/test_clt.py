@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from rwre.clt import (centered_mean_bound, clt_check, degeneracy_directions,
-                      quenched_mean_variance, quenched_samples)
-from rwre.environment import EnvironmentModel, make_environment
+from rwre.clt import (_TAG_QMV, _qmv_block, centered_mean_bound, clt_check,
+                      degeneracy_directions, quenched_mean_variance,
+                      quenched_samples)
+from rwre.environment import EnvironmentModel, derive_env_seed, make_environment
 from rwre.fitting import fit_exponent
 from rwre.models import (dirichlet_drift_model, drift_model, support_2d)
 from rwre.rng import derive_key
-from rwre.walk import diffusive_scale, simulate
+from rwre.walk import diffusive_scale, simulate, simulate_finals_many
 
 
 def _point_mass_model():
@@ -108,6 +109,33 @@ def test_quenched_mean_variance_m_doubling_consistency():
     ta, sa = a["rows"][0][2], a["rows"][0][3]
     tb, sb = b["rows"][0][2], b["rows"][0][3]
     assert abs(ta - tb) < 2 * np.hypot(sa, sb) + 0.05 * max(ta, tb)
+
+
+def test_quenched_mean_blocks_match_one_walk_call_per_environment():
+    # reference: one shared-environment engine call per environment
+    model = dirichlet_drift_model()
+    seed, ni, n, m_walks = 11, 1, 24, 5
+    means, within = _qmv_block(range(3, 9), model=model, n=n,
+                               m_walks=m_walks, seed=seed, ni=ni)
+    for j, e in enumerate(range(3, 9)):
+        env = make_environment(model, derive_env_seed(seed, _TAG_QMV, ni, e))
+        wseeds = [derive_key(seed, _TAG_QMV, ni, e, i) for i in range(m_walks)]
+        finals = simulate_finals_many(env, np.zeros((m_walks, 2), dtype=np.int64),
+                                      n, wseeds).astype(float)
+        assert np.array_equal(means[j], finals.mean(axis=0))
+        assert np.array_equal(within[j], finals.var(axis=0, ddof=1))
+
+
+def test_quenched_mean_variance_independent_of_blocks():
+    model = dirichlet_drift_model()
+    a = quenched_mean_variance(model, [8, 20], n_env=30, m_walks=3, seed=4)
+    b = quenched_mean_variance(model, [8, 20], n_env=30, m_walks=3, seed=4,
+                               map_fn=lambda f, xs: [f(x) for x in xs],
+                               blocks=7)
+    assert np.array_equal(a["trace"], b["trace"])
+    for ra, rb in zip(a["rows"], b["rows"]):
+        assert ra[0] == rb[0] and ra[2:] == rb[2:]
+        assert np.array_equal(ra[1], rb[1])
 
 
 def test_quenched_mean_variance_validation():

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 
-from rwre.rng import (derive_key, mix64, mix64_array, scalar_site_key,
-                      site_keys, site_keys_mixed, stream_u01,
+from rwre.rng import (derive_key, derive_key_array, mix64, mix64_array,
+                      scalar_site_key, site_keys, site_keys_mixed, stream_u01,
                       stream_u01_array, counter_u01_array)
 
 
@@ -47,3 +49,24 @@ def test_derive_key_sensitivity():
     assert derive_key(5, -1) != derive_key(5, 1)
     keys = {derive_key(0, i, j) for i in range(50) for j in range(50)}
     assert len(keys) == 2500
+
+
+def test_zero_dim_inputs_wrap_without_warning():
+    # uint64 scalars warn on overflow where arrays wrap silently, so the
+    # array helpers must lift 0-d inputs to one dimension
+    key = derive_key(3, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = stream_u01_array(np.uint64(key), 2**40)
+        c = counter_u01_array(key, np.uint64(7))
+        m = site_keys_mixed(np.uint64(key), np.array([[2**62, -1]]))
+    assert u.shape == (1,) and u[0] == stream_u01(key, 2**40)
+    assert c.shape == (1,) and c[0] == stream_u01(key, 7)
+    assert int(m[0]) == scalar_site_key(key, (2**62, -1))
+
+
+def test_derive_key_array_matches_scalar():
+    seeds = [0, 1, 2**63, 2**64 - 1, 0xDEADBEEF]
+    keys = derive_key_array(np.array(seeds, dtype=np.uint64), 0x57A1C5EED, 3)
+    assert [int(k) for k in keys] == [derive_key(s, 0x57A1C5EED, 3)
+                                      for s in seeds]

@@ -1,11 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from rwre.environment import EnvironmentModel, make_environment
-from rwre.models import dirichlet_drift_model, drift_model, support_2d
-from rwre.walk import (WalkPath, diffusive_scale, first_passage, simulate,
-                       simulate_finals_many, simulate_paths_many,
-                       simulate_paths_many_envs)
+from rwre.environment import (EnvironmentModel, cum_vectors_from_keys,
+                              make_environment)
+from rwre.models import (backtracking_model, dirichlet_backtracking_model,
+                         dirichlet_drift_model, drift_model, support_2d)
+from rwre.walk import (WalkPath, _SiteCache, diffusive_scale, first_passage,
+                       simulate, simulate_finals_many,
+                       simulate_finals_many_envs, simulate_level_stats_many_envs,
+                       simulate_paths_many, simulate_paths_many_envs)
 
 
 def _point_mass_env(seed=0):
@@ -49,6 +54,12 @@ def test_drift_lln_binomial_oracle():
     assert abs(path.levels[-1] / n - 0.5) <= 4 * np.sqrt(0.25 / n)
 
 
+def _mixture_backtracking_model():
+    return EnvironmentModel(
+        support=support_2d([(1, 0), (-1, 0), (0, 1), (0, -1)]), kind="mixture",
+        atoms=(((0.7, 0.1, 0.1, 0.1), 0.3), ((0.4, 0.3, 0.15, 0.15), 0.7)))
+
+
 def test_many_engines_match_scalar():
     env = make_environment(dirichlet_drift_model(), 77)
     seeds = [21, 22, 23, 24]
@@ -62,6 +73,69 @@ def test_many_engines_match_scalar():
     paths2 = simulate_paths_many_envs(dirichlet_drift_model(), keys,
                                       np.zeros((4, 2), dtype=np.int64), 60, seeds)
     assert np.array_equal(paths, paths2)
+
+
+@pytest.mark.parametrize("model", [dirichlet_drift_model(),
+                                   dirichlet_backtracking_model(),
+                                   _mixture_backtracking_model()],
+                         ids=["drift", "backtracking", "mixture"])
+def test_mixed_key_engines_match_scalar(model):
+    # three walkers in each of three environments, keys interleaved, and
+    # a few more sites than cache slots, so entries collide and are evicted
+    n, m = 150, 9
+    envs = [make_environment(model, s) for s in (5, 6, 7)]
+    keys = np.array([envs[i % 3].env_key for i in range(m)], dtype=np.uint64)
+    seeds = list(range(300, 300 + m))
+    starts = np.array([[0, 3 * (i // 3)] for i in range(m)], dtype=np.int64)
+    paths = simulate_paths_many_envs(model, keys, starts, n, seeds)
+    finals = simulate_finals_many_envs(model, keys, starts, n, seeds)
+    stats = simulate_level_stats_many_envs(model, keys, starts, n, seeds)
+    distinct = {(i % 3, *site) for i in range(m) for site in
+                paths[:, i, :].tolist()}
+    assert len(distinct) > _SiteCache(model, m).size
+    for i in range(m):
+        ref = simulate(envs[i % 3], starts[i], n, seeds[i])
+        assert np.array_equal(paths[:, i, :], ref.sites)
+        assert np.array_equal(finals[i], ref.sites[-1])
+        assert stats["max_level"][i] == ref.levels.max()
+    shared = simulate_paths_many(envs[0], starts[0::3], n, seeds[0::3])
+    assert np.array_equal(shared, paths[:, 0::3, :])
+
+
+def test_site_cache_key_zero_is_not_a_hit():
+    model = dirichlet_drift_model()
+    cache = _SiteCache(model, 1)
+    keys = np.array([0, 0, 7], dtype=np.uint64)
+    ref = cum_vectors_from_keys(model, keys)
+    assert np.array_equal(cache.cums(keys), ref)
+    assert np.array_equal(cache.cums(keys), ref)  # now served from the table
+
+
+# SHA-256 of the int64 little-endian bytes of a tiny simulate_paths_many_envs
+# run; recorded before the engine had a site-vector cache.  A change in the
+# sampler, the hashing or scipy's gammaincinv shows up here.
+GOLDEN_PATHS = {
+    "deterministic":
+        "56a1175e3323f4aac4d9374c44f2dcc1ac90a9e5a7859b4129ae053b847fd87c",
+    "dirichlet":
+        "e4b9f20241ef2151263d93440fa4331e7da0d9a6c5c792506ab0d6554dbda38c",
+    "mixture":
+        "a46c7d92de7765b670a78fd90b157abbcc8f1f9746246370ea98e0977706fc2c",
+}
+
+
+@pytest.mark.parametrize("law", sorted(GOLDEN_PATHS))
+def test_golden_paths_digest(law):
+    model = {"deterministic": backtracking_model(),
+             "dirichlet": dirichlet_backtracking_model(),
+             "mixture": _mixture_backtracking_model()}[law]
+    keys = np.repeat([make_environment(model, s).env_key for s in (11, 12, 13)],
+                     3).astype(np.uint64)
+    paths = simulate_paths_many_envs(model, keys,
+                                     np.zeros((9, 2), dtype=np.int64), 40,
+                                     list(range(100, 109)))
+    digest = hashlib.sha256(paths.astype("<i8").tobytes()).hexdigest()
+    assert digest == GOLDEN_PATHS[law]
 
 
 def test_conditional_independence_proxy():
