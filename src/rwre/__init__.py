@@ -11,7 +11,7 @@ from .regen import (DiffusionEstimate, RegenerationRecord, VelocityEstimate,
                     backtrack_time, detect_regenerations, estimate_diffusion,
                     estimate_velocity, redirect_analysis, renewal_diagnostics)
 from .pair import (CouplingOutcome, JointRegenRecord, PairPath, YChainSample,
-                   count_intersections, coupled_triple, coupling_decay,
+                   count_intersections, coupled_triple,
                    first_joint_regeneration, intersection_curve, make_pair,
                    sample_Y_chain, sample_Ybar_chain,
                    support_inheritance_check)

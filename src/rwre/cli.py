@@ -7,8 +7,8 @@ master seed by the keyed splitting rule derive_key(master_seed,
 <experiment opcode>, replica index, ...), with a distinct opcode per
 experiment stage (the integer constants in the runner functions below);
 parallel results are reduced in replica-index order, so outputs are
-byte-identical for any worker count.
-
+byte-identical for any worker count.  Each kind's `params` fields, checks
+and defaults are one table, KIND_TABLE; the runners read only its output.
 Exit codes: 0 ok, 1 validation error, 2 runtime error.
 """
 
@@ -18,11 +18,13 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import multiprocessing
 import sys
 import time
 from functools import partial
 from pathlib import Path
+from reprlib import repr as _show
 
 import numpy as np
 
@@ -43,204 +45,172 @@ from .regen import (detect_regenerations, estimate_diffusion,
 from .rng import derive_key
 from .walk import simulate
 
-KINDS = ("regen", "clt", "quenched-mean", "intersections", "joint-regen",
-         "coupling", "ergodic", "variation", "green", "green-bound",
-         "exit-time", "check")
-
-_MODEL_KINDS = ("regen", "clt", "quenched-mean", "intersections",
-                "joint-regen", "coupling", "ergodic", "variation", "check")
-
-
 # ---------------------------------------------------------------------------
-# config parsing and validation
+# config checks: each returns the parsed value or raises ValueError
 
 
-def load_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+class _Required(str):
+    """Default of a field that must be given; the text is the error."""
 
 
-def _err(errors, field, msg):
-    errors.append(f"{field}: {msg}")
+_REQUIRED = _Required("required")
+_FROM_REGEN = _Required("required: clt needs v and D as estimated by a "
+                        "regen run; run it first or supply them inline")
 
 
-def _check_int(errors, params, field, lo=None, default=None):
-    v = params.get(field, default)
-    if v is None:
-        _err(errors, field, "required")
-        return None
+def _fail(what, v, name="") -> ValueError:
+    return ValueError(f"{name} must be {what} (got {_show(v)})".lstrip())
+
+
+def _integer(v, lo=None, name=""):
     if not isinstance(v, int) or isinstance(v, bool):
-        _err(errors, field, f"must be an integer (got {v!r})")
-        return None
+        raise _fail("an integer", v, name)
     if lo is not None and v < lo:
-        _err(errors, field, f"must be >= {lo} (got {v})")
-        return None
+        raise _fail(f">= {lo}", v, name)
     return v
 
 
-def _check_grid(errors, params, field, lo=1):
-    g = params.get(field)
-    if not isinstance(g, list) or not g:
-        _err(errors, field, "must be a nonempty list of integers")
-        return None
-    for v in g:
-        if not isinstance(v, int) or v < lo:
-            _err(errors, field, f"entries must be integers >= {lo} (got {v!r})")
-            return None
-    return g
+def _real(v, name="", above=None):
+    if not isinstance(v, (int, float)) or isinstance(v, bool) \
+            or not math.isfinite(v):
+        raise _fail("a finite number", v, name)
+    if above is not None and v <= above:
+        raise _fail(f"> {above}", v, name)
+    return float(v)
 
 
-def build_model(mcfg: dict) -> EnvironmentModel:
-    support = StepSupport(dimension=int(mcfg["dimension"]),
-                          steps=tuple(tuple(z) for z in mcfg["steps"]),
-                          u_hat=tuple(mcfg["u_hat"]))
-    law = mcfg.get("law")
-    if law == "deterministic":
-        return EnvironmentModel(support=support, kind="deterministic",
-                                probs=tuple(mcfg["probs"]))
-    if law == "dirichlet":
-        return EnvironmentModel(support=support, kind="dirichlet",
-                                alpha=tuple(mcfg["alpha"]),
-                                floor=float(mcfg.get("floor", 0.0)))
-    if law == "mixture":
-        atoms = tuple((tuple(a["probs"]), float(a["weight"]))
-                      for a in mcfg["atoms"])
-        return EnvironmentModel(support=support, kind="mixture", atoms=atoms)
-    raise ValueError(f"model.law: unknown law {law!r} "
-                     "(expected deterministic, dirichlet or mixture)")
+def _typed(kind, what):
+    def check(v, name=""):
+        if not isinstance(v, kind):
+            raise _fail(what, v, name)
+        return v
+    return check
 
 
-def build_walk(wcfg: dict) -> SymmetricWalk1D:
-    return SymmetricWalk1D(offsets=tuple(wcfg["offsets"]),
-                           probs=tuple(wcfg["probs"]))
+_flag = _typed(bool, "true or false")
+_object = _typed(dict, "an object")
+_text = _typed(str, "a string")
 
 
-def build_chain_spec(ccfg: dict) -> PerturbedChainSpec:
-    d = int(ccfg.get("dimension", 1))
-    if "base_1d" in ccfg:
-        offs, probs = product_symmetric_base(build_walk(ccfg["base_1d"]), d)
-    else:
-        offs = np.array(ccfg["base_offsets"], dtype=np.int64)
-        probs = np.array(ccfg["base_probs"], dtype=float)
-    p2 = ccfg.get("p2", "inf")
-    p2 = np.inf if p2 in ("inf", None) else float(p2)
-    kwargs = {}
-    if "alt_offsets" in ccfg:
-        kwargs["alt_offsets"] = np.array(ccfg["alt_offsets"], dtype=np.int64)
-        kwargs["alt_probs"] = np.array(ccfg["alt_probs"], dtype=float)
-    return PerturbedChainSpec(
-        dimension=d, base_offsets=offs, base_probs=probs,
-        p1=float(ccfg["p1"]), c_pert=float(ccfg.get("c_pert", 1.0)),
-        p2=p2, c_h=float(ccfg.get("c_h", 1.0)),
-        allow_low_p1=bool(ccfg.get("allow_low_p1", False)), **kwargs)
+def _lists(v, item, shape) -> list:
+    """Nested nonempty lists of item(entry); shape: lengths, None for any."""
+    if not shape:
+        return item(v)
+    if not isinstance(v, list) or not v or shape[0] not in (None, len(v)):
+        raise _fail(f"a list of {shape[0] or 'one or more'} entries", v)
+    return [_lists(x, item, shape[1:]) for x in v]
 
 
-def validate_config(cfg: dict, kind=None) -> list:
-    """Schema errors as 'field: reason' strings; empty list when valid."""
-    errors: list = []
-    if not isinstance(cfg, dict):
-        _err(errors, "config",
-             f"must be a JSON object (got {type(cfg).__name__})")
-        return errors
-    kind = kind or cfg.get("kind")
-    if kind not in KINDS:
-        _err(errors, "kind", f"unknown experiment kind {kind!r}; "
-             f"valid kinds: {', '.join(KINDS)}")
-        return errors
-    seed = cfg.get("master_seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        _err(errors, "master_seed", "must be an integer")
-    workers = cfg.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        _err(errors, "workers", "must be a positive integer")
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        _err(errors, "params", "must be an object")
-        return errors
+def _known(v, fields) -> dict:
+    """v, an object whose keys are all among fields."""
+    unknown = [k for k in _object(v) if k not in fields]
+    if unknown:
+        raise ValueError(f"unknown field {unknown[0]!r} "
+                         f"(known: {', '.join(fields)})")
+    return v
 
-    if kind in _MODEL_KINDS:
-        try:
-            build_model(cfg.get("model") or {})
-        except (KeyError, TypeError) as e:
-            _err(errors, "model", f"missing or malformed field ({e})")
-        except ValueError as e:
-            _err(errors, "model", str(e))
 
-    if kind == "regen":
-        _check_int(errors, params, "n_paths", 1, 8)
-        _check_int(errors, params, "horizon", 1, 100_000)
-        _check_int(errors, params, "margin", 1, 20)
-    elif kind == "clt":
-        _check_int(errors, params, "n", 1, 4096)
-        _check_int(errors, params, "m_walks", 2, 2000)
-        _check_int(errors, params, "n_env", 2, 5)
-        if "v" not in params or "D" not in params:
-            _err(errors, "params.v/params.D",
-                 "clt needs a velocity estimate v and diffusion matrix D; "
-                 "run the regen experiment first or supply them inline")
-    elif kind == "quenched-mean":
-        _check_grid(errors, params, "n_grid")
-        _check_int(errors, params, "n_env", 30, 200)
-        _check_int(errors, params, "m_walks", 2, 200)
-    elif kind == "intersections":
-        _check_grid(errors, params, "n_grid", lo=2)
-        _check_int(errors, params, "reps", 2, 1000)
-    elif kind == "joint-regen":
-        if not isinstance(params.get("x0"), list):
-            _err(errors, "params.x0", "required start offset in V_d")
-        _check_int(errors, params, "reps", 1, 200)
-        _check_int(errors, params, "margin", 1, 20)
-    elif kind == "coupling":
-        if not isinstance(params.get("x0_list"), list) or not params.get("x0_list"):
-            _err(errors, "params.x0_list", "required list of V_d starts")
-        _check_int(errors, params, "reps", 1, 1000)
-        _check_int(errors, params, "margin", 1, 12)
-    elif kind == "ergodic":
-        _check_int(errors, params, "n", 1, 100_000)
-        _check_int(errors, params, "n_runs", 1, 20)
-        psi = params.get("psi", {"type": "drift_projection"})
-        if not isinstance(psi, dict):
-            _err(errors, "params.psi", "must be an object")
-        elif psi.get("type", "drift_projection") not in ("drift_projection",
-                                                         "constant"):
-            _err(errors, "params.psi.type",
-                 "must be drift_projection or constant")
-    elif kind == "variation":
-        _check_int(errors, params, "n", 1, 1024)
-        _check_int(errors, params, "reps", 1000, 10_000)
-        _check_grid(errors, params, "ell_grid")
-    elif kind == "green":
-        try:
-            build_walk(params.get("walk") or {})
-        except (KeyError, TypeError) as e:
-            _err(errors, "params.walk", f"missing or malformed field ({e})")
-        except ValueError as e:
-            _err(errors, "params.walk", str(e))
-        pts = params.get("points")
-        if not isinstance(pts, list) or not all(
-                isinstance(p, list) and len(p) == 2 for p in (pts or [])):
-            _err(errors, "params.points", "must be a list of [s, t] pairs")
-        _check_int(errors, params, "reps", 1, 10_000)
-    elif kind in ("green-bound", "exit-time"):
-        try:
-            chain = params.get("chain") or {}
-            if not isinstance(chain, dict):
-                raise TypeError("must be an object")
-            build_chain_spec(chain)
-        except (KeyError, TypeError) as e:
-            _err(errors, "params.chain", f"missing or malformed field ({e})")
-        except ValueError as e:
-            _err(errors, "params.chain", str(e))
-        if kind == "green-bound":
-            _check_grid(errors, params, "n_grid")
-        else:
-            _check_grid(errors, params, "r_grid", lo=0)
-        _check_int(errors, params, "reps", 1, 256)
-    return errors
+def build_model(mcfg) -> EnvironmentModel:
+    m = _known(mcfg, ("dimension", "steps", "u_hat", "law", "probs", "alpha",
+                      "floor", "atoms"))
+    if m.get("law") not in ("deterministic", "dirichlet", "mixture"):
+        raise _fail("deterministic, dirichlet or mixture", m.get("law"), "law")
+    atoms = [_known(a, ("probs", "weight")) for a in m.get("atoms") or ()]
+    return EnvironmentModel(
+        support=StepSupport(_integer(m["dimension"], 1, "dimension"),
+                            m["steps"], m["u_hat"]),
+        kind=m["law"], probs=m.get("probs"), alpha=m.get("alpha"),
+        floor=_real(m.get("floor", 0.0), "floor"),
+        atoms=tuple((a["probs"], _real(a["weight"], "weight")) for a in atoms))
+
+
+def build_walk(wcfg) -> SymmetricWalk1D:
+    return SymmetricWalk1D(**_known(wcfg, ("offsets", "probs")))
+
+
+def build_chain_spec(ccfg) -> PerturbedChainSpec:
+    """PerturbedChainSpec(**ccfg); a walk base_1d may give the product base."""
+    c = dict(_known(ccfg, ("dimension", "base_1d", "base_offsets",
+                           "base_probs", "p1", "p2", "c_pert", "c_h",
+                           "alt_offsets", "alt_probs", "allow_low_p1")))
+    d = c["dimension"] = _integer(c.get("dimension", 1), 1, "dimension")
+    if "base_1d" in c:
+        walk = build_walk(c.pop("base_1d"))
+        # len(offsets) ** d product rows; with 2+ offsets, d > 16 is over
+        if d > 16 or len(walk.offsets) ** d > 1 << 16:
+            raise ValueError(f"dimension {d} with {len(walk.offsets)} base_1d "
+                             "offsets gives more than 65536 product steps")
+        c["base_offsets"], c["base_probs"] = product_symmetric_base(walk, d)
+    for k, check in (("p1", _real), ("c_pert", _real), ("c_h", _real),
+                     ("p2", lambda v, k: np.inf if v in ("inf", None)
+                      else _real(v, k)), ("allow_low_p1", _flag)):
+        if k in c:
+            c[k] = check(c[k], k)
+    return PerturbedChainSpec(**c)
+
+
+def _int(lo=None):
+    return lambda v, p, model: _integer(v, lo)
+
+
+def _plain(check):
+    return lambda v, p, model: check(v)
+
+
+def _nested(item, *shape):
+    """_lists check; a shape entry "d" is the model's dimension."""
+    return lambda v, p, model: _lists(v, item, [
+        model.support.dimension if n == "d" else n for n in shape])
+
+
+def _grid(lo, least=1):
+    """At least `least` (2 for a fit) distinct integers >= lo."""
+    def check(v, p, model):
+        g = _lists(v, partial(_integer, lo=lo), [None])
+        if len(set(g)) < max(least, len(g)):
+            raise _fail(f"a list of {least} or more distinct values", v)
+        return g
+    return check
+
+
+def _tail_cut(v, p, model):
+    if v is not None and _integer(v) < p.get("margin", 1):
+        raise _fail(f">= margin = {p.get('margin', 1)}", v)
+    return v
+
+
+def _psi(v, p, model):
+    v, d = _known(v, ("type", "direction", "value")), model.support.dimension
+    kind = v.get("type", "drift_projection")
+    if kind == "drift_projection":
+        return drift_projection(model, _lists(
+            v.get("direction", list(model.support.u_hat)), _real, [d]))
+    if kind == "constant":
+        return constant_function(_real(v.get("value", 1.0), "value"), d)
+    raise _fail("drift_projection or constant", kind, "type")
+
+
+def _checkpoints(v, p, model):
+    n = p.get("n")
+    if v in (None, []):
+        return [max(1, n // 100), n] if n else None
+    cps = _lists(v, partial(_integer, lo=1), [None])
+    if n and (cps[-1] > n or cps != sorted(cps)):
+        raise _fail(f"nondecreasing and <= n = {n}", v)
+    return cps
+
+
+def _points(v, p, model):
+    pts = _lists(v, _integer, [None, 2])
+    for pt in pts:
+        if "r0" in p and min(pt) <= p["r0"]:
+            raise _fail(f"[s, t] pairs above r0 = {p['r0']}", pt)
+    return pts
 
 
 # ---------------------------------------------------------------------------
-# deterministic parallel map
+# runners take (model, parsed params, seed, workers); tasks are module
+# level so that they pickle for the deterministic parallel map
 
 
 def _pmap(fn, items, workers: int):
@@ -251,87 +221,63 @@ def _pmap(fn, items, workers: int):
         return pool.map(fn, items)
 
 
-# ---------------------------------------------------------------------------
-# per-kind runners (module level so tasks pickle under multiprocessing)
-
-
 def _regen_path_task(args, model=None, horizon=0, margin=0, tail_cut=None):
     seed, i = args
     env = make_environment(model, derive_env_seed(seed, 101, i))
     path = simulate(env, np.zeros(model.support.dimension, dtype=np.int64),
                     horizon, derive_key(seed, 102, i))
-    rec = detect_regenerations(path, margin=margin, tail_cut=tail_cut)
-    return rec, path.levels
+    return (detect_regenerations(path, margin=margin, tail_cut=tail_cut),
+            path.levels)
 
 
 def _run_regen(model, params, seed, workers):
-    n_paths = params.get("n_paths", 8)
-    horizon = params.get("horizon", 100_000)
-    margin = params.get("margin", 20)
-    tail_cut = params.get("tail_cut")
-    p = float(params.get("p", 2.0))
-    n_grid = params.get("n_grid", [4, 16, 64, 256])
-    task = partial(_regen_path_task, model=model, horizon=horizon,
-                   margin=margin, tail_cut=tail_cut)
-    results = _pmap(task, [(seed, i) for i in range(n_paths)], workers)
-    records = [r for r, _ in results]
-    levels = [lv for _, lv in results]
+    task = partial(_regen_path_task, model=model, horizon=params["horizon"],
+                   margin=params["margin"], tail_cut=params["tail_cut"])
+    results = _pmap(task, [(seed, i) for i in range(params["n_paths"])],
+                    workers)
+    records, levels = map(list, zip(*results))
     ve = estimate_velocity(records)
     de = estimate_diffusion(records, ve.v_hat)
-    diag = renewal_diagnostics(records, p=p, n_grid=n_grid, paths=levels)
-    rows = []
-    for pi, rec in enumerate(records):
-        for k in range(rec.n_slabs):
-            rows.append((pi, k + 1, int(rec.slab_dtau[k]),
-                         *rec.slab_dx[k].tolist(), 1))
+    diag = renewal_diagnostics(records, p=params["p"],
+                               n_grid=params["n_grid"], paths=levels)
+    rows = [(pi, *row) for pi, rec in enumerate(records)
+            for row in rec.slab_csv_rows()]
     header = ["path", "k", "dtau"] + \
         [f"dx_{j+1}" for j in range(model.support.dimension)] + ["confirmed"]
-    summary = {
-        "v_hat": ve.v_hat, "v_se": ve.se, "n_slabs": ve.n_slabs,
-        "D_hat": de.D_hat,
-        "unconfirmed": int(sum(r.n_unconfirmed for r in records)),
-        "diagnostics": diag,
-        "hypotheses": check_hypotheses(model).__dict__,
-    }
+    summary = {"v_hat": ve.v_hat, "v_se": ve.se, "n_slabs": ve.n_slabs,
+               "D_hat": de.D_hat, "diagnostics": diag,
+               "unconfirmed": int(sum(r.n_unconfirmed for r in records)),
+               "hypotheses": check_hypotheses(model).__dict__}
     return {"slabs": (header, rows)}, summary
 
 
+def _clt_env_task(e, model=None, n=0, m_walks=0, v=None, seed=0):
+    env = make_environment(model, derive_env_seed(seed, 201, e))
+    return quenched_samples(env, n, m_walks, v, seed=derive_key(seed, 202, e))
+
+
 def _run_clt(model, params, seed, workers):
-    n = params.get("n", 4096)
-    m_walks = params.get("m_walks", 2000)
-    n_env = params.get("n_env", 5)
-    v = np.asarray(params["v"], dtype=float)
-    D = np.asarray(params["D"], dtype=float)
-    samples = []
-    for e in range(n_env):
-        env = make_environment(model, derive_env_seed(seed, 201, e))
-        samples.append(quenched_samples(env, n, m_walks, v,
-                                        seed=derive_key(seed, 202, e)))
-    report = clt_check(samples, D, model.support)
-    rows = []
+    n_env = params["n_env"]
+    task = partial(_clt_env_task, model=model, n=params["n"],
+                   m_walks=params["m_walks"], v=params["v"], seed=seed)
+    samples = _pmap(task, list(range(n_env)), workers)
+    report = clt_check(samples, params["D"], model.support)
+    rows = [(e, j, report.ks_pvalues[e, j], int(report.degenerate_ok[e, j]),
+             *report.per_env_cov[e].ravel())
+            for e in range(n_env) for j in range(len(report.directions))]
     d = model.support.dimension
-    for e in range(n_env):
-        C = report.per_env_cov[e]
-        for j in range(len(report.directions)):
-            rows.append((e, j, report.ks_pvalues[e, j],
-                         int(report.degenerate_ok[e, j]),
-                         *[C[a, b] for a in range(d) for b in range(d)]))
     header = ["env", "direction", "ks_pvalue", "degenerate_ok"] + \
         [f"cov_{a+1}{b+1}" for a in range(d) for b in range(d)]
-    summary = {
-        "directions": report.directions,
-        "n_passed": report.n_passed, "n_env": n_env,
-        "flagged": report.flagged,
-        "frob_to_ref": report.frob_to_ref,
-        "frob_pairwise_max": report.frob_pairwise_max,
-    }
+    summary = {"directions": report.directions, "n_passed": report.n_passed,
+               "n_env": n_env, "flagged": report.flagged,
+               "frob_to_ref": report.frob_to_ref,
+               "frob_pairwise_max": report.frob_pairwise_max}
     return {"clt_envs": (header, rows)}, summary
 
 
 def _run_quenched_mean(model, params, seed, workers):
     res = quenched_mean_variance(
-        model, params["n_grid"], params.get("n_env", 200),
-        params.get("m_walks", 200),
+        model, params["n_grid"], params["n_env"], params["m_walks"],
         seed=seed, map_fn=partial(_pmap, workers=workers), blocks=workers)
     fit = res["fit"]
     rows = [(n, *corrected.tolist(), trace, se)
@@ -358,32 +304,23 @@ def _run_intersections(model, params, seed, workers):
 def _joint_regen_task(args, model=None, x0=None, margin=0, horizon=0):
     seed, i = args
     env = make_environment(model, derive_env_seed(seed, 401, i))
-    d = model.support.dimension
-    rec = first_joint_regeneration(env, np.zeros(d, dtype=np.int64),
-                                   np.asarray(x0, dtype=np.int64),
-                                   margin=margin, horizon=horizon,
-                                   seed=derive_key(seed, 402, i))
-    return rec
+    return first_joint_regeneration(
+        env, np.zeros(model.support.dimension, dtype=np.int64),
+        np.asarray(x0, dtype=np.int64), margin=margin, horizon=horizon,
+        seed=derive_key(seed, 402, i))
 
 
 def _run_joint_regen(model, params, seed, workers):
-    x0 = params["x0"]
-    reps = params.get("reps", 200)
-    margin = params.get("margin", 20)
-    horizon = params.get("horizon", 20_000)
-    m_grid = params.get("m_grid", [4, 8, 16, 32, 64])
-    task = partial(_joint_regen_task, model=model, x0=x0, margin=margin,
-                   horizon=horizon)
+    reps = params["reps"]
+    task = partial(_joint_regen_task, model=model, x0=params["x0"],
+                   margin=params["margin"], horizon=params["horizon"])
     recs = _pmap(task, [(seed, i) for i in range(reps)], workers)
-    rows = []
-    for i, rec in enumerate(recs):
-        rows.append((i, rec.Lambda if rec.Lambda is not None else "",
-                     rec.mu1 if rec.mu1 is not None else "",
-                     rec.mu1_tilde if rec.mu1_tilde is not None else "",
-                     int(rec.confirmed)))
+    rows = [(i, *("" if x is None else x
+                  for x in (rec.Lambda, rec.mu1, rec.mu1_tilde)),
+             int(rec.confirmed)) for i, rec in enumerate(recs)]
     lam = np.array([r.Lambda for r in recs if r.confirmed], dtype=float)
     tail = {int(m): float((lam > m).mean()) if lam.size else None
-            for m in m_grid}
+            for m in params["m_grid"]}
     summary = {"confirmed_fraction": sum(r.confirmed for r in recs) / reps,
                "mean_Lambda": float(lam.mean()) if lam.size else None,
                "tail_P_Lambda_gt": tail}
@@ -393,22 +330,17 @@ def _run_joint_regen(model, params, seed, workers):
 
 def _coupling_task(args, model=None, margin=0, horizon=0):
     seed, j, x0, i = args
-    out = coupled_triple(model, x0, seed=derive_key(seed, 501, j, i),
-                         margin=margin, horizon=horizon)
-    return out
+    return coupled_triple(model, x0, seed=derive_key(seed, 501, j, i),
+                          margin=margin, horizon=horizon)
 
 
 def _run_coupling(model, params, seed, workers):
-    x0_list = [tuple(x) for x in params["x0_list"]]
-    reps = params.get("reps", 1000)
-    margin = params.get("margin", 12)
-    horizon = params.get("horizon", 20_000)
+    reps = params["reps"]
     d = model.support.dimension
-    rows = []
-    agg = []
-    for j, x0 in enumerate(x0_list):
-        task = partial(_coupling_task, model=model, margin=margin,
-                       horizon=horizon)
+    task = partial(_coupling_task, model=model, margin=params["margin"],
+                   horizon=params["horizon"])
+    rows, agg = [], []
+    for j, x0 in enumerate(params["x0_list"]):
         outs = _pmap(task, [(seed, j, x0, i) for i in range(reps)], workers)
         for out in outs:
             rows.append((*x0, *out.Y1.tolist(), *out.Ybar1.tolist(),
@@ -416,11 +348,9 @@ def _run_coupling(model, params, seed, workers):
         p = float(np.mean([not o.equal for o in outs]))
         se = float(np.sqrt(max(p * (1 - p), 1e-12) / reps))
         agg.append({"x0": list(x0), "p_neq": p, "se": se})
-    header = [f"x0_{j+1}" for j in range(d)] + \
-        [f"y1_{j+1}" for j in range(d)] + \
-        [f"ybar1_{j+1}" for j in range(d)] + ["equal", "hit_x_path", "n_triples"]
-    ps = [a["p_neq"] for a in agg]
-    ses = [a["se"] for a in agg]
+    header = [f"{c}_{j+1}" for c in ("x0", "y1", "ybar1") for j in range(d)] \
+        + ["equal", "hit_x_path", "n_triples"]
+    ps, ses = [a["p_neq"] for a in agg], [a["se"] for a in agg]
     mono = all(ps[i + 1] <= ps[i] + 3 * np.hypot(ses[i], ses[i + 1])
                for i in range(len(ps) - 1))
     summary = {"per_start": agg, "monotone_within_3se": bool(mono)}
@@ -428,20 +358,12 @@ def _run_coupling(model, params, seed, workers):
 
 
 def _run_ergodic(model, params, seed, workers):
-    n = params.get("n", 100_000)
-    n_runs = params.get("n_runs", 20)
-    psi_cfg = params.get("psi", {"type": "drift_projection"})
-    if psi_cfg.get("type", "drift_projection") == "drift_projection":
-        direction = psi_cfg.get("direction", list(model.support.u_hat))
-        psi = drift_projection(model, direction)
-    else:
-        psi = constant_function(float(psi_cfg.get("value", 1.0)),
-                                model.support.dimension)
-    checkpoints = params.get("checkpoints") or [max(1, n // 100), n]
+    n_runs, checkpoints = params["n_runs"], params["checkpoints"]
     rows = []
     finals = {c: [] for c in checkpoints}
     for r in range(n_runs):
-        res = ergodic_average(model, psi, n, seed=derive_key(seed, 601, r),
+        res = ergodic_average(model, params["psi"], params["n"],
+                              seed=derive_key(seed, 601, r),
                               checkpoints=checkpoints)
         for c in res["checkpoints"]:
             rows.append((r, c, res["means"][c]))
@@ -456,11 +378,9 @@ def _run_ergodic(model, params, seed, workers):
 
 
 def _run_variation(model, params, seed, workers):
-    res = variation_proxy(model, params.get("n", 1024), params["ell_grid"],
-                          params.get("reps", 10_000),
-                          seed=derive_key(seed, 701))
-    rows = res["rows"]
-    ihat = res["i_hat"]
+    res = variation_proxy(model, params["n"], params["ell_grid"],
+                          params["reps"], seed=derive_key(seed, 701))
+    rows, ihat = res["rows"], res["i_hat"]
     mono = bool(np.all(np.diff(ihat) <= 1e-15))
     fit = None
     if (ihat > 0).sum() >= 2:
@@ -471,20 +391,16 @@ def _run_variation(model, params, seed, workers):
     return {"variation": (["ell", "i_hat", "ci_lo", "ci_hi"], rows)}, summary
 
 
-def _run_green(params, seed, workers):
-    walk = build_walk(params["walk"])
-    r0 = params.get("r0", 0)
-    reps = params.get("reps", 10_000)
-    with_mc = params.get("mc", True)
+def _run_green(model, params, seed, workers):
+    walk, r0 = params["walk"], params["r0"]
     tables = build_ladder_tables(walk)
-    rows = []
-    max_err = 0.0
+    rows, max_err = [], 0.0
     for i, (s, t) in enumerate(params["points"]):
         ladder = half_line_green(walk, r0, s, t, tables)
         solve = half_line_green_solve(walk, r0, s, t)
         max_err = max(max_err, abs(ladder - solve))
-        if with_mc:
-            mc, se = half_line_green_mc(walk, r0, s, t, reps=reps,
+        if params["mc"]:
+            mc, se = half_line_green_mc(walk, r0, s, t, reps=params["reps"],
                                         seed=derive_key(seed, 801, i))
         else:
             mc, se = "", ""
@@ -498,11 +414,9 @@ def _run_green(params, seed, workers):
             "ladder_table": (["m", "v_m"], vrows)}, summary
 
 
-def _run_green_bound(params, seed, workers):
-    spec = build_chain_spec(params["chain"])
-    res = green_bound_experiment(spec, params["n_grid"],
-                                 reps=params.get("reps", 256),
-                                 seed=derive_key(seed, 802))
+def _run_green_bound(model, params, seed, workers):
+    res = green_bound_experiment(params["chain"], params["n_grid"],
+                                 params["reps"], derive_key(seed, 802))
     rows = list(zip(res["n_grid"], res["curve"].tolist()))
     summary = {"fit_slope": res["fit"].slope,
                "fit_slope_se": res["fit"].slope_se,
@@ -511,10 +425,9 @@ def _run_green_bound(params, seed, workers):
     return {"green_bound": (["n", "sum_h_mean"], rows)}, summary
 
 
-def _run_exit_time(params, seed, workers):
-    spec = build_chain_spec(params["chain"])
-    res = cube_exit_time(spec, params["r_grid"], reps=params.get("reps", 256),
-                         seed=derive_key(seed, 803))
+def _run_exit_time(model, params, seed, workers):
+    res = cube_exit_time(params["chain"], params["r_grid"],
+                         reps=params["reps"], seed=derive_key(seed, 803))
     rows = list(zip(res["r_grid"], res["mean_exit"]))
     summary = {"fit_slope": res["fit"].slope if res["fit"] else None,
                "fit_slope_se": res["fit"].slope_se if res["fit"] else None,
@@ -523,8 +436,120 @@ def _run_exit_time(params, seed, workers):
 
 
 def _run_check(model, params, seed, workers):
-    rep = check_hypotheses(model)
-    return {}, {"hypotheses": rep.__dict__}
+    return {}, {"hypotheses": check_hypotheses(model).__dict__}
+
+
+# ---------------------------------------------------------------------------
+# kind -> (runner, needs a model, {params field: (check, default or
+# _REQUIRED)}); check(value, params parsed so far, model) returns the parsed
+# value.  Fields, defaults included, are checked in table order.
+
+KIND_TABLE = {
+    "regen": (_run_regen, True, {
+        "n_paths": (_int(1), 8), "horizon": (_int(1), 100_000),
+        "margin": (_int(1), 20), "tail_cut": (_tail_cut, None),
+        "p": (_plain(partial(_real, above=0)), 2.0),
+        "n_grid": (_grid(1), [4, 16, 64, 256])}),
+    "clt": (_run_clt, True, {
+        "n": (_int(1), 4096), "m_walks": (_int(2), 2000),
+        "n_env": (_int(2), 5),
+        "v": (_nested(_real, "d"), _FROM_REGEN),
+        "D": (_nested(_real, "d", "d"), _FROM_REGEN)}),
+    "quenched-mean": (_run_quenched_mean, True, {
+        "n_grid": (_grid(1), _REQUIRED), "n_env": (_int(30), 200),
+        "m_walks": (_int(2), 200)}),
+    "intersections": (_run_intersections, True, {
+        "n_grid": (_grid(2, least=2), _REQUIRED), "reps": (_int(2), 1000)}),
+    "joint-regen": (_run_joint_regen, True, {
+        "x0": (_nested(_integer, "d"), _REQUIRED), "reps": (_int(1), 200),
+        "margin": (_int(1), 20), "horizon": (_int(1), 20_000),
+        "m_grid": (_grid(0), [4, 8, 16, 32, 64])}),
+    "coupling": (_run_coupling, True, {
+        "x0_list": (_nested(_integer, None, "d"), _REQUIRED),
+        "reps": (_int(1), 1000), "margin": (_int(1), 12),
+        "horizon": (_int(1), 20_000)}),
+    "ergodic": (_run_ergodic, True, {
+        "n": (_int(1), 100_000), "n_runs": (_int(1), 20),
+        "psi": (_psi, {"type": "drift_projection"}),
+        "checkpoints": (_checkpoints, None)}),  # None: [max(1, n // 100), n]
+    "variation": (_run_variation, True, {
+        "n": (_int(1), 1024), "ell_grid": (_grid(1), _REQUIRED),
+        "reps": (_int(1000), 10_000)}),
+    "green": (_run_green, False, {
+        "walk": (_plain(build_walk), _REQUIRED), "r0": (_int(), 0),
+        "points": (_points, _REQUIRED), "reps": (_int(1), 10_000),
+        "mc": (_plain(_flag), True)}),
+    "green-bound": (_run_green_bound, False, {
+        "chain": (_plain(build_chain_spec), _REQUIRED),
+        "n_grid": (_grid(1, least=2), _REQUIRED), "reps": (_int(1), 256)}),
+    "exit-time": (_run_exit_time, False, {
+        "chain": (_plain(build_chain_spec), _REQUIRED),
+        "r_grid": (_grid(0), _REQUIRED), "reps": (_int(1), 256)}),
+    "check": (_run_check, True, {}),
+}
+KINDS = tuple(KIND_TABLE)
+
+
+# ---------------------------------------------------------------------------
+# config parsing and validation
+
+# what building a model, walk or chain from malformed JSON raises
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _reason(e) -> str:
+    return f"missing field {e}" if isinstance(e, KeyError) else str(e)
+
+
+def parse_config(cfg, kind=None, workers=None) -> tuple:
+    """(model, params, errors): the built model (None if the kind takes none
+    or it is invalid), the checked params with defaults filled in, and errors
+    as 'field: reason' strings.  `workers` is the --workers override."""
+    if not isinstance(cfg, dict):
+        return None, {}, ["config: must be a JSON object "
+                          f"(got {type(cfg).__name__})"]
+    kind = kind or cfg.get("kind")
+    if kind not in KINDS:
+        return None, {}, [f"kind: unknown experiment kind {_show(kind)}; "
+                          f"valid kinds: {', '.join(KINDS)}"]
+    _, needs_model, fields = KIND_TABLE[kind]
+    errors = []
+    # top-level fields, and the --workers flag that overrides "workers"
+    given = {**cfg, "--workers": 1 if workers is None else workers}
+    for name, check in (("master_seed", _int()), ("workers", _int(1)),
+                        ("--workers", _int(1)), ("out_dir", _plain(_text))):
+        if name in given:
+            try:
+                check(given[name], {}, None)
+            except ValueError as e:
+                errors.append(f"{name}: {e}")
+    model = None
+    if needs_model:
+        try:
+            model = build_model(cfg.get("model"))
+        except _MALFORMED as e:
+            return None, {}, errors + [f"model: {_reason(e)}"]
+    raw = cfg.get("params", {})
+    if not isinstance(raw, dict):
+        return model, {}, errors + ["params: must be an object"]
+    errors += [f"params.{f}: unknown field for {kind} "
+               f"(known: {', '.join(fields) or 'none'})"
+               for f in raw if f not in fields]
+    params = {}
+    for field, (check, default) in fields.items():
+        v = raw.get(field, default)
+        try:
+            if isinstance(v, _Required):
+                raise ValueError(v)
+            params[field] = check(v, params, model)
+        except _MALFORMED as e:
+            errors.append(f"params.{field}: {_reason(e)}")
+    return model, params, errors
+
+
+def validate_config(cfg, kind=None) -> list:
+    """Schema errors as 'field: reason' strings; empty list when valid."""
+    return parse_config(cfg, kind)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -549,21 +574,20 @@ def _to_jsonable(obj):
 
 
 def _fmt_cell(x):
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (bool, np.bool_, int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, rows) -> str:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt_cell(c) for c in row])
+    return _sha256(path)
 
 
 def _sha256(path: Path) -> str:
@@ -572,49 +596,32 @@ def _sha256(path: Path) -> str:
 
 def run(cfg: dict, kind=None, out_dir=None, workers=None, seed=None) -> dict:
     """Execute one experiment; returns the manifest dict."""
-    kind = kind or cfg.get("kind")
-    errors = validate_config({**cfg, "kind": kind}, kind)
+    model, params, errors = parse_config(cfg, kind, workers)
     if errors:
         raise ValueError("; ".join(errors))
+    return _execute(cfg, kind or cfg["kind"], model, params, out_dir,
+                    workers, seed)
+
+
+def _execute(cfg, kind, model, params, out_dir, workers, seed) -> dict:
     seed = seed if seed is not None else cfg.get("master_seed", 0)
     workers = workers if workers is not None else cfg.get("workers", 1)
     out_dir = Path(out_dir or cfg.get("out_dir") or f"runs/{kind}")
-    params = cfg.get("params", {})
     t0 = time.time()
-    if kind in _MODEL_KINDS:
-        model = build_model(cfg["model"])
-        runner = {
-            "regen": _run_regen, "clt": _run_clt,
-            "quenched-mean": _run_quenched_mean,
-            "intersections": _run_intersections,
-            "joint-regen": _run_joint_regen, "coupling": _run_coupling,
-            "ergodic": _run_ergodic, "variation": _run_variation,
-            "check": _run_check,
-        }[kind]
-        tables, summary = runner(model, params, seed, workers)
-    else:
-        runner = {"green": _run_green, "green-bound": _run_green_bound,
-                  "exit-time": _run_exit_time}[kind]
-        tables, summary = runner(params, seed, workers)
+    tables, summary = KIND_TABLE[kind][0](model, params, seed, workers)
     out_dir.mkdir(parents=True, exist_ok=True)
-    digests = {}
-    for name, (header, rows) in tables.items():
-        p = out_dir / f"{name}.csv"
-        _write_csv(p, header, rows)
-        digests[p.name] = _sha256(p)
+    digests = {f"{name}.csv": _write_csv(out_dir / f"{name}.csv", *table)
+               for name, table in tables.items()}
     summary_doc = {"kind": kind, "config": cfg,
                    "master_seed": seed, "results": _to_jsonable(summary)}
     sp = out_dir / "summary.json"
     sp.write_text(json.dumps(summary_doc, indent=2, sort_keys=True) + "\n",
                   encoding="utf-8")
     digests[sp.name] = _sha256(sp)
-    manifest = {
-        "config_sha256": hashlib.sha256(
-            json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
-        "code_version": __version__,
-        "wall_time_s": time.time() - t0,
-        "outputs": digests,
-    }
+    manifest = {"config_sha256": hashlib.sha256(
+                    json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
+                "code_version": __version__,
+                "wall_time_s": time.time() - t0, "outputs": digests}
     (out_dir / "run_manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
@@ -626,12 +633,12 @@ def run(cfg: dict, kind=None, out_dir=None, workers=None, seed=None) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="rwre",
-        description="Random-walk-in-random-environment simulation laboratory")
+    parser = argparse.ArgumentParser(prog="rwre", description=(
+        "Random-walk-in-random-environment simulation laboratory"))
     sub = parser.add_subparsers(dest="command")
     pv = sub.add_parser("validate", help="validate a config file")
     pv.add_argument("config")
+    pv.set_defaults(seed=None, workers=None, out=None)
     for kind in KINDS:
         pk = sub.add_parser(kind, help=f"run the {kind} experiment")
         pk.add_argument("--config", required=True)
@@ -642,32 +649,24 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 1
-    if args.command == "validate":
-        try:
-            cfg = load_config(args.config)
-        except (OSError, json.JSONDecodeError) as e:
-            print(f"error: cannot parse {args.config}: {e}", file=sys.stderr)
-            return 1
-        errors = validate_config(cfg)
-        if errors:
-            for e in errors:
-                print(f"error: {e}", file=sys.stderr)
-            return 1
-        print("ok")
-        return 0
+    kind = None if args.command == "validate" else args.command
     try:
-        cfg = load_config(args.config)
-    except (OSError, json.JSONDecodeError) as e:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError, RecursionError) as e:
         print(f"error: cannot parse {args.config}: {e}", file=sys.stderr)
         return 1
-    errors = validate_config(cfg, args.command)
+    model, params, errors = parse_config(cfg, kind, args.workers)
     if errors:
         for e in errors:
             print(f"error: {e}", file=sys.stderr)
         return 1
+    if kind is None:
+        print("ok")
+        return 0
     try:
-        manifest = run(cfg, kind=args.command, out_dir=args.out,
-                       workers=args.workers, seed=args.seed)
+        manifest = _execute(cfg, kind, model, params, args.out, args.workers,
+                            args.seed)
     except Exception as e:  # runtime failures map to exit code 2
         print(f"runtime error: {e}", file=sys.stderr)
         return 2

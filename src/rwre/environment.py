@@ -55,11 +55,6 @@ class StepSupport:
         return sum(int(a) * int(b) for a, b in zip(z, self.u_hat))
 
     @property
-    def step_bound(self) -> float:
-        """Hypothesis (M) constant: max Euclidean step norm."""
-        return max(math.sqrt(sum(c * c for c in z)) for z in self.steps)
-
-    @property
     def steps_array(self) -> np.ndarray:
         return np.array(self.steps, dtype=np.int64)
 
@@ -113,8 +108,8 @@ class EnvironmentModel:
             if self.alpha is None or len(self.alpha) != k:
                 raise ValueError("alpha must have one weight per step")
             a = tuple(float(x) for x in self.alpha)
-            if any(x <= 0 for x in a):
-                raise ValueError("alpha weights must be positive")
+            if not all(0 < x < math.inf for x in a):
+                raise ValueError("alpha weights must be positive and finite")
             object.__setattr__(self, "alpha", a)
             if not (0.0 <= self.floor < 1.0):
                 raise ValueError("floor must lie in [0, 1)")
@@ -126,8 +121,9 @@ class EnvironmentModel:
             for probs, w in self.atoms:
                 p = _check_prob_vector(probs, k, "atom probs")
                 w = float(w)
-                if w <= 0:
-                    raise ValueError("atom weights must be positive")
+                if not 0 < w < math.inf:
+                    raise ValueError("atom weights must be positive and "
+                                     "finite")
                 atoms.append((p, w))
                 wsum += w
             atoms = tuple((p, w / wsum) for p, w in atoms)
@@ -154,16 +150,12 @@ class EnvironmentModel:
             mean += w * np.array(p)
         return mean
 
-    @property
-    def mean_drift(self) -> np.ndarray:
-        return self.mean_probs @ self.support.steps_array.astype(float)
-
 
 def _check_prob_vector(probs, k: int, name: str) -> tuple:
     if probs is None or len(probs) != k:
         raise ValueError(f"{name} must have one entry per step in J")
     p = tuple(float(x) for x in probs)
-    if any(x < 0 for x in p):
+    if not all(x >= 0 for x in p):   # also rejects NaN
         raise ValueError(f"{name} entries must be nonnegative")
     if abs(sum(p) - 1.0) > 1e-12:
         raise ValueError(f"{name} must sum to 1 (got {sum(p)})")
@@ -189,7 +181,6 @@ class Environment:
             self._const_cum = tuple(np.cumsum(p).tolist())
         elif model.kind == "mixture":
             self._atom_w = np.cumsum([w for _, w in model.atoms])
-            self._atom_cums = [tuple(np.cumsum(p).tolist()) for p, _ in model.atoms]
             self._atom_probs = np.array([p for p, _ in model.atoms])
         self._k = k
 

@@ -41,8 +41,8 @@ class SymmetricWalk1D:
             raise ValueError("offsets and probs must align and be nonempty")
         if len(set(offs)) != len(offs):
             raise ValueError("duplicate offsets")
-        if any(q < 0 for q in p):
-            raise ValueError("probabilities must be nonnegative")
+        if not all(q >= 0 for q in p):   # also rejects NaN
+            raise ValueError("probabilities must be nonnegative numbers")
         if abs(sum(p) - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1")
         pmf = dict(zip(offs, p))
@@ -454,10 +454,8 @@ class PerturbedChainSpec:
     def __post_init__(self):
         self.base_offsets = np.asarray(self.base_offsets, dtype=np.int64)
         self.base_probs = np.asarray(self.base_probs, dtype=float)
-        if self.base_offsets.shape[0] != len(self.base_probs):
-            raise ValueError("base offsets/probs mismatch")
-        if abs(self.base_probs.sum() - 1.0) > 1e-12:
-            raise ValueError("base probabilities must sum to 1")
+        _check_steps(self.base_offsets, self.base_probs, self.dimension,
+                     "base")
         # symmetry of the base pmf
         pmf = {tuple(z): p for z, p in zip(self.base_offsets.tolist(),
                                            self.base_probs)}
@@ -465,12 +463,16 @@ class PerturbedChainSpec:
             neg = tuple(-c for c in z)
             if abs(p - pmf.get(neg, 0.0)) > 1e-12:
                 raise ValueError("base pmf must be symmetric")
-        if self.p2 <= 0:
+        if not (2 < self.p1 < np.inf and 0 <= self.c_pert < np.inf
+                and 0 < self.c_h < np.inf):
+            raise ValueError("need finite p1 > 2 (the theorem exponent "
+                             "divides by 2 p1 - 4), c_pert >= 0 and c_h > 0")
+        if not self.p2 > 0:   # also rejects NaN
             raise ValueError("test function must decay: p2 > 0 required")
         if self.p1 <= 15 and not self.allow_low_p1:
             raise ValueError("p1 > 15 required for the Green-bound regime "
                              "(set allow_low_p1 for exploratory runs)")
-        if self.alt_offsets is None:
+        if self.alt_offsets is None and self.alt_probs is None:
             # default bias: push along the first coordinate
             e0 = np.zeros(self.dimension, dtype=np.int64)
             e0[0] = 1
@@ -479,6 +481,8 @@ class PerturbedChainSpec:
         else:
             self.alt_offsets = np.asarray(self.alt_offsets, dtype=np.int64)
             self.alt_probs = np.asarray(self.alt_probs, dtype=float)
+            _check_steps(self.alt_offsets, self.alt_probs, self.dimension,
+                         "alt")
 
     def h(self, pos: np.ndarray) -> np.ndarray:
         norm = np.sqrt((pos.astype(float) ** 2).sum(axis=1))
@@ -490,6 +494,18 @@ class PerturbedChainSpec:
         denom = 2.0 * self.p1 - 4.0
         return max(1.0 - (0.0 if np.isinf(self.p2) else self.p2) / denom,
                    0.5 + 13.0 / denom)
+
+
+def _check_steps(offsets, probs, d: int, name: str) -> None:
+    """Offsets must be (k, d) rows with one probability each, and the
+    probabilities a pmf."""
+    if offsets.ndim != 2 or offsets.shape[1] != d \
+            or probs.shape != (len(offsets),):
+        raise ValueError(f"{name} offsets must be rows of length {d} with "
+                         "one probability each")
+    if not np.all(probs >= 0) or abs(probs.sum() - 1.0) > 1e-12:
+        raise ValueError(f"{name} probabilities must be nonnegative and "
+                         "sum to 1")
 
 
 def product_symmetric_base(walk: SymmetricWalk1D, d: int) -> tuple:

@@ -497,19 +497,3 @@ def coupled_triple(model: EnvironmentModel, x0, seed: int = 0,
                            Ybar1=np.array(Ybar1, dtype=np.int64),
                            equal=bool(Y1 == Ybar1),
                            hit_X_path=hit, n_triples=m)
-
-
-def coupling_decay(model: EnvironmentModel, x0_list, reps: int, seed: int = 0,
-                   margin: int = 20, horizon: int = 20_000) -> dict:
-    """P_hat(Y_1 != Ybar_1) per start, with binomial standard errors."""
-    rows = []
-    for j, x0 in enumerate(x0_list):
-        neq = 0
-        for i in range(reps):
-            out = coupled_triple(model, x0, seed=derive_key(seed, 7, j, i),
-                                 margin=margin, horizon=horizon)
-            neq += int(not out.equal)
-        p = neq / reps
-        rows.append((tuple(x0), p,
-                     float(np.sqrt(max(p * (1 - p), 1e-12) / reps))))
-    return {"rows": rows}
