@@ -357,14 +357,18 @@ def _run_coupling(model, params, seed, workers):
     return {"coupling": (header, rows)}, summary
 
 
+def _ergodic_task(r, model=None, psi=None, n=0, seed=0, checkpoints=None):
+    return ergodic_average(model, psi, n, seed=derive_key(seed, 601, r),
+                           checkpoints=checkpoints)
+
+
 def _run_ergodic(model, params, seed, workers):
     n_runs, checkpoints = params["n_runs"], params["checkpoints"]
+    task = partial(_ergodic_task, model=model, psi=params["psi"],
+                   n=params["n"], seed=seed, checkpoints=checkpoints)
     rows = []
     finals = {c: [] for c in checkpoints}
-    for r in range(n_runs):
-        res = ergodic_average(model, params["psi"], params["n"],
-                              seed=derive_key(seed, 601, r),
-                              checkpoints=checkpoints)
+    for r, res in enumerate(_pmap(task, list(range(n_runs)), workers)):
         for c in res["checkpoints"]:
             rows.append((r, c, res["means"][c]))
             finals[c].append(res["means"][c])

@@ -10,6 +10,7 @@ product law on forward sigma-fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,10 +51,22 @@ class LocalFunction:
                     f"window site {w} lies below level -{self.level_floor}")
 
 
+# evaluators of the CLI's psi functions are partials of module-level
+# functions, so that a LocalFunction pickles into worker processes
+
+
+def _constant(c: float, vecs: np.ndarray) -> float:
+    return c
+
+
+def _origin_dot(incs: np.ndarray, vecs: np.ndarray) -> float:
+    return float(vecs[0] @ incs)
+
+
 def constant_function(c: float, dimension: int) -> LocalFunction:
     origin = (tuple(0 for _ in range(dimension)),)
     return LocalFunction(window=origin, level_floor=0,
-                         evaluator=lambda vecs: c, name=f"const_{c}")
+                         evaluator=partial(_constant, c), name=f"const_{c}")
 
 
 def drift_projection(model: EnvironmentModel, direction) -> LocalFunction:
@@ -62,7 +75,7 @@ def drift_projection(model: EnvironmentModel, direction) -> LocalFunction:
     incs = model.support.steps_array.astype(float) @ direction
     origin = (tuple(0 for _ in range(model.support.dimension)),)
     return LocalFunction(window=origin, level_floor=0,
-                         evaluator=lambda vecs: float(vecs[0] @ incs),
+                         evaluator=partial(_origin_dot, incs),
                          name="drift_projection",
                          linear_weights=(tuple(incs.tolist()),))
 

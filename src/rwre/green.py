@@ -19,12 +19,51 @@ from typing import Optional
 import numpy as np
 
 from .fitting import fit_exponent
-from .rng import derive_key, stream_u01_array
+from .rng import counter_u01_array, derive_key_range, stream_u01_array
 
 _TAG_GREEN_MC = 0x6EE1
 _TAG_TAIL = 0x7A11
 _TAG_CHAIN = 0xC4A1
 _TAG_EXIT = 0xE217
+
+# Cells (survivors x counters) of one killed-walk block.  Blocking is exact:
+# every draw is a pure function of (key, counter), so a block draws ahead
+# what the one-counter loop would draw, and the stop rules cut it at the
+# counter where that loop stops.
+_BLOCK_CELLS = 1 << 14
+# Exact first-passage propagation: float64 states (1 MiB per array), and
+# state updates (steps x states x offsets, 1.2-1.3 s at the cap on a
+# 2-vCPU VM; the cost grows quadratically in a)
+_EXACT_TAIL_STATES = 1 << 17
+_EXACT_TAIL_UPDATES = 1 << 30
+# Step tables of at most this many entries count thresholds in _step_index.
+# On a block of _BLOCK_CELLS uniforms that beats searchsorted 10x at 2
+# entries, 2.6x at 16 and 1.3x at 48, and loses at 64 (0.9x; 2-vCPU VM)
+_SHORT_TABLE = 48
+
+
+def _block_len(m: int, left: Optional[int] = None) -> int:
+    """Counters per block for m survivors, at most `left`."""
+    b = max(1, _BLOCK_CELLS // max(m, 1))
+    return b if left is None else min(b, left)
+
+
+def _step_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """min(searchsorted(cum, u, side="left"), len(cum) - 1): the inverse
+    CDF, as a count of the thresholds cum[:-1] below u for short tables."""
+    if len(cum) > _SHORT_TABLE:
+        return np.minimum(np.searchsorted(cum, u, side="left"), len(cum) - 1)
+    idx = np.zeros(u.shape, dtype=np.intp)
+    for c in cum[:-1]:
+        idx += u > c
+    return idx
+
+
+def _first_true(mask: np.ndarray) -> np.ndarray:
+    """Column of the first True in each row of `mask`, or its width."""
+    j = mask.argmax(axis=1)
+    j[~mask[np.arange(len(j)), j]] = mask.shape[1]
+    return j
 
 
 @dataclass(frozen=True)
@@ -275,6 +314,59 @@ def half_line_green(walk: SymmetricWalk1D, r0: int, s: int, t: int,
     return tables.norm_constant * raw
 
 
+def _killed_walk(walk: SymmetricWalk1D, keys: np.ndarray, start: int,
+                 ctr: int, lo: int, hi: Optional[int] = None,
+                 n_steps: Optional[int] = None, stop=None,
+                 hit: Optional[int] = None) -> tuple:
+    """Replicas of `walk` from `start`, killed on leaving [lo, hi].
+
+    Replica i takes its k-th step from counter ctr + k of keys[i].  The run
+    ends after n_steps steps, when no replica is alive, or at the first
+    step count after which `stop(alive count)` holds (stop must be
+    monotone: once true for a count, true for every smaller one).  Each
+    block draws b counters for every survivor, takes the paths as a cumsum,
+    finds each kill with argmax and counts survivors per step with
+    bincount, so the run ends on the exact step the one-counter loop ends.
+
+    Returns (alive, visits, last): alive[k] replicas alive after k steps;
+    visits[i] steps of replica i that landed on `hit` while alive; last[i]
+    its position where it was killed or the run ended.
+    """
+    n = len(keys)
+    cum, offs = walk.cum, walk.offsets_array
+    last = np.full(n, start, dtype=np.int64)
+    visits = np.zeros(n, dtype=np.int64)
+    idx = np.arange(n)
+    alive = [np.array([n])]
+    done = 0
+    while idx.size and done != n_steps and not (stop and stop(idx.size)):
+        m = idx.size
+        b = _block_len(m, None if n_steps is None else n_steps - done)
+        u = counter_u01_array(keys[idx, None], ctr + done + np.arange(b))
+        # displacement within the block; bounds shifted per replica instead
+        move = np.cumsum(offs[_step_index(cum, u)], axis=1)
+        del u                           # block arrays: keep few alive at once
+        at = last[idx]
+        out = move < (lo - at)[:, None]
+        if hi is not None:
+            out |= move > (hi - at)[:, None]
+        kill = _first_true(out)
+        left = m - np.cumsum(np.bincount(kill, minlength=b + 1)[:b])
+        ends = left == 0
+        if stop:
+            ends |= stop(left)
+        j = int(ends.argmax()) + 1 if ends.any() else b
+        if hit is not None:
+            row, col = np.divmod(
+                np.flatnonzero(move[:, :j] == (hit - at)[:, None]), j)
+            visits[idx] += np.bincount(row[col < kill[row]], minlength=m)
+        last[idx] = at + move[np.arange(m), np.minimum(kill, j - 1)]
+        alive.append(left[:j])
+        idx = idx[kill >= j]
+        done += j
+    return np.concatenate(alive), visits, last
+
+
 def half_line_green_mc(walk: SymmetricWalk1D, r0: int, s: int, t: int,
                        reps: int = 10_000, seed: int = 0,
                        max_steps: int = 2_000_000,
@@ -283,31 +375,28 @@ def half_line_green_mc(walk: SymmetricWalk1D, r0: int, s: int, t: int,
 
     The kill time has infinite mean, so the loop stops once the surviving
     replicas can contribute at most `tail_tol` to the estimate (using the
-    a priori bound g(y, t) <= C (t - r0)), or at the hard step cap.  The
-    estimate is therefore biased downward by at most tail_tol; comparisons
-    should allow 3 se + tail_tol.
+    a priori bound g(y, t) <= C (t - r0)), or at the hard step cap, with a
+    RuntimeWarning if the survivors could then still add more than
+    tail_tol.  Otherwise the estimate is biased downward by at most
+    tail_tol; comparisons should allow 3 se + tail_tol.
     """
     if t <= r0 or s <= r0:
         return 0.0, 0.0
-    keys = np.array([derive_key(seed, _TAG_GREEN_MC, i) for i in range(reps)],
-                    dtype=np.uint64)
-    pos = np.full(reps, s, dtype=np.int64)
-    visits = np.zeros(reps, dtype=np.int64)
-    alive = np.arange(reps)
-    cum = walk.cum
-    offs = walk.offsets_array
-    visits[pos == t] += 1
+    keys = derive_key_range(seed, _TAG_GREEN_MC, n=reps)
     green_bound = half_line_green_solve(walk, 0, 1, 1) * (t - r0)
-    for ctr in range(max_steps):
-        if alive.size == 0 or alive.size * green_bound <= tail_tol * reps:
-            break
-        u = stream_u01_array(keys[alive], ctr)
-        idx = np.searchsorted(cum, u, side="left")
-        idx = np.minimum(idx, len(cum) - 1)
-        pos[alive] += offs[idx]
-        killed = pos[alive] <= r0
-        visits[alive[pos[alive] == t]] += 1
-        alive = alive[~killed]
+    tail = tail_tol * reps
+
+    def negligible(alive):
+        return alive * green_bound <= tail
+
+    alive, visits, _ = _killed_walk(walk, keys, s, 0, lo=r0 + 1,
+                                    n_steps=max_steps, stop=negligible, hit=t)
+    if s == t:
+        visits += 1
+    if len(alive) - 1 == max_steps and alive[-1] and not negligible(alive[-1]):
+        warnings.warn(f"half_line_green_mc(s={s}, t={t}) stopped at max_steps"
+                      f"={max_steps} with {alive[-1]} survivors, which may "
+                      f"add more than tail_tol={tail_tol}", RuntimeWarning)
     n_batches = 32
     edges = np.linspace(0, reps, n_batches + 1).astype(int)
     bm = np.array([visits[a:b].mean() for a, b in zip(edges[:-1], edges[1:])])
@@ -325,17 +414,23 @@ def first_passage_tail(walk: SymmetricWalk1D, a_grid, mode: str = "exact",
     """P{Tbar >= a} for Tbar = first entry of the walk into (-infty, 0).
 
     Exact mode propagates the sub-probability distribution constrained to
-    stay nonnegative; Monte Carlo mode simulates with survivor filtering.
+    stay nonnegative, in O(a * states) time; it is capped in states and in
+    state updates.  Monte Carlo mode simulates with survivor filtering.
     """
     a_grid = sorted(int(a) for a in a_grid)
     if any(a < 1 for a in a_grid):
         raise ValueError("tail grid entries must be >= 1")
     out = {}
     if mode == "exact":
-        if max(a_grid) > 25:
-            raise ValueError("exact mode limited to a <= 25")
         M = walk.max_step
         top = (max(a_grid) - 1) * M + 1
+        n_offs = sum(q > 0 for q in walk.probs)
+        if top + 1 > _EXACT_TAIL_STATES or \
+                (max(a_grid) - 1) * (top + 1) * n_offs > _EXACT_TAIL_UPDATES:
+            raise ValueError(
+                "exact mode limited to (a - 1) * max_step + 2 <= "
+                f"{_EXACT_TAIL_STATES} states and (a - 1) x states x offsets"
+                f" <= {_EXACT_TAIL_UPDATES} state updates")
         dist = np.zeros(top + 1)
         dist[0] = 1.0
         steps_done = 0
@@ -355,28 +450,11 @@ def first_passage_tail(walk: SymmetricWalk1D, a_grid, mode: str = "exact",
         return {"mode": "exact", "tail": out}
     if mode != "monte-carlo":
         raise ValueError("mode must be 'exact' or 'monte-carlo'")
-    keys = np.array([derive_key(seed, _TAG_TAIL, i) for i in range(reps)],
-                    dtype=np.uint64)
-    pos = np.zeros(reps, dtype=np.int64)
-    alive = np.arange(reps)
-    cum = walk.cum
-    offs = walk.offsets_array
-    amax = max(a_grid)
-    grid_iter = iter(a_grid)
-    next_a = next(grid_iter)
-    counts = {}
-    for t in range(1, amax):
-        while next_a is not None and t >= next_a:
-            counts[next_a] = alive.size
-            next_a = next(grid_iter, None)
-        u = stream_u01_array(keys[alive], t)
-        idx = np.searchsorted(cum, u, side="left")
-        idx = np.minimum(idx, len(cum) - 1)
-        pos[alive] += offs[idx]
-        alive = alive[pos[alive] >= 0]
-    while next_a is not None:
-        counts[next_a] = alive.size
-        next_a = next(grid_iter, None)
+    keys = derive_key_range(seed, _TAG_TAIL, n=reps)
+    # step k draws counter k; P{Tbar >= a} counts survivors of a - 1 steps
+    alive, _, _ = _killed_walk(walk, keys, 0, 1, lo=0,
+                               n_steps=max(a_grid) - 1)
+    counts = {a: int(alive[a - 1]) if a <= len(alive) else 0 for a in a_grid}
     tail = {a: counts[a] / reps for a in a_grid}
     se = {a: float(np.sqrt(tail[a] * (1 - tail[a]) / reps)) for a in a_grid}
     return {"mode": "monte-carlo", "tail": tail, "se": se, "reps": reps}
@@ -405,23 +483,9 @@ def exit_probability(walk: SymmetricWalk1D, r0: int, r: int, x: int,
         return float(f[x - r0 - 1])
     if mode != "monte-carlo":
         raise ValueError("mode must be 'solve' or 'monte-carlo'")
-    keys = np.array([derive_key(seed, _TAG_EXIT, i) for i in range(reps)],
-                    dtype=np.uint64)
-    pos = np.full(reps, x, dtype=np.int64)
-    alive = np.arange(reps)
-    cum = walk.cum
-    offs = walk.offsets_array
-    right = 0
-    ctr = 0
-    while alive.size:
-        u = stream_u01_array(keys[alive], ctr)
-        idx = np.searchsorted(cum, u, side="left")
-        idx = np.minimum(idx, len(cum) - 1)
-        pos[alive] += offs[idx]
-        cur = pos[alive]
-        right += int((cur > r).sum())
-        alive = alive[(cur > r0) & (cur <= r)]
-        ctr += 1
+    keys = derive_key_range(seed, _TAG_EXIT, n=reps)
+    _, _, last = _killed_walk(walk, keys, x, 0, lo=r0 + 1, hi=r)
+    right = int((last > r).sum())
     return right / reps
 
 
@@ -521,15 +585,18 @@ def product_symmetric_base(walk: SymmetricWalk1D, d: int) -> tuple:
     return np.array(offs), probs
 
 
+def _pert_prob(spec: PerturbedChainSpec, norm: np.ndarray) -> np.ndarray:
+    """Probability of an alt step at states of Euclidean norm `norm`."""
+    p = np.minimum(1.0, spec.c_pert * np.maximum(norm, 1.0) ** (-spec.p1))
+    return np.where(norm == 0, np.minimum(1.0, spec.c_pert), p)
+
+
 def _chain_steps(spec: PerturbedChainSpec, pos: np.ndarray, keys: np.ndarray,
                  ctr: int) -> np.ndarray:
     """One synchronous step of the perturbed chain for all replicas."""
-    m = pos.shape[0]
     u_sel = stream_u01_array(keys, 3 * ctr)
     norm = np.sqrt((pos.astype(float) ** 2).sum(axis=1))
-    p_pert = np.minimum(1.0, spec.c_pert * np.maximum(norm, 1.0) ** (-spec.p1))
-    p_pert = np.where(norm == 0, np.minimum(1.0, spec.c_pert), p_pert)
-    pert = u_sel < p_pert
+    pert = u_sel < _pert_prob(spec, norm)
     u_step = stream_u01_array(keys, 3 * ctr + 1)
     base_idx = np.searchsorted(np.cumsum(spec.base_probs), u_step, side="left")
     base_idx = np.minimum(base_idx, len(spec.base_probs) - 1)
@@ -550,8 +617,7 @@ def green_bound_experiment(spec: PerturbedChainSpec, n_grid, reps: int = 256,
     n_max = n_grid[-1]
     if start is None:
         start = np.zeros(spec.dimension, dtype=np.int64)
-    keys = np.array([derive_key(seed, _TAG_CHAIN, i) for i in range(reps)],
-                    dtype=np.uint64)
+    keys = derive_key_range(seed, _TAG_CHAIN, n=reps)
     pos = np.tile(np.asarray(start, dtype=np.int64), (reps, 1))
     acc = spec.h(pos).astype(float)          # k = 0 term
     curve = {}
@@ -575,6 +641,83 @@ def green_bound_experiment(spec: PerturbedChainSpec, n_grid, reps: int = 256,
     }
 
 
+def _chain_exit_times(spec: PerturbedChainSpec, keys: np.ndarray, r: int,
+                      cap: int) -> tuple:
+    """Steps until chain replicas started at the origin leave the cube
+    max|x| <= r (cap for those still inside after cap steps), and the
+    number of those.
+
+    Replica i takes its k-th step from counters 3k, 3k+1 and, when
+    perturbed, 3k+2 of keys[i], as _chain_steps does; each replica keeps
+    its own counter, so replicas may advance out of step.  A block draws b
+    base steps per survivor, builds the base path one coordinate at a time,
+    and cuts each replica's block at its exit, at its first perturbed step
+    (whose alt offset it then draws) or at cap.
+    """
+    d = spec.dimension
+    base_cum, alt_cum = np.cumsum(spec.base_probs), np.cumsum(spec.alt_probs)
+    base_q = [np.ascontiguousarray(spec.base_offsets[:, q]) for q in range(d)]
+    # p_pert by integer squared norm n2: sqrt(float(n2)) is the float norm
+    # _chain_steps takes.  The table, no larger than a block array, covers
+    # the cube's norms while they fit; larger ones are evaluated directly
+    n_tab = min(d * r * r, _BLOCK_CELLS) + 1
+    p_tab = _pert_prob(spec, np.sqrt(np.arange(n_tab, dtype=float)))
+    exit_time = np.full(len(keys), cap, dtype=np.int64)
+    pos = np.zeros((d, len(keys)), dtype=np.int64)
+    ctr = np.zeros(len(keys), dtype=np.int64)
+    idx = np.arange(len(keys))
+    truncated = 0
+    while idx.size:
+        m, c = idx.size, ctr[idx]
+        lim = cap - c
+        b = _block_len(m, int(lim.max()))
+        k = keys[idx, None]
+        c3 = 3 * (c[:, None] + np.arange(b))
+        step = _step_index(base_cum, counter_u01_array(k, c3 + 1))
+        # path[q][:, s]: coordinate q after s base steps of the block; n2
+        # the squared norm before each step, out whether it left the cube
+        path = []
+        for q in range(d):
+            xq = np.empty((m, b + 1), dtype=np.int64)
+            xq[:, 0] = pos[q, idx]
+            xq[:, 1:] = base_q[q][step]
+            np.cumsum(xq, axis=1, out=xq)
+            if q == 0:
+                n2, out = xq[:, :b] ** 2, np.abs(xq[:, 1:]) > r
+            else:
+                n2 += xq[:, :b] ** 2
+                out |= np.abs(xq[:, 1:]) > r
+            path.append(xq)
+        del step                        # block arrays: keep few alive at once
+        p = p_tab[np.minimum(n2, n_tab - 1)]
+        far = np.flatnonzero(n2 >= n_tab)
+        if far.size:
+            p.flat[far] = _pert_prob(spec, np.sqrt(n2.flat[far].astype(float)))
+        pert = counter_u01_array(k, c3) < p
+        del c3, n2, p
+        np.minimum(lim, b, out=lim)
+        first_pert, first_out = _first_true(pert), _first_true(out)
+        exits = first_out < np.minimum(first_pert, lim)
+        alt = ~exits & (first_pert < lim)
+        taken = np.where(exits, first_out + 1, np.where(alt, first_pert, lim))
+        rows = np.arange(m)
+        new = np.stack([xq[rows, taken] for xq in path])
+        if alt.any():
+            u_alt = counter_u01_array(k[alt, 0],
+                                      3 * (c[alt] + first_pert[alt]) + 2)
+            new[:, alt] += spec.alt_offsets[_step_index(alt_cum, u_alt)].T
+            exits[alt] = (np.abs(new[:, alt]) > r).any(axis=0)
+            taken[alt] += 1
+        c = c + taken
+        exit_time[idx[exits]] = c[exits]
+        capped = ~exits & (c == cap)
+        truncated += int(capped.sum())
+        keep = ~exits & ~capped
+        ctr[idx], pos[:, idx] = c, new
+        idx = idx[keep]
+    return exit_time, truncated
+
+
 def cube_exit_time(spec: PerturbedChainSpec, r_grid, reps: int = 512,
                    seed: int = 0, step_cap_factor: int = 400) -> dict:
     """Monte Carlo mean exit times from centered cubes, with a power fit."""
@@ -583,20 +726,8 @@ def cube_exit_time(spec: PerturbedChainSpec, r_grid, reps: int = 512,
     truncated = {}
     for r in r_grid:
         cap = step_cap_factor * (r + 1) ** 2 + 1000
-        keys = np.array([derive_key(seed, _TAG_EXIT, r, i) for i in range(reps)],
-                        dtype=np.uint64)
-        pos = np.zeros((reps, spec.dimension), dtype=np.int64)
-        exit_time = np.full(reps, cap, dtype=np.int64)
-        alive = np.arange(reps)
-        for tstep in range(1, cap + 1):
-            steps = _chain_steps(spec, pos[alive], keys[alive], tstep - 1)
-            pos[alive] += steps
-            out = np.abs(pos[alive]).max(axis=1) > r
-            exit_time[alive[out]] = tstep
-            alive = alive[~out]
-            if alive.size == 0:
-                break
-        truncated[r] = int(alive.size)
+        keys = derive_key_range(seed, _TAG_EXIT, r, n=reps)
+        exit_time, truncated[r] = _chain_exit_times(spec, keys, r, cap)
         means.append(float(exit_time.mean()))
     positive = [r for r in r_grid if r > 0]
     fit = None

@@ -54,9 +54,21 @@ def _u64_1d(x) -> np.ndarray:
 
 def mix64_array(h: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer on uint64 arrays (ndim >= 1)."""
-    h = (h ^ (h >> _U_30)) * _U_M1
-    h = (h ^ (h >> _U_27)) * _U_M2
-    return h ^ (h >> _U_31)
+    h = h ^ (h >> _U_30)          # a new array; the rest works in place
+    h *= _U_M1
+    h ^= h >> _U_27
+    h *= _U_M2
+    h ^= h >> _U_31
+    return h
+
+
+def _u01(v: np.ndarray) -> np.ndarray:
+    """Uniforms in (0, 1) from the top 53 bits of fresh uint64 draws."""
+    v >>= _U_11
+    u = v.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def derive_key(seed: int, *parts: int) -> int:
@@ -74,6 +86,13 @@ def derive_key_array(seeds: np.ndarray, *parts: int) -> np.ndarray:
     for p in parts:
         h = mix64_array((h + _U_GAMMA) ^ np.uint64(p & MASK64))
     return h
+
+
+def derive_key_range(seed: int, *parts: int, n: int) -> np.ndarray:
+    """[derive_key(seed, *parts, i) for i in range(n)] as a uint64 array
+    (bit-identical): the shared prefix is folded once, the index last."""
+    h = (derive_key(seed, *parts) + _GAMMA) & MASK64
+    return mix64_array(np.uint64(h) ^ np.arange(n, dtype=np.uint64))
 
 
 def scalar_site_key(env_key: int, site) -> int:
@@ -125,11 +144,11 @@ def stream_u64_array(keys: np.ndarray, ctr: int) -> np.ndarray:
 
 def stream_u01_array(keys: np.ndarray, ctr: int) -> np.ndarray:
     """Uniforms in (0, 1), one per key, all at the same counter."""
-    v = stream_u64_array(keys, ctr)
-    return ((v >> _U_11).astype(np.float64) + 0.5) * 2.0**-53
+    return _u01(stream_u64_array(keys, ctr))
 
 
-def counter_u01_array(key: int, ctrs: np.ndarray) -> np.ndarray:
-    """Uniforms in (0, 1) for one key across an array of counters."""
-    v = mix64_array(np.uint64(key) + _u64_1d(ctrs) * _U_GAMMA)
-    return ((v >> _U_11).astype(np.float64) + 0.5) * 2.0**-53
+def counter_u01_array(keys, ctrs) -> np.ndarray:
+    """Uniforms in (0, 1) at (key, counter) pairs, `keys` broadcast against
+    `ctrs`: one key across counters, or keys[:, None] across a (m, B)
+    counter block.  Entry-wise equal to stream_u01_array(key, ctr)."""
+    return _u01(mix64_array(_u64_1d(keys) + _u64_1d(ctrs) * _U_GAMMA))

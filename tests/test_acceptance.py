@@ -121,8 +121,13 @@ def test_criterion_04_first_passage_tail():
                             reps=100_000, seed=derive_key(SEED, 6))
     val = np.sqrt(10_000) * mc["tail"][10_000]
     assert 0.66 <= val <= 0.94
+    # the exact survival at the same a is the sharper oracle
+    p_exact = first_passage_tail(walk, [10_000], mode="exact")["tail"][10_000]
+    assert abs(mc["tail"][10_000] - p_exact) <= 4 * mc["se"][10_000]
     print(f"ACCEPTANCE 4: PASS - P(T>=2)=1/2, P(T>=4)=3/8 exact; "
-          f"sqrt(a)P(T>=a)={val:.3f} in [0.66, 0.94]")
+          f"sqrt(a)P(T>=a)={val:.3f} in [0.66, 0.94]; MC P(T>=1e4)="
+          f"{mc['tail'][10_000]:.5f}±{mc['se'][10_000]:.5f} vs exact "
+          f"{p_exact:.5f} within 4se")
 
 
 def test_criterion_05_quenched_mean_subdiffusive():

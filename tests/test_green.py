@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from rwre import green
 from rwre.green import (PerturbedChainSpec, SymmetricWalk1D,
                         build_ladder_tables, cube_exit_time, exit_probability,
                         first_passage_tail, green_bound_experiment,
                         half_line_green, half_line_green_mc,
                         half_line_green_solve, ladder_heights,
                         product_symmetric_base, simple_walk)
+from rwre.rng import derive_key, stream_u01_array
 
 
 def two_range_walk():
@@ -134,8 +138,20 @@ def test_first_passage_tail_exact():
     res = first_passage_tail(simple_walk(), [2, 4], mode="exact")
     assert res["tail"][2] == 0.5
     assert res["tail"][4] == 0.375
-    with pytest.raises(ValueError):
-        first_passage_tail(simple_walk(), [30], mode="exact")
+    # the first a above the cap on state updates, (a - 1) x states x
+    # offsets, raises before allocating anything
+    for walk in (simple_walk(), two_range_walk()):
+        a = 2
+        while (a - 1) * ((a - 1) * walk.max_step + 2) * len(walk.offsets) \
+                <= green._EXACT_TAIL_UPDATES:
+            a += 1
+        with pytest.raises(ValueError, match="exact mode limited"):
+            first_passage_tail(walk, [a], mode="exact")
+    # a wide walk reaches the cap on states, (a - 1) * max_step + 2, first
+    wide = SymmetricWalk1D(offsets=(-(1 << 16), 1 << 16), probs=(0.5, 0.5))
+    assert first_passage_tail(wide, [2], mode="exact")["tail"][2] == 0.5
+    with pytest.raises(ValueError, match="exact mode limited"):
+        first_passage_tail(wide, [3], mode="exact")
 
 
 def test_first_passage_tail_mc_matches_exact():
@@ -218,3 +234,209 @@ def test_cube_exit_time_exponent():
                               p1=16.0, c_pert=0.0)
     res = cube_exit_time(spec, [16, 32, 64, 128], reps=400, seed=9)
     assert abs(res["fit"].slope - 2.0) < 0.1
+
+
+def test_half_line_green_mc_warns_at_max_steps():
+    walk = simple_walk()
+    with pytest.warns(RuntimeWarning, match=r"s=3, t=2\) stopped at "
+                      r"max_steps=50 with \d+ survivors"):
+        est, se = half_line_green_mc(walk, 0, 3, 2, reps=200, seed=1,
+                                     max_steps=50)
+    assert (est, se) == _ref_half_line_green_mc(walk, 0, 3, 2, 200, 1, 50,
+                                                0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        half_line_green_mc(walk, 0, 1, 1, reps=200, seed=1, tail_tol=0.1)
+
+
+# ---------------------------------------------------------------------------
+# the blocked kernels against the one-counter loops they replaced
+
+
+def _ref_keys(seed, *parts, n):
+    return np.array([derive_key(seed, *parts, i) for i in range(n)],
+                    dtype=np.uint64)
+
+
+def _ref_walk_step(walk, keys, ctr):
+    idx = np.searchsorted(walk.cum, stream_u01_array(keys, ctr), side="left")
+    return walk.offsets_array[np.minimum(idx, len(walk.cum) - 1)]
+
+
+def _ref_half_line_green_mc(walk, r0, s, t, reps, seed, max_steps, tail_tol):
+    keys = _ref_keys(seed, green._TAG_GREEN_MC, n=reps)
+    pos = np.full(reps, s, dtype=np.int64)
+    visits = np.zeros(reps, dtype=np.int64)
+    alive = np.arange(reps)
+    visits[pos == t] += 1
+    green_bound = half_line_green_solve(walk, 0, 1, 1) * (t - r0)
+    for ctr in range(max_steps):
+        if alive.size == 0 or alive.size * green_bound <= tail_tol * reps:
+            break
+        pos[alive] += _ref_walk_step(walk, keys[alive], ctr)
+        killed = pos[alive] <= r0
+        visits[alive[pos[alive] == t]] += 1
+        alive = alive[~killed]
+    edges = np.linspace(0, reps, 33).astype(int)
+    bm = np.array([visits[a:b].mean() for a, b in zip(edges[:-1], edges[1:])])
+    return float(visits.mean()), float(bm.std(ddof=1) / np.sqrt(32))
+
+
+def _ref_first_passage_mc(walk, a_grid, reps, seed):
+    keys = _ref_keys(seed, green._TAG_TAIL, n=reps)
+    pos = np.zeros(reps, dtype=np.int64)
+    alive = np.arange(reps)
+    counts = {}
+    for t in range(1, max(a_grid)):
+        counts.update({a: alive.size for a in a_grid if a == t})
+        pos[alive] += _ref_walk_step(walk, keys[alive], t)
+        alive = alive[pos[alive] >= 0]
+    counts.update({a: alive.size for a in a_grid if a not in counts})
+    return {a: counts[a] / reps for a in a_grid}
+
+
+def _ref_exit_probability_mc(walk, r0, r, x, reps, seed):
+    keys = _ref_keys(seed, green._TAG_EXIT, n=reps)
+    pos = np.full(reps, x, dtype=np.int64)
+    alive = np.arange(reps)
+    right, ctr = 0, 0
+    while alive.size:
+        pos[alive] += _ref_walk_step(walk, keys[alive], ctr)
+        cur = pos[alive]
+        right += int((cur > r).sum())
+        alive = alive[(cur > r0) & (cur <= r)]
+        ctr += 1
+    return right / reps
+
+
+def _ref_cube_exit_time(spec, r_grid, reps, seed, step_cap_factor):
+    means, truncated = [], {}
+    for r in r_grid:
+        cap = step_cap_factor * (r + 1) ** 2 + 1000
+        keys = _ref_keys(seed, green._TAG_EXIT, r, n=reps)
+        pos = np.zeros((reps, spec.dimension), dtype=np.int64)
+        exit_time = np.full(reps, cap, dtype=np.int64)
+        alive = np.arange(reps)
+        for tstep in range(1, cap + 1):
+            pos[alive] += green._chain_steps(spec, pos[alive], keys[alive],
+                                             tstep - 1)
+            out = np.abs(pos[alive]).max(axis=1) > r
+            exit_time[alive[out]] = tstep
+            alive = alive[~out]
+            if alive.size == 0:
+                break
+        truncated[r] = int(alive.size)
+        means.append(float(exit_time.mean()))
+    return means, truncated
+
+
+# one cell per block (the one-counter loop), a few cells, the default, and
+# more cells than any run below takes, so that one block covers a run
+BLOCK_CELLS = (1, 7, green._BLOCK_CELLS, 1 << 18)
+
+
+def _at_each_block_size(monkeypatch, run):
+    results = []
+    for cells in BLOCK_CELLS:
+        monkeypatch.setattr(green, "_BLOCK_CELLS", cells)
+        results.append(run())
+    return results
+
+
+@pytest.mark.parametrize("walk,r0,s,t,reps,seed,max_steps,tail_tol", [
+    # fewer than 32 replicas leave batches empty and the se NaN, which
+    # compares unequal to itself, so every case has at least 32
+    (simple_walk(), 0, 1, 1, 64, 3, 2_000_000, 0.1),     # tail_tol stop
+    (simple_walk(), 0, 1, 1, 32, 4, 2_000_000, 0.3),
+    (two_range_walk(), -2, 1, 3, 48, 5, 2_000_000, 0.5),
+    (two_range_walk(), 0, 2, 2, 33, 6, 2_000_000, 0.0),  # stops when all die
+    (simple_walk(), 0, 3, 2, 48, 7, 37, 0.01),           # max_steps stop
+    (two_range_walk(), 0, 4, 1, 40, 8, 101, 0.01),
+])
+def test_half_line_green_mc_matches_one_counter_loop(
+        monkeypatch, walk, r0, s, t, reps, seed, max_steps, tail_tol):
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return half_line_green_mc(walk, r0, s, t, reps=reps, seed=seed,
+                                      max_steps=max_steps, tail_tol=tail_tol)
+    ref = _ref_half_line_green_mc(walk, r0, s, t, reps, seed, max_steps,
+                                  tail_tol)
+    assert _at_each_block_size(monkeypatch, run) == [ref] * len(BLOCK_CELLS)
+
+
+@pytest.mark.parametrize("walk,a_grid,reps,seed", [
+    (simple_walk(), [1, 2, 3, 9, 40, 41, 150], 64, 11),
+    (two_range_walk(), [5, 17, 18, 300], 30, 12),
+    (simple_walk(), [2, 3000], 4, 13),                    # all die early
+])
+def test_first_passage_tail_mc_matches_one_counter_loop(
+        monkeypatch, walk, a_grid, reps, seed):
+    got = _at_each_block_size(monkeypatch, lambda: first_passage_tail(
+        walk, a_grid, mode="monte-carlo", reps=reps, seed=seed)["tail"])
+    ref = _ref_first_passage_mc(walk, a_grid, reps, seed)
+    assert got == [ref] * len(BLOCK_CELLS)
+
+
+@pytest.mark.parametrize("walk,r0,r,x,reps,seed", [
+    (simple_walk(), 0, 10, 3, 64, 2),
+    (two_range_walk(), -3, 12, 11, 40, 9),
+    (simple_walk(), 0, 1, 1, 7, 10),
+])
+def test_exit_probability_mc_matches_one_counter_loop(
+        monkeypatch, walk, r0, r, x, reps, seed):
+    got = _at_each_block_size(monkeypatch, lambda: exit_probability(
+        walk, r0, r, x, mode="monte-carlo", reps=reps, seed=seed))
+    ref = _ref_exit_probability_mc(walk, r0, r, x, reps, seed)
+    assert got == [ref] * len(BLOCK_CELLS)
+
+
+def _chain(d, **kw):
+    offs, probs = product_symmetric_base(simple_walk(), d)
+    return PerturbedChainSpec(dimension=d, base_offsets=offs,
+                              base_probs=probs, **kw)
+
+
+@pytest.mark.parametrize("spec,r_grid,reps,seed,step_cap_factor", [
+    # small caps: (r + 1)^2 * 0 + 1000 steps truncate replicas at r = 40
+    (_chain(2, p1=16.0, c_pert=1.0), [0, 3, 40], 40, 21, 0),
+    (_chain(1, p1=16.0, c_pert=0.0), [2, 60], 30, 22, 0),
+    # perturbed often, with a non-default alt step set
+    (_chain(2, p1=3.5, c_pert=6.0, allow_low_p1=True,
+            alt_offsets=[[1, 0], [0, -1], [-1, -1]],
+            alt_probs=[0.5, 0.3, 0.2]), [1, 4, 9], 40, 23, 1),
+    # lazy nearest-neighbour base in d = 3; alt steps may stand still
+    (PerturbedChainSpec(dimension=3,
+                        base_offsets=[[1, 0, 0], [-1, 0, 0], [0, 1, 0],
+                                      [0, -1, 0], [0, 0, 1], [0, 0, -1],
+                                      [0, 0, 0]],
+                        base_probs=[0.15] * 6 + [0.1], p1=2.5, c_pert=40.0,
+                        allow_low_p1=True, alt_offsets=[[0, 0, 0], [2, -1, 0]],
+                        alt_probs=[0.25, 0.75]), [0, 2, 5], 30, 24, 2),
+    # a base of 4**3 = 64 steps, more than green._SHORT_TABLE: searchsorted
+    (PerturbedChainSpec(3, *product_symmetric_base(SymmetricWalk1D(
+        offsets=(-2, -1, 1, 2), probs=(0.25,) * 4), 3), p1=3.0, c_pert=4.0,
+        allow_low_p1=True), [1, 8], 40, 25, 1),
+])
+def test_cube_exit_time_matches_one_counter_loop(
+        monkeypatch, spec, r_grid, reps, seed, step_cap_factor):
+    def run():
+        res = cube_exit_time(spec, r_grid, reps=reps, seed=seed,
+                             step_cap_factor=step_cap_factor)
+        return res["mean_exit"], res["truncated"]
+    ref = _ref_cube_exit_time(spec, r_grid, reps, seed, step_cap_factor)
+    assert _at_each_block_size(monkeypatch, run) == [ref] * len(BLOCK_CELLS)
+    if step_cap_factor == 0:
+        assert ref[1][max(r_grid)] > 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, green._SHORT_TABLE,
+                               green._SHORT_TABLE + 1, 81])
+def test_step_index_matches_searchsorted(k):
+    # both sides of the short-table switch, uniforms landing on thresholds
+    cum = np.cumsum(np.random.default_rng(k).dirichlet(np.ones(k)))
+    u = np.concatenate([[0.0], cum[:-1], np.nextafter(cum[:-1], 1.0),
+                        np.random.default_rng(k + 1).random(500)])
+    want = np.minimum(np.searchsorted(cum, u, side="left"), k - 1)
+    assert np.array_equal(green._step_index(cum, u.reshape(-1, 1)),
+                          want.reshape(-1, 1))

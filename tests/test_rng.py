@@ -2,9 +2,9 @@ import warnings
 
 import numpy as np
 
-from rwre.rng import (derive_key, derive_key_array, mix64, mix64_array,
-                      scalar_site_key, site_keys, site_keys_mixed, stream_u01,
-                      stream_u01_array, counter_u01_array)
+from rwre.rng import (derive_key, derive_key_array, derive_key_range, mix64,
+                      mix64_array, scalar_site_key, site_keys, site_keys_mixed,
+                      stream_u01, stream_u01_array, counter_u01_array)
 
 
 def test_mix64_scalar_matches_array():
@@ -70,3 +70,31 @@ def test_derive_key_array_matches_scalar():
     keys = derive_key_array(np.array(seeds, dtype=np.uint64), 0x57A1C5EED, 3)
     assert [int(k) for k in keys] == [derive_key(s, 0x57A1C5EED, 3)
                                       for s in seeds]
+
+
+def test_derive_key_range_matches_scalar():
+    for seed, parts in [(0, ()), (7, (0x6EE1,)), (-3, (-1, 2**63)),
+                        (2**63 + 5, (0xE217, -40)), (2**64 - 1, (2**64 - 1,))]:
+        keys = derive_key_range(seed, *parts, n=37)
+        assert keys.dtype == np.uint64
+        assert [int(k) for k in keys] == [derive_key(seed, *parts, i)
+                                          for i in range(37)]
+    empty = derive_key_range(2**63, -1, n=0)
+    assert empty.shape == (0,) and empty.dtype == np.uint64
+
+
+def test_counter_u01_array_blocks_match_stream():
+    # keys[:, None] against a (m, B) counter block, each row its own
+    # counters, equals one stream_u01_array call per counter
+    keys = derive_key_range(5, -2, n=6)
+    ctrs = np.array([0, 3, 2**40, 2**62 + 1, 17, 2**63 + 9], dtype=np.uint64)
+    block = ctrs[:, None] + np.arange(4, dtype=np.uint64)
+    got = counter_u01_array(keys[:, None], block)
+    assert got.shape == (6, 4)
+    for i, k in enumerate(keys):
+        for j in range(4):
+            assert got[i, j] == stream_u01_array(k, int(block[i, j]))[0]
+    row = counter_u01_array(keys[:, None], np.arange(3))
+    for j in range(3):
+        assert np.array_equal(row[:, j], stream_u01_array(keys, j))
+    assert counter_u01_array(keys[:0, None], np.arange(3)).shape == (0, 3)
