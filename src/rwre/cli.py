@@ -92,13 +92,22 @@ _object = _typed(dict, "an object")
 _text = _typed(str, "a string")
 
 
-def _lists(v, item, shape) -> list:
+def _lists(v, item, shape, name="") -> list:
     """Nested nonempty lists of item(entry); shape: lengths, None for any."""
     if not shape:
-        return item(v)
+        return item(v, name=name)
     if not isinstance(v, list) or not v or shape[0] not in (None, len(v)):
-        raise _fail(f"a list of {shape[0] or 'one or more'} entries", v)
-    return [_lists(x, item, shape[1:]) for x in v]
+        raise _fail(f"a list of {shape[0] or 'one or more'} entries", v, name)
+    return [_lists(x, item, shape[1:], name) for x in v]
+
+
+def _ints(v, name, depth=1) -> list:
+    return _lists(v, _integer, [None] * depth, name)
+
+
+def _reals(v, name):
+    """An optional list of finite numbers: None stays None."""
+    return None if v is None else _lists(v, _real, [None], name)
 
 
 def _known(v, fields) -> dict:
@@ -118,14 +127,19 @@ def build_model(mcfg) -> EnvironmentModel:
     atoms = [_known(a, ("probs", "weight")) for a in m.get("atoms") or ()]
     return EnvironmentModel(
         support=StepSupport(_integer(m["dimension"], 1, "dimension"),
-                            m["steps"], m["u_hat"]),
-        kind=m["law"], probs=m.get("probs"), alpha=m.get("alpha"),
+                            _ints(m["steps"], "steps", 2),
+                            _ints(m["u_hat"], "u_hat")),
+        kind=m["law"], probs=_reals(m.get("probs"), "probs"),
+        alpha=_reals(m.get("alpha"), "alpha"),
         floor=_real(m.get("floor", 0.0), "floor"),
-        atoms=tuple((a["probs"], _real(a["weight"], "weight")) for a in atoms))
+        atoms=tuple((_reals(a["probs"], "probs"), _real(a["weight"], "weight"))
+                    for a in atoms))
 
 
 def build_walk(wcfg) -> SymmetricWalk1D:
-    return SymmetricWalk1D(**_known(wcfg, ("offsets", "probs")))
+    w = _known(wcfg, ("offsets", "probs"))
+    return SymmetricWalk1D(_ints(w["offsets"], "offsets"),
+                           _lists(w["probs"], _real, [None], "probs"))
 
 
 def build_chain_spec(ccfg) -> PerturbedChainSpec:
@@ -134,6 +148,14 @@ def build_chain_spec(ccfg) -> PerturbedChainSpec:
                            "base_probs", "p1", "p2", "c_pert", "c_h",
                            "alt_offsets", "alt_probs", "allow_low_p1")))
     d = c["dimension"] = _integer(c.get("dimension", 1), 1, "dimension")
+    for k, check in (("p1", _real), ("c_pert", _real), ("c_h", _real),
+                     ("p2", lambda v, k: np.inf if v in ("inf", None)
+                      else _real(v, k)), ("allow_low_p1", _flag),
+                     ("base_offsets", partial(_ints, depth=2)),
+                     ("alt_offsets", partial(_ints, depth=2)),
+                     ("base_probs", _reals), ("alt_probs", _reals)):
+        if k in c:
+            c[k] = check(c[k], k)
     if "base_1d" in c:
         walk = build_walk(c.pop("base_1d"))
         # len(offsets) ** d product rows; with 2+ offsets, d > 16 is over
@@ -141,11 +163,6 @@ def build_chain_spec(ccfg) -> PerturbedChainSpec:
             raise ValueError(f"dimension {d} with {len(walk.offsets)} base_1d "
                              "offsets gives more than 65536 product steps")
         c["base_offsets"], c["base_probs"] = product_symmetric_base(walk, d)
-    for k, check in (("p1", _real), ("c_pert", _real), ("c_h", _real),
-                     ("p2", lambda v, k: np.inf if v in ("inf", None)
-                      else _real(v, k)), ("allow_low_p1", _flag)):
-        if k in c:
-            c[k] = check(c[k], k)
     return PerturbedChainSpec(**c)
 
 
@@ -198,6 +215,13 @@ def _checkpoints(v, p, model):
     if n and (cps[-1] > n or cps != sorted(cps)):
         raise _fail(f"nondecreasing and <= n = {n}", v)
     return cps
+
+
+def _mc_reps(v, p, model):
+    """Replicas of the green Monte Carlo: its standard error needs two."""
+    if p.get("mc") and _integer(v) < 2:
+        raise _fail(">= 2 when mc is true", v)
+    return _integer(v, 1)
 
 
 def _points(v, p, model):
@@ -481,8 +505,8 @@ KIND_TABLE = {
         "reps": (_int(1000), 10_000)}),
     "green": (_run_green, False, {
         "walk": (_plain(build_walk), _REQUIRED), "r0": (_int(), 0),
-        "points": (_points, _REQUIRED), "reps": (_int(1), 10_000),
-        "mc": (_plain(_flag), True)}),
+        "points": (_points, _REQUIRED), "mc": (_plain(_flag), True),
+        "reps": (_mc_reps, 10_000)}),
     "green-bound": (_run_green_bound, False, {
         "chain": (_plain(build_chain_spec), _REQUIRED),
         "n_grid": (_grid(1, least=2), _REQUIRED), "reps": (_int(1), 256)}),

@@ -1,25 +1,30 @@
 """Environment laws and lazy seed-deterministic realizations.
 
 An environment assigns to every lattice site a probability vector over the
-finite step set J.  Realizations are never stored: the vector at site x is
-a pure function of (env_seed, x) computed through keyed counter streams, so
-any number of walkers can share one environment over an unbounded region
-with O(1) memory.  Dirichlet components use inverse-CDF gamma sampling
-(one uniform per component, fixed counters), which keeps values independent
-of query order.
+finite step set J.  Realizations are never precomputed: the vector at site
+x is a pure function of (env_seed, x) computed through keyed counter
+streams, so any number of walkers can share one environment over an
+unbounded region.  The scalar path (Environment.cum_at) memoizes the
+cumulative vector of every site it has been asked for, so an Environment
+grows by one entry per distinct site it serves; the vectorized path stores
+nothing.  Dirichlet components use inverse-CDF gamma sampling (one uniform
+per component, fixed counters), which keeps values independent of query
+order.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 from scipy import special as _sps
 
-from .rng import (TAG_ENV, TAG_SITE, derive_key, scalar_site_key, site_keys,
-                  site_keys_mixed, stream_u01, stream_u01_array)
+from .rng import (GAMMA, MASK64, TAG_ENV, TAG_SITE, derive_key, mix64,
+                  site_keys, stream_u01, stream_u01_array)
 
 
 @dataclass(frozen=True)
@@ -175,14 +180,17 @@ class Environment:
         self.env_seed = int(env_seed)
         self.env_key = derive_key(self.env_seed, TAG_SITE)
         self._cum_cache: dict = {}
-        k = len(model.support.steps)
+        self._k = len(model.support.steps)
+        # the environment's part of every site key, derive_key(env_key)
+        self._site_h = derive_key(self.env_key)
         if model.kind == "deterministic":
-            p = np.array(model.probs)
-            self._const_cum = tuple(np.cumsum(p).tolist())
-        elif model.kind == "mixture":
-            self._atom_w = np.cumsum([w for _, w in model.atoms])
-            self._atom_probs = np.array([p for p, _ in model.atoms])
-        self._k = k
+            self._const_cum = tuple(np.cumsum(model.probs).tolist())
+        elif model.kind == "dirichlet":
+            self._alpha = np.array(model.alpha)
+        else:
+            self._atom_w = np.cumsum([w for _, w in model.atoms]).tolist()
+            self._atom_cums = [tuple(np.cumsum(p).tolist())
+                               for p, _ in model.atoms]
 
     # -- vectorized core ---------------------------------------------------
 
@@ -200,37 +208,49 @@ class Environment:
 
     # -- scalar path (cached cumulative vectors, used by sequential code) --
 
-    def _scalar_vector(self, site: tuple) -> np.ndarray:
-        """Single-site vector without array batching; bit-identical to the
-        vectorized computation."""
+    def cum_at(self, site: tuple) -> tuple:
+        """Cumulative probability vector at `site` as a tuple of floats.
+
+        Equal to tuple(np.cumsum(site_vector(site)).tolist()) bit for bit.
+        A new site costs one scipy call at most: its key and counters are
+        Python ints, and the normalization and cumulative sum repeat
+        _vectors_from_keys's float operations in the same order (numpy's
+        total of the gamma draws, then one division, floor and running
+        sum per component).
+        """
+        cum = self._cum_cache.get(site)
+        if cum is not None:
+            return cum
         model = self.model
         if model.kind == "deterministic":
-            return np.array(model.probs)
-        key = scalar_site_key(self.env_key, site)
-        if model.kind == "dirichlet":
-            k = self._k
-            u = np.array([stream_u01(key, i) for i in range(k)])
-            g = _sps.gammaincinv(np.array(model.alpha), u)
-            g /= g.sum()
-            if model.floor:
-                g *= 1.0 - model.floor
-                g += model.floor / k
-            return g
-        u = stream_u01(key, 0)
-        i = int(np.searchsorted(self._atom_w, u))
-        return self._atom_probs[min(i, len(self._atom_w) - 1)].copy()
-
-    def cum_at(self, site: tuple) -> tuple:
-        """Cumulative probability vector at `site` as a tuple of floats."""
-        cum = self._cum_cache.get(site)
-        if cum is None:
-            if self.model.kind == "deterministic":
-                cum = self._const_cum
+            cum = self._const_cum
+        else:
+            key = self._site_h
+            for c in site:
+                key = mix64((key + GAMMA) ^ (int(c) & MASK64))
+            if model.kind == "dirichlet":
+                g = _sps.gammaincinv(self._alpha, [stream_u01(key, i)
+                                                   for i in range(self._k)])
+                total = float(g.sum())
+                if total == 0.0:
+                    raise _underflow(model)
+                if model.floor:
+                    scale, lift = 1.0 - model.floor, model.floor / self._k
+                    v = [x / total * scale + lift for x in g.tolist()]
+                else:
+                    v = [x / total for x in g.tolist()]
+                cum = tuple(accumulate(v))
             else:
-                v = self._scalar_vector(site)
-                cum = tuple(np.cumsum(v).tolist())
-            self._cum_cache[site] = cum
+                i = bisect_left(self._atom_w, stream_u01(key, 0))
+                cum = self._atom_cums[min(i, len(self._atom_cums) - 1)]
+        self._cum_cache[site] = cum
         return cum
+
+
+def _underflow(model: EnvironmentModel) -> ValueError:
+    return ValueError(f"dirichlet law with alpha={model.alpha}: every gamma "
+                      "component of a site vector underflows to 0, so the "
+                      "vector is undefined")
 
 
 def _vectors_from_keys(model: EnvironmentModel, keys: np.ndarray) -> np.ndarray:
@@ -244,7 +264,10 @@ def _vectors_from_keys(model: EnvironmentModel, keys: np.ndarray) -> np.ndarray:
         for i, a in enumerate(model.alpha):
             u = stream_u01_array(keys, i)
             g[:, i] = _sps.gammaincinv(a, u)
-        g /= g.sum(axis=1, keepdims=True)
+        total = g.sum(axis=1, keepdims=True)
+        if not total.all():
+            raise _underflow(model)
+        g /= total
         if model.floor:
             g *= 1.0 - model.floor
             g += model.floor / k

@@ -371,7 +371,8 @@ def half_line_green_mc(walk: SymmetricWalk1D, r0: int, s: int, t: int,
                        reps: int = 10_000, seed: int = 0,
                        max_steps: int = 2_000_000,
                        tail_tol: float = 0.01) -> tuple:
-    """Monte Carlo visit count with a batch-mean standard error.
+    """Monte Carlo visit count with a batch-mean standard error over
+    min(32, reps) batches; reps must be at least 2.
 
     The kill time has infinite mean, so the loop stops once the surviving
     replicas can contribute at most `tail_tol` to the estimate (using the
@@ -380,6 +381,9 @@ def half_line_green_mc(walk: SymmetricWalk1D, r0: int, s: int, t: int,
     tail_tol.  Otherwise the estimate is biased downward by at most
     tail_tol; comparisons should allow 3 se + tail_tol.
     """
+    if reps < 2:
+        raise ValueError(f"reps must be >= 2 for a standard error "
+                         f"(got {reps})")
     if t <= r0 or s <= r0:
         return 0.0, 0.0
     keys = derive_key_range(seed, _TAG_GREEN_MC, n=reps)
@@ -397,7 +401,7 @@ def half_line_green_mc(walk: SymmetricWalk1D, r0: int, s: int, t: int,
         warnings.warn(f"half_line_green_mc(s={s}, t={t}) stopped at max_steps"
                       f"={max_steps} with {alive[-1]} survivors, which may "
                       f"add more than tail_tol={tail_tol}", RuntimeWarning)
-    n_batches = 32
+    n_batches = min(32, reps)
     edges = np.linspace(0, reps, n_batches + 1).astype(int)
     bm = np.array([visits[a:b].mean() for a, b in zip(edges[:-1], edges[1:])])
     est = float(visits.mean())

@@ -21,11 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
-_GAMMA = 0x9E3779B97F4A7C15
+GAMMA = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 
-_U_GAMMA = np.uint64(_GAMMA)
+_U_GAMMA = np.uint64(GAMMA)
 _U_M1 = np.uint64(_M1)
 _U_M2 = np.uint64(_M2)
 # shift counts as numpy scalars made once: building them per call costs
@@ -73,9 +73,9 @@ def _u01(v: np.ndarray) -> np.ndarray:
 
 def derive_key(seed: int, *parts: int) -> int:
     """Fold integer parts (may be negative) into a well-mixed 64-bit key."""
-    h = mix64(seed + _GAMMA)
+    h = mix64(seed + GAMMA)
     for p in parts:
-        h = mix64((h + _GAMMA) ^ (p & MASK64))
+        h = mix64((h + GAMMA) ^ (p & MASK64))
     return h
 
 
@@ -91,16 +91,8 @@ def derive_key_array(seeds: np.ndarray, *parts: int) -> np.ndarray:
 def derive_key_range(seed: int, *parts: int, n: int) -> np.ndarray:
     """[derive_key(seed, *parts, i) for i in range(n)] as a uint64 array
     (bit-identical): the shared prefix is folded once, the index last."""
-    h = (derive_key(seed, *parts) + _GAMMA) & MASK64
+    h = (derive_key(seed, *parts) + GAMMA) & MASK64
     return mix64_array(np.uint64(h) ^ np.arange(n, dtype=np.uint64))
-
-
-def scalar_site_key(env_key: int, site) -> int:
-    """Python-int twin of site_keys for one site (bit-identical)."""
-    h = mix64(env_key + _GAMMA)
-    for c in site:
-        h = mix64((h + _GAMMA) ^ (int(c) & MASK64))
-    return h
 
 
 def site_keys(env_key: int, sites: np.ndarray) -> np.ndarray:
@@ -111,7 +103,7 @@ def site_keys(env_key: int, sites: np.ndarray) -> np.ndarray:
     sites = np.asarray(sites)
     if sites.ndim == 1:
         sites = sites[None, :]
-    h = np.full(sites.shape[0], mix64(env_key + _GAMMA), dtype=np.uint64)
+    h = np.full(sites.shape[0], mix64(env_key + GAMMA), dtype=np.uint64)
     for j in range(sites.shape[1]):
         c = sites[:, j].astype(np.int64).view(np.uint64)
         h = mix64_array((h + _U_GAMMA) ^ c)
@@ -128,18 +120,14 @@ def site_keys_mixed(env_keys: np.ndarray, sites: np.ndarray) -> np.ndarray:
     return h
 
 
-def stream_u64(key: int, ctr: int) -> int:
-    """Draw `ctr` of the stream anchored at `key` (splitmix64 sequence)."""
-    return mix64((key + ctr * _GAMMA) & MASK64)
-
-
 def stream_u01(key: int, ctr: int) -> float:
-    """Uniform in the open interval (0, 1), scalar."""
-    return ((stream_u64(key, ctr) >> 11) + 0.5) * 2.0**-53
+    """Uniform in the open interval (0, 1), scalar: the top 53 bits of draw
+    `ctr` of the splitmix64 sequence anchored at `key`."""
+    return ((mix64(key + ctr * GAMMA) >> 11) + 0.5) * 2.0**-53
 
 
 def stream_u64_array(keys: np.ndarray, ctr: int) -> np.ndarray:
-    return mix64_array(_u64_1d(keys) + np.uint64((ctr * _GAMMA) & MASK64))
+    return mix64_array(_u64_1d(keys) + np.uint64((ctr * GAMMA) & MASK64))
 
 
 def stream_u01_array(keys: np.ndarray, ctr: int) -> np.ndarray:

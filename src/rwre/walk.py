@@ -9,13 +9,15 @@ and simulating n' < n steps yields the prefix of the n-step path.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
 from .environment import Environment, EnvironmentModel, cum_vectors_from_keys
 from .rng import (MASK64, TAG_WALK, counter_u01_array, derive_key,
-                  derive_key_array, site_keys, site_keys_mixed, stream_u01,
+                  derive_key_array, site_keys, site_keys_mixed,
                   stream_u01_array)
 
 
@@ -76,34 +78,26 @@ def simulate(env: Environment, start, n: int, walk_seed: int) -> WalkPath:
     u_hat = np.asarray(env.model.support.u_hat, dtype=np.int64)
     if n == 0:
         return WalkPath(start[None, :].copy(), u_hat)
-    wkey = walk_key(walk_seed)
-    steps_arr = env.model.support.steps_array
-
+    # the walk's uniforms at counters 0..n-1 in one call; the step indices
+    # become sites in one cumsum
+    u = counter_u01_array(walk_key(walk_seed), np.arange(n, dtype=np.uint64))
+    steps = env.model.support.steps
+    last = len(steps) - 1
     if env.model.kind == "deterministic":
-        cum = np.cumsum(np.array(env.model.probs))
-        u = counter_u01_array(wkey, np.arange(n, dtype=np.uint64))
-        idx = np.searchsorted(cum, u, side="left")
-        idx = np.minimum(idx, len(cum) - 1)
-        sites = np.empty((n + 1, d), dtype=np.int64)
-        sites[0] = start
-        np.cumsum(steps_arr[idx], axis=0, out=sites[1:])
-        sites[1:] += start
-        return WalkPath(sites, u_hat)
-
+        idx = np.searchsorted(np.cumsum(env.model.probs), u, side="left")
+        idx = np.minimum(idx, last)
+    else:
+        cum_at = env.cum_at
+        pos = tuple(start.tolist())
+        idx = []
+        for ui in u.tolist():
+            i = bisect_left(cum_at(pos), ui, 0, last)
+            idx.append(i)
+            pos = tuple(map(add, pos, steps[i]))
     sites = np.empty((n + 1, d), dtype=np.int64)
     sites[0] = start
-    pos = tuple(int(c) for c in start)
-    k = len(env.model.support.steps)
-    step_tuples = env.model.support.steps
-    for t in range(n):
-        cum = env.cum_at(pos)
-        u = stream_u01(wkey, t)
-        i = 0
-        while i < k - 1 and cum[i] < u:
-            i += 1
-        z = step_tuples[i]
-        pos = tuple(p + s for p, s in zip(pos, z))
-        sites[t + 1] = pos
+    np.cumsum(env.model.support.steps_array[idx], axis=0, out=sites[1:])
+    sites[1:] += start
     return WalkPath(sites, u_hat)
 
 

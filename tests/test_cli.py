@@ -276,6 +276,27 @@ D2 = {"dimension": 2, "steps": [[1, 0], [0, 1], [0, -1]], "u_hat": [1, 0],
     ({"kind": "check", "model": {**D2, "dimension": math.inf}}, "model"),
     ({"kind": "check", "model": {**D2, "probs": [0.5, math.nan, 0.5]}},
      "model"),
+    # numbers inside the model, walk and chain objects must be JSON numbers
+    ({"kind": "green", "params": {
+        "walk": {"offsets": [-1, 1], "probs": ["0.5", "0.5"]},
+        "points": [[1, 1]]}}, "params.walk"),
+    ({"kind": "check", "model": {**D2, "law": "dirichlet",
+                                 "alpha": [True, 1, 1]}}, "model"),
+    ({"kind": "check", "model": {**D2, "steps": [[1, 0], [0, 1], [0, "-1"]]}},
+     "model"),
+    ({"kind": "check", "model": {**D2, "u_hat": [1.0, 0]}}, "model"),
+    ({"kind": "check", "model": {
+        **D2, "law": "mixture",
+        "atoms": [{"probs": [0.5, "0.25", 0.25], "weight": 1}]}}, "model"),
+    ({"kind": "exit-time", "params": {
+        "chain": {**CHAIN, "alt_offsets": [["1", 0]], "alt_probs": [1]},
+        "r_grid": [2]}}, "params.chain"),
+    ({"kind": "exit-time", "params": {
+        "chain": {**CHAIN, "alt_offsets": [[1, 0]], "alt_probs": [True]},
+        "r_grid": [2]}}, "params.chain"),
+    # the Monte Carlo standard error needs two replicas
+    ({"kind": "green", "params": {"walk": SIMPLE_WALK, "points": [[1, 1]],
+                                  "reps": 1}}, "params.reps"),
 ])
 def test_invalid_config_exits_1_naming_field(tmp_path, capsys, cfg, field):
     path = _write(tmp_path, "cfg.json", cfg)

@@ -30,8 +30,9 @@ def test_dirichlet_vector_is_probability_and_recomputable():
     v = env.site_vector((3, 4))
     assert np.all(v > 0)
     assert abs(v.sum() - 1.0) < 1e-12
-    # regeneration from the same keyed stream, through the scalar twin
-    assert np.array_equal(v, env._scalar_vector((3, 4)))
+    # regeneration from the same keyed stream, through the scalar path
+    cum = make_environment(m, 7).cum_at((3, 4))
+    assert cum == tuple(np.cumsum(v).tolist())
 
 
 def test_vectors_batch_matches_scalar():
@@ -144,3 +145,61 @@ def test_independence_proxy_across_sites():
     a, b = p1[:-1] - p1.mean(), p1[1:] - p1.mean()
     r = float((a * b).mean() / p1.var())
     assert abs(r) < 4.0 / np.sqrt(len(p1))
+
+
+# the scalar path: cum_at against the vectorized site vectors
+
+_SUP3 = [(1, 0), (0, 1), (0, -1)]
+_SUP4 = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+# nine steps: numpy sums 8 or more entries pairwise, not left to right
+_SUP9 = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1),
+         (-1, -1), (2, 0)]
+
+
+def _cum_at_laws():
+    yield "deterministic", EnvironmentModel(
+        support=support_2d(_SUP4), kind="deterministic",
+        probs=(0.4, 0.1, 0.3, 0.2))
+    for steps, alpha in ((_SUP3, (4.0, 1.0, 1.0)),
+                         (_SUP4, (5.0, 2.0, 1.5, 1.5)),
+                         (_SUP9, (0.3, 0.7, 1.0, 1.3, 2.0, 2.5, 3.0, 0.5,
+                                  4.0))):
+        for floor in (0.0, 0.1):
+            yield f"dirichlet-k{len(steps)}-floor{floor}", EnvironmentModel(
+                support=support_2d(steps), kind="dirichlet", alpha=alpha,
+                floor=floor)
+    yield "mixture", EnvironmentModel(
+        support=support_2d(_SUP4), kind="mixture",
+        atoms=(((0.4, 0.1, 0.3, 0.2), 1.0), ((0.7, 0.1, 0.1, 0.1), 2.0),
+               ((0.25, 0.25, 0.25, 0.25), 0.5)))
+
+
+@pytest.mark.parametrize("name,model", list(_cum_at_laws()),
+                         ids=[n for n, _ in _cum_at_laws()])
+def test_cum_at_matches_site_vectors_bitwise(name, model):
+    rng = np.random.default_rng(5)
+    near = np.mgrid[-50:50, -25:25].reshape(2, -1).T
+    far = rng.integers(-2**40, 2**40, size=(5_000, 2))   # beyond +-2**31
+    sites = np.vstack([near, far, [[2**62, -2**62], [-2**31 - 1, 2**31]]])
+    assert len(np.unique(sites, axis=0)) >= 10_000
+    env = make_environment(model, 31)
+    want = np.cumsum(env.site_vectors(sites), axis=1)
+    got = [env.cum_at(tuple(s)) for s in sites.tolist()]
+    for s, g, w in zip(sites.tolist(), got, want):
+        assert g == tuple(w.tolist()), s
+    # cache hits return the same tuples
+    assert [env.cum_at(tuple(s)) for s in sites[:50].tolist()] == got[:50]
+
+
+def test_dirichlet_underflow_raises_on_both_paths():
+    # at alpha = 0.001 every gamma component underflows to 0 at about one
+    # site in ten, which would make the normalized vector NaN
+    m = EnvironmentModel(support=support_2d(_SUP3), kind="dirichlet",
+                         alpha=(0.001,) * 3)
+    env = make_environment(m, 1)
+    sites = np.array([[i, 0] for i in range(200)])
+    with pytest.raises(ValueError, match=r"dirichlet.*alpha=\(0\.001"):
+        env.site_vectors(sites)
+    with pytest.raises(ValueError, match=r"dirichlet.*alpha=\(0\.001"):
+        for s in sites.tolist():
+            env.cum_at(tuple(s))

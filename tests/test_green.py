@@ -249,6 +249,21 @@ def test_half_line_green_mc_warns_at_max_steps():
         half_line_green_mc(walk, 0, 1, 1, reps=200, seed=1, tail_tol=0.1)
 
 
+def test_half_line_green_mc_small_reps_give_finite_se():
+    # fewer replicas than the 32 batches: one replica per batch, so the
+    # standard error is the plain one over the replicas
+    walk = simple_walk()
+    for reps in (2, 5, 31):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est, se = half_line_green_mc(walk, 0, 1, 1, reps=reps, seed=1)
+        assert np.isfinite(se)
+        assert (est, se) == _ref_half_line_green_mc(walk, 0, 1, 1, reps, 1,
+                                                    2_000_000, 0.01)
+    with pytest.raises(ValueError, match="reps must be >= 2"):
+        half_line_green_mc(walk, 0, 1, 1, reps=1, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # the blocked kernels against the one-counter loops they replaced
 
@@ -277,9 +292,10 @@ def _ref_half_line_green_mc(walk, r0, s, t, reps, seed, max_steps, tail_tol):
         killed = pos[alive] <= r0
         visits[alive[pos[alive] == t]] += 1
         alive = alive[~killed]
-    edges = np.linspace(0, reps, 33).astype(int)
+    n_batches = min(32, reps)
+    edges = np.linspace(0, reps, n_batches + 1).astype(int)
     bm = np.array([visits[a:b].mean() for a, b in zip(edges[:-1], edges[1:])])
-    return float(visits.mean()), float(bm.std(ddof=1) / np.sqrt(32))
+    return float(visits.mean()), float(bm.std(ddof=1) / np.sqrt(n_batches))
 
 
 def _ref_first_passage_mc(walk, a_grid, reps, seed):

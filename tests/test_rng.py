@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 
 from rwre.rng import (derive_key, derive_key_array, derive_key_range, mix64,
-                      mix64_array, scalar_site_key, site_keys, site_keys_mixed,
+                      mix64_array, site_keys, site_keys_mixed,
                       stream_u01, stream_u01_array, counter_u01_array)
 
 
@@ -14,12 +14,12 @@ def test_mix64_scalar_matches_array():
         assert mix64(x) == int(a)
 
 
-def test_scalar_site_key_matches_vectorized():
+def test_derive_key_matches_site_keys():
     key = derive_key(42, 7)
     sites = np.array([[3, 4], [0, 0], [-5, 11], [2**31, -2**31]], dtype=np.int64)
     vec = site_keys(key, sites)
     for row, k in zip(sites, vec):
-        assert scalar_site_key(key, tuple(row)) == int(k)
+        assert derive_key(key, *row.tolist()) == int(k)
     mixed = site_keys_mixed(np.full(len(sites), key, dtype=np.uint64), sites)
     assert np.array_equal(vec, mixed)
 
@@ -62,7 +62,7 @@ def test_zero_dim_inputs_wrap_without_warning():
         m = site_keys_mixed(np.uint64(key), np.array([[2**62, -1]]))
     assert u.shape == (1,) and u[0] == stream_u01(key, 2**40)
     assert c.shape == (1,) and c[0] == stream_u01(key, 7)
-    assert int(m[0]) == scalar_site_key(key, (2**62, -1))
+    assert int(m[0]) == derive_key(key, 2**62, -1)
 
 
 def test_derive_key_array_matches_scalar():
