@@ -36,7 +36,8 @@ from .envprocess import (constant_function, drift_projection, ergodic_average,
                          variation_proxy)
 from .fitting import fit_exponent
 from .green import (PerturbedChainSpec, SymmetricWalk1D, build_ladder_tables,
-                    cube_exit_time, green_bound_experiment, half_line_green,
+                    check_ladder_size, check_solve_size, cube_exit_time,
+                    green_bound_experiment, half_line_green,
                     half_line_green_mc, half_line_green_solve,
                     product_symmetric_base)
 from .pair import coupled_triple, first_joint_regeneration, intersection_curve
@@ -224,11 +225,19 @@ def _mc_reps(v, p, model):
     return _integer(v, 1)
 
 
+def _green_walk(v, p, model):
+    walk = build_walk(v)
+    check_ladder_size(walk)
+    return walk
+
+
 def _points(v, p, model):
     pts = _lists(v, _integer, [None, 2])
     for pt in pts:
         if "r0" in p and min(pt) <= p["r0"]:
             raise _fail(f"[s, t] pairs above r0 = {p['r0']}", pt)
+        if "r0" in p and "walk" in p:
+            check_solve_size(p["walk"], p["r0"], *pt)
     return pts
 
 
@@ -504,7 +513,7 @@ KIND_TABLE = {
         "n": (_int(1), 1024), "ell_grid": (_grid(1), _REQUIRED),
         "reps": (_int(1000), 10_000)}),
     "green": (_run_green, False, {
-        "walk": (_plain(build_walk), _REQUIRED), "r0": (_int(), 0),
+        "walk": (_green_walk, _REQUIRED), "r0": (_int(), 0),
         "points": (_points, _REQUIRED), "mc": (_plain(_flag), True),
         "reps": (_mc_reps, 10_000)}),
     "green-bound": (_run_green_bound, False, {
@@ -609,12 +618,17 @@ def _fmt_cell(x):
     return str(x)
 
 
+# cells the csv module writes as _fmt_cell would: str as is, int and float
+# through str(), which for these exact types is str(int(x)) and repr(x)
+_PLAIN_CELLS = frozenset((int, float, str))
+
+
 def _write_csv(path: Path, header, rows) -> str:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt_cell(c) for c in row])
+        w.writerows([c if type(c) in _PLAIN_CELLS else _fmt_cell(c)
+                     for c in row] for row in rows)
     return _sha256(path)
 
 
@@ -660,6 +674,18 @@ def _execute(cfg, kind, model, params, out_dir, workers, seed) -> dict:
 # entry point
 
 
+def _fields_help(kind: str) -> str:
+    """The config fields of a kind, read from KIND_TABLE."""
+    _, needs_model, fields = KIND_TABLE[kind]
+    rows = [("model", "required")] if needs_model else []
+    rows += [(f"params.{name}", "required" if isinstance(default, _Required)
+              else f"default {json.dumps(default)}")
+             for name, (_, default) in fields.items()]
+    width = max((len(name) for name, _ in rows), default=0) + 2
+    return "\n".join(["config fields:"] + [f"  {name:<{width}}{text}"
+                                            for name, text in rows])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="rwre", description=(
         "Random-walk-in-random-environment simulation laboratory"))
@@ -668,7 +694,10 @@ def main(argv=None) -> int:
     pv.add_argument("config")
     pv.set_defaults(seed=None, workers=None, out=None)
     for kind in KINDS:
-        pk = sub.add_parser(kind, help=f"run the {kind} experiment")
+        pk = sub.add_parser(
+            kind, help=f"run the {kind} experiment",
+            epilog=_fields_help(kind),
+            formatter_class=argparse.RawDescriptionHelpFormatter)
         pk.add_argument("--config", required=True)
         pk.add_argument("--seed", type=int, default=None)
         pk.add_argument("--workers", type=int, default=None)

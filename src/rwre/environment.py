@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
+from operator import add
 from typing import Optional
 
 import numpy as np
 from scipy import special as _sps
 
-from .rng import (GAMMA, MASK64, TAG_ENV, TAG_SITE, derive_key, mix64,
-                  site_keys, stream_u01, stream_u01_array)
+from .rng import (TAG_ENV, TAG_SITE, derive_key, site_keys, site_u01,
+                  stream_u01_array)
 
 
 @dataclass(frozen=True)
@@ -187,6 +189,8 @@ class Environment:
             self._const_cum = tuple(np.cumsum(model.probs).tolist())
         elif model.kind == "dirichlet":
             self._alpha = np.array(model.alpha)
+            self._scale = 1.0 - model.floor
+            self._lift = model.floor / self._k
         else:
             self._atom_w = np.cumsum([w for _, w in model.atoms]).tolist()
             self._atom_cums = [tuple(np.cumsum(p).tolist())
@@ -209,40 +213,35 @@ class Environment:
     # -- scalar path (cached cumulative vectors, used by sequential code) --
 
     def cum_at(self, site: tuple) -> tuple:
-        """Cumulative probability vector at `site` as a tuple of floats.
+        """Cumulative probability vector at `site` (a tuple of Python ints)
+        as a tuple of floats.
 
         Equal to tuple(np.cumsum(site_vector(site)).tolist()) bit for bit.
-        A new site costs one scipy call at most: its key and counters are
-        Python ints, and the normalization and cumulative sum repeat
-        _vectors_from_keys's float operations in the same order (numpy's
-        total of the gamma draws, then one division, floor and running
-        sum per component).
+        A new site costs one rng call and at most one scipy call, and its
+        float operations are _vectors_from_keys's in the same order: the
+        gamma draws totalled left to right, then one division, floor and
+        running sum per component.
         """
         cum = self._cum_cache.get(site)
         if cum is not None:
             return cum
-        model = self.model
-        if model.kind == "deterministic":
-            cum = self._const_cum
-        else:
-            key = self._site_h
-            for c in site:
-                key = mix64((key + GAMMA) ^ (int(c) & MASK64))
-            if model.kind == "dirichlet":
-                g = _sps.gammaincinv(self._alpha, [stream_u01(key, i)
-                                                   for i in range(self._k)])
-                total = float(g.sum())
-                if total == 0.0:
-                    raise _underflow(model)
-                if model.floor:
-                    scale, lift = 1.0 - model.floor, model.floor / self._k
-                    v = [x / total * scale + lift for x in g.tolist()]
-                else:
-                    v = [x / total for x in g.tolist()]
-                cum = tuple(accumulate(v))
+        kind = self.model.kind
+        if kind == "dirichlet":
+            g = _sps.gammaincinv(self._alpha,
+                                 site_u01(self._site_h, site, self._k)).tolist()
+            total = reduce(add, g)
+            if total == 0.0:
+                raise _underflow(self.model)
+            if self._lift:
+                scale, lift = self._scale, self._lift
+                cum = tuple(accumulate([x / total * scale + lift for x in g]))
             else:
-                i = bisect_left(self._atom_w, stream_u01(key, 0))
-                cum = self._atom_cums[min(i, len(self._atom_cums) - 1)]
+                cum = tuple(accumulate([x / total for x in g]))
+        elif kind == "mixture":
+            i = bisect_left(self._atom_w, site_u01(self._site_h, site, 1)[0])
+            cum = self._atom_cums[min(i, len(self._atom_cums) - 1)]
+        else:
+            cum = self._const_cum
         self._cum_cache[site] = cum
         return cum
 
@@ -264,10 +263,13 @@ def _vectors_from_keys(model: EnvironmentModel, keys: np.ndarray) -> np.ndarray:
         for i, a in enumerate(model.alpha):
             u = stream_u01_array(keys, i)
             g[:, i] = _sps.gammaincinv(a, u)
-        total = g.sum(axis=1, keepdims=True)
+        # the total adds the components left to right, as cum_at does
+        total = g[:, 0].copy()
+        for i in range(1, k):
+            total += g[:, i]
         if not total.all():
             raise _underflow(model)
-        g /= total
+        g /= total[:, None]
         if model.floor:
             g *= 1.0 - model.floor
             g += model.floor / k

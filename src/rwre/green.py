@@ -36,6 +36,9 @@ _BLOCK_CELLS = 1 << 14
 # 2-vCPU VM; the cost grows quadratically in a)
 _EXACT_TAIL_STATES = 1 << 17
 _EXACT_TAIL_UPDATES = 1 << 30
+# Unknowns of one dense complex linear solve (ladder_heights,
+# half_line_green_solve): the matrix of 2**11 unknowns is 64 MiB
+_DENSE_UNKNOWNS = 1 << 11
 # Step tables of at most this many entries count thresholds in _step_index.
 # On a block of _BLOCK_CELLS uniforms that beats searchsorted 10x at 2
 # entries, 2.6x at 16 and 1.3x at 48, and loses at 64 (0.9x; 2-vCPU VM)
@@ -129,6 +132,7 @@ def ladder_heights(walk: SymmetricWalk1D, trunc: Optional[int] = None) -> dict:
         trunc = max(30, 10 * M)
     if trunc < 10 * M:
         raise ValueError("trunc must be at least 10 * step range")
+    check_ladder_size(walk, trunc)
     lams = _decaying_modes(walk)
     J = len(lams)
     K = trunc
@@ -222,6 +226,33 @@ def build_ladder_tables(walk: SymmetricWalk1D, m_max: int = 64,
 # exact linear-solve oracle for the half-line Green function
 
 
+# Bounds on the unknowns of the two dense solves, checked before any
+# allocation.  The far field adds J <= M - 1 modes: the characteristic
+# polynomial has degree 2M, a double root at 1, and its other roots pair
+# as x, 1/x across the unit circle.
+
+def check_ladder_size(walk: SymmetricWalk1D, trunc: Optional[int] = None):
+    """Raise ValueError when ladder_heights(walk, trunc) would need more
+    than _DENSE_UNKNOWNS unknowns (trunc + 2 + J)."""
+    M = walk.max_step
+    trunc = max(30, 10 * M) if trunc is None else trunc
+    if trunc + M + 1 > _DENSE_UNKNOWNS:
+        raise ValueError(
+            f"offsets reach max step {M}: the ladder solve would need up to "
+            f"{trunc + M + 1} unknowns (limit {_DENSE_UNKNOWNS})")
+
+
+def check_solve_size(walk: SymmetricWalk1D, r0: int, s: int, t: int):
+    """Raise ValueError when half_line_green_solve(walk, r0, s, t) would need
+    more than _DENSE_UNKNOWNS unknowns (max(s, t) - r0 + M + 2J + 9)."""
+    n = max(s, t) - r0 + 3 * walk.max_step + 7
+    if n > _DENSE_UNKNOWNS:
+        raise ValueError(
+            f"point ({s}, {t}) lies {max(s, t) - r0} above r0 = {r0}: the "
+            f"exact solve would need up to {n} unknowns "
+            f"(limit {_DENSE_UNKNOWNS})")
+
+
 def _decaying_modes(walk: SymmetricWalk1D) -> np.ndarray:
     """Roots inside the unit disk of sum_z p_z x^(z+M) = x^M.
 
@@ -256,6 +287,7 @@ def half_line_green_solve(walk: SymmetricWalk1D, r0: int, s: int, t: int) -> flo
     """
     if s <= r0 or t <= r0:
         raise ValueError("s and t must exceed the kill level r0")
+    check_solve_size(walk, r0, s, t)
     x0, y0 = s - r0, t - r0                  # shifted states >= 1
     M = walk.max_step
     lams = _decaying_modes(walk)

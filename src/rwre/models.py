@@ -45,11 +45,6 @@ def degenerate_direction_model() -> EnvironmentModel:
         kind="deterministic", probs=(0.5, 0.5))
 
 
-def monotone_level_model() -> EnvironmentModel:
-    """J = {e1, e2} with equal weights: levels never decrease."""
-    return degenerate_direction_model()
-
-
 def backtracking_model() -> EnvironmentModel:
     """Homogeneous model with a small -e1 weight, so the running maximum
     genuinely overshoots the final level (positive variation proxy)."""

@@ -10,13 +10,15 @@ so far.  Levels live on the h-lattice of the accessible level set.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Optional
 
 import numpy as np
 
 from .environment import Environment, EnvironmentModel, compute_h, make_environment
-from .rng import derive_key, site_keys, stream_u01
+from .rng import counter_u01_array, derive_key, site_keys, site_u01
 from .walk import WalkPath, simulate, simulate_paths_many_envs, walk_key
 
 _TAG_PAIR = 0xAA01
@@ -119,39 +121,46 @@ def intersection_curve(model: EnvironmentModel, n_grid, reps: int,
 
 
 class _TimeSource:
-    """Per-walk uniform stream indexed by time."""
+    """Per-walk uniform stream indexed by time.
 
-    __slots__ = ("key",)
+    The stream is drawn ahead in blocks, one counter_u01_array call each,
+    each block at least as long as the stream drawn so far.  This is
+    exact: a draw is a pure function of (key, t), so drawing ahead changes
+    no value.
+    """
+
+    __slots__ = ("key", "_u")
 
     def __init__(self, key: int):
         self.key = key
+        self._u: list = []
 
     def draw(self, site: tuple, t: int) -> float:
-        return stream_u01(self.key, t)
+        u = self._u
+        if t >= len(u):
+            u += counter_u01_array(self.key, np.arange(
+                len(u), 2 * t + 2, dtype=np.uint64)).tolist()
+        return u[t]
 
 
 class _SiteSource:
     """Per-site uniform streams; each visit consumes the next index.
 
     Two walks sharing the same base key read identical uniforms as long as
-    their visit histories agree, which is what couples them.
+    their visit histories agree, which is what couples them.  Site j's
+    stream is keyed derive_key(base, _TAG_STEPS, *site).
     """
 
-    __slots__ = ("base", "counts", "_keys")
+    __slots__ = ("prefix", "counts")
 
     def __init__(self, base: int):
-        self.base = base
+        self.prefix = derive_key(base, _TAG_STEPS)
         self.counts: dict = {}
-        self._keys: dict = {}
 
     def draw(self, site: tuple, t: int) -> float:
         k = self.counts.get(site, 0)
         self.counts[site] = k + 1
-        key = self._keys.get(site)
-        if key is None:
-            key = derive_key(self.base, _TAG_STEPS, *site)
-            self._keys[site] = key
-        return stream_u01(key, k)
+        return site_u01(self.prefix, site, 1, k)[0]
 
 
 class _SeqWalk:
@@ -159,10 +168,12 @@ class _SeqWalk:
 
     def __init__(self, cum_fn, start: tuple, source, u_hat, steps):
         self.cum_fn = cum_fn
-        self.source = source
-        self.u_hat = u_hat
+        self.draw = source.draw
         self.steps = steps
-        lev = sum(a * b for a, b in zip(start, u_hat))
+        self.last = len(steps) - 1
+        # level increment of each step, z . u_hat
+        self.incs = [sum(map(mul, z, u_hat)) for z in steps]
+        lev = sum(map(mul, start, u_hat))
         self.positions = [tuple(start)]
         self.levels = [lev]
         self.runmax = [lev]
@@ -188,26 +199,20 @@ class _SeqWalk:
         return True
 
     def _step(self):
-        t = len(self.positions) - 1
-        pos = self.positions[-1]
-        cum = self.cum_fn(pos)
-        u = self.source.draw(pos, t)
-        i = 0
-        last = len(cum) - 1
-        while i < last and cum[i] < u:
-            i += 1
-        z = self.steps[i]
-        new = tuple(p + s for p, s in zip(pos, z))
-        lev = self.levels[-1] + sum(a * b for a, b in zip(z, self.u_hat))
-        self.positions.append(new)
+        positions, runmax = self.positions, self.runmax
+        t = len(positions) - 1
+        pos = positions[-1]
+        i = bisect_left(self.cum_fn(pos), self.draw(pos, t), 0, self.last)
+        positions.append(tuple(map(add, pos, self.steps[i])))
+        lev = self.levels[-1] + self.incs[i]
         self.levels.append(lev)
-        if lev > self.runmax[-1]:
-            self.runmax.append(lev)
+        if lev > runmax[-1]:
+            runmax.append(lev)
             self.fresh[lev] = t + 1
         else:
-            self.runmax.append(self.runmax[-1])
-        if lev < self.min_level:
-            self.min_level = lev
+            runmax.append(runmax[-1])
+            if lev < self.min_level:
+                self.min_level = lev
 
 
 def _joint_regen(wa: _SeqWalk, wb: _SeqWalk, h: int, margin: int,

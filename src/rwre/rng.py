@@ -126,6 +126,29 @@ def stream_u01(key: int, ctr: int) -> float:
     return ((mix64(key + ctr * GAMMA) >> 11) + 0.5) * 2.0**-53
 
 
+def site_u01(prefix_key: int, site, k: int, ctr: int = 0) -> list:
+    """[stream_u01(derive_key(seed, *prefix, *site), ctr + i) for i in
+    range(k)], given prefix_key = derive_key(seed, *prefix) and a site of
+    Python ints (bit-identical).
+
+    One call per site for the sequential walks: the coordinates are folded
+    and each draw mixed inline, with no Python call per coordinate or draw.
+    """
+    h = prefix_key
+    for c in site:
+        h = ((h + GAMMA) ^ c) & MASK64      # masking c first changes nothing
+        h = ((h ^ (h >> 30)) * _M1) & MASK64
+        h = ((h ^ (h >> 27)) * _M2) & MASK64
+        h ^= h >> 31
+    out = []
+    for i in range(ctr, ctr + k):
+        x = (h + i * GAMMA) & MASK64
+        x = ((x ^ (x >> 30)) * _M1) & MASK64
+        x = ((x ^ (x >> 27)) * _M2) & MASK64
+        out.append((((x ^ (x >> 31)) >> 11) + 0.5) * 2.0**-53)
+    return out
+
+
 def stream_u64_array(keys: np.ndarray, ctr: int) -> np.ndarray:
     return mix64_array(_u64_1d(keys) + np.uint64((ctr * GAMMA) & MASK64))
 

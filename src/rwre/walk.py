@@ -113,6 +113,8 @@ def diffusive_scale(path: WalkPath, v, n: int, t_grid) -> np.ndarray:
     """B_n(t) = (X_[nt] - [nt] v) / sqrt(n) on the given t grid."""
     v = np.asarray(v, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
+    if not np.all(t_grid >= 0):
+        raise ValueError("t_grid entries must be nonnegative numbers")
     idx = np.floor(n * t_grid).astype(int)
     if idx.max(initial=0) > path.n_steps:
         raise ValueError("path too short for requested scale/grid")

@@ -20,8 +20,8 @@ from rwre.fitting import fit_exponent
 from rwre.green import (build_ladder_tables, first_passage_tail,
                         half_line_green, half_line_green_mc,
                         half_line_green_solve, simple_walk)
-from rwre.models import (backtracking_model, dirichlet_drift_model,
-                         drift_model, monotone_level_model, support_2d)
+from rwre.models import (backtracking_model, degenerate_direction_model,
+                         dirichlet_drift_model, drift_model, support_2d)
 from rwre.pair import coupled_triple, intersection_curve
 from rwre.regen import (detect_regenerations, estimate_diffusion,
                         estimate_velocity)
@@ -233,7 +233,7 @@ def test_criterion_09_ergodic_theorem(dirichlet_estimates):
 
 def test_criterion_10_variation_proxy():
     ell_grid = [2, 4, 8, 16, 32, 64]
-    res_mono = variation_proxy(monotone_level_model(), 1024, ell_grid,
+    res_mono = variation_proxy(degenerate_direction_model(), 1024, ell_grid,
                                reps=20_000, seed=derive_key(SEED, 13))
     assert np.all(res_mono["i_hat"] == 0.0)
     res_drift = variation_proxy(drift_model(), 1024, ell_grid,

@@ -379,3 +379,35 @@ def test_validate_is_total(json_dir, data):
     f = json_dir / "cfg.json"
     f.write_text(json.dumps(cfg))
     assert main(["validate", str(f)]) in (0, 1)
+
+
+@pytest.mark.parametrize("params,field", [
+    # max step 1000: a ladder system of about 11000 unknowns
+    ({"walk": {"offsets": [-1000, 1000], "probs": [0.5, 0.5]},
+      "points": [[1, 1]]}, "params.walk"),
+    ({"walk": {"offsets": [-10**30, 10**30], "probs": [0.5, 0.5]},
+      "points": [[1, 1]]}, "params.walk"),
+    # a point 2100 above r0: an exact solve of 2110 unknowns
+    ({"walk": SIMPLE_WALK, "r0": -5, "points": [[1, 1], [2095, 3]]},
+     "params.points"),
+])
+def test_green_dense_solve_cap_named(tmp_path, capsys, params, field):
+    # validation only: a config above the cap never reaches a solve
+    path = _write(tmp_path, "cfg.json", {"kind": "green", "params": params})
+    assert main(["validate", path]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {field}:" in err and "unknowns" in err
+    if field == "params.walk":
+        assert "offsets" in err
+
+
+def test_kind_help_lists_params_fields(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["green", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for field, text in [("walk", "required"), ("r0", "default 0"),
+                        ("points", "required"), ("reps", "default 10000")]:
+        line = next(ln for ln in out.splitlines()
+                    if ln.split()[:1] == [f"params.{field}"])
+        assert line.split(None, 1)[1] == text

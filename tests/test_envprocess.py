@@ -5,8 +5,8 @@ from rwre.envprocess import (LocalFunction, constant_function,
                              drift_projection, ergodic_average,
                              estimate_Einf, indicator_function,
                              variation_proxy)
-from rwre.models import (backtracking_model, dirichlet_drift_model,
-                         drift_model, monotone_level_model)
+from rwre.models import (backtracking_model, degenerate_direction_model,
+                         dirichlet_drift_model, drift_model)
 
 
 def test_constant_function_average():
@@ -63,7 +63,7 @@ def test_indicator_function_stays_in_unit_interval():
 
 
 def test_variation_proxy_monotone_models_zero():
-    for model in (monotone_level_model(), drift_model()):
+    for model in (degenerate_direction_model(), drift_model()):
         res = variation_proxy(model, 256, [1, 2, 4, 8], reps=1000, seed=6)
         assert np.all(res["i_hat"] == 0.0)
 

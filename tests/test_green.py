@@ -154,6 +154,31 @@ def test_first_passage_tail_exact():
         first_passage_tail(wide, [3], mode="exact")
 
 
+def test_dense_solves_capped_before_allocating():
+    # both dense solves raise above _DENSE_UNKNOWNS unknowns, the walks and
+    # points here never reach np.zeros
+    cap = green._DENSE_UNKNOWNS
+    wide = SymmetricWalk1D(offsets=(-1000, 1000), probs=(0.5, 0.5))
+    huge = SymmetricWalk1D(offsets=(-10**30, 10**30), probs=(0.5, 0.5))
+    for walk in (wide, huge):
+        with pytest.raises(ValueError, match=f"limit {cap}"):
+            ladder_heights(walk)
+        with pytest.raises(ValueError, match=f"limit {cap}"):
+            build_ladder_tables(walk)
+    # the bound trunc + max_step + 1 crosses the cap between these steps
+    M = (cap - 1) // 11
+    ok = SymmetricWalk1D(offsets=(-M, M), probs=(0.5, 0.5))
+    green.check_ladder_size(ok)
+    with pytest.raises(ValueError, match=f"limit {cap}"):
+        green.check_ladder_size(
+            SymmetricWalk1D(offsets=(-M - 1, M + 1), probs=(0.5, 0.5)))
+    # the solve's bound max(s, t) - r0 + 3 max_step + 7, simple walk: 10
+    green.check_solve_size(simple_walk(), -3, cap - 13, 1)
+    for s, t in [(cap - 12, 1), (4, cap)]:
+        with pytest.raises(ValueError, match=f"limit {cap}"):
+            half_line_green_solve(simple_walk(), -3, s, t)
+
+
 def test_first_passage_tail_mc_matches_exact():
     exact = first_passage_tail(simple_walk(), [2, 4, 8], mode="exact")["tail"]
     mc = first_passage_tail(simple_walk(), [2, 4, 8], mode="monte-carlo",

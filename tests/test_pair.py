@@ -4,12 +4,12 @@ import pytest
 from rwre.environment import EnvironmentModel, make_environment
 from rwre.models import (dirichlet_backtracking_model, dirichlet_drift_model,
                          drift_model, support_2d)
-from rwre.pair import (count_intersections, coupled_triple,
-                       first_joint_regeneration, intersection_curve,
-                       make_pair, sample_Y_chain, sample_Ybar_chain,
-                       support_inheritance_check)
+from rwre.pair import (_SeqWalk, _TimeSource, count_intersections,
+                       coupled_triple, first_joint_regeneration,
+                       intersection_curve, make_pair, sample_Y_chain,
+                       sample_Ybar_chain, support_inheritance_check)
 from rwre.regen import detect_regenerations
-from rwre.walk import simulate
+from rwre.walk import simulate, walk_key
 
 
 def _point_mass_model():
@@ -59,17 +59,52 @@ def test_first_joint_regeneration_monotone_pair():
 
 def test_first_joint_regeneration_self_pair():
     # x = y with the same walk seed: Lambda is the first confirmed
-    # single-walk regeneration level
-    model = drift_model()
-    env = make_environment(model, 21)
-    rec = first_joint_regeneration(env, (0, 0), (0, 0), margin=10,
-                                   walk_seeds=(9, 9))
-    path = simulate(env, (0, 0), 4 * rec.mu1 + 200, 9)
-    single = detect_regenerations(path, margin=10)
-    first_level = int(single.levels[0])
-    assert rec.confirmed
-    assert rec.Lambda == first_level
-    assert rec.x_mu == rec.x_tilde_mu
+    # single-walk regeneration level, reached at the same time and site as
+    # on simulate's path
+    for model in (drift_model(), dirichlet_backtracking_model()):
+        env = make_environment(model, 21)
+        rec = first_joint_regeneration(env, (0, 0), (0, 0), margin=10,
+                                       walk_seeds=(9, 9))
+        path = simulate(env, (0, 0), 4 * rec.mu1 + 200, 9)
+        single = detect_regenerations(path, margin=10)
+        first_level = int(single.levels[0])
+        assert rec.confirmed
+        assert rec.Lambda == first_level
+        assert rec.x_mu == rec.x_tilde_mu == tuple(path.sites[rec.mu1].tolist())
+
+
+def _mixture_backtracking_model():
+    return EnvironmentModel(
+        support=support_2d([(1, 0), (-1, 0), (0, 1), (0, -1)]), kind="mixture",
+        atoms=(((0.7, 0.1, 0.1, 0.1), 0.3), ((0.4, 0.3, 0.15, 0.15), 0.7)))
+
+
+@pytest.mark.parametrize("model", [dirichlet_drift_model(),
+                                   dirichlet_backtracking_model(),
+                                   _mixture_backtracking_model()],
+                         ids=["dirichlet_drift", "dirichlet_backtracking",
+                              "mixture"])
+def test_seq_walk_matches_simulate(model):
+    # the pair walks' stepper against simulate: a _SeqWalk reading cum_at
+    # with a _TimeSource is the same walk, position by position, across
+    # the time source's draw-ahead blocks (2, 4, 8, ... draws) and revisits
+    sup = model.support
+    n = 3000
+    for walk_seed in (1, 2**63 + 11):
+        path = simulate(make_environment(model, 17), (3, -2), n, walk_seed)
+        w = _SeqWalk(make_environment(model, 17).cum_at, (3, -2),
+                     _TimeSource(walk_key(walk_seed)), sup.u_hat, sup.steps)
+        for m in (1, 7, 40, 555, n):      # resumed inside and across blocks
+            assert w.extend_to(m, horizon=n)
+            assert w.min_level == path.levels[:m + 1].min()
+        assert not w.extend_to(n + 1, horizon=n)
+        assert w.positions == [tuple(x) for x in path.sites.tolist()]
+        assert w.levels == path.levels.tolist()
+        assert w.runmax == path.running_max.tolist()
+        records = np.flatnonzero(np.diff(path.running_max)) + 1
+        assert w.fresh == {int(path.levels[0]): 0,
+                           **{int(path.levels[t]): int(t) for t in records}}
+        assert len(w.positions) - len(set(w.positions)) > 50   # revisits
 
 
 def test_joint_regen_h_lattice():

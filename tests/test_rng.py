@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 
 from rwre.rng import (derive_key, derive_key_array, derive_key_range, mix64,
-                      mix64_array, site_keys, site_keys_mixed,
+                      mix64_array, site_keys, site_keys_mixed, site_u01,
                       stream_u01, stream_u01_array, counter_u01_array)
 
 
@@ -98,3 +98,21 @@ def test_counter_u01_array_blocks_match_stream():
     for j in range(3):
         assert np.array_equal(row[:, j], stream_u01_array(keys, j))
     assert counter_u01_array(keys[:0, None], np.arange(3)).shape == (0, 3)
+
+
+def test_site_u01_matches_derive_key_streams():
+    # one call per site: the fold of the site onto a precomputed prefix key
+    # and the first k draws (or k draws from ctr) of the folded key
+    sites = [(), (0,), (3, -4), (-1, -1), (2**31, -2**31 - 1),
+             (2**40 + 3, -2**62, 2**63 - 1)]
+    for seed, prefix in [(0, ()), (7, (0xAA06,)), (2**63 + 5, (-3,)),
+                         (2**64 - 1, (0x51BE5EED, 2**63))]:
+        pk = derive_key(seed, *prefix)
+        for site in sites:
+            key = derive_key(seed, *prefix, *site)
+            for k in (1, 3, 9):
+                assert site_u01(pk, site, k) == \
+                    [stream_u01(key, i) for i in range(k)]
+            assert site_u01(pk, site, 2, ctr=2**40) == \
+                [stream_u01(key, 2**40), stream_u01(key, 2**40 + 1)]
+            assert site_u01(pk, site, 0) == []

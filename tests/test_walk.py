@@ -180,6 +180,14 @@ def test_diffusive_scale():
         diffusive_scale(path, (1, 0), 8, [2.0])
 
 
+def test_diffusive_scale_rejects_negative_times():
+    # a negative time would index the path from its end
+    path = WalkPath(np.array([[k, 0] for k in range(101)]), (1, 0))
+    for t_grid in ([-0.5], [0.25, -0.01], [np.nan]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            diffusive_scale(path, (0.5, 0), 100, t_grid)
+
+
 def test_running_max_cache():
     sites = np.array([[0, 0], [1, 0], [0, 0], [2, 0], [1, 0]])
     path = WalkPath(sites, (1, 0))
