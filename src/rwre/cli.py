@@ -361,20 +361,15 @@ def _run_joint_regen(model, params, seed, workers):
                             rows)}, summary
 
 
-def _coupling_task(args, model=None, margin=0, horizon=0):
-    seed, j, x0, i = args
-    return coupled_triple(model, x0, seed=derive_key(seed, 501, j, i),
-                          margin=margin, horizon=horizon)
-
-
 def _run_coupling(model, params, seed, workers):
     reps = params["reps"]
     d = model.support.dimension
-    task = partial(_coupling_task, model=model, margin=params["margin"],
-                   horizon=params["horizon"])
     rows, agg = [], []
     for j, x0 in enumerate(params["x0_list"]):
-        outs = _pmap(task, [(seed, j, x0, i) for i in range(reps)], workers)
+        task = partial(coupled_triple, model, x0, margin=params["margin"],
+                       horizon=params["horizon"])
+        outs = _pmap(task, [derive_key(seed, 501, j, i) for i in range(reps)],
+                     workers)
         for out in outs:
             rows.append((*x0, *out.Y1.tolist(), *out.Ybar1.tolist(),
                          int(out.equal), int(out.hit_X_path), out.n_triples))
@@ -390,18 +385,15 @@ def _run_coupling(model, params, seed, workers):
     return {"coupling": (header, rows)}, summary
 
 
-def _ergodic_task(r, model=None, psi=None, n=0, seed=0, checkpoints=None):
-    return ergodic_average(model, psi, n, seed=derive_key(seed, 601, r),
-                           checkpoints=checkpoints)
-
-
 def _run_ergodic(model, params, seed, workers):
     n_runs, checkpoints = params["n_runs"], params["checkpoints"]
-    task = partial(_ergodic_task, model=model, psi=params["psi"],
-                   n=params["n"], seed=seed, checkpoints=checkpoints)
+    task = partial(ergodic_average, model, params["psi"], params["n"],
+                   checkpoints=checkpoints)
+    runs = _pmap(task, [derive_key(seed, 601, r) for r in range(n_runs)],
+                 workers)
     rows = []
     finals = {c: [] for c in checkpoints}
-    for r, res in enumerate(_pmap(task, list(range(n_runs)), workers)):
+    for r, res in enumerate(runs):
         for c in res["checkpoints"]:
             rows.append((r, c, res["means"][c]))
             finals[c].append(res["means"][c])

@@ -15,9 +15,9 @@ import numpy as np
 from scipy import linalg as _sla
 from scipy import stats as _sst
 
-from .environment import EnvironmentModel, make_environment, derive_env_seed
+from .environment import EnvironmentModel, env_key_range
 from .fitting import fit_exponent
-from .rng import derive_key
+from .rng import TAG_ENV, derive_key
 from .walk import (simulate_finals_many, simulate_finals_many_envs,
                    walk_seed_array)
 
@@ -132,9 +132,7 @@ def _qmv_block(envs, model=None, n=0, m_walks=0, seed=0, ni=0):
     """Quenched means and within variances (len(envs), d) at time n for a
     contiguous block of environment indices, all walked in one engine call."""
     d = model.support.dimension
-    env_keys = np.array(
-        [make_environment(model, derive_env_seed(seed, _TAG_QMV, ni, e)).env_key
-         for e in envs], dtype=np.uint64)
+    env_keys = env_key_range(seed, TAG_ENV, _TAG_QMV, ni, n=envs[-1] + 1)[envs]
     # one seed list per environment, read as a separate engine call reads it
     wseeds = np.concatenate([
         walk_seed_array([derive_key(seed, _TAG_QMV, ni, e, i)
@@ -222,9 +220,7 @@ def centered_mean_bound(model: EnvironmentModel, n_grid, v_hat, reps: int = 4000
     d = model.support.dimension
     ys, ses = [], []
     for ni, n in enumerate(n_grid):
-        env_keys = np.array(
-            [make_environment(model, derive_env_seed(seed, _TAG_CMB, ni, i)).env_key
-             for i in range(reps)], dtype=np.uint64)
+        env_keys = env_key_range(seed, TAG_ENV, _TAG_CMB, ni, n=reps)
         wseeds = [derive_key(seed, _TAG_CMB, ni, i) for i in range(reps)]
         finals = simulate_finals_many_envs(
             model, env_keys, np.zeros((reps, d), dtype=np.int64), n, wseeds)

@@ -25,7 +25,8 @@ from typing import Optional
 import numpy as np
 from scipy import special as _sps
 
-from .rng import (TAG_ENV, TAG_SITE, derive_key, site_keys, site_u01,
+from .rng import (TAG_ENV, TAG_SITE, derive_key, derive_key_array,
+                  derive_key_range, site_keys, site_u01, step_index,
                   stream_u01_array)
 
 
@@ -275,12 +276,9 @@ def _vectors_from_keys(model: EnvironmentModel, keys: np.ndarray) -> np.ndarray:
             g += model.floor / k
         return g
     # mixture: one uniform picks the atom
-    u = stream_u01_array(keys, 0)
-    wcum = np.cumsum([w for _, w in model.atoms])
-    idx = np.searchsorted(wcum, u)
-    idx = np.minimum(idx, len(wcum) - 1)
-    atom_probs = np.array([p for p, _ in model.atoms])
-    return atom_probs[idx]
+    idx = step_index(np.cumsum([w for _, w in model.atoms]),
+                     stream_u01_array(keys, 0))
+    return np.array([p for p, _ in model.atoms])[idx]
 
 
 def cum_vectors_from_keys(model: EnvironmentModel, keys: np.ndarray) -> np.ndarray:
@@ -375,3 +373,11 @@ def make_environment(model: EnvironmentModel, env_seed: int) -> Environment:
 def derive_env_seed(master_seed: int, *indices: int) -> int:
     """Documented seed-splitting rule for environment replicas."""
     return derive_key(master_seed, TAG_ENV, *indices)
+
+
+def env_key_range(seed: int, *parts: int, n: int) -> np.ndarray:
+    """Environment keys of n replicas as a uint64 array: entry i is
+    make_environment(model, derive_key(seed, *parts, i)).env_key, bit for
+    bit, with no Environment built.  Replicas seeded by derive_env_seed
+    pass TAG_ENV as the first part."""
+    return derive_key_array(derive_key_range(seed, *parts, n=n), TAG_SITE)

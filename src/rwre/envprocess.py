@@ -15,8 +15,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .environment import EnvironmentModel, make_environment, derive_env_seed
-from .rng import derive_key, site_keys
+from .environment import (EnvironmentModel, derive_env_seed, env_key_range,
+                          make_environment)
+from .rng import TAG_ENV, derive_key, site_keys
 from .walk import simulate, simulate_level_stats_many_envs
 
 _TAG_ERG = 0xE401
@@ -137,9 +138,7 @@ def variation_proxy(model: EnvironmentModel, n: int, ell_grid, reps: int,
         raise ValueError("reps must be at least 1000")
     ell_grid = sorted(int(l) for l in ell_grid)
     d = model.support.dimension
-    env_keys = np.array(
-        [make_environment(model, derive_env_seed(seed, _TAG_VAR, i)).env_key
-         for i in range(reps)], dtype=np.uint64)
+    env_keys = env_key_range(seed, TAG_ENV, _TAG_VAR, n=reps)
     wseeds = [derive_key(seed, _TAG_VAR, i) for i in range(reps)]
     stats = simulate_level_stats_many_envs(
         model, env_keys, np.zeros((reps, d), dtype=np.int64), n, wseeds)

@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .fitting import fit_exponent
-from .rng import counter_u01_array, derive_key_range, stream_u01_array
+from .rng import (counter_u01_array, derive_key_range, step_index,
+                  stream_u01_array)
 
 _TAG_GREEN_MC = 0x6EE1
 _TAG_TAIL = 0x7A11
@@ -39,27 +40,12 @@ _EXACT_TAIL_UPDATES = 1 << 30
 # Unknowns of one dense complex linear solve (ladder_heights,
 # half_line_green_solve): the matrix of 2**11 unknowns is 64 MiB
 _DENSE_UNKNOWNS = 1 << 11
-# Step tables of at most this many entries count thresholds in _step_index.
-# On a block of _BLOCK_CELLS uniforms that beats searchsorted 10x at 2
-# entries, 2.6x at 16 and 1.3x at 48, and loses at 64 (0.9x; 2-vCPU VM)
-_SHORT_TABLE = 48
 
 
 def _block_len(m: int, left: Optional[int] = None) -> int:
     """Counters per block for m survivors, at most `left`."""
     b = max(1, _BLOCK_CELLS // max(m, 1))
     return b if left is None else min(b, left)
-
-
-def _step_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """min(searchsorted(cum, u, side="left"), len(cum) - 1): the inverse
-    CDF, as a count of the thresholds cum[:-1] below u for short tables."""
-    if len(cum) > _SHORT_TABLE:
-        return np.minimum(np.searchsorted(cum, u, side="left"), len(cum) - 1)
-    idx = np.zeros(u.shape, dtype=np.intp)
-    for c in cum[:-1]:
-        idx += u > c
-    return idx
 
 
 def _first_true(mask: np.ndarray) -> np.ndarray:
@@ -117,22 +103,24 @@ def simple_walk() -> SymmetricWalk1D:
 # ladder machinery
 
 
-def ladder_heights(walk: SymmetricWalk1D, trunc: Optional[int] = None) -> dict:
+def _ladder_trunc(walk: SymmetricWalk1D) -> int:
+    """Depth of the ladder solve's window: states -trunc..0."""
+    return max(30, 10 * walk.max_step)
+
+
+def ladder_heights(walk: SymmetricWalk1D) -> dict:
     """Pmf of the strict ascending ladder height (first positive value).
 
-    Computed by an absorbing linear solve on the states -trunc..0 with the
-    walk killed on entering [1, infty).  The exit probabilities are a
-    bounded solution of a constant-coefficient recurrence below the
-    inhomogeneity, so the window is closed exactly with the decaying
-    far-field modes; the residual mass defect is reported and a warning is
-    raised when it exceeds 1e-10.
+    Computed by an absorbing linear solve on the states -trunc..0, trunc =
+    max(30, 10 max_step), with the walk killed on entering [1, infty).  The
+    exit probabilities are a bounded solution of a constant-coefficient
+    recurrence below the inhomogeneity, so the window is closed exactly
+    with the decaying far-field modes; the residual mass defect is reported
+    and a warning is raised when it exceeds 1e-10.
     """
     M = walk.max_step
-    if trunc is None:
-        trunc = max(30, 10 * M)
-    if trunc < 10 * M:
-        raise ValueError("trunc must be at least 10 * step range")
-    check_ladder_size(walk, trunc)
+    check_ladder_size(walk)
+    trunc = _ladder_trunc(walk)
     lams = _decaying_modes(walk)
     J = len(lams)
     K = trunc
@@ -212,9 +200,9 @@ class LadderTables:
         return float(self.v_table[m])
 
 
-def build_ladder_tables(walk: SymmetricWalk1D, m_max: int = 64,
-                        trunc: Optional[int] = None) -> LadderTables:
-    lh = ladder_heights(walk, trunc)
+def build_ladder_tables(walk: SymmetricWalk1D,
+                        m_max: int = 64) -> LadderTables:
+    lh = ladder_heights(walk)
     tables = LadderTables(walk=walk, ladder_pmf=lh["pmf"],
                           v_table=np.array([1.0]),
                           truncation_mass=lh["truncation_mass"])
@@ -231,11 +219,11 @@ def build_ladder_tables(walk: SymmetricWalk1D, m_max: int = 64,
 # polynomial has degree 2M, a double root at 1, and its other roots pair
 # as x, 1/x across the unit circle.
 
-def check_ladder_size(walk: SymmetricWalk1D, trunc: Optional[int] = None):
-    """Raise ValueError when ladder_heights(walk, trunc) would need more
-    than _DENSE_UNKNOWNS unknowns (trunc + 2 + J)."""
+def check_ladder_size(walk: SymmetricWalk1D):
+    """Raise ValueError when ladder_heights(walk) would need more than
+    _DENSE_UNKNOWNS unknowns (trunc + 2 + J)."""
     M = walk.max_step
-    trunc = max(30, 10 * M) if trunc is None else trunc
+    trunc = _ladder_trunc(walk)
     if trunc + M + 1 > _DENSE_UNKNOWNS:
         raise ValueError(
             f"offsets reach max step {M}: the ladder solve would need up to "
@@ -376,7 +364,7 @@ def _killed_walk(walk: SymmetricWalk1D, keys: np.ndarray, start: int,
         b = _block_len(m, None if n_steps is None else n_steps - done)
         u = counter_u01_array(keys[idx, None], ctr + done + np.arange(b))
         # displacement within the block; bounds shifted per replica instead
-        move = np.cumsum(offs[_step_index(cum, u)], axis=1)
+        move = np.cumsum(offs[step_index(cum, u)], axis=1)
         del u                           # block arrays: keep few alive at once
         at = last[idx]
         out = move < (lo - at)[:, None]
@@ -634,27 +622,24 @@ def _chain_steps(spec: PerturbedChainSpec, pos: np.ndarray, keys: np.ndarray,
     norm = np.sqrt((pos.astype(float) ** 2).sum(axis=1))
     pert = u_sel < _pert_prob(spec, norm)
     u_step = stream_u01_array(keys, 3 * ctr + 1)
-    base_idx = np.searchsorted(np.cumsum(spec.base_probs), u_step, side="left")
-    base_idx = np.minimum(base_idx, len(spec.base_probs) - 1)
-    steps = spec.base_offsets[base_idx]
+    steps = spec.base_offsets[step_index(np.cumsum(spec.base_probs), u_step)]
     if pert.any():
         u_alt = stream_u01_array(keys[pert], 3 * ctr + 2)
-        alt_idx = np.searchsorted(np.cumsum(spec.alt_probs), u_alt, side="left")
-        alt_idx = np.minimum(alt_idx, len(spec.alt_probs) - 1)
-        steps = steps.copy()
-        steps[pert] = spec.alt_offsets[alt_idx]
+        steps[pert] = spec.alt_offsets[
+            step_index(np.cumsum(spec.alt_probs), u_alt)]
     return steps
 
 
 def green_bound_experiment(spec: PerturbedChainSpec, n_grid, reps: int = 256,
-                           seed: int = 0, start=None) -> dict:
-    """Growth of sum_{k<n} E h(Y_k) along n_grid, with an exponent fit."""
+                           seed: int = 0) -> dict:
+    """Growth of sum_{k<n} E h(Y_k) along n_grid (every n >= 1), from the
+    origin, with an exponent fit."""
     n_grid = sorted(int(n) for n in n_grid)
+    if not n_grid or n_grid[0] < 1:
+        raise ValueError(f"n_grid entries must be >= 1 (got {n_grid})")
     n_max = n_grid[-1]
-    if start is None:
-        start = np.zeros(spec.dimension, dtype=np.int64)
     keys = derive_key_range(seed, _TAG_CHAIN, n=reps)
-    pos = np.tile(np.asarray(start, dtype=np.int64), (reps, 1))
+    pos = np.zeros((reps, spec.dimension), dtype=np.int64)
     acc = spec.h(pos).astype(float)          # k = 0 term
     curve = {}
     for k in range(1, n_max):
@@ -663,9 +648,6 @@ def green_bound_experiment(spec: PerturbedChainSpec, n_grid, reps: int = 256,
         pos = pos + _chain_steps(spec, pos, keys, k - 1)
         acc += spec.h(pos)
     curve[n_max] = float(acc.mean())
-    for n in n_grid:
-        if n not in curve:   # n == 1: only the k=0 term
-            curve[n] = float(spec.h(np.tile(start, (1, 1))).mean())
     ys = np.array([curve[n] for n in n_grid])
     fit = fit_exponent(n_grid, ys)
     return {
@@ -709,7 +691,7 @@ def _chain_exit_times(spec: PerturbedChainSpec, keys: np.ndarray, r: int,
         b = _block_len(m, int(lim.max()))
         k = keys[idx, None]
         c3 = 3 * (c[:, None] + np.arange(b))
-        step = _step_index(base_cum, counter_u01_array(k, c3 + 1))
+        step = step_index(base_cum, counter_u01_array(k, c3 + 1))
         # path[q][:, s]: coordinate q after s base steps of the block; n2
         # the squared norm before each step, out whether it left the cube
         path = []
@@ -741,7 +723,7 @@ def _chain_exit_times(spec: PerturbedChainSpec, keys: np.ndarray, r: int,
         if alt.any():
             u_alt = counter_u01_array(k[alt, 0],
                                       3 * (c[alt] + first_pert[alt]) + 2)
-            new[:, alt] += spec.alt_offsets[_step_index(alt_cum, u_alt)].T
+            new[:, alt] += spec.alt_offsets[step_index(alt_cum, u_alt)].T
             exits[alt] = (np.abs(new[:, alt]) > r).any(axis=0)
             taken[alt] += 1
         c = c + taken

@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .environment import Environment, EnvironmentModel, compute_h, make_environment
+from .environment import (Environment, EnvironmentModel, compute_h,
+                          env_key_range, make_environment)
 from .rng import counter_u01_array, derive_key, site_keys, site_u01
 from .walk import WalkPath, simulate, simulate_paths_many_envs, walk_key
 
@@ -27,6 +28,16 @@ _TAG_YBAR = 0xAA03
 _TAG_TRIPLE = 0xAA04
 _TAG_INTER = 0xAA05
 _TAG_STEPS = 0xAA06
+
+# Replicas per engine call in intersection_curve.  Walk seeds are read per
+# call (walk.walk_seed_array), so this size is part of the realized walks.
+_INTER_CHUNK = 250
+# The coupling extends X to _LOOKAHEAD times Xbar's length plus a pad of
+# 4 margin steps, and gives up after _MAX_TRIPLES triples.
+_LOOKAHEAD = 2
+_MAX_TRIPLES = 200
+# support_inheritance_check flags atoms seen under q above this many counts
+_FLAG_COUNT = 10.0
 
 
 @dataclass
@@ -80,29 +91,28 @@ def count_intersections(p: PairPath, n: int) -> int:
 
 
 def intersection_curve(model: EnvironmentModel, n_grid, reps: int,
-                       seed: int = 0, chunk: int = 250) -> dict:
+                       seed: int = 0) -> dict:
     """Mean number of common points of two walks in a common environment,
-    over a horizon grid, with independent replicas per grid point."""
+    over a horizon grid, with independent replicas (at least 2, for a
+    standard error) per grid point."""
+    if reps < 2:
+        raise ValueError(f"reps must be >= 2 for a standard error "
+                         f"(got {reps})")
     n_grid = sorted(int(n) for n in n_grid)
     d = model.support.dimension
     means, ses = [], []
     for ni, n in enumerate(n_grid):
         counts = np.empty(reps)
-        for c0 in range(0, reps, chunk):
-            c1 = min(c0 + chunk, reps)
+        # walkers 2i and 2i + 1 are replica i's pair
+        pair_keys = np.repeat(env_key_range(seed, _TAG_INTER, ni, n=reps), 2)
+        for c0 in range(0, reps, _INTER_CHUNK):
+            c1 = min(c0 + _INTER_CHUNK, reps)
             m = c1 - c0
-            env_keys = np.empty(2 * m, dtype=np.uint64)
-            wseeds = []
-            for i in range(m):
-                ek = make_environment(
-                    model, derive_key(seed, _TAG_INTER, ni, c0 + i)).env_key
-                env_keys[2 * i] = ek
-                env_keys[2 * i + 1] = ek
-                wseeds.append(derive_key(seed, _TAG_INTER, ni, c0 + i, 1))
-                wseeds.append(derive_key(seed, _TAG_INTER, ni, c0 + i, 2))
+            wseeds = [derive_key(seed, _TAG_INTER, ni, i, w)
+                      for i in range(c0, c1) for w in (1, 2)]
             starts = np.zeros((2 * m, d), dtype=np.int64)
-            paths = simulate_paths_many_envs(model, env_keys, starts,
-                                             n - 1, wseeds)
+            paths = simulate_paths_many_envs(model, pair_keys[2 * c0:2 * c1],
+                                             starts, n - 1, wseeds)
             for i in range(m):
                 ka = np.unique(site_keys(0, paths[:, 2 * i, :]))
                 kb = np.unique(site_keys(0, paths[:, 2 * i + 1, :]))
@@ -385,14 +395,13 @@ def sample_Ybar_chain(model: EnvironmentModel, x0, K: int, seed: int = 0,
 
 def support_inheritance_check(model: EnvironmentModel, x0, n_samples: int,
                               seed: int = 0, margin: int = 12,
-                              horizon: int = 20_000,
-                              threshold_factor: float = 10.0) -> dict:
+                              horizon: int = 20_000) -> dict:
     """Compare the empirical supports of one-step q(x0,.) and qbar(x0,.).
 
-    Flags atoms seen under q with frequency above threshold_factor / n but
+    Flags atoms seen under q with frequency above _FLAG_COUNT / n but
     never under qbar at matched sample size.  With many atoms this is a
     multiple comparison, so isolated borderline flags are expected at rate
-    ~ exp(-threshold_factor).
+    ~ exp(-_FLAG_COUNT).
     """
     from collections import Counter
     cq: Counter = Counter()
@@ -404,7 +413,7 @@ def support_inheritance_check(model: EnvironmentModel, x0, n_samples: int,
         sb = sample_Ybar_chain(model, x0, 1, seed=derive_key(seed, 6, i),
                                margin=margin, horizon=horizon)
         cqb[tuple(sb.y[0])] += 1
-    thresh = threshold_factor / n_samples
+    thresh = _FLAG_COUNT / n_samples
     flagged = [z for z, c in cq.items()
                if c / n_samples > thresh and cqb[z] == 0]
     return {"q_support": dict(cq), "qbar_support": dict(cqb),
@@ -420,22 +429,21 @@ class _RangeEnvChooser:
     """Cumulative vectors for the Xbar walk: the independent environment on
     X's (lazily extended) range, the common environment elsewhere."""
 
-    __slots__ = ("env", "env_bar", "x_walk", "x_set", "lookahead", "pad",
-                 "horizon", "owner", "hit")
+    __slots__ = ("env", "env_bar", "x_walk", "x_set", "pad", "horizon",
+                 "owner", "hit")
 
-    def __init__(self, env, env_bar, x_walk, lookahead, pad, horizon):
+    def __init__(self, env, env_bar, x_walk, pad, horizon):
         self.env = env
         self.env_bar = env_bar
         self.x_walk = x_walk
         self.x_set = set(x_walk.positions)
-        self.lookahead = lookahead
         self.pad = pad
         self.horizon = horizon
         self.owner: Optional[_SeqWalk] = None
         self.hit = False
 
     def _sync_range(self):
-        need = self.lookahead * (len(self.owner.positions)) + self.pad
+        need = _LOOKAHEAD * len(self.owner.positions) + self.pad
         prev = len(self.x_walk.positions)
         if need > prev:
             self.x_walk.extend_to(min(need, self.horizon), self.horizon)
@@ -451,8 +459,7 @@ class _RangeEnvChooser:
 
 
 def coupled_triple(model: EnvironmentModel, x0, seed: int = 0,
-                   margin: int = 20, horizon: int = 20_000,
-                   lookahead: int = 2, max_triples: int = 200) -> CouplingOutcome:
+                   margin: int = 20, horizon: int = 20_000) -> CouplingOutcome:
     """One coupled sample (Y_1, Ybar_1) from a common start x0 in V_d.
 
     Generates i.i.d. triples (X, Xtilde, Xbar): X from the origin in omega;
@@ -472,7 +479,7 @@ def coupled_triple(model: EnvironmentModel, x0, seed: int = 0,
     Y1 = Ybar1 = None
     hit = False
     m = 0
-    while (Y1 is None or Ybar1 is None) and m < max_triples:
+    while (Y1 is None or Ybar1 is None) and m < _MAX_TRIPLES:
         m += 1
         tseed = derive_key(seed, _TAG_TRIPLE, m)
         env = make_environment(model, derive_key(tseed, 1))
@@ -482,8 +489,8 @@ def coupled_triple(model: EnvironmentModel, x0, seed: int = 0,
         shared = derive_key(tseed, 4)
         wt = _SeqWalk(env.cum_at, x0, _SiteSource(shared),
                       sup.u_hat, sup.steps)
-        chooser = _RangeEnvChooser(env, env_bar, wx, lookahead,
-                                   pad=4 * margin, horizon=horizon)
+        chooser = _RangeEnvChooser(env, env_bar, wx, pad=4 * margin,
+                                   horizon=horizon)
         wbar = _SeqWalk(chooser, x0, _SiteSource(shared),
                         sup.u_hat, sup.steps)
         chooser.owner = wbar
@@ -497,7 +504,7 @@ def coupled_triple(model: EnvironmentModel, x0, seed: int = 0,
                 and wbar.min_level >= 0:
             Ybar1 = tuple(b - a for a, b in zip(rec_b.x_mu, rec_b.x_tilde_mu))
     if Y1 is None or Ybar1 is None:
-        raise RuntimeError(f"coupling cap {max_triples} triples exhausted")
+        raise RuntimeError(f"coupling cap {_MAX_TRIPLES} triples exhausted")
     return CouplingOutcome(Y1=np.array(Y1, dtype=np.int64),
                            Ybar1=np.array(Ybar1, dtype=np.int64),
                            equal=bool(Y1 == Ybar1),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .environment import Environment, EnvironmentModel, cum_vectors_from_keys
 from .rng import (MASK64, TAG_WALK, counter_u01_array, derive_key,
-                  derive_key_array, site_keys, site_keys_mixed,
+                  derive_key_array, site_keys, site_keys_mixed, step_index,
                   stream_u01_array)
 
 
@@ -84,8 +84,7 @@ def simulate(env: Environment, start, n: int, walk_seed: int) -> WalkPath:
     steps = env.model.support.steps
     last = len(steps) - 1
     if env.model.kind == "deterministic":
-        idx = np.searchsorted(np.cumsum(env.model.probs), u, side="left")
-        idx = np.minimum(idx, last)
+        idx = step_index(np.cumsum(env.model.probs), u)
     else:
         cum_at = env.cum_at
         pos = tuple(start.tolist())
@@ -113,11 +112,15 @@ def diffusive_scale(path: WalkPath, v, n: int, t_grid) -> np.ndarray:
     """B_n(t) = (X_[nt] - [nt] v) / sqrt(n) on the given t grid."""
     v = np.asarray(v, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
-    if not np.all(t_grid >= 0):
-        raise ValueError("t_grid entries must be nonnegative numbers")
-    idx = np.floor(n * t_grid).astype(int)
-    if idx.max(initial=0) > path.n_steps:
+    if not np.all((t_grid >= 0) & (t_grid < np.inf)):    # also rejects NaN
+        raise ValueError("t_grid entries must be finite nonnegative numbers")
+    # checked as floats: a time past the path may not fit an index, and
+    # n * t may overflow to inf, which the check below rejects
+    with np.errstate(over="ignore"):
+        nt = np.floor(n * t_grid)
+    if nt.max(initial=0) > path.n_steps:
         raise ValueError("path too short for requested scale/grid")
+    idx = nt.astype(int)
     return (path.sites[idx] - idx[:, None] * v) / np.sqrt(n)
 
 
@@ -203,10 +206,7 @@ def _iter_positions(model: EnvironmentModel, env_keys, starts: np.ndarray,
     if model.kind == "deterministic":
         cum = np.cumsum(np.array(model.probs))
         for t in range(n):
-            u = stream_u01_array(wkeys, t)
-            idx = np.searchsorted(cum, u, side="left")
-            idx = np.minimum(idx, len(cum) - 1)
-            pos += steps_arr[idx]
+            pos += steps_arr[step_index(cum, stream_u01_array(wkeys, t))]
             yield t, pos
         return
     cache = _SiteCache(model, m)
@@ -226,74 +226,62 @@ def _iter_positions(model: EnvironmentModel, env_keys, starts: np.ndarray,
         yield t, pos
 
 
-def simulate_paths_many(env: Environment, starts, n: int, walk_seeds) -> np.ndarray:
-    """Full site arrays (n+1, m, d) for m walks sharing one environment."""
+def _paths(model: EnvironmentModel, env_keys, starts, n: int,
+           walk_seeds) -> np.ndarray:
+    """Site arrays (n+1, m, d) of the walks of _iter_positions."""
     starts = np.asarray(starts, dtype=np.int64)
     out = np.empty((n + 1,) + starts.shape, dtype=np.int64)
     out[0] = starts
-    for t, pos in _iter_positions(env.model, env.env_key, starts, n, walk_seeds):
+    for t, pos in _iter_positions(model, env_keys, starts, n, walk_seeds):
         out[t + 1] = pos
     return out
 
 
-def simulate_finals_many(env: Environment, starts, n: int, walk_seeds) -> np.ndarray:
-    """Final positions (m, d) of m walks sharing one environment."""
-    starts = np.asarray(starts, dtype=np.int64)
-    pos = starts
-    for _, pos in _iter_positions(env.model, env.env_key, starts, n, walk_seeds):
+def _finals(model: EnvironmentModel, env_keys, starts, n: int,
+            walk_seeds) -> np.ndarray:
+    """Final positions (m, d) of the walks of _iter_positions."""
+    pos = np.asarray(starts, dtype=np.int64)
+    for _, pos in _iter_positions(model, env_keys, pos, n, walk_seeds):
         pass
     return pos.copy()
+
+
+# The public engines are one-line entries: none calls another, so a traced
+# engine call counts its walker-steps once.
+
+
+def simulate_paths_many(env: Environment, starts, n: int, walk_seeds) -> np.ndarray:
+    """Full site arrays (n+1, m, d) for m walks sharing one environment."""
+    return _paths(env.model, env.env_key, starts, n, walk_seeds)
+
+
+def simulate_finals_many(env: Environment, starts, n: int, walk_seeds) -> np.ndarray:
+    """Final positions (m, d) of m walks sharing one environment."""
+    return _finals(env.model, env.env_key, starts, n, walk_seeds)
 
 
 def simulate_finals_many_envs(model: EnvironmentModel, env_keys, starts, n: int,
                               walk_seeds) -> np.ndarray:
     """Final positions for m walks, each in its own environment."""
-    starts = np.asarray(starts, dtype=np.int64)
-    pos = starts
-    for _, pos in _iter_positions(model, env_keys, starts, n, walk_seeds):
-        pass
-    return pos.copy()
+    return _finals(model, env_keys, starts, n, walk_seeds)
 
 
 def simulate_paths_many_envs(model: EnvironmentModel, env_keys, starts, n: int,
                              walk_seeds) -> np.ndarray:
     """Full site arrays (n+1, m, d); walkers may share or own environments
     through the per-walker env_keys."""
-    starts = np.asarray(starts, dtype=np.int64)
-    out = np.empty((n + 1,) + starts.shape, dtype=np.int64)
-    out[0] = starts
-    for t, pos in _iter_positions(model, env_keys, starts, n, walk_seeds):
-        out[t + 1] = pos
-    return out
+    return _paths(model, env_keys, starts, n, walk_seeds)
 
 
 def simulate_level_stats_many_envs(model: EnvironmentModel, env_keys, starts,
-                                   n: int, walk_seeds, checkpoints=None):
-    """Level summaries for m independent-environment walks.
-
-    Returns dict with final positions, the running max/min of the level
-    sequence, and (optionally) levels at checkpoint times.
-    """
+                                   n: int, walk_seeds) -> dict:
+    """Final level and running maximum of the level (m,) for m walks, each
+    in its own environment."""
     starts = np.asarray(starts, dtype=np.int64)
     u_hat = np.asarray(model.support.u_hat, dtype=np.int64)
     lev = starts @ u_hat
-    max_lev = lev.astype(np.int64).copy()
-    min_lev = lev.astype(np.int64).copy()
-    checkpoints = sorted(set(int(c) for c in (checkpoints or [])))
-    cp = {}
-    if 0 in checkpoints:
-        cp[0] = lev.copy()
-    pos = starts
-    for t, pos in _iter_positions(model, env_keys, starts, n, walk_seeds):
+    max_lev = lev.copy()
+    for _, pos in _iter_positions(model, env_keys, starts, n, walk_seeds):
         lev = pos @ u_hat
         np.maximum(max_lev, lev, out=max_lev)
-        np.minimum(min_lev, lev, out=min_lev)
-        if t + 1 in checkpoints:
-            cp[t + 1] = lev.copy()
-    return {
-        "final": pos.copy(),
-        "final_level": lev.copy(),
-        "max_level": max_lev,
-        "min_level": min_lev,
-        "checkpoint_levels": cp,
-    }
+    return {"final_level": lev, "max_level": max_lev}

@@ -1,0 +1,88 @@
+"""The benchmark's traced run wraps rwre functions by name and reads their
+arguments by position (perfbench/tracer.py).  These checks load the tracer
+without changing it and fail when a rename or a signature change in rwre
+would break ``perfbench/run.py --trace 1``."""
+
+import ast
+import importlib
+import inspect
+import types
+from pathlib import Path
+
+import numpy as np
+
+from rwre import walk
+from rwre.environment import Environment, make_environment
+from rwre.models import dirichlet_drift_model
+from rwre.walk import (simulate_finals_many, simulate_finals_many_envs,
+                       simulate_level_stats_many_envs, simulate_paths_many,
+                       simulate_paths_many_envs)
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    """The tracer module, executed from its source (no bytecode written)."""
+    mod = types.ModuleType("_perfbench_tracer")
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), mod.__dict__)
+    return mod
+
+
+def _argument_reads() -> dict:
+    """{unit function name: [(index, parameter name)]} for every
+    _arg(args, kwargs, index, name) call in the tracer's source."""
+    reads = {}
+    for fn in ast.parse(TRACER.read_text()).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", None) == "_arg":
+                i, name = (ast.literal_eval(a) for a in node.args[2:4])
+                reads.setdefault(fn.name, []).append((i, name))
+    return reads
+
+
+def test_tracer_targets_resolve_with_their_read_parameters():
+    tracer = _load_tracer()
+    reads = _argument_reads()
+    assert reads                        # the parse found the _arg calls
+    for module, attr, span, units, _ in tracer.TARGETS:
+        fn = getattr(importlib.import_module(module), attr, None)
+        assert callable(fn), f"{module}.{attr} (span {span}) is gone"
+        params = list(inspect.signature(fn).parameters)
+        for i, name in reads.get(units.__name__, []):
+            assert i < len(params) and params[i] == name, (
+                f"{units.__name__} reads argument {i} of {module}.{attr} as "
+                f"{name!r}; the signature is {params}")
+    # the cum_at span's observer reads (self, site)
+    assert list(inspect.signature(Environment.cum_at).parameters) == \
+        ["self", "site"]
+
+
+def test_traced_engines_count_each_walker_step_once():
+    # a public engine that called another traced engine would nest two
+    # walk.engine spans and count its walker-steps twice
+    tracer = _load_tracer()
+    tr = tracer.Tracer()
+    undo = tracer.install(tr)
+    try:
+        model = dirichlet_drift_model()
+        env = make_environment(model, 3)
+        starts = np.zeros((4, 2), dtype=np.int64)
+        keys = np.full(4, env.env_key, dtype=np.uint64)
+        seeds = [1, 2, 3, 4]
+        walk.simulate_paths_many(env, starts, 7, seeds)
+        walk.simulate_finals_many(env, starts, 7, seeds)
+        walk.simulate_paths_many_envs(model, keys, starts, 7, seeds)
+        walk.simulate_finals_many_envs(model, keys, starts, 7, seeds)
+        walk.simulate_level_stats_many_envs(model, keys, starts, 7, seeds)
+    finally:
+        tracer.uninstall(undo)
+    for fn in (simulate_paths_many, simulate_finals_many,
+               simulate_paths_many_envs, simulate_finals_many_envs,
+               simulate_level_stats_many_envs):
+        assert getattr(walk, fn.__name__) is fn      # uninstalled
+    assert tr.stats["walk.engine"].calls == 5
+    assert tr.stats["walk.engine"].units == 5 * 4 * 7
+    assert ("walk.engine", "walk.engine") not in tr.edges

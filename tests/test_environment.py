@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from rwre.environment import (Environment, EnvironmentModel, StepSupport,
-                              check_hypotheses, compute_h, make_environment)
+                              check_hypotheses, compute_h, derive_env_seed,
+                              env_key_range, make_environment)
 from rwre.models import (dirichlet_drift_model, drift_model, support_2d)
+from rwre.rng import TAG_ENV, derive_key
 
 
 def test_point_mass_vector_everywhere():
@@ -203,3 +205,20 @@ def test_dirichlet_underflow_raises_on_both_paths():
     with pytest.raises(ValueError, match=r"dirichlet.*alpha=\(0\.001"):
         for s in sites.tolist():
             env.cum_at(tuple(s))
+
+
+def test_env_key_range_matches_make_environment():
+    # seeds on both sides of 2**63, negative and large parts, n = 0 and 1
+    model = dirichlet_drift_model()
+    for seed in (0, 7, 2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1):
+        for parts, n in [((), 5), ((3,), 1), ((-1, 2), 9), ((-2**63, 5), 4),
+                         ((2**64 - 1, -7, 0), 3), ((11,), 0)]:
+            want = [make_environment(model, derive_key(seed, *parts, i))
+                    .env_key for i in range(n)]
+            got = env_key_range(seed, *parts, n=n)
+            assert got.dtype == np.uint64
+            assert got.tolist() == want
+    # the derive_env_seed rule of the replica loops, TAG_ENV first
+    want = [make_environment(model, derive_env_seed(2**63 + 9, 0x9D02, 4, e)
+                             ).env_key for e in range(6)]
+    assert env_key_range(2**63 + 9, TAG_ENV, 0x9D02, 4, n=6).tolist() == want

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rwre import green
+from rwre import green, rng
 from rwre.green import (PerturbedChainSpec, SymmetricWalk1D,
                         build_ladder_tables, cube_exit_time, exit_probability,
                         first_passage_tail, green_bound_experiment,
@@ -240,6 +240,19 @@ def test_green_bound_perturbed_sublinear():
     assert res["theorem_exponent"] == max(1 - 16 / 28, 0.5 + 13 / 28)
 
 
+def test_green_bound_rejects_times_below_one():
+    # n = 0 is an empty sum, not h(origin); the log fit would divide by 0
+    offs, probs = product_symmetric_base(simple_walk(), 2)
+    spec = PerturbedChainSpec(dimension=2, base_offsets=offs,
+                              base_probs=probs, p1=16.0)
+    for grid in ([0, 8], [-3, 8], []):
+        with pytest.raises(ValueError, match=">= 1"):
+            green_bound_experiment(spec, grid, reps=4, seed=1)
+    # n = 1 is the k = 0 term alone
+    res = green_bound_experiment(spec, [1, 8], reps=4, seed=1)
+    assert res["curve"][0] == 1.0
+
+
 def test_cube_exit_time_simple_walk_means():
     spec = PerturbedChainSpec(dimension=1,
                               base_offsets=np.array([[-1], [1]]),
@@ -471,13 +484,13 @@ def test_cube_exit_time_matches_one_counter_loop(
         assert ref[1][max(r_grid)] > 0
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 7, green._SHORT_TABLE,
-                               green._SHORT_TABLE + 1, 81])
+@pytest.mark.parametrize("k", [1, 2, 3, 7, rng._SHORT_TABLE,
+                               rng._SHORT_TABLE + 1, 81])
 def test_step_index_matches_searchsorted(k):
     # both sides of the short-table switch, uniforms landing on thresholds
     cum = np.cumsum(np.random.default_rng(k).dirichlet(np.ones(k)))
     u = np.concatenate([[0.0], cum[:-1], np.nextafter(cum[:-1], 1.0),
                         np.random.default_rng(k + 1).random(500)])
     want = np.minimum(np.searchsorted(cum, u, side="left"), k - 1)
-    assert np.array_equal(green._step_index(cum, u.reshape(-1, 1)),
+    assert np.array_equal(rng.step_index(cum, u.reshape(-1, 1)),
                           want.reshape(-1, 1))

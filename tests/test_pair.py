@@ -49,6 +49,14 @@ def test_intersection_curve_matches_direct_count():
     assert res["mean"][1] < 64              # sublinear in n
 
 
+def test_intersection_curve_needs_two_reps():
+    # one replica has no standard error
+    with pytest.raises(ValueError, match="reps must be >= 2"):
+        intersection_curve(drift_model(), [4, 8], 1, seed=5)
+    res = intersection_curve(drift_model(), [4, 8], 2, seed=5)
+    assert np.isfinite(res["se"]).all()
+
+
 def test_first_joint_regeneration_monotone_pair():
     env = make_environment(_point_mass_model(), 5)
     rec = first_joint_regeneration(env, (0, 0), (0, 5))

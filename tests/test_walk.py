@@ -181,10 +181,14 @@ def test_diffusive_scale():
 
 
 def test_diffusive_scale_rejects_negative_times():
-    # a negative time would index the path from its end
+    # a negative time would index the path from its end; an infinite or
+    # huge one would not fit an index, so both raise before the cast
     path = WalkPath(np.array([[k, 0] for k in range(101)]), (1, 0))
-    for t_grid in ([-0.5], [0.25, -0.01], [np.nan]):
-        with pytest.raises(ValueError, match="nonnegative"):
+    for t_grid in ([-0.5], [0.25, -0.01], [np.nan], [np.inf], [0.5, -np.inf]):
+        with pytest.raises(ValueError, match="finite nonnegative"):
+            diffusive_scale(path, (0.5, 0), 100, t_grid)
+    for t_grid in ([1e300], [0.5, 1.01], [np.finfo(float).max]):
+        with pytest.raises(ValueError, match="too short"):
             diffusive_scale(path, (0.5, 0), 100, t_grid)
 
 
