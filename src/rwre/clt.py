@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import linalg as _sla
-from scipy import stats as _sst
+from scipy import special as _sps
 
 from .environment import EnvironmentModel, env_key_range
 from .fitting import fit_exponent
@@ -38,10 +37,11 @@ def quenched_samples(env, n: int, m_walks: int, v, seed: int = 0) -> np.ndarray:
 
 def projection_directions(support) -> np.ndarray:
     """Coordinate directions plus an orthonormal basis of u_hat^perp."""
+    from scipy.linalg import null_space
     d = support.dimension
     dirs = [np.eye(d)[i] for i in range(d)]
     u = np.asarray(support.u_hat, dtype=float)
-    perp = _sla.null_space(u[None, :])
+    perp = null_space(u[None, :])
     for j in range(perp.shape[1]):
         v = perp[:, j]
         if not any(np.allclose(np.abs(v), np.abs(w)) for w in dirs):
@@ -79,6 +79,7 @@ def clt_check(samples_per_env, D_hat, support, level: float = 0.01) -> QuenchedC
     Also reports Frobenius distances between the per-environment
     covariance matrices and the reference D_hat.
     """
+    from scipy.stats import kstest
     if len(samples_per_env) < 2:
         raise ValueError("need samples from at least 2 environments")
     D_hat = np.asarray(D_hat, dtype=float)
@@ -102,7 +103,7 @@ def clt_check(samples_per_env, D_hat, support, level: float = 0.01) -> QuenchedC
                 degen_ok[e, j] = bool(np.max(np.abs(proj)) < 1e-9)
                 bad = bad or not degen_ok[e, j]
                 continue
-            p = _sst.kstest(proj / np.sqrt(var), "norm").pvalue
+            p = kstest(proj / np.sqrt(var), "norm").pvalue
             pvals[e, j] = p
             bad = bad or p < thresh
         if bad:
@@ -121,10 +122,11 @@ def clt_check(samples_per_env, D_hat, support, level: float = 0.01) -> QuenchedC
 def degeneracy_directions(model: EnvironmentModel) -> np.ndarray:
     """Orthonormal basis (rows) of the orthocomplement of
     span{x - y : E pi_x E pi_y > 0}; empty when the differences span R^d."""
+    from scipy.linalg import null_space
     steps = model.support.steps_array.astype(float)
     diffs = steps[:, None, :] - steps[None, :, :]
     diffs = diffs.reshape(-1, steps.shape[1])
-    basis = _sla.null_space(diffs)
+    basis = null_space(diffs)
     return basis.T
 
 
@@ -205,6 +207,12 @@ def quenched_mean_variance(model: EnvironmentModel, n_grid, n_env: int,
             "fit": fit, "floored": floored}
 
 
+def _two_sided_pvalue(z: float) -> float:
+    """2 P(N(0,1) > |z|), equal bit for bit to 2 * scipy.stats.norm.sf(|z|)
+    without loading scipy.stats."""
+    return 2.0 * float(_sps.ndtr(-abs(z)))
+
+
 def centered_mean_bound(model: EnvironmentModel, n_grid, v_hat, reps: int = 4000,
                         seed: int = 0) -> dict:
     """Deviation of the annealed mean from n v_hat, with a linear trend test.
@@ -214,6 +222,9 @@ def centered_mean_bound(model: EnvironmentModel, n_grid, v_hat, reps: int = 4000
     per-point standard errors, reporting a two-sided normal p-value for
     slope = 0.
     """
+    if reps < 2:
+        raise ValueError(f"reps must be >= 2 for a standard error "
+                         f"(got {reps})")
     n_grid = sorted(int(n) for n in n_grid)
     v_hat = np.asarray(v_hat, dtype=float)
     u_hat = np.asarray(model.support.u_hat, dtype=float)
@@ -237,7 +248,7 @@ def centered_mean_bound(model: EnvironmentModel, n_grid, v_hat, reps: int = 4000
     slope = float((w * (x - xw) * ys).sum() / sxx)
     slope_se = float(np.sqrt(1.0 / sxx))
     z = slope / slope_se if slope_se > 0 else 0.0
-    pvalue = 2.0 * float(_sst.norm.sf(abs(z)))
+    pvalue = _two_sided_pvalue(z)
     max_dev = float(np.max(np.abs(ys)))
     max_dev_ci = float(np.max(np.abs(ys) + 3 * ses))
     return {"n_grid": n_grid, "deviation": ys, "se": ses,

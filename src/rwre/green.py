@@ -634,6 +634,8 @@ def green_bound_experiment(spec: PerturbedChainSpec, n_grid, reps: int = 256,
                            seed: int = 0) -> dict:
     """Growth of sum_{k<n} E h(Y_k) along n_grid (every n >= 1), from the
     origin, with an exponent fit."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1 for a mean (got {reps})")
     n_grid = sorted(int(n) for n in n_grid)
     if not n_grid or n_grid[0] < 1:
         raise ValueError(f"n_grid entries must be >= 1 (got {n_grid})")

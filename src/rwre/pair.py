@@ -90,6 +90,23 @@ def count_intersections(p: PairPath, n: int) -> int:
     return len(a & b)
 
 
+def _distinct_per_row(rows: np.ndarray) -> np.ndarray:
+    """Number of distinct values in each row of a row-sorted array."""
+    return (rows[:, 1:] != rows[:, :-1]).sum(axis=1) + 1
+
+
+def _pair_common_sites(paths: np.ndarray) -> np.ndarray:
+    """Common sites of walkers 2i and 2i + 1 of paths (T, 2m, d), as
+    |A| + |B| - |A u B| over each walker's sorted site keys."""
+    t, w, d = paths.shape
+    keys = np.sort(site_keys(0, paths.reshape(-1, d)).reshape(t, w).T, axis=1)
+    # rows 2i and 2i + 1 are adjacent, so this reshape joins each pair's
+    # two sorted runs, which the stable sort merges
+    union = np.sort(keys.reshape(w // 2, 2 * t), axis=1, kind="stable")
+    per_walker = _distinct_per_row(keys)
+    return per_walker[0::2] + per_walker[1::2] - _distinct_per_row(union)
+
+
 def intersection_curve(model: EnvironmentModel, n_grid, reps: int,
                        seed: int = 0) -> dict:
     """Mean number of common points of two walks in a common environment,
@@ -113,11 +130,7 @@ def intersection_curve(model: EnvironmentModel, n_grid, reps: int,
             starts = np.zeros((2 * m, d), dtype=np.int64)
             paths = simulate_paths_many_envs(model, pair_keys[2 * c0:2 * c1],
                                              starts, n - 1, wseeds)
-            for i in range(m):
-                ka = np.unique(site_keys(0, paths[:, 2 * i, :]))
-                kb = np.unique(site_keys(0, paths[:, 2 * i + 1, :]))
-                counts[c0 + i] = np.intersect1d(ka, kb,
-                                                assume_unique=True).size
+            counts[c0:c1] = _pair_common_sites(paths)
         means.append(float(counts.mean()))
         ses.append(float(counts.std(ddof=1) / np.sqrt(reps)))
     from .fitting import fit_exponent

@@ -110,6 +110,8 @@ def first_passage(path: WalkPath, level: int):
 
 def diffusive_scale(path: WalkPath, v, n: int, t_grid) -> np.ndarray:
     """B_n(t) = (X_[nt] - [nt] v) / sqrt(n) on the given t grid."""
+    if not n > 0:
+        raise ValueError(f"n must be > 0 for a diffusive scale (got {n})")
     v = np.asarray(v, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     if not np.all((t_grid >= 0) & (t_grid < np.inf)):    # also rejects NaN

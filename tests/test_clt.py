@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rwre.clt import (_TAG_QMV, _qmv_block, centered_mean_bound, clt_check,
+from rwre.clt import (_TAG_QMV, _qmv_block, _two_sided_pvalue,
+                      centered_mean_bound, clt_check,
                       degeneracy_directions, quenched_mean_variance,
                       quenched_samples)
 from rwre.environment import EnvironmentModel, derive_env_seed, make_environment
@@ -155,3 +156,25 @@ def test_centered_mean_homogeneous_within_noise():
                               v_hat=(0.5, 0.0), reps=2000, seed=2)
     assert np.all(np.abs(res["deviation"]) <= 4 * res["se"])
     assert res["trend_pvalue"] > 0.01
+
+
+def test_centered_mean_needs_two_reps():
+    # one replica has no standard error
+    with pytest.raises(ValueError, match="reps must be >= 2"):
+        centered_mean_bound(drift_model(), [8, 16], v_hat=(0.5, 0.0), reps=1)
+    res = centered_mean_bound(drift_model(), [8, 16], v_hat=(0.5, 0.0),
+                              reps=2)
+    assert np.isfinite(res["se"]).all()
+
+
+def test_two_sided_pvalue_matches_scipy_stats_bitwise():
+    from scipy import stats
+    grid = np.concatenate([[0.0, 1e-300, 5e-324, 1e-8, 38.5, 40.0],
+                           np.linspace(0.0, 40.0, 4001)])
+    for z in np.concatenate([grid, -grid]):
+        want = 2.0 * float(stats.norm.sf(abs(z)))
+        assert _two_sided_pvalue(z) == want, z
+    res = centered_mean_bound(drift_model(), [16, 64], v_hat=(0.5, 0.0),
+                              reps=200, seed=3)
+    assert res["trend_pvalue"] == \
+        2.0 * float(stats.norm.sf(abs(res["trend_z"])))

@@ -253,6 +253,17 @@ def test_green_bound_rejects_times_below_one():
     assert res["curve"][0] == 1.0
 
 
+def test_green_bound_needs_a_replica():
+    # no replica has no mean
+    offs, probs = product_symmetric_base(simple_walk(), 2)
+    spec = PerturbedChainSpec(dimension=2, base_offsets=offs,
+                              base_probs=probs, p1=16.0)
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        green_bound_experiment(spec, [1, 8], reps=0, seed=1)
+    res = green_bound_experiment(spec, [1, 8], reps=1, seed=1)
+    assert np.isfinite(res["curve"]).all()
+
+
 def test_cube_exit_time_simple_walk_means():
     spec = PerturbedChainSpec(dimension=1,
                               base_offsets=np.array([[-1], [1]]),

@@ -4,12 +4,14 @@ import pytest
 from rwre.environment import EnvironmentModel, make_environment
 from rwre.models import (dirichlet_backtracking_model, dirichlet_drift_model,
                          drift_model, support_2d)
-from rwre.pair import (_SeqWalk, _TimeSource, count_intersections,
+from rwre.pair import (_SeqWalk, _TimeSource, _pair_common_sites,
+                       count_intersections,
                        coupled_triple, first_joint_regeneration,
                        intersection_curve, make_pair, sample_Y_chain,
                        sample_Ybar_chain, support_inheritance_check)
 from rwre.regen import detect_regenerations
-from rwre.walk import simulate, walk_key
+from rwre.rng import site_keys
+from rwre.walk import simulate, simulate_paths_many_envs, walk_key
 
 
 def _point_mass_model():
@@ -47,6 +49,40 @@ def test_intersection_curve_matches_direct_count():
     res = intersection_curve(model, [16, 64], 40, seed=5)
     assert res["mean"][0] < res["mean"][1]  # grows with horizon
     assert res["mean"][1] < 64              # sublinear in n
+
+
+def _common_sites_loop(paths):
+    """Per-pair oracle: unique site keys of each walker, then intersect."""
+    counts = []
+    for i in range(paths.shape[1] // 2):
+        ka = np.unique(site_keys(0, paths[:, 2 * i, :]))
+        kb = np.unique(site_keys(0, paths[:, 2 * i + 1, :]))
+        counts.append(np.intersect1d(ka, kb, assume_unique=True).size)
+    return np.array(counts)
+
+
+@pytest.mark.parametrize("t", [2, 3, 40, 257])
+def test_pair_common_sites_matches_loop(t):
+    # lazy walks revisit sites; every other pair is shifted far apart, so
+    # it shares no site, and one pair is a walker and its own copy
+    rng = np.random.default_rng(t)
+    paths = np.cumsum(rng.integers(-1, 2, size=(t, 24, 2)), axis=0)
+    paths[:, 1::4] += 10 * t
+    paths[:, 3] = paths[:, 2]
+    got = _pair_common_sites(paths)
+    want = _common_sites_loop(paths)
+    assert got.tolist() == want.tolist()
+    assert (want[::2] == 0).all()
+    assert want[1] == np.unique(site_keys(0, paths[:, 2])).size
+
+
+def test_pair_common_sites_matches_loop_on_engine_paths():
+    model = dirichlet_backtracking_model()
+    keys = np.repeat(np.arange(1, 11, dtype=np.uint64), 2)
+    paths = simulate_paths_many_envs(model, keys, np.zeros((20, 2), np.int64),
+                                     63, list(range(20)))
+    assert _pair_common_sites(paths).tolist() == \
+        _common_sites_loop(paths).tolist()
 
 
 def test_intersection_curve_needs_two_reps():

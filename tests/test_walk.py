@@ -192,6 +192,14 @@ def test_diffusive_scale_rejects_negative_times():
             diffusive_scale(path, (0.5, 0), 100, t_grid)
 
 
+def test_diffusive_scale_rejects_nonpositive_n():
+    # n = 0 would divide by sqrt(0), a negative n take sqrt(n < 0)
+    path = WalkPath(np.array([[k, 0] for k in range(11)]), (1, 0))
+    for n in (0, -4):
+        with pytest.raises(ValueError, match=f"n must be > 0 .*got {n}"):
+            diffusive_scale(path, (0.5, 0), n, [0.0, 1.0])
+
+
 def test_running_max_cache():
     sites = np.array([[0, 0], [1, 0], [0, 0], [2, 0], [1, 0]])
     path = WalkPath(sites, (1, 0))
