@@ -20,6 +20,8 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
+import platform
 import sys
 import time
 from functools import partial
@@ -27,6 +29,7 @@ from pathlib import Path
 from reprlib import repr as _show
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .environment import (EnvironmentModel, StepSupport, check_hypotheses,
@@ -637,6 +640,18 @@ def run(cfg: dict, kind=None, out_dir=None, workers=None, seed=None) -> dict:
                     workers, seed)
 
 
+def _machine() -> dict:
+    """The interpreter, library versions and host that a run's bits rest
+    on: numpy (the KS p-value's matrix power and long-double rescaling),
+    scipy.special's ufuncs (`ndtr`, `smirnov`, `gammaincinv`) and libm."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "platform": "-".join((platform.system(), platform.release(),
+                                  platform.machine(),
+                                  "".join(platform.libc_ver()))),
+            "cpu_count": os.cpu_count()}
+
+
 def _execute(cfg, kind, model, params, out_dir, workers, seed) -> dict:
     seed = seed if seed is not None else cfg.get("master_seed", 0)
     workers = workers if workers is not None else cfg.get("workers", 1)
@@ -655,7 +670,8 @@ def _execute(cfg, kind, model, params, out_dir, workers, seed) -> dict:
     manifest = {"config_sha256": hashlib.sha256(
                     json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
                 "code_version": __version__,
-                "wall_time_s": time.time() - t0, "outputs": digests}
+                "wall_time_s": time.time() - t0, "outputs": digests,
+                **_machine()}
     (out_dir / "run_manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")

@@ -16,6 +16,7 @@ from scipy import special as _sps
 
 from .environment import EnvironmentModel, env_key_range
 from .fitting import fit_exponent
+from .ks import ks_norm_pvalue
 from .rng import TAG_ENV, derive_key
 from .walk import (simulate_finals_many, simulate_finals_many_envs,
                    walk_seed_array)
@@ -79,7 +80,6 @@ def clt_check(samples_per_env, D_hat, support, level: float = 0.01) -> QuenchedC
     Also reports Frobenius distances between the per-environment
     covariance matrices and the reference D_hat.
     """
-    from scipy.stats import kstest
     if len(samples_per_env) < 2:
         raise ValueError("need samples from at least 2 environments")
     D_hat = np.asarray(D_hat, dtype=float)
@@ -103,7 +103,7 @@ def clt_check(samples_per_env, D_hat, support, level: float = 0.01) -> QuenchedC
                 degen_ok[e, j] = bool(np.max(np.abs(proj)) < 1e-9)
                 bad = bad or not degen_ok[e, j]
                 continue
-            p = kstest(proj / np.sqrt(var), "norm").pvalue
+            p = ks_norm_pvalue(proj / np.sqrt(var))
             pvals[e, j] = p
             bad = bad or p < thresh
         if bad:

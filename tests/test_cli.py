@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -177,6 +178,20 @@ def test_golden_covers_every_kind():
 def test_run_golden_digests(tmp_path, kind):
     manifest = run(_tiny(kind), out_dir=tmp_path / kind, workers=1)
     assert _outputs_digest(manifest) == GOLDEN[kind]
+
+
+def test_run_manifest_names_versions(tmp_path):
+    manifest = run(_tiny("clt"), out_dir=tmp_path, workers=1)
+    written = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert written == manifest
+    for key in ("python", "numpy", "scipy", "platform", "cpu_count"):
+        assert manifest[key], key
+    assert manifest["numpy"] == np.__version__
+    # the versions sit beside the digests, not among them
+    assert manifest["outputs"] == {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.iterdir() if p.name != "run_manifest.json"}
+    assert _outputs_digest(manifest) == GOLDEN["clt"]
 
 
 def test_run_worker_count_invariance(tmp_path):
