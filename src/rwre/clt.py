@@ -36,13 +36,21 @@ def quenched_samples(env, n: int, m_walks: int, v, seed: int = 0) -> np.ndarray:
     return (finals - n * v) / np.sqrt(n)
 
 
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the null space of the matrix `a`, as
+    scipy.linalg.null_space finds it: the SVD's right singular vectors past
+    the rank, counting s > max(s) * eps * max(M, N)."""
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    tol = np.amax(s, initial=0.) * (np.finfo(s.dtype).eps * max(a.shape))
+    return vh[np.sum(s > tol, dtype=int):, :].T.conj()
+
+
 def projection_directions(support) -> np.ndarray:
     """Coordinate directions plus an orthonormal basis of u_hat^perp."""
-    from scipy.linalg import null_space
     d = support.dimension
     dirs = [np.eye(d)[i] for i in range(d)]
     u = np.asarray(support.u_hat, dtype=float)
-    perp = null_space(u[None, :])
+    perp = _null_space(u[None, :])
     for j in range(perp.shape[1]):
         v = perp[:, j]
         if not any(np.allclose(np.abs(v), np.abs(w)) for w in dirs):
@@ -122,11 +130,10 @@ def clt_check(samples_per_env, D_hat, support, level: float = 0.01) -> QuenchedC
 def degeneracy_directions(model: EnvironmentModel) -> np.ndarray:
     """Orthonormal basis (rows) of the orthocomplement of
     span{x - y : E pi_x E pi_y > 0}; empty when the differences span R^d."""
-    from scipy.linalg import null_space
     steps = model.support.steps_array.astype(float)
     diffs = steps[:, None, :] - steps[None, :, :]
     diffs = diffs.reshape(-1, steps.shape[1])
-    basis = null_space(diffs)
+    basis = _null_space(diffs)
     return basis.T
 
 

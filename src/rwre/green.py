@@ -37,8 +37,8 @@ _BLOCK_CELLS = 1 << 14
 # 2-vCPU VM; the cost grows quadratically in a)
 _EXACT_TAIL_STATES = 1 << 17
 _EXACT_TAIL_UPDATES = 1 << 30
-# Unknowns of one dense complex linear solve (ladder_heights,
-# half_line_green_solve): the matrix of 2**11 unknowns is 64 MiB
+# Unknowns of one dense linear solve (ladder_heights, half_line_green_solve,
+# exit_probability): the complex matrix of 2**11 unknowns is 64 MiB
 _DENSE_UNKNOWNS = 1 << 11
 
 
@@ -118,48 +118,11 @@ def ladder_heights(walk: SymmetricWalk1D) -> dict:
     with the decaying far-field modes; the residual mass defect is reported
     and a warning is raised when it exceeds 1e-10.
     """
-    M = walk.max_step
     check_ladder_size(walk)
     trunc = _ladder_trunc(walk)
-    lams = _decaying_modes(walk)
-    J = len(lams)
-    K = trunc
-    # unknowns per height column: f(-K..0), A, B_1..B_J
-    n = K + 1
-    nuk = n + 1 + J
-    col_A = n
-
-    def sidx(s: int) -> int:
-        return s + K                       # state s in [-K, 0]
-
-    A_mat = np.zeros((nuk, nuk), dtype=complex)
-    R = np.zeros((nuk, M))                 # rhs columns: heights 1..M
-    for s in range(-K, 1):
-        row = sidx(s)
-        A_mat[row, sidx(s)] = 1.0
-        for z, q in zip(walk.offsets, walk.probs):
-            if q == 0:
-                continue
-            w = s + z
-            if w >= 1:
-                R[row, w - 1] += q
-            elif w >= -K:
-                A_mat[row, sidx(w)] -= q
-            else:
-                # far field: f(w) = A + sum_j B_j lam_j^(-w)
-                A_mat[row, col_A] -= q
-                for j, lam in enumerate(lams):
-                    A_mat[row, col_A + 1 + j] -= q * lam ** (-w)
-    # closure: the bottom J+1 solved values lie on the far-field manifold
-    for i in range(J + 1):
-        row = n + i
-        s = -K + i
-        A_mat[row, sidx(s)] = 1.0
-        A_mat[row, col_A] = -1.0
-        for j, lam in enumerate(lams):
-            A_mat[row, col_A + 1 + j] = -lam ** (-s)
-    F = np.linalg.solve(A_mat, R.astype(complex))
-    pmf = F[sidx(0)].real
+    A_mat, exits = _closed_window(walk, -trunc, 0, _decaying_modes(walk))
+    F = np.linalg.solve(A_mat, exits.astype(complex))
+    pmf = F[trunc].real                    # state 0, heights 1..M
     loss = 1.0 - pmf.sum()
     if abs(loss) > 1e-10:
         warnings.warn(f"ladder height mass defect {loss:.3e} at trunc={trunc}")
@@ -171,9 +134,9 @@ def ladder_heights(walk: SymmetricWalk1D) -> dict:
 class LadderTables:
     """Ladder-height pmf and the renewal table v(m) (u = v by symmetry).
 
-    v is stored up to proportionality (v_raw(0) = 1); the note records that
-    the overall normalization of the Green formula is calibrated against a
-    single linear-solve anchor value g(r0+1, r0+1).
+    v is stored up to proportionality (v_raw(0) = 1); half_line_green
+    calibrates the overall normalization against a single linear-solve
+    anchor value g(r0+1, r0+1).
     """
 
     walk: SymmetricWalk1D
@@ -181,8 +144,6 @@ class LadderTables:
     v_table: np.ndarray
     truncation_mass: float
     norm_constant: Optional[float] = None
-    note: str = ("v normalized to v(0)=1; Green normalization calibrated "
-                 "against the linear-solve anchor g(r0+1, r0+1)")
 
     def ensure(self, m_max: int) -> None:
         """Extend v out to index m_max."""
@@ -194,10 +155,6 @@ class LadderTables:
         for m in range(cur + 1, m_max + 1):
             v[m] = sum(p * v[m - h] for h, p in self.ladder_pmf.items() if h <= m)
         self.v_table = v
-
-    def v(self, m: int) -> float:
-        self.ensure(m)
-        return float(self.v_table[m])
 
 
 def build_ladder_tables(walk: SymmetricWalk1D,
@@ -214,31 +171,31 @@ def build_ladder_tables(walk: SymmetricWalk1D,
 # exact linear-solve oracle for the half-line Green function
 
 
-# Bounds on the unknowns of the two dense solves, checked before any
+# Bounds on the unknowns of the dense solves, checked before any
 # allocation.  The far field adds J <= M - 1 modes: the characteristic
 # polynomial has degree 2M, a double root at 1, and its other roots pair
 # as x, 1/x across the unit circle.
+
+def _check_dense(n: int, what: str) -> None:
+    if n > _DENSE_UNKNOWNS:
+        raise ValueError(f"{what} would need up to {n} unknowns "
+                         f"(limit {_DENSE_UNKNOWNS})")
+
 
 def check_ladder_size(walk: SymmetricWalk1D):
     """Raise ValueError when ladder_heights(walk) would need more than
     _DENSE_UNKNOWNS unknowns (trunc + 2 + J)."""
     M = walk.max_step
-    trunc = _ladder_trunc(walk)
-    if trunc + M + 1 > _DENSE_UNKNOWNS:
-        raise ValueError(
-            f"offsets reach max step {M}: the ladder solve would need up to "
-            f"{trunc + M + 1} unknowns (limit {_DENSE_UNKNOWNS})")
+    _check_dense(_ladder_trunc(walk) + M + 1,
+                 f"offsets reach max step {M}: the ladder solve")
 
 
 def check_solve_size(walk: SymmetricWalk1D, r0: int, s: int, t: int):
     """Raise ValueError when half_line_green_solve(walk, r0, s, t) would need
     more than _DENSE_UNKNOWNS unknowns (max(s, t) - r0 + M + 2J + 9)."""
-    n = max(s, t) - r0 + 3 * walk.max_step + 7
-    if n > _DENSE_UNKNOWNS:
-        raise ValueError(
-            f"point ({s}, {t}) lies {max(s, t) - r0} above r0 = {r0}: the "
-            f"exact solve would need up to {n} unknowns "
-            f"(limit {_DENSE_UNKNOWNS})")
+    _check_dense(max(s, t) - r0 + 3 * walk.max_step + 7,
+                 f"point ({s}, {t}) lies {max(s, t) - r0} above r0 = {r0}: "
+                 "the exact solve")
 
 
 def _decaying_modes(walk: SymmetricWalk1D) -> np.ndarray:
@@ -265,50 +222,60 @@ def _decaying_modes(walk: SymmetricWalk1D) -> np.ndarray:
     return roots[np.abs(roots) < 1.0 - 1e-9]
 
 
+def _closed_window(walk: SymmetricWalk1D, lo: int, hi: int,
+                   lams: np.ndarray) -> tuple:
+    """(I - Q) of `walk` on the states lo..hi (rows and columns 0..n-1, in
+    order), killed past the side nearer 0 and closed on the far side by the
+    bounded far-field form A + sum_j B_j lam_j^|w| (columns n and n + 1 + j;
+    rows n..n + J put the J + 1 states at the far end on it), and
+    exits[row, d - 1], the probability of a step d states past the near side.
+    """
+    J = len(lams)
+    n = hi - lo + 1
+    far_low = -lo > hi
+    A_mat = np.zeros((n + 1 + J, n + 1 + J), dtype=complex)
+    exits = np.zeros((n + 1 + J, walk.max_step))
+    for row, s in enumerate(range(lo, hi + 1)):
+        A_mat[row, row] = 1.0
+        for z, q in zip(walk.offsets, walk.probs):
+            if q == 0:
+                continue
+            w = s + z
+            past = w - hi if far_low else lo - w
+            if past > 0:
+                exits[row, past - 1] += q
+            elif lo <= w <= hi:
+                A_mat[row, w - lo] -= q
+            else:
+                A_mat[row, n] -= q
+                for j, lam in enumerate(lams):
+                    A_mat[row, n + 1 + j] -= q * lam ** abs(w)
+    for i in range(J + 1):
+        s = lo + i if far_low else hi - i
+        A_mat[n + i, s - lo] = 1.0
+        A_mat[n + i, n] = -1.0
+        for j, lam in enumerate(lams):
+            A_mat[n + i, n + 1 + j] = -lam ** abs(s)
+    return A_mat, exits
+
+
 def half_line_green_solve(walk: SymmetricWalk1D, r0: int, s: int, t: int) -> float:
     """Expected visits to t before entering (-infty, r0], from s.
 
-    Exact up to floating point: the linear system on a finite window is
-    closed with the far-field form A + sum_j B_j lam_j^x which the true
-    solution obeys exactly beyond t + step range (bounded solutions of the
-    homogeneous constant-coefficient recurrence).
+    Exact up to floating point: the linear system on the shifted states
+    1..R is closed with the far-field form A + sum_j B_j lam_j^x which the
+    true solution obeys exactly beyond t + step range (bounded solutions of
+    the homogeneous constant-coefficient recurrence).
     """
     if s <= r0 or t <= r0:
         raise ValueError("s and t must exceed the kill level r0")
     check_solve_size(walk, r0, s, t)
     x0, y0 = s - r0, t - r0                  # shifted states >= 1
-    M = walk.max_step
     lams = _decaying_modes(walk)
-    J = len(lams)
-    R = max(x0, y0) + M + J + 8
-    nuk = R + 1 + J                          # h(1..R), A, B_1..B_J
-    A_mat = np.zeros((nuk, nuk), dtype=complex)
-    b = np.zeros(nuk, dtype=complex)
-    col_A = R
-    for x in range(1, R + 1):
-        row = x - 1
-        A_mat[row, x - 1] = 1.0
-        b[row] = 1.0 if x == y0 else 0.0
-        for z, q in zip(walk.offsets, walk.probs):
-            if q == 0:
-                continue
-            w = x + z
-            if w <= 0:
-                continue
-            if w <= R:
-                A_mat[row, w - 1] -= q
-            else:
-                A_mat[row, col_A] -= q
-                for j, lam in enumerate(lams):
-                    A_mat[row, col_A + 1 + j] -= q * lam ** w
-    # closure: the top J+1 solved values lie on the far-field manifold
-    for i in range(J + 1):
-        row = R + i
-        x = R - i
-        A_mat[row, x - 1] = 1.0
-        A_mat[row, col_A] = -1.0
-        for j, lam in enumerate(lams):
-            A_mat[row, col_A + 1 + j] = -lam ** x
+    R = max(x0, y0) + walk.max_step + len(lams) + 8
+    A_mat, _ = _closed_window(walk, 1, R, lams)
+    b = np.zeros(len(A_mat), dtype=complex)
+    b[y0 - 1] = 1.0
     sol = np.linalg.solve(A_mat, b)
     val = sol[x0 - 1]
     if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
@@ -323,6 +290,8 @@ def half_line_green(walk: SymmetricWalk1D, r0: int, s: int, t: int,
         raise ValueError("s and t must exceed the kill level r0")
     if tables is None:
         tables = build_ladder_tables(walk)
+    elif tables.walk != walk:
+        raise ValueError("ladder tables were built for another walk")
     x, y = s - r0 - 1, t - r0 - 1
     tables.ensure(max(x, y))
     if tables.norm_constant is None:
@@ -490,15 +459,16 @@ def exit_probability(walk: SymmetricWalk1D, r0: int, r: int, x: int,
     if not (r0 < x <= r):
         raise ValueError("need r0 < x <= r")
     if mode == "solve":
-        states = np.arange(r0 + 1, r + 1)
-        n = len(states)
+        n = r - r0
+        _check_dense(n, f"interval [{r0 + 1}, {r}] holds {n} states: the "
+                     "exit solve")
         Q = np.zeros((n, n))
         b = np.zeros(n)
-        for i, s in enumerate(states):
+        for i, s in enumerate(range(r0 + 1, r + 1)):
             for z, q in zip(walk.offsets, walk.probs):
                 if q == 0:
                     continue
-                w = int(s) + z
+                w = s + z
                 if w > r:
                     b[i] += q
                 elif w > r0:

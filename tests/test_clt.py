@@ -1,13 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from rwre.clt import (_TAG_QMV, _qmv_block, _two_sided_pvalue,
+from rwre.clt import (_TAG_QMV, _null_space, _qmv_block, _two_sided_pvalue,
                       centered_mean_bound, clt_check,
                       degeneracy_directions, quenched_mean_variance,
                       quenched_samples)
 from rwre.environment import EnvironmentModel, derive_env_seed, make_environment
 from rwre.fitting import fit_exponent
-from rwre.models import (dirichlet_drift_model, drift_model, support_2d)
+from rwre.models import (backtracking_model, degenerate_direction_model,
+                         dirichlet_drift_model, drift_model, support_2d)
 from rwre.rng import derive_key
 from rwre.walk import diffusive_scale, simulate, simulate_finals_many
 
@@ -178,3 +181,21 @@ def test_two_sided_pvalue_matches_scipy_stats_bitwise():
                               reps=200, seed=3)
     assert res["trend_pvalue"] == \
         2.0 * float(stats.norm.sf(abs(res["trend_z"])))
+
+
+def test_null_space_matches_scipy_linalg_bitwise():
+    from scipy.linalg import null_space
+    # every nonzero u_hat with d <= 4 and entries in -3..3, and the step
+    # differences of model and hand-picked step sets
+    mats = [np.array([u], dtype=float) for d in range(1, 5)
+            for u in itertools.product(range(-3, 4), repeat=d) if any(u)]
+    step_sets = [m().support.steps for m in (
+        drift_model, degenerate_direction_model, backtracking_model)]
+    step_sets += [[(1, 0), (-1, 0)], [(1, 1), (1, -1), (-1, 0)],
+                  [(1, 0, 0), (-1, 0, 0), (0, 1, 1)], [(1,), (-1,)]]
+    for steps in step_sets:
+        st = np.array(steps, dtype=float)
+        mats.append((st[:, None, :] - st[None, :, :]).reshape(-1, st.shape[1]))
+    for m in mats:
+        got, want = _null_space(m), null_space(m)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), m

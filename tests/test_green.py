@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -104,6 +105,47 @@ def test_ladder_matches_solve_generic_walk():
                        - half_line_green_solve(walk, 0, s, t)) < 1e-8
 
 
+def test_half_line_green_rejects_tables_of_another_walk():
+    walk = two_range_walk()
+    with pytest.raises(ValueError, match="another walk"):
+        half_line_green(walk, 0, 3, 5, build_ladder_tables(simple_walk()))
+    own = half_line_green(walk, 0, 3, 5, build_ladder_tables(walk))
+    assert abs(own - half_line_green_solve(walk, 0, 3, 5)) < 1e-8
+
+
+# Walks with J >= 1 far-field modes (two with a zero offset), and the
+# sha256 of the float.hex of their ladder pmf, truncation mass, v_table and
+# solve and ladder Green values at _PIN_POINTS, recorded before the ladder
+# and solve systems shared one builder
+_PIN_WALKS = [
+    ((-2, -1, 1, 2), (0.1, 0.4, 0.4, 0.1), 1,
+     "6622981fe3a17043b3de03fdc6e49370346c4b412bf9fecf9cf47236f50eb328"),
+    ((-2, -1, 0, 1, 2), (0.1, 0.2, 0.4, 0.2, 0.1), 1,
+     "b16c3e776b3765bd0934bf0ee3387a0023863e12f1e7e8cabe4b878f21ac2ef7"),
+    ((-3, -1, 1, 3), (0.15, 0.35, 0.35, 0.15), 2,
+     "960baf36c41edb26867ad3580646b8ce48d3196b953d69dada7045922981d20d"),
+    ((-3, -2, 0, 2, 3), (0.2, 0.15, 0.3, 0.15, 0.2), 2,
+     "758af249c7649e12b2cd94db11da8235033d9297dcc3cee67a8a573d77c07655"),
+]
+_PIN_POINTS = [(0, 1, 1), (0, 3, 5), (-2, 4, 1), (5, 12, 7), (0, 30, 2)]
+
+
+@pytest.mark.parametrize("offsets, probs, n_modes, digest", _PIN_WALKS)
+def test_far_field_values_pinned_bitwise(offsets, probs, n_modes, digest):
+    walk = SymmetricWalk1D(offsets, probs)
+    assert len(green._decaying_modes(walk)) == n_modes
+    lh = ladder_heights(walk)
+    vals = [float(h) for h in lh["pmf"]] + list(lh["pmf"].values())
+    vals.append(lh["truncation_mass"])
+    tables = build_ladder_tables(walk)
+    vals += tables.v_table.tolist()
+    for r0, s, t in _PIN_POINTS:
+        vals.append(half_line_green_solve(walk, r0, s, t))
+        vals.append(half_line_green(walk, r0, s, t, tables))
+    text = "\n".join(float(v).hex() for v in vals)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_green_linear_bound_shape():
     # g(s,t) <= C (1 + min(s,t)) with a stable C across same-range walks
     walk_a = simple_walk()
@@ -177,6 +219,10 @@ def test_dense_solves_capped_before_allocating():
     for s, t in [(cap - 12, 1), (4, cap)]:
         with pytest.raises(ValueError, match=f"limit {cap}"):
             half_line_green_solve(simple_walk(), -3, s, t)
+    # the interval exit solve has r - r0 unknowns
+    for r0, r in [(0, cap + 1), (-10**6, 10**6)]:
+        with pytest.raises(ValueError, match=f"states: .*limit {cap}"):
+            exit_probability(simple_walk(), r0, r, r)
 
 
 def test_first_passage_tail_mc_matches_exact():

@@ -1,10 +1,9 @@
 """Start-up cost: `import rwre` loads numpy and scipy.special only.
 
-No kind loads scipy.stats: the CLT check's KS p-value is computed in
-`rwre.ks` from numpy and scipy.special.  scipy.linalg is loaded inside
-the functions that need it (the null-space directions), so only the
-`clt` kind pays for it.  Each check runs in a fresh interpreter, because
-the test session itself may have loaded them.
+No kind loads scipy.stats or scipy.linalg: the CLT check's KS p-value is
+computed in `rwre.ks`, and its null-space directions by numpy's SVD, both
+from numpy and scipy.special.  Each check runs in a fresh interpreter,
+because the test session itself may have loaded them.
 """
 
 import json
@@ -48,6 +47,5 @@ def test_import_and_non_clt_runs_skip_scipy_stats_and_linalg(tmp_path):
     assert _loaded_after(others, tmp_path) == set()
 
 
-def test_clt_run_loads_scipy_linalg_but_not_stats(tmp_path):
-    # the guard above can fail: the null space loads scipy.linalg
-    assert _loaded_after([_tiny("clt")], tmp_path) == {"scipy.linalg"}
+def test_clt_run_loads_neither_scipy_stats_nor_linalg(tmp_path):
+    assert _loaded_after([_tiny("clt")], tmp_path) == set()
