@@ -5,24 +5,23 @@ __version__ = "0.1.0"
 from .environment import (Environment, EnvironmentModel, HypothesisReport,
                           StepSupport, check_hypotheses, compute_h,
                           derive_env_seed, make_environment)
-from .walk import (WalkPath, diffusive_scale, first_passage, simulate,
-                   simulate_finals_many, simulate_paths_many)
+from .walk import (WalkPath, diffusive_scale, simulate, simulate_finals_many,
+                   simulate_paths_many)
 from .regen import (DiffusionEstimate, RegenerationRecord, VelocityEstimate,
-                    backtrack_time, detect_regenerations, estimate_diffusion,
-                    estimate_velocity, redirect_analysis, renewal_diagnostics)
-from .pair import (CouplingOutcome, JointRegenRecord, PairPath, YChainSample,
-                   count_intersections, coupled_triple,
-                   first_joint_regeneration, intersection_curve, make_pair,
-                   sample_Y_chain, sample_Ybar_chain,
+                    detect_regenerations, estimate_diffusion,
+                    estimate_velocity, renewal_diagnostics)
+from .pair import (CouplingOutcome, JointRegenRecord, YChainSample,
+                   coupled_triple, first_joint_regeneration,
+                   intersection_curve, sample_Y_chain, sample_Ybar_chain,
                    support_inheritance_check)
 from .clt import (QuenchedCLTReport, centered_mean_bound, clt_check,
                   degeneracy_directions, quenched_mean_variance,
                   quenched_samples)
 from .envprocess import (LocalFunction, constant_function, drift_projection,
-                         ergodic_average, estimate_Einf, variation_proxy)
+                         ergodic_average, variation_proxy)
 from .green import (LadderTables, PerturbedChainSpec, SymmetricWalk1D,
-                    build_ladder_tables, cube_exit_time, exit_probability,
-                    first_passage_tail, green_bound_experiment,
-                    half_line_green, half_line_green_mc, half_line_green_solve,
+                    build_ladder_tables, cube_exit_time, first_passage_tail,
+                    green_bound_experiment, half_line_green,
+                    half_line_green_mc, half_line_green_solve,
                     ladder_heights, simple_walk)
 from .fitting import ExponentFit, fit_exponent

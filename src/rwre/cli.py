@@ -184,6 +184,19 @@ def _nested(item, *shape):
         model.support.dimension if n == "d" else n for n in shape])
 
 
+def _in_V(*shape):
+    """_nested integer starts x in the hyperplane V_d: x . u_hat = 0."""
+    nested = _nested(_integer, *shape)
+
+    def check(v, p, model):
+        starts = nested(v, p, model)
+        for x in starts if len(shape) > 1 else [starts]:
+            if model.support.dot_u(x) != 0:
+                raise _fail("in the hyperplane V_d (x0 . u_hat = 0)", x)
+        return starts
+    return check
+
+
 def _grid(lo, least=1):
     """At least `least` (2 for a fit) distinct integers >= lo."""
     def check(v, p, model):
@@ -493,11 +506,11 @@ KIND_TABLE = {
     "intersections": (_run_intersections, True, {
         "n_grid": (_grid(2, least=2), _REQUIRED), "reps": (_int(2), 1000)}),
     "joint-regen": (_run_joint_regen, True, {
-        "x0": (_nested(_integer, "d"), _REQUIRED), "reps": (_int(1), 200),
+        "x0": (_in_V("d"), _REQUIRED), "reps": (_int(1), 200),
         "margin": (_int(1), 20), "horizon": (_int(1), 20_000),
         "m_grid": (_grid(0), [4, 8, 16, 32, 64])}),
     "coupling": (_run_coupling, True, {
-        "x0_list": (_nested(_integer, None, "d"), _REQUIRED),
+        "x0_list": (_in_V(None, "d"), _REQUIRED),
         "reps": (_int(1), 1000), "margin": (_int(1), 12),
         "horizon": (_int(1), 20_000)}),
     "ergodic": (_run_ergodic, True, {

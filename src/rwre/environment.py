@@ -26,8 +26,7 @@ import numpy as np
 from scipy import special as _sps
 
 from .rng import (TAG_ENV, TAG_SITE, derive_key, derive_key_array,
-                  derive_key_range, site_keys, site_u01, step_index,
-                  stream_u01_array)
+                  derive_key_range, site_u01, step_index, stream_u01_array)
 
 
 @dataclass(frozen=True)
@@ -143,21 +142,6 @@ class EnvironmentModel:
         else:
             raise ValueError(f"unknown model kind {self.kind!r}")
 
-    @property
-    def mean_probs(self) -> np.ndarray:
-        """E pi_{0,z} per step z (in the order of support.steps)."""
-        if self.kind == "deterministic":
-            return np.array(self.probs)
-        if self.kind == "dirichlet":
-            a = np.array(self.alpha)
-            base = a / a.sum()
-            k = len(a)
-            return self.floor / k + (1.0 - self.floor) * base
-        mean = np.zeros(len(self.support.steps))
-        for p, w in self.atoms:
-            mean += w * np.array(p)
-        return mean
-
 
 def _check_prob_vector(probs, k: int, name: str) -> tuple:
     if probs is None or len(probs) != k:
@@ -173,8 +157,8 @@ def _check_prob_vector(probs, k: int, name: str) -> tuple:
 class Environment:
     """A realization omega, determined by (model, env_seed).
 
-    site_vector(x) is a pure function of (env_seed, x); an internal memo
-    cache only accelerates revisits.  Instances are immutable apart from
+    The vector at site x is a pure function of (env_seed, x); an internal
+    memo cache only accelerates revisits.  Instances are immutable apart from
     the cache and safe to share between readers.
     """
 
@@ -203,21 +187,14 @@ class Environment:
         """Probability vectors (n, k) for an array of site keys."""
         return _vectors_from_keys(self.model, keys)
 
-    def site_vectors(self, sites: np.ndarray) -> np.ndarray:
-        """Probability vectors for rows of `sites` (n, d)."""
-        return self.vectors_from_keys(site_keys(self.env_key, sites))
-
-    def site_vector(self, x) -> np.ndarray:
-        """Probability vector at a single site."""
-        return self.site_vectors(np.asarray(x, dtype=np.int64)[None, :])[0]
-
     # -- scalar path (cached cumulative vectors, used by sequential code) --
 
     def cum_at(self, site: tuple) -> tuple:
         """Cumulative probability vector at `site` (a tuple of Python ints)
         as a tuple of floats.
 
-        Equal to tuple(np.cumsum(site_vector(site)).tolist()) bit for bit.
+        Equal to the running sum of site's row of _vectors_from_keys, as
+        a tuple, bit for bit.
         A new site costs one rng call and at most one scipy call, and its
         float operations are _vectors_from_keys's in the same order: the
         gamma draws totalled left to right, then one division, floor and

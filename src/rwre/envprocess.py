@@ -22,7 +22,6 @@ from .walk import simulate, simulate_level_stats_many_envs
 
 _TAG_ERG = 0xE401
 _TAG_VAR = 0xE402
-_TAG_EINF = 0xE403
 
 
 @dataclass(frozen=True)
@@ -79,15 +78,6 @@ def drift_projection(model: EnvironmentModel, direction) -> LocalFunction:
                          evaluator=partial(_origin_dot, incs),
                          name="drift_projection",
                          linear_weights=(tuple(incs.tolist()),))
-
-
-def indicator_function(model: EnvironmentModel, window, predicate,
-                       level_floor: int) -> LocalFunction:
-    """Indicator of a window pattern; predicate maps vectors to bool."""
-    return LocalFunction(window=tuple(tuple(w) for w in window),
-                         level_floor=level_floor,
-                         evaluator=lambda vecs: float(bool(predicate(vecs))),
-                         name="indicator")
 
 
 def _psi_along_path(env, psi: LocalFunction, sites: np.ndarray) -> np.ndarray:
@@ -152,29 +142,3 @@ def variation_proxy(model: EnvironmentModel, n: int, ell_grid, reps: int,
     return {"n": n, "reps": reps, "rows": rows,
             "ell_grid": ell_grid,
             "i_hat": np.array([r[1] for r in rows])}
-
-
-def estimate_Einf(model: EnvironmentModel, psi: LocalFunction, n_chain: int,
-                  n_burn: int, n_runs: int = 8, seed: int = 0) -> dict:
-    """Cesaro estimate of the invariant expectation of Psi.
-
-    Averages Psi over the environment chain after a burn-in, across
-    independent runs; the standard error comes from the across-run
-    spread.  Burn-in defaults are heuristic and simply reported.
-    """
-    if n_burn >= n_chain:
-        raise ValueError("n_burn must be smaller than n_chain")
-    vals = []
-    for r in range(n_runs):
-        res = ergodic_average(model, psi, n_chain,
-                              seed=derive_key(seed, _TAG_EINF, r),
-                              checkpoints=[max(n_burn, 1), n_chain])
-        m_full = res["means"][n_chain]
-        m_burn = res["means"][max(n_burn, 1)] if n_burn > 0 else 0.0
-        nb = n_burn if n_burn > 0 else 0
-        tail = (m_full * n_chain - m_burn * nb) / (n_chain - nb)
-        vals.append(tail)
-    vals = np.array(vals)
-    se = float(vals.std(ddof=1) / np.sqrt(n_runs)) if n_runs > 1 else 0.0
-    return {"value": float(vals.mean()), "se": se, "n_runs": n_runs,
-            "n_burn": n_burn, "per_run": vals}

@@ -18,9 +18,6 @@ class ExponentFit:
     slope_se: float
     excluded: list = field(default_factory=list)  # grid points with y <= 0
 
-    def predicted(self) -> np.ndarray:
-        return np.exp(self.intercept) * np.asarray(self.n_grid, float) ** self.slope
-
 
 def fit_exponent(n_grid, y) -> ExponentFit:
     """Unweighted least squares on logs; nonpositive y values are dropped

@@ -37,8 +37,8 @@ _BLOCK_CELLS = 1 << 14
 # 2-vCPU VM; the cost grows quadratically in a)
 _EXACT_TAIL_STATES = 1 << 17
 _EXACT_TAIL_UPDATES = 1 << 30
-# Unknowns of one dense linear solve (ladder_heights, half_line_green_solve,
-# exit_probability): the complex matrix of 2**11 unknowns is 64 MiB
+# Unknowns of one dense linear solve (ladder_heights and
+# half_line_green_solve): the complex matrix of 2**11 unknowns is 64 MiB
 _DENSE_UNKNOWNS = 1 << 11
 
 
@@ -304,10 +304,9 @@ def half_line_green(walk: SymmetricWalk1D, r0: int, s: int, t: int,
 
 
 def _killed_walk(walk: SymmetricWalk1D, keys: np.ndarray, start: int,
-                 ctr: int, lo: int, hi: Optional[int] = None,
-                 n_steps: Optional[int] = None, stop=None,
+                 ctr: int, lo: int, n_steps: Optional[int] = None, stop=None,
                  hit: Optional[int] = None) -> tuple:
-    """Replicas of `walk` from `start`, killed on leaving [lo, hi].
+    """Replicas of `walk` from `start`, killed on entering (-infty, lo).
 
     Replica i takes its k-th step from counter ctr + k of keys[i].  The run
     ends after n_steps steps, when no replica is alive, or at the first
@@ -317,15 +316,14 @@ def _killed_walk(walk: SymmetricWalk1D, keys: np.ndarray, start: int,
     finds each kill with argmax and counts survivors per step with
     bincount, so the run ends on the exact step the one-counter loop ends.
 
-    Returns (alive, visits, last): alive[k] replicas alive after k steps;
-    visits[i] steps of replica i that landed on `hit` while alive; last[i]
-    its position where it was killed or the run ended.
+    Returns (alive, visits): alive[k] replicas alive after k steps;
+    visits[i] steps of replica i that landed on `hit` while alive.
     """
     n = len(keys)
     cum, offs = walk.cum, walk.offsets_array
-    last = np.full(n, start, dtype=np.int64)
     visits = np.zeros(n, dtype=np.int64)
-    idx = np.arange(n)
+    idx = np.arange(n)                          # the survivors
+    at = np.full(n, start, dtype=np.int64)      # and their positions
     alive = [np.array([n])]
     done = 0
     while idx.size and done != n_steps and not (stop and stop(idx.size)):
@@ -335,11 +333,7 @@ def _killed_walk(walk: SymmetricWalk1D, keys: np.ndarray, start: int,
         # displacement within the block; bounds shifted per replica instead
         move = np.cumsum(offs[step_index(cum, u)], axis=1)
         del u                           # block arrays: keep few alive at once
-        at = last[idx]
-        out = move < (lo - at)[:, None]
-        if hi is not None:
-            out |= move > (hi - at)[:, None]
-        kill = _first_true(out)
+        kill = _first_true(move < (lo - at)[:, None])
         left = m - np.cumsum(np.bincount(kill, minlength=b + 1)[:b])
         ends = left == 0
         if stop:
@@ -349,11 +343,11 @@ def _killed_walk(walk: SymmetricWalk1D, keys: np.ndarray, start: int,
             row, col = np.divmod(
                 np.flatnonzero(move[:, :j] == (hit - at)[:, None]), j)
             visits[idx] += np.bincount(row[col < kill[row]], minlength=m)
-        last[idx] = at + move[np.arange(m), np.minimum(kill, j - 1)]
         alive.append(left[:j])
-        idx = idx[kill >= j]
+        keep = kill >= j
+        idx, at = idx[keep], at[keep] + move[keep, j - 1]
         done += j
-    return np.concatenate(alive), visits, last
+    return np.concatenate(alive), visits
 
 
 def half_line_green_mc(walk: SymmetricWalk1D, r0: int, s: int, t: int,
@@ -382,8 +376,8 @@ def half_line_green_mc(walk: SymmetricWalk1D, r0: int, s: int, t: int,
     def negligible(alive):
         return alive * green_bound <= tail
 
-    alive, visits, _ = _killed_walk(walk, keys, s, 0, lo=r0 + 1,
-                                    n_steps=max_steps, stop=negligible, hit=t)
+    alive, visits = _killed_walk(walk, keys, s, 0, lo=r0 + 1,
+                                 n_steps=max_steps, stop=negligible, hit=t)
     if s == t:
         visits += 1
     if len(alive) - 1 == max_steps and alive[-1] and not negligible(alive[-1]):
@@ -399,7 +393,7 @@ def half_line_green_mc(walk: SymmetricWalk1D, r0: int, s: int, t: int,
 
 
 # ---------------------------------------------------------------------------
-# first-passage tail and interval exit
+# first-passage tail
 
 
 def first_passage_tail(walk: SymmetricWalk1D, a_grid, mode: str = "exact",
@@ -445,42 +439,11 @@ def first_passage_tail(walk: SymmetricWalk1D, a_grid, mode: str = "exact",
         raise ValueError("mode must be 'exact' or 'monte-carlo'")
     keys = derive_key_range(seed, _TAG_TAIL, n=reps)
     # step k draws counter k; P{Tbar >= a} counts survivors of a - 1 steps
-    alive, _, _ = _killed_walk(walk, keys, 0, 1, lo=0,
-                               n_steps=max(a_grid) - 1)
+    alive, _ = _killed_walk(walk, keys, 0, 1, lo=0, n_steps=max(a_grid) - 1)
     counts = {a: int(alive[a - 1]) if a <= len(alive) else 0 for a in a_grid}
     tail = {a: counts[a] / reps for a in a_grid}
     se = {a: float(np.sqrt(tail[a] * (1 - tail[a]) / reps)) for a in a_grid}
     return {"mode": "monte-carlo", "tail": tail, "se": se, "reps": reps}
-
-
-def exit_probability(walk: SymmetricWalk1D, r0: int, r: int, x: int,
-                     mode: str = "solve", reps: int = 20_000, seed: int = 0):
-    """P_x{exit the interval [r0+1, r] into [r+1, infty)}."""
-    if not (r0 < x <= r):
-        raise ValueError("need r0 < x <= r")
-    if mode == "solve":
-        n = r - r0
-        _check_dense(n, f"interval [{r0 + 1}, {r}] holds {n} states: the "
-                     "exit solve")
-        Q = np.zeros((n, n))
-        b = np.zeros(n)
-        for i, s in enumerate(range(r0 + 1, r + 1)):
-            for z, q in zip(walk.offsets, walk.probs):
-                if q == 0:
-                    continue
-                w = s + z
-                if w > r:
-                    b[i] += q
-                elif w > r0:
-                    Q[i, w - r0 - 1] += q
-        f = np.linalg.solve(np.eye(n) - Q, b)
-        return float(f[x - r0 - 1])
-    if mode != "monte-carlo":
-        raise ValueError("mode must be 'solve' or 'monte-carlo'")
-    keys = derive_key_range(seed, _TAG_EXIT, n=reps)
-    _, _, last = _killed_walk(walk, keys, x, 0, lo=r0 + 1, hi=r)
-    right = int((last > r).sum())
-    return right / reps
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from .environment import (Environment, EnvironmentModel, compute_h,
                           env_key_range, make_environment)
 from .rng import counter_u01_array, derive_key, site_keys, site_u01
-from .walk import WalkPath, simulate, simulate_paths_many_envs, walk_key
+from .walk import simulate_paths_many_envs, walk_key
 
 _TAG_PAIR = 0xAA01
 _TAG_YCHAIN = 0xAA02
@@ -38,12 +38,6 @@ _LOOKAHEAD = 2
 _MAX_TRIPLES = 200
 # support_inheritance_check flags atoms seen under q above this many counts
 _FLAG_COUNT = 10.0
-
-
-@dataclass
-class PairPath:
-    pathX: WalkPath
-    pathXtilde: WalkPath
 
 
 @dataclass
@@ -71,23 +65,6 @@ class CouplingOutcome:
     equal: bool
     hit_X_path: bool
     n_triples: int
-
-
-def make_pair(env: Environment, x, y, n: int, seed: int = 0) -> PairPath:
-    """Two independent n-step walks reading the same environment."""
-    return PairPath(
-        pathX=simulate(env, x, n, derive_key(seed, _TAG_PAIR, 1)),
-        pathXtilde=simulate(env, y, n, derive_key(seed, _TAG_PAIR, 2)),
-    )
-
-
-def count_intersections(p: PairPath, n: int) -> int:
-    """Number of common sites of the two ranges X_[0,n) and Xtilde_[0,n)."""
-    if p.pathX.n_steps < n - 1 or p.pathXtilde.n_steps < n - 1:
-        raise ValueError("paths shorter than requested horizon")
-    a = set(map(tuple, p.pathX.sites[:n].tolist()))
-    b = set(map(tuple, p.pathXtilde.sites[:n].tolist()))
-    return len(a & b)
 
 
 def _distinct_per_row(rows: np.ndarray) -> np.ndarray:
@@ -146,10 +123,10 @@ def intersection_curve(model: EnvironmentModel, n_grid, reps: int,
 class _TimeSource:
     """Per-walk uniform stream indexed by time.
 
-    The stream is drawn ahead in blocks, one counter_u01_array call each,
-    each block at least as long as the stream drawn so far.  This is
-    exact: a draw is a pure function of (key, t), so drawing ahead changes
-    no value.
+    The stream is drawn ahead in blocks, one counter_u01_array call each:
+    64 draws first, then each block at least as long as the stream drawn
+    so far, so a walk of up to 64 steps makes one call.  This is exact: a
+    draw is a pure function of (key, t), so drawing ahead changes no value.
     """
 
     __slots__ = ("key", "_u")
@@ -162,7 +139,7 @@ class _TimeSource:
         u = self._u
         if t >= len(u):
             u += counter_u01_array(self.key, np.arange(
-                len(u), 2 * t + 2, dtype=np.uint64)).tolist()
+                len(u), max(2 * t + 2, 64), dtype=np.uint64)).tolist()
         return u[t]
 
 

@@ -15,16 +15,13 @@ from typing import Optional
 
 import numpy as np
 
-from .environment import Environment, EnvironmentModel, StepSupport, make_environment
-from .rng import derive_key
-from .walk import WalkPath, simulate
+from .walk import WalkPath
 
 
 @dataclass
 class RegenerationRecord:
     tau: np.ndarray          # increasing times, confirmed and unconfirmed
     confirmed: np.ndarray    # per-tau flags
-    beta: Optional[int]      # first backtracking time, None = not within horizon
     slab_dtau: np.ndarray    # (n_slabs,) durations between confirmed taus
     slab_dx: np.ndarray      # (n_slabs, d) displacements between confirmed taus
     horizon: int
@@ -56,14 +53,6 @@ class VelocityEstimate:
 class DiffusionEstimate:
     D_hat: np.ndarray
     n_slabs: int
-
-
-def backtrack_time(path: WalkPath) -> Optional[int]:
-    """First n with X_n.u < X_0.u, or None if not within the horizon."""
-    below = np.nonzero(path.levels < path.levels[0])[0]
-    if below.size == 0:
-        return None
-    return int(below[0])
 
 
 def detect_regenerations(path: WalkPath, margin: int = 20,
@@ -107,7 +96,6 @@ def detect_regenerations(path: WalkPath, margin: int = 20,
     return RegenerationRecord(
         tau=times.astype(np.int64),
         confirmed=confirmed,
-        beta=backtrack_time(path),
         slab_dtau=slab_dtau,
         slab_dx=slab_dx,
         horizon=path.n_steps,
@@ -161,7 +149,7 @@ def renewal_diagnostics(records, p: float = 2.0, n_grid=(4, 16, 64, 256),
 
     Reports E[tau_l^p]/l^p over regeneration counts l and overshoot moments
     E|tau_{J_m} - m|^p over time marks m (J_m = first regeneration index at
-    or after m); when the underlying paths are supplied, also
+    or after m); when `paths` gives the paths' level arrays, also
     backtrack-depth moments and the frequency of slow level growth
     {(X_{n+m}-X_m).u <= sqrt(n)}.  Used to probe the regeneration moment
     hypothesis empirically.
@@ -200,15 +188,13 @@ def renewal_diagnostics(records, p: float = 2.0, n_grid=(4, 16, 64, 256),
         "n_records": len(records),
     }
     if paths is not None:
-        report.update(_path_diagnostics(paths, p=p, n_grid=n_grid))
+        report.update(_path_diagnostics(paths, p, n_grid))
     return report
 
 
-def _path_diagnostics(paths, p: float = 2.0, n_grid=(4, 16, 64, 256)) -> dict:
-    """Backtrack-depth moments and slow-growth frequencies; accepts
-    WalkPath objects or bare level arrays."""
-    n_grid = sorted(int(m) for m in n_grid)
-    level_seqs = [np.asarray(getattr(path, "levels", path)) for path in paths]
+def _path_diagnostics(level_seqs, p: float, n_grid: list) -> dict:
+    """Backtrack-depth moments and slow-growth frequencies of level arrays,
+    over a sorted grid."""
     backtrack = []
     for m in n_grid:
         vals = []
@@ -236,42 +222,3 @@ def _path_diagnostics(paths, p: float = 2.0, n_grid=(4, 16, 64, 256)) -> dict:
         if worst_m is not None:
             ldp.append((n, worst, worst_m))
     return {"p": p, "backtrack_moment": backtrack, "ldp_frequency": ldp}
-
-
-def redirect_analysis(model: EnvironmentModel, u_new, v_hat, *, n_paths: int = 50,
-                      horizon: int = 2000, margin: int = 20,
-                      tail_cut: Optional[int] = None, burn_in: int = 100,
-                      p: float = 2.0, master_seed: int = 0) -> dict:
-    """Re-run detection and diagnostics in a replacement direction.
-
-    The walks themselves do not depend on the direction; only the level
-    bookkeeping changes.  Requires u_new . v_hat > 0 so that the walk is
-    ballistic in the new direction.
-    """
-    u_new = np.asarray(u_new, dtype=np.int64)
-    v_hat = np.asarray(v_hat, dtype=float)
-    if float(u_new @ v_hat) <= 0:
-        raise ValueError("u_new . v_hat must be positive")
-    support = model.support
-    records = []
-    paths = []
-    transient = 0
-    for i in range(n_paths):
-        env = make_environment(model, derive_key(master_seed, 71, i))
-        path = simulate(env, np.zeros(support.dimension, dtype=np.int64),
-                        horizon, derive_key(master_seed, 72, i))
-        path = WalkPath(path.sites, u_new)
-        records.append(detect_regenerations(path, margin, tail_cut))
-        paths.append(path)
-        if path.levels[burn_in:].min() >= 0:
-            transient += 1
-    dtau, _ = _gather_slabs(records)
-    report = {
-        "u_new": u_new.tolist(),
-        "transience_fraction": transient / n_paths,
-        "n_slabs": int(len(dtau)),
-        "mean_dtau": float(dtau.mean()) if len(dtau) else None,
-        "dtau_moment_p": float(np.mean(dtau.astype(float) ** p)) if len(dtau) else None,
-        "diagnostics": renewal_diagnostics(records, p=p, paths=paths),
-    }
-    return report

@@ -36,7 +36,6 @@ _U_30, _U_27, _U_31, _U_11 = (np.uint64(c) for c in (30, 27, 31, 11))
 TAG_SITE = 0x51BE5EED
 TAG_WALK = 0x57A1C5EED
 TAG_ENV = 0xE27F5EED
-TAG_STEPSTREAM = 0x5E95EED
 
 # Step tables of at most this many entries count thresholds in step_index.
 # On a block of 2**14 uniforms that beats searchsorted 10x at 2 entries,

@@ -34,21 +34,12 @@ class WalkPath:
         self.levels = self.sites @ self.u_hat
         self.running_max = np.maximum.accumulate(self.levels)
 
-    @property
-    def start(self) -> np.ndarray:
-        return self.sites[0]
-
     def __len__(self) -> int:
         return len(self.sites)
 
     @property
     def n_steps(self) -> int:
         return len(self.sites) - 1
-
-    def to_csv_rows(self):
-        """Rows (k, x_1..x_d, level) for debugging dumps."""
-        for k in range(len(self.sites)):
-            yield (k, *self.sites[k].tolist(), int(self.levels[k]))
 
 
 def walk_key(walk_seed: int) -> int:
@@ -98,14 +89,6 @@ def simulate(env: Environment, start, n: int, walk_seed: int) -> WalkPath:
     np.cumsum(env.model.support.steps_array[idx], axis=0, out=sites[1:])
     sites[1:] += start
     return WalkPath(sites, u_hat)
-
-
-def first_passage(path: WalkPath, level: int):
-    """Minimal k with levels[k] >= level, or None if not reached."""
-    hits = np.nonzero(path.levels >= level)[0]
-    if hits.size == 0:
-        return None
-    return int(hits[0])
 
 
 def diffusive_scale(path: WalkPath, v, n: int, t_grid) -> np.ndarray:

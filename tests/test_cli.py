@@ -223,13 +223,16 @@ def test_green_kind_runs(tmp_path):
     assert doc["results"]["max_ladder_vs_solve"] < 1e-8
 
 
-def test_runtime_error_exit_code(tmp_path):
-    # valid schema but failing at runtime: joint-regen from off-lattice start
-    cfg = {"kind": "joint-regen", "model": DRIFT_MODEL,
-           "params": {"x0": [1, 0], "reps": 2, "margin": 5}}
-    path = _write(tmp_path, "jr.json", cfg)
-    assert main(["joint-regen", "--config", path,
-                 "--out", str(tmp_path / "jr")]) == 2
+def test_runtime_error_exit_code(tmp_path, capsys):
+    # valid schema but failing at runtime: at horizon 1 no triple of the
+    # coupling confirms a joint regeneration, so it hits its triple cap
+    cfg = {"kind": "coupling", "model": DRIFT_MODEL,
+           "params": {"x0_list": [[0, 1]], "reps": 2, "horizon": 1}}
+    path = _write(tmp_path, "cp.json", cfg)
+    assert main(["validate", path]) == 0
+    assert main(["coupling", "--config", path,
+                 "--out", str(tmp_path / "cp")]) == 2
+    assert "coupling cap 200 triples exhausted" in capsys.readouterr().err
 
 
 D2 = {"dimension": 2, "steps": [[1, 0], [0, 1], [0, -1]], "u_hat": [1, 0],
@@ -312,6 +315,11 @@ D2 = {"dimension": 2, "steps": [[1, 0], [0, 1], [0, -1]], "u_hat": [1, 0],
     # the Monte Carlo standard error needs two replicas
     ({"kind": "green", "params": {"walk": SIMPLE_WALK, "points": [[1, 1]],
                                   "reps": 1}}, "params.reps"),
+    # starts off the hyperplane V_d (x0 . u_hat != 0) failed only at run time
+    ({"kind": "coupling", "model": D2,
+      "params": {"x0_list": [[0, 1], [1, 0]]}}, "params.x0_list"),
+    ({"kind": "joint-regen", "model": D2, "params": {"x0": [1, 0]}},
+     "params.x0"),
 ])
 def test_invalid_config_exits_1_naming_field(tmp_path, capsys, cfg, field):
     path = _write(tmp_path, "cfg.json", cfg)

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from rwre.environment import (Environment, EnvironmentModel, StepSupport,
-                              check_hypotheses, compute_h, derive_env_seed,
-                              env_key_range, make_environment)
+from rwre.environment import (EnvironmentModel, StepSupport,
+                              _vectors_from_keys, check_hypotheses, compute_h,
+                              derive_env_seed, env_key_range, make_environment)
 from rwre.models import (dirichlet_drift_model, drift_model, support_2d)
-from rwre.rng import TAG_ENV, derive_key
+from rwre.rng import TAG_ENV, derive_key, site_keys
+
+
+def _vectors(env, sites):
+    """Probability vectors (n, k) of env at the sites (n, d) or at one site."""
+    return _vectors_from_keys(env.model, site_keys(env.env_key, sites))
 
 
 def test_point_mass_vector_everywhere():
@@ -13,23 +18,23 @@ def test_point_mass_vector_everywhere():
                          probs=(1.0,))
     env = make_environment(m, 3)
     for x in [(0, 0), (5, -2), (-100, 41)]:
-        assert env.site_vector(x).tolist() == [1.0]
+        assert _vectors(env, x)[0].tolist() == [1.0]
 
 
 def test_site_vector_deterministic_in_seed_and_site():
     env = make_environment(dirichlet_drift_model(), 42)
-    a = env.site_vector((3, 4))
-    b = env.site_vector((3, 4))
+    a = _vectors(env, (3, 4))[0]
+    b = _vectors(env, (3, 4))[0]
     assert np.array_equal(a, b)
     env2 = make_environment(dirichlet_drift_model(), 42)
-    assert np.array_equal(a, env2.site_vector((3, 4)))
+    assert np.array_equal(a, _vectors(env2, (3, 4))[0])
 
 
 def test_dirichlet_vector_is_probability_and_recomputable():
     m = EnvironmentModel(support=support_2d([(1, 0), (0, 1), (0, -1)]),
                          kind="dirichlet", alpha=(1.0, 1.0, 1.0))
     env = make_environment(m, 7)
-    v = env.site_vector((3, 4))
+    v = _vectors(env, (3, 4))[0]
     assert np.all(v > 0)
     assert abs(v.sum() - 1.0) < 1e-12
     # regeneration from the same keyed stream, through the scalar path
@@ -40,9 +45,9 @@ def test_dirichlet_vector_is_probability_and_recomputable():
 def test_vectors_batch_matches_scalar():
     env = make_environment(dirichlet_drift_model(), 11)
     sites = np.array([[0, 0], [3, 4], [-2, 9], [100, -100]])
-    batch = env.site_vectors(sites)
+    batch = _vectors(env, sites)
     for row, v in zip(sites, batch):
-        assert np.array_equal(v, env.site_vector(tuple(row)))
+        assert np.array_equal(v, _vectors(env, tuple(row))[0])
 
 
 def test_compute_h_examples():
@@ -116,12 +121,6 @@ def test_check_hypotheses_dirichlet_floor():
     assert ue_ok and abs(kappa - 0.1 / 3) < 1e-12
 
 
-def test_mean_probs_positive_on_support():
-    for m in [drift_model(), dirichlet_drift_model()]:
-        assert np.all(m.mean_probs > 0)
-        assert abs(m.mean_probs.sum() - 1.0) < 1e-12
-
-
 def test_mixture_model_walks_and_hypotheses():
     sup = support_2d([(1, 0), (0, 1), (0, -1)])
     m = EnvironmentModel(support=sup, kind="mixture",
@@ -131,11 +130,11 @@ def test_mixture_model_walks_and_hypotheses():
     ok, delta = rep.non_nestling
     assert not ok and delta == 0.0   # second atom has zero drift projection
     env = make_environment(m, 5)
-    v = env.site_vector((2, 2))
+    v = _vectors(env, (2, 2))[0]
     assert tuple(v) in {(0.8, 0.1, 0.1), (0.0, 0.5, 0.5)}
     # atom frequencies roughly match the weights
     sites = np.array([[i, 1] for i in range(4000)])
-    frac = (env.site_vectors(sites)[:, 0] == 0.8).mean()
+    frac = (_vectors(env, sites)[:, 0] == 0.8).mean()
     assert abs(frac - 0.5) < 4 * np.sqrt(0.25 / 4000)
 
 
@@ -143,7 +142,7 @@ def test_independence_proxy_across_sites():
     # lag-1 correlation of the first component across 10^4 distinct sites
     env = make_environment(dirichlet_drift_model(), 2024)
     sites = np.array([[i, 0] for i in range(10_000)])
-    p1 = env.site_vectors(sites)[:, 0]
+    p1 = _vectors(env, sites)[:, 0]
     a, b = p1[:-1] - p1.mean(), p1[1:] - p1.mean()
     r = float((a * b).mean() / p1.var())
     assert abs(r) < 4.0 / np.sqrt(len(p1))
@@ -185,7 +184,7 @@ def test_cum_at_matches_site_vectors_bitwise(name, model):
     sites = np.vstack([near, far, [[2**62, -2**62], [-2**31 - 1, 2**31]]])
     assert len(np.unique(sites, axis=0)) >= 10_000
     env = make_environment(model, 31)
-    want = np.cumsum(env.site_vectors(sites), axis=1)
+    want = np.cumsum(_vectors(env, sites), axis=1)
     got = [env.cum_at(tuple(s)) for s in sites.tolist()]
     for s, g, w in zip(sites.tolist(), got, want):
         assert g == tuple(w.tolist()), s
@@ -201,7 +200,7 @@ def test_dirichlet_underflow_raises_on_both_paths():
     env = make_environment(m, 1)
     sites = np.array([[i, 0] for i in range(200)])
     with pytest.raises(ValueError, match=r"dirichlet.*alpha=\(0\.001"):
-        env.site_vectors(sites)
+        _vectors(env, sites)
     with pytest.raises(ValueError, match=r"dirichlet.*alpha=\(0\.001"):
         for s in sites.tolist():
             env.cum_at(tuple(s))

@@ -3,7 +3,6 @@ import pytest
 
 from rwre.envprocess import (LocalFunction, constant_function,
                              drift_projection, ergodic_average,
-                             estimate_Einf, indicator_function,
                              variation_proxy)
 from rwre.models import (backtracking_model, degenerate_direction_model,
                          dirichlet_drift_model, drift_model)
@@ -52,16 +51,6 @@ def test_local_function_validation():
         bad2.validate(model.support)
 
 
-def test_indicator_function_stays_in_unit_interval():
-    model = dirichlet_drift_model()
-    psi = indicator_function(model, [(0, 0)],
-                             lambda vecs: vecs[0][0] > 0.7, level_floor=0)
-    res = ergodic_average(model, psi, 2000, seed=5,
-                          checkpoints=[10, 100, 2000])
-    for v in res["means"].values():
-        assert 0.0 <= v <= 1.0
-
-
 def test_variation_proxy_monotone_models_zero():
     for model in (degenerate_direction_model(), drift_model()):
         res = variation_proxy(model, 256, [1, 2, 4, 8], reps=1000, seed=6)
@@ -78,25 +67,3 @@ def test_variation_proxy_backtracking_positive_and_monotone():
     hi = [r[3] for r in res["rows"]]
     assert all(a <= p <= b for a, p, b in zip(lo, ihat, hi))
 
-
-def test_estimate_einf_constant_exact():
-    res = estimate_Einf(drift_model(), constant_function(2.5, 2),
-                        n_chain=500, n_burn=100, n_runs=3, seed=8)
-    assert res["value"] == 2.5
-    assert res["se"] == 0.0
-
-
-def test_estimate_einf_matches_ergodic_average():
-    model = dirichlet_drift_model()
-    psi = drift_projection(model, (1, 0))
-    a = estimate_Einf(model, psi, n_chain=20_000, n_burn=2000, n_runs=6,
-                      seed=9)
-    b = ergodic_average(model, psi, 40_000, seed=10)
-    comb = np.hypot(a["se"], 3 * a["se"])
-    assert abs(a["value"] - b["final"]) < 4 * max(comb, 0.004)
-
-
-def test_estimate_einf_validation():
-    with pytest.raises(ValueError):
-        estimate_Einf(drift_model(), constant_function(1.0, 2),
-                      n_chain=100, n_burn=100)

@@ -6,7 +6,7 @@ import pytest
 
 from rwre import green, rng
 from rwre.green import (PerturbedChainSpec, SymmetricWalk1D,
-                        build_ladder_tables, cube_exit_time, exit_probability,
+                        build_ladder_tables, cube_exit_time,
                         first_passage_tail, green_bound_experiment,
                         half_line_green, half_line_green_mc,
                         half_line_green_solve, ladder_heights,
@@ -219,10 +219,6 @@ def test_dense_solves_capped_before_allocating():
     for s, t in [(cap - 12, 1), (4, cap)]:
         with pytest.raises(ValueError, match=f"limit {cap}"):
             half_line_green_solve(simple_walk(), -3, s, t)
-    # the interval exit solve has r - r0 unknowns
-    for r0, r in [(0, cap + 1), (-10**6, 10**6)]:
-        with pytest.raises(ValueError, match=f"states: .*limit {cap}"):
-            exit_probability(simple_walk(), r0, r, r)
 
 
 def test_first_passage_tail_mc_matches_exact():
@@ -232,25 +228,6 @@ def test_first_passage_tail_mc_matches_exact():
     for a in (2, 4, 8):
         se = max(mc["se"][a], 1e-6)
         assert abs(mc["tail"][a] - exact[a]) <= 4 * se
-
-
-def test_exit_probability_gamblers_ruin():
-    walk = simple_walk()
-    # closed form for +-1 steps: (x - r0) / (r - r0 + 1)
-    for x in range(1, 11):
-        assert abs(exit_probability(walk, 0, 10, x) - x / 11) < 1e-12
-    assert exit_probability(walk, 0, 10, 1) > 0
-    mc = exit_probability(walk, 0, 10, 3, mode="monte-carlo", reps=40_000,
-                          seed=2)
-    assert abs(mc - 3 / 11) < 4 * np.sqrt((3 / 11) * (8 / 11) / 40_000)
-    with pytest.raises(ValueError):
-        exit_probability(walk, 0, 10, 0)
-
-
-def test_exit_probability_monotone_in_x():
-    walk = two_range_walk()
-    vals = [exit_probability(walk, 0, 8, x) for x in range(1, 9)]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_chain_spec_validation():
@@ -406,20 +383,6 @@ def _ref_first_passage_mc(walk, a_grid, reps, seed):
     return {a: counts[a] / reps for a in a_grid}
 
 
-def _ref_exit_probability_mc(walk, r0, r, x, reps, seed):
-    keys = _ref_keys(seed, green._TAG_EXIT, n=reps)
-    pos = np.full(reps, x, dtype=np.int64)
-    alive = np.arange(reps)
-    right, ctr = 0, 0
-    while alive.size:
-        pos[alive] += _ref_walk_step(walk, keys[alive], ctr)
-        cur = pos[alive]
-        right += int((cur > r).sum())
-        alive = alive[(cur > r0) & (cur <= r)]
-        ctr += 1
-    return right / reps
-
-
 def _ref_cube_exit_time(spec, r_grid, reps, seed, step_cap_factor):
     means, truncated = [], {}
     for r in r_grid:
@@ -486,19 +449,6 @@ def test_first_passage_tail_mc_matches_one_counter_loop(
     got = _at_each_block_size(monkeypatch, lambda: first_passage_tail(
         walk, a_grid, mode="monte-carlo", reps=reps, seed=seed)["tail"])
     ref = _ref_first_passage_mc(walk, a_grid, reps, seed)
-    assert got == [ref] * len(BLOCK_CELLS)
-
-
-@pytest.mark.parametrize("walk,r0,r,x,reps,seed", [
-    (simple_walk(), 0, 10, 3, 64, 2),
-    (two_range_walk(), -3, 12, 11, 40, 9),
-    (simple_walk(), 0, 1, 1, 7, 10),
-])
-def test_exit_probability_mc_matches_one_counter_loop(
-        monkeypatch, walk, r0, r, x, reps, seed):
-    got = _at_each_block_size(monkeypatch, lambda: exit_probability(
-        walk, r0, r, x, mode="monte-carlo", reps=reps, seed=seed))
-    ref = _ref_exit_probability_mc(walk, r0, r, x, reps, seed)
     assert got == [ref] * len(BLOCK_CELLS)
 
 

@@ -5,9 +5,8 @@ from rwre.environment import EnvironmentModel, make_environment
 from rwre.models import (dirichlet_backtracking_model, dirichlet_drift_model,
                          drift_model, support_2d)
 from rwre.pair import (_SeqWalk, _TimeSource, _pair_common_sites,
-                       count_intersections,
                        coupled_triple, first_joint_regeneration,
-                       intersection_curve, make_pair, sample_Y_chain,
+                       intersection_curve, sample_Y_chain,
                        sample_Ybar_chain, support_inheritance_check)
 from rwre.regen import detect_regenerations
 from rwre.rng import site_keys
@@ -17,31 +16,6 @@ from rwre.walk import simulate, simulate_paths_many_envs, walk_key
 def _point_mass_model():
     return EnvironmentModel(support=support_2d([(1, 0)]),
                             kind="deterministic", probs=(1.0,))
-
-
-def test_count_intersections_identical_walks():
-    env = make_environment(drift_model(), 3)
-    a = simulate(env, (0, 0), 100, 7)
-    n = 50
-    # identical seeds and starts: intersection = one path's distinct sites
-    from rwre.pair import PairPath
-    same = PairPath(pathX=a, pathXtilde=a)
-    cnt = count_intersections(same, n)
-    assert cnt == len(set(map(tuple, a.sites[:n].tolist())))
-    assert cnt <= n
-
-
-def test_count_intersections_disjoint_rows():
-    env = make_environment(_point_mass_model(), 1)
-    pair = make_pair(env, (0, 0), (0, 5), 50, seed=2)
-    assert count_intersections(pair, 50) == 0
-
-
-def test_count_intersections_horizon_guard():
-    env = make_environment(drift_model(), 3)
-    pair = make_pair(env, (0, 0), (0, 1), 10, seed=1)
-    with pytest.raises(ValueError):
-        count_intersections(pair, 50)
 
 
 def test_intersection_curve_matches_direct_count():

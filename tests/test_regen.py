@@ -2,22 +2,14 @@ import numpy as np
 import pytest
 
 from rwre.environment import EnvironmentModel, make_environment
-from rwre.models import (backtracking_model, dirichlet_drift_model,
-                         drift_model, support_2d)
-from rwre.regen import (backtrack_time, detect_regenerations,
-                        estimate_diffusion, estimate_velocity,
-                        redirect_analysis, renewal_diagnostics)
+from rwre.models import backtracking_model, drift_model, support_2d
+from rwre.regen import (detect_regenerations, estimate_diffusion,
+                        estimate_velocity, renewal_diagnostics)
 from rwre.walk import WalkPath, simulate
 
 
 def _levels_path(levels):
     return WalkPath(np.array([[l, 0] for l in levels]), (1, 0))
-
-
-def test_backtrack_time():
-    assert backtrack_time(_levels_path(range(10))) is None
-    assert backtrack_time(_levels_path([0, 1, -1, 2])) == 2
-    assert backtrack_time(_levels_path([0, 0, 0])) is None
 
 
 def test_detection_hand_trace():
@@ -182,24 +174,7 @@ def test_ldp_frequency_binomial_oracle():
         env = make_environment(model, 300 + i)
         env_paths.append(simulate(env, (0, 0), 801, i))
     recs = [detect_regenerations(p, margin=10) for p in env_paths]
-    rep = renewal_diagnostics(recs, p=2.0, n_grid=[400], paths=env_paths)
+    rep = renewal_diagnostics(recs, p=2.0, n_grid=[400],
+                              paths=[p.levels for p in env_paths])
     for n, freq, m in rep["ldp_frequency"]:
         assert freq == 0.0
-
-
-def test_redirect_analysis():
-    model = drift_model()
-    v_hat = np.array([0.5, 0.0])
-    rep = redirect_analysis(model, (1, 1), v_hat, n_paths=10, horizon=1500,
-                            master_seed=12)
-    assert rep["transience_fraction"] >= 0.9
-    rep2 = redirect_analysis(model, (1, 1), v_hat, n_paths=10, horizon=1500,
-                             master_seed=12)
-    assert rep == rep2  # determinism
-    base = redirect_analysis(model, (1, 0), v_hat, n_paths=10, horizon=1500,
-                             master_seed=12)
-    again = redirect_analysis(model, (1, 0), v_hat, n_paths=10, horizon=1500,
-                              master_seed=12)
-    assert base == again
-    with pytest.raises(ValueError):
-        redirect_analysis(model, (0, 1), v_hat, n_paths=2, horizon=100)

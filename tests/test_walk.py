@@ -7,8 +7,8 @@ from rwre.environment import (EnvironmentModel, cum_vectors_from_keys,
                               make_environment)
 from rwre.models import (backtracking_model, dirichlet_backtracking_model,
                          dirichlet_drift_model, drift_model, support_2d)
-from rwre.walk import (WalkPath, _SiteCache, diffusive_scale, first_passage,
-                       simulate, simulate_finals_many,
+from rwre.walk import (WalkPath, _SiteCache, diffusive_scale, simulate,
+                       simulate_finals_many,
                        simulate_finals_many_envs, simulate_level_stats_many_envs,
                        simulate_paths_many, simulate_paths_many_envs)
 
@@ -156,16 +156,6 @@ def test_conditional_independence_proxy():
     assert abs(r) < 4.0 / np.sqrt(fresh.sum())
 
 
-def test_first_passage():
-    mono = simulate(_point_mass_env(), (0, 0), 10, 1)
-    assert first_passage(mono, 3) == 3
-    assert first_passage(mono, 0) == 0
-    assert first_passage(mono, 99) is None
-    trace = WalkPath(np.array([[0, 0], [1, 0], [2, 0], [1, 0], [2, 0], [3, 0]]),
-                     (1, 0))
-    assert first_passage(trace, 3) == 5
-
-
 def test_diffusive_scale():
     path = WalkPath(np.array([[k, 0] for k in range(5)]), (1, 0))
     out = diffusive_scale(path, (1, 0), 4, [1.0])
@@ -204,9 +194,3 @@ def test_running_max_cache():
     sites = np.array([[0, 0], [1, 0], [0, 0], [2, 0], [1, 0]])
     path = WalkPath(sites, (1, 0))
     assert path.running_max.tolist() == [0, 1, 1, 2, 2]
-
-
-def test_csv_dump_rows():
-    path = WalkPath(np.array([[0, 0], [1, 0], [1, 1]]), (1, 0))
-    rows = list(path.to_csv_rows())
-    assert rows == [(0, 0, 0, 0), (1, 1, 0, 1), (2, 1, 1, 1)]
