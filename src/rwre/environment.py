@@ -4,12 +4,21 @@ An environment assigns to every lattice site a probability vector over the
 finite step set J.  Realizations are never precomputed: the vector at site
 x is a pure function of (env_seed, x) computed through keyed counter
 streams, so any number of walkers can share one environment over an
-unbounded region.  The scalar path (Environment.cum_at) memoizes the
-cumulative vector of every site it has been asked for, so an Environment
-grows by one entry per distinct site it serves; the vectorized path stores
-nothing.  Dirichlet components use inverse-CDF gamma sampling (one uniform
-per component, fixed counters), which keeps values independent of query
-order.
+unbounded region.  Dirichlet components use inverse-CDF gamma sampling
+(one uniform per component, fixed counters), which keeps values
+independent of query order.
+
+There is one exact evaluation, _vectors_from_keys, for arrays of site
+keys; the scalar Environment.cum_at repeats its float operations in the
+same order, bit for bit, and memoizes the cumulative vector of every site
+it has been asked for, so an Environment grows by one entry per distinct
+site it serves.  The vectorized walk engine (walk._iter_positions) needs
+only each step's index, so it first asks cum_bounds_from_keys for cheap
+bounds on a site's cumulative vector: a Dirichlet component's uniform lies
+between two knots of a per-alpha table of gammaincinv, and gammaincinv is
+monotone, so the knots bracket the gamma draw.  Only a walker whose
+uniform falls inside a bracket needs the exact vector.  The engine keeps
+both in its own bounded cache, not here.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import add
 from typing import Optional
@@ -25,8 +34,9 @@ from typing import Optional
 import numpy as np
 from scipy import special as _sps
 
-from .rng import (TAG_ENV, TAG_SITE, derive_key, derive_key_array,
-                  derive_key_range, site_u01, step_index, stream_u01_array)
+from .rng import (TAG_ENV, TAG_SITE, U01_MAX, counter_u01_array, derive_key,
+                  derive_key_array, derive_key_range, site_u01, step_index,
+                  stream_u01_array)
 
 
 @dataclass(frozen=True)
@@ -237,30 +247,148 @@ def _vectors_from_keys(model: EnvironmentModel, keys: np.ndarray) -> np.ndarray:
     if model.kind == "deterministic":
         return np.broadcast_to(np.array(model.probs), (n, k)).copy()
     if model.kind == "dirichlet":
-        g = np.empty((n, k))
-        for i, a in enumerate(model.alpha):
-            u = stream_u01_array(keys, i)
-            g[:, i] = _sps.gammaincinv(a, u)
-        # the total adds the components left to right, as cum_at does
-        total = g[:, 0].copy()
-        for i in range(1, k):
-            total += g[:, i]
-        if not total.all():
-            raise _underflow(model)
-        g /= total[:, None]
-        if model.floor:
-            g *= 1.0 - model.floor
-            g += model.floor / k
-        return g
+        return _dirichlet_vectors(model, _site_uniforms(keys, k))
     # mixture: one uniform picks the atom
     idx = step_index(np.cumsum([w for _, w in model.atoms]),
                      stream_u01_array(keys, 0))
     return np.array([p for p, _ in model.atoms])[idx]
 
 
+def _site_uniforms(keys: np.ndarray, k: int) -> np.ndarray:
+    """The uniforms (n, k) of site keys (n,) at counters 0..k-1."""
+    return counter_u01_array(keys[:, None], np.arange(k, dtype=np.uint64))
+
+
+def _dirichlet_vectors(model: EnvironmentModel, u: np.ndarray) -> np.ndarray:
+    """Dirichlet site vectors (n, k) from their uniforms (n, k), computed
+    in the array u."""
+    g = _sps.gammaincinv(np.array(model.alpha), u, out=u)
+    # the total adds the components left to right, as cum_at does
+    k = g.shape[1]
+    total = g[:, 0].copy()
+    for i in range(1, k):
+        total += g[:, i]
+    if not total.all():
+        raise _underflow(model)
+    g /= total[:, None]
+    if model.floor:
+        g *= 1.0 - model.floor
+        g += model.floor / k
+    return g
+
+
 def cum_vectors_from_keys(model: EnvironmentModel, keys: np.ndarray) -> np.ndarray:
     """Cumulative probability vectors (n, k) for site keys."""
     return np.cumsum(_vectors_from_keys(model, keys), axis=1)
+
+
+# Dirichlet brackets.  A uniform u lies in [i, i + 1) / _KNOTS for
+# i = floor(u * _KNOTS), exactly, since _KNOTS is a power of two; the gamma
+# draw gammaincinv(a, u) then lies between the knots gammaincinv(a, i /
+# _KNOTS) and gammaincinv(a, (i + 1) / _KNOTS), the last knot taken at
+# U01_MAX, the largest uniform, so that it is finite.
+_KNOTS = 4096
+# scipy's gammaincinv is not exactly monotone: one ulp beside a knot its
+# value crosses the knot by up to about 3e-14 relative (alpha 0.05;
+# tests/test_environment.py sweeps alphas 0.05-100 and checks this margin
+# keeps 10x headroom).  A relative error e on every gamma draw moves a
+# cumulative component by at most e / 2, and the float rounding of either
+# side adds a few ulps, so the bounds are widened by this absolute margin.
+_CUM_MARGIN = 1e-12
+# Sites whose lower gamma total is below this are left unbounded (NaN):
+# their components may be subnormal, where gammaincinv's relative error is
+# not bounded, and a total of 0 must reach _vectors_from_keys to raise
+_MIN_TOTAL = 2.0**-900
+
+
+@lru_cache(maxsize=64)
+def _knot_pairs(alpha: tuple, knots: int) -> tuple:
+    """Knot pairs of the components' cells, one table per distinct alpha
+    value, and the offset of each component's table.  Record
+    offsets[j] + i of the (distinct values * knots,) records of two floats
+    holds gammaincinv(alpha[j], i / knots) and gammaincinv(alpha[j],
+    (i + 1) / knots), the last knot at U01_MAX.  Both are read-only."""
+    grid = np.arange(knots + 1) / knots
+    grid[-1] = U01_MAX
+    values, which = np.unique(alpha, return_inverse=True)
+    q = _sps.gammaincinv(values[:, None], grid)
+    pairs = np.stack([q[:, :-1], q[:, 1:]], axis=-1).reshape(-1, 2)
+    return _read_only(pairs.view(np.dtype((np.void, 16)))[:, 0],
+                      which * knots)
+
+
+@lru_cache(maxsize=64)
+def _bound_weights(k: int, floor: float) -> tuple:
+    """Read-only (num, den, total, shift) for a row of knots (lo_0, hi_0,
+    .., lo_{k-1}, hi_{k-1}): column 2j of row @ num / (row @ den) is
+    P_lo / (P_lo + R_hi), the lower bound of cum_j before the floor,
+    column 2j + 1 is P_hi / (P_hi + R_lo), its upper bound; row @ total
+    sums the lower knots; shift adds the floor's (j + 1) * floor / k and
+    the margin after the floor's scale."""
+    c = k - 1
+    num = np.zeros((2 * k, 2 * c))
+    den = np.zeros((2 * k, 2 * c))
+    for j in range(c):
+        for i in range(k):
+            if i <= j:      # P: lower knots in the lower bound
+                num[2 * i, 2 * j] = num[2 * i + 1, 2 * j + 1] = 1.0
+                den[2 * i, 2 * j] = den[2 * i + 1, 2 * j + 1] = 1.0
+            else:           # R: upper knots in the lower bound
+                den[2 * i + 1, 2 * j] = den[2 * i, 2 * j + 1] = 1.0
+    total = np.zeros(2 * k)
+    total[0::2] = 1.0
+    shift = np.repeat(floor / k * np.arange(1, k), 2)
+    shift += np.tile([-_CUM_MARGIN, _CUM_MARGIN], c)
+    return _read_only(num, den, total, shift)
+
+
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _dirichlet_cum_bounds(model: EnvironmentModel, u: np.ndarray) -> np.ndarray:
+    """Bounds (n, 2(k - 1)) on the cumulative components cum_0..cum_{k-2}
+    of the Dirichlet site vectors with uniforms (n, k), k >= 2: column 2j
+    holds a lower bound of cum_j, column 2j + 1 an upper bound.
+
+    cum_j = P / (P + R), with P the gamma draws through j and R the rest,
+    increases in P and decreases in R, so the lower bound takes the lower
+    knots in P and the upper ones in R.  R is summed on its own, not taken
+    as the total minus P, which could cancel to nothing.  Each bound holds
+    for the exact vector's cumulative sum as _vectors_from_keys computes
+    it.  A NaN bound bounds nothing.
+    """
+    n, k = u.shape
+    pairs, offsets = _knot_pairs(model.alpha, _KNOTS)
+    num, den, total, shift = _bound_weights(k, model.floor)
+    cell = (u * _KNOTS).astype(np.intp)
+    cell += offsets
+    g = pairs.take(cell).view(np.float64).reshape(n, 2 * k)
+    out = g @ den
+    ok = g @ total >= _MIN_TOTAL
+    if not ok.all():
+        out[~ok] = np.nan       # and not 0 / 0, which would warn
+    np.divide(g @ num, out, out=out)
+    if model.floor:
+        out *= 1.0 - model.floor
+    out += shift
+    return out
+
+
+def cum_bounds_from_keys(model: EnvironmentModel, keys: np.ndarray) -> np.ndarray:
+    """Bounds (n, 2c) on the first c = max(k - 1, 1) cumulative components
+    of the site vectors of site keys (n,): column 2j holds a lower bound of
+    cum_j, column 2j + 1 an upper bound.  Dirichlet bounds bracket the
+    exact values (_dirichlet_cum_bounds); the other laws, and a Dirichlet
+    law on one step, give the exact values in both columns."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    k = len(model.support.steps)
+    if model.kind == "dirichlet" and k > 1:
+        return _dirichlet_cum_bounds(model, _site_uniforms(keys, k))
+    return np.repeat(cum_vectors_from_keys(model, keys)[:, :max(k - 1, 1)],
+                     2, axis=1)
 
 
 @dataclass

@@ -37,6 +37,11 @@ TAG_SITE = 0x51BE5EED
 TAG_WALK = 0x57A1C5EED
 TAG_ENV = 0xE27F5EED
 
+# The largest uniform the helpers return, the largest double below 1.  The
+# top 53 bits of a draw plus one half would round to 1.0 when they are all
+# ones, and gammaincinv(a, 1.0) is inf
+U01_MAX = 1.0 - 2.0**-53
+
 # Step tables of at most this many entries count thresholds in step_index.
 # On a block of 2**14 uniforms that beats searchsorted 10x at 2 entries,
 # 2.6x at 16 and 1.3x at 48, and loses at 64 (0.9x; 2-vCPU VM)
@@ -58,20 +63,24 @@ def _u64_1d(x) -> np.ndarray:
 
 def mix64_array(h: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer on uint64 arrays (ndim >= 1)."""
-    h = h ^ (h >> _U_30)          # a new array; the rest works in place
-    h *= _U_M1
-    h ^= h >> _U_27
-    h *= _U_M2
-    h ^= h >> _U_31
-    return h
+    x = h >> _U_30                # a new array; the rest works in place
+    x ^= h
+    del h                         # so at most two arrays of its size live
+    x *= _U_M1
+    x ^= x >> _U_27
+    x *= _U_M2
+    x ^= x >> _U_31
+    return x
 
 
 def _u01(v: np.ndarray) -> np.ndarray:
-    """Uniforms in (0, 1) from the top 53 bits of fresh uint64 draws."""
+    """Uniforms in [2**-54, U01_MAX] from the top 53 bits of fresh uint64
+    draws."""
     v >>= _U_11
     u = v.astype(np.float64)
     u += 0.5
     u *= 2.0**-53
+    np.minimum(u, U01_MAX, out=u)
     return u
 
 
@@ -125,9 +134,10 @@ def site_keys_mixed(env_keys: np.ndarray, sites: np.ndarray) -> np.ndarray:
 
 
 def stream_u01(key: int, ctr: int) -> float:
-    """Uniform in the open interval (0, 1), scalar: the top 53 bits of draw
-    `ctr` of the splitmix64 sequence anchored at `key`."""
-    return ((mix64(key + ctr * GAMMA) >> 11) + 0.5) * 2.0**-53
+    """Uniform in [2**-54, U01_MAX], scalar: the top 53 bits of draw `ctr`
+    of the splitmix64 sequence anchored at `key`."""
+    u = ((mix64(key + ctr * GAMMA) >> 11) + 0.5) * 2.0**-53
+    return u if u < 1.0 else U01_MAX
 
 
 def site_u01(prefix_key: int, site, k: int, ctr: int = 0) -> list:
@@ -149,7 +159,8 @@ def site_u01(prefix_key: int, site, k: int, ctr: int = 0) -> list:
         x = (h + i * GAMMA) & MASK64
         x = ((x ^ (x >> 30)) * _M1) & MASK64
         x = ((x ^ (x >> 27)) * _M2) & MASK64
-        out.append((((x ^ (x >> 31)) >> 11) + 0.5) * 2.0**-53)
+        u = (((x ^ (x >> 31)) >> 11) + 0.5) * 2.0**-53
+        out.append(u if u < 1.0 else U01_MAX)
     return out
 
 
@@ -158,14 +169,16 @@ def stream_u64_array(keys: np.ndarray, ctr: int) -> np.ndarray:
 
 
 def stream_u01_array(keys: np.ndarray, ctr: int) -> np.ndarray:
-    """Uniforms in (0, 1), one per key, all at the same counter."""
+    """Uniforms in [2**-54, U01_MAX], one per key, all at the same
+    counter."""
     return _u01(stream_u64_array(keys, ctr))
 
 
 def counter_u01_array(keys, ctrs) -> np.ndarray:
-    """Uniforms in (0, 1) at (key, counter) pairs, `keys` broadcast against
-    `ctrs`: one key across counters, or keys[:, None] across a (m, B)
-    counter block.  Entry-wise equal to stream_u01_array(key, ctr)."""
+    """Uniforms in [2**-54, U01_MAX] at (key, counter) pairs, `keys`
+    broadcast against `ctrs`: one key across counters, or keys[:, None]
+    across a (m, B) counter block.  Entry-wise equal to
+    stream_u01_array(key, ctr)."""
     return _u01(mix64_array(_u64_1d(keys) + _u64_1d(ctrs) * _U_GAMMA))
 
 

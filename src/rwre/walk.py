@@ -15,7 +15,8 @@ from operator import add
 
 import numpy as np
 
-from .environment import Environment, EnvironmentModel, cum_vectors_from_keys
+from .environment import (Environment, EnvironmentModel, cum_bounds_from_keys,
+                          cum_vectors_from_keys)
 from .rng import (MASK64, TAG_WALK, counter_u01_array, derive_key,
                   derive_key_array, site_keys, site_keys_mixed, step_index,
                   stream_u01_array)
@@ -113,26 +114,36 @@ def diffusive_scale(path: WalkPath, v, n: int, t_grid) -> np.ndarray:
 # vectorized many-walk engines
 
 
-# Site-vector cache size: sixteen slots per walker, a power of two, at most
-# _CACHE_MAX_BYTES of keys, occupancy flags and cumulative vectors.
+# Site cache size: sixteen slots per walker, a power of two, at most
+# _CACHE_MAX_BYTES of keys, occupancy flags and float32 bound rows.
 _CACHE_SLOTS_PER_WALKER = 16
 _CACHE_MIN_SLOTS = 64
 _CACHE_MAX_BYTES = 4 << 20
+# moves of a (lower, upper) bound pair before rounding to float32
+_WIDEN32 = np.array([-2.0**-23, 2.0**-23])
 
 
 class _SiteCache:
-    """Direct-mapped cache of cumulative site vectors, keyed by site key.
+    """Direct-mapped cache of bounds on cumulative site vectors, keyed by
+    site key.
 
-    A site vector is a pure function of its site key, so an entry may be
-    evicted at any time and recomputed exactly: colliding keys simply
-    overwrite each other.  The table size is fixed when the engine starts,
-    so memory stays bounded however long the walk, and a lookup is
-    O(walkers) vectorized work with no sort over the hits.
+    A row holds a lower and an upper bound on each of the first
+    c = max(k - 1, 1) cumulative components, the only ones a step's index
+    depends on (environment.cum_bounds_from_keys): Dirichlet rows start as
+    brackets, and a site whose exact vector was needed is written back as
+    its exact values, as mixture rows are from the start.  Rows are stored
+    as float32 moved outward (_outward32), so a bound stays a bound, in
+    half the memory, and an exact row keeps a width of about 2**-22.  Both
+    kinds of row are pure functions of their site key, so an entry may be
+    evicted at any time and recomputed: colliding keys simply overwrite
+    each other.  The table size is fixed when the engine starts, so memory
+    stays bounded however long the walk, and a lookup is O(walkers)
+    vectorized work with no sort over the hits.
     """
 
     def __init__(self, model: EnvironmentModel, walkers: int):
-        k = len(model.support.steps)
-        cap = _CACHE_MAX_BYTES // (8 * k + 9)
+        self.cols = c = max(len(model.support.steps) - 1, 1)
+        cap = _CACHE_MAX_BYTES // (8 * c + 9)
         size = _CACHE_MIN_SLOTS
         while size < _CACHE_SLOTS_PER_WALKER * walkers and 2 * size <= cap:
             size *= 2
@@ -141,36 +152,59 @@ class _SiteCache:
         self._mask = np.uint64(size - 1)
         self._keys = np.zeros(size, dtype=np.uint64)
         self._full = np.zeros(size, dtype=bool)
-        self._cums = np.zeros((size, k))
-        # numpy scatters a (n, k) float array several times faster when each
-        # row is one opaque record, so rows are also moved through this dtype
-        self._row = np.dtype((np.void, 8 * k))
+        self._rows = np.zeros((size, 2 * c), dtype=np.float32)
+        # numpy scatters a (n, 2c) float array several times faster when
+        # each row is one opaque record, so rows are moved through this dtype
+        self._row = np.dtype((np.void, 8 * c))
 
     def _records(self, a: np.ndarray) -> np.ndarray:
-        """C-contiguous (n, k) float array a as a view of n row records."""
+        """C-contiguous (n, 2c) float32 array a as a view of n records."""
         return a.view(self._row)[:, 0]
 
-    def cums(self, keys: np.ndarray) -> np.ndarray:
-        """Cumulative vectors (m, k) for site keys (m,)."""
+    def bounds(self, keys: np.ndarray) -> np.ndarray:
+        """Bound rows (m, 2c) for site keys (m,): column 2j holds a lower
+        bound of cum_j, column 2j + 1 an upper bound."""
         slot = (keys & self._mask).astype(np.intp)
         # the occupancy flag keeps a key of 0 from matching an empty slot
         hit = self._full.take(slot) & (self._keys.take(slot) == keys)
-        out = self._cums.take(slot, axis=0)
+        out = self._rows.take(slot, axis=0)
         if hit.all():
             return out
         miss = np.flatnonzero(~hit)
-        uniq, inv = np.unique(keys[miss], return_inverse=True)
-        vals = self._records(np.ascontiguousarray(
-            cum_vectors_from_keys(self.model, uniq)))
-        self._records(out)[miss] = vals.take(inv)
-        # distinct keys may share a slot; store each slot's vector under the
-        # key that won it, whichever order the assignment took
-        uslot = (uniq & self._mask).astype(np.intp)
-        self._keys[uslot] = uniq
-        won = self._keys.take(uslot) == uniq
-        self._records(self._cums).put(uslot[won], vals[won])
-        self._full[uslot] = True
+        rows = _outward32(cum_bounds_from_keys(self.model, keys[miss]))
+        self._records(out)[miss] = self._records(rows)
+        self._store(keys[miss], rows)
         return out
+
+    def settle(self, keys: np.ndarray) -> np.ndarray:
+        """Exact cumulative components (m, c) for site keys (m,), written
+        back as rows."""
+        cums = cum_vectors_from_keys(self.model, keys)[:, :self.cols]
+        self._store(keys, _outward32(np.repeat(cums, 2, axis=1)))
+        return cums
+
+    def _store(self, keys: np.ndarray, rows: np.ndarray) -> None:
+        # distinct keys may share a slot; store each slot's row under the
+        # key that won it, whichever order the assignment took
+        slot = (keys & self._mask).astype(np.intp)
+        self._keys[slot] = keys
+        won = self._keys.take(slot) == keys
+        self._records(self._rows).put(slot[won], self._records(rows)[won])
+        self._full[slot] = True
+
+
+def _outward32(rows: np.ndarray) -> np.ndarray:
+    """Bound rows (n, 2c) as float32, the lower bounds (even columns)
+    moved down and the upper bounds (odd columns) up; rows may be widened
+    in place.
+
+    Bounds on cumulative components lie in (-1, 2), where rounding to
+    float32 moves a value by at most 2**-24, so a bound widened by 2**-23
+    first stays a bound.
+    """
+    pairs = rows.reshape(len(rows), -1, 2)
+    pairs += _WIDEN32
+    return pairs.astype(np.float32).reshape(rows.shape)
 
 
 def _iter_positions(model: EnvironmentModel, env_keys, starts: np.ndarray,
@@ -178,7 +212,13 @@ def _iter_positions(model: EnvironmentModel, env_keys, starts: np.ndarray,
     """Advance m walkers in lockstep, yielding positions after each step.
 
     env_keys may be a scalar (shared environment) or one key per walker.
-    Site vectors come from a _SiteCache local to the call.
+    A step's index is the number of cumulative components below the
+    walker's uniform, clipped to the last step for a u above a last
+    component rounded below 1, so it depends only on cum_0..cum_{k-2}.  It
+    is read from the bounds of a _SiteCache local to the call wherever
+    every one of them is surely below u (upper bound < u) or surely not
+    (lower bound >= u); the few other walkers get their site's exact
+    vector, and the result is the exact one either way.
     """
     starts = np.asarray(starts, dtype=np.int64)
     pos = starts.copy()
@@ -195,18 +235,27 @@ def _iter_positions(model: EnvironmentModel, env_keys, starts: np.ndarray,
             yield t, pos
         return
     cache = _SiteCache(model, m)
+    c = cache.cols
     for t in range(n):
         if shared:
             keys = site_keys(env_keys, pos)
         else:
             keys = site_keys_mixed(env_keys, pos)
         u = stream_u01_array(wkeys, t)
-        cums = cache.cums(keys)
-        # inverse CDF: the number of cumulative components below u, clipped
-        # to the last step for a u above a last component rounded below 1
-        idx = (cums[:, 0] < u).astype(np.intp)
-        for j in range(1, cums.shape[1]):
-            idx += cums[:, j] < u
+        b = cache.bounds(keys)
+        # idx counts the components surely below u, sure adds those surely
+        # not; a NaN bound is neither
+        idx = (b[:, 1] < u).astype(np.intp)
+        sure = idx + (b[:, 0] >= u)
+        for j in range(1, c):
+            below = b[:, 2 * j + 1] < u
+            idx += below
+            sure += below
+            sure += b[:, 2 * j] >= u
+        open_ = np.flatnonzero(sure != c)
+        if open_.size:
+            cums = cache.settle(keys[open_])
+            idx[open_] = (cums < u[open_, None]).sum(axis=1)
         pos += steps_arr.take(idx, axis=0, mode="clip")
         yield t, pos
 

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from scipy import special
 
+from rwre import environment
 from rwre.environment import (EnvironmentModel, StepSupport,
-                              _vectors_from_keys, check_hypotheses, compute_h,
+                              _dirichlet_cum_bounds, _dirichlet_vectors,
+                              _knot_pairs, _vectors_from_keys,
+                              check_hypotheses, compute_h,
+                              cum_bounds_from_keys, cum_vectors_from_keys,
                               derive_env_seed, env_key_range, make_environment)
 from rwre.models import (dirichlet_drift_model, drift_model, support_2d)
-from rwre.rng import TAG_ENV, derive_key, site_keys
+from rwre.rng import TAG_ENV, U01_MAX, derive_key, site_keys
+from rwre.walk import simulate_paths_many
 
 
 def _vectors(env, sites):
@@ -204,6 +210,107 @@ def test_dirichlet_underflow_raises_on_both_paths():
     with pytest.raises(ValueError, match=r"dirichlet.*alpha=\(0\.001"):
         for s in sites.tolist():
             env.cum_at(tuple(s))
+
+
+def test_engine_raises_on_underflow():
+    # the brackets leave a site whose lower knots total 0 to the exact path
+    m = EnvironmentModel(support=support_2d(_SUP3), kind="dirichlet",
+                         alpha=(0.001,) * 3, floor=0.1)
+    env = make_environment(m, 1)
+    with pytest.raises(ValueError, match=r"dirichlet.*alpha=\(0\.001"):
+        simulate_paths_many(env, np.zeros((200, 2), dtype=np.int64), 30,
+                            list(range(200)))
+
+
+# Alphas of the bracket sweep: 0.05 to 100, including every model's
+_SWEEP_ALPHAS = sorted({0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.3, 1.5, 2.0,
+                        2.5, 3.0, 4.0, 5.0, 7.0, 10.0, 30.0, 100.0})
+
+
+def _sweep_uniforms(rng) -> np.ndarray:
+    """Random uniforms, every knot and 0.9 (where scipy's igami switches
+    branch) one ulp either side, and the smallest and largest uniform."""
+    grid = np.arange(1, environment._KNOTS) / environment._KNOTS
+    edges = np.concatenate([grid, [0.9]])
+    u = np.concatenate([rng.random(20_000), np.nextafter(edges, 0.0),
+                        np.nextafter(edges, 1.0), [2.0**-54, U01_MAX]])
+    return np.clip(u, 2.0**-54, U01_MAX)
+
+
+def _knot_violation(alpha: float, u: np.ndarray) -> float:
+    """Largest relative distance by which gammaincinv(alpha, u) leaves the
+    knots of its cell."""
+    pairs = _knot_pairs((alpha,), environment._KNOTS)[0].view(np.float64)
+    pairs = pairs.reshape(-1, 2)[(u * environment._KNOTS).astype(np.intp)]
+    g = special.gammaincinv(alpha, u)
+    over = np.maximum(pairs[:, 0] - g, g - pairs[:, 1])
+    scale = np.maximum(g, np.finfo(float).tiny)
+    return float(np.max(np.maximum(over, 0.0) / scale))
+
+
+def test_bracket_margin_has_headroom_over_gammaincinv():
+    # a relative error e on the gamma draws moves a cumulative component
+    # by at most e / 2; the margin keeps 10x over the worst crossing found
+    rng = np.random.default_rng(12)
+    u = _sweep_uniforms(rng)
+    worst = max(_knot_violation(a, u) for a in _SWEEP_ALPHAS)
+    assert 10 * worst <= environment._CUM_MARGIN, worst
+
+
+@pytest.mark.parametrize("floor", [0.0, 0.2])
+def test_brackets_hold_the_exact_cumulative_vector(floor):
+    rng = np.random.default_rng(13)
+    u = _sweep_uniforms(rng)
+    for k in (2, 3, 4, 9):
+        alpha = tuple(rng.choice(_SWEEP_ALPHAS, size=k))
+        model = EnvironmentModel(support=support_2d(_SUP9[:k]),
+                                 kind="dirichlet", alpha=alpha, floor=floor)
+        # every uniform in every column, the others drawn from the sweep
+        block = rng.choice(u, size=(len(u), k))
+        for j in range(k):
+            block[:, j] = u
+        block = np.vstack([block, _tight_rows(rng, k)])
+        cum = np.cumsum(_dirichlet_vectors(model, block.copy()),
+                        axis=1)[:, :k - 1]
+        b = _dirichlet_cum_bounds(model, block)
+        lo, hi = b[:, 0::2], b[:, 1::2]
+        bounded = ~np.isnan(b).any(axis=1)
+        assert bounded.mean() > 0.999
+        assert np.all(lo[bounded] <= cum[bounded])
+        assert np.all(cum[bounded] <= hi[bounded])
+
+
+def _tight_rows(rng, k: int, n: int = 2000) -> np.ndarray:
+    """Uniforms one ulp inside a knot cell, where a bound of cum_j is
+    tightest: the components through j at the bottom of their cells and the
+    rest at the top, or the other way round."""
+    knots = environment._KNOTS
+    i = rng.integers(0, knots, size=(n, k))
+    bottom = np.nextafter(i / knots, 1.0)
+    top = np.nextafter((i + 1) / knots, 0.0)
+    rows = []
+    for j in range(k - 1):
+        through = np.arange(k) <= j
+        rows.append(np.where(through, bottom, top))
+        rows.append(np.where(through, top, bottom))
+    return np.clip(np.vstack(rows), 2.0**-54, U01_MAX)
+
+
+def test_cum_bounds_of_other_laws_are_exact():
+    keys = site_keys(derive_key(3), np.array([[i, -i] for i in range(50)]))
+    for model in (drift_model(), _mixture4(),
+                  EnvironmentModel(support=support_2d([(1, 0)]),
+                                   kind="dirichlet", alpha=(0.5,))):
+        cum = cum_vectors_from_keys(model, keys)[:, :max(len(
+            model.support.steps) - 1, 1)]
+        assert np.array_equal(cum_bounds_from_keys(model, keys),
+                              np.repeat(cum, 2, axis=1))
+
+
+def _mixture4():
+    return EnvironmentModel(
+        support=support_2d(_SUP4), kind="mixture",
+        atoms=(((0.4, 0.1, 0.3, 0.2), 1.0), ((0.7, 0.1, 0.1, 0.1), 2.0)))
 
 
 def test_env_key_range_matches_make_environment():

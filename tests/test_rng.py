@@ -2,16 +2,19 @@ import warnings
 
 import numpy as np
 
-from rwre.rng import (derive_key, derive_key_array, derive_key_range, mix64,
-                      mix64_array, site_keys, site_keys_mixed, site_u01,
-                      stream_u01, stream_u01_array, counter_u01_array)
+from rwre.rng import (_M1, _M2, MASK64, U01_MAX, _u01, derive_key,
+                      derive_key_array, derive_key_range, mix64, mix64_array,
+                      site_keys, site_keys_mixed, site_u01, stream_u01,
+                      stream_u01_array, counter_u01_array)
 
 
 def test_mix64_scalar_matches_array():
     xs = [0, 1, 2**63, 0xDEADBEEF, 2**64 - 1]
-    arr = mix64_array(np.array(xs, dtype=np.uint64))
+    given = np.array(xs, dtype=np.uint64)
+    arr = mix64_array(given)
     for x, a in zip(xs, arr):
         assert mix64(x) == int(a)
+    assert given.tolist() == xs             # the input is left as it was
 
 
 def test_derive_key_matches_site_keys():
@@ -41,6 +44,39 @@ def test_uniforms_open_interval_and_spread():
     assert np.all(u > 0) and np.all(u < 1)
     assert abs(u.mean() - 0.5) < 0.02
     assert abs(u.var() - 1 / 12) < 0.005
+
+
+def _unmix64(h: int) -> int:
+    """The inverse of mix64: mix64(_unmix64(h)) == h."""
+    def unxorshift(x, s):
+        y = x
+        for _ in range(64 // s + 1):
+            y = x ^ (y >> s)
+        return y
+    h = unxorshift(h, 31)
+    h = (h * pow(_M2, -1, 2**64)) & MASK64
+    h = unxorshift(h, 27)
+    h = (h * pow(_M1, -1, 2**64)) & MASK64
+    return unxorshift(h, 30)
+
+
+def test_all_ones_draw_stays_below_one():
+    # (2**53 - 1) + 0.5 rounds up to 2**53, so a draw whose top 53 bits are
+    # all ones would give exactly 1.0, where gammaincinv is inf
+    assert U01_MAX == np.nextafter(1.0, 0.0)
+    ones = np.array([2**64 - 1, 2**64 - 2**11], dtype=np.uint64)
+    assert _u01(ones).tolist() == [U01_MAX, U01_MAX]
+    # the next draw down keeps its value: (2**53 - 2) + 0.5 rounds to even
+    below = np.array([2**64 - 2**11 - 1], dtype=np.uint64)
+    assert _u01(below).tolist() == [1.0 - 2.0**-52]
+    key = _unmix64(2**64 - 1)
+    assert mix64(key) == 2**64 - 1
+    assert stream_u01(key, 0) == U01_MAX
+    assert stream_u01_array(np.array([key], dtype=np.uint64), 0)[0] == U01_MAX
+    assert counter_u01_array(key, np.arange(2))[0] == U01_MAX
+    # counter 1 of the key one GAMMA below draws the same value
+    assert stream_u01((key - 0x9E3779B97F4A7C15) & MASK64, 1) == U01_MAX
+    assert site_u01(key, (), 2) == [U01_MAX, stream_u01(key, 1)]
 
 
 def test_derive_key_sensitivity():

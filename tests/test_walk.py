@@ -3,12 +3,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from rwre.environment import (EnvironmentModel, cum_vectors_from_keys,
-                              make_environment)
+from rwre import environment, walk
+from rwre.environment import (EnvironmentModel, cum_bounds_from_keys,
+                              cum_vectors_from_keys, make_environment)
 from rwre.models import (backtracking_model, dirichlet_backtracking_model,
                          dirichlet_drift_model, drift_model, support_2d)
-from rwre.walk import (WalkPath, _SiteCache, diffusive_scale, simulate,
-                       simulate_finals_many,
+from rwre.walk import (WalkPath, _outward32, _SiteCache, diffusive_scale,
+                       simulate, simulate_finals_many,
                        simulate_finals_many_envs, simulate_level_stats_many_envs,
                        simulate_paths_many, simulate_paths_many_envs)
 
@@ -102,13 +103,89 @@ def test_mixed_key_engines_match_scalar(model):
     assert np.array_equal(shared, paths[:, 0::3, :])
 
 
+@pytest.mark.parametrize("model", [dirichlet_drift_model(),
+                                   dirichlet_backtracking_model(),
+                                   _mixture_backtracking_model()],
+                         ids=["drift", "backtracking", "mixture"])
+def test_engines_match_scalar_when_brackets_decide_nothing(model,
+                                                           monkeypatch):
+    # two knot cells per component: the brackets are so wide that nearly
+    # every Dirichlet visit takes the exact path, and its write-back
+    monkeypatch.setattr(environment, "_KNOTS", 2)
+    exact = []
+    monkeypatch.setattr(walk, "cum_vectors_from_keys",
+                        lambda mod, keys: exact.append(len(keys)) or
+                        cum_vectors_from_keys(mod, keys))
+    n, m = 120, 9
+    envs = [make_environment(model, s) for s in (5, 6, 7)]
+    keys = np.array([envs[i % 3].env_key for i in range(m)], dtype=np.uint64)
+    seeds = list(range(300, 300 + m))
+    starts = np.array([[0, 3 * (i // 3)] for i in range(m)], dtype=np.int64)
+    paths = simulate_paths_many_envs(model, keys, starts, n, seeds)
+    shared = simulate_paths_many(envs[0], starts[0::3], n, seeds[0::3])
+    for i in range(m):
+        assert np.array_equal(paths[:, i, :], simulate(envs[i % 3], starts[i],
+                                                       n, seeds[i]).sites)
+    assert np.array_equal(shared, paths[:, 0::3, :])
+    if model.kind == "dirichlet":
+        # most sites take the exact path on their first visit
+        first = len({(i % 3, *site) for i in range(m)
+                     for site in paths[:-1, i].tolist()})
+        first += len({tuple(site) for site in
+                      shared[:-1].reshape(-1, 2).tolist()})
+        assert sum(exact) > 0.75 * first
+
+
 def test_site_cache_key_zero_is_not_a_hit():
     model = dirichlet_drift_model()
     cache = _SiteCache(model, 1)
     keys = np.array([0, 0, 7], dtype=np.uint64)
-    ref = cum_vectors_from_keys(model, keys)
-    assert np.array_equal(cache.cums(keys), ref)
-    assert np.array_equal(cache.cums(keys), ref)  # now served from the table
+    ref = cum_vectors_from_keys(model, keys)[:, :2]
+    rows = _outward32(cum_bounds_from_keys(model, keys))
+    assert np.array_equal(cache.bounds(keys), rows)
+    assert np.array_equal(cache.bounds(keys), rows)  # now served from the table
+    assert np.all(rows[:, 0::2] <= ref) and np.all(ref <= rows[:, 1::2])
+    assert np.array_equal(cache.settle(keys), ref)
+    assert np.array_equal(cache.bounds(keys),
+                          _outward32(np.repeat(ref, 2, axis=1)))
+
+
+def test_site_cache_colliding_keys_keep_their_own_rows():
+    # keys that share a slot, in one batch and across batches: each lookup
+    # returns its own key's row, and a settled key its exact row
+    model = dirichlet_backtracking_model()
+    cache = _SiteCache(model, 1)
+    base = np.arange(5, dtype=np.uint64)
+    keys = np.concatenate([base + np.uint64(cache.size) * i
+                           for i in range(3)])
+    ref = cum_vectors_from_keys(model, keys)[:, :3]
+    rows = _outward32(cum_bounds_from_keys(model, keys))
+    for _ in range(2):
+        assert np.array_equal(cache.bounds(keys), rows)
+        assert np.array_equal(cache.bounds(keys[::-1]), rows[::-1])
+    assert np.array_equal(cache.settle(keys[5:10]), ref[5:10])
+    got = cache.bounds(keys)
+    assert np.array_equal(got[5:10],
+                          _outward32(np.repeat(ref[5:10], 2, axis=1)))
+    assert np.array_equal(got[:5], rows[:5])
+
+
+def test_outward32_keeps_bounds_within_three_ulps():
+    rng = np.random.default_rng(4)
+    rows = np.sort(rng.random((5000, 4)), axis=1)
+    rows[::2, 1] = rows[::2, 0]          # zero-width pairs too
+    rows[:4] = [[0.1, 0.1, 1 / 3, 1 / 3], [0.0, 1.0, 0.5, 0.5], [np.nan] * 4,
+                [0.25, np.nan, np.nan, 0.75]]
+    out = _outward32(rows.copy())
+    assert out.dtype == np.float32
+    lo, hi = out[:, 0::2].astype(float), out[:, 1::2].astype(float)
+    assert np.array_equal(np.isnan(out), np.isnan(rows))
+    with np.errstate(invalid="ignore"):
+        assert not np.any(lo > rows[:, 0::2])
+        assert not np.any(hi < rows[:, 1::2])
+    ulp = np.spacing(np.float32(1.0)).astype(float)
+    ok = ~np.isnan(rows)
+    assert np.all(np.abs(out[ok].astype(float) - rows[ok]) <= 3 * ulp)
 
 
 # SHA-256 of the int64 little-endian bytes of a tiny simulate_paths_many_envs
