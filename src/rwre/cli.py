@@ -33,7 +33,7 @@ import scipy
 
 from . import __version__
 from .environment import (EnvironmentModel, StepSupport, check_hypotheses,
-                          make_environment, derive_env_seed)
+                          env_key_range, make_environment, derive_env_seed)
 from .clt import clt_check, quenched_mean_variance, quenched_samples
 from .envprocess import (constant_function, drift_projection, ergodic_average,
                          variation_proxy)
@@ -46,7 +46,7 @@ from .green import (PerturbedChainSpec, SymmetricWalk1D, build_ladder_tables,
 from .pair import coupled_triple, first_joint_regeneration, intersection_curve
 from .regen import (detect_regenerations, estimate_diffusion,
                     estimate_velocity, renewal_diagnostics)
-from .rng import derive_key
+from .rng import TAG_ENV, derive_key, derive_key_range
 from .walk import simulate
 
 # ---------------------------------------------------------------------------
@@ -300,16 +300,14 @@ def _run_regen(model, params, seed, workers):
     return {"slabs": (header, rows)}, summary
 
 
-def _clt_env_task(e, model=None, n=0, m_walks=0, v=None, seed=0):
-    env = make_environment(model, derive_env_seed(seed, 201, e))
-    return quenched_samples(env, n, m_walks, v, seed=derive_key(seed, 202, e))
-
-
 def _run_clt(model, params, seed, workers):
     n_env = params["n_env"]
-    task = partial(_clt_env_task, model=model, n=params["n"],
-                   m_walks=params["m_walks"], v=params["v"], seed=seed)
-    samples = _pmap(task, list(range(n_env)), workers)
+    # environment e is make_environment(model, derive_env_seed(seed, 201,
+    # e)), and its walks are seeded from derive_key(seed, 202, e)
+    samples = quenched_samples(
+        model, env_key_range(seed, TAG_ENV, 201, n=n_env), params["n"],
+        params["m_walks"], params["v"], derive_key_range(seed, 202, n=n_env),
+        map_fn=partial(_pmap, workers=workers), blocks=workers)
     report = clt_check(samples, params["D"], model.support)
     rows = [(e, j, report.ks_pvalues[e, j], int(report.degenerate_ok[e, j]),
              *report.per_env_cov[e].ravel())

@@ -17,23 +17,55 @@ from scipy import special as _sps
 from .environment import EnvironmentModel, env_key_range
 from .fitting import fit_exponent
 from .ks import ks_norm_pvalue
-from .rng import TAG_ENV, derive_key
-from .walk import (simulate_finals_many, simulate_finals_many_envs,
-                   walk_seed_array)
+from .rng import TAG_ENV, derive_key_array, derive_key_range, fold_key_array
+from .walk import list_seed_array, simulate_finals_many_envs
 
 _TAG_QS = 0x9D01
 _TAG_QMV = 0x9D02
 _TAG_CMB = 0x9D03
 
 
-def quenched_samples(env, n: int, m_walks: int, v, seed: int = 0) -> np.ndarray:
-    """m_walks samples of B_n(1) = (X_n - n v)/sqrt(n) in one fixed omega."""
-    v = np.asarray(v, dtype=float)
-    d = env.model.support.dimension
-    starts = np.zeros((m_walks, d), dtype=np.int64)
-    wseeds = [derive_key(seed, _TAG_QS, i) for i in range(m_walks)]
-    finals = simulate_finals_many(env, starts, n, wseeds)
-    return (finals - n * v) / np.sqrt(n)
+def _env_blocks(n_env: int, blocks: int) -> list:
+    """Environment indices 0..n_env-1 in at most `blocks` contiguous,
+    nonempty blocks."""
+    return [r.tolist() for r in np.array_split(np.arange(n_env), blocks)
+            if r.size]
+
+
+def _qs_block(envs, model=None, env_keys=None, seeds=None, n=0, m_walks=0):
+    """Final positions (len(envs), m_walks, d) of the walks of a contiguous
+    block of environment indices, all walked in one engine call."""
+    d = model.support.dimension
+    wkeys = fold_key_array(derive_key_array(seeds[envs], _TAG_QS)[:, None],
+                           np.arange(m_walks, dtype=np.uint64))
+    finals = simulate_finals_many_envs(
+        model, np.repeat(env_keys[envs], m_walks),
+        np.zeros((len(envs) * m_walks, d), dtype=np.int64), n,
+        list_seed_array(wkeys).ravel())
+    return finals.reshape(len(envs), m_walks, d)
+
+
+def quenched_samples(model: EnvironmentModel, env_keys, n: int, m_walks: int,
+                     v, seeds, map_fn=map, blocks: int = 1) -> np.ndarray:
+    """Samples (n_env, m_walks, d) of B_n(1) = (X_n - n v)/sqrt(n), m_walks
+    in each fixed omega.
+
+    Environment j has the key env_keys[j] (Environment.env_key; see
+    environment.env_key_range) and its walk i the seed
+    derive_key(seeds[j], _TAG_QS, i), each environment's seed list read as
+    one list (walk.list_seed_array).  The environments are split into
+    `blocks` contiguous blocks that map_fn (a deterministic,
+    order-preserving map such as the built-in one or a process pool's)
+    walks one engine call per block, so the result does not depend on
+    `blocks` or on map_fn.
+    """
+    env_keys = np.asarray(env_keys, dtype=np.uint64)
+    task = partial(_qs_block, model=model, env_keys=env_keys,
+                   seeds=np.asarray(seeds, dtype=np.uint64), n=n,
+                   m_walks=m_walks)
+    finals = np.concatenate(list(map_fn(task, _env_blocks(len(env_keys),
+                                                          blocks))))
+    return (finals - n * np.asarray(v, dtype=float)) / np.sqrt(n)
 
 
 def _null_space(a: np.ndarray) -> np.ndarray:
@@ -143,12 +175,14 @@ def _qmv_block(envs, model=None, n=0, m_walks=0, seed=0, ni=0):
     d = model.support.dimension
     env_keys = env_key_range(seed, TAG_ENV, _TAG_QMV, ni, n=envs[-1] + 1)[envs]
     # one seed list per environment, read as a separate engine call reads it
-    wseeds = np.concatenate([
-        walk_seed_array([derive_key(seed, _TAG_QMV, ni, e, i)
-                         for i in range(m_walks)]) for e in envs])
+    wkeys = fold_key_array(
+        derive_key_range(seed, _TAG_QMV, ni, n=envs[-1] + 1)[envs][:, None],
+        np.arange(m_walks, dtype=np.uint64))
     starts = np.zeros((len(envs) * m_walks, d), dtype=np.int64)
     finals = simulate_finals_many_envs(model, np.repeat(env_keys, m_walks),
-                                       starts, n, wseeds).astype(float)
+                                       starts, n,
+                                       list_seed_array(wkeys).ravel()
+                                       ).astype(float)
     means = np.empty((len(envs), d))
     within = np.empty((len(envs), d))
     for j in range(len(envs)):
@@ -180,8 +214,7 @@ def quenched_mean_variance(model: EnvironmentModel, n_grid, n_env: int,
     if m_walks < 2:
         raise ValueError("need m_walks >= 2")
     n_grid = sorted(int(n) for n in n_grid)
-    env_blocks = [r.tolist() for r in np.array_split(np.arange(n_env), blocks)
-                  if r.size]
+    env_blocks = _env_blocks(n_env, blocks)
     rows = []
     floored = []
     for ni, n in enumerate(n_grid):
@@ -239,7 +272,7 @@ def centered_mean_bound(model: EnvironmentModel, n_grid, v_hat, reps: int = 4000
     ys, ses = [], []
     for ni, n in enumerate(n_grid):
         env_keys = env_key_range(seed, TAG_ENV, _TAG_CMB, ni, n=reps)
-        wseeds = [derive_key(seed, _TAG_CMB, ni, i) for i in range(reps)]
+        wseeds = list_seed_array(derive_key_range(seed, _TAG_CMB, ni, n=reps))
         finals = simulate_finals_many_envs(
             model, env_keys, np.zeros((reps, d), dtype=np.int64), n, wseeds)
         lev = finals.astype(float) @ u_hat

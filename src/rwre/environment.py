@@ -9,16 +9,18 @@ unbounded region.  Dirichlet components use inverse-CDF gamma sampling
 independent of query order.
 
 There is one exact evaluation, _vectors_from_keys, for arrays of site
-keys; the scalar Environment.cum_at repeats its float operations in the
-same order, bit for bit, and memoizes the cumulative vector of every site
-it has been asked for, so an Environment grows by one entry per distinct
-site it serves.  The vectorized walk engine (walk._iter_positions) needs
-only each step's index, so it first asks cum_bounds_from_keys for cheap
-bounds on a site's cumulative vector: a Dirichlet component's uniform lies
-between two knots of a per-alpha table of gammaincinv, and gammaincinv is
-monotone, so the knots bracket the gamma draw.  Only a walker whose
-uniform falls inside a bracket needs the exact vector.  The engine keeps
-both in its own bounded cache, not here.
+keys; exact_cum_rule repeats its float operations for one site at a time
+in the same order, bit for bit.  Environment.cum_at memoizes what that
+rule gives for every site it has been asked for, so an Environment grows
+by one entry per distinct site it serves.  The vectorized walk engine
+(walk._iter_positions) needs only each step's index, so it first asks
+cum_bounds_from_keys for cheap bounds on a site's cumulative vector: a
+Dirichlet component's uniform lies between two knots of a per-alpha table
+of gammaincinv, and gammaincinv is monotone, so the knots bracket the
+gamma draw.  Only a walker whose uniform falls inside a bracket needs the
+exact vector, which the engine gets from exact_cum_rule, or from
+_vectors_from_keys for more than a few sites.  The engine keeps the
+bounds in its own bounded cache, not here.
 """
 
 from __future__ import annotations
@@ -177,19 +179,9 @@ class Environment:
         self.env_seed = int(env_seed)
         self.env_key = derive_key(self.env_seed, TAG_SITE)
         self._cum_cache: dict = {}
-        self._k = len(model.support.steps)
         # the environment's part of every site key, derive_key(env_key)
         self._site_h = derive_key(self.env_key)
-        if model.kind == "deterministic":
-            self._const_cum = tuple(np.cumsum(model.probs).tolist())
-        elif model.kind == "dirichlet":
-            self._alpha = np.array(model.alpha)
-            self._scale = 1.0 - model.floor
-            self._lift = model.floor / self._k
-        else:
-            self._atom_w = np.cumsum([w for _, w in model.atoms]).tolist()
-            self._atom_cums = [tuple(np.cumsum(p).tolist())
-                               for p, _ in model.atoms]
+        self._new_cum = exact_cum_rule(model)
 
     # -- vectorized core ---------------------------------------------------
 
@@ -204,34 +196,55 @@ class Environment:
         as a tuple of floats.
 
         Equal to the running sum of site's row of _vectors_from_keys, as
-        a tuple, bit for bit.
-        A new site costs one rng call and at most one scipy call, and its
-        float operations are _vectors_from_keys's in the same order: the
-        gamma draws totalled left to right, then one division, floor and
-        running sum per component.
+        a tuple, bit for bit (exact_cum_rule).
         """
         cum = self._cum_cache.get(site)
-        if cum is not None:
-            return cum
-        kind = self.model.kind
-        if kind == "dirichlet":
-            g = _sps.gammaincinv(self._alpha,
-                                 site_u01(self._site_h, site, self._k)).tolist()
+        if cum is None:
+            cum = self._cum_cache[site] = self._new_cum(self._site_h, site)
+        return cum
+
+
+def exact_cum_rule(model: EnvironmentModel):
+    """The function cum(prefix_key, site=()) giving, as a tuple of floats,
+    the exact cumulative vector of the site whose key is prefix_key with
+    the coordinates of `site` (Python ints) folded in, as rng.site_u01
+    folds them: Environment.cum_at passes derive_key(env_key) and a site,
+    the walk engine's exact fallback a site key and no site.
+
+    Equal to the running sum of the key's row of _vectors_from_keys, bit
+    for bit.  A call costs one rng call and at most one scipy call, and its
+    float operations are _vectors_from_keys's in the same order: the gamma
+    draws totalled left to right, then one division, floor and running sum
+    per component.
+    """
+    k = len(model.support.steps)
+    if model.kind == "dirichlet":
+        alpha = np.array(model.alpha)
+        scale, lift = 1.0 - model.floor, model.floor / k
+
+        def cum(h: int, site=()) -> tuple:
+            g = _sps.gammaincinv(alpha, site_u01(h, site, k)).tolist()
             total = reduce(add, g)
             if total == 0.0:
-                raise _underflow(self.model)
-            if self._lift:
-                scale, lift = self._scale, self._lift
-                cum = tuple(accumulate([x / total * scale + lift for x in g]))
-            else:
-                cum = tuple(accumulate([x / total for x in g]))
-        elif kind == "mixture":
-            i = bisect_left(self._atom_w, site_u01(self._site_h, site, 1)[0])
-            cum = self._atom_cums[min(i, len(self._atom_cums) - 1)]
-        else:
-            cum = self._const_cum
-        self._cum_cache[site] = cum
-        return cum
+                raise _underflow(model)
+            if lift:
+                return tuple(accumulate([x / total * scale + lift
+                                         for x in g]))
+            return tuple(accumulate([x / total for x in g]))
+    elif model.kind == "mixture":
+        atom_w = np.cumsum([w for _, w in model.atoms]).tolist()
+        atom_cums = [tuple(np.cumsum(p).tolist()) for p, _ in model.atoms]
+        last = len(atom_cums) - 1
+
+        def cum(h: int, site=()) -> tuple:
+            i = bisect_left(atom_w, site_u01(h, site, 1)[0])
+            return atom_cums[min(i, last)]
+    else:
+        const = tuple(np.cumsum(model.probs).tolist())
+
+        def cum(h: int, site=()) -> tuple:
+            return const
+    return cum
 
 
 def _underflow(model: EnvironmentModel) -> ValueError:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .environment import (EnvironmentModel, derive_env_seed, env_key_range,
                           make_environment)
-from .rng import TAG_ENV, derive_key, site_keys
-from .walk import simulate, simulate_level_stats_many_envs
+from .rng import TAG_ENV, derive_key, derive_key_range, site_keys
+from .walk import list_seed_array, simulate, simulate_level_stats_many_envs
 
 _TAG_ERG = 0xE401
 _TAG_VAR = 0xE402
@@ -129,7 +129,7 @@ def variation_proxy(model: EnvironmentModel, n: int, ell_grid, reps: int,
     ell_grid = sorted(int(l) for l in ell_grid)
     d = model.support.dimension
     env_keys = env_key_range(seed, TAG_ENV, _TAG_VAR, n=reps)
-    wseeds = [derive_key(seed, _TAG_VAR, i) for i in range(reps)]
+    wseeds = list_seed_array(derive_key_range(seed, _TAG_VAR, n=reps))
     stats = simulate_level_stats_many_envs(
         model, env_keys, np.zeros((reps, d), dtype=np.int64), n, wseeds)
     overshoot = stats["max_level"] - stats["final_level"]

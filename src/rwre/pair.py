@@ -19,8 +19,9 @@ import numpy as np
 
 from .environment import (Environment, EnvironmentModel, compute_h,
                           env_key_range, make_environment)
-from .rng import counter_u01_array, derive_key, site_keys, site_u01
-from .walk import simulate_paths_many_envs, walk_key
+from .rng import (counter_u01_array, derive_key, derive_key_range,
+                  fold_key_array, site_keys, site_u01)
+from .walk import list_seed_array, simulate_paths_many_envs, walk_key
 
 _TAG_PAIR = 0xAA01
 _TAG_YCHAIN = 0xAA02
@@ -29,8 +30,10 @@ _TAG_TRIPLE = 0xAA04
 _TAG_INTER = 0xAA05
 _TAG_STEPS = 0xAA06
 
-# Replicas per engine call in intersection_curve.  Walk seeds are read per
-# call (walk.walk_seed_array), so this size is part of the realized walks.
+# Replicas per engine call in intersection_curve.  Each call's 2 x
+# _INTER_CHUNK walk seeds are read as one list (walk.list_seed_array), so
+# this size is part of the realized walks.  One call for all replicas would
+# also hold all their paths at once.
 _INTER_CHUNK = 250
 # The coupling extends X to _LOOKAHEAD times Xbar's length plus a pad of
 # 4 margin steps, and gives up after _MAX_TRIPLES triples.
@@ -99,14 +102,16 @@ def intersection_curve(model: EnvironmentModel, n_grid, reps: int,
         counts = np.empty(reps)
         # walkers 2i and 2i + 1 are replica i's pair
         pair_keys = np.repeat(env_key_range(seed, _TAG_INTER, ni, n=reps), 2)
+        # walk w of replica i has the seed derive_key(seed, _TAG_INTER, ni,
+        # i, w), at row i, column w - 1
+        wkeys = fold_key_array(
+            derive_key_range(seed, _TAG_INTER, ni, n=reps)[:, None], (1, 2))
         for c0 in range(0, reps, _INTER_CHUNK):
             c1 = min(c0 + _INTER_CHUNK, reps)
-            m = c1 - c0
-            wseeds = [derive_key(seed, _TAG_INTER, ni, i, w)
-                      for i in range(c0, c1) for w in (1, 2)]
-            starts = np.zeros((2 * m, d), dtype=np.int64)
-            paths = simulate_paths_many_envs(model, pair_keys[2 * c0:2 * c1],
-                                             starts, n - 1, wseeds)
+            starts = np.zeros((2 * (c1 - c0), d), dtype=np.int64)
+            paths = simulate_paths_many_envs(
+                model, pair_keys[2 * c0:2 * c1], starts, n - 1,
+                list_seed_array(wkeys[c0:c1].ravel()))
             counts[c0:c1] = _pair_common_sites(paths)
         means.append(float(counts.mean()))
         ses.append(float(counts.std(ddof=1) / np.sqrt(reps)))

@@ -92,20 +92,28 @@ def derive_key(seed: int, *parts: int) -> int:
     return h
 
 
+def fold_key_array(keys, parts) -> np.ndarray:
+    """derive_key(..., p) given its prefix key k = derive_key(...), for
+    uint64 keys k and nonnegative parts p broadcast against each other
+    (bit-identical).  keys[:, None] against an index range folds a
+    (len(keys), n) grid of keys in one call."""
+    return mix64_array((_u64_1d(keys) + _U_GAMMA) ^ _u64_1d(parts))
+
+
 def derive_key_array(seeds: np.ndarray, *parts: int) -> np.ndarray:
     """derive_key(seed, *parts) for each of an array of uint64 seeds
     (bit-identical)."""
     h = mix64_array(_u64_1d(seeds) + _U_GAMMA)
     for p in parts:
-        h = mix64_array((h + _U_GAMMA) ^ np.uint64(p & MASK64))
+        h = fold_key_array(h, p & MASK64)
     return h
 
 
 def derive_key_range(seed: int, *parts: int, n: int) -> np.ndarray:
     """[derive_key(seed, *parts, i) for i in range(n)] as a uint64 array
     (bit-identical): the shared prefix is folded once, the index last."""
-    h = (derive_key(seed, *parts) + GAMMA) & MASK64
-    return mix64_array(np.uint64(h) ^ np.arange(n, dtype=np.uint64))
+    return fold_key_array(derive_key(seed, *parts),
+                          np.arange(n, dtype=np.uint64))
 
 
 def site_keys(env_key: int, sites: np.ndarray) -> np.ndarray:

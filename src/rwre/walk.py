@@ -16,7 +16,7 @@ from operator import add
 import numpy as np
 
 from .environment import (Environment, EnvironmentModel, cum_bounds_from_keys,
-                          cum_vectors_from_keys)
+                          cum_vectors_from_keys, exact_cum_rule)
 from .rng import (MASK64, TAG_WALK, counter_u01_array, derive_key,
                   derive_key_array, site_keys, site_keys_mixed, step_index,
                   stream_u01_array)
@@ -51,14 +51,41 @@ def walk_seed_array(walk_seeds) -> np.ndarray:
     """Walk seeds as the many-walk engines read them, as uint64 (mod 2**64,
     which leaves walk_key unchanged).
 
-    The engines read a seed list through np.asarray, which turns a list
-    mixing seeds below and above 2**63 into float64 and so rounds them to
-    53 bits; realized walks depend on this rule.  A caller that batches
-    several seed lists into one engine call converts each list here and
-    concatenates the arrays, which the engines then read exactly.
+    The engines read a seed sequence through np.asarray; list_seed_array
+    gives what that makes of a Python list, and a caller that batches
+    several seed lists into one engine call converts each list there.  An
+    integer array is read exactly.  A float array holds integral values in
+    [-2**63, 2**64]: those from 2**63 up are read as the value minus 2**64,
+    which is exact, so a rounded 2**64 wraps to 0.
     """
-    return np.array([int(s) & MASK64 for s in np.asarray(walk_seeds)],
-                    dtype=np.uint64)
+    a = np.asarray(walk_seeds)
+    if a.dtype.kind == "f":
+        a = np.where(a >= 2.0**63, a - 2.0**64, a).astype(np.int64)
+    elif a.dtype == object:      # Python ints outside 64 bits
+        a = a & MASK64
+    return a.astype(np.uint64)
+
+
+def list_seed_array(seeds) -> np.ndarray:
+    """walk_seed_array(list(row)) for each row (last axis) of an integer
+    array of seeds in [-2**63, 2**64), as uint64 of the same shape.
+
+    This is the engines' rule for a seed list, the one that shapes the
+    realized walks: np.asarray types a list of Python ints by its values,
+    int64 if all lie below 2**63, uint64 if none does, and float64 if both
+    occur, which rounds every seed of the list to 53 bits, ties to even
+    (a seed that rounds to 2**64 is then read as 0).  So a row with seeds
+    on both sides of 2**63, as a row of derive_key outputs longer than a
+    few is, comes back rounded, and any other row exactly.
+    """
+    a = np.asarray(seeds)
+    hi = a >= 2**63
+    mixed = hi.any(axis=-1) & ~hi.all(axis=-1)
+    exact = walk_seed_array(a)
+    if not mixed.any():
+        return exact
+    return np.where(mixed[..., None], walk_seed_array(a.astype(np.float64)),
+                    exact)
 
 
 def simulate(env: Environment, start, n: int, walk_seed: int) -> WalkPath:
@@ -119,6 +146,12 @@ def diffusive_scale(path: WalkPath, v, n: int, t_grid) -> np.ndarray:
 _CACHE_SLOTS_PER_WALKER = 16
 _CACHE_MIN_SLOTS = 64
 _CACHE_MAX_BYTES = 4 << 20
+# Up to this many sites the exact fallback evaluates one at a time, about
+# 13 us each inside the step loop, against about 55 us for one array call
+# (dirichlet_drift_model, 2-vCPU VM).  The exact rows are not written back:
+# a revisit falls inside a bracket about as rarely as the first visit, and
+# the write-back cost more than it saved at 120-10000 walkers.
+_SETTLE_ONE_BY_ONE = 4
 # moves of a (lower, upper) bound pair before rounding to float32
 _WIDEN32 = np.array([-2.0**-23, 2.0**-23])
 
@@ -129,14 +162,13 @@ class _SiteCache:
 
     A row holds a lower and an upper bound on each of the first
     c = max(k - 1, 1) cumulative components, the only ones a step's index
-    depends on (environment.cum_bounds_from_keys): Dirichlet rows start as
-    brackets, and a site whose exact vector was needed is written back as
-    its exact values, as mixture rows are from the start.  Rows are stored
-    as float32 moved outward (_outward32), so a bound stays a bound, in
-    half the memory, and an exact row keeps a width of about 2**-22.  Both
-    kinds of row are pure functions of their site key, so an entry may be
-    evicted at any time and recomputed: colliding keys simply overwrite
-    each other.  The table size is fixed when the engine starts, so memory
+    depends on (environment.cum_bounds_from_keys): Dirichlet rows are
+    brackets, mixture rows the exact values.  Rows are stored as float32
+    moved outward (_outward32), so a bound stays a bound, in half the
+    memory, and an exact row keeps a width of about 2**-22.  A row is a
+    pure function of its site key, so an entry may be evicted at any time
+    and recomputed: colliding keys simply overwrite each other.  settle
+    gives the exact values of the sites a row cannot decide.  The table size is fixed when the engine starts, so memory
     stays bounded however long the walk, and a lookup is O(walkers)
     vectorized work with no sort over the hits.
     """
@@ -148,6 +180,7 @@ class _SiteCache:
         while size < _CACHE_SLOTS_PER_WALKER * walkers and 2 * size <= cap:
             size *= 2
         self.model = model
+        self._exact = exact_cum_rule(model)
         self.size = size
         self._mask = np.uint64(size - 1)
         self._keys = np.zeros(size, dtype=np.uint64)
@@ -173,24 +206,25 @@ class _SiteCache:
         miss = np.flatnonzero(~hit)
         rows = _outward32(cum_bounds_from_keys(self.model, keys[miss]))
         self._records(out)[miss] = self._records(rows)
-        self._store(keys[miss], rows)
-        return out
-
-    def settle(self, keys: np.ndarray) -> np.ndarray:
-        """Exact cumulative components (m, c) for site keys (m,), written
-        back as rows."""
-        cums = cum_vectors_from_keys(self.model, keys)[:, :self.cols]
-        self._store(keys, _outward32(np.repeat(cums, 2, axis=1)))
-        return cums
-
-    def _store(self, keys: np.ndarray, rows: np.ndarray) -> None:
         # distinct keys may share a slot; store each slot's row under the
         # key that won it, whichever order the assignment took
-        slot = (keys & self._mask).astype(np.intp)
+        keys = keys[miss]
+        slot = slot[miss]
         self._keys[slot] = keys
         won = self._keys.take(slot) == keys
         self._records(self._rows).put(slot[won], self._records(rows)[won])
         self._full[slot] = True
+        return out
+
+    def settle(self, keys: np.ndarray) -> np.ndarray:
+        """Exact cumulative components (m, c) for site keys (m,), one site
+        at a time for a few sites, else in one array call; both equal bit
+        for bit."""
+        c = self.cols
+        if len(keys) > _SETTLE_ONE_BY_ONE:
+            return cum_vectors_from_keys(self.model, keys)[:, :c]
+        cum = self._exact
+        return np.array([cum(h)[:c] for h in keys.tolist()])
 
 
 def _outward32(rows: np.ndarray) -> np.ndarray:

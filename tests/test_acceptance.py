@@ -14,7 +14,8 @@ import pytest
 from rwre.clt import (centered_mean_bound, clt_check, degeneracy_directions,
                       quenched_mean_variance, quenched_samples)
 from rwre.environment import (EnvironmentModel, check_hypotheses,
-                              derive_env_seed, make_environment)
+                              derive_env_seed, env_key_range,
+                              make_environment)
 from rwre.envprocess import drift_projection, ergodic_average, variation_proxy
 from rwre.fitting import fit_exponent
 from rwre.green import (build_ladder_tables, first_passage_tail,
@@ -25,7 +26,7 @@ from rwre.models import (backtracking_model, degenerate_direction_model,
 from rwre.pair import coupled_triple, intersection_curve
 from rwre.regen import (detect_regenerations, estimate_diffusion,
                         estimate_velocity)
-from rwre.rng import derive_key
+from rwre.rng import TAG_ENV, derive_key, derive_key_range
 from rwre.walk import WalkPath, simulate, simulate_paths_many_envs
 
 SEED = 20240817
@@ -202,11 +203,11 @@ def test_criterion_07_coupling_decay():
 def test_criterion_08_quenched_clt(dirichlet_estimates):
     model = dirichlet_estimates["model"]
     v, D = dirichlet_estimates["v"], dirichlet_estimates["D"]
-    samples = []
-    for e in range(5):
-        env = make_environment(model, derive_env_seed(SEED, 10, e))
-        samples.append(quenched_samples(env, 4096, 2000, v,
-                                        seed=derive_key(SEED, 11, e)))
+    # environment e is make_environment(model, derive_env_seed(SEED, 10,
+    # e)) and its walks are seeded from derive_key(SEED, 11, e); all 5 x
+    # 2000 walks in one engine call
+    samples = quenched_samples(model, env_key_range(SEED, TAG_ENV, 10, n=5),
+                               4096, 2000, v, derive_key_range(SEED, 11, n=5))
     rep = clt_check(samples, D, model.support, level=0.01)
     assert rep.n_passed >= 4
     assert rep.frob_to_ref.max() < 0.1

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rwre.clt import (_TAG_QMV, _null_space, _qmv_block, _two_sided_pvalue,
+from rwre.clt import (_TAG_QMV, _TAG_QS, _null_space, _qmv_block, _two_sided_pvalue,
                       centered_mean_bound, clt_check,
                       degeneracy_directions, quenched_mean_variance,
                       quenched_samples)
@@ -11,7 +11,7 @@ from rwre.environment import EnvironmentModel, derive_env_seed, make_environment
 from rwre.fitting import fit_exponent
 from rwre.models import (backtracking_model, degenerate_direction_model,
                          dirichlet_drift_model, drift_model, support_2d)
-from rwre.rng import derive_key
+from rwre.rng import derive_key, derive_key_range
 from rwre.walk import diffusive_scale, simulate, simulate_finals_many
 
 
@@ -20,33 +20,64 @@ def _point_mass_model():
                             kind="deterministic", probs=(1.0,))
 
 
+def _env_keys(model, env_seeds):
+    return [make_environment(model, s).env_key for s in env_seeds]
+
+
 def test_quenched_samples_point_mass():
-    env = make_environment(_point_mass_model(), 1)
-    s = quenched_samples(env, 64, 20, v=(1.0, 0.0), seed=2)
+    model = _point_mass_model()
+    s = quenched_samples(model, _env_keys(model, [1]), 64, 20,
+                         v=(1.0, 0.0), seeds=[2])
+    assert s.shape == (1, 20, 2)
     assert np.allclose(s, 0.0)
 
 
 def test_quenched_samples_single_walk_composition():
-    from rwre.clt import _TAG_QS
-    env = make_environment(dirichlet_drift_model(), 5)
+    model = dirichlet_drift_model()
+    env = make_environment(model, 5)
     v = np.array([0.6, 0.0])
-    s = quenched_samples(env, 128, 1, v=v, seed=9)
+    s = quenched_samples(model, [env.env_key], 128, 1, v=v, seeds=[9])
     path = simulate(env, (0, 0), 128, derive_key(9, _TAG_QS, 0))
     ref = diffusive_scale(path, v, 128, [1.0])
-    assert np.allclose(s[0], ref[0])
+    assert np.allclose(s[0, 0], ref[0])
 
 
 def test_quenched_samples_homogeneous_covariance():
-    env = make_environment(drift_model(), 12)
-    s = quenched_samples(env, 1024, 800, v=(0.5, 0.0), seed=3)
+    model = drift_model()
+    s = quenched_samples(model, _env_keys(model, [12]), 1024, 800,
+                         v=(0.5, 0.0), seeds=[3])[0]
     C = np.cov(s.T, ddof=1)
     assert np.linalg.norm(C - np.diag([0.25, 0.5])) < 0.08
 
 
+def test_quenched_samples_blocks_match_one_walk_call_per_environment():
+    # reference: one shared-environment engine call per environment, with
+    # that environment's seed list; the seeds are derive_key outputs, so
+    # each list mixes seeds below and above 2**63
+    model = dirichlet_drift_model()
+    envs = [make_environment(model, s) for s in (3, 4, 5, 6, 7)]
+    seeds = derive_key_range(13, 5, n=len(envs))
+    n, m_walks, v = 24, 6, np.array([0.6, 0.0])
+    keys = [env.env_key for env in envs]
+    s = quenched_samples(model, keys, n, m_walks, v, seeds)
+    assert s.shape == (len(envs), m_walks, 2)
+    for blocks in (2, 3, 7):
+        got = quenched_samples(model, keys, n, m_walks, v, seeds,
+                               map_fn=lambda f, xs: [f(x) for x in xs],
+                               blocks=blocks)
+        assert got.tobytes() == s.tobytes()
+    for j, env in enumerate(envs):
+        wseeds = [derive_key(int(seeds[j]), _TAG_QS, i)
+                  for i in range(m_walks)]
+        finals = simulate_finals_many(
+            env, np.zeros((m_walks, 2), dtype=np.int64), n, wseeds)
+        assert s[j].tobytes() == ((finals - n * v) / np.sqrt(n)).tobytes()
+
+
 def test_clt_check_degenerate_consistent():
     model = _point_mass_model()
-    env_samples = [quenched_samples(make_environment(model, s), 64, 50,
-                                    v=(1.0, 0.0), seed=s) for s in (1, 2)]
+    env_samples = quenched_samples(model, _env_keys(model, [1, 2]), 64, 50,
+                                   v=(1.0, 0.0), seeds=[1, 2])
     rep = clt_check(env_samples, np.zeros((2, 2)), model.support)
     assert rep.flagged == []
     assert np.all(rep.degenerate_ok)

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 
 from rwre.rng import (_M1, _M2, MASK64, U01_MAX, _u01, derive_key,
-                      derive_key_array, derive_key_range, mix64, mix64_array,
+                      derive_key_array, derive_key_range, fold_key_array,
+                      mix64, mix64_array,
                       site_keys, site_keys_mixed, site_u01, stream_u01,
                       stream_u01_array, counter_u01_array)
 
@@ -117,6 +118,19 @@ def test_derive_key_range_matches_scalar():
                                           for i in range(37)]
     empty = derive_key_range(2**63, -1, n=0)
     assert empty.shape == (0,) and empty.dtype == np.uint64
+
+
+def test_fold_key_array_grid_matches_scalar():
+    # prefix keys[:, None] against parts: row r, column j is
+    # derive_key(seed, r, parts[j])
+    keys = derive_key_range(9, n=4)
+    parts = [0, 1, 2**63 + 1, 2**64 - 1]
+    grid = fold_key_array(keys[:, None], np.array(parts, dtype=np.uint64))
+    assert grid.shape == (4, 4) and grid.dtype == np.uint64
+    for r in range(4):
+        assert [int(k) for k in grid[r]] == [derive_key(9, r, p)
+                                             for p in parts]
+    assert int(fold_key_array(int(keys[1]), 7)[0]) == derive_key(9, 1, 7)
 
 
 def test_counter_u01_array_blocks_match_stream():

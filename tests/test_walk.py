@@ -2,12 +2,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rwre import environment, walk
 from rwre.environment import (EnvironmentModel, cum_bounds_from_keys,
                               cum_vectors_from_keys, make_environment)
 from rwre.models import (backtracking_model, dirichlet_backtracking_model,
                          dirichlet_drift_model, drift_model, support_2d)
+from rwre.rng import MASK64, derive_key_range
 from rwre.walk import (WalkPath, _outward32, _SiteCache, diffusive_scale,
                        simulate, simulate_finals_many,
                        simulate_finals_many_envs, simulate_level_stats_many_envs,
@@ -110,12 +113,14 @@ def test_mixed_key_engines_match_scalar(model):
 def test_engines_match_scalar_when_brackets_decide_nothing(model,
                                                            monkeypatch):
     # two knot cells per component: the brackets are so wide that nearly
-    # every Dirichlet visit takes the exact path, and its write-back
+    # every Dirichlet visit takes the exact path, one site at a time in
+    # the shared call and in one array call in the mixed one
     monkeypatch.setattr(environment, "_KNOTS", 2)
     exact = []
-    monkeypatch.setattr(walk, "cum_vectors_from_keys",
-                        lambda mod, keys: exact.append(len(keys)) or
-                        cum_vectors_from_keys(mod, keys))
+    settle = _SiteCache.settle
+    monkeypatch.setattr(_SiteCache, "settle",
+                        lambda cache, keys: exact.append(len(keys)) or
+                        settle(cache, keys))
     n, m = 120, 9
     envs = [make_environment(model, s) for s in (5, 6, 7)]
     keys = np.array([envs[i % 3].env_key for i in range(m)], dtype=np.uint64)
@@ -128,12 +133,63 @@ def test_engines_match_scalar_when_brackets_decide_nothing(model,
                                                        n, seeds[i]).sites)
     assert np.array_equal(shared, paths[:, 0::3, :])
     if model.kind == "dirichlet":
-        # most sites take the exact path on their first visit
-        first = len({(i % 3, *site) for i in range(m)
-                     for site in paths[:-1, i].tolist()})
-        first += len({tuple(site) for site in
-                      shared[:-1].reshape(-1, 2).tolist()})
-        assert sum(exact) > 0.75 * first
+        # most visits take the exact path; no exact row is kept, so a
+        # revisit takes it again
+        assert sum(exact) > 0.75 * (m + 3) * n
+        assert min(exact) <= walk._SETTLE_ONE_BY_ONE < max(exact)
+
+
+def _seed_list_oracle(seeds: list) -> np.ndarray:
+    """The engines' seed reading as it was written for Python lists."""
+    return np.array([int(s) & MASK64 for s in np.asarray(seeds)],
+                    dtype=np.uint64)
+
+
+def _tie(e_j):
+    """A seed halfway between two neighbouring doubles of [2**(e-1), 2**e)."""
+    e, j = e_j
+    return 2**(e - 1) + j * 2**(e - 53) + 2**(e - 54)
+
+
+_SEEDS = st.one_of(
+    st.integers(-2**63, 2**64 - 1),
+    st.integers(-2**11, 2**11),                       # small, negative
+    st.integers(2**63 - 2**11, 2**63 + 2**11),        # beside 2**63
+    st.integers(2**64 - 2**11, 2**64 - 1),            # may round to 2**64
+    st.tuples(st.integers(54, 64), st.integers(0, 2**52 - 1)).map(_tie))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SEEDS, min_size=1, max_size=8))
+@example([5])
+@example([3, 1, 2])
+@example([-7, 2])
+@example([2**64 - 1, 0])                  # rounds to 2**64, read as 0
+@example([2**63 + 2**10, 1])              # a tie, to the even neighbour
+@example([2**63 + 3 * 2**10, -1])
+@example([2**63 + 1, 2**64 - 1])          # one side: exact
+def test_list_seed_array_matches_list_reading(seeds):
+    want = _seed_list_oracle(seeds)
+    assert walk.walk_seed_array(seeds).tobytes() == want.tobytes()
+    got = walk.list_seed_array(np.array(seeds, dtype=object))
+    assert got.tobytes() == want.tobytes()
+    for dtype in (np.int64, np.uint64):     # the arrays callers hold
+        if all(np.iinfo(dtype).min <= s <= np.iinfo(dtype).max
+               for s in seeds):
+            got = walk.list_seed_array(np.array(seeds, dtype=dtype))
+            assert got.tobytes() == want.tobytes()
+
+
+def test_list_seed_array_reads_each_row_as_a_list():
+    keys = derive_key_range(5, 3, n=40).reshape(8, 5)
+    keys[0] = np.arange(5)                    # all small
+    keys[1, 1:] = keys[1, 0] | np.uint64(2**63)   # one side, all large
+    got = walk.list_seed_array(keys)
+    assert got.shape == keys.shape
+    for row, g in zip(keys.tolist(), got):
+        assert g.tobytes() == _seed_list_oracle(row).tobytes()
+    assert np.array_equal(got[:2], keys[:2])
+    assert not np.array_equal(got[2:], keys[2:])
 
 
 def test_site_cache_key_zero_is_not_a_hit():
@@ -146,13 +202,13 @@ def test_site_cache_key_zero_is_not_a_hit():
     assert np.array_equal(cache.bounds(keys), rows)  # now served from the table
     assert np.all(rows[:, 0::2] <= ref) and np.all(ref <= rows[:, 1::2])
     assert np.array_equal(cache.settle(keys), ref)
-    assert np.array_equal(cache.bounds(keys),
-                          _outward32(np.repeat(ref, 2, axis=1)))
+    assert np.array_equal(cache.bounds(keys), rows)  # settle stores nothing
 
 
 def test_site_cache_colliding_keys_keep_their_own_rows():
     # keys that share a slot, in one batch and across batches: each lookup
-    # returns its own key's row, and a settled key its exact row
+    # returns its own key's row, and settle each key's exact values, one
+    # at a time or in one array call
     model = dirichlet_backtracking_model()
     cache = _SiteCache(model, 1)
     base = np.arange(5, dtype=np.uint64)
@@ -163,11 +219,21 @@ def test_site_cache_colliding_keys_keep_their_own_rows():
     for _ in range(2):
         assert np.array_equal(cache.bounds(keys), rows)
         assert np.array_equal(cache.bounds(keys[::-1]), rows[::-1])
-    assert np.array_equal(cache.settle(keys[5:10]), ref[5:10])
-    got = cache.bounds(keys)
-    assert np.array_equal(got[5:10],
-                          _outward32(np.repeat(ref[5:10], 2, axis=1)))
-    assert np.array_equal(got[:5], rows[:5])
+    assert len(keys) > walk._SETTLE_ONE_BY_ONE
+    assert np.array_equal(cache.settle(keys), ref)
+    for i in range(len(keys)):
+        assert np.array_equal(cache.settle(keys[i:i + 1]), ref[i:i + 1])
+    assert np.array_equal(cache.bounds(keys), rows)
+
+
+def test_settle_raises_the_underflow_error():
+    # alphas so small that every gamma draw of a site underflows to 0
+    model = EnvironmentModel(support=support_2d([(1, 0), (0, 1)]),
+                             kind="dirichlet", alpha=(1e-300, 1e-300))
+    cache = _SiteCache(model, 1)
+    for n in (1, walk._SETTLE_ONE_BY_ONE + 1):
+        with pytest.raises(ValueError, match="underflows to 0"):
+            cache.settle(np.arange(n, dtype=np.uint64))
 
 
 def test_outward32_keeps_bounds_within_three_ulps():
