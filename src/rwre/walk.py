@@ -54,21 +54,23 @@ def walk_seed_array(walk_seeds) -> np.ndarray:
     The engines read a seed sequence through np.asarray; list_seed_array
     gives what that makes of a Python list, and a caller that batches
     several seed lists into one engine call converts each list there.  An
-    integer array is read exactly.  A float array holds integral values in
-    [-2**63, 2**64]: those from 2**63 up are read as the value minus 2**64,
-    which is exact, so a rounded 2**64 wraps to 0.
+    integer array is read exactly, and an object array (a list holding
+    ints outside 64 bits) one seed at a time.  A float array holds integral
+    values in [-2**63, 2**64]: those from 2**63 up are read as the value
+    minus 2**64, which is exact, so a rounded 2**64 wraps to 0.
     """
     a = np.asarray(walk_seeds)
     if a.dtype.kind == "f":
         a = np.where(a >= 2.0**63, a - 2.0**64, a).astype(np.int64)
-    elif a.dtype == object:      # Python ints outside 64 bits
-        a = a & MASK64
+    elif a.dtype == object:
+        a = np.array([int(s) & MASK64 for s in a.flat],
+                     dtype=np.uint64).reshape(a.shape)
     return a.astype(np.uint64)
 
 
 def list_seed_array(seeds) -> np.ndarray:
-    """walk_seed_array(list(row)) for each row (last axis) of an integer
-    array of seeds in [-2**63, 2**64), as uint64 of the same shape.
+    """walk_seed_array(row.tolist()) for each row (last axis) of an
+    integer array of seeds in [-2**63, 2**64), as uint64 of the same shape.
 
     This is the engines' rule for a seed list, the one that shapes the
     realized walks: np.asarray types a list of Python ints by its values,
