@@ -590,9 +590,9 @@ def parse_config(cfg, kind=None, workers=None) -> tuple:
     return model, params, errors
 
 
-def validate_config(cfg, kind=None) -> list:
+def validate_config(cfg) -> list:
     """Schema errors as 'field: reason' strings; empty list when valid."""
-    return parse_config(cfg, kind)[2]
+    return parse_config(cfg)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -642,13 +642,12 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run(cfg: dict, kind=None, out_dir=None, workers=None, seed=None) -> dict:
+def run(cfg: dict, out_dir=None, workers=None) -> dict:
     """Execute one experiment; returns the manifest dict."""
-    model, params, errors = parse_config(cfg, kind, workers)
+    model, params, errors = parse_config(cfg, workers=workers)
     if errors:
         raise ValueError("; ".join(errors))
-    return _execute(cfg, kind or cfg["kind"], model, params, out_dir,
-                    workers, seed)
+    return _execute(cfg, cfg["kind"], model, params, out_dir, workers, None)
 
 
 def _machine() -> dict:

@@ -32,11 +32,14 @@ def _env_blocks(n_env: int, blocks: int) -> list:
             if r.size]
 
 
-def _qs_block(envs, model=None, env_keys=None, seeds=None, n=0, m_walks=0):
+def _finals_block(envs, model=None, env_keys=None, prefixes=None, n=0,
+                  m_walks=0):
     """Final positions (len(envs), m_walks, d) of the walks of a contiguous
-    block of environment indices, all walked in one engine call."""
+    block of environment indices, all walked in one engine call.  Walk i of
+    environment j has the seed derive_key(prefixes[j], i), each
+    environment's seed list read as one list (walk.list_seed_array)."""
     d = model.support.dimension
-    wkeys = fold_key_array(derive_key_array(seeds[envs], _TAG_QS)[:, None],
+    wkeys = fold_key_array(prefixes[envs][:, None],
                            np.arange(m_walks, dtype=np.uint64))
     finals = simulate_finals_many_envs(
         model, np.repeat(env_keys[envs], m_walks),
@@ -52,17 +55,17 @@ def quenched_samples(model: EnvironmentModel, env_keys, n: int, m_walks: int,
 
     Environment j has the key env_keys[j] (Environment.env_key; see
     environment.env_key_range) and its walk i the seed
-    derive_key(seeds[j], _TAG_QS, i), each environment's seed list read as
-    one list (walk.list_seed_array).  The environments are split into
+    derive_key(seeds[j], _TAG_QS, i).  The environments are split into
     `blocks` contiguous blocks that map_fn (a deterministic,
     order-preserving map such as the built-in one or a process pool's)
     walks one engine call per block, so the result does not depend on
     `blocks` or on map_fn.
     """
     env_keys = np.asarray(env_keys, dtype=np.uint64)
-    task = partial(_qs_block, model=model, env_keys=env_keys,
-                   seeds=np.asarray(seeds, dtype=np.uint64), n=n,
-                   m_walks=m_walks)
+    task = partial(_finals_block, model=model, env_keys=env_keys,
+                   prefixes=derive_key_array(
+                       np.asarray(seeds, dtype=np.uint64), _TAG_QS),
+                   n=n, m_walks=m_walks)
     finals = np.concatenate(list(map_fn(task, _env_blocks(len(env_keys),
                                                           blocks))))
     return (finals - n * np.asarray(v, dtype=float)) / np.sqrt(n)
@@ -98,8 +101,7 @@ class QuenchedCLTReport:
     degenerate_ok: np.ndarray     # (n_env, n_dir) exact-zero checks
     frob_to_ref: np.ndarray       # (n_env,)
     frob_pairwise_max: float
-    flagged: list                 # environments failing at `level`
-    level: float
+    flagged: list                 # environments failing at clt_check's level
 
     @property
     def n_passed(self) -> int:
@@ -156,7 +158,7 @@ def clt_check(samples_per_env, D_hat, support, level: float = 0.01) -> QuenchedC
     return QuenchedCLTReport(directions=dirs, per_env_cov=covs,
                              ks_pvalues=pvals, degenerate_ok=degen_ok,
                              frob_to_ref=frob_ref, frob_pairwise_max=pairwise,
-                             flagged=flagged, level=level)
+                             flagged=flagged)
 
 
 def degeneracy_directions(model: EnvironmentModel) -> np.ndarray:
@@ -167,29 +169,6 @@ def degeneracy_directions(model: EnvironmentModel) -> np.ndarray:
     diffs = diffs.reshape(-1, steps.shape[1])
     basis = _null_space(diffs)
     return basis.T
-
-
-def _qmv_block(envs, model=None, n=0, m_walks=0, seed=0, ni=0):
-    """Quenched means and within variances (len(envs), d) at time n for a
-    contiguous block of environment indices, all walked in one engine call."""
-    d = model.support.dimension
-    env_keys = env_key_range(seed, TAG_ENV, _TAG_QMV, ni, n=envs[-1] + 1)[envs]
-    # one seed list per environment, read as a separate engine call reads it
-    wkeys = fold_key_array(
-        derive_key_range(seed, _TAG_QMV, ni, n=envs[-1] + 1)[envs][:, None],
-        np.arange(m_walks, dtype=np.uint64))
-    starts = np.zeros((len(envs) * m_walks, d), dtype=np.int64)
-    finals = simulate_finals_many_envs(model, np.repeat(env_keys, m_walks),
-                                       starts, n,
-                                       list_seed_array(wkeys).ravel()
-                                       ).astype(float)
-    means = np.empty((len(envs), d))
-    within = np.empty((len(envs), d))
-    for j in range(len(envs)):
-        f = finals[j * m_walks:(j + 1) * m_walks]
-        means[j] = f.mean(axis=0)
-        within[j] = f.var(axis=0, ddof=1)
-    return means, within
 
 
 def quenched_mean_variance(model: EnvironmentModel, n_grid, n_env: int,
@@ -215,14 +194,21 @@ def quenched_mean_variance(model: EnvironmentModel, n_grid, n_env: int,
         raise ValueError("need m_walks >= 2")
     n_grid = sorted(int(n) for n in n_grid)
     env_blocks = _env_blocks(n_env, blocks)
+    d = model.support.dimension
     rows = []
     floored = []
     for ni, n in enumerate(n_grid):
-        task = partial(_qmv_block, model=model, n=n, m_walks=m_walks,
-                       seed=seed, ni=ni)
-        res = list(map_fn(task, env_blocks))
-        env_means = np.concatenate([r[0] for r in res])
-        within = np.concatenate([r[1] for r in res])
+        task = partial(_finals_block, model=model,
+                       env_keys=env_key_range(seed, TAG_ENV, _TAG_QMV, ni,
+                                              n=n_env),
+                       prefixes=derive_key_range(seed, _TAG_QMV, ni, n=n_env),
+                       n=n, m_walks=m_walks)
+        finals = np.concatenate(list(map_fn(task, env_blocks))).astype(float)
+        env_means = np.empty((n_env, d))
+        within = np.empty((n_env, d))
+        for e, f in enumerate(finals):
+            env_means[e] = f.mean(axis=0)
+            within[e] = f.var(axis=0, ddof=1)
         between = env_means.var(axis=0, ddof=1)
         corrected = between - within.mean(axis=0) / m_walks
         flag = bool((corrected < 0).any())

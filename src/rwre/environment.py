@@ -176,8 +176,7 @@ class Environment:
 
     def __init__(self, model: EnvironmentModel, env_seed: int):
         self.model = model
-        self.env_seed = int(env_seed)
-        self.env_key = derive_key(self.env_seed, TAG_SITE)
+        self.env_key = derive_key(int(env_seed), TAG_SITE)
         self._cum_cache: dict = {}
         # the environment's part of every site key, derive_key(env_key)
         self._site_h = derive_key(self.env_key)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,21 +11,17 @@ import numpy as np
 class ExponentFit:
     """OLS fit of log y against log n, with the slope standard error."""
 
-    n_grid: np.ndarray
-    y: np.ndarray
     slope: float
     intercept: float
     slope_se: float
-    excluded: list = field(default_factory=list)  # grid points with y <= 0
 
 
 def fit_exponent(n_grid, y) -> ExponentFit:
     """Unweighted least squares on logs; nonpositive y values are dropped
-    (and reported) since they carry no log-log information."""
+    since they carry no log-log information."""
     n_grid = np.asarray(n_grid, dtype=float)
     y = np.asarray(y, dtype=float)
     keep = y > 0
-    excluded = n_grid[~keep].tolist()
     xs = np.log(n_grid[keep])
     ys = np.log(y[keep])
     m = len(xs)
@@ -41,6 +37,4 @@ def fit_exponent(n_grid, y) -> ExponentFit:
     else:
         sigma2 = 0.0
     slope_se = float(np.sqrt(sigma2 / sxx))
-    return ExponentFit(n_grid=n_grid[keep], y=y[keep], slope=slope,
-                       intercept=intercept, slope_se=slope_se,
-                       excluded=excluded)
+    return ExponentFit(slope=slope, intercept=intercept, slope_se=slope_se)

@@ -40,6 +40,11 @@ _EXACT_TAIL_UPDATES = 1 << 30
 # Unknowns of one dense linear solve (ladder_heights and
 # half_line_green_solve): the complex matrix of 2**11 unknowns is 64 MiB
 _DENSE_UNKNOWNS = 1 << 11
+# Step caps of the Monte Carlo loops: half_line_green_mc stops after
+# _MC_MAX_STEPS steps, and cube_exit_time truncates the exit time from the
+# cube of radius r at _EXIT_CAP_FACTOR (r + 1)^2 + 1000 steps
+_MC_MAX_STEPS = 2_000_000
+_EXIT_CAP_FACTOR = 400
 
 
 def _block_len(m: int, left: Optional[int] = None) -> int:
@@ -284,13 +289,12 @@ def half_line_green_solve(walk: SymmetricWalk1D, r0: int, s: int, t: int) -> flo
 
 
 def half_line_green(walk: SymmetricWalk1D, r0: int, s: int, t: int,
-                    tables: Optional[LadderTables] = None) -> float:
-    """Half-line Green function via the ladder representation."""
+                    tables: LadderTables) -> float:
+    """Half-line Green function via the ladder representation, from the
+    tables build_ladder_tables(walk) made."""
     if s <= r0 or t <= r0:
         raise ValueError("s and t must exceed the kill level r0")
-    if tables is None:
-        tables = build_ladder_tables(walk)
-    elif tables.walk != walk:
+    if tables.walk != walk:
         raise ValueError("ladder tables were built for another walk")
     x, y = s - r0 - 1, t - r0 - 1
     tables.ensure(max(x, y))
@@ -352,17 +356,16 @@ def _killed_walk(walk: SymmetricWalk1D, keys: np.ndarray, start: int,
 
 def half_line_green_mc(walk: SymmetricWalk1D, r0: int, s: int, t: int,
                        reps: int = 10_000, seed: int = 0,
-                       max_steps: int = 2_000_000,
                        tail_tol: float = 0.01) -> tuple:
     """Monte Carlo visit count with a batch-mean standard error over
     min(32, reps) batches; reps must be at least 2.
 
     The kill time has infinite mean, so the loop stops once the surviving
     replicas can contribute at most `tail_tol` to the estimate (using the
-    a priori bound g(y, t) <= C (t - r0)), or at the hard step cap, with a
-    RuntimeWarning if the survivors could then still add more than
-    tail_tol.  Otherwise the estimate is biased downward by at most
-    tail_tol; comparisons should allow 3 se + tail_tol.
+    a priori bound g(y, t) <= C (t - r0)), or at the hard step cap
+    _MC_MAX_STEPS, with a RuntimeWarning if the survivors could then still
+    add more than tail_tol.  Otherwise the estimate is biased downward by
+    at most tail_tol; comparisons should allow 3 se + tail_tol.
     """
     if reps < 2:
         raise ValueError(f"reps must be >= 2 for a standard error "
@@ -377,13 +380,15 @@ def half_line_green_mc(walk: SymmetricWalk1D, r0: int, s: int, t: int,
         return alive * green_bound <= tail
 
     alive, visits = _killed_walk(walk, keys, s, 0, lo=r0 + 1,
-                                 n_steps=max_steps, stop=negligible, hit=t)
+                                 n_steps=_MC_MAX_STEPS, stop=negligible, hit=t)
     if s == t:
         visits += 1
-    if len(alive) - 1 == max_steps and alive[-1] and not negligible(alive[-1]):
-        warnings.warn(f"half_line_green_mc(s={s}, t={t}) stopped at max_steps"
-                      f"={max_steps} with {alive[-1]} survivors, which may "
-                      f"add more than tail_tol={tail_tol}", RuntimeWarning)
+    if len(alive) - 1 == _MC_MAX_STEPS and alive[-1] and \
+            not negligible(alive[-1]):
+        warnings.warn(f"half_line_green_mc(s={s}, t={t}) stopped at "
+                      f"max_steps={_MC_MAX_STEPS} with {alive[-1]} survivors,"
+                      f" which may add more than tail_tol={tail_tol}",
+                      RuntimeWarning)
     n_batches = min(32, reps)
     edges = np.linspace(0, reps, n_batches + 1).astype(int)
     bm = np.array([visits[a:b].mean() for a, b in zip(edges[:-1], edges[1:])])
@@ -672,13 +677,13 @@ def _chain_exit_times(spec: PerturbedChainSpec, keys: np.ndarray, r: int,
 
 
 def cube_exit_time(spec: PerturbedChainSpec, r_grid, reps: int = 512,
-                   seed: int = 0, step_cap_factor: int = 400) -> dict:
+                   seed: int = 0) -> dict:
     """Monte Carlo mean exit times from centered cubes, with a power fit."""
     r_grid = sorted(int(r) for r in r_grid)
     means = []
     truncated = {}
     for r in r_grid:
-        cap = step_cap_factor * (r + 1) ** 2 + 1000
+        cap = _EXIT_CAP_FACTOR * (r + 1) ** 2 + 1000
         keys = derive_key_range(seed, _TAG_EXIT, r, n=reps)
         exit_time, truncated[r] = _chain_exit_times(spec, keys, r, cap)
         means.append(float(exit_time.mean()))

@@ -9,9 +9,9 @@ from __future__ import annotations
 from .environment import EnvironmentModel, StepSupport
 
 
-def support_2d(steps, u_hat=(1, 0)) -> StepSupport:
+def support_2d(steps) -> StepSupport:
     return StepSupport(dimension=2, steps=tuple(tuple(z) for z in steps),
-                       u_hat=tuple(u_hat))
+                       u_hat=(1, 0))
 
 
 def drift_model() -> EnvironmentModel:
@@ -26,7 +26,7 @@ def drift_model() -> EnvironmentModel:
         kind="deterministic", probs=(0.5, 0.25, 0.25))
 
 
-def dirichlet_drift_model(alpha=(4.0, 1.0, 1.0), floor: float = 0.1) -> EnvironmentModel:
+def dirichlet_drift_model() -> EnvironmentModel:
     """Random environment on {e1, e2, -e2} with weights favoring e1.
 
     The ellipticity floor mixes in the uniform vector so that the drift
@@ -34,7 +34,7 @@ def dirichlet_drift_model(alpha=(4.0, 1.0, 1.0), floor: float = 0.1) -> Environm
     (non-nestling by construction)."""
     return EnvironmentModel(
         support=support_2d([(1, 0), (0, 1), (0, -1)]),
-        kind="dirichlet", alpha=tuple(alpha), floor=floor)
+        kind="dirichlet", alpha=(4.0, 1.0, 1.0), floor=0.1)
 
 
 def degenerate_direction_model() -> EnvironmentModel:
@@ -53,10 +53,9 @@ def backtracking_model() -> EnvironmentModel:
         kind="deterministic", probs=(0.4, 0.3, 0.15, 0.15))
 
 
-def dirichlet_backtracking_model(alpha=(5.0, 2.0, 1.5, 1.5),
-                                 floor: float = 0.05) -> EnvironmentModel:
+def dirichlet_backtracking_model() -> EnvironmentModel:
     """Random environment with backtracking steps, for exercising the
     joint-regeneration rounds and renewal diagnostics."""
     return EnvironmentModel(
         support=support_2d([(1, 0), (-1, 0), (0, 1), (0, -1)]),
-        kind="dirichlet", alpha=tuple(alpha), floor=floor)
+        kind="dirichlet", alpha=(5.0, 2.0, 1.5, 1.5), floor=0.05)

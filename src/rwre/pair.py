@@ -39,6 +39,10 @@ _INTER_CHUNK = 250
 # 4 margin steps, and gives up after _MAX_TRIPLES triples.
 _LOOKAHEAD = 2
 _MAX_TRIPLES = 200
+# A difference-chain step simulates each slab's walks for at most
+# _CHAIN_HORIZON steps and gives up after _MAX_REJECTIONS rejected slabs
+_CHAIN_HORIZON = 20_000
+_MAX_REJECTIONS = 1000
 # support_inheritance_check flags atoms seen under q above this many counts
 _FLAG_COUNT = 10.0
 
@@ -58,7 +62,6 @@ class JointRegenRecord:
 class YChainSample:
     y: np.ndarray            # (K, d) states, all in V_d
     rejections: int
-    unconfirmed: int
 
 
 @dataclass
@@ -185,9 +188,6 @@ class _SeqWalk:
         self.min_level = lev
         self.fresh = {lev: 0}
 
-    def __len__(self):
-        return len(self.positions)
-
     def extend_to(self, t: int, horizon: int) -> bool:
         """Grow the path to time index t; False when the horizon blocks."""
         while len(self.positions) - 1 < t:
@@ -279,24 +279,17 @@ def _check_common_start(model: EnvironmentModel, x, y) -> int:
 
 
 def first_joint_regeneration(env: Environment, x, y, margin: int = 20,
-                             horizon: int = 20_000, seed: int = 0,
-                             walk_seeds=None) -> JointRegenRecord:
-    """First joint regeneration record of two fresh walks from x and y.
-
-    walk_seeds optionally fixes the two walks' own seeds; passing the same
-    seed with x == y makes the pair one and the same walk.
-    """
+                             horizon: int = 20_000,
+                             seed: int = 0) -> JointRegenRecord:
+    """First joint regeneration record of two fresh walks from x and y."""
     model = env.model
     h = _check_common_start(model, x, y)
     sup = model.support
-    if walk_seeds is None:
-        walk_seeds = (derive_key(seed, _TAG_PAIR, 10),
-                      derive_key(seed, _TAG_PAIR, 11))
     wa = _SeqWalk(env.cum_at, tuple(int(c) for c in x),
-                  _TimeSource(walk_key(int(walk_seeds[0]))),
+                  _TimeSource(walk_key(derive_key(seed, _TAG_PAIR, 10))),
                   sup.u_hat, sup.steps)
     wb = _SeqWalk(env.cum_at, tuple(int(c) for c in y),
-                  _TimeSource(walk_key(int(walk_seeds[1]))),
+                  _TimeSource(walk_key(derive_key(seed, _TAG_PAIR, 11))),
                   sup.u_hat, sup.steps)
     return _joint_regen(wa, wb, h, margin, horizon)
 
@@ -305,14 +298,27 @@ def first_joint_regeneration(env: Environment, x, y, margin: int = 20,
 # canonical difference chains
 
 
-def _one_q_step(model: EnvironmentModel, y: tuple, seed: int, margin: int,
-                horizon: int, independent_envs: bool) -> tuple:
-    """One attempt at a conditioned slab from states (0, y).
+def _in_V(model: EnvironmentModel, x0) -> tuple:
+    """x0 as a tuple of ints, checked to lie in V_d."""
+    if model.support.dot_u(x0) != 0:
+        raise ValueError("x0 must lie in the hyperplane V_d (x0.u_hat = 0)")
+    return tuple(int(c) for c in x0)
 
-    Returns (accepted, new_y, confirmed) where accepted requires both the
-    joint regeneration to confirm and neither walk to dip below the start
-    level anywhere in its simulated range.
-    """
+
+def _slab_difference(rec: JointRegenRecord, wa: _SeqWalk,
+                     wb: _SeqWalk) -> Optional[tuple]:
+    """The difference of the regeneration sites of wb and wa when the slab
+    is accepted: the joint regeneration confirmed and neither walk dipped
+    below its start level anywhere in its simulated range; else None."""
+    if rec.confirmed and wa.min_level >= 0 and wb.min_level >= 0:
+        return tuple(b - a for a, b in zip(rec.x_mu, rec.x_tilde_mu))
+    return None
+
+
+def _one_q_step(model: EnvironmentModel, y: tuple, seed: int, margin: int,
+                independent_envs: bool) -> Optional[tuple]:
+    """One attempt at a conditioned slab from states (0, y): the new
+    difference, or None when the slab is rejected (_slab_difference)."""
     sup = model.support
     d = sup.dimension
     origin = tuple(0 for _ in range(d))
@@ -324,50 +330,33 @@ def _one_q_step(model: EnvironmentModel, y: tuple, seed: int, margin: int,
                   _TimeSource(derive_key(seed, 3)), sup.u_hat, sup.steps)
     wb = _SeqWalk(env_b.cum_at, y,
                   _TimeSource(derive_key(seed, 4)), sup.u_hat, sup.steps)
-    h = compute_h(sup)
-    rec = _joint_regen(wa, wb, h, margin, horizon)
-    if not rec.confirmed:
-        return False, None, False
-    if wa.min_level < 0 or wb.min_level < 0:
-        return False, None, True
-    diff = tuple(b - a for a, b in zip(rec.x_mu, rec.x_tilde_mu))
-    return True, diff, True
+    rec = _joint_regen(wa, wb, compute_h(sup), margin, _CHAIN_HORIZON)
+    return _slab_difference(rec, wa, wb)
 
 
 def _sample_chain(model: EnvironmentModel, x0, K: int, seed: int, margin: int,
-                  horizon: int, max_rejections: int,
                   independent_envs: bool, tag: int) -> YChainSample:
-    sup = model.support
-    if sup.dot_u(x0) != 0:
-        raise ValueError("x0 must lie in the hyperplane V_d (x0.u_hat = 0)")
-    y = tuple(int(c) for c in x0)
+    y = _in_V(model, x0)
     out = []
     rejections = 0
-    unconfirmed = 0
     for k in range(K):
-        accepted = False
-        for attempt in range(max_rejections):
-            ok, new_y, confirmed = _one_q_step(
-                model, y, derive_key(seed, tag, k, attempt), margin, horizon,
-                independent_envs)
-            if ok:
+        for attempt in range(_MAX_REJECTIONS):
+            new_y = _one_q_step(model, y, derive_key(seed, tag, k, attempt),
+                                margin, independent_envs)
+            if new_y is not None:
                 y = new_y
-                accepted = True
                 break
             rejections += 1
-            if not confirmed:
-                unconfirmed += 1
-        if not accepted:
+        else:
             raise RuntimeError(
-                f"rejection cap {max_rejections} hit at chain step {k + 1}")
+                f"rejection cap {_MAX_REJECTIONS} hit at chain step {k + 1}")
         out.append(y)
     return YChainSample(y=np.array(out, dtype=np.int64),
-                        rejections=rejections, unconfirmed=unconfirmed)
+                        rejections=rejections)
 
 
 def sample_Y_chain(model: EnvironmentModel, x0, K: int, seed: int = 0,
-                   margin: int = 20, horizon: int = 20_000,
-                   max_rejections: int = 1000) -> YChainSample:
+                   margin: int = 20) -> YChainSample:
     """K steps of the canonical difference chain (common environment).
 
     Each transition runs a fresh conditioned slab: a pair of walks from
@@ -375,22 +364,20 @@ def sample_Y_chain(model: EnvironmentModel, x0, K: int, seed: int = 0,
     below the start level (margin-approximated), per the conditioning in
     the transition law.
     """
-    return _sample_chain(model, x0, K, seed, margin, horizon, max_rejections,
+    return _sample_chain(model, x0, K, seed, margin,
                          independent_envs=False, tag=_TAG_YCHAIN)
 
 
 def sample_Ybar_chain(model: EnvironmentModel, x0, K: int, seed: int = 0,
-                      margin: int = 20, horizon: int = 20_000,
-                      max_rejections: int = 1000) -> YChainSample:
+                      margin: int = 20) -> YChainSample:
     """Same construction with the two walks in independent environments:
     the symmetric random walk used as the coupling target."""
-    return _sample_chain(model, x0, K, seed, margin, horizon, max_rejections,
+    return _sample_chain(model, x0, K, seed, margin,
                          independent_envs=True, tag=_TAG_YBAR)
 
 
 def support_inheritance_check(model: EnvironmentModel, x0, n_samples: int,
-                              seed: int = 0, margin: int = 12,
-                              horizon: int = 20_000) -> dict:
+                              seed: int = 0, margin: int = 12) -> dict:
     """Compare the empirical supports of one-step q(x0,.) and qbar(x0,.).
 
     Flags atoms seen under q with frequency above _FLAG_COUNT / n but
@@ -403,10 +390,10 @@ def support_inheritance_check(model: EnvironmentModel, x0, n_samples: int,
     cqb: Counter = Counter()
     for i in range(n_samples):
         s = sample_Y_chain(model, x0, 1, seed=derive_key(seed, 5, i),
-                           margin=margin, horizon=horizon)
+                           margin=margin)
         cq[tuple(s.y[0])] += 1
         sb = sample_Ybar_chain(model, x0, 1, seed=derive_key(seed, 6, i),
-                               margin=margin, horizon=horizon)
+                               margin=margin)
         cqb[tuple(sb.y[0])] += 1
     thresh = _FLAG_COUNT / n_samples
     flagged = [z for z, c in cq.items()
@@ -464,13 +451,10 @@ def coupled_triple(model: EnvironmentModel, x0, seed: int = 0,
     triple whose (X, Xtilde) pair never backtracks, Ybar_1 from the first
     triple whose (X, Xbar) pair never backtracks.
     """
+    x0 = _in_V(model, x0)
     sup = model.support
-    if sup.dot_u(x0) != 0:
-        raise ValueError("x0 must lie in the hyperplane V_d (x0.u_hat = 0)")
     h = compute_h(sup)
-    d = sup.dimension
-    origin = tuple(0 for _ in range(d))
-    x0 = tuple(int(c) for c in x0)
+    origin = tuple(0 for _ in range(sup.dimension))
     Y1 = Ybar1 = None
     hit = False
     m = 0
@@ -489,15 +473,16 @@ def coupled_triple(model: EnvironmentModel, x0, seed: int = 0,
         wbar = _SeqWalk(chooser, x0, _SiteSource(shared),
                         sup.u_hat, sup.steps)
         chooser.owner = wbar
+        # both searches run before either slab is judged: the second one
+        # extends wx, and wx's minimum level over its whole simulated
+        # range enters both judgements
         rec_t = _joint_regen(wx, wt, h, margin, horizon)
         rec_b = _joint_regen(wx, wbar, h, margin, horizon)
         hit = hit or chooser.hit
-        if Y1 is None and rec_t.confirmed and wx.min_level >= 0 \
-                and wt.min_level >= 0:
-            Y1 = tuple(b - a for a, b in zip(rec_t.x_mu, rec_t.x_tilde_mu))
-        if Ybar1 is None and rec_b.confirmed and wx.min_level >= 0 \
-                and wbar.min_level >= 0:
-            Ybar1 = tuple(b - a for a, b in zip(rec_b.x_mu, rec_b.x_tilde_mu))
+        if Y1 is None:
+            Y1 = _slab_difference(rec_t, wx, wt)
+        if Ybar1 is None:
+            Ybar1 = _slab_difference(rec_b, wx, wbar)
     if Y1 is None or Ybar1 is None:
         raise RuntimeError(f"coupling cap {_MAX_TRIPLES} triples exhausted")
     return CouplingOutcome(Y1=np.array(Y1, dtype=np.int64),

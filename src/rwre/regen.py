@@ -24,10 +24,7 @@ class RegenerationRecord:
     confirmed: np.ndarray    # per-tau flags
     slab_dtau: np.ndarray    # (n_slabs,) durations between confirmed taus
     slab_dx: np.ndarray      # (n_slabs, d) displacements between confirmed taus
-    horizon: int
     margin: int
-    tail_cut: int
-    levels: np.ndarray       # levels at the confirmed taus
 
     @property
     def n_slabs(self) -> int:
@@ -52,7 +49,6 @@ class VelocityEstimate:
 @dataclass
 class DiffusionEstimate:
     D_hat: np.ndarray
-    n_slabs: int
 
 
 def detect_regenerations(path: WalkPath, margin: int = 20,
@@ -98,10 +94,7 @@ def detect_regenerations(path: WalkPath, margin: int = 20,
         confirmed=confirmed,
         slab_dtau=slab_dtau,
         slab_dx=slab_dx,
-        horizon=path.n_steps,
         margin=margin,
-        tail_cut=tail_cut,
-        levels=lev[conf_times].astype(np.int64),
     )
 
 
@@ -140,7 +133,7 @@ def estimate_diffusion(records, v) -> DiffusionEstimate:
     v = np.asarray(v, dtype=float)
     resid = dx - dtau[:, None] * v
     D = (resid.T @ resid) / n / dtau.mean()
-    return DiffusionEstimate(D_hat=(D + D.T) / 2.0, n_slabs=n)
+    return DiffusionEstimate(D_hat=(D + D.T) / 2.0)
 
 
 def renewal_diagnostics(records, p: float = 2.0, n_grid=(4, 16, 64, 256),
@@ -154,8 +147,6 @@ def renewal_diagnostics(records, p: float = 2.0, n_grid=(4, 16, 64, 256),
     {(X_{n+m}-X_m).u <= sqrt(n)}.  Used to probe the regeneration moment
     hypothesis empirically.
     """
-    if isinstance(records, RegenerationRecord):
-        records = [records]
     if not records:
         raise ValueError("records must be nonempty")
     n_grid = sorted(int(m) for m in n_grid)

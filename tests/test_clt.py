@@ -3,15 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from rwre.clt import (_TAG_QMV, _TAG_QS, _null_space, _qmv_block, _two_sided_pvalue,
+from rwre.clt import (_TAG_QMV, _TAG_QS, _finals_block, _null_space, _two_sided_pvalue,
                       centered_mean_bound, clt_check,
                       degeneracy_directions, quenched_mean_variance,
                       quenched_samples)
-from rwre.environment import EnvironmentModel, derive_env_seed, make_environment
+from rwre.environment import (EnvironmentModel, derive_env_seed, env_key_range,
+                              make_environment)
 from rwre.fitting import fit_exponent
 from rwre.models import (backtracking_model, degenerate_direction_model,
                          dirichlet_drift_model, drift_model, support_2d)
-from rwre.rng import derive_key, derive_key_range
+from rwre.rng import TAG_ENV, derive_key, derive_key_range
 from rwre.walk import diffusive_scale, simulate, simulate_finals_many
 
 
@@ -150,15 +151,18 @@ def test_quenched_mean_blocks_match_one_walk_call_per_environment():
     # reference: one shared-environment engine call per environment
     model = dirichlet_drift_model()
     seed, ni, n, m_walks = 11, 1, 24, 5
-    means, within = _qmv_block(range(3, 9), model=model, n=n,
-                               m_walks=m_walks, seed=seed, ni=ni)
+    # quenched_mean_variance's environments and walk seeds at grid index ni
+    block = _finals_block(
+        range(3, 9), model=model,
+        env_keys=env_key_range(seed, TAG_ENV, _TAG_QMV, ni, n=9),
+        prefixes=derive_key_range(seed, _TAG_QMV, ni, n=9), n=n,
+        m_walks=m_walks)
     for j, e in enumerate(range(3, 9)):
         env = make_environment(model, derive_env_seed(seed, _TAG_QMV, ni, e))
         wseeds = [derive_key(seed, _TAG_QMV, ni, e, i) for i in range(m_walks)]
         finals = simulate_finals_many(env, np.zeros((m_walks, 2), dtype=np.int64),
-                                      n, wseeds).astype(float)
-        assert np.array_equal(means[j], finals.mean(axis=0))
-        assert np.array_equal(within[j], finals.var(axis=0, ddof=1))
+                                      n, wseeds)
+        assert np.array_equal(block[j], finals)
 
 
 def test_quenched_mean_variance_independent_of_blocks():

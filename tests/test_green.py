@@ -308,12 +308,13 @@ def test_cube_exit_time_exponent():
     assert abs(res["fit"].slope - 2.0) < 0.1
 
 
-def test_half_line_green_mc_warns_at_max_steps():
+def test_half_line_green_mc_warns_at_max_steps(monkeypatch):
     walk = simple_walk()
-    with pytest.warns(RuntimeWarning, match=r"s=3, t=2\) stopped at "
-                      r"max_steps=50 with \d+ survivors"):
-        est, se = half_line_green_mc(walk, 0, 3, 2, reps=200, seed=1,
-                                     max_steps=50)
+    with monkeypatch.context() as m, pytest.warns(
+            RuntimeWarning, match=r"s=3, t=2\) stopped at "
+                                  r"max_steps=50 with \d+ survivors"):
+        m.setattr(green, "_MC_MAX_STEPS", 50)
+        est, se = half_line_green_mc(walk, 0, 3, 2, reps=200, seed=1)
     assert (est, se) == _ref_half_line_green_mc(walk, 0, 3, 2, 200, 1, 50,
                                                 0.01)
     with warnings.catch_warnings():
@@ -429,11 +430,13 @@ def _at_each_block_size(monkeypatch, run):
 ])
 def test_half_line_green_mc_matches_one_counter_loop(
         monkeypatch, walk, r0, s, t, reps, seed, max_steps, tail_tol):
+    monkeypatch.setattr(green, "_MC_MAX_STEPS", max_steps)
+
     def run():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             return half_line_green_mc(walk, r0, s, t, reps=reps, seed=seed,
-                                      max_steps=max_steps, tail_tol=tail_tol)
+                                      tail_tol=tail_tol)
     ref = _ref_half_line_green_mc(walk, r0, s, t, reps, seed, max_steps,
                                   tail_tol)
     assert _at_each_block_size(monkeypatch, run) == [ref] * len(BLOCK_CELLS)
@@ -481,9 +484,10 @@ def _chain(d, **kw):
 ])
 def test_cube_exit_time_matches_one_counter_loop(
         monkeypatch, spec, r_grid, reps, seed, step_cap_factor):
+    monkeypatch.setattr(green, "_EXIT_CAP_FACTOR", step_cap_factor)
+
     def run():
-        res = cube_exit_time(spec, r_grid, reps=reps, seed=seed,
-                             step_cap_factor=step_cap_factor)
+        res = cube_exit_time(spec, r_grid, reps=reps, seed=seed)
         return res["mean_exit"], res["truncated"]
     ref = _ref_cube_exit_time(spec, r_grid, reps, seed, step_cap_factor)
     assert _at_each_block_size(monkeypatch, run) == [ref] * len(BLOCK_CELLS)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from rwre.environment import EnvironmentModel, make_environment
+from rwre import pair
+from rwre.environment import EnvironmentModel, compute_h, make_environment
 from rwre.models import (dirichlet_backtracking_model, dirichlet_drift_model,
                          drift_model, support_2d)
-from rwre.pair import (_SeqWalk, _TimeSource, _pair_common_sites,
+from rwre.pair import (_SeqWalk, _TimeSource, _joint_regen, _pair_common_sites,
                        coupled_triple, first_joint_regeneration,
                        intersection_curve, sample_Y_chain,
                        sample_Ybar_chain, support_inheritance_check)
@@ -76,16 +77,18 @@ def test_first_joint_regeneration_monotone_pair():
 
 
 def test_first_joint_regeneration_self_pair():
-    # x = y with the same walk seed: Lambda is the first confirmed
-    # single-walk regeneration level, reached at the same time and site as
-    # on simulate's path
+    # two walks from x = y on one time source key are one and the same
+    # walk: Lambda is the first confirmed single-walk regeneration level,
+    # reached at the same time and site as on simulate's path
     for model in (drift_model(), dirichlet_backtracking_model()):
         env = make_environment(model, 21)
-        rec = first_joint_regeneration(env, (0, 0), (0, 0), margin=10,
-                                       walk_seeds=(9, 9))
+        sup = model.support
+        wa, wb = (_SeqWalk(env.cum_at, (0, 0), _TimeSource(walk_key(9)),
+                           sup.u_hat, sup.steps) for _ in range(2))
+        rec = _joint_regen(wa, wb, compute_h(sup), margin=10, horizon=20_000)
         path = simulate(env, (0, 0), 4 * rec.mu1 + 200, 9)
         single = detect_regenerations(path, margin=10)
-        first_level = int(single.levels[0])
+        first_level = int(path.levels[single.tau[single.confirmed][0]])
         assert rec.confirmed
         assert rec.Lambda == first_level
         assert rec.x_mu == rec.x_tilde_mu == tuple(path.sites[rec.mu1].tolist())
@@ -306,11 +309,12 @@ def test_joint_regen_horizon_exhaustion_unconfirmed():
     assert rec.Lambda is None and rec.mu1 is None
 
 
-def test_y_chain_rejection_cap():
+def test_y_chain_rejection_cap(monkeypatch):
     from rwre.models import backtracking_model
+    monkeypatch.setattr(pair, "_CHAIN_HORIZON", 60)
+    monkeypatch.setattr(pair, "_MAX_REJECTIONS", 3)
     with pytest.raises(RuntimeError):
-        sample_Y_chain(backtracking_model(), (0, 1), 1, seed=2, margin=40,
-                       horizon=60, max_rejections=3)
+        sample_Y_chain(backtracking_model(), (0, 1), 1, seed=2, margin=40)
 
 
 def test_y_chain_markov_proxy():
