@@ -19,8 +19,9 @@ Dirichlet component's uniform lies between two knots of a per-alpha table
 of gammaincinv, and gammaincinv is monotone, so the knots bracket the
 gamma draw.  Only a walker whose uniform falls inside a bracket needs the
 exact vector, which the engine gets from exact_cum_rule, or from
-_vectors_from_keys for more than a few sites.  The engine keeps the
-bounds in its own bounded cache, not here.
+_vectors_from_keys for more than a few sites.  Nothing here keeps the
+bounds: the engine caches them in its own bounded table when walkers share
+environments, and recomputes them at every step otherwise.
 """
 
 from __future__ import annotations

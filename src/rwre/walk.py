@@ -18,8 +18,7 @@ import numpy as np
 from .environment import (Environment, EnvironmentModel, cum_bounds_from_keys,
                           cum_vectors_from_keys, exact_cum_rule)
 from .rng import (MASK64, TAG_WALK, counter_u01_array, derive_key,
-                  derive_key_array, site_keys, site_keys_mixed, step_index,
-                  stream_u01_array)
+                  derive_key_array, site_keys, site_keys_mixed, step_index)
 
 
 @dataclass
@@ -143,6 +142,15 @@ def diffusive_scale(path: WalkPath, v, n: int, t_grid) -> np.ndarray:
 # vectorized many-walk engines
 
 
+# From this many walkers per distinct environment on, the engine keeps a
+# _SiteCache; below it, each step's bounds come straight from
+# cum_bounds_from_keys.  Break-even at 3,072 walkers, 128 steps, median of 9
+# alternating calls per side, 2-vCPU VM: time with the cache over time
+# without, at 1, 2, 4, 8, 16, 32, 64 and 128 walkers per environment,
+#   dirichlet_drift_model         1.43 1.81 1.42 1.33 1.14 1.08 0.97 0.87
+#   dirichlet_backtracking_model  1.39 1.29 1.24 1.19 1.09 0.96 1.00 1.00
+# (two more runs put 32 at 1.01-1.17 and 64 at 0.91-1.10)
+_CACHE_WALKERS_PER_ENV = 64
 # Site cache size: sixteen slots per walker, a power of two, at most
 # _CACHE_MAX_BYTES of keys, occupancy flags and float32 bound rows.
 _CACHE_SLOTS_PER_WALKER = 16
@@ -156,33 +164,65 @@ _CACHE_MAX_BYTES = 4 << 20
 _SETTLE_ONE_BY_ONE = 4
 # moves of a (lower, upper) bound pair before rounding to float32
 _WIDEN32 = np.array([-2.0**-23, 2.0**-23])
+# The walk uniforms are drawn in blocks of about this many (step, walker)
+# cells, as green._killed_walk draws its counters
+_UNIFORM_CELLS = 1 << 14
 
 
-class _SiteCache:
-    """Direct-mapped cache of bounds on cumulative site vectors, keyed by
-    site key.
+class _SiteBounds:
+    """Bounds on cumulative site vectors, keyed by site key, read straight
+    from cum_bounds_from_keys at every lookup, and the exact values of the
+    sites the bounds cannot decide.
 
     A row holds a lower and an upper bound on each of the first
     c = max(k - 1, 1) cumulative components, the only ones a step's index
     depends on (environment.cum_bounds_from_keys): Dirichlet rows are
-    brackets, mixture rows the exact values.  Rows are stored as float32
-    moved outward (_outward32), so a bound stays a bound, in half the
-    memory, and an exact row keeps a width of about 2**-22.  A row is a
-    pure function of its site key, so an entry may be evicted at any time
-    and recomputed: colliding keys simply overwrite each other.  settle
-    gives the exact values of the sites a row cannot decide.  The table size is fixed when the engine starts, so memory
+    brackets, mixture rows the exact values.  The engine uses this class
+    when walkers do not share environments, where a memo would rarely be
+    hit, and _SiteCache otherwise.
+    """
+
+    def __init__(self, model: EnvironmentModel):
+        self.model = model
+        self.cols = max(len(model.support.steps) - 1, 1)
+        self._exact = exact_cum_rule(model)
+
+    def bounds(self, keys: np.ndarray) -> np.ndarray:
+        """Bound rows (m, 2c) for site keys (m,): column 2j holds a lower
+        bound of cum_j, column 2j + 1 an upper bound."""
+        return cum_bounds_from_keys(self.model, keys)
+
+    def settle(self, keys: np.ndarray) -> np.ndarray:
+        """Exact cumulative components (m, c) for site keys (m,), one site
+        at a time for a few sites, else in one array call; both equal bit
+        for bit."""
+        c = self.cols
+        if len(keys) > _SETTLE_ONE_BY_ONE:
+            return cum_vectors_from_keys(self.model, keys)[:, :c]
+        cum = self._exact
+        return np.array([cum(h)[:c] for h in keys.tolist()])
+
+
+class _SiteCache(_SiteBounds):
+    """_SiteBounds with a direct-mapped cache of the bound rows, used when
+    walkers share environments (_CACHE_WALKERS_PER_ENV).
+
+    Rows are stored as float32 moved outward (_outward32), so a bound stays
+    a bound, in half the memory, and an exact row keeps a width of about
+    2**-22.  A row is a pure function of its site key, so an entry may be
+    evicted at any time and recomputed: colliding keys simply overwrite
+    each other.  The table size is fixed when the engine starts, so memory
     stays bounded however long the walk, and a lookup is O(walkers)
     vectorized work with no sort over the hits.
     """
 
     def __init__(self, model: EnvironmentModel, walkers: int):
-        self.cols = c = max(len(model.support.steps) - 1, 1)
+        super().__init__(model)
+        c = self.cols
         cap = _CACHE_MAX_BYTES // (8 * c + 9)
         size = _CACHE_MIN_SLOTS
         while size < _CACHE_SLOTS_PER_WALKER * walkers and 2 * size <= cap:
             size *= 2
-        self.model = model
-        self._exact = exact_cum_rule(model)
         self.size = size
         self._mask = np.uint64(size - 1)
         self._keys = np.zeros(size, dtype=np.uint64)
@@ -197,8 +237,6 @@ class _SiteCache:
         return a.view(self._row)[:, 0]
 
     def bounds(self, keys: np.ndarray) -> np.ndarray:
-        """Bound rows (m, 2c) for site keys (m,): column 2j holds a lower
-        bound of cum_j, column 2j + 1 an upper bound."""
         slot = (keys & self._mask).astype(np.intp)
         # the occupancy flag keeps a key of 0 from matching an empty slot
         hit = self._full.take(slot) & (self._keys.take(slot) == keys)
@@ -218,16 +256,6 @@ class _SiteCache:
         self._full[slot] = True
         return out
 
-    def settle(self, keys: np.ndarray) -> np.ndarray:
-        """Exact cumulative components (m, c) for site keys (m,), one site
-        at a time for a few sites, else in one array call; both equal bit
-        for bit."""
-        c = self.cols
-        if len(keys) > _SETTLE_ONE_BY_ONE:
-            return cum_vectors_from_keys(self.model, keys)[:, :c]
-        cum = self._exact
-        return np.array([cum(h)[:c] for h in keys.tolist()])
-
 
 def _outward32(rows: np.ndarray) -> np.ndarray:
     """Bound rows (n, 2c) as float32, the lower bounds (even columns)
@@ -243,42 +271,67 @@ def _outward32(rows: np.ndarray) -> np.ndarray:
     return pairs.astype(np.float32).reshape(rows.shape)
 
 
+def _uniform_rows(wkeys: np.ndarray, n: int) -> "iterator":
+    """(t, u) for t < n, u the walk uniforms (m,) of the walkers with walk
+    keys wkeys (m,) at counter t.  They are drawn in one counter_u01_array
+    call per block of steps, laid out (steps, walkers) so that each row is
+    contiguous; a uniform is a pure function of (key, t), so the values
+    are those of one stream_u01_array call per step."""
+    b = max(1, _UNIFORM_CELLS // max(len(wkeys), 1))
+    for t0 in range(0, n, b):
+        ctrs = np.arange(t0, min(t0 + b, n), dtype=np.uint64)
+        yield from enumerate(counter_u01_array(wkeys, ctrs[:, None]), t0)
+
+
 def _iter_positions(model: EnvironmentModel, env_keys, starts: np.ndarray,
                     n: int, walk_seeds) -> "iterator":
     """Advance m walkers in lockstep, yielding positions after each step.
 
-    env_keys may be a scalar (shared environment) or one key per walker.
-    A step's index is the number of cumulative components below the
-    walker's uniform, clipped to the last step for a u above a last
-    component rounded below 1, so it depends only on cum_0..cum_{k-2}.  It
-    is read from the bounds of a _SiteCache local to the call wherever
-    every one of them is surely below u (upper bound < u) or surely not
+    env_keys may be a scalar (shared environment) or one key per walker,
+    and walk_seeds holds one seed per walker.  A step's index is the number
+    of cumulative components below the walker's uniform, clipped to the
+    last step for a u above a last component rounded below 1, so it
+    depends only on cum_0..cum_{k-2}.  It is read from bounds on them
+    wherever every one is surely below u (upper bound < u) or surely not
     (lower bound >= u); the few other walkers get their site's exact
-    vector, and the result is the exact one either way.
+    vector (settle), and the result is the exact one either way.  The
+    bounds come from a _SiteCache local to the call when there are at
+    least _CACHE_WALKERS_PER_ENV walkers per distinct environment, and
+    straight from cum_bounds_from_keys otherwise.
     """
     starts = np.asarray(starts, dtype=np.int64)
     pos = starts.copy()
     m = pos.shape[0]
-    wkeys = derive_key_array(walk_seed_array(walk_seeds), TAG_WALK)
+    seeds = walk_seed_array(walk_seeds)
+    if seeds.shape != (m,):
+        raise ValueError(f"walk_seeds must hold one seed per start: shape "
+                         f"{seeds.shape} for {m} starts")
+    wkeys = derive_key_array(seeds, TAG_WALK)
     steps_arr = model.support.steps_array
     shared = np.isscalar(env_keys)
     if not shared:
         env_keys = np.asarray(env_keys, dtype=np.uint64)
+        if env_keys.shape != (m,):
+            raise ValueError(f"env_keys must be a scalar or hold one key per "
+                             f"start: shape {env_keys.shape} for {m} starts")
     if model.kind == "deterministic":
         cum = np.cumsum(np.array(model.probs))
-        for t in range(n):
-            pos += steps_arr[step_index(cum, stream_u01_array(wkeys, t))]
+        for t, u in _uniform_rows(wkeys, n):
+            pos += steps_arr[step_index(cum, u)]
             yield t, pos
         return
-    cache = _SiteCache(model, m)
-    c = cache.cols
-    for t in range(n):
+    envs = 1 if shared else len(np.unique(env_keys))
+    if m >= _CACHE_WALKERS_PER_ENV * max(envs, 1):
+        sites = _SiteCache(model, m)
+    else:
+        sites = _SiteBounds(model)
+    c = sites.cols
+    for t, u in _uniform_rows(wkeys, n):
         if shared:
             keys = site_keys(env_keys, pos)
         else:
             keys = site_keys_mixed(env_keys, pos)
-        u = stream_u01_array(wkeys, t)
-        b = cache.bounds(keys)
+        b = sites.bounds(keys)
         # idx counts the components surely below u, sure adds those surely
         # not; a NaN bound is neither
         idx = (b[:, 1] < u).astype(np.intp)
@@ -290,7 +343,7 @@ def _iter_positions(model: EnvironmentModel, env_keys, starts: np.ndarray,
             sure += b[:, 2 * j] >= u
         open_ = np.flatnonzero(sure != c)
         if open_.size:
-            cums = cache.settle(keys[open_])
+            cums = sites.settle(keys[open_])
             idx[open_] = (cums < u[open_, None]).sum(axis=1)
         pos += steps_arr.take(idx, axis=0, mode="clip")
         yield t, pos

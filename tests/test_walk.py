@@ -11,7 +11,8 @@ from rwre.environment import (EnvironmentModel, cum_bounds_from_keys,
 from rwre.models import (backtracking_model, dirichlet_backtracking_model,
                          dirichlet_drift_model, drift_model, support_2d)
 from rwre.rng import MASK64, derive_key_range
-from rwre.walk import (WalkPath, _outward32, _SiteCache, diffusive_scale,
+from rwre.walk import (WalkPath, _outward32, _SiteBounds, _SiteCache,
+                       diffusive_scale,
                        simulate, simulate_finals_many,
                        simulate_finals_many_envs, simulate_level_stats_many_envs,
                        simulate_paths_many, simulate_paths_many_envs)
@@ -79,64 +80,182 @@ def test_many_engines_match_scalar():
     assert np.array_equal(paths, paths2)
 
 
-@pytest.mark.parametrize("model", [dirichlet_drift_model(),
-                                   dirichlet_backtracking_model(),
-                                   _mixture_backtracking_model()],
-                         ids=["drift", "backtracking", "mixture"])
-def test_mixed_key_engines_match_scalar(model):
-    # three walkers in each of three environments, keys interleaved, and
-    # a few more sites than cache slots, so entries collide and are evicted
-    n, m = 150, 9
-    envs = [make_environment(model, s) for s in (5, 6, 7)]
-    keys = np.array([envs[i % 3].env_key for i in range(m)], dtype=np.uint64)
+# Each law at 1, 2 and _CACHE_WALKERS_PER_ENV walkers per environment, both
+# sides of the engine's cache selection; the plain id is the cached side,
+# which every engine call took before the selection
+_LAWS_PER_ENV = pytest.mark.parametrize("model, per_env", [
+    pytest.param(model, per_env, id=name if per_env ==
+                 walk._CACHE_WALKERS_PER_ENV else f"{name}-{per_env}-per-env")
+    for name, model in [("drift", dirichlet_drift_model()),
+                        ("backtracking", dirichlet_backtracking_model()),
+                        ("mixture", _mixture_backtracking_model())]
+    for per_env in (1, 2, walk._CACHE_WALKERS_PER_ENV)])
+
+
+def _interleaved_walkers(model, n_envs, per_env):
+    """Environments, per-walker env keys (walker i in environment
+    i % n_envs), walk seeds and starts 3 apart, one row per walker."""
+    m = n_envs * per_env
+    envs = [make_environment(model, s) for s in range(5, 5 + n_envs)]
+    keys = np.array([envs[i % n_envs].env_key for i in range(m)],
+                    dtype=np.uint64)
     seeds = list(range(300, 300 + m))
-    starts = np.array([[0, 3 * (i // 3)] for i in range(m)], dtype=np.int64)
+    starts = np.array([[0, 3 * i] for i in range(m)], dtype=np.int64)
+    return envs, keys, seeds, starts
+
+
+def _count_cache_lookups(monkeypatch) -> list:
+    calls = []
+    bounds = _SiteCache.bounds
+    monkeypatch.setattr(_SiteCache, "bounds", lambda cache, keys:
+                        calls.append(len(keys)) or bounds(cache, keys))
+    return calls
+
+
+@_LAWS_PER_ENV
+def test_mixed_key_engines_match_scalar(model, per_env, monkeypatch):
+    # per_env walkers in each of three environments, keys interleaved, and
+    # more distinct sites than cache slots, so that on the cached side
+    # entries collide and are evicted
+    n, e = 150, 3
+    envs, keys, seeds, starts = _interleaved_walkers(model, e, per_env)
+    m = len(keys)
+    lookups = _count_cache_lookups(monkeypatch)
     paths = simulate_paths_many_envs(model, keys, starts, n, seeds)
     finals = simulate_finals_many_envs(model, keys, starts, n, seeds)
     stats = simulate_level_stats_many_envs(model, keys, starts, n, seeds)
-    distinct = {(i % 3, *site) for i in range(m) for site in
+    cached = per_env >= walk._CACHE_WALKERS_PER_ENV
+    assert bool(lookups) == cached
+    distinct = {(i % e, *site) for i in range(m) for site in
                 paths[:, i, :].tolist()}
     assert len(distinct) > _SiteCache(model, m).size
     for i in range(m):
-        ref = simulate(envs[i % 3], starts[i], n, seeds[i])
+        ref = simulate(envs[i % e], starts[i], n, seeds[i])
         assert np.array_equal(paths[:, i, :], ref.sites)
         assert np.array_equal(finals[i], ref.sites[-1])
         assert stats["max_level"][i] == ref.levels.max()
-    shared = simulate_paths_many(envs[0], starts[0::3], n, seeds[0::3])
-    assert np.array_equal(shared, paths[:, 0::3, :])
+    lookups.clear()
+    shared = simulate_paths_many(envs[0], starts[0::e], n, seeds[0::e])
+    assert bool(lookups) == cached
+    assert np.array_equal(shared, paths[:, 0::e, :])
 
 
-@pytest.mark.parametrize("model", [dirichlet_drift_model(),
-                                   dirichlet_backtracking_model(),
-                                   _mixture_backtracking_model()],
-                         ids=["drift", "backtracking", "mixture"])
-def test_engines_match_scalar_when_brackets_decide_nothing(model,
+@_LAWS_PER_ENV
+def test_engines_match_scalar_when_brackets_decide_nothing(model, per_env,
                                                            monkeypatch):
     # two knot cells per component: the brackets are so wide that nearly
-    # every Dirichlet visit takes the exact path, one site at a time in
-    # the shared call and in one array call in the mixed one
+    # every Dirichlet visit takes the exact path, one site at a time or in
+    # one array call, through the one settle rule of both bound sources
     monkeypatch.setattr(environment, "_KNOTS", 2)
     exact = []
-    settle = _SiteCache.settle
-    monkeypatch.setattr(_SiteCache, "settle",
-                        lambda cache, keys: exact.append(len(keys)) or
-                        settle(cache, keys))
-    n, m = 120, 9
-    envs = [make_environment(model, s) for s in (5, 6, 7)]
-    keys = np.array([envs[i % 3].env_key for i in range(m)], dtype=np.uint64)
-    seeds = list(range(300, 300 + m))
-    starts = np.array([[0, 3 * (i // 3)] for i in range(m)], dtype=np.int64)
+    settle = _SiteBounds.settle
+    monkeypatch.setattr(_SiteBounds, "settle",
+                        lambda sites, keys: exact.append(len(keys)) or
+                        settle(sites, keys))
+    lookups = _count_cache_lookups(monkeypatch)
+    n, e = 120, 6
+    envs, keys, seeds, starts = _interleaved_walkers(model, e, per_env)
+    m = len(keys)
     paths = simulate_paths_many_envs(model, keys, starts, n, seeds)
-    shared = simulate_paths_many(envs[0], starts[0::3], n, seeds[0::3])
+    shared = simulate_paths_many(envs[0], starts[0::e], n, seeds[0::e])
+    assert bool(lookups) == (per_env >= walk._CACHE_WALKERS_PER_ENV)
     for i in range(m):
-        assert np.array_equal(paths[:, i, :], simulate(envs[i % 3], starts[i],
+        assert np.array_equal(paths[:, i, :], simulate(envs[i % e], starts[i],
                                                        n, seeds[i]).sites)
-    assert np.array_equal(shared, paths[:, 0::3, :])
+    assert np.array_equal(shared, paths[:, 0::e, :])
     if model.kind == "dirichlet":
         # most visits take the exact path; no exact row is kept, so a
         # revisit takes it again
-        assert sum(exact) > 0.75 * (m + 3) * n
-        assert min(exact) <= walk._SETTLE_ONE_BY_ONE < max(exact)
+        assert sum(exact) > 0.75 * (m + per_env) * n
+        # the array call in the mixed call, and in the shared call of few
+        # walkers one site at a time
+        assert max(exact) > walk._SETTLE_ONE_BY_ONE
+        if per_env <= walk._SETTLE_ONE_BY_ONE:
+            assert min(exact) <= walk._SETTLE_ONE_BY_ONE
+
+
+@pytest.mark.parametrize("cells", [1, 7, walk._UNIFORM_CELLS])
+@pytest.mark.parametrize("model", [backtracking_model(),
+                                   dirichlet_backtracking_model()],
+                         ids=["deterministic", "dirichlet"])
+def test_block_uniforms_match_scalar_across_blocks(model, cells,
+                                                   monkeypatch):
+    # blocks of one step, of 2 or 1 steps (7 cells for 3 or 12 walkers),
+    # and of the default budget, which 12 walkers cut inside 150 steps
+    # only for a budget below 1800 cells
+    monkeypatch.setattr(walk, "_UNIFORM_CELLS", cells)
+    env = make_environment(model, 8)
+    n = 150
+    for m in (3, 12):
+        starts = np.zeros((m, 2), dtype=np.int64)
+        seeds = list(range(40, 40 + m))
+        paths = simulate_paths_many(env, starts, n, seeds)
+        for i in range(m):
+            assert np.array_equal(paths[:, i, :],
+                                  simulate(env, starts[i], n, seeds[i]).sites)
+
+
+@pytest.mark.parametrize("model", [backtracking_model(),
+                                   dirichlet_backtracking_model()],
+                         ids=["deterministic", "dirichlet"])
+def test_engines_take_zero_walkers_and_zero_steps(model):
+    env = make_environment(model, 3)
+    none = np.zeros((0, 2), dtype=np.int64)
+    no_keys = np.zeros(0, dtype=np.uint64)
+    assert simulate_paths_many(env, none, 5, []).shape == (6, 0, 2)
+    assert simulate_finals_many(env, none, 5, []).shape == (0, 2)
+    assert simulate_finals_many_envs(model, no_keys, none, 5, []).shape == \
+        (0, 2)
+    stats = simulate_level_stats_many_envs(model, no_keys, none, 5, [])
+    assert stats["final_level"].shape == stats["max_level"].shape == (0,)
+    starts = np.array([[0, 1], [2, 3]], dtype=np.int64)
+    keys = np.full(2, env.env_key, dtype=np.uint64)
+    assert simulate_paths_many(env, starts, 0, [1, 2]).tolist() == \
+        [starts.tolist()]
+    assert np.array_equal(simulate_finals_many_envs(model, keys, starts, 0,
+                                                    [1, 2]), starts)
+    stats = simulate_level_stats_many_envs(model, keys, starts, 0, [1, 2])
+    assert stats["final_level"].tolist() == stats["max_level"].tolist() == \
+        [0, 2]
+
+
+def _five_engines(env, keys):
+    """The five many-walk engines as functions of (starts, n, walk_seeds),
+    the per-walker ones with env_keys `keys`."""
+    model = env.model
+    return [
+        lambda s, n, w: simulate_paths_many(env, s, n, w),
+        lambda s, n, w: simulate_finals_many(env, s, n, w),
+        lambda s, n, w: simulate_paths_many_envs(model, keys, s, n, w),
+        lambda s, n, w: simulate_finals_many_envs(model, keys, s, n, w),
+        lambda s, n, w: simulate_level_stats_many_envs(model, keys, s, n, w)]
+
+
+@pytest.mark.parametrize("model", [backtracking_model(),
+                                   dirichlet_drift_model()],
+                         ids=["deterministic", "dirichlet"])
+def test_engines_reject_seed_and_key_lists_of_another_length(model):
+    # a short list used to broadcast: one seed gave three identical walks,
+    # and two env keys for three starts a bare numpy broadcast error
+    env = make_environment(model, 3)
+    starts = np.zeros((3, 2), dtype=np.int64)
+    keys = np.full(3, env.env_key, dtype=np.uint64)
+    for engine in _five_engines(env, keys):
+        for seeds in ([4], [4, 5], [4, 5, 6, 7], 4, [[4, 5, 6]], []):
+            with pytest.raises(ValueError, match="walk_seeds"):
+                engine(starts, 50, seeds)
+        for n in (0, 50):
+            engine(starts, n, [4, 5, 6])
+    for bad in (keys[:2], np.append(keys, keys[0]), keys[None, :],
+                np.array(env.env_key, dtype=np.uint64)):
+        for engine in _five_engines(env, bad)[2:]:
+            with pytest.raises(ValueError, match="env_keys"):
+                engine(starts, 50, [4, 5, 6])
+    # a scalar env key is one shared environment
+    for engine in _five_engines(env, env.env_key)[2:4]:
+        out = engine(starts, 50, [4, 5, 6])
+        ref = simulate_paths_many(env, starts, 50, [4, 5, 6])
+        assert np.array_equal(out, ref if out.ndim == 3 else ref[-1])
 
 
 def _seed_list_oracle(seeds: list) -> np.ndarray:
