@@ -6,22 +6,24 @@ from a common level, locate the first level that both walks enter exactly
 at first passage; test there for joint no-backtracking (approximated by a
 confirmation margin); on failure restart the search above everything seen
 so far.  Levels live on the h-lattice of the accessible level set.
+
+Every walk is a walk._SeqWalk reading a walk._TimeSource, one uniform per
+time step, except the coupled Xtilde and Xbar, which read a _SiteSource.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from operator import add, mul
 from typing import Optional
 
 import numpy as np
 
 from .environment import (Environment, EnvironmentModel, compute_h,
                           env_key_range, make_environment)
-from .rng import (counter_u01_array, derive_key, derive_key_range,
-                  fold_key_array, site_keys, site_u01)
-from .walk import list_seed_array, simulate_paths_many_envs, walk_key
+from .rng import (derive_key, derive_key_range, fold_key_array, site_keys,
+                  site_u01)
+from .walk import (_SeqWalk, _TimeSource, list_seed_array,
+                   simulate_paths_many_envs, walk_key)
 
 _TAG_PAIR = 0xAA01
 _TAG_YCHAIN = 0xAA02
@@ -125,30 +127,7 @@ def intersection_curve(model: EnvironmentModel, n_grid, reps: int,
 
 
 # ---------------------------------------------------------------------------
-# sequential walks with fresh-level bookkeeping
-
-
-class _TimeSource:
-    """Per-walk uniform stream indexed by time.
-
-    The stream is drawn ahead in blocks, one counter_u01_array call each:
-    64 draws first, then each block at least as long as the stream drawn
-    so far, so a walk of up to 64 steps makes one call.  This is exact: a
-    draw is a pure function of (key, t), so drawing ahead changes no value.
-    """
-
-    __slots__ = ("key", "_u")
-
-    def __init__(self, key: int):
-        self.key = key
-        self._u: list = []
-
-    def draw(self, site: tuple, t: int) -> float:
-        u = self._u
-        if t >= len(u):
-            u += counter_u01_array(self.key, np.arange(
-                len(u), max(2 * t + 2, 64), dtype=np.uint64)).tolist()
-        return u[t]
+# joint regenerations of two walk._SeqWalk walks
 
 
 class _SiteSource:
@@ -171,127 +150,72 @@ class _SiteSource:
         return site_u01(self.prefix, site, 1, k)[0]
 
 
-class _SeqWalk:
-    """A lazily extended walk with level records and fresh-level map."""
-
-    def __init__(self, cum_fn, start: tuple, source, u_hat, steps):
-        self.cum_fn = cum_fn
-        self.draw = source.draw
-        self.steps = steps
-        self.last = len(steps) - 1
-        # level increment of each step, z . u_hat
-        self.incs = [sum(map(mul, z, u_hat)) for z in steps]
-        lev = sum(map(mul, start, u_hat))
-        self.positions = [tuple(start)]
-        self.levels = [lev]
-        self.runmax = [lev]
-        self.min_level = lev
-        self.fresh = {lev: 0}
-
-    def extend_to(self, t: int, horizon: int) -> bool:
-        """Grow the path to time index t; False when the horizon blocks."""
-        while len(self.positions) - 1 < t:
-            if len(self.positions) - 1 >= horizon:
-                return False
-            self._step()
-        return True
-
-    def advance_until_max(self, level: int, horizon: int) -> bool:
-        while self.runmax[-1] < level:
-            if len(self.positions) - 1 >= horizon:
-                return False
-            self._step()
-        return True
-
-    def _step(self):
-        positions, runmax = self.positions, self.runmax
-        t = len(positions) - 1
-        pos = positions[-1]
-        i = bisect_left(self.cum_fn(pos), self.draw(pos, t), 0, self.last)
-        positions.append(tuple(map(add, pos, self.steps[i])))
-        lev = self.levels[-1] + self.incs[i]
-        self.levels.append(lev)
-        if lev > runmax[-1]:
-            runmax.append(lev)
-            self.fresh[lev] = t + 1
-        else:
-            runmax.append(runmax[-1])
-            if lev < self.min_level:
-                self.min_level = lev
-
-
 def _joint_regen(wa: _SeqWalk, wb: _SeqWalk, h: int, margin: int,
                  horizon: int) -> JointRegenRecord:
     """Run the fresh-level iteration on two walks sharing a start level."""
-    lam0 = wa.levels[0]
     lambdas = []
-    target = lam0 + h
+    target = wa.levels[0] + h
     while True:
         # locate the next common fresh level at or above `target`
         ell = target
-        lam = None
         while True:
-            if not wa.advance_until_max(ell, horizon) or \
-               not wb.advance_until_max(ell, horizon):
+            if not (wa.advance_until_max(ell, horizon)
+                    and wb.advance_until_max(ell, horizon)):
                 return JointRegenRecord(lambdas, None, None, None, False)
             ta = wa.fresh.get(ell)
             tb = wb.fresh.get(ell)
             if ta is not None and tb is not None:
-                lam = ell
                 break
             ell += h
+        lam = ell
         lambdas.append(lam)
-        # joint no-backtracking test with a confirmation margin
-        ok_a = ok_b = False
+        # joint no-backtracking test with a confirmation margin.  Every
+        # level before ta (tb) is below lam, so top_a (top_b) is the
+        # walk's running top at ta + off (tb + off).
+        top_a = top_b = lam
         off = 0
-        failed = False
-        while not (ok_a and ok_b):
+        while True:
             off += 1
-            if not wa.extend_to(ta + off, horizon) or \
-               not wb.extend_to(tb + off, horizon):
+            if not (wa.extend_to(ta + off, horizon)
+                    and wb.extend_to(tb + off, horizon)):
                 return JointRegenRecord(lambdas, None, None, None, False)
             la = wa.levels[ta + off]
             lb = wb.levels[tb + off]
+            top_a = max(top_a, la)
+            top_b = max(top_b, lb)
             if la < lam or lb < lam:
-                top = max(wa.runmax[ta + off], wb.runmax[tb + off])
-                target = top + h
-                failed = True
+                target = max(top_a, top_b) + h
                 break
-            ok_a = ok_a or wa.runmax[ta + off] >= lam + margin
-            ok_b = ok_b or wb.runmax[tb + off] >= lam + margin
-        if failed:
-            continue
-        return JointRegenRecord(lambdas, lam, ta, tb, True,
-                                x_mu=wa.positions[ta],
-                                x_tilde_mu=wb.positions[tb])
+            if min(top_a, top_b) >= lam + margin:
+                return JointRegenRecord(lambdas, lam, ta, tb, True,
+                                        x_mu=wa.positions[ta],
+                                        x_tilde_mu=wb.positions[tb])
 
 
-def _check_common_start(model: EnvironmentModel, x, y) -> int:
-    sup = model.support
-    lx = sup.dot_u(x)
-    ly = sup.dot_u(y)
-    if lx != ly:
-        raise ValueError("joint regeneration requires equal start levels")
-    h = compute_h(sup)
-    if lx % h != 0:
-        raise ValueError("start level must lie on the h-lattice")
-    return h
+def _time_pair_regen(env_a: Environment, env_b: Environment, x, y, key_a: int,
+                     key_b: int, margin: int, horizon: int) -> tuple:
+    """(record, walk a, walk b) of the first joint regeneration of a walk
+    from x in env_a and one from y in env_b on time sources key_a, key_b."""
+    sup = env_a.model.support
+    wa = _SeqWalk(env_a.cum_at, x, _TimeSource(key_a), sup)
+    wb = _SeqWalk(env_b.cum_at, y, _TimeSource(key_b), sup)
+    return _joint_regen(wa, wb, compute_h(sup), margin, horizon), wa, wb
 
 
 def first_joint_regeneration(env: Environment, x, y, margin: int = 20,
                              horizon: int = 20_000,
                              seed: int = 0) -> JointRegenRecord:
     """First joint regeneration record of two fresh walks from x and y."""
-    model = env.model
-    h = _check_common_start(model, x, y)
-    sup = model.support
-    wa = _SeqWalk(env.cum_at, tuple(int(c) for c in x),
-                  _TimeSource(walk_key(derive_key(seed, _TAG_PAIR, 10))),
-                  sup.u_hat, sup.steps)
-    wb = _SeqWalk(env.cum_at, tuple(int(c) for c in y),
-                  _TimeSource(walk_key(derive_key(seed, _TAG_PAIR, 11))),
-                  sup.u_hat, sup.steps)
-    return _joint_regen(wa, wb, h, margin, horizon)
+    sup = env.model.support
+    lev = sup.dot_u(x)
+    if sup.dot_u(y) != lev:
+        raise ValueError("joint regeneration requires equal start levels")
+    if lev % compute_h(sup) != 0:
+        raise ValueError("start level must lie on the h-lattice")
+    return _time_pair_regen(env, env, x, y,
+                            walk_key(derive_key(seed, _TAG_PAIR, 10)),
+                            walk_key(derive_key(seed, _TAG_PAIR, 11)),
+                            margin, horizon)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -319,19 +243,14 @@ def _one_q_step(model: EnvironmentModel, y: tuple, seed: int, margin: int,
                 independent_envs: bool) -> Optional[tuple]:
     """One attempt at a conditioned slab from states (0, y): the new
     difference, or None when the slab is rejected (_slab_difference)."""
-    sup = model.support
-    d = sup.dimension
-    origin = tuple(0 for _ in range(d))
+    origin = (0,) * model.support.dimension
     env_a = make_environment(model, derive_key(seed, 1))
     env_b = env_a
     if independent_envs:
         env_b = make_environment(model, derive_key(seed, 2))
-    wa = _SeqWalk(env_a.cum_at, origin,
-                  _TimeSource(derive_key(seed, 3)), sup.u_hat, sup.steps)
-    wb = _SeqWalk(env_b.cum_at, y,
-                  _TimeSource(derive_key(seed, 4)), sup.u_hat, sup.steps)
-    rec = _joint_regen(wa, wb, compute_h(sup), margin, _CHAIN_HORIZON)
-    return _slab_difference(rec, wa, wb)
+    return _slab_difference(*_time_pair_regen(
+        env_a, env_b, origin, y, derive_key(seed, 3), derive_key(seed, 4),
+        margin, _CHAIN_HORIZON))
 
 
 def _sample_chain(model: EnvironmentModel, x0, K: int, seed: int, margin: int,
@@ -429,8 +348,7 @@ class _RangeEnvChooser:
         prev = len(self.x_walk.positions)
         if need > prev:
             self.x_walk.extend_to(min(need, self.horizon), self.horizon)
-            for p in self.x_walk.positions[prev:]:
-                self.x_set.add(p)
+            self.x_set.update(self.x_walk.positions[prev:])
 
     def __call__(self, site: tuple) -> tuple:
         self._sync_range()
@@ -464,14 +382,12 @@ def coupled_triple(model: EnvironmentModel, x0, seed: int = 0,
         env = make_environment(model, derive_key(tseed, 1))
         env_bar = make_environment(model, derive_key(tseed, 2))
         wx = _SeqWalk(env.cum_at, origin, _TimeSource(derive_key(tseed, 3)),
-                      sup.u_hat, sup.steps)
+                      sup)
         shared = derive_key(tseed, 4)
-        wt = _SeqWalk(env.cum_at, x0, _SiteSource(shared),
-                      sup.u_hat, sup.steps)
+        wt = _SeqWalk(env.cum_at, x0, _SiteSource(shared), sup)
         chooser = _RangeEnvChooser(env, env_bar, wx, pad=4 * margin,
                                    horizon=horizon)
-        wbar = _SeqWalk(chooser, x0, _SiteSource(shared),
-                        sup.u_hat, sup.steps)
+        wbar = _SeqWalk(chooser, x0, _SiteSource(shared), sup)
         chooser.owner = wbar
         # both searches run before either slab is judged: the second one
         # extends wx, and wx's minimum level over its whole simulated

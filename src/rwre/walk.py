@@ -5,18 +5,25 @@ stream (per-site probability vectors) and the walk's own uniform stream,
 one draw per time step.  Steps are selected by inverse CDF over the fixed
 ordering of J, so a path is a pure function of (env_seed, walk_seed, start)
 and simulating n' < n steps yields the prefix of the n-step path.
+
+_SeqWalk is the one scalar walker, grown step by step with its level
+records; simulate grows it to n steps (a deterministic law takes one
+cumsum) and rwre.pair's walks grow it lazily.  The simulate_*_many*
+engines advance many walkers in lockstep and take the same steps.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from operator import add
 
 import numpy as np
 
-from .environment import (Environment, EnvironmentModel, cum_bounds_from_keys,
-                          cum_vectors_from_keys, exact_cum_rule)
+from .environment import (Environment, EnvironmentModel, StepSupport,
+                          cum_bounds_from_keys, cum_vectors_from_keys,
+                          exact_cum_rule)
 from .rng import (MASK64, TAG_WALK, counter_u01_array, derive_key,
                   derive_key_array, site_keys, site_keys_mixed, step_index)
 
@@ -93,31 +100,107 @@ def simulate(env: Environment, start, n: int, walk_seed: int) -> WalkPath:
     """Sample an n-step path under P^omega_start."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    d = env.model.support.dimension
-    start = np.asarray(start, dtype=np.int64)
-    u_hat = np.asarray(env.model.support.u_hat, dtype=np.int64)
-    if n == 0:
-        return WalkPath(start[None, :].copy(), u_hat)
-    # the walk's uniforms at counters 0..n-1 in one call; the step indices
-    # become sites in one cumsum
-    u = counter_u01_array(walk_key(walk_seed), np.arange(n, dtype=np.uint64))
-    steps = env.model.support.steps
-    last = len(steps) - 1
+    sup = env.model.support
+    start = _site(sup, start)
     if env.model.kind == "deterministic":
+        # one law at every site: all n steps at once, sites by one cumsum
+        u = counter_u01_array(walk_key(walk_seed),
+                              np.arange(n, dtype=np.uint64))
         idx = step_index(np.cumsum(env.model.probs), u)
-    else:
-        cum_at = env.cum_at
-        pos = tuple(start.tolist())
-        idx = []
-        for ui in u.tolist():
-            i = bisect_left(cum_at(pos), ui, 0, last)
-            idx.append(i)
+        return WalkPath(np.cumsum(np.vstack([start, sup.steps_array[idx]]),
+                                  axis=0), sup.u_hat)
+    source = _TimeSource(walk_key(walk_seed))
+    if n:
+        source.draw(None, n - 1)        # all n uniforms in one call
+    w = _SeqWalk(env.cum_at, start, source, sup)
+    w.extend_to(n, n)
+    d = sup.dimension     # np.fromiter reads tuples 3x faster than np.array
+    flat = np.fromiter(chain.from_iterable(w.positions), np.int64, (n + 1) * d)
+    return WalkPath(flat.reshape(n + 1, d), sup.u_hat)
+
+
+# ---------------------------------------------------------------------------
+# the scalar walker
+
+
+def _site(sup: StepSupport, x) -> tuple:
+    """x as a tuple of Python ints of the support's dimension."""
+    site = tuple(int(c) for c in x)
+    if len(site) != sup.dimension:
+        raise ValueError(f"start {site} is not of dimension {sup.dimension}")
+    return site
+
+
+class _TimeSource:
+    """Per-walk uniform stream indexed by time, drawn ahead in blocks of
+    one counter_u01_array call: a draw past the stream extends it to at
+    least t + 1 draws, twice its length and 64, so a walk that asks for its
+    last counter first makes one call.  A draw is a pure function of
+    (key, t), so drawing ahead changes no value."""
+
+    __slots__ = ("key", "_u")
+
+    def __init__(self, key: int):
+        self.key = key
+        self._u: list = []
+
+    def draw(self, site: tuple, t: int) -> float:
+        u = self._u
+        if t >= len(u):
+            u += counter_u01_array(self.key, np.arange(
+                len(u), max(t + 1, 2 * len(u), 64), dtype=np.uint64)).tolist()
+        return u[t]
+
+
+class _SeqWalk:
+    """A lazily extended walk stepping by cum_fn(site) and the uniforms
+    source.draw(site, t), with its levels, running top, minimum level and
+    fresh-level map (fresh[l]: the time it first rose to level l)."""
+
+    def __init__(self, cum_fn, start, source, support: StepSupport):
+        self.cum_fn = cum_fn
+        self.draw = source.draw
+        self.steps = support.steps
+        self.incs = [support.dot_u(z) for z in support.steps]
+        start = _site(support, start)
+        lev = support.dot_u(start)
+        self.positions = [start]
+        self.levels = [lev]
+        self.top = self.min_level = lev
+        self.fresh = {lev: 0}
+
+    def extend_to(self, t: int, horizon: int) -> bool:
+        """Grow the path to time index t; False when the horizon blocks."""
+        return self._grow(t, self.top, horizon)
+
+    def advance_until_max(self, level: int, horizon: int) -> bool:
+        """Grow the path until its top reaches level; False likewise."""
+        return self._grow(0, level, horizon)
+
+    def _grow(self, t: int, level: int, horizon: int) -> bool:
+        """Step until time t and top >= level, else False at the horizon.
+        Each position is appended before the next cum_fn call, which may
+        read how far the walk has come (pair._RangeEnvChooser)."""
+        cum_fn, draw, incs = self.cum_fn, self.draw, self.incs
+        steps, last = self.steps, len(self.steps) - 1
+        positions, levels, fresh = self.positions, self.levels, self.fresh
+        now = len(positions) - 1
+        pos, lev = positions[-1], levels[-1]
+        top, low = self.top, self.min_level
+        while (now < t or top < level) and now < horizon:
+            i = bisect_left(cum_fn(pos), draw(pos, now), 0, last)
             pos = tuple(map(add, pos, steps[i]))
-    sites = np.empty((n + 1, d), dtype=np.int64)
-    sites[0] = start
-    np.cumsum(env.model.support.steps_array[idx], axis=0, out=sites[1:])
-    sites[1:] += start
-    return WalkPath(sites, u_hat)
+            positions.append(pos)
+            lev += incs[i]
+            levels.append(lev)
+            now += 1
+            if lev > top:
+                top = lev
+                fresh[lev] = now
+            elif lev < low:
+                low = lev
+        self.top, self.min_level = top, low
+        return now >= t and top >= level
 
 
 def diffusive_scale(path: WalkPath, v, n: int, t_grid) -> np.ndarray:

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from rwre import walk
+from rwre import pair, walk
 from rwre.environment import Environment, make_environment
-from rwre.models import dirichlet_drift_model
+from rwre.models import dirichlet_drift_model, drift_model
 from rwre.walk import (simulate_finals_many, simulate_finals_many_envs,
                        simulate_level_stats_many_envs, simulate_paths_many,
                        simulate_paths_many_envs)
@@ -86,3 +86,27 @@ def test_traced_engines_count_each_walker_step_once():
     assert tr.stats["walk.engine"].calls == 5
     assert tr.stats["walk.engine"].units == 5 * 4 * 7
     assert ("walk.engine", "walk.engine") not in tr.edges
+
+
+def test_traced_simulate_counts_n_and_pair_walks_open_no_simulate_span():
+    # the traced run holds walk.simulate.steps to the steps of the regen and
+    # ergodic paths, so a simulate call counts its n steps once, under either
+    # law, and the pair walks, which grow the same scalar walker as
+    # simulate, never open a walk.simulate span
+    tracer = _load_tracer()
+    tr = tracer.Tracer()
+    undo = tracer.install(tr)
+    try:
+        for n, model in ((300, drift_model()), (200, dirichlet_drift_model())):
+            walk.simulate(make_environment(model, 3), (0, 0), n, 5)
+        model = dirichlet_drift_model()
+        pair.first_joint_regeneration(make_environment(model, 3), (0, 0),
+                                      (0, 4), margin=10)
+        pair.coupled_triple(model, (0, 1), margin=10)
+    finally:
+        tracer.uninstall(undo)
+    assert tr.stats["walk.simulate"].calls == 2
+    assert tr.stats["walk.simulate"].units == 300 + 200
+    assert tr.stats["pair.joint_regen"].calls == 1
+    assert tr.stats["pair.coupled_triple"].calls == 1
+    assert not [e for e in tr.edges if e[1] == "walk.simulate" and e[0]]

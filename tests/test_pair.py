@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,14 @@ from rwre import pair
 from rwre.environment import EnvironmentModel, compute_h, make_environment
 from rwre.models import (dirichlet_backtracking_model, dirichlet_drift_model,
                          drift_model, support_2d)
-from rwre.pair import (_SeqWalk, _TimeSource, _joint_regen, _pair_common_sites,
-                       coupled_triple, first_joint_regeneration,
-                       intersection_curve, sample_Y_chain,
-                       sample_Ybar_chain, support_inheritance_check)
+from rwre.pair import (_joint_regen, _pair_common_sites, coupled_triple,
+                       first_joint_regeneration, intersection_curve,
+                       sample_Y_chain, sample_Ybar_chain,
+                       support_inheritance_check)
 from rwre.regen import detect_regenerations
 from rwre.rng import site_keys
-from rwre.walk import simulate, simulate_paths_many_envs, walk_key
+from rwre.walk import (WalkPath, _SeqWalk, _TimeSource, simulate,
+                       simulate_paths_many_envs, walk_key)
 
 
 def _point_mass_model():
@@ -84,7 +87,7 @@ def test_first_joint_regeneration_self_pair():
         env = make_environment(model, 21)
         sup = model.support
         wa, wb = (_SeqWalk(env.cum_at, (0, 0), _TimeSource(walk_key(9)),
-                           sup.u_hat, sup.steps) for _ in range(2))
+                           sup) for _ in range(2))
         rec = _joint_regen(wa, wb, compute_h(sup), margin=10, horizon=20_000)
         path = simulate(env, (0, 0), 4 * rec.mu1 + 200, 9)
         single = detect_regenerations(path, margin=10)
@@ -106,26 +109,133 @@ def _mixture_backtracking_model():
                          ids=["dirichlet_drift", "dirichlet_backtracking",
                               "mixture"])
 def test_seq_walk_matches_simulate(model):
-    # the pair walks' stepper against simulate: a _SeqWalk reading cum_at
-    # with a _TimeSource is the same walk, position by position, across
-    # the time source's draw-ahead blocks (2, 4, 8, ... draws) and revisits
+    # the scalar walker that simulate and the pair walks grow, against the
+    # one-walker engine position by position, across the time source's
+    # draw-ahead blocks (64, 128, 256, ... draws) and revisits; its level
+    # records against the WalkPath's levels and running max, also for a
+    # walk stopped at its horizon
     sup = model.support
     n = 3000
+    env = make_environment(model, 17)
     for walk_seed in (1, 2**63 + 11):
-        path = simulate(make_environment(model, 17), (3, -2), n, walk_seed)
-        w = _SeqWalk(make_environment(model, 17).cum_at, (3, -2),
-                     _TimeSource(walk_key(walk_seed)), sup.u_hat, sup.steps)
-        for m in (1, 7, 40, 555, n):      # resumed inside and across blocks
-            assert w.extend_to(m, horizon=n)
-            assert w.min_level == path.levels[:m + 1].min()
-        assert not w.extend_to(n + 1, horizon=n)
-        assert w.positions == [tuple(x) for x in path.sites.tolist()]
-        assert w.levels == path.levels.tolist()
-        assert w.runmax == path.running_max.tolist()
-        records = np.flatnonzero(np.diff(path.running_max)) + 1
-        assert w.fresh == {int(path.levels[0]): 0,
-                           **{int(path.levels[t]): int(t) for t in records}}
+        sites = simulate_paths_many_envs(
+            model, np.array([env.env_key], dtype=np.uint64),
+            np.array([[3, -2]]), n, [walk_seed])[:, 0]
+        assert np.array_equal(simulate(env, (3, -2), n, walk_seed).sites,
+                              sites)
+        path = WalkPath(sites, sup.u_hat)
+        for horizon in (n, 1000):
+            w = _SeqWalk(make_environment(model, 17).cum_at, (3, -2),
+                         _TimeSource(walk_key(walk_seed)), sup)
+            for m in (1, 7, 40, 555, n):  # resumed inside and across blocks
+                assert w.extend_to(m, horizon) == (m <= horizon)
+                k = min(m, horizon)
+                assert w.min_level == path.levels[:k + 1].min()
+                assert w.top == path.running_max[k]
+            assert not w.extend_to(horizon + 1, horizon)
+            assert not w.advance_until_max(w.top + 1, horizon)
+            end = horizon + 1
+            assert w.positions == [tuple(x) for x in sites[:end].tolist()]
+            assert w.levels == path.levels[:end].tolist()
+            records = np.flatnonzero(np.diff(path.running_max[:end])) + 1
+            assert w.fresh == {int(path.levels[0]): 0,
+                               **{int(path.levels[t]): int(t)
+                                  for t in records}}
         assert len(w.positions) - len(set(w.positions)) > 50   # revisits
+
+
+def test_seq_walk_reads_each_site_after_appending_it():
+    # _RangeEnvChooser sizes X's range from len(owner.positions) at each
+    # cum_fn call, so the walker must append a site before reading its
+    # vector, also inside one long extend_to or advance_until_max call
+    model = dirichlet_backtracking_model()
+    env = make_environment(model, 3)
+    read = []
+
+    def cum_fn(site):
+        read.append(w.positions[-1] == site)
+        return env.cum_at(site)
+
+    w = _SeqWalk(cum_fn, (0, 0), _TimeSource(walk_key(1)), model.support)
+    assert w.advance_until_max(30, 10_000)
+    assert w.extend_to(len(w.positions) + 500, 10_000)
+    assert len(read) == len(w.positions) - 1 > 500 and all(read)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: first_joint_regeneration(make_environment(m, 1), (0, 0, 7),
+                                       (0, 2, 9)),
+    lambda m: sample_Y_chain(m, (0, 2, 9), 2),
+    lambda m: coupled_triple(m, (0, 1, 4))],
+    ids=["first_joint_regeneration", "sample_Y_chain", "coupled_triple"])
+def test_wrong_dimension_start_rejected(call):
+    # a 3-coordinate start on a 2-d model names the dimension; zip used to
+    # drop the extra coordinate and return 2-d results
+    with pytest.raises(ValueError, match="dimension 2"):
+        call(dirichlet_drift_model())
+
+
+# sha256 of the repr of the records below, recorded before the pair walks
+# moved onto walk._SeqWalk; any change in a realized walk moves them
+PAIR_DIGESTS = {
+    "joint_3":
+        "1e3f9ce14377969751c22a487fadb6bab2f165238ab0b7f5bdac54b87accc585",
+    "joint_50":
+        "80f9dc0ae77bed03546db5fbec385ad4824dd3cfc273779216d210d3c10ba39f",
+    "joint_20000":
+        "4e64d761983c045e9cd8b6ce79e000b04cbbadbe3aa482c6078f030916de389e",
+    "Y": "6d5d79487d7ec649bd53f7305a55b545233d19a2f90783482c9499df3c00f0aa",
+    "Ybar":
+        "05c2aab7211803b84d472625e217ba2c985ad738c511cd0537cbbd4fcdd19d04",
+    "triple":
+        "4f5ab5f386aa34622e276c97114b07b3949ff9625bfec88065e23c0c5d55f76d",
+}
+
+
+def _digest(items) -> str:
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+def _ints(a):
+    return None if a is None else [int(c) for c in a]
+
+
+@pytest.mark.parametrize("horizon", [3, 50, 20_000])
+def test_joint_regen_records_digest(horizon):
+    # horizon 3 stops every search, 50 some of them
+    recs = []
+    for model in (dirichlet_backtracking_model(),
+                  _mixture_backtracking_model()):
+        for i in range(12):
+            r = first_joint_regeneration(make_environment(model, 500 + i),
+                                         (0, 0), (0, 4), margin=10, seed=i,
+                                         horizon=horizon)
+            recs.append((_ints(r.lambda_levels), r.Lambda, r.mu1, r.mu1_tilde,
+                         r.confirmed, _ints(r.x_mu), _ints(r.x_tilde_mu)))
+    confirmed = sum(r[4] for r in recs)
+    assert confirmed == {3: 0, 50: 10, 20_000: 24}[horizon]
+    assert _digest(recs) == PAIR_DIGESTS[f"joint_{horizon}"]
+
+
+@pytest.mark.parametrize("name,fn", [("Y", sample_Y_chain),
+                                     ("Ybar", sample_Ybar_chain)])
+def test_chain_samples_digest(name, fn):
+    out = []
+    for model in (dirichlet_drift_model(), dirichlet_backtracking_model()):
+        s = fn(model, (0, 2), 6, seed=31, margin=8)
+        out.append((s.y.tolist(), s.rejections))
+    assert out[1][1] > 0                 # rejected slabs are covered
+    assert _digest(out) == PAIR_DIGESTS[name]
+
+
+def test_coupled_triple_outcomes_digest():
+    out = []
+    for i in range(16):
+        o = coupled_triple(dirichlet_drift_model(), (0, 1), seed=i, margin=10)
+        out.append((o.Y1.tolist(), o.Ybar1.tolist(), o.equal, o.hit_X_path,
+                    o.n_triples))
+    assert sum(o[3] for o in out) == 4   # hits on X's range are covered
+    assert _digest(out) == PAIR_DIGESTS["triple"]
 
 
 def test_joint_regen_h_lattice():

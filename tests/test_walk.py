@@ -35,6 +35,15 @@ def test_zero_steps():
     assert path.sites.tolist() == [[2, 3]]
 
 
+@pytest.mark.parametrize("model", [drift_model(), dirichlet_drift_model()],
+                         ids=["deterministic", "dirichlet"])
+def test_simulate_rejects_wrong_dimension_start(model):
+    env = make_environment(model, 2)
+    for start in ((0, 0, 7), (1,)):
+        with pytest.raises(ValueError, match="dimension 2"):
+            simulate(env, start, 5, 1)
+
+
 def test_prefix_property():
     for model, seed in [(drift_model(), 5), (dirichlet_drift_model(), 6)]:
         env = make_environment(model, 99)
