@@ -17,8 +17,7 @@ from .pair import (CouplingOutcome, JointRegenRecord, YChainSample,
 from .clt import (QuenchedCLTReport, centered_mean_bound, clt_check,
                   degeneracy_directions, quenched_mean_variance,
                   quenched_samples)
-from .envprocess import (LocalFunction, constant_function, drift_projection,
-                         ergodic_average, variation_proxy)
+from .envprocess import ergodic_average, variation_proxy
 from .green import (LadderTables, PerturbedChainSpec, SymmetricWalk1D,
                     build_ladder_tables, cube_exit_time, first_passage_tail,
                     green_bound_experiment, half_line_green,

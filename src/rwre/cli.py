@@ -35,8 +35,7 @@ from . import __version__
 from .environment import (EnvironmentModel, StepSupport, check_hypotheses,
                           env_key_range, make_environment, derive_env_seed)
 from .clt import clt_check, quenched_mean_variance, quenched_samples
-from .envprocess import (constant_function, drift_projection, ergodic_average,
-                         variation_proxy)
+from .envprocess import ergodic_average, variation_proxy
 from .fitting import fit_exponent
 from .green import (PerturbedChainSpec, SymmetricWalk1D, build_ladder_tables,
                     check_ladder_size, check_solve_size, cube_exit_time,
@@ -147,26 +146,23 @@ def build_walk(wcfg) -> SymmetricWalk1D:
 
 
 def build_chain_spec(ccfg) -> PerturbedChainSpec:
-    """PerturbedChainSpec(**ccfg); a walk base_1d may give the product base."""
-    c = dict(_known(ccfg, ("dimension", "base_1d", "base_offsets",
-                           "base_probs", "p1", "p2", "c_pert", "c_h",
+    """PerturbedChainSpec(**ccfg), its base the product of the walk base_1d."""
+    c = dict(_known(ccfg, ("dimension", "base_1d", "p1", "p2", "c_pert",
                            "alt_offsets", "alt_probs", "allow_low_p1")))
     d = c["dimension"] = _integer(c.get("dimension", 1), 1, "dimension")
-    for k, check in (("p1", _real), ("c_pert", _real), ("c_h", _real),
+    for k, check in (("p1", _real), ("c_pert", _real),
                      ("p2", lambda v, k: np.inf if v in ("inf", None)
                       else _real(v, k)), ("allow_low_p1", _flag),
-                     ("base_offsets", partial(_ints, depth=2)),
                      ("alt_offsets", partial(_ints, depth=2)),
-                     ("base_probs", _reals), ("alt_probs", _reals)):
+                     ("alt_probs", _reals)):
         if k in c:
             c[k] = check(c[k], k)
-    if "base_1d" in c:
-        walk = build_walk(c.pop("base_1d"))
-        # len(offsets) ** d product rows; with 2+ offsets, d > 16 is over
-        if d > 16 or len(walk.offsets) ** d > 1 << 16:
-            raise ValueError(f"dimension {d} with {len(walk.offsets)} base_1d "
-                             "offsets gives more than 65536 product steps")
-        c["base_offsets"], c["base_probs"] = product_symmetric_base(walk, d)
+    walk = build_walk(c.pop("base_1d"))
+    # len(offsets) ** d product rows; with 2+ offsets, d > 16 is over
+    if d > 16 or len(walk.offsets) ** d > 1 << 16:
+        raise ValueError(f"dimension {d} with {len(walk.offsets)} base_1d "
+                         "offsets gives more than 65536 product steps")
+    c["base_offsets"], c["base_probs"] = product_symmetric_base(walk, d)
     return PerturbedChainSpec(**c)
 
 
@@ -211,17 +207,6 @@ def _tail_cut(v, p, model):
     if v is not None and _integer(v) < p.get("margin", 1):
         raise _fail(f">= margin = {p.get('margin', 1)}", v)
     return v
-
-
-def _psi(v, p, model):
-    v, d = _known(v, ("type", "direction", "value")), model.support.dimension
-    kind = v.get("type", "drift_projection")
-    if kind == "drift_projection":
-        return drift_projection(model, _lists(
-            v.get("direction", list(model.support.u_hat)), _real, [d]))
-    if kind == "constant":
-        return constant_function(_real(v.get("value", 1.0), "value"), d)
-    raise _fail("drift_projection or constant", kind, "type")
 
 
 def _checkpoints(v, p, model):
@@ -357,6 +342,10 @@ def _joint_regen_task(args, model=None, x0=None, margin=0, horizon=0):
         seed=derive_key(seed, 402, i))
 
 
+# the levels m of joint-regen's tail P{Lambda > m}
+_M_GRID = (4, 8, 16, 32, 64)
+
+
 def _run_joint_regen(model, params, seed, workers):
     reps = params["reps"]
     task = partial(_joint_regen_task, model=model, x0=params["x0"],
@@ -367,7 +356,7 @@ def _run_joint_regen(model, params, seed, workers):
              int(rec.confirmed)) for i, rec in enumerate(recs)]
     lam = np.array([r.Lambda for r in recs if r.confirmed], dtype=float)
     tail = {int(m): float((lam > m).mean()) if lam.size else None
-            for m in params["m_grid"]}
+            for m in _M_GRID}
     summary = {"confirmed_fraction": sum(r.confirmed for r in recs) / reps,
                "mean_Lambda": float(lam.mean()) if lam.size else None,
                "tail_P_Lambda_gt": tail}
@@ -401,7 +390,7 @@ def _run_coupling(model, params, seed, workers):
 
 def _run_ergodic(model, params, seed, workers):
     n_runs, checkpoints = params["n_runs"], params["checkpoints"]
-    task = partial(ergodic_average, model, params["psi"], params["n"],
+    task = partial(ergodic_average, model, params["n"],
                    checkpoints=checkpoints)
     runs = _pmap(task, [derive_key(seed, 601, r) for r in range(n_runs)],
                  workers)
@@ -505,15 +494,13 @@ KIND_TABLE = {
         "n_grid": (_grid(2, least=2), _REQUIRED), "reps": (_int(2), 1000)}),
     "joint-regen": (_run_joint_regen, True, {
         "x0": (_in_V("d"), _REQUIRED), "reps": (_int(1), 200),
-        "margin": (_int(1), 20), "horizon": (_int(1), 20_000),
-        "m_grid": (_grid(0), [4, 8, 16, 32, 64])}),
+        "margin": (_int(1), 20), "horizon": (_int(1), 20_000)}),
     "coupling": (_run_coupling, True, {
         "x0_list": (_in_V(None, "d"), _REQUIRED),
         "reps": (_int(1), 1000), "margin": (_int(1), 12),
         "horizon": (_int(1), 20_000)}),
     "ergodic": (_run_ergodic, True, {
         "n": (_int(1), 100_000), "n_runs": (_int(1), 20),
-        "psi": (_psi, {"type": "drift_projection"}),
         "checkpoints": (_checkpoints, None)}),  # None: [max(1, n // 100), n]
     "variation": (_run_variation, True, {
         "n": (_int(1), 1024), "ell_grid": (_grid(1), _REQUIRED),

@@ -1,17 +1,14 @@
 """The environment seen from the particle.
 
 The invariant measure of the environment chain is never represented as an
-object; it is accessed only through Cesaro averages along the walk, and
-through the variation-distance proxy P{max level overshoots the final
-level}, whose decay controls how far the invariant law can drift from the
-product law on forward sigma-fields.
+object; it is accessed only through the Cesaro averages, along the walk,
+of the local drift along u_hat (whose limit is v.u_hat), and through the
+variation-distance proxy P{max level overshoots the final level}, whose
+decay controls how far the invariant law can drift from the product law
+on forward sigma-fields.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,84 +21,11 @@ _TAG_ERG = 0xE401
 _TAG_VAR = 0xE402
 
 
-@dataclass(frozen=True)
-class LocalFunction:
-    """A bounded function of finitely many environment vectors.
-
-    `window` lists the relative sites read; `level_floor` a asserts that
-    every window site w satisfies w.u_hat >= -a (measurability with
-    respect to the forward sigma-field S_{-a}).  The evaluator receives
-    the (len(window), k) array of probability vectors in window order.
-    When the function is linear in those vectors, `linear_weights`
-    ((len(window), k) array) enables vectorized evaluation along a path.
-    """
-
-    window: tuple
-    level_floor: int
-    evaluator: Callable[[np.ndarray], float]
-    name: str = "psi"
-    linear_weights: Optional[tuple] = None
-
-    def validate(self, support) -> None:
-        for w in self.window:
-            if len(w) != support.dimension:
-                raise ValueError("window site has wrong dimension")
-            if support.dot_u(w) < -self.level_floor:
-                raise ValueError(
-                    f"window site {w} lies below level -{self.level_floor}")
-
-
-# evaluators of the CLI's psi functions are partials of module-level
-# functions, so that a LocalFunction pickles into worker processes
-
-
-def _constant(c: float, vecs: np.ndarray) -> float:
-    return c
-
-
-def _origin_dot(incs: np.ndarray, vecs: np.ndarray) -> float:
-    return float(vecs[0] @ incs)
-
-
-def constant_function(c: float, dimension: int) -> LocalFunction:
-    origin = (tuple(0 for _ in range(dimension)),)
-    return LocalFunction(window=origin, level_floor=0,
-                         evaluator=partial(_constant, c), name=f"const_{c}")
-
-
-def drift_projection(model: EnvironmentModel, direction) -> LocalFunction:
-    """Psi(omega) = (local drift) . direction, read from the origin vector."""
-    direction = np.asarray(direction, dtype=float)
-    incs = model.support.steps_array.astype(float) @ direction
-    origin = (tuple(0 for _ in range(model.support.dimension)),)
-    return LocalFunction(window=origin, level_floor=0,
-                         evaluator=partial(_origin_dot, incs),
-                         name="drift_projection",
-                         linear_weights=(tuple(incs.tolist()),))
-
-
-def _psi_along_path(env, psi: LocalFunction, sites: np.ndarray) -> np.ndarray:
-    """Values Psi(T_{X_j} omega) for the rows of `sites`."""
-    n = sites.shape[0]
-    window = [np.asarray(w, dtype=np.int64) for w in psi.window]
-    vecs = []
-    for w in window:
-        keys = site_keys(env.env_key, sites + w)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        vecs.append(env.vectors_from_keys(uniq)[inv])
-    if psi.linear_weights is not None:
-        out = np.zeros(n)
-        for wv, weights in zip(vecs, psi.linear_weights):
-            out += wv @ np.asarray(weights, dtype=float)
-        return out
-    stacked = np.stack(vecs, axis=1)  # (n, |window|, k)
-    return np.array([psi.evaluator(stacked[j]) for j in range(n)])
-
-
-def ergodic_average(model: EnvironmentModel, psi: LocalFunction, n: int,
-                    seed: int = 0, checkpoints=None) -> dict:
-    """Running Cesaro means of Psi along one quenched trajectory."""
-    psi.validate(model.support)
+def ergodic_average(model: EnvironmentModel, n: int, seed: int = 0,
+                    checkpoints=None) -> dict:
+    """Running Cesaro means of Psi(T_{X_j} omega) along one quenched
+    trajectory, where Psi(omega) = sum_z omega(0, z) z.u_hat is the local
+    drift along u_hat."""
     if checkpoints is None:
         checkpoints = [n]
     checkpoints = sorted(set(int(c) for c in checkpoints))
@@ -110,7 +34,10 @@ def ergodic_average(model: EnvironmentModel, psi: LocalFunction, n: int,
     env = make_environment(model, derive_env_seed(seed, _TAG_ERG))
     path = simulate(env, np.zeros(model.support.dimension, dtype=np.int64),
                     n - 1, derive_key(seed, _TAG_ERG, 1))
-    vals = _psi_along_path(env, psi, path.sites)
+    keys, inverse = np.unique(site_keys(env.env_key, path.sites),
+                              return_inverse=True)
+    vals = env.vectors_from_keys(keys)[inverse] @ \
+        model.support.level_increments.astype(float)
     csum = np.cumsum(vals)
     means = {c: float(csum[c - 1] / c) for c in checkpoints}
     return {"checkpoints": checkpoints, "means": means,

@@ -462,8 +462,8 @@ class PerturbedChainSpec:
     At state x the step is drawn from `alt` with probability
     min(1, C_pert |x|^(-p1)) and from the symmetric base otherwise, which
     realizes the coupling-failure bound by construction.  The test
-    function is h(x) = C_h (|x| v 1)^(-p2); p2 = inf means the indicator
-    of the origin.
+    function is h(x) = (|x| v 1)^(-p2); p2 = inf means the indicator of
+    the origin.
     """
 
     dimension: int
@@ -474,7 +474,6 @@ class PerturbedChainSpec:
     alt_offsets: Optional[np.ndarray] = None
     alt_probs: Optional[np.ndarray] = None
     p2: float = np.inf
-    c_h: float = 1.0
     allow_low_p1: bool = False
 
     def __post_init__(self):
@@ -489,10 +488,9 @@ class PerturbedChainSpec:
             neg = tuple(-c for c in z)
             if abs(p - pmf.get(neg, 0.0)) > 1e-12:
                 raise ValueError("base pmf must be symmetric")
-        if not (2 < self.p1 < np.inf and 0 <= self.c_pert < np.inf
-                and 0 < self.c_h < np.inf):
+        if not (2 < self.p1 < np.inf and 0 <= self.c_pert < np.inf):
             raise ValueError("need finite p1 > 2 (the theorem exponent "
-                             "divides by 2 p1 - 4), c_pert >= 0 and c_h > 0")
+                             "divides by 2 p1 - 4) and finite c_pert >= 0")
         if not self.p2 > 0:   # also rejects NaN
             raise ValueError("test function must decay: p2 > 0 required")
         if self.p1 <= 15 and not self.allow_low_p1:
@@ -513,8 +511,8 @@ class PerturbedChainSpec:
     def h(self, pos: np.ndarray) -> np.ndarray:
         norm = np.sqrt((pos.astype(float) ** 2).sum(axis=1))
         if np.isinf(self.p2):
-            return self.c_h * (norm == 0.0).astype(float)
-        return self.c_h * np.maximum(norm, 1.0) ** (-self.p2)
+            return (norm == 0.0).astype(float)
+        return np.maximum(norm, 1.0) ** (-self.p2)
 
     def theorem_exponent(self) -> float:
         denom = 2.0 * self.p1 - 4.0

@@ -41,9 +41,6 @@ class WalkPath:
         self.levels = self.sites @ self.u_hat
         self.running_max = np.maximum.accumulate(self.levels)
 
-    def __len__(self) -> int:
-        return len(self.sites)
-
     @property
     def n_steps(self) -> int:
         return len(self.sites) - 1

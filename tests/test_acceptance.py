@@ -16,7 +16,7 @@ from rwre.clt import (centered_mean_bound, clt_check, degeneracy_directions,
 from rwre.environment import (EnvironmentModel, check_hypotheses,
                               derive_env_seed, env_key_range,
                               make_environment)
-from rwre.envprocess import drift_projection, ergodic_average, variation_proxy
+from rwre.envprocess import ergodic_average, variation_proxy
 from rwre.fitting import fit_exponent
 from rwre.green import (build_ladder_tables, first_passage_tail,
                         half_line_green, half_line_green_mc,
@@ -219,10 +219,9 @@ def test_criterion_08_quenched_clt(dirichlet_estimates):
 
 def test_criterion_09_ergodic_theorem(dirichlet_estimates):
     model = dirichlet_estimates["model"]
-    psi = drift_projection(model, model.support.u_hat)
     finals_1e3, finals_1e5 = [], []
     for r in range(20):
-        res = ergodic_average(model, psi, 100_000,
+        res = ergodic_average(model, 100_000,
                               seed=derive_key(SEED, 12, r),
                               checkpoints=[1000, 100_000])
         finals_1e3.append(res["means"][1000])

@@ -61,8 +61,7 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
 
 @pytest.mark.parametrize("cfg, field", [
     ([1, 2], "config"),
-    ({"kind": "ergodic", "model": DRIFT_MODEL,
-      "params": {"n": 100, "n_runs": 2, "psi": "constant"}}, "params.psi"),
+    ({"kind": "regen", "model": DRIFT_MODEL, "params": [1]}, "params"),
     ({"kind": "exit-time", "params": {"chain": [1], "r_grid": [2],
                                       "reps": 4}}, "params.chain"),
 ])
@@ -289,8 +288,10 @@ D2 = {"dimension": 2, "steps": [[1, 0], [0, 1], [0, -1]], "u_hat": [1, 0],
     ({"kind": "check", "model": {**D2, "flor": 0.1}}, "model"),
     ({"kind": "green", "params": {"walk": {**SIMPLE_WALK, "prob": [1]},
                                   "points": [[1, 1]]}}, "params.walk"),
+    # the ergodic kind averages the local drift along u_hat; it takes no
+    # psi object
     ({"kind": "ergodic", "model": D2,
-      "params": {"psi": {"type": "constant", "valeu": 2.0}}}, "params.psi"),
+      "params": {"psi": {"type": "drift_projection"}}}, "params.psi"),
     ({"kind": "check", "model": {**D2, "dimension": math.inf}}, "model"),
     ({"kind": "check", "model": {**D2, "probs": [0.5, math.nan, 0.5]}},
      "model"),
@@ -320,6 +321,15 @@ D2 = {"dimension": 2, "steps": [[1, 0], [0, 1], [0, -1]], "u_hat": [1, 0],
       "params": {"x0_list": [[0, 1], [1, 0]]}}, "params.x0_list"),
     ({"kind": "joint-regen", "model": D2, "params": {"x0": [1, 0]}},
      "params.x0"),
+    # the joint-regen tail grid and the chain's h scale are constants; a
+    # chain's base is always the product of its walk base_1d
+    ({"kind": "joint-regen", "model": D2,
+      "params": {"x0": [0, 2], "m_grid": [4, 8]}}, "params.m_grid"),
+    ({"kind": "green-bound", "params": {
+        "chain": {**CHAIN, "c_h": 1.0}, "n_grid": [4, 8]}}, "params.chain"),
+    ({"kind": "green-bound", "params": {
+        "chain": {"dimension": 2, "p1": 16.0}, "n_grid": [4, 8]}},
+     "params.chain"),
 ])
 def test_invalid_config_exits_1_naming_field(tmp_path, capsys, cfg, field):
     path = _write(tmp_path, "cfg.json", cfg)
@@ -329,6 +339,19 @@ def test_invalid_config_exits_1_naming_field(tmp_path, capsys, cfg, field):
                  "--out", str(tmp_path / "out")]) == 1
     assert f"error: {field}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("chain, reason", [
+    ({"dimension": 2, "p1": 16.0}, "missing field 'base_1d'"),
+    ({**CHAIN, "c_h": 1.0}, "unknown field 'c_h'"),
+    ({**CHAIN, "base_offsets": [[1, 0], [-1, 0]]},
+     "unknown field 'base_offsets'"),
+])
+def test_chain_error_names_the_chain_field(chain, reason):
+    errors = validate_config({"kind": "exit-time",
+                              "params": {"chain": chain, "r_grid": [2]}})
+    assert len(errors) == 1
+    assert errors[0].startswith(f"params.chain: {reason}")
 
 
 def test_intersections_reps_defaults_from_table(tmp_path):

@@ -1,54 +1,42 @@
 import numpy as np
-import pytest
 
-from rwre.envprocess import (LocalFunction, constant_function,
-                             drift_projection, ergodic_average,
-                             variation_proxy)
+from rwre.environment import derive_env_seed, make_environment
+from rwre.envprocess import _TAG_ERG, ergodic_average, variation_proxy
 from rwre.models import (backtracking_model, degenerate_direction_model,
-                         dirichlet_drift_model, drift_model)
-
-
-def test_constant_function_average():
-    res = ergodic_average(drift_model(), constant_function(1.0, 2), 200,
-                          seed=1, checkpoints=[1, 50, 200])
-    assert all(v == 1.0 for v in res["means"].values())
+                         dirichlet_backtracking_model, dirichlet_drift_model,
+                         drift_model)
+from rwre.rng import derive_key, site_keys
+from rwre.walk import simulate
 
 
 def test_homogeneous_drift_average_exact():
     # deterministic kind: Psi = drift.e1 equals sum z1 p_z at every site
-    model = drift_model()
-    psi = drift_projection(model, (1, 0))
-    res = ergodic_average(model, psi, 300, seed=2, checkpoints=[10, 300])
+    res = ergodic_average(drift_model(), 300, seed=2, checkpoints=[10, 300])
     for v in res["means"].values():
         assert abs(v - 0.5) < 1e-12
 
 
-def test_drift_projection_linear_fast_path_matches_evaluator():
-    model = dirichlet_drift_model()
-    psi = drift_projection(model, (1, 0))
-    slow = LocalFunction(window=psi.window, level_floor=psi.level_floor,
-                         evaluator=psi.evaluator)
-    a = ergodic_average(model, psi, 400, seed=3, checkpoints=[400])
-    b = ergodic_average(model, slow, 400, seed=3, checkpoints=[400])
-    assert abs(a["final"] - b["final"]) < 1e-12
-
-
 def test_ergodic_average_dirichlet_reasonable():
-    model = dirichlet_drift_model()
-    psi = drift_projection(model, (1, 0))
-    res = ergodic_average(model, psi, 20_000, seed=4)
+    res = ergodic_average(dirichlet_drift_model(), 20_000, seed=4)
     assert 0.55 < res["final"] < 0.7
 
 
-def test_local_function_validation():
-    model = drift_model()
-    bad = LocalFunction(window=((0, -0),), level_floor=0,
-                        evaluator=lambda v: 0.0)
-    bad2 = LocalFunction(window=((-1, 0),), level_floor=0,
-                         evaluator=lambda v: 0.0)
-    bad.validate(model.support)  # origin is fine
-    with pytest.raises(ValueError):
-        bad2.validate(model.support)
+def test_ergodic_average_is_the_cesaro_mean_of_the_local_drift():
+    # Psi(T_x omega) = sum_z omega(x, z) z.u_hat, read one site at a time
+    model = dirichlet_backtracking_model()
+    res = ergodic_average(model, 500, seed=5, checkpoints=[1, 37, 500])
+    env = make_environment(model, derive_env_seed(5, _TAG_ERG))
+    path = simulate(env, (0, 0), 499, derive_key(5, _TAG_ERG, 1))
+    incs = [model.support.dot_u(z) for z in model.support.steps]
+    total, means = 0.0, {}
+    for j, x in enumerate(path.sites.tolist(), start=1):
+        vec = env.vectors_from_keys(site_keys(env.env_key,
+                                              np.array([x])))[0]
+        total += sum(p * z for p, z in zip(vec.tolist(), incs))
+        means[j] = total / j
+    assert res["checkpoints"] == [1, 37, 500]
+    for c, mean in res["means"].items():
+        assert abs(mean - means[c]) < 1e-12
 
 
 def test_variation_proxy_monotone_models_zero():

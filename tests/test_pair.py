@@ -12,7 +12,7 @@ from rwre.pair import (_joint_regen, _pair_common_sites, coupled_triple,
                        sample_Y_chain, sample_Ybar_chain,
                        support_inheritance_check)
 from rwre.regen import detect_regenerations
-from rwre.rng import site_keys
+from rwre.rng import derive_key, site_keys
 from rwre.walk import (WalkPath, _SeqWalk, _TimeSource, simulate,
                        simulate_paths_many_envs, walk_key)
 
@@ -236,6 +236,65 @@ def test_coupled_triple_outcomes_digest():
                     o.n_triples))
     assert sum(o[3] for o in out) == 4   # hits on X's range are covered
     assert _digest(out) == PAIR_DIGESTS["triple"]
+
+
+def _jump_model():
+    # the step (2, 0) jumps a level, which then is fresh for neither walk
+    # or for one only
+    return EnvironmentModel(
+        support=support_2d([(2, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]),
+        kind="dirichlet", alpha=(2.0, 2.0, 1.5, 1.0, 1.0), floor=0.05)
+
+
+def _rescan(la, lb, h, margin):
+    """(lambda levels, Lambda, mu1, mu1_tilde, skipped levels) of the first
+    joint regeneration, scanned from the two walks' whole level lists."""
+    def fresh(levels):
+        out, top = {}, levels[0]
+        for t, lev in enumerate(levels):
+            if lev > top:
+                top, out[lev] = lev, t
+        return out
+    fa, fb = fresh(la), fresh(lb)
+    lams, skipped, target = [], 0, la[0] + h
+    while True:
+        ell = target
+        while ell not in fa or ell not in fb:
+            assert ell < min(max(la), max(lb))
+            skipped, ell = skipped + 1, ell + h
+        lams.append(ell)
+        ta, tb = fa[ell], fb[ell]
+        for off in range(1, min(len(la) - ta, len(lb) - tb)):
+            a, b = la[ta:ta + off + 1], lb[tb:tb + off + 1]
+            if min(a) < ell or min(b) < ell:
+                target = max(la[:ta + off + 1] + lb[:tb + off + 1]) + h
+                break
+            if min(max(a), max(b)) >= ell + margin:
+                return lams, ell, ta, tb, skipped
+        else:
+            raise AssertionError("the level lists end before a verdict")
+
+
+def test_joint_regen_skips_levels_not_fresh_for_both():
+    model = _jump_model()
+    h = compute_h(model.support)
+    skipped = 0
+    for i in range(20):
+        env = make_environment(model, 700 + i)
+        rec = first_joint_regeneration(env, (0, 0), (0, 2), margin=5, seed=i)
+        # the same two walks, kept to read their level lists
+        again, wa, wb = pair._time_pair_regen(
+            env, env, (0, 0), (0, 2),
+            walk_key(derive_key(i, pair._TAG_PAIR, 10)),
+            walk_key(derive_key(i, pair._TAG_PAIR, 11)), 5, 20_000)
+        assert again == rec and rec.confirmed
+        lams, lam, ta, tb, n = _rescan(wa.levels, wb.levels, h, 5)
+        assert (rec.lambda_levels, rec.Lambda, rec.mu1, rec.mu1_tilde) == \
+            (lams, lam, ta, tb)
+        assert (rec.x_mu, rec.x_tilde_mu) == (wa.positions[ta],
+                                              wb.positions[tb])
+        skipped += n
+    assert skipped > 0
 
 
 def test_joint_regen_h_lattice():

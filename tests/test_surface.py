@@ -1,7 +1,8 @@
 """The public surface of rwre: every name rwre/__init__.py exports resolves,
 every public top-level function or class in src/rwre has a reader, every
 defaulted parameter of a public function or method is set by some call,
-and every dataclass field is read.
+every dataclass field is read, and every config field is set by a shipped
+config.
 
 A reader is a reference found by AST (a name, an attribute or an imported
 name, so docstrings and comments do not count) from
@@ -13,12 +14,20 @@ name, so docstrings and comments do not count) from
 or an entry of ALLOWLIST, which gives its reason.  Calls and field reads
 count in the same files; PARAM_ALLOWLIST and FIELD_ALLOWLIST give the
 reasons for the parameters and fields that only other tests use.
+
+A config field (a KIND_TABLE params field of rwre.cli, or a chain field
+that build_chain_spec accepts) is set by a configs/*.json file of its
+kind, a perfbench/workloads.py spec of its kind or a config in
+tests/test_acceptance.py, or CONFIG_ALLOWLIST gives its reason.
 """
 
 import ast
+import json
+import types
 from pathlib import Path
 
 import rwre
+from rwre.cli import KIND_TABLE
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "rwre"
@@ -50,6 +59,22 @@ FIELD_ALLOWLIST = {
                                "tests/test_pair.py checks",
     "RegenerationRecord.margin": "tests/test_regen.py checks each confirmed "
                                  "regeneration against it",
+}
+
+CONFIG_ALLOWLIST = {
+    "regen.tail_cut": "the golden regen config of tests/test_cli.py sets it",
+    "ergodic.checkpoints": "the golden ergodic config of tests/test_cli.py "
+                           "sets it",
+    "joint-regen.horizon": "caps each search; tests/test_pair.py runs "
+                           "capped searches through the library",
+    "coupling.horizon": "caps each triple; tests/test_cli.py sets it to "
+                        "fail a run",
+    "chain.alt_offsets": "the perturbation's steps, which tests/test_green.py "
+                         "varies through the library",
+    "chain.alt_probs": "the perturbation's step law, which "
+                       "tests/test_green.py varies through the library",
+    "chain.allow_low_p1": "opts in to exploratory p1 <= 15, which "
+                          "tests/test_green.py runs through the library",
 }
 
 
@@ -354,3 +379,83 @@ def test_rule_flags_a_field_that_nothing_reads():
         allow=()) == []
     assert unread_fields(library, [], allow={"Rec.margin": "",
                                              "Rec.levels": ""}) == []
+
+
+def _chain_fields(cli_source: str) -> tuple:
+    """The fields build_chain_spec passes to _known in rwre/cli.py."""
+    for fn in ast.parse(cli_source).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name == "build_chain_spec":
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and _name(node.func) == "_known":
+                    return ast.literal_eval(node.args[1])
+    raise AssertionError("build_chain_spec passes no field list to _known")
+
+
+def _shipped_configs() -> list:
+    """The configs of configs/*.json, the specs of perfbench/workloads.py
+    (every workload and scale, loaded without writing bytecode) and the
+    literal config objects of tests/test_acceptance.py."""
+    cfgs = [json.loads(p.read_text())
+            for p in sorted((ROOT / "configs").glob("*.json"))]
+    path = ROOT / "perfbench" / "workloads.py"
+    workloads = types.ModuleType("_perfbench_workloads")
+    exec(compile(path.read_text(), str(path), "exec"), workloads.__dict__)
+    cfgs += [{"kind": kind, "params": params}
+             for specs in workloads._SPECS.values()
+             for kind, _, scales in specs for params in scales.values()]
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            try:
+                cfg = ast.literal_eval(node)
+            except ValueError:
+                continue
+            if "kind" in cfg:
+                cfgs.append(cfg)
+    return cfgs
+
+
+def unset_config_fields(fields: dict, chain_fields, cfgs,
+                        allow=CONFIG_ALLOWLIST) -> list:
+    """The params fields of `fields` (kind -> field names), as
+    'kind.field', and the `chain_fields`, as 'chain.field', that no config
+    in cfgs sets and `allow` does not name."""
+    given = set()
+    for cfg in cfgs:
+        params = cfg.get("params", {})
+        given |= {f"{cfg['kind']}.{f}" for f in params}
+        given |= {f"chain.{f}" for f in params.get("chain", {})}
+    names = [f"{kind}.{f}" for kind, fs in fields.items() for f in fs] + \
+        [f"chain.{f}" for f in chain_fields]
+    return [n for n in names if n not in given and n not in allow]
+
+
+def _config_fields() -> tuple:
+    return ({kind: list(entry[2]) for kind, entry in KIND_TABLE.items()},
+            _chain_fields((SRC / "cli.py").read_text()))
+
+
+def test_every_config_field_is_set_by_a_shipped_config():
+    assert unset_config_fields(*_config_fields(), _shipped_configs()) == []
+
+
+def test_config_allowlist_holds_exactly_the_fields_no_config_sets():
+    # an entry whose field gains a config, or is deleted, leaves the list
+    assert sorted(unset_config_fields(*_config_fields(), _shipped_configs(),
+                                      allow=())) == sorted(CONFIG_ALLOWLIST)
+
+
+def test_rule_flags_a_config_field_that_nothing_sets():
+    fields = {"regen": ["n_paths", "tail_cut"], "ergodic": ["n", "psi"]}
+    chain = _chain_fields("def build_chain_spec(c):\n"
+                          "    return _known(c, ('p1', 'c_h'))\n")
+    assert chain == ("p1", "c_h")
+    cfgs = [{"kind": "regen", "params": {"n_paths": 2}},
+            {"kind": "green-bound", "params": {"chain": {"p1": 16.0}}},
+            # a field counts only for its own kind
+            {"kind": "variation", "params": {"n": 16, "tail_cut": 3}}]
+    assert unset_config_fields(fields, chain, cfgs, allow=()) == [
+        "regen.tail_cut", "ergodic.n", "ergodic.psi", "chain.c_h"]
+    assert unset_config_fields(fields, chain, cfgs, allow={
+        "regen.tail_cut": "", "ergodic.n": "", "ergodic.psi": "",
+        "chain.c_h": ""}) == []
