@@ -11,13 +11,13 @@ from .regen import (DiffusionEstimate, RegenerationRecord, VelocityEstimate,
                     detect_regenerations, estimate_diffusion,
                     estimate_velocity, renewal_diagnostics)
 from .pair import (CouplingOutcome, JointRegenRecord, YChainSample,
-                   coupled_triple, first_joint_regeneration,
+                   coupled_triple, coupling_decay, first_joint_regeneration,
                    intersection_curve, sample_Y_chain, sample_Ybar_chain,
                    support_inheritance_check)
 from .clt import (QuenchedCLTReport, centered_mean_bound, clt_check,
                   degeneracy_directions, quenched_mean_variance,
                   quenched_samples)
-from .envprocess import ergodic_average, variation_proxy
+from .envprocess import ergodic_average, ergodic_runs, variation_proxy
 from .green import (LadderTables, PerturbedChainSpec, SymmetricWalk1D,
                     build_ladder_tables, cube_exit_time, first_passage_tail,
                     green_bound_experiment, half_line_green,

@@ -8,7 +8,9 @@ master seed by the keyed splitting rule derive_key(master_seed,
 experiment stage (the integer constants in the runner functions below);
 parallel results are reduced in replica-index order, so outputs are
 byte-identical for any worker count.  Each kind's `params` fields, checks
-and defaults are one table, KIND_TABLE; the runners read only its output.
+and defaults are one table, KIND_TABLE; the runners read only its output
+and lay out the statistics of library calls the acceptance suite also
+tests, except regen, joint-regen and green, which reduce replicas here.
 Exit codes: 0 ok, 1 validation error, 2 runtime error.
 """
 
@@ -35,14 +37,13 @@ from . import __version__
 from .environment import (EnvironmentModel, StepSupport, check_hypotheses,
                           env_key_range, make_environment, derive_env_seed)
 from .clt import clt_check, quenched_mean_variance, quenched_samples
-from .envprocess import ergodic_average, variation_proxy
-from .fitting import fit_exponent
+from .envprocess import ergodic_runs, variation_proxy
 from .green import (PerturbedChainSpec, SymmetricWalk1D, build_ladder_tables,
                     check_ladder_size, check_solve_size, cube_exit_time,
                     green_bound_experiment, half_line_green,
                     half_line_green_mc, half_line_green_solve,
                     product_symmetric_base)
-from .pair import coupled_triple, first_joint_regeneration, intersection_curve
+from .pair import coupling_decay, first_joint_regeneration, intersection_curve
 from .regen import (detect_regenerations, estimate_diffusion,
                     estimate_velocity, renewal_diagnostics)
 from .rng import TAG_ENV, derive_key, derive_key_range
@@ -294,8 +295,9 @@ def _run_clt(model, params, seed, workers):
         params["m_walks"], params["v"], derive_key_range(seed, 202, n=n_env),
         map_fn=partial(_pmap, workers=workers), blocks=workers)
     report = clt_check(samples, params["D"], model.support)
-    rows = [(e, j, report.ks_pvalues[e, j], int(report.degenerate_ok[e, j]),
-             *report.per_env_cov[e].ravel())
+    rows = [(e, j, float(report.ks_pvalues[e, j]),
+             int(report.degenerate_ok[e, j]),
+             *report.per_env_cov[e].ravel().tolist())
             for e in range(n_env) for j in range(len(report.directions))]
     d = model.support.dimension
     header = ["env", "direction", "ks_pvalue", "degenerate_ok"] + \
@@ -365,61 +367,46 @@ def _run_joint_regen(model, params, seed, workers):
 
 
 def _run_coupling(model, params, seed, workers):
-    reps = params["reps"]
-    d = model.support.dimension
-    rows, agg = [], []
-    for j, x0 in enumerate(params["x0_list"]):
-        task = partial(coupled_triple, model, x0, margin=params["margin"],
-                       horizon=params["horizon"])
-        outs = _pmap(task, [derive_key(seed, 501, j, i) for i in range(reps)],
-                     workers)
-        for out in outs:
-            rows.append((*x0, *out.Y1.tolist(), *out.Ybar1.tolist(),
-                         int(out.equal), int(out.hit_X_path), out.n_triples))
-        p = float(np.mean([not o.equal for o in outs]))
-        se = float(np.sqrt(max(p * (1 - p), 1e-12) / reps))
-        agg.append({"x0": list(x0), "p_neq": p, "se": se})
-    header = [f"{c}_{j+1}" for c in ("x0", "y1", "ybar1") for j in range(d)] \
-        + ["equal", "hit_x_path", "n_triples"]
-    ps, ses = [a["p_neq"] for a in agg], [a["se"] for a in agg]
-    mono = all(ps[i + 1] <= ps[i] + 3 * np.hypot(ses[i], ses[i + 1])
-               for i in range(len(ps) - 1))
-    summary = {"per_start": agg, "monotone_within_3se": bool(mono)}
+    # replica i of start j has the seed derive_key(seed, 501, j, i)
+    res = coupling_decay(model, params["x0_list"], params["reps"],
+                         derive_key(seed, 501), params["margin"],
+                         params["horizon"],
+                         map_fn=partial(_pmap, workers=workers))
+    rows = [(*x0, *out.Y1.tolist(), *out.Ybar1.tolist(), int(out.equal),
+             int(out.hit_X_path), out.n_triples)
+            for x0, outs in zip(params["x0_list"], res["outcomes"])
+            for out in outs]
+    header = [f"{c}_{j+1}" for c in ("x0", "y1", "ybar1")
+              for j in range(model.support.dimension)] + \
+        ["equal", "hit_x_path", "n_triples"]
+    summary = {"per_start": [{"x0": list(x0), "p_neq": p, "se": se}
+                             for x0, p, se in zip(params["x0_list"],
+                                                  res["p_neq"], res["se"])],
+               "monotone_within_3se": res["monotone_within_3se"]}
     return {"coupling": (header, rows)}, summary
 
 
 def _run_ergodic(model, params, seed, workers):
-    n_runs, checkpoints = params["n_runs"], params["checkpoints"]
-    task = partial(ergodic_average, model, params["n"],
-                   checkpoints=checkpoints)
-    runs = _pmap(task, [derive_key(seed, 601, r) for r in range(n_runs)],
-                 workers)
-    rows = []
-    finals = {c: [] for c in checkpoints}
-    for r, res in enumerate(runs):
-        for c in res["checkpoints"]:
-            rows.append((r, c, res["means"][c]))
-            finals[c].append(res["means"][c])
-    sds = {c: float(np.std(v, ddof=1)) if len(v) > 1 else 0.0
-           for c, v in finals.items()}
-    last = checkpoints[-1]
-    summary = {"across_run_sd": sds,
-               "terminal_mean": float(np.mean(finals[last])),
-               "terminal_se": sds[last] / np.sqrt(max(n_runs, 1))}
+    # run r has the seed derive_key(seed, 601, r)
+    res = ergodic_runs(model, params["n"], params["n_runs"],
+                       derive_key(seed, 601), params["checkpoints"],
+                       map_fn=partial(_pmap, workers=workers))
+    rows = [(r, c, res["means"][c][r]) for r in range(params["n_runs"])
+            for c in res["checkpoints"]]
+    summary = {k: res[k] for k in ("across_run_sd", "terminal_mean",
+                                   "terminal_se")}
     return {"ergodic": (["run", "checkpoint", "cesaro_mean"], rows)}, summary
 
 
 def _run_variation(model, params, seed, workers):
     res = variation_proxy(model, params["n"], params["ell_grid"],
                           params["reps"], seed=derive_key(seed, 701))
-    rows, ihat = res["rows"], res["i_hat"]
-    mono = bool(np.all(np.diff(ihat) <= 1e-15))
-    fit = None
-    if (ihat > 0).sum() >= 2:
-        f = fit_exponent(res["ell_grid"], ihat)
-        fit = {"slope": f.slope, "slope_se": f.slope_se}
-    summary = {"monotone_exact": mono, "all_zero": bool((ihat == 0).all()),
-               "loglog_fit": fit}
+    fit = res["fit"]
+    summary = {"monotone_exact": res["monotone"],
+               "all_zero": bool((res["i_hat"] == 0).all()),
+               "loglog_fit": {"slope": fit.slope, "slope_se": fit.slope_se}
+               if fit else None}
+    rows = res["rows"]
     return {"variation": (["ell", "i_hat", "ci_lo", "ci_hi"], rows)}, summary
 
 
@@ -603,25 +590,13 @@ def _to_jsonable(obj):
     return obj
 
 
-def _fmt_cell(x):
-    if isinstance(x, (bool, np.bool_, int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
-# cells the csv module writes as _fmt_cell would: str as is, int and float
-# through str(), which for these exact types is str(int(x)) and repr(x)
-_PLAIN_CELLS = frozenset((int, float, str))
-
-
 def _write_csv(path: Path, header, rows) -> str:
+    # cells are plain str, int and float: csv writes np.float64(...) for a
+    # numpy float
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        w.writerows([c if type(c) in _PLAIN_CELLS else _fmt_cell(c)
-                     for c in row] for row in rows)
+        w.writerows(rows)
     return _sha256(path)
 
 

@@ -10,18 +10,22 @@ on forward sigma-fields.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .environment import (EnvironmentModel, derive_env_seed, env_key_range,
                           make_environment)
-from .rng import TAG_ENV, derive_key, derive_key_range, site_keys
+from .fitting import fit_exponent
+from .rng import (TAG_ENV, derive_key, derive_key_range, fold_key_array,
+                  site_keys)
 from .walk import list_seed_array, simulate, simulate_level_stats_many_envs
 
 _TAG_ERG = 0xE401
 _TAG_VAR = 0xE402
 
 
-def ergodic_average(model: EnvironmentModel, n: int, seed: int = 0,
+def ergodic_average(model: EnvironmentModel, n: int, seed: int,
                     checkpoints=None) -> dict:
     """Running Cesaro means of Psi(T_{X_j} omega) along one quenched
     trajectory, where Psi(omega) = sum_z omega(0, z) z.u_hat is the local
@@ -44,12 +48,34 @@ def ergodic_average(model: EnvironmentModel, n: int, seed: int = 0,
             "final": means[checkpoints[-1]]}
 
 
+def ergodic_runs(model: EnvironmentModel, n: int, n_runs: int, seed: int,
+                 checkpoints, map_fn=map) -> dict:
+    """n_runs ergodic_average runs, run r seeded derive_key(..., r) for the
+    prefix key seed = derive_key(...) and run through map_fn(task, seeds):
+    per-run means {checkpoint: [run 0, ...]}, the across-run sd at each
+    checkpoint (0.0 for one run), and the terminal mean with its se."""
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1 (got {n_runs})")
+    seeds = fold_key_array(seed, np.arange(n_runs, dtype=np.uint64))
+    runs = list(map_fn(partial(ergodic_average, model, n,
+                               checkpoints=checkpoints), seeds.tolist()))
+    cps = runs[0]["checkpoints"]
+    means = {c: [res["means"][c] for res in runs] for c in cps}
+    sds = {c: float(np.std(v, ddof=1)) if n_runs > 1 else 0.0
+           for c, v in means.items()}
+    return {"checkpoints": cps, "means": means, "across_run_sd": sds,
+            "terminal_mean": float(np.mean(means[cps[-1]])),
+            "terminal_se": sds[cps[-1]] / np.sqrt(n_runs)}
+
+
 def variation_proxy(model: EnvironmentModel, n: int, ell_grid, reps: int,
                     seed: int = 0) -> dict:
     """I_hat(n, ell) = P_0{max level by n exceeds final level + ell/2}.
 
     Common random numbers across the ell grid: the indicator events are
-    nested, so monotonicity in ell holds exactly sample by sample.
+    nested, so monotonicity in ell holds exactly sample by sample, and
+    `monotone` is the exact test diff(i_hat) <= 0.  `fit` is the log-log fit
+    of i_hat against ell, None below two positive points.
     """
     if reps < 1000:
         raise ValueError("reps must be at least 1000")
@@ -64,8 +90,10 @@ def variation_proxy(model: EnvironmentModel, n: int, ell_grid, reps: int,
     for ell in ell_grid:
         hits = int((overshoot > ell / 2.0).sum())
         p = hits / reps
-        half = 1.959963984540054 * np.sqrt(p * (1 - p) / reps)
+        half = 1.959963984540054 * float(np.sqrt(p * (1 - p) / reps))
         rows.append((ell, p, max(0.0, p - half), min(1.0, p + half)))
+    i_hat = np.array([r[1] for r in rows])
+    fit = fit_exponent(ell_grid, i_hat) if (i_hat > 0).sum() >= 2 else None
     return {"n": n, "reps": reps, "rows": rows,
-            "ell_grid": ell_grid,
-            "i_hat": np.array([r[1] for r in rows])}
+            "ell_grid": ell_grid, "i_hat": i_hat, "fit": fit,
+            "monotone": bool(np.all(np.diff(i_hat) <= 0))}

@@ -14,6 +14,7 @@ time step, except the coupled Xtilde and Xbar, which read a _SiteSource.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -358,7 +359,7 @@ class _RangeEnvChooser:
         return self.env.cum_at(site)
 
 
-def coupled_triple(model: EnvironmentModel, x0, seed: int = 0,
+def coupled_triple(model: EnvironmentModel, x0, seed: int,
                    margin: int = 20, horizon: int = 20_000) -> CouplingOutcome:
     """One coupled sample (Y_1, Ybar_1) from a common start x0 in V_d.
 
@@ -405,3 +406,24 @@ def coupled_triple(model: EnvironmentModel, x0, seed: int = 0,
                            Ybar1=np.array(Ybar1, dtype=np.int64),
                            equal=bool(Y1 == Ybar1),
                            hit_X_path=hit, n_triples=m)
+
+
+def coupling_decay(model: EnvironmentModel, x0_list, reps: int, seed: int,
+                   margin: int, horizon: int, map_fn=map) -> dict:
+    """P(Y_1 != Ybar_1) from `reps` coupled_triple replicas at each start
+    of x0_list, its se, and whether it is non-increasing along the list
+    within three se of each successive difference.  Replica i of start j
+    has the seed derive_key(..., j, i) for the prefix key seed =
+    derive_key(...); map_fn(task, seeds) runs one start's replicas."""
+    seeds = fold_key_array(fold_key_array(
+        seed, np.arange(len(x0_list), dtype=np.uint64))[:, None],
+        np.arange(reps, dtype=np.uint64)).tolist()
+    outcomes = [list(map_fn(partial(coupled_triple, model, x0, margin=margin,
+                                    horizon=horizon), s))
+                for x0, s in zip(x0_list, seeds)]
+    ps = [float(np.mean([not o.equal for o in outs])) for outs in outcomes]
+    ses = [float(np.sqrt(max(p * (1 - p), 1e-12) / reps)) for p in ps]
+    mono = all(ps[i + 1] <= ps[i] + 3 * np.hypot(ses[i], ses[i + 1])
+               for i in range(len(ps) - 1))
+    return {"outcomes": outcomes, "p_neq": ps, "se": ses,
+            "monotone_within_3se": mono}

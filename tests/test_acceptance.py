@@ -16,14 +16,13 @@ from rwre.clt import (centered_mean_bound, clt_check, degeneracy_directions,
 from rwre.environment import (EnvironmentModel, check_hypotheses,
                               derive_env_seed, env_key_range,
                               make_environment)
-from rwre.envprocess import ergodic_average, variation_proxy
-from rwre.fitting import fit_exponent
+from rwre.envprocess import ergodic_runs, variation_proxy
 from rwre.green import (build_ladder_tables, first_passage_tail,
                         half_line_green, half_line_green_mc,
                         half_line_green_solve, simple_walk)
 from rwre.models import (backtracking_model, degenerate_direction_model,
                          dirichlet_drift_model, drift_model, support_2d)
-from rwre.pair import coupled_triple, intersection_curve
+from rwre.pair import coupling_decay, intersection_curve
 from rwre.regen import (detect_regenerations, estimate_diffusion,
                         estimate_velocity)
 from rwre.rng import TAG_ENV, derive_key, derive_key_range
@@ -171,28 +170,15 @@ def test_criterion_06_intersection_sublinearity():
           f"E|X cap X~| at n=4096: {res['mean'][-1]:.1f}")
 
 
-def _coupling_sample(args):
-    model, x0, seed = args
-    out = coupled_triple(model, x0, seed=seed, margin=10)
-    return int(not out.equal)
-
-
 def test_criterion_07_coupling_decay():
-    model = dirichlet_drift_model()
-    reps = 10_000
     dists = [1, 2, 4, 8, 16]
-    ps, ses = [], []
-    ctx = get_context("fork")
-    with ctx.Pool(N_WORKERS) as pool:
-        for j, k in enumerate(dists):
-            args = [(model, (0, k), derive_key(SEED, 9, j, i))
-                    for i in range(reps)]
-            neq = sum(pool.map(_coupling_sample, args, chunksize=250))
-            p = neq / reps
-            ps.append(p)
-            ses.append(np.sqrt(max(p * (1 - p), 1e-12) / reps))
-    for i in range(len(dists) - 1):
-        assert ps[i + 1] <= ps[i] + 3 * np.hypot(ses[i], ses[i + 1])
+    # replica i of start j has the seed derive_key(SEED, 9, j, i)
+    with get_context("fork").Pool(N_WORKERS) as pool:
+        res = coupling_decay(dirichlet_drift_model(), [(0, k) for k in dists],
+                             10_000, derive_key(SEED, 9), margin=10,
+                             horizon=20_000, map_fn=pool.map)
+    ps = res["p_neq"]
+    assert res["monotone_within_3se"]
     assert ps[0] > 0
     assert ps[-1] < ps[0] / 2
     pretty = ", ".join(f"|x0|={k}: {p:.4f}" for k, p in zip(dists, ps))
@@ -219,18 +205,13 @@ def test_criterion_08_quenched_clt(dirichlet_estimates):
 
 def test_criterion_09_ergodic_theorem(dirichlet_estimates):
     model = dirichlet_estimates["model"]
-    finals_1e3, finals_1e5 = [], []
-    for r in range(20):
-        res = ergodic_average(model, 100_000,
-                              seed=derive_key(SEED, 12, r),
-                              checkpoints=[1000, 100_000])
-        finals_1e3.append(res["means"][1000])
-        finals_1e5.append(res["means"][100_000])
-    sd3 = np.std(finals_1e3, ddof=1)
-    sd5 = np.std(finals_1e5, ddof=1)
+    # run r has the seed derive_key(SEED, 12, r)
+    with get_context("fork").Pool(N_WORKERS) as pool:
+        res = ergodic_runs(model, 100_000, 20, derive_key(SEED, 12),
+                           [1000, 100_000], map_fn=pool.map)
+    sd3, sd5 = (res["across_run_sd"][c] for c in (1000, 100_000))
     assert sd5 <= sd3 / 3
-    term_mean = float(np.mean(finals_1e5))
-    term_se = sd5 / np.sqrt(20)
+    term_mean, term_se = res["terminal_mean"], res["terminal_se"]
     v_u = float(dirichlet_estimates["v"] @ model.support.u_hat)
     v_u_se = float(dirichlet_estimates["v_se"] @ np.abs(model.support.u_hat))
     combined = np.hypot(term_se, v_u_se)
@@ -250,10 +231,9 @@ def test_criterion_10_variation_proxy():
     assert np.all(res_drift["i_hat"] == 0.0)
     res = variation_proxy(backtracking_model(), 1024, ell_grid,
                           reps=100_000, seed=derive_key(SEED, 15))
-    ihat = res["i_hat"]
-    assert np.all(np.diff(ihat) <= 0)  # exact under common random numbers
-    fit = fit_exponent(ell_grid, ihat)
-    assert fit.slope <= -1.0
+    ihat, fit = res["i_hat"], res["fit"]
+    assert res["monotone"]  # exact under common random numbers
+    assert fit is not None and fit.slope <= -1.0
     print(f"ACCEPTANCE 10: PASS - monotone models identically 0; "
           f"I(n,ell) exactly non-increasing; log-log slope "
           f"{fit.slope:.2f} <= -1 (I from {ihat[0]:.3f} to {ihat[-1]:.2e})")

@@ -102,7 +102,7 @@ def test_traced_simulate_counts_n_and_pair_walks_open_no_simulate_span():
         model = dirichlet_drift_model()
         pair.first_joint_regeneration(make_environment(model, 3), (0, 0),
                                       (0, 4), margin=10)
-        pair.coupled_triple(model, (0, 1), margin=10)
+        pair.coupled_triple(model, (0, 1), seed=0, margin=10)
     finally:
         tracer.uninstall(undo)
     assert tr.stats["walk.simulate"].calls == 2

@@ -60,10 +60,14 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cfg, field", [
-    ([1, 2], "config"),
-    ({"kind": "regen", "model": DRIFT_MODEL, "params": [1]}, "params"),
-    ({"kind": "exit-time", "params": {"chain": [1], "r_grid": [2],
-                                      "reps": 4}}, "params.chain"),
+    pytest.param([1, 2], "config", id="cfg0-config"),
+    pytest.param(
+        {"kind": "regen", "model": DRIFT_MODEL, "params": [1]}, "params",
+        id="cfg1-params"),
+    pytest.param(
+        {"kind": "exit-time", "params": {"chain": [1], "r_grid": [2],
+                                         "reps": 4}}, "params.chain",
+        id="cfg2-params.chain"),
 ])
 def test_cli_validate_non_object_names_field(tmp_path, capsys, cfg, field):
     path = _write(tmp_path, "cfg.json", cfg)
@@ -241,95 +245,156 @@ D2 = {"dimension": 2, "steps": [[1, 0], [0, 1], [0, -1]], "u_hat": [1, 0],
 # configs a looser validator accepted; each run then failed without naming
 # the field, or ran something else
 @pytest.mark.parametrize("cfg, field", [
-    ({"kind": "quenched-mean", "model": D2,
-      "params": {"n_grid": [True, 8]}}, "params.n_grid"),
-    ({"kind": "regen", "model": D2, "params": {"tail_cut": "x"}},
-     "params.tail_cut"),
-    ({"kind": "regen", "model": D2, "params": {"margin": 10, "tail_cut": 5}},
-     "params.tail_cut"),
-    ({"kind": "coupling", "model": D2,
-      "params": {"x0_list": [[0, 1]], "horizon": "x"}}, "params.horizon"),
-    ({"kind": "green", "params": {"walk": SIMPLE_WALK,
-                                  "points": [["a", 1]]}}, "params.points"),
-    ({"kind": "green", "params": {"walk": SIMPLE_WALK, "r0": 5,
-                                  "points": [[1, 1]]}}, "params.points"),
-    ({"kind": "ergodic", "model": D2,
-      "params": {"checkpoints": [0, 100], "n": 50}}, "params.checkpoints"),
-    ({"kind": "ergodic", "model": D2,
-      "params": {"checkpoints": [10, 100], "n": 50}}, "params.checkpoints"),
-    ({"kind": "clt", "model": D2, "params": {"v": [1], "D": [[1]]}},
-     "params.v"),
-    ({"kind": "clt", "model": D2, "params": {"v": [1, 0], "D": [[1]]}},
-     "params.D"),
-    ({"kind": "joint-regen", "model": D2, "params": {"x0": [0, 0, 2]}},
-     "params.x0"),
-    ({"kind": "green", "params": {
-        "walk": {"offsets": [-1, 1], "probs": [0.5, math.nan]},
-        "points": [[1, 1]]}}, "params.walk"),
-    ({"kind": "green-bound", "params": {
-        "chain": {**CHAIN, "p1": math.nan}, "n_grid": [4]}}, "params.chain"),
-    ({"kind": "intersections", "model": D2, "params": {"n_grid": [8]}},
-     "params.n_grid"),
-    ({"kind": "quenched-mean", "model": D2, "params": {"n_grid": [8, 8]}},
-     "params.n_grid"),
-    ({"kind": "exit-time", "params": {
-        "chain": {**CHAIN, "alt_offsets": [[1, 0]]}, "r_grid": [2]}},
-     "params.chain"),
-    ({"kind": "green-bound", "params": {
-        "chain": {**CHAIN, "p1": 2.0, "allow_low_p1": True},
-        "n_grid": [4, 8]}}, "params.chain"),
-    ({"kind": "regen", "model": D2, "params": {"n_paths": True}},
-     "params.n_paths"),
-    ({"kind": "regen", "model": D2, "params": {"p": math.inf}}, "params.p"),
-    ({"kind": "regen", "model": D2, "params": {"n_pahts": 2}},
-     "params.n_pahts"),
-    ({"kind": "green", "params": {"walk": SIMPLE_WALK, "points": [[1, 1]],
-                                  "mc": "no"}}, "params.mc"),
-    ({"kind": "check", "model": {**D2, "flor": 0.1}}, "model"),
-    ({"kind": "green", "params": {"walk": {**SIMPLE_WALK, "prob": [1]},
-                                  "points": [[1, 1]]}}, "params.walk"),
+    pytest.param(
+        {"kind": "quenched-mean", "model": D2,
+         "params": {"n_grid": [True, 8]}}, "params.n_grid",
+        id="cfg0-params.n_grid"),
+    pytest.param(
+        {"kind": "regen", "model": D2, "params": {"tail_cut": "x"}},
+        "params.tail_cut", id="cfg1-params.tail_cut"),
+    pytest.param(
+        {"kind": "regen", "model": D2,
+         "params": {"margin": 10, "tail_cut": 5}}, "params.tail_cut",
+        id="cfg2-params.tail_cut"),
+    pytest.param(
+        {"kind": "coupling", "model": D2,
+         "params": {"x0_list": [[0, 1]], "horizon": "x"}}, "params.horizon",
+        id="cfg3-params.horizon"),
+    pytest.param(
+        {"kind": "green", "params": {"walk": SIMPLE_WALK,
+                                     "points": [["a", 1]]}}, "params.points",
+        id="cfg4-params.points"),
+    pytest.param(
+        {"kind": "green", "params": {"walk": SIMPLE_WALK, "r0": 5,
+                                     "points": [[1, 1]]}}, "params.points",
+        id="cfg5-params.points"),
+    pytest.param(
+        {"kind": "ergodic", "model": D2,
+         "params": {"checkpoints": [0, 100], "n": 50}}, "params.checkpoints",
+        id="cfg6-params.checkpoints"),
+    pytest.param(
+        {"kind": "ergodic", "model": D2,
+         "params": {"checkpoints": [10, 100], "n": 50}}, "params.checkpoints",
+        id="cfg7-params.checkpoints"),
+    pytest.param(
+        {"kind": "clt", "model": D2, "params": {"v": [1], "D": [[1]]}},
+        "params.v", id="cfg8-params.v"),
+    pytest.param(
+        {"kind": "clt", "model": D2, "params": {"v": [1, 0], "D": [[1]]}},
+        "params.D", id="cfg9-params.D"),
+    pytest.param(
+        {"kind": "joint-regen", "model": D2, "params": {"x0": [0, 0, 2]}},
+        "params.x0", id="cfg10-params.x0"),
+    pytest.param(
+        {"kind": "green", "params": {
+            "walk": {"offsets": [-1, 1], "probs": [0.5, math.nan]},
+            "points": [[1, 1]]}}, "params.walk", id="cfg11-params.walk"),
+    pytest.param(
+        {"kind": "green-bound", "params": {
+            "chain": {**CHAIN, "p1": math.nan}, "n_grid": [4]}},
+        "params.chain", id="cfg12-params.chain"),
+    pytest.param(
+        {"kind": "intersections", "model": D2, "params": {"n_grid": [8]}},
+        "params.n_grid", id="cfg13-params.n_grid"),
+    pytest.param(
+        {"kind": "quenched-mean", "model": D2, "params": {"n_grid": [8, 8]}},
+        "params.n_grid", id="cfg14-params.n_grid"),
+    pytest.param(
+        {"kind": "exit-time", "params": {
+            "chain": {**CHAIN, "alt_offsets": [[1, 0]]}, "r_grid": [2]}},
+        "params.chain", id="cfg15-params.chain"),
+    pytest.param(
+        {"kind": "green-bound", "params": {
+            "chain": {**CHAIN, "p1": 2.0, "allow_low_p1": True},
+            "n_grid": [4, 8]}}, "params.chain", id="cfg16-params.chain"),
+    pytest.param(
+        {"kind": "regen", "model": D2, "params": {"n_paths": True}},
+        "params.n_paths", id="cfg17-params.n_paths"),
+    pytest.param(
+        {"kind": "regen", "model": D2, "params": {"p": math.inf}}, "params.p",
+        id="cfg18-params.p"),
+    pytest.param(
+        {"kind": "regen", "model": D2, "params": {"n_pahts": 2}},
+        "params.n_pahts", id="cfg19-params.n_pahts"),
+    pytest.param(
+        {"kind": "green", "params": {"walk": SIMPLE_WALK, "points": [[1, 1]],
+                                     "mc": "no"}}, "params.mc",
+        id="cfg20-params.mc"),
+    pytest.param(
+        {"kind": "check", "model": {**D2, "flor": 0.1}}, "model",
+        id="cfg21-model"),
+    pytest.param(
+        {"kind": "green", "params": {"walk": {**SIMPLE_WALK, "prob": [1]},
+                                     "points": [[1, 1]]}}, "params.walk",
+        id="cfg22-params.walk"),
     # the ergodic kind averages the local drift along u_hat; it takes no
     # psi object
-    ({"kind": "ergodic", "model": D2,
-      "params": {"psi": {"type": "drift_projection"}}}, "params.psi"),
-    ({"kind": "check", "model": {**D2, "dimension": math.inf}}, "model"),
-    ({"kind": "check", "model": {**D2, "probs": [0.5, math.nan, 0.5]}},
-     "model"),
+    pytest.param(
+        {"kind": "ergodic", "model": D2,
+         "params": {"psi": {"type": "drift_projection"}}}, "params.psi",
+        id="cfg23-params.psi"),
+    pytest.param(
+        {"kind": "check", "model": {**D2, "dimension": math.inf}}, "model",
+        id="cfg24-model"),
+    pytest.param(
+        {"kind": "check", "model": {**D2, "probs": [0.5, math.nan, 0.5]}},
+        "model", id="cfg25-model"),
     # numbers inside the model, walk and chain objects must be JSON numbers
-    ({"kind": "green", "params": {
-        "walk": {"offsets": [-1, 1], "probs": ["0.5", "0.5"]},
-        "points": [[1, 1]]}}, "params.walk"),
-    ({"kind": "check", "model": {**D2, "law": "dirichlet",
-                                 "alpha": [True, 1, 1]}}, "model"),
-    ({"kind": "check", "model": {**D2, "steps": [[1, 0], [0, 1], [0, "-1"]]}},
-     "model"),
-    ({"kind": "check", "model": {**D2, "u_hat": [1.0, 0]}}, "model"),
-    ({"kind": "check", "model": {
-        **D2, "law": "mixture",
-        "atoms": [{"probs": [0.5, "0.25", 0.25], "weight": 1}]}}, "model"),
-    ({"kind": "exit-time", "params": {
-        "chain": {**CHAIN, "alt_offsets": [["1", 0]], "alt_probs": [1]},
-        "r_grid": [2]}}, "params.chain"),
-    ({"kind": "exit-time", "params": {
-        "chain": {**CHAIN, "alt_offsets": [[1, 0]], "alt_probs": [True]},
-        "r_grid": [2]}}, "params.chain"),
+    pytest.param(
+        {"kind": "green", "params": {
+            "walk": {"offsets": [-1, 1], "probs": ["0.5", "0.5"]},
+            "points": [[1, 1]]}}, "params.walk", id="cfg26-params.walk"),
+    pytest.param(
+        {"kind": "check", "model": {**D2, "law": "dirichlet",
+                                    "alpha": [True, 1, 1]}}, "model",
+        id="cfg27-model"),
+    pytest.param(
+        {"kind": "check",
+         "model": {**D2, "steps": [[1, 0], [0, 1], [0, "-1"]]}},
+        "model", id="cfg28-model"),
+    pytest.param(
+        {"kind": "check", "model": {**D2, "u_hat": [1.0, 0]}}, "model",
+        id="cfg29-model"),
+    pytest.param(
+        {"kind": "check", "model": {
+            **D2, "law": "mixture",
+            "atoms": [{"probs": [0.5, "0.25", 0.25], "weight": 1}]}}, "model",
+        id="cfg30-model"),
+    pytest.param(
+        {"kind": "exit-time", "params": {
+            "chain": {**CHAIN, "alt_offsets": [["1", 0]], "alt_probs": [1]},
+            "r_grid": [2]}}, "params.chain", id="cfg31-params.chain"),
+    pytest.param(
+        {"kind": "exit-time", "params": {
+            "chain": {**CHAIN, "alt_offsets": [[1, 0]], "alt_probs": [True]},
+            "r_grid": [2]}}, "params.chain", id="cfg32-params.chain"),
     # the Monte Carlo standard error needs two replicas
-    ({"kind": "green", "params": {"walk": SIMPLE_WALK, "points": [[1, 1]],
-                                  "reps": 1}}, "params.reps"),
+    pytest.param(
+        {"kind": "green", "params": {"walk": SIMPLE_WALK, "points": [[1, 1]],
+                                     "reps": 1}}, "params.reps",
+        id="cfg33-params.reps"),
     # starts off the hyperplane V_d (x0 . u_hat != 0) failed only at run time
-    ({"kind": "coupling", "model": D2,
-      "params": {"x0_list": [[0, 1], [1, 0]]}}, "params.x0_list"),
-    ({"kind": "joint-regen", "model": D2, "params": {"x0": [1, 0]}},
-     "params.x0"),
+    pytest.param(
+        {"kind": "coupling", "model": D2,
+         "params": {"x0_list": [[0, 1], [1, 0]]}}, "params.x0_list",
+        id="cfg34-params.x0_list"),
+    pytest.param(
+        {"kind": "joint-regen", "model": D2, "params": {"x0": [1, 0]}},
+        "params.x0", id="cfg35-params.x0"),
     # the joint-regen tail grid and the chain's h scale are constants; a
     # chain's base is always the product of its walk base_1d
-    ({"kind": "joint-regen", "model": D2,
-      "params": {"x0": [0, 2], "m_grid": [4, 8]}}, "params.m_grid"),
-    ({"kind": "green-bound", "params": {
-        "chain": {**CHAIN, "c_h": 1.0}, "n_grid": [4, 8]}}, "params.chain"),
-    ({"kind": "green-bound", "params": {
-        "chain": {"dimension": 2, "p1": 16.0}, "n_grid": [4, 8]}},
-     "params.chain"),
+    pytest.param(
+        {"kind": "joint-regen", "model": D2,
+         "params": {"x0": [0, 2], "m_grid": [4, 8]}}, "params.m_grid",
+        id="cfg36-params.m_grid"),
+    pytest.param(
+        {"kind": "green-bound", "params": {
+            "chain": {**CHAIN, "c_h": 1.0}, "n_grid": [4, 8]}}, "params.chain",
+        id="cfg37-params.chain"),
+    pytest.param(
+        {"kind": "green-bound", "params": {
+            "chain": {"dimension": 2, "p1": 16.0}, "n_grid": [4, 8]}},
+        "params.chain", id="cfg38-params.chain"),
 ])
 def test_invalid_config_exits_1_naming_field(tmp_path, capsys, cfg, field):
     path = _write(tmp_path, "cfg.json", cfg)
@@ -342,10 +407,16 @@ def test_invalid_config_exits_1_naming_field(tmp_path, capsys, cfg, field):
 
 
 @pytest.mark.parametrize("chain, reason", [
-    ({"dimension": 2, "p1": 16.0}, "missing field 'base_1d'"),
-    ({**CHAIN, "c_h": 1.0}, "unknown field 'c_h'"),
-    ({**CHAIN, "base_offsets": [[1, 0], [-1, 0]]},
-     "unknown field 'base_offsets'"),
+    pytest.param(
+        {"dimension": 2, "p1": 16.0}, "missing field 'base_1d'",
+        id="chain0-missing field 'base_1d'"),
+    pytest.param(
+        {**CHAIN, "c_h": 1.0}, "unknown field 'c_h'",
+        id="chain1-unknown field 'c_h'"),
+    pytest.param(
+        {**CHAIN, "base_offsets": [[1, 0], [-1, 0]]},
+        "unknown field 'base_offsets'",
+        id="chain2-unknown field 'base_offsets'"),
 ])
 def test_chain_error_names_the_chain_field(chain, reason):
     errors = validate_config({"kind": "exit-time",
@@ -429,13 +500,16 @@ def test_validate_is_total(json_dir, data):
 
 @pytest.mark.parametrize("params,field", [
     # max step 1000: a ladder system of about 11000 unknowns
-    ({"walk": {"offsets": [-1000, 1000], "probs": [0.5, 0.5]},
-      "points": [[1, 1]]}, "params.walk"),
-    ({"walk": {"offsets": [-10**30, 10**30], "probs": [0.5, 0.5]},
-      "points": [[1, 1]]}, "params.walk"),
+    pytest.param(
+        {"walk": {"offsets": [-1000, 1000], "probs": [0.5, 0.5]},
+         "points": [[1, 1]]}, "params.walk", id="params0-params.walk"),
+    pytest.param(
+        {"walk": {"offsets": [-10**30, 10**30], "probs": [0.5, 0.5]},
+         "points": [[1, 1]]}, "params.walk", id="params1-params.walk"),
     # a point 2100 above r0: an exact solve of 2110 unknowns
-    ({"walk": SIMPLE_WALK, "r0": -5, "points": [[1, 1], [2095, 3]]},
-     "params.points"),
+    pytest.param(
+        {"walk": SIMPLE_WALK, "r0": -5, "points": [[1, 1], [2095, 3]]},
+        "params.points", id="params2-params.points"),
 ])
 def test_green_dense_solve_cap_named(tmp_path, capsys, params, field):
     # validation only: a config above the cap never reaches a solve

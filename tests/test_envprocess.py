@@ -1,7 +1,11 @@
+from multiprocessing import get_context
+
 import numpy as np
 
 from rwre.environment import derive_env_seed, make_environment
-from rwre.envprocess import _TAG_ERG, ergodic_average, variation_proxy
+from rwre.envprocess import (_TAG_ERG, ergodic_average, ergodic_runs,
+                             variation_proxy)
+from rwre.fitting import fit_exponent
 from rwre.models import (backtracking_model, degenerate_direction_model,
                          dirichlet_backtracking_model, dirichlet_drift_model,
                          drift_model)
@@ -39,10 +43,38 @@ def test_ergodic_average_is_the_cesaro_mean_of_the_local_drift():
         assert abs(mean - means[c]) < 1e-12
 
 
+def test_ergodic_runs_are_ergodic_averages_under_any_map():
+    # run r has the seed derive_key(S, 12, r) for the prefix
+    # derive_key(S, 12)
+    model = dirichlet_drift_model()
+    res = ergodic_runs(model, 300, 3, derive_key(17, 12), [10, 300])
+    assert res["checkpoints"] == [10, 300]
+    for r in range(3):
+        run = ergodic_average(model, 300, seed=derive_key(17, 12, r),
+                              checkpoints=[10, 300])
+        for c in (10, 300):
+            assert res["means"][c][r] == run["means"][c]
+    for c in (10, 300):
+        assert res["across_run_sd"][c] == np.std(res["means"][c], ddof=1)
+    assert res["terminal_mean"] == np.mean(res["means"][300])
+    assert res["terminal_se"] == res["across_run_sd"][300] / np.sqrt(3)
+    with get_context("fork").Pool(2) as pool:
+        assert ergodic_runs(model, 300, 3, derive_key(17, 12), [10, 300],
+                            map_fn=pool.map) == res
+
+
+def test_ergodic_runs_single_run_has_zero_spread():
+    res = ergodic_runs(drift_model(), 50, 1, 3, None)
+    assert res["checkpoints"] == [50]
+    assert res["across_run_sd"] == {50: 0.0}
+    assert res["terminal_se"] == 0.0
+
+
 def test_variation_proxy_monotone_models_zero():
     for model in (degenerate_direction_model(), drift_model()):
         res = variation_proxy(model, 256, [1, 2, 4, 8], reps=1000, seed=6)
         assert np.all(res["i_hat"] == 0.0)
+        assert res["monotone"] and res["fit"] is None
 
 
 def test_variation_proxy_backtracking_positive_and_monotone():
@@ -51,6 +83,8 @@ def test_variation_proxy_backtracking_positive_and_monotone():
     ihat = res["i_hat"]
     assert ihat[0] > 0
     assert np.all(np.diff(ihat) <= 0)       # exact under common randomness
+    assert res["monotone"]
+    assert res["fit"] == fit_exponent([2, 4, 8, 16, 32], ihat)
     lo = [r[2] for r in res["rows"]]
     hi = [r[3] for r in res["rows"]]
     assert all(a <= p <= b for a, p, b in zip(lo, ihat, hi))

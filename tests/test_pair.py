@@ -1,4 +1,6 @@
 import hashlib
+from multiprocessing import get_context
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from rwre.environment import EnvironmentModel, compute_h, make_environment
 from rwre.models import (dirichlet_backtracking_model, dirichlet_drift_model,
                          drift_model, support_2d)
 from rwre.pair import (_joint_regen, _pair_common_sites, coupled_triple,
-                       first_joint_regeneration, intersection_curve,
-                       sample_Y_chain, sample_Ybar_chain,
+                       coupling_decay, first_joint_regeneration,
+                       intersection_curve, sample_Y_chain, sample_Ybar_chain,
                        support_inheritance_check)
 from rwre.regen import detect_regenerations
 from rwre.rng import derive_key, site_keys
@@ -166,7 +168,7 @@ def test_seq_walk_reads_each_site_after_appending_it():
     lambda m: first_joint_regeneration(make_environment(m, 1), (0, 0, 7),
                                        (0, 2, 9)),
     lambda m: sample_Y_chain(m, (0, 2, 9), 2),
-    lambda m: coupled_triple(m, (0, 1, 4))],
+    lambda m: coupled_triple(m, (0, 1, 4), seed=0)],
     ids=["first_joint_regeneration", "sample_Y_chain", "coupled_triple"])
 def test_wrong_dimension_start_rejected(call):
     # a 3-coordinate start on a 2-d model names the dimension; zip used to
@@ -236,6 +238,54 @@ def test_coupled_triple_outcomes_digest():
                     o.n_triples))
     assert sum(o[3] for o in out) == 4   # hits on X's range are covered
     assert _digest(out) == PAIR_DIGESTS["triple"]
+
+
+def _fields(out):
+    return (out.Y1.tolist(), out.Ybar1.tolist(), out.equal, out.hit_X_path,
+            out.n_triples)
+
+
+def test_coupling_decay_replicas_are_coupled_triples_under_any_map():
+    # replica i of start j has the seed derive_key(S, 9, j, i) for the
+    # prefix derive_key(S, 9)
+    model, starts = dirichlet_drift_model(), [(0, 1), (0, 2)]
+    res = coupling_decay(model, starts, 4, derive_key(23, 9), 10, 20_000)
+    for j, x0 in enumerate(starts):
+        assert [_fields(o) for o in res["outcomes"][j]] == [
+            _fields(coupled_triple(model, x0, seed=derive_key(23, 9, j, i),
+                                   margin=10, horizon=20_000))
+            for i in range(4)]
+    with get_context("fork").Pool(2) as pool:
+        pooled = coupling_decay(model, starts, 4, derive_key(23, 9), 10,
+                                20_000, map_fn=pool.map)
+    assert [[_fields(o) for o in outs] for outs in pooled["outcomes"]] == \
+        [[_fields(o) for o in outs] for outs in res["outcomes"]]
+    assert {k: pooled[k] for k in ("p_neq", "se", "monotone_within_3se")} \
+        == {k: res[k] for k in ("p_neq", "se", "monotone_within_3se")}
+
+
+@pytest.mark.parametrize("neq, monotone", [
+    pytest.param([3, 1, 1], True, id="falling"),
+    pytest.param([0, 0, 0], True, id="all-equal"),
+    # p jumps from 0 to 0.9, three times its standard error being 0.28
+    pytest.param([0, 9, 0], False, id="rising"),
+])
+def test_coupling_decay_p_se_and_monotone(neq, monotone):
+    # outcomes stand in for coupled_triple through map_fn: start j has
+    # neq[j] unequal pairs among 10 replicas
+    starts = [(0, 1), (0, 2), (0, 3)]
+    counts = iter(neq)
+
+    def fake_map(task, seeds):
+        k = next(counts)
+        return [SimpleNamespace(equal=i >= k) for i in range(len(seeds))]
+
+    res = coupling_decay(drift_model(), starts, 10, 0, 10, 100,
+                         map_fn=fake_map)
+    assert res["p_neq"] == [k / 10 for k in neq]
+    assert res["se"] == [np.sqrt(max(k / 10 * (1 - k / 10), 1e-12) / 10)
+                         for k in neq]
+    assert res["monotone_within_3se"] is monotone
 
 
 def _jump_model():
