@@ -48,6 +48,14 @@ def _finals_block(envs, model=None, env_keys=None, prefixes=None, n=0,
     return finals.reshape(len(envs), m_walks, d)
 
 
+def _finals_item(item, model=None, m_walks=0):
+    """_finals_block for an item (envs, env_keys, prefixes, n) of one map
+    over blocks of several walk lengths."""
+    envs, env_keys, prefixes, n = item
+    return _finals_block(envs, model=model, env_keys=env_keys,
+                         prefixes=prefixes, n=n, m_walks=m_walks)
+
+
 def quenched_samples(model: EnvironmentModel, env_keys, n: int, m_walks: int,
                      v, seeds, map_fn=map, blocks: int = 1) -> np.ndarray:
     """Samples (n_env, m_walks, d) of B_n(1) = (X_n - n v)/sqrt(n), m_walks
@@ -182,11 +190,12 @@ def quenched_mean_variance(model: EnvironmentModel, n_grid, n_env: int,
     (within variance)/m_walks, which is subtracted; negative corrected
     values at small n are floored at zero and flagged.
 
-    The environments of each n are split into `blocks` contiguous blocks
-    that map_fn (a deterministic, order-preserving map such as the
-    built-in one or a process pool's) walks one engine call per block.
-    Every value is a pure function of (seed, n index, environment, walk),
-    so the result does not depend on `blocks` or on map_fn.
+    The environments of each n are split into `blocks` contiguous blocks,
+    and one map_fn call (a deterministic, order-preserving map such as the
+    built-in one or a process pool's) walks every (n, block) pair, one
+    engine call each.  Every value is a pure function of (seed, n index,
+    environment, walk), so the result does not depend on `blocks` or on
+    map_fn.
     """
     if n_env < 30:
         raise ValueError("need n_env >= 30 environments")
@@ -195,15 +204,18 @@ def quenched_mean_variance(model: EnvironmentModel, n_grid, n_env: int,
     n_grid = sorted(int(n) for n in n_grid)
     env_blocks = _env_blocks(n_env, blocks)
     d = model.support.dimension
+    keys = [(env_key_range(seed, TAG_ENV, _TAG_QMV, ni, n=n_env),
+             derive_key_range(seed, _TAG_QMV, ni, n=n_env))
+            for ni in range(len(n_grid))]
+    items = [(envs, *keys[ni], n) for ni, n in enumerate(n_grid)
+             for envs in env_blocks]
+    parts = list(map_fn(partial(_finals_item, model=model, m_walks=m_walks),
+                        items))
+    nb = len(env_blocks)
     rows = []
     floored = []
     for ni, n in enumerate(n_grid):
-        task = partial(_finals_block, model=model,
-                       env_keys=env_key_range(seed, TAG_ENV, _TAG_QMV, ni,
-                                              n=n_env),
-                       prefixes=derive_key_range(seed, _TAG_QMV, ni, n=n_env),
-                       n=n, m_walks=m_walks)
-        finals = np.concatenate(list(map_fn(task, env_blocks))).astype(float)
+        finals = np.concatenate(parts[ni * nb:(ni + 1) * nb]).astype(float)
         env_means = np.empty((n_env, d))
         within = np.empty((n_env, d))
         for e, f in enumerate(finals):

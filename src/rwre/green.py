@@ -14,23 +14,24 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .fitting import fit_exponent
-from .rng import (counter_u01_array, derive_key_range, step_index,
-                  stream_u01_array)
+from .rng import counter_u01_array, derive_key_range, step_index
 
 _TAG_GREEN_MC = 0x6EE1
 _TAG_TAIL = 0x7A11
 _TAG_CHAIN = 0xC4A1
 _TAG_EXIT = 0xE217
 
-# Cells (survivors x counters) of one killed-walk block.  Blocking is exact:
-# every draw is a pure function of (key, counter), so a block draws ahead
-# what the one-counter loop would draw, and the stop rules cut it at the
-# counter where that loop stops.
+# Cells (survivors x counters) of one killed-walk or chain block, and the
+# largest squared norm a _SqNormTable holds.  Blocking is exact: every draw
+# is a pure function of (key, counter), so a block draws ahead what the
+# one-counter loop would draw, and the stop rules cut it at the counter
+# where that loop stops.
 _BLOCK_CELLS = 1 << 14
 # Exact first-passage propagation: float64 states (1 MiB per array), and
 # state updates (steps x states x offsets, 1.2-1.3 s at the cap on a
@@ -508,8 +509,8 @@ class PerturbedChainSpec:
             _check_steps(self.alt_offsets, self.alt_probs, self.dimension,
                          "alt")
 
-    def h(self, pos: np.ndarray) -> np.ndarray:
-        norm = np.sqrt((pos.astype(float) ** 2).sum(axis=1))
+    def h(self, norm: np.ndarray) -> np.ndarray:
+        """The test function at states of Euclidean norm `norm`."""
         if np.isinf(self.p2):
             return (norm == 0.0).astype(float)
         return np.maximum(norm, 1.0) ** (-self.p2)
@@ -551,41 +552,120 @@ def _pert_prob(spec: PerturbedChainSpec, norm: np.ndarray) -> np.ndarray:
     return np.where(norm == 0, np.minimum(1.0, spec.c_pert), p)
 
 
-def _chain_steps(spec: PerturbedChainSpec, pos: np.ndarray, keys: np.ndarray,
-                 ctr: int) -> np.ndarray:
-    """One synchronous step of the perturbed chain for all replicas."""
-    u_sel = stream_u01_array(keys, 3 * ctr)
-    norm = np.sqrt((pos.astype(float) ** 2).sum(axis=1))
-    pert = u_sel < _pert_prob(spec, norm)
-    u_step = stream_u01_array(keys, 3 * ctr + 1)
-    steps = spec.base_offsets[step_index(np.cumsum(spec.base_probs), u_step)]
-    if pert.any():
-        u_alt = stream_u01_array(keys[pert], 3 * ctr + 2)
-        steps[pert] = spec.alt_offsets[
-            step_index(np.cumsum(spec.alt_probs), u_alt)]
-    return steps
+class _SqNormTable:
+    """f(sqrt(float(n2))) at states of integer squared norm n2.
+
+    Values for n2 < len(tab) are read from `tab`, f at the norms of
+    n2 = 0..min(n2_max, _BLOCK_CELLS), so the table is no larger than a
+    block array; larger n2 are evaluated by f.  Either way the value is f at
+    the state's float norm: for a state of squared norm below 2**53 the
+    float sum of squared coordinates is exact, so it equals float(n2).
+    """
+
+    def __init__(self, f, n2_max: int):
+        self.f = f
+        self.tab = f(np.sqrt(np.arange(min(n2_max, _BLOCK_CELLS) + 1,
+                                       dtype=float)))
+
+    def __call__(self, n2: np.ndarray) -> np.ndarray:
+        v = self.tab.take(n2, mode="clip")
+        far = np.flatnonzero(n2 >= len(self.tab))
+        if far.size:
+            v.flat[far] = self.f(np.sqrt(n2.flat[far].astype(float)))
+        return v
+
+
+def _alt_steps(spec: PerturbedChainSpec, keys: np.ndarray, ctrs) -> np.ndarray:
+    """Alt steps of replicas with keys `keys`, drawn from counters `ctrs`.
+    A one-step alt law needs no draw: step_index of a one-entry table is
+    0 for every uniform."""
+    if len(spec.alt_probs) == 1:
+        return spec.alt_offsets[np.zeros(len(keys), dtype=np.intp)]
+    return spec.alt_offsets[step_index(np.cumsum(spec.alt_probs),
+                                       counter_u01_array(keys, ctrs))]
+
+
+def _chain_steps(spec: PerturbedChainSpec, pos: np.ndarray, n2: np.ndarray,
+                 sel: np.ndarray, steps: np.ndarray, keys: np.ndarray,
+                 ctr: int, p_pert: _SqNormTable) -> None:
+    """Chain step ctr + 1 of every replica, taken in place.
+
+    pos holds one row per replica and n2[0] their integer squared norms;
+    the step moves pos and writes the new squared norms to n2[1].  sel and
+    steps (one row per replica) are the selector uniforms, counter 3 ctr,
+    and the base steps, counter 3 ctr + 1.  A replica is perturbed when
+    sel < p_pert(n2[0]); its row of `steps` is then replaced by an alt step
+    drawn from counter 3 ctr + 2 of its key.
+    """
+    # p_pert does not grow with the norm, so the table's last entry bounds
+    # it past the table (where p_pert exceeds 2**-54, the least uniform,
+    # rounding moves it far less than the step between consecutive squared
+    # norms); the replicas past the table that this bound lets through are
+    # checked exactly
+    hit = np.less(sel, p_pert.tab.take(n2[0], mode="clip")).nonzero()[0]
+    if hit.size:
+        at = n2[0, hit]
+        if at.max() >= len(p_pert.tab):
+            hit = hit[sel[hit] < p_pert(at)]
+        steps[hit] = _alt_steps(spec, keys[hit], 3 * ctr + 2)
+    pos += steps
+    np.add.reduce(np.square(pos), axis=1, out=n2[1])
 
 
 def green_bound_experiment(spec: PerturbedChainSpec, n_grid, reps: int = 256,
                            seed: int = 0) -> dict:
     """Growth of sum_{k<n} E h(Y_k) along n_grid (every n >= 1), from the
-    origin, with an exponent fit."""
+    origin, with an exponent fit.
+
+    Replica i takes its k-th step from counters 3k, 3k+1 and, when
+    perturbed, 3k+2 of its key.  The chain steps every replica once per
+    step (_chain_steps), while the selector and base-step uniforms of a
+    block of about _BLOCK_CELLS (step, replica) cells come from one call
+    each and h is read by squared norm and summed along the block's steps
+    in the order of a one-step loop.
+    """
     if reps < 1:
         raise ValueError(f"reps must be >= 1 for a mean (got {reps})")
     n_grid = sorted(int(n) for n in n_grid)
     if not n_grid or n_grid[0] < 1:
         raise ValueError(f"n_grid entries must be >= 1 (got {n_grid})")
     n_max = n_grid[-1]
+    d = spec.dimension
     keys = derive_key_range(seed, _TAG_CHAIN, n=reps)
-    pos = np.zeros((reps, spec.dimension), dtype=np.int64)
-    acc = spec.h(pos).astype(float)          # k = 0 term
-    curve = {}
-    for k in range(1, n_max):
-        if k in n_grid:
-            curve[k] = float(acc.mean())
-        pos = pos + _chain_steps(spec, pos, keys, k - 1)
-        acc += spec.h(pos)
-    curve[n_max] = float(acc.mean())
+    reach = (n_max - 1) * int(max(np.abs(spec.base_offsets).max(),
+                                  np.abs(spec.alt_offsets).max()))
+    base_cum = np.cumsum(spec.base_probs)
+    base_t = np.ascontiguousarray(spec.base_offsets.T)
+    p_pert = _SqNormTable(partial(_pert_prob, spec), d * reach ** 2)
+    h = _SqNormTable(spec.h, d * reach ** 2)
+    # one row per replica, laid out so that each coordinate is contiguous
+    pos = np.zeros((d, reps), dtype=np.int64).T
+    n2 = np.zeros((1, reps), dtype=np.int64)
+    acc = h(n2[0])                           # k = 0 term
+    curve = {1: float(acc.mean())}
+    b = _block_len(reps)
+    for k0 in range(0, n_max - 1, b):
+        k1 = min(k0 + b, n_max - 1)
+        ctr = np.arange(3 * k0, 3 * k1, 3, dtype=np.uint64)[:, None]
+        sel = counter_u01_array(keys, ctr)
+        # base[:, j].T: the base steps of chain step k0 + j + 1
+        base = base_t.take(step_index(
+            base_cum, counter_u01_array(keys, ctr + 1)), axis=1)
+        # n2[j]: squared norms after k0 + j steps
+        n2 = np.concatenate([n2[-1:], np.empty((k1 - k0, reps), np.int64)])
+        for j in range(k1 - k0):
+            _chain_steps(spec, pos, n2[j:j + 2], sel[j], base[:, j].T, keys,
+                         k0 + j, p_pert)
+        # the running sums, added left to right as acc += h one step at a
+        # time would add them; row j holds them after k0 + j + 1 steps
+        sums = h(n2[1:])
+        sums[0] += acc
+        for j in range(1, k1 - k0):
+            np.add(sums[j - 1], sums[j], out=sums[j])
+        acc = sums[-1]
+        for n in n_grid:
+            if k0 + 2 <= n <= k1 + 1:
+                curve[n] = float(sums[n - 2 - k0].mean())
     ys = np.array([curve[n] for n in n_grid])
     fit = fit_exponent(n_grid, ys)
     return {
@@ -604,20 +684,18 @@ def _chain_exit_times(spec: PerturbedChainSpec, keys: np.ndarray, r: int,
     number of those.
 
     Replica i takes its k-th step from counters 3k, 3k+1 and, when
-    perturbed, 3k+2 of keys[i], as _chain_steps does; each replica keeps
-    its own counter, so replicas may advance out of step.  A block draws b
-    base steps per survivor, builds the base path one coordinate at a time,
-    and cuts each replica's block at its exit, at its first perturbed step
-    (whose alt offset it then draws) or at cap.
+    perturbed, 3k+2 of keys[i], as in green_bound_experiment; each replica
+    keeps its own counter, so replicas may advance out of step.  A block
+    draws b base steps per survivor, builds the base path one coordinate at
+    a time, and cuts each replica's block at its exit, at its first
+    perturbed step (whose alt offset it then draws) or at cap.  b is at most
+    the steps the slowest survivor has taken so far (at least 4), since a
+    replica that has stayed t steps in the cube tends to stay about t more.
     """
     d = spec.dimension
-    base_cum, alt_cum = np.cumsum(spec.base_probs), np.cumsum(spec.alt_probs)
-    base_q = [np.ascontiguousarray(spec.base_offsets[:, q]) for q in range(d)]
-    # p_pert by integer squared norm n2: sqrt(float(n2)) is the float norm
-    # _chain_steps takes.  The table, no larger than a block array, covers
-    # the cube's norms while they fit; larger ones are evaluated directly
-    n_tab = min(d * r * r, _BLOCK_CELLS) + 1
-    p_tab = _pert_prob(spec, np.sqrt(np.arange(n_tab, dtype=float)))
+    base_cum = np.cumsum(spec.base_probs)
+    base_t = np.ascontiguousarray(spec.base_offsets.T)
+    p_pert = _SqNormTable(partial(_pert_prob, spec), d * r * r)
     exit_time = np.full(len(keys), cap, dtype=np.int64)
     pos = np.zeros((d, len(keys)), dtype=np.int64)
     ctr = np.zeros(len(keys), dtype=np.int64)
@@ -626,9 +704,10 @@ def _chain_exit_times(spec: PerturbedChainSpec, keys: np.ndarray, r: int,
     while idx.size:
         m, c = idx.size, ctr[idx]
         lim = cap - c
-        b = _block_len(m, int(lim.max()))
+        b = min(_block_len(m, int(lim.max())), max(4, int(c.min())))
         k = keys[idx, None]
-        c3 = 3 * (c[:, None] + np.arange(b))
+        c3 = (3 * c).astype(np.uint64)[:, None] + \
+            np.arange(0, 3 * b, 3, dtype=np.uint64)
         step = step_index(base_cum, counter_u01_array(k, c3 + 1))
         # path[q][:, s]: coordinate q after s base steps of the block; n2
         # the squared norm before each step, out whether it left the cube
@@ -636,7 +715,7 @@ def _chain_exit_times(spec: PerturbedChainSpec, keys: np.ndarray, r: int,
         for q in range(d):
             xq = np.empty((m, b + 1), dtype=np.int64)
             xq[:, 0] = pos[q, idx]
-            xq[:, 1:] = base_q[q][step]
+            xq[:, 1:] = base_t[q][step]
             np.cumsum(xq, axis=1, out=xq)
             if q == 0:
                 n2, out = xq[:, :b] ** 2, np.abs(xq[:, 1:]) > r
@@ -645,12 +724,8 @@ def _chain_exit_times(spec: PerturbedChainSpec, keys: np.ndarray, r: int,
                 out |= np.abs(xq[:, 1:]) > r
             path.append(xq)
         del step                        # block arrays: keep few alive at once
-        p = p_tab[np.minimum(n2, n_tab - 1)]
-        far = np.flatnonzero(n2 >= n_tab)
-        if far.size:
-            p.flat[far] = _pert_prob(spec, np.sqrt(n2.flat[far].astype(float)))
-        pert = counter_u01_array(k, c3) < p
-        del c3, n2, p
+        pert = counter_u01_array(k, c3) < p_pert(n2)
+        del c3, n2
         np.minimum(lim, b, out=lim)
         first_pert, first_out = _first_true(pert), _first_true(out)
         exits = first_out < np.minimum(first_pert, lim)
@@ -659,9 +734,8 @@ def _chain_exit_times(spec: PerturbedChainSpec, keys: np.ndarray, r: int,
         rows = np.arange(m)
         new = np.stack([xq[rows, taken] for xq in path])
         if alt.any():
-            u_alt = counter_u01_array(k[alt, 0],
-                                      3 * (c[alt] + first_pert[alt]) + 2)
-            new[:, alt] += spec.alt_offsets[step_index(alt_cum, u_alt)].T
+            new[:, alt] += _alt_steps(spec, k[alt, 0],
+                                      3 * (c[alt] + first_pert[alt]) + 2).T
             exits[alt] = (np.abs(new[:, alt]) > r).any(axis=0)
             taken[alt] += 1
         c = c + taken

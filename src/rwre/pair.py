@@ -408,19 +408,27 @@ def coupled_triple(model: EnvironmentModel, x0, seed: int,
                            hit_X_path=hit, n_triples=m)
 
 
+def _coupled_triple_task(item, model=None, margin=0, horizon=0):
+    x0, seed = item
+    return coupled_triple(model, x0, seed, margin=margin, horizon=horizon)
+
+
 def coupling_decay(model: EnvironmentModel, x0_list, reps: int, seed: int,
                    margin: int, horizon: int, map_fn=map) -> dict:
     """P(Y_1 != Ybar_1) from `reps` coupled_triple replicas at each start
     of x0_list, its se, and whether it is non-increasing along the list
     within three se of each successive difference.  Replica i of start j
     has the seed derive_key(..., j, i) for the prefix key seed =
-    derive_key(...); map_fn(task, seeds) runs one start's replicas."""
+    derive_key(...); one map_fn call runs the replicas of every start, in
+    order (start, replica)."""
     seeds = fold_key_array(fold_key_array(
         seed, np.arange(len(x0_list), dtype=np.uint64))[:, None],
         np.arange(reps, dtype=np.uint64)).tolist()
-    outcomes = [list(map_fn(partial(coupled_triple, model, x0, margin=margin,
-                                    horizon=horizon), s))
-                for x0, s in zip(x0_list, seeds)]
+    task = partial(_coupled_triple_task, model=model, margin=margin,
+                   horizon=horizon)
+    flat = list(map_fn(task, [(x0, s) for x0, row in zip(x0_list, seeds)
+                              for s in row]))
+    outcomes = [flat[j * reps:(j + 1) * reps] for j in range(len(x0_list))]
     ps = [float(np.mean([not o.equal for o in outs])) for outs in outcomes]
     ses = [float(np.sqrt(max(p * (1 - p), 1e-12) / reps)) for p in ps]
     mono = all(ps[i + 1] <= ps[i] + 3 * np.hypot(ses[i], ses[i + 1])

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rwre import pair, walk
+from rwre import green, pair, walk
 from rwre.environment import Environment, make_environment
 from rwre.models import dirichlet_drift_model, drift_model
 from rwre.walk import (simulate_finals_many, simulate_finals_many_envs,
@@ -110,3 +110,23 @@ def test_traced_simulate_counts_n_and_pair_walks_open_no_simulate_span():
     assert tr.stats["pair.joint_regen"].calls == 1
     assert tr.stats["pair.coupled_triple"].calls == 1
     assert not [e for e in tr.edges if e[1] == "walk.simulate" and e[0]]
+
+
+def test_traced_green_bound_counts_one_chain_row_per_replica_step(
+        monkeypatch):
+    # the traced run holds green.bound.chain_steps to reps * (max(n_grid) - 1)
+    # (perfbench/workloads.expected_bound_chain_steps): one _chain_steps call
+    # per step, one row of pos per replica, at any block length
+    offs, probs = green.product_symmetric_base(green.simple_walk(), 2)
+    spec = green.PerturbedChainSpec(dimension=2, base_offsets=offs,
+                                    base_probs=probs, p1=16.0, p2=16.0)
+    tracer = _load_tracer()
+    for cells in (7, green._BLOCK_CELLS):
+        monkeypatch.setattr(green, "_BLOCK_CELLS", cells)
+        tr = tracer.Tracer()
+        undo = tracer.install(tr)
+        try:
+            green.green_bound_experiment(spec, [1, 8, 37], reps=5, seed=1)
+        finally:
+            tracer.uninstall(undo)
+        assert tr.edges[("green.bound", "green.chain_steps")] == [36, 5 * 36]

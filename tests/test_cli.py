@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -203,6 +204,26 @@ def test_run_worker_count_invariance(tmp_path):
         m1 = run(cfg, out_dir=tmp_path / kind / "w1", workers=1)
         m2 = run(cfg, out_dir=tmp_path / kind / "w2", workers=2)
         assert m1["outputs"] == m2["outputs"], kind
+
+
+# the kinds whose runner maps its tasks through a process pool
+POOLED = {"regen", "clt", "quenched-mean", "joint-regen", "coupling",
+          "ergodic"}
+
+
+def test_run_opens_one_pool_per_parallel_run(tmp_path, monkeypatch):
+    # one map over every task of a run, not one per start or walk length
+    fork = type(multiprocessing.get_context("fork"))
+    pool, opened = fork.Pool, []
+
+    def counting_pool(self, *args, **kwargs):
+        opened.append(1)
+        return pool(self, *args, **kwargs)
+    monkeypatch.setattr(fork, "Pool", counting_pool)
+    for kind in KINDS:
+        opened.clear()
+        run(_tiny(kind, seed=6), out_dir=tmp_path / kind, workers=2)
+        assert len(opened) == (kind in POOLED), kind
 
 
 def test_csv_header_and_lf_endings(tmp_path):

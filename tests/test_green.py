@@ -384,6 +384,48 @@ def _ref_first_passage_mc(walk, a_grid, reps, seed):
     return {a: counts[a] / reps for a in a_grid}
 
 
+def _ref_chain_step(spec, pos, keys, ctr):
+    """One synchronous step of the perturbed chain for the replicas at
+    `pos`: selector, base and alt uniforms at counters 3 ctr, 3 ctr + 1 and
+    3 ctr + 2, and p_pert at the float norm of each position."""
+    norm = np.sqrt((pos.astype(float) ** 2).sum(axis=1))
+    p = np.minimum(1.0, spec.c_pert * np.maximum(norm, 1.0) ** (-spec.p1))
+    p = np.where(norm == 0, np.minimum(1.0, spec.c_pert), p)
+    pert = stream_u01_array(keys, 3 * ctr) < p
+
+    def draw(offsets, probs, u):
+        cum = np.cumsum(probs)
+        idx = np.searchsorted(cum, u, side="left")
+        return offsets[np.minimum(idx, len(cum) - 1)]
+    steps = draw(spec.base_offsets, spec.base_probs,
+                 stream_u01_array(keys, 3 * ctr + 1))
+    if pert.any():
+        steps[pert] = draw(spec.alt_offsets, spec.alt_probs,
+                           stream_u01_array(keys[pert], 3 * ctr + 2))
+    return steps
+
+
+def _ref_h(spec, pos):
+    norm = np.sqrt((pos.astype(float) ** 2).sum(axis=1))
+    if np.isinf(spec.p2):
+        return (norm == 0.0).astype(float)
+    return np.maximum(norm, 1.0) ** (-spec.p2)
+
+
+def _ref_green_bound(spec, n_grid, reps, seed):
+    keys = _ref_keys(seed, green._TAG_CHAIN, n=reps)
+    pos = np.zeros((reps, spec.dimension), dtype=np.int64)
+    acc = _ref_h(spec, pos)
+    curve = {}
+    for k in range(1, max(n_grid)):
+        if k in n_grid:
+            curve[k] = float(acc.mean())
+        pos = pos + _ref_chain_step(spec, pos, keys, k - 1)
+        acc += _ref_h(spec, pos)
+    curve[max(n_grid)] = float(acc.mean())
+    return [curve[n] for n in sorted(n_grid)]
+
+
 def _ref_cube_exit_time(spec, r_grid, reps, seed, step_cap_factor):
     means, truncated = [], {}
     for r in r_grid:
@@ -393,8 +435,8 @@ def _ref_cube_exit_time(spec, r_grid, reps, seed, step_cap_factor):
         exit_time = np.full(reps, cap, dtype=np.int64)
         alive = np.arange(reps)
         for tstep in range(1, cap + 1):
-            pos[alive] += green._chain_steps(spec, pos[alive], keys[alive],
-                                             tstep - 1)
+            pos[alive] += _ref_chain_step(spec, pos[alive], keys[alive],
+                                          tstep - 1)
             out = np.abs(pos[alive]).max(axis=1) > r
             exit_time[alive[out]] = tstep
             alive = alive[~out]
@@ -493,6 +535,37 @@ def test_cube_exit_time_matches_one_counter_loop(
     assert _at_each_block_size(monkeypatch, run) == [ref] * len(BLOCK_CELLS)
     if step_cap_factor == 0:
         assert ref[1][max(r_grid)] > 0
+
+
+_LAZY_3D = dict(base_offsets=[[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+                              [0, 0, 1], [0, 0, -1], [0, 0, 0]],
+                base_probs=[0.15] * 6 + [0.1])
+
+
+@pytest.mark.parametrize("spec,n_grid,reps,seed", [
+    # a block of 16384 // 128 = 128 steps at the default size: grid points
+    # at 1, on the first block's last step (129) and on the next one's first
+    (_chain(2, p1=16.0, p2=16.0, c_pert=1.0), [1, 2, 129, 130, 300], 128, 31),
+    # h the indicator of the origin; one replica, one block
+    (_chain(2, p1=16.0, c_pert=1.0), [5, 40, 41], 1, 32),
+    # a 3-d chain whose two alt offsets may stand still, finite p2
+    (PerturbedChainSpec(3, **_LAZY_3D, p1=2.5, c_pert=40.0, p2=3.0,
+                        allow_low_p1=True, alt_offsets=[[0, 0, 0], [2, -1, 0]],
+                        alt_probs=[0.25, 0.75]), [1, 17, 200], 30, 33),
+    # alt steps of 100 carry every replica past the 16385-entry norm table
+    # (norms up to 128), where c_pert still perturbs a few steps in a
+    # hundred
+    (PerturbedChainSpec(1, [[-40], [40]], [0.5, 0.5], p1=2.5, c_pert=5e3,
+                        p2=0.5, allow_low_p1=True, alt_offsets=[[-100], [100]],
+                        alt_probs=[0.5, 0.5]), [2, 64, 65, 150], 16, 34),
+])
+def test_green_bound_matches_one_step_loop(monkeypatch, spec, n_grid, reps,
+                                           seed):
+    def run():
+        return green_bound_experiment(spec, n_grid, reps=reps,
+                                      seed=seed)["curve"].tolist()
+    ref = _ref_green_bound(spec, n_grid, reps, seed)
+    assert _at_each_block_size(monkeypatch, run) == [ref] * len(BLOCK_CELLS)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, rng._SHORT_TABLE,

@@ -271,14 +271,16 @@ def test_coupling_decay_replicas_are_coupled_triples_under_any_map():
     pytest.param([0, 9, 0], False, id="rising"),
 ])
 def test_coupling_decay_p_se_and_monotone(neq, monotone):
-    # outcomes stand in for coupled_triple through map_fn: start j has
-    # neq[j] unequal pairs among 10 replicas
+    # outcomes stand in for coupled_triple through map_fn, which gets every
+    # (start, seed) item in one call: start j has neq[j] unequal pairs
+    # among 10 replicas
     starts = [(0, 1), (0, 2), (0, 3)]
-    counts = iter(neq)
 
-    def fake_map(task, seeds):
-        k = next(counts)
-        return [SimpleNamespace(equal=i >= k) for i in range(len(seeds))]
+    def fake_map(task, items):
+        assert [x0 for x0, _ in items] == [x0 for x0 in starts
+                                            for _ in range(10)]
+        return [SimpleNamespace(equal=t % 10 >= neq[t // 10])
+                for t in range(len(items))]
 
     res = coupling_decay(drift_model(), starts, 10, 0, 10, 100,
                          map_fn=fake_map)
