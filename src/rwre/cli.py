@@ -5,9 +5,10 @@ CSV per result table plus a JSON summary embedding the verbatim config,
 and a manifest with content digests.  Replica seeds derive from the
 master seed by the keyed splitting rule derive_key(master_seed,
 <experiment opcode>, replica index, ...), with a distinct opcode per
-experiment stage (the integer constants in the runner functions below);
-parallel results are reduced in replica-index order, so outputs are
-byte-identical for any worker count.  Each kind's `params` fields, checks
+experiment stage (the integer constants in the runner functions below).
+The worker count reaches the library's one parallel map, rng._pmap, which
+opens at most one fork pool per run and returns results in replica-index
+order, so outputs are byte-identical for any worker count.  Each kind's `params` fields, checks
 and defaults are one table, KIND_TABLE; the runners read only its output
 and lay out the statistics of library calls the acceptance suite also
 tests, except regen, joint-regen and green, which reduce replicas here.
@@ -21,7 +22,6 @@ import csv
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import platform
 import sys
@@ -46,7 +46,7 @@ from .green import (PerturbedChainSpec, SymmetricWalk1D, build_ladder_tables,
 from .pair import coupling_decay, first_joint_regeneration, intersection_curve
 from .regen import (detect_regenerations, estimate_diffusion,
                     estimate_velocity, renewal_diagnostics)
-from .rng import TAG_ENV, derive_key, derive_key_range
+from .rng import TAG_ENV, _pmap, derive_key, derive_key_range
 from .walk import simulate
 
 # ---------------------------------------------------------------------------
@@ -66,9 +66,17 @@ def _fail(what, v, name="") -> ValueError:
     return ValueError(f"{name} must be {what} (got {_show(v)})".lstrip())
 
 
-def _integer(v, lo=None, name=""):
+def _whole(v, name=""):
+    """An int, not a bool, of any size (derive_key reads a seed mod 2**64)."""
     if not isinstance(v, int) or isinstance(v, bool):
         raise _fail("an integer", v, name)
+    return v
+
+
+def _integer(v, lo=None, name=""):
+    """v, an int64 >= lo: numpy holds the field as one or sizes by it."""
+    if not -2**63 <= _whole(v, name) < 2**63:
+        raise _fail("an integer in [-2**63, 2**63)", v, name)
     if lo is not None and v < lo:
         raise _fail(f">= {lo}", v, name)
     return v
@@ -245,19 +253,10 @@ def _points(v, p, model):
 
 # ---------------------------------------------------------------------------
 # runners take (model, parsed params, seed, workers); tasks are module
-# level so that they pickle for the deterministic parallel map
+# level so that they pickle for the library's parallel map, rng._pmap
 
 
-def _pmap(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(min(workers, len(items))) as pool:
-        return pool.map(fn, items)
-
-
-def _regen_path_task(args, model=None, horizon=0, margin=0, tail_cut=None):
-    seed, i = args
+def _regen_path_task(i, model, seed, horizon, margin, tail_cut):
     env = make_environment(model, derive_env_seed(seed, 101, i))
     path = simulate(env, np.zeros(model.support.dimension, dtype=np.int64),
                     horizon, derive_key(seed, 102, i))
@@ -266,10 +265,10 @@ def _regen_path_task(args, model=None, horizon=0, margin=0, tail_cut=None):
 
 
 def _run_regen(model, params, seed, workers):
-    task = partial(_regen_path_task, model=model, horizon=params["horizon"],
-                   margin=params["margin"], tail_cut=params["tail_cut"])
-    results = _pmap(task, [(seed, i) for i in range(params["n_paths"])],
-                    workers)
+    task = partial(_regen_path_task, model=model, seed=seed,
+                   horizon=params["horizon"], margin=params["margin"],
+                   tail_cut=params["tail_cut"])
+    results = _pmap(task, range(params["n_paths"]), workers)
     records, levels = map(list, zip(*results))
     ve = estimate_velocity(records)
     de = estimate_diffusion(records, ve.v_hat)
@@ -293,7 +292,7 @@ def _run_clt(model, params, seed, workers):
     samples = quenched_samples(
         model, env_key_range(seed, TAG_ENV, 201, n=n_env), params["n"],
         params["m_walks"], params["v"], derive_key_range(seed, 202, n=n_env),
-        map_fn=partial(_pmap, workers=workers), blocks=workers)
+        workers=workers)
     report = clt_check(samples, params["D"], model.support)
     rows = [(e, j, float(report.ks_pvalues[e, j]),
              int(report.degenerate_ok[e, j]),
@@ -312,7 +311,7 @@ def _run_clt(model, params, seed, workers):
 def _run_quenched_mean(model, params, seed, workers):
     res = quenched_mean_variance(
         model, params["n_grid"], params["n_env"], params["m_walks"],
-        seed=seed, map_fn=partial(_pmap, workers=workers), blocks=workers)
+        seed=seed, workers=workers)
     fit = res["fit"]
     rows = [(n, *corrected.tolist(), trace, se)
             for n, corrected, trace, se in res["rows"]]
@@ -335,8 +334,7 @@ def _run_intersections(model, params, seed, workers):
     return {"intersections": (["n", "mean", "se"], rows)}, summary
 
 
-def _joint_regen_task(args, model=None, x0=None, margin=0, horizon=0):
-    seed, i = args
+def _joint_regen_task(i, model, seed, x0, margin, horizon):
     env = make_environment(model, derive_env_seed(seed, 401, i))
     return first_joint_regeneration(
         env, np.zeros(model.support.dimension, dtype=np.int64),
@@ -350,9 +348,9 @@ _M_GRID = (4, 8, 16, 32, 64)
 
 def _run_joint_regen(model, params, seed, workers):
     reps = params["reps"]
-    task = partial(_joint_regen_task, model=model, x0=params["x0"],
+    task = partial(_joint_regen_task, model=model, seed=seed, x0=params["x0"],
                    margin=params["margin"], horizon=params["horizon"])
-    recs = _pmap(task, [(seed, i) for i in range(reps)], workers)
+    recs = _pmap(task, range(reps), workers)
     rows = [(i, *("" if x is None else x
                   for x in (rec.Lambda, rec.mu1, rec.mu1_tilde)),
              int(rec.confirmed)) for i, rec in enumerate(recs)]
@@ -370,8 +368,7 @@ def _run_coupling(model, params, seed, workers):
     # replica i of start j has the seed derive_key(seed, 501, j, i)
     res = coupling_decay(model, params["x0_list"], params["reps"],
                          derive_key(seed, 501), params["margin"],
-                         params["horizon"],
-                         map_fn=partial(_pmap, workers=workers))
+                         params["horizon"], workers=workers)
     rows = [(*x0, *out.Y1.tolist(), *out.Ybar1.tolist(), int(out.equal),
              int(out.hit_X_path), out.n_triples)
             for x0, outs in zip(params["x0_list"], res["outcomes"])
@@ -390,7 +387,7 @@ def _run_ergodic(model, params, seed, workers):
     # run r has the seed derive_key(seed, 601, r)
     res = ergodic_runs(model, params["n"], params["n_runs"],
                        derive_key(seed, 601), params["checkpoints"],
-                       map_fn=partial(_pmap, workers=workers))
+                       workers=workers)
     rows = [(r, c, res["means"][c][r]) for r in range(params["n_runs"])
             for c in res["checkpoints"]]
     summary = {k: res[k] for k in ("across_run_sd", "terminal_mean",
@@ -533,7 +530,7 @@ def parse_config(cfg, kind=None, workers=None) -> tuple:
     errors = []
     # top-level fields, and the --workers flag that overrides "workers"
     given = {**cfg, "--workers": 1 if workers is None else workers}
-    for name, check in (("master_seed", _int()), ("workers", _int(1)),
+    for name, check in (("master_seed", _plain(_whole)), ("workers", _int(1)),
                         ("--workers", _int(1)), ("out_dir", _plain(_text))):
         if name in given:
             try:

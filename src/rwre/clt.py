@@ -17,7 +17,8 @@ from scipy import special as _sps
 from .environment import EnvironmentModel, env_key_range
 from .fitting import fit_exponent
 from .ks import ks_norm_pvalue
-from .rng import TAG_ENV, derive_key_array, derive_key_range, fold_key_array
+from .rng import (TAG_ENV, _pmap, derive_key_array, derive_key_range,
+                  fold_key_array)
 from .walk import list_seed_array, simulate_finals_many_envs
 
 _TAG_QS = 0x9D01
@@ -26,18 +27,19 @@ _TAG_CMB = 0x9D03
 
 
 def _env_blocks(n_env: int, blocks: int) -> list:
-    """Environment indices 0..n_env-1 in at most `blocks` contiguous,
-    nonempty blocks."""
-    return [r.tolist() for r in np.array_split(np.arange(n_env), blocks)
-            if r.size]
+    """Environment indices 0..n_env-1 in min(blocks, n_env) contiguous,
+    nonempty blocks (one empty block for n_env = 0)."""
+    return [r.tolist() for r in
+            np.array_split(np.arange(n_env), max(1, min(blocks, n_env)))]
 
 
-def _finals_block(envs, model=None, env_keys=None, prefixes=None, n=0,
-                  m_walks=0):
+def _finals_block(item, model=None, m_walks=0):
     """Final positions (len(envs), m_walks, d) of the walks of a contiguous
-    block of environment indices, all walked in one engine call.  Walk i of
-    environment j has the seed derive_key(prefixes[j], i), each
-    environment's seed list read as one list (walk.list_seed_array)."""
+    block `envs` of environment indices, all walked n steps in one engine
+    call, for an item (envs, env_keys, prefixes, n).  Walk i of environment
+    j has the seed derive_key(prefixes[j], i), each environment's seed list
+    read as one list (walk.list_seed_array)."""
+    envs, env_keys, prefixes, n = item
     d = model.support.dimension
     wkeys = fold_key_array(prefixes[envs][:, None],
                            np.arange(m_walks, dtype=np.uint64))
@@ -48,34 +50,23 @@ def _finals_block(envs, model=None, env_keys=None, prefixes=None, n=0,
     return finals.reshape(len(envs), m_walks, d)
 
 
-def _finals_item(item, model=None, m_walks=0):
-    """_finals_block for an item (envs, env_keys, prefixes, n) of one map
-    over blocks of several walk lengths."""
-    envs, env_keys, prefixes, n = item
-    return _finals_block(envs, model=model, env_keys=env_keys,
-                         prefixes=prefixes, n=n, m_walks=m_walks)
-
-
 def quenched_samples(model: EnvironmentModel, env_keys, n: int, m_walks: int,
-                     v, seeds, map_fn=map, blocks: int = 1) -> np.ndarray:
+                     v, seeds, workers: int = 1) -> np.ndarray:
     """Samples (n_env, m_walks, d) of B_n(1) = (X_n - n v)/sqrt(n), m_walks
     in each fixed omega.
 
     Environment j has the key env_keys[j] (Environment.env_key; see
     environment.env_key_range) and its walk i the seed
     derive_key(seeds[j], _TAG_QS, i).  The environments are split into
-    `blocks` contiguous blocks that map_fn (a deterministic,
-    order-preserving map such as the built-in one or a process pool's)
-    walks one engine call per block, so the result does not depend on
-    `blocks` or on map_fn.
+    `workers` blocks, one engine call each, run through rng._pmap's one
+    pool; the result does not depend on `workers`.
     """
     env_keys = np.asarray(env_keys, dtype=np.uint64)
-    task = partial(_finals_block, model=model, env_keys=env_keys,
-                   prefixes=derive_key_array(
-                       np.asarray(seeds, dtype=np.uint64), _TAG_QS),
-                   n=n, m_walks=m_walks)
-    finals = np.concatenate(list(map_fn(task, _env_blocks(len(env_keys),
-                                                          blocks))))
+    prefixes = derive_key_array(np.asarray(seeds, dtype=np.uint64), _TAG_QS)
+    items = [(envs, env_keys, prefixes, n)
+             for envs in _env_blocks(len(env_keys), workers)]
+    finals = np.concatenate(_pmap(
+        partial(_finals_block, model=model, m_walks=m_walks), items, workers))
     return (finals - n * np.asarray(v, dtype=float)) / np.sqrt(n)
 
 
@@ -180,8 +171,8 @@ def degeneracy_directions(model: EnvironmentModel) -> np.ndarray:
 
 
 def quenched_mean_variance(model: EnvironmentModel, n_grid, n_env: int,
-                           m_walks: int, seed: int = 0, map_fn=map,
-                           blocks: int = 1) -> dict:
+                           m_walks: int, seed: int = 0,
+                           workers: int = 1) -> dict:
     """Bias-corrected between-environment variance of the quenched mean.
 
     For each n the environments are sampled independently; within each,
@@ -190,27 +181,26 @@ def quenched_mean_variance(model: EnvironmentModel, n_grid, n_env: int,
     (within variance)/m_walks, which is subtracted; negative corrected
     values at small n are floored at zero and flagged.
 
-    The environments of each n are split into `blocks` contiguous blocks,
-    and one map_fn call (a deterministic, order-preserving map such as the
-    built-in one or a process pool's) walks every (n, block) pair, one
-    engine call each.  Every value is a pure function of (seed, n index,
-    environment, walk), so the result does not depend on `blocks` or on
-    map_fn.
+    The environments of each n are split into `workers` contiguous
+    blocks, and one map (rng._pmap, at most one fork pool) walks every
+    (n, block) pair, one engine call each.  Every value is a pure function
+    of (seed, n index, environment, walk), so the result does not depend
+    on `workers`.
     """
     if n_env < 30:
         raise ValueError("need n_env >= 30 environments")
     if m_walks < 2:
         raise ValueError("need m_walks >= 2")
     n_grid = sorted(int(n) for n in n_grid)
-    env_blocks = _env_blocks(n_env, blocks)
+    env_blocks = _env_blocks(n_env, workers)
     d = model.support.dimension
     keys = [(env_key_range(seed, TAG_ENV, _TAG_QMV, ni, n=n_env),
              derive_key_range(seed, _TAG_QMV, ni, n=n_env))
             for ni in range(len(n_grid))]
     items = [(envs, *keys[ni], n) for ni, n in enumerate(n_grid)
              for envs in env_blocks]
-    parts = list(map_fn(partial(_finals_item, model=model, m_walks=m_walks),
-                        items))
+    parts = _pmap(partial(_finals_block, model=model, m_walks=m_walks), items,
+                  workers)
     nb = len(env_blocks)
     rows = []
     floored = []

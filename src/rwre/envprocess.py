@@ -17,8 +17,8 @@ import numpy as np
 from .environment import (EnvironmentModel, derive_env_seed, env_key_range,
                           make_environment)
 from .fitting import fit_exponent
-from .rng import (TAG_ENV, derive_key, derive_key_range, fold_key_array,
-                  site_keys)
+from .rng import (TAG_ENV, _pmap, derive_key, derive_key_range,
+                  fold_key_array, site_keys)
 from .walk import list_seed_array, simulate, simulate_level_stats_many_envs
 
 _TAG_ERG = 0xE401
@@ -49,16 +49,16 @@ def ergodic_average(model: EnvironmentModel, n: int, seed: int,
 
 
 def ergodic_runs(model: EnvironmentModel, n: int, n_runs: int, seed: int,
-                 checkpoints, map_fn=map) -> dict:
+                 checkpoints, workers: int = 1) -> dict:
     """n_runs ergodic_average runs, run r seeded derive_key(..., r) for the
-    prefix key seed = derive_key(...) and run through map_fn(task, seeds):
+    prefix key seed = derive_key(...), run through rng._pmap's one pool:
     per-run means {checkpoint: [run 0, ...]}, the across-run sd at each
     checkpoint (0.0 for one run), and the terminal mean with its se."""
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1 (got {n_runs})")
     seeds = fold_key_array(seed, np.arange(n_runs, dtype=np.uint64))
-    runs = list(map_fn(partial(ergodic_average, model, n,
-                               checkpoints=checkpoints), seeds.tolist()))
+    runs = _pmap(partial(ergodic_average, model, n, checkpoints=checkpoints),
+                 seeds.tolist(), workers)
     cps = runs[0]["checkpoints"]
     means = {c: [res["means"][c] for res in runs] for c in cps}
     sds = {c: float(np.std(v, ddof=1)) if n_runs > 1 else 0.0

@@ -20,19 +20,13 @@ from typing import Optional
 import numpy as np
 
 from .fitting import fit_exponent
-from .rng import counter_u01_array, derive_key_range, step_index
+from .rng import _block_len, counter_u01_array, derive_key_range, step_index
 
 _TAG_GREEN_MC = 0x6EE1
 _TAG_TAIL = 0x7A11
 _TAG_CHAIN = 0xC4A1
 _TAG_EXIT = 0xE217
 
-# Cells (survivors x counters) of one killed-walk or chain block, and the
-# largest squared norm a _SqNormTable holds.  Blocking is exact: every draw
-# is a pure function of (key, counter), so a block draws ahead what the
-# one-counter loop would draw, and the stop rules cut it at the counter
-# where that loop stops.
-_BLOCK_CELLS = 1 << 14
 # Exact first-passage propagation: float64 states (1 MiB per array), and
 # state updates (steps x states x offsets, 1.2-1.3 s at the cap on a
 # 2-vCPU VM; the cost grows quadratically in a)
@@ -46,12 +40,9 @@ _DENSE_UNKNOWNS = 1 << 11
 # cube of radius r at _EXIT_CAP_FACTOR (r + 1)^2 + 1000 steps
 _MC_MAX_STEPS = 2_000_000
 _EXIT_CAP_FACTOR = 400
-
-
-def _block_len(m: int, left: Optional[int] = None) -> int:
-    """Counters per block for m survivors, at most `left`."""
-    b = max(1, _BLOCK_CELLS // max(m, 1))
-    return b if left is None else min(b, left)
+# build_ladder_tables fills the renewal table v(m) for m <= _LADDER_M, and
+# half_line_green extends it as far as a query needs (LadderTables.ensure)
+_LADDER_M = 64
 
 
 def _first_true(mask: np.ndarray) -> np.ndarray:
@@ -163,13 +154,12 @@ class LadderTables:
         self.v_table = v
 
 
-def build_ladder_tables(walk: SymmetricWalk1D,
-                        m_max: int = 64) -> LadderTables:
+def build_ladder_tables(walk: SymmetricWalk1D) -> LadderTables:
     lh = ladder_heights(walk)
     tables = LadderTables(walk=walk, ladder_pmf=lh["pmf"],
                           v_table=np.array([1.0]),
                           truncation_mass=lh["truncation_mass"])
-    tables.ensure(m_max)
+    tables.ensure(_LADDER_M)
     return tables
 
 
@@ -556,15 +546,15 @@ class _SqNormTable:
     """f(sqrt(float(n2))) at states of integer squared norm n2.
 
     Values for n2 < len(tab) are read from `tab`, f at the norms of
-    n2 = 0..min(n2_max, _BLOCK_CELLS), so the table is no larger than a
-    block array; larger n2 are evaluated by f.  Either way the value is f at
+    n2 = 0..min(n2_max, rng._BLOCK_CELLS) (_block_len(1, n2_max)), so the
+    table is no larger than a block array; larger n2 are evaluated by f.  Either way the value is f at
     the state's float norm: for a state of squared norm below 2**53 the
     float sum of squared coordinates is exact, so it equals float(n2).
     """
 
     def __init__(self, f, n2_max: int):
         self.f = f
-        self.tab = f(np.sqrt(np.arange(min(n2_max, _BLOCK_CELLS) + 1,
+        self.tab = f(np.sqrt(np.arange(_block_len(1, n2_max) + 1,
                                        dtype=float)))
 
     def __call__(self, n2: np.ndarray) -> np.ndarray:
@@ -620,7 +610,7 @@ def green_bound_experiment(spec: PerturbedChainSpec, n_grid, reps: int = 256,
     Replica i takes its k-th step from counters 3k, 3k+1 and, when
     perturbed, 3k+2 of its key.  The chain steps every replica once per
     step (_chain_steps), while the selector and base-step uniforms of a
-    block of about _BLOCK_CELLS (step, replica) cells come from one call
+    block of about rng._BLOCK_CELLS (step, replica) cells come from one call
     each and h is read by squared norm and summed along the block's steps
     in the order of a one-step loop.
     """

@@ -21,8 +21,8 @@ import numpy as np
 
 from .environment import (Environment, EnvironmentModel, compute_h,
                           env_key_range, make_environment)
-from .rng import (derive_key, derive_key_range, fold_key_array, site_keys,
-                  site_u01)
+from .rng import (_pmap, derive_key, derive_key_range, fold_key_array,
+                  site_keys, site_u01)
 from .walk import (_SeqWalk, _TimeSource, list_seed_array,
                    simulate_paths_many_envs, walk_key)
 
@@ -414,20 +414,20 @@ def _coupled_triple_task(item, model=None, margin=0, horizon=0):
 
 
 def coupling_decay(model: EnvironmentModel, x0_list, reps: int, seed: int,
-                   margin: int, horizon: int, map_fn=map) -> dict:
+                   margin: int, horizon: int, workers: int = 1) -> dict:
     """P(Y_1 != Ybar_1) from `reps` coupled_triple replicas at each start
     of x0_list, its se, and whether it is non-increasing along the list
     within three se of each successive difference.  Replica i of start j
     has the seed derive_key(..., j, i) for the prefix key seed =
-    derive_key(...); one map_fn call runs the replicas of every start, in
-    order (start, replica)."""
+    derive_key(...); one map (rng._pmap, at most one fork pool of
+    `workers` processes) runs the replicas of every start."""
     seeds = fold_key_array(fold_key_array(
         seed, np.arange(len(x0_list), dtype=np.uint64))[:, None],
         np.arange(reps, dtype=np.uint64)).tolist()
     task = partial(_coupled_triple_task, model=model, margin=margin,
                    horizon=horizon)
-    flat = list(map_fn(task, [(x0, s) for x0, row in zip(x0_list, seeds)
-                              for s in row]))
+    flat = _pmap(task, [(x0, s) for x0, row in zip(x0_list, seeds)
+                        for s in row], workers)
     outcomes = [flat[j * reps:(j + 1) * reps] for j in range(len(x0_list))]
     ps = [float(np.mean([not o.equal for o in outs])) for outs in outcomes]
     ses = [float(np.sqrt(max(p * (1 - p), 1e-12) / reps)) for p in ps]

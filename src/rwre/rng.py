@@ -18,6 +18,8 @@ overflow.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -41,6 +43,11 @@ TAG_ENV = 0xE27F5EED
 # top 53 bits of a draw plus one half would round to 1.0 when they are all
 # ones, and gammaincinv(a, 1.0) is inf
 U01_MAX = 1.0 - 2.0**-53
+
+# Cells (walkers x counters) of one block of counter_u01_array draws.  Blocks
+# are exact: a draw is a pure function of (key, counter), so a block draws
+# ahead what a one-counter loop would, and a stop rule cuts it where it stops
+_BLOCK_CELLS = 1 << 14
 
 # Step tables of at most this many entries count thresholds in step_index.
 # On a block of 2**14 uniforms that beats searchsorted 10x at 2 entries,
@@ -180,6 +187,12 @@ def counter_u01_array(keys, ctrs) -> np.ndarray:
     return _u01(mix64_array(_u64_1d(keys) + _u64_1d(ctrs) * _U_GAMMA))
 
 
+def _block_len(m: int, left: int | None = None) -> int:
+    """Counters per block of _BLOCK_CELLS cells for m walkers, at most left."""
+    b = max(1, _BLOCK_CELLS // max(m, 1))
+    return b if left is None else min(b, left)
+
+
 def stream_u01_array(keys: np.ndarray, ctr: int) -> np.ndarray:
     """counter_u01_array(keys, ctr); perfbench/tracer.py counts its calls."""
     return counter_u01_array(keys, ctr)
@@ -196,3 +209,14 @@ def step_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     for c in cum[:-1]:
         idx += u > c
     return idx
+
+
+def _pmap(fn, items, workers: int) -> list:
+    """[fn(it) for it in items], through one fork pool of min(workers,
+    len(items)) processes when both exceed 1.  fn must pickle; a pure fn
+    gives the same list for any `workers`."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(it) for it in items]
+    with multiprocessing.get_context("fork").Pool(
+            min(workers, len(items))) as pool:
+        return pool.map(fn, items)

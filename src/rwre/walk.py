@@ -24,8 +24,9 @@ import numpy as np
 from .environment import (Environment, EnvironmentModel, StepSupport,
                           cum_bounds_from_keys, cum_vectors_from_keys,
                           exact_cum_rule)
-from .rng import (MASK64, TAG_WALK, counter_u01_array, derive_key,
-                  derive_key_array, site_keys, site_keys_mixed, step_index)
+from .rng import (MASK64, TAG_WALK, _block_len, counter_u01_array,
+                  derive_key, derive_key_array, site_keys, site_keys_mixed,
+                  step_index)
 
 
 @dataclass
@@ -244,9 +245,6 @@ _CACHE_MAX_BYTES = 4 << 20
 _SETTLE_ONE_BY_ONE = 4
 # moves of a (lower, upper) bound pair before rounding to float32
 _WIDEN32 = np.array([-2.0**-23, 2.0**-23])
-# The walk uniforms are drawn in blocks of about this many (step, walker)
-# cells, as green._killed_walk draws its counters
-_UNIFORM_CELLS = 1 << 14
 
 
 class _SiteBounds:
@@ -354,10 +352,10 @@ def _outward32(rows: np.ndarray) -> np.ndarray:
 def _uniform_rows(wkeys: np.ndarray, n: int) -> "iterator":
     """(t, u) for t < n, u the walk uniforms (m,) of the walkers with walk
     keys wkeys (m,) at counter t.  They are drawn in one counter_u01_array
-    call per block of steps, laid out (steps, walkers) so that each row is
-    contiguous; a uniform is a pure function of (key, t), so the values
-    are those of one stream_u01_array call per step."""
-    b = max(1, _UNIFORM_CELLS // max(len(wkeys), 1))
+    call per block of steps (rng._block_len), laid out (steps, walkers) so
+    that each row is contiguous; a uniform is a pure function of (key, t),
+    so the values are those of one stream_u01_array call per step."""
+    b = _block_len(len(wkeys))
     for t0 in range(0, n, b):
         ctrs = np.arange(t0, min(t0 + b, n), dtype=np.uint64)
         yield from enumerate(counter_u01_array(wkeys, ctrs[:, None]), t0)

@@ -6,7 +6,6 @@ estimates for the random-environment model) are module-scoped fixtures.
 """
 
 import time
-from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -97,7 +96,7 @@ def test_criterion_03_half_line_green():
     entry is the ladder formula's own.
     """
     walk = simple_walk()
-    tables = build_ladder_tables(walk, m_max=64)
+    tables = build_ladder_tables(walk)
     max_err = 0.0
     for s in range(1, 51):
         for t in range(1, 51):
@@ -173,10 +172,9 @@ def test_criterion_06_intersection_sublinearity():
 def test_criterion_07_coupling_decay():
     dists = [1, 2, 4, 8, 16]
     # replica i of start j has the seed derive_key(SEED, 9, j, i)
-    with get_context("fork").Pool(N_WORKERS) as pool:
-        res = coupling_decay(dirichlet_drift_model(), [(0, k) for k in dists],
-                             10_000, derive_key(SEED, 9), margin=10,
-                             horizon=20_000, map_fn=pool.map)
+    res = coupling_decay(dirichlet_drift_model(), [(0, k) for k in dists],
+                         10_000, derive_key(SEED, 9), margin=10,
+                         horizon=20_000, workers=N_WORKERS)
     ps = res["p_neq"]
     assert res["monotone_within_3se"]
     assert ps[0] > 0
@@ -206,9 +204,8 @@ def test_criterion_08_quenched_clt(dirichlet_estimates):
 def test_criterion_09_ergodic_theorem(dirichlet_estimates):
     model = dirichlet_estimates["model"]
     # run r has the seed derive_key(SEED, 12, r)
-    with get_context("fork").Pool(N_WORKERS) as pool:
-        res = ergodic_runs(model, 100_000, 20, derive_key(SEED, 12),
-                           [1000, 100_000], map_fn=pool.map)
+    res = ergodic_runs(model, 100_000, 20, derive_key(SEED, 12),
+                       [1000, 100_000], workers=N_WORKERS)
     sd3, sd5 = (res["across_run_sd"][c] for c in (1000, 100_000))
     assert sd5 <= sd3 / 3
     term_mean, term_se = res["terminal_mean"], res["terminal_se"]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rwre import green, pair, walk
+from rwre import green, pair, rng, walk
 from rwre.environment import Environment, make_environment
 from rwre.models import dirichlet_drift_model, drift_model
 from rwre.walk import (simulate_finals_many, simulate_finals_many_envs,
@@ -121,8 +121,8 @@ def test_traced_green_bound_counts_one_chain_row_per_replica_step(
     spec = green.PerturbedChainSpec(dimension=2, base_offsets=offs,
                                     base_probs=probs, p1=16.0, p2=16.0)
     tracer = _load_tracer()
-    for cells in (7, green._BLOCK_CELLS):
-        monkeypatch.setattr(green, "_BLOCK_CELLS", cells)
+    for cells in (7, rng._BLOCK_CELLS):
+        monkeypatch.setattr(rng, "_BLOCK_CELLS", cells)
         tr = tracer.Tracer()
         undo = tracer.install(tr)
         try:

@@ -28,6 +28,18 @@ def test_validate_ok():
     assert validate_config(cfg) == []
 
 
+def test_int64_bounds_and_any_master_seed():
+    # derive_key reads the master seed mod 2**64; every other integer field
+    # is a 64-bit signed integer
+    cfg = {"kind": "regen", "model": DRIFT_MODEL,
+           "params": {"horizon": 2**63 - 1, "tail_cut": 2**63 - 1},
+           "master_seed": -2**100}
+    assert validate_config(cfg) == []
+    cfg["params"]["horizon"] = 2**63
+    assert [e.split(":")[0] for e in validate_config(cfg)] == \
+        ["params.horizon"]
+
+
 def test_validate_negative_field_named():
     cfg = {"kind": "regen", "model": DRIFT_MODEL,
            "params": {"n_paths": -3}}
@@ -416,6 +428,30 @@ D2 = {"dimension": 2, "steps": [[1, 0], [0, 1], [0, -1]], "u_hat": [1, 0],
         {"kind": "green-bound", "params": {
             "chain": {"dimension": 2, "p1": 16.0}, "n_grid": [4, 8]}},
         "params.chain", id="cfg38-params.chain"),
+    # integers outside int64 validated, and the run then failed without
+    # naming the field ("Maximum allowed size exceeded")
+    pytest.param(
+        {"kind": "green", "params": {"walk": SIMPLE_WALK, "points": [[1, 1]],
+                                     "reps": 10**30}}, "params.reps",
+        id="cfg39-params.reps"),
+    pytest.param(
+        {"kind": "regen", "model": D2, "params": {"horizon": 10**30}},
+        "params.horizon", id="cfg40-params.horizon"),
+    pytest.param(
+        {"kind": "regen", "model": D2, "params": {"n_grid": [4, 2**63]}},
+        "params.n_grid", id="cfg41-params.n_grid"),
+    pytest.param(
+        {"kind": "check", "model": {
+            **D2, "steps": [[1, 0], [0, 1], [0, -2**63 - 1]]}}, "model",
+        id="cfg42-model"),
+    pytest.param(
+        {"kind": "green", "params": {
+            "walk": {"offsets": [-2**64, 2**64], "probs": [0.5, 0.5]},
+            "points": [[1, 1]]}}, "params.walk", id="cfg43-params.walk"),
+    pytest.param(
+        {"kind": "exit-time", "params": {
+            "chain": {**CHAIN, "alt_offsets": [[2**63, 0]], "alt_probs": [1]},
+            "r_grid": [2]}}, "params.chain", id="cfg44-params.chain"),
 ])
 def test_invalid_config_exits_1_naming_field(tmp_path, capsys, cfg, field):
     path = _write(tmp_path, "cfg.json", cfg)
@@ -525,7 +561,7 @@ def test_validate_is_total(json_dir, data):
         {"walk": {"offsets": [-1000, 1000], "probs": [0.5, 0.5]},
          "points": [[1, 1]]}, "params.walk", id="params0-params.walk"),
     pytest.param(
-        {"walk": {"offsets": [-10**30, 10**30], "probs": [0.5, 0.5]},
+        {"walk": {"offsets": [-2**62, 2**62], "probs": [0.5, 0.5]},
          "points": [[1, 1]]}, "params.walk", id="params1-params.walk"),
     # a point 2100 above r0: an exact solve of 2110 unknowns
     pytest.param(

@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from rwre.clt import (_TAG_QMV, _TAG_QS, _finals_block, _null_space, _two_sided_pvalue,
+from rwre import clt
+from rwre.clt import (_TAG_QMV, _TAG_QS, _env_blocks, _finals_block,
+                      _null_space, _two_sided_pvalue,
                       centered_mean_bound, clt_check,
                       degeneracy_directions, quenched_mean_variance,
                       quenched_samples)
@@ -23,6 +25,18 @@ def _point_mass_model():
 
 def _env_keys(model, env_seeds):
     return [make_environment(model, s).env_key for s in env_seeds]
+
+
+def _in_process_map(monkeypatch) -> list:
+    """Replace clt's fork-pool map by an in-process one; returns the list
+    of (items, workers) of each map call, filled as calls come."""
+    calls = []
+
+    def pmap(fn, items, workers):
+        calls.append((items, workers))
+        return [fn(it) for it in items]
+    monkeypatch.setattr(clt, "_pmap", pmap)
+    return calls
 
 
 def test_quenched_samples_point_mass():
@@ -51,7 +65,8 @@ def test_quenched_samples_homogeneous_covariance():
     assert np.linalg.norm(C - np.diag([0.25, 0.5])) < 0.08
 
 
-def test_quenched_samples_blocks_match_one_walk_call_per_environment():
+def test_quenched_samples_blocks_match_one_walk_call_per_environment(
+        monkeypatch):
     # reference: one shared-environment engine call per environment, with
     # that environment's seed list; the seeds are derive_key outputs, so
     # each list mixes seeds below and above 2**63
@@ -62,11 +77,14 @@ def test_quenched_samples_blocks_match_one_walk_call_per_environment():
     keys = [env.env_key for env in envs]
     s = quenched_samples(model, keys, n, m_walks, v, seeds)
     assert s.shape == (len(envs), m_walks, 2)
-    for blocks in (2, 3, 7):
+    # one block per worker, at most one per environment, walked in process
+    calls = _in_process_map(monkeypatch)
+    for workers in (2, 3, 7):
         got = quenched_samples(model, keys, n, m_walks, v, seeds,
-                               map_fn=lambda f, xs: [f(x) for x in xs],
-                               blocks=blocks)
+                               workers=workers)
         assert got.tobytes() == s.tobytes()
+        assert len(calls[-1][0]) == min(workers, len(envs))
+        assert calls[-1][1] == workers
     for j, env in enumerate(envs):
         wseeds = [derive_key(int(seeds[j]), _TAG_QS, i)
                   for i in range(m_walks)]
@@ -153,9 +171,8 @@ def test_quenched_mean_blocks_match_one_walk_call_per_environment():
     seed, ni, n, m_walks = 11, 1, 24, 5
     # quenched_mean_variance's environments and walk seeds at grid index ni
     block = _finals_block(
-        range(3, 9), model=model,
-        env_keys=env_key_range(seed, TAG_ENV, _TAG_QMV, ni, n=9),
-        prefixes=derive_key_range(seed, _TAG_QMV, ni, n=9), n=n,
+        (range(3, 9), env_key_range(seed, TAG_ENV, _TAG_QMV, ni, n=9),
+         derive_key_range(seed, _TAG_QMV, ni, n=9), n), model=model,
         m_walks=m_walks)
     for j, e in enumerate(range(3, 9)):
         env = make_environment(model, derive_env_seed(seed, _TAG_QMV, ni, e))
@@ -165,12 +182,22 @@ def test_quenched_mean_blocks_match_one_walk_call_per_environment():
         assert np.array_equal(block[j], finals)
 
 
-def test_quenched_mean_variance_independent_of_blocks():
+def test_env_blocks_cost_no_more_than_the_environments():
+    # --workers may be any int64; a block split into that many sections
+    # would take time and memory linear in the worker count
+    assert _env_blocks(5, 2**62) == [[0], [1], [2], [3], [4]]
+    assert _env_blocks(5, 2) == [[0, 1, 2], [3, 4]]
+    assert _env_blocks(0, 3) == [[]]
+
+
+def test_quenched_mean_variance_independent_of_blocks(monkeypatch):
     model = dirichlet_drift_model()
     a = quenched_mean_variance(model, [8, 20], n_env=30, m_walks=3, seed=4)
+    # 7 blocks per walk length, all walked in process through one map call
+    calls = _in_process_map(monkeypatch)
     b = quenched_mean_variance(model, [8, 20], n_env=30, m_walks=3, seed=4,
-                               map_fn=lambda f, xs: [f(x) for x in xs],
-                               blocks=7)
+                               workers=7)
+    assert [(len(items), w) for items, w in calls] == [(14, 7)]
     assert np.array_equal(a["trace"], b["trace"])
     for ra, rb in zip(a["rows"], b["rows"]):
         assert ra[0] == rb[0] and ra[2:] == rb[2:]

@@ -1,4 +1,3 @@
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -58,9 +57,8 @@ def test_ergodic_runs_are_ergodic_averages_under_any_map():
         assert res["across_run_sd"][c] == np.std(res["means"][c], ddof=1)
     assert res["terminal_mean"] == np.mean(res["means"][300])
     assert res["terminal_se"] == res["across_run_sd"][300] / np.sqrt(3)
-    with get_context("fork").Pool(2) as pool:
-        assert ergodic_runs(model, 300, 3, derive_key(17, 12), [10, 300],
-                            map_fn=pool.map) == res
+    assert ergodic_runs(model, 300, 3, derive_key(17, 12), [10, 300],
+                        workers=2) == res
 
 
 def test_ergodic_runs_single_run_has_zero_spread():

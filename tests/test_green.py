@@ -71,7 +71,8 @@ def test_ladder_two_range_vs_monte_carlo():
 
 
 def test_v_table_bounded_by_v0():
-    tables = build_ladder_tables(two_range_walk(), m_max=200)
+    tables = build_ladder_tables(two_range_walk())
+    tables.ensure(200)
     assert np.all(tables.v_table <= tables.v_table[0] + 1e-12)
 
 
@@ -449,13 +450,13 @@ def _ref_cube_exit_time(spec, r_grid, reps, seed, step_cap_factor):
 
 # one cell per block (the one-counter loop), a few cells, the default, and
 # more cells than any run below takes, so that one block covers a run
-BLOCK_CELLS = (1, 7, green._BLOCK_CELLS, 1 << 18)
+BLOCK_CELLS = (1, 7, rng._BLOCK_CELLS, 1 << 18)
 
 
 def _at_each_block_size(monkeypatch, run):
     results = []
     for cells in BLOCK_CELLS:
-        monkeypatch.setattr(green, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(rng, "_BLOCK_CELLS", cells)
         results.append(run())
     return results
 

@@ -1,5 +1,4 @@
 import hashlib
-from multiprocessing import get_context
 from types import SimpleNamespace
 
 import numpy as np
@@ -255,9 +254,8 @@ def test_coupling_decay_replicas_are_coupled_triples_under_any_map():
             _fields(coupled_triple(model, x0, seed=derive_key(23, 9, j, i),
                                    margin=10, horizon=20_000))
             for i in range(4)]
-    with get_context("fork").Pool(2) as pool:
-        pooled = coupling_decay(model, starts, 4, derive_key(23, 9), 10,
-                                20_000, map_fn=pool.map)
+    pooled = coupling_decay(model, starts, 4, derive_key(23, 9), 10, 20_000,
+                            workers=2)
     assert [[_fields(o) for o in outs] for outs in pooled["outcomes"]] == \
         [[_fields(o) for o in outs] for outs in res["outcomes"]]
     assert {k: pooled[k] for k in ("p_neq", "se", "monotone_within_3se")} \
@@ -270,20 +268,20 @@ def test_coupling_decay_replicas_are_coupled_triples_under_any_map():
     # p jumps from 0 to 0.9, three times its standard error being 0.28
     pytest.param([0, 9, 0], False, id="rising"),
 ])
-def test_coupling_decay_p_se_and_monotone(neq, monotone):
-    # outcomes stand in for coupled_triple through map_fn, which gets every
-    # (start, seed) item in one call: start j has neq[j] unequal pairs
-    # among 10 replicas
+def test_coupling_decay_p_se_and_monotone(neq, monotone, monkeypatch):
+    # outcomes stand in for coupled_triple, called in order (start,
+    # replica): start j has neq[j] unequal pairs among 10 replicas
     starts = [(0, 1), (0, 2), (0, 3)]
+    calls = []
 
-    def fake_map(task, items):
-        assert [x0 for x0, _ in items] == [x0 for x0 in starts
-                                            for _ in range(10)]
-        return [SimpleNamespace(equal=t % 10 >= neq[t // 10])
-                for t in range(len(items))]
+    def fake_triple(model, x0, seed, margin, horizon):
+        t = len(calls)
+        calls.append(x0)
+        return SimpleNamespace(equal=t % 10 >= neq[t // 10])
 
-    res = coupling_decay(drift_model(), starts, 10, 0, 10, 100,
-                         map_fn=fake_map)
+    monkeypatch.setattr(pair, "coupled_triple", fake_triple)
+    res = coupling_decay(drift_model(), starts, 10, 0, 10, 100, workers=1)
+    assert calls == [x0 for x0 in starts for _ in range(10)]
     assert res["p_neq"] == [k / 10 for k in neq]
     assert res["se"] == [np.sqrt(max(k / 10 * (1 - k / 10), 1e-12) / 10)
                          for k in neq]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rwre import environment, walk
+from rwre import environment, rng, walk
 from rwre.environment import (EnvironmentModel, cum_bounds_from_keys,
                               cum_vectors_from_keys, make_environment)
 from rwre.models import (backtracking_model, dirichlet_backtracking_model,
@@ -183,7 +183,7 @@ def test_engines_match_scalar_when_brackets_decide_nothing(model, per_env,
             assert min(exact) <= walk._SETTLE_ONE_BY_ONE
 
 
-@pytest.mark.parametrize("cells", [1, 7, walk._UNIFORM_CELLS])
+@pytest.mark.parametrize("cells", [1, 7, rng._BLOCK_CELLS])
 @pytest.mark.parametrize("model", [backtracking_model(),
                                    dirichlet_backtracking_model()],
                          ids=["deterministic", "dirichlet"])
@@ -192,7 +192,7 @@ def test_block_uniforms_match_scalar_across_blocks(model, cells,
     # blocks of one step, of 2 or 1 steps (7 cells for 3 or 12 walkers),
     # and of the default budget, which 12 walkers cut inside 150 steps
     # only for a budget below 1800 cells
-    monkeypatch.setattr(walk, "_UNIFORM_CELLS", cells)
+    monkeypatch.setattr(rng, "_BLOCK_CELLS", cells)
     env = make_environment(model, 8)
     n = 150
     for m in (3, 12):
@@ -202,6 +202,35 @@ def test_block_uniforms_match_scalar_across_blocks(model, cells,
         for i in range(m):
             assert np.array_equal(paths[:, i, :],
                                   simulate(env, starts[i], n, seeds[i]).sites)
+
+
+# steps per uniform block of the short and the long call: one step, blocks
+# that end inside both lengths at different steps, and the default budget,
+# which cuts 150 steps at 128 walkers but not at 2
+@pytest.mark.parametrize("short_steps, long_steps",
+                         [(1, 7), (7, 1), (25, 40), (None, None)])
+@pytest.mark.parametrize("per_env", [1, walk._CACHE_WALKERS_PER_ENV])
+@pytest.mark.parametrize("model", [backtracking_model(),
+                                   dirichlet_backtracking_model()],
+                         ids=["deterministic", "dirichlet"])
+def test_engine_paths_have_prefix_property(model, per_env, short_steps,
+                                           long_steps, monkeypatch):
+    n_short, n_long = 61, 150
+    envs, keys, seeds, starts = _interleaved_walkers(model, 2, per_env)
+    m = len(keys)
+    lookups = _count_cache_lookups(monkeypatch)
+    default = rng._BLOCK_CELLS
+
+    def paths(n, steps):
+        cells = default if steps is None else steps * m
+        monkeypatch.setattr(rng, "_BLOCK_CELLS", cells)
+        return simulate_paths_many_envs(model, keys, starts, n, seeds)
+
+    short, long = paths(n_short, short_steps), paths(n_long, long_steps)
+    assert short.shape == (n_short + 1, m, 2)
+    assert np.array_equal(long[:n_short + 1], short)
+    assert bool(lookups) == (model.kind == "dirichlet" and
+                             per_env >= walk._CACHE_WALKERS_PER_ENV)
 
 
 @pytest.mark.parametrize("model", [backtracking_model(),
