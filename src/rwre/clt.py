@@ -123,6 +123,9 @@ def clt_check(samples_per_env, D_hat, support, level: float = 0.01) -> QuenchedC
     """
     if len(samples_per_env) < 2:
         raise ValueError("need samples from at least 2 environments")
+    if min(len(samples) for samples in samples_per_env) < 2:
+        raise ValueError("need at least 2 samples in every environment for "
+                         "its covariance")
     D_hat = np.asarray(D_hat, dtype=float)
     dirs = projection_directions(support)
     n_env = len(samples_per_env)

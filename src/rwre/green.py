@@ -401,8 +401,8 @@ def first_passage_tail(walk: SymmetricWalk1D, a_grid, mode: str = "exact",
     state updates.  Monte Carlo mode simulates with survivor filtering.
     """
     a_grid = sorted(int(a) for a in a_grid)
-    if any(a < 1 for a in a_grid):
-        raise ValueError("tail grid entries must be >= 1")
+    if not a_grid or a_grid[0] < 1:
+        raise ValueError(f"a_grid entries must be >= 1 (got {a_grid})")
     out = {}
     if mode == "exact":
         M = walk.max_step
@@ -433,6 +433,8 @@ def first_passage_tail(walk: SymmetricWalk1D, a_grid, mode: str = "exact",
         return {"mode": "exact", "tail": out}
     if mode != "monte-carlo":
         raise ValueError("mode must be 'exact' or 'monte-carlo'")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1 for a tail (got {reps})")
     keys = derive_key_range(seed, _TAG_TAIL, n=reps)
     # step k draws counter k; P{Tbar >= a} counts survivors of a - 1 steps
     alive, _ = _killed_walk(walk, keys, 0, 1, lo=0, n_steps=max(a_grid) - 1)
@@ -565,14 +567,17 @@ class _SqNormTable:
         return v
 
 
-def _alt_steps(spec: PerturbedChainSpec, keys: np.ndarray, ctrs) -> np.ndarray:
-    """Alt steps of replicas with keys `keys`, drawn from counters `ctrs`.
-    A one-step alt law needs no draw: step_index of a one-entry table is
-    0 for every uniform."""
-    if len(spec.alt_probs) == 1:
-        return spec.alt_offsets[np.zeros(len(keys), dtype=np.intp)]
-    return spec.alt_offsets[step_index(np.cumsum(spec.alt_probs),
-                                       counter_u01_array(keys, ctrs))]
+def _chain_draws(spec: PerturbedChainSpec, keys: np.ndarray, k0: int,
+                 k1: int) -> tuple:
+    """The selector uniforms sel[j] and base steps base[j] (one row per
+    replica) of chain step k0 + j + 1, j < k1 - k0, for replicas with keys
+    `keys`: counters 3 (k0 + j) and 3 (k0 + j) + 1, one call each."""
+    ctr = np.arange(3 * k0, 3 * k1, 3, dtype=np.uint64)[:, None]
+    sel = counter_u01_array(keys, ctr)
+    base = np.ascontiguousarray(spec.base_offsets.T).take(step_index(
+        np.cumsum(spec.base_probs), counter_u01_array(keys, ctr + 1)), axis=1)
+    # base[j][i, q] = base[q, j, i]: coordinate q of replica i's step
+    return sel, base.transpose(1, 2, 0)
 
 
 def _chain_steps(spec: PerturbedChainSpec, pos: np.ndarray, n2: np.ndarray,
@@ -582,10 +587,10 @@ def _chain_steps(spec: PerturbedChainSpec, pos: np.ndarray, n2: np.ndarray,
 
     pos holds one row per replica and n2[0] their integer squared norms;
     the step moves pos and writes the new squared norms to n2[1].  sel and
-    steps (one row per replica) are the selector uniforms, counter 3 ctr,
-    and the base steps, counter 3 ctr + 1.  A replica is perturbed when
-    sel < p_pert(n2[0]); its row of `steps` is then replaced by an alt step
-    drawn from counter 3 ctr + 2 of its key.
+    steps are row j = ctr - k0 of a _chain_draws(spec, keys, k0, k1) block.
+    A replica is perturbed when sel < p_pert(n2[0]); its row of `steps` is
+    then replaced by an alt step drawn from counter 3 ctr + 2 of its key (a
+    one-step alt law needs no draw).
     """
     # p_pert does not grow with the norm, so the table's last entry bounds
     # it past the table (where p_pert exceeds 2**-54, the least uniform,
@@ -597,7 +602,11 @@ def _chain_steps(spec: PerturbedChainSpec, pos: np.ndarray, n2: np.ndarray,
         at = n2[0, hit]
         if at.max() >= len(p_pert.tab):
             hit = hit[sel[hit] < p_pert(at)]
-        steps[hit] = _alt_steps(spec, keys[hit], 3 * ctr + 2)
+        alt = np.zeros(hit.size, dtype=np.intp)
+        if len(spec.alt_probs) > 1:
+            alt = step_index(np.cumsum(spec.alt_probs),
+                             counter_u01_array(keys[hit], 3 * ctr + 2))
+        steps[hit] = spec.alt_offsets[alt]
     pos += steps
     np.add.reduce(np.square(pos), axis=1, out=n2[1])
 
@@ -608,11 +617,10 @@ def green_bound_experiment(spec: PerturbedChainSpec, n_grid, reps: int = 256,
     origin, with an exponent fit.
 
     Replica i takes its k-th step from counters 3k, 3k+1 and, when
-    perturbed, 3k+2 of its key.  The chain steps every replica once per
-    step (_chain_steps), while the selector and base-step uniforms of a
-    block of about rng._BLOCK_CELLS (step, replica) cells come from one call
-    each and h is read by squared norm and summed along the block's steps
-    in the order of a one-step loop.
+    perturbed, 3k+2 of its key.  Every replica steps once per step through
+    _chain_steps, from the uniforms of a _chain_draws block of about
+    rng._BLOCK_CELLS (step, replica) cells; h is read by squared norm and
+    summed along the block's steps in the order of a one-step loop.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1 for a mean (got {reps})")
@@ -624,8 +632,6 @@ def green_bound_experiment(spec: PerturbedChainSpec, n_grid, reps: int = 256,
     keys = derive_key_range(seed, _TAG_CHAIN, n=reps)
     reach = (n_max - 1) * int(max(np.abs(spec.base_offsets).max(),
                                   np.abs(spec.alt_offsets).max()))
-    base_cum = np.cumsum(spec.base_probs)
-    base_t = np.ascontiguousarray(spec.base_offsets.T)
     p_pert = _SqNormTable(partial(_pert_prob, spec), d * reach ** 2)
     h = _SqNormTable(spec.h, d * reach ** 2)
     # one row per replica, laid out so that each coordinate is contiguous
@@ -636,15 +642,11 @@ def green_bound_experiment(spec: PerturbedChainSpec, n_grid, reps: int = 256,
     b = _block_len(reps)
     for k0 in range(0, n_max - 1, b):
         k1 = min(k0 + b, n_max - 1)
-        ctr = np.arange(3 * k0, 3 * k1, 3, dtype=np.uint64)[:, None]
-        sel = counter_u01_array(keys, ctr)
-        # base[:, j].T: the base steps of chain step k0 + j + 1
-        base = base_t.take(step_index(
-            base_cum, counter_u01_array(keys, ctr + 1)), axis=1)
+        sel, base = _chain_draws(spec, keys, k0, k1)
         # n2[j]: squared norms after k0 + j steps
         n2 = np.concatenate([n2[-1:], np.empty((k1 - k0, reps), np.int64)])
         for j in range(k1 - k0):
-            _chain_steps(spec, pos, n2[j:j + 2], sel[j], base[:, j].T, keys,
+            _chain_steps(spec, pos, n2[j:j + 2], sel[j], base[j], keys,
                          k0 + j, p_pert)
         # the running sums, added left to right as acc += h one step at a
         # time would add them; row j holds them after k0 + j + 1 steps
@@ -674,74 +676,48 @@ def _chain_exit_times(spec: PerturbedChainSpec, keys: np.ndarray, r: int,
     number of those.
 
     Replica i takes its k-th step from counters 3k, 3k+1 and, when
-    perturbed, 3k+2 of keys[i], as in green_bound_experiment; each replica
-    keeps its own counter, so replicas may advance out of step.  A block
-    draws b base steps per survivor, builds the base path one coordinate at
-    a time, and cuts each replica's block at its exit, at its first
-    perturbed step (whose alt offset it then draws) or at cap.  b is at most
-    the steps the slowest survivor has taken so far (at least 4), since a
-    replica that has stayed t steps in the cube tends to stay about t more.
+    perturbed, 3k+2 of keys[i], as in green_bound_experiment.  The
+    survivors step together through _chain_steps, from the uniforms of a
+    _chain_draws block of about rng._BLOCK_CELLS (step, survivor) cells.  A
+    replica that exits keeps stepping to the end of its block, where the
+    survivors are compacted; only its exit time is kept.
     """
     d = spec.dimension
-    base_cum = np.cumsum(spec.base_probs)
-    base_t = np.ascontiguousarray(spec.base_offsets.T)
     p_pert = _SqNormTable(partial(_pert_prob, spec), d * r * r)
     exit_time = np.full(len(keys), cap, dtype=np.int64)
-    pos = np.zeros((d, len(keys)), dtype=np.int64)
-    ctr = np.zeros(len(keys), dtype=np.int64)
-    idx = np.arange(len(keys))
-    truncated = 0
-    while idx.size:
-        m, c = idx.size, ctr[idx]
-        lim = cap - c
-        b = min(_block_len(m, int(lim.max())), max(4, int(c.min())))
-        k = keys[idx, None]
-        c3 = (3 * c).astype(np.uint64)[:, None] + \
-            np.arange(0, 3 * b, 3, dtype=np.uint64)
-        step = step_index(base_cum, counter_u01_array(k, c3 + 1))
-        # path[q][:, s]: coordinate q after s base steps of the block; n2
-        # the squared norm before each step, out whether it left the cube
-        path = []
-        for q in range(d):
-            xq = np.empty((m, b + 1), dtype=np.int64)
-            xq[:, 0] = pos[q, idx]
-            xq[:, 1:] = base_t[q][step]
-            np.cumsum(xq, axis=1, out=xq)
-            if q == 0:
-                n2, out = xq[:, :b] ** 2, np.abs(xq[:, 1:]) > r
-            else:
-                n2 += xq[:, :b] ** 2
-                out |= np.abs(xq[:, 1:]) > r
-            path.append(xq)
-        del step                        # block arrays: keep few alive at once
-        pert = counter_u01_array(k, c3) < p_pert(n2)
-        del c3, n2
-        np.minimum(lim, b, out=lim)
-        first_pert, first_out = _first_true(pert), _first_true(out)
-        exits = first_out < np.minimum(first_pert, lim)
-        alt = ~exits & (first_pert < lim)
-        taken = np.where(exits, first_out + 1, np.where(alt, first_pert, lim))
-        rows = np.arange(m)
-        new = np.stack([xq[rows, taken] for xq in path])
-        if alt.any():
-            new[:, alt] += _alt_steps(spec, k[alt, 0],
-                                      3 * (c[alt] + first_pert[alt]) + 2).T
-            exits[alt] = (np.abs(new[:, alt]) > r).any(axis=0)
-            taken[alt] += 1
-        c = c + taken
-        exit_time[idx[exits]] = c[exits]
-        capped = ~exits & (c == cap)
-        truncated += int(capped.sum())
-        keep = ~exits & ~capped
-        ctr[idx], pos[:, idx] = c, new
-        idx = idx[keep]
-    return exit_time, truncated
+    idx = np.arange(len(keys))                  # the survivors
+    pos = np.zeros((d, len(keys)), dtype=np.int64).T
+    n2 = np.zeros((2, len(keys)), dtype=np.int64)
+    k0 = 0
+    while idx.size and k0 < cap:
+        k1 = k0 + _block_len(idx.size, cap - k0)
+        k = keys[idx]
+        sel, base = _chain_draws(spec, k, k0, k1)
+        alive = np.ones(idx.size, dtype=bool)
+        for j in range(k1 - k0):
+            _chain_steps(spec, pos, n2, sel[j], base[j], k, k0 + j, p_pert)
+            n2 = n2[::-1]                       # the new norms to row 0
+            out = (np.abs(pos) > r).any(axis=1) & alive
+            if out.any():
+                exit_time[idx[out]] = k0 + j + 1
+                alive &= ~out
+                if not alive.any():
+                    break
+        idx, n2 = idx[alive], n2[:, alive]
+        pos = np.ascontiguousarray(pos[alive].T).T
+        k0 = k1
+    return exit_time, int(idx.size)
 
 
 def cube_exit_time(spec: PerturbedChainSpec, r_grid, reps: int = 512,
                    seed: int = 0) -> dict:
-    """Monte Carlo mean exit times from centered cubes, with a power fit."""
+    """Monte Carlo mean exit times from centered cubes of radius r >= 0, over
+    reps >= 1 replicas (_chain_exit_times), with a power fit."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1 for a mean (got {reps})")
     r_grid = sorted(int(r) for r in r_grid)
+    if r_grid and r_grid[0] < 0:
+        raise ValueError(f"r_grid entries must be >= 0 (got {r_grid})")
     means = []
     truncated = {}
     for r in r_grid:

@@ -130,3 +130,29 @@ def test_traced_green_bound_counts_one_chain_row_per_replica_step(
         finally:
             tracer.uninstall(undo)
         assert tr.edges[("green.bound", "green.chain_steps")] == [36, 5 * 36]
+
+
+def test_traced_cube_exit_time_counts_chain_rows_under_green_exit(
+        monkeypatch):
+    # the traced run reads green.exit.chain_steps from the rows of pos that
+    # cube_exit_time passes to _chain_steps: every replica steps until it
+    # exits or reaches the cap, and one that exits finishes its block, so
+    # the rows are at least the sum of the exit times, and equal to it at
+    # one step per block
+    offs, probs = green.product_symmetric_base(green.simple_walk(), 2)
+    spec = green.PerturbedChainSpec(dimension=2, base_offsets=offs,
+                                    base_probs=probs, p1=16.0)
+    tracer = _load_tracer()
+    reps = 9
+    for cells in (1, rng._BLOCK_CELLS):
+        monkeypatch.setattr(rng, "_BLOCK_CELLS", cells)
+        tr = tracer.Tracer()
+        undo = tracer.install(tr)
+        try:
+            res = green.cube_exit_time(spec, [0, 3, 6], reps=reps, seed=1)
+        finally:
+            tracer.uninstall(undo)
+        exit_steps = round(sum(res["mean_exit"]) * reps)
+        rows = tr.edges[("green.exit", "green.chain_steps")][1]
+        assert rows == exit_steps if cells == 1 else rows >= exit_steps
+        assert tr.stats["green.exit"].calls == 1

@@ -115,6 +115,19 @@ def test_clt_check_synthetic_gaussian_self_test():
     assert (rep.ks_pvalues[~np.isnan(rep.ks_pvalues)] > 0.05).mean() >= 0.9
 
 
+def test_clt_check_needs_two_samples_per_environment():
+    # one walk per environment has no covariance: it must not count as a pass
+    model = dirichlet_drift_model()
+    samples = quenched_samples(model, _env_keys(model, [1, 2]), 16, 1,
+                               v=(0.0, 0.0), seeds=[1, 2])
+    with pytest.raises(ValueError, match="at least 2 samples in every"):
+        clt_check(samples, np.eye(2), model.support)
+    two = quenched_samples(model, _env_keys(model, [1, 2]), 16, 2,
+                           v=(0.0, 0.0), seeds=[1, 2])
+    assert np.isfinite(clt_check(two, np.eye(2), model.support)
+                       .frob_to_ref).all()
+
+
 def test_degeneracy_directions():
     span_model = drift_model()                     # J = {e1, e2, -e2}
     assert degeneracy_directions(span_model).shape[0] == 0

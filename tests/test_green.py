@@ -300,6 +300,32 @@ def test_cube_exit_time_simple_walk_means():
         assert abs(mean - exact) < 4 * 0.8 * exact / np.sqrt(2000)
 
 
+def test_cube_exit_time_rejects_no_replica_and_negative_radius():
+    spec = PerturbedChainSpec(dimension=1,
+                              base_offsets=np.array([[-1], [1]]),
+                              base_probs=np.array([0.5, 0.5]),
+                              p1=16.0, c_pert=0.0)
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        cube_exit_time(spec, [2, 4], reps=0, seed=1)
+    with pytest.raises(ValueError, match="r_grid entries must be >= 0"):
+        cube_exit_time(spec, [-1, 4], reps=8, seed=1)
+    res = cube_exit_time(spec, [0, 4], reps=1, seed=1)
+    assert res["mean_exit"][0] == 1.0
+
+
+def test_first_passage_tail_rejects_no_replica_and_empty_grid():
+    walk = simple_walk()
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        first_passage_tail(walk, [1, 4], mode="monte-carlo", reps=0)
+    for mode in ("exact", "monte-carlo"):
+        with pytest.raises(ValueError, match="a_grid entries must be >= 1"):
+            first_passage_tail(walk, [], mode=mode, reps=8)
+        with pytest.raises(ValueError, match="a_grid entries must be >= 1"):
+            first_passage_tail(walk, [0, 4], mode=mode, reps=8)
+    # reps is a Monte Carlo parameter: exact mode ignores it
+    assert first_passage_tail(walk, [1], reps=0)["tail"] == {1: 1.0}
+
+
 def test_cube_exit_time_exponent():
     spec = PerturbedChainSpec(dimension=1,
                               base_offsets=np.array([[-1], [1]]),

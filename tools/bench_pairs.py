@@ -7,7 +7,9 @@ workload runs both sides at seed ``first_seed + i``; the side that goes
 first alternates from pair to pair, so a drift in machine speed falls on
 both.  Every run is a fresh ``python3 perfbench/run.py`` process in its
 side's directory.  With ``--trace-seed`` each side also makes one traced run
-per workload, whose per-layer numbers are recorded as measured.
+per workload, whose per-layer numbers are recorded as measured.  For each
+end-to-end metric and each per-kind ``exp_s.<kind>``, a workload records in
+how many pairs the change read lower (``change_lower_in_pairs``).
 
 Example, the commit against its parent, 10 pairs of killed-walk:
 
@@ -78,6 +80,11 @@ def _summary(per_seed: dict) -> dict:
             "per_seed": {s: round(v, 4) for s, v in per_seed.items()}}
 
 
+def _exp_rows(run: dict) -> tuple:
+    """The run's per-kind experiment time rows, exp_s.<kind>, sorted."""
+    return tuple(sorted(k for k in run["rows"] if k.startswith("exp_s.")))
+
+
 def _side(runs: dict) -> dict:
     """Summaries of one side's runs, {seed: bench(...)}."""
     out = {"runs": len(runs),
@@ -85,8 +92,7 @@ def _side(runs: dict) -> dict:
            "failed": sum(r["failed"] for r in runs.values())}
     for name in END_TO_END:
         out[name] = _summary({s: r["rows"][name] for s, r in runs.items()})
-    kinds = sorted(k for k in next(iter(runs.values()))["rows"]
-                   if k.startswith("exp_s."))
+    kinds = _exp_rows(next(iter(runs.values())))
     out["exp_s"] = {k[len("exp_s."):]: _summary(
         {s: r["rows"][k] for s, r in runs.items()}) for k in kinds}
     return out
@@ -148,7 +154,8 @@ def collect(args, dirs: dict) -> dict:
         entry = {side: _side(runs[side]) for side in SIDES}
         entry["change_lower_in_pairs"] = {name: "%d/%d" % (sum(
             runs["change"][s]["rows"][name] < runs["parent"][s]["rows"][name]
-            for s in first), len(first)) for name in END_TO_END}
+            for s in first), len(first))
+            for name in END_TO_END + _exp_rows(runs["change"][seed])}
         entry["first_in_pair"] = first
         workloads[w] = entry
         if args.trace_seed is not None:
