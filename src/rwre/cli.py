@@ -39,8 +39,8 @@ from .environment import (EnvironmentModel, StepSupport, check_hypotheses,
 from .clt import clt_check, quenched_mean_variance, quenched_samples
 from .envprocess import ergodic_runs, variation_proxy
 from .green import (PerturbedChainSpec, SymmetricWalk1D, build_ladder_tables,
-                    check_ladder_size, check_solve_size, cube_exit_time,
-                    green_bound_experiment, half_line_green,
+                    check_exit_radii, check_ladder_size, check_solve_size,
+                    cube_exit_time, green_bound_experiment, half_line_green,
                     half_line_green_mc, half_line_green_solve,
                     product_symmetric_base)
 from .pair import coupling_decay, first_joint_regeneration, intersection_curve
@@ -233,6 +233,12 @@ def _mc_reps(v, p, model):
     if p.get("mc") and _integer(v) < 2:
         raise _fail(">= 2 when mc is true", v)
     return _integer(v, 1)
+
+
+def _exit_radii(v, p, model):
+    g = _grid(0)(v, p, model)
+    check_exit_radii(g)
+    return g
 
 
 def _green_walk(v, p, model):
@@ -498,7 +504,7 @@ KIND_TABLE = {
         "n_grid": (_grid(1, least=2), _REQUIRED), "reps": (_int(1), 256)}),
     "exit-time": (_run_exit_time, False, {
         "chain": (_plain(build_chain_spec), _REQUIRED),
-        "r_grid": (_grid(0), _REQUIRED), "reps": (_int(1), 256)}),
+        "r_grid": (_exit_radii, _REQUIRED), "reps": (_int(1), 256)}),
     "check": (_run_check, True, {}),
 }
 KINDS = tuple(KIND_TABLE)

@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .fitting import fit_exponent
-from .rng import _block_len, counter_u01_array, derive_key_range, step_index
+from .rng import (_block_len, counter_u01_array, counter_u64_array,
+                  derive_key_range, step_index)
 
 _TAG_GREEN_MC = 0x6EE1
 _TAG_TAIL = 0x7A11
@@ -40,6 +41,15 @@ _DENSE_UNKNOWNS = 1 << 11
 # cube of radius r at _EXIT_CAP_FACTOR (r + 1)^2 + 1000 steps
 _MC_MAX_STEPS = 2_000_000
 _EXIT_CAP_FACTOR = 400
+# Above this many survivors, _killed_walk draws its blocks step-major.  Time
+# of the step-major loop over the (m, b) block loop at m survivors that
+# never die (simple walk, visits counted), median of 9 alternating calls of
+# about 2**20 survivor-steps each, 2-vCPU VM:
+#   m      256  512  768 1024 1536 4096 16384 40000
+#   ratio 2.46 1.49 1.05 0.91 0.64 0.37  0.26  0.26
+# (a second run: 2.34 1.46 1.05 0.80 0.62 0.36 0.27 0.27).  In the
+# benchmark's green run (40,000 replicas) 768-1,536 tie within noise.
+_STEP_MAJOR_SURVIVORS = 1024
 # build_ladder_tables fills the renewal table v(m) for m <= _LADDER_M, and
 # half_line_green extends it as far as a query needs (LadderTables.ensure)
 _LADDER_M = 64
@@ -306,10 +316,17 @@ def _killed_walk(walk: SymmetricWalk1D, keys: np.ndarray, start: int,
     Replica i takes its k-th step from counter ctr + k of keys[i].  The run
     ends after n_steps steps, when no replica is alive, or at the first
     step count after which `stop(alive count)` holds (stop must be
-    monotone: once true for a count, true for every smaller one).  Each
-    block draws b counters for every survivor, takes the paths as a cumsum,
-    finds each kill with argmax and counts survivors per step with
-    bincount, so the run ends on the exact step the one-counter loop ends.
+    monotone: once true for a count, true for every smaller one).
+
+    Each block draws b counters for every survivor, as raw draws that
+    rng.step_index compares with the walk's integer step thresholds.  While
+    more than _STEP_MAJOR_SURVIVORS survive, b is short and the block is
+    drawn step-major, one replica-long row per step: the rows are stepped in
+    turn, with the survivors tracked by a mask and compacted at the block's
+    end.  With fewer, each survivor's row of b steps is taken as a cumsum,
+    each kill found with argmax and the survivors per step counted with
+    bincount.  Either way the run ends on the exact step the one-counter
+    loop ends.
 
     Returns (alive, visits): alive[k] replicas alive after k steps;
     visits[i] steps of replica i that landed on `hit` while alive.
@@ -324,10 +341,27 @@ def _killed_walk(walk: SymmetricWalk1D, keys: np.ndarray, start: int,
     while idx.size and done != n_steps and not (stop and stop(idx.size)):
         m = idx.size
         b = _block_len(m, None if n_steps is None else n_steps - done)
-        u = counter_u01_array(keys[idx, None], ctr + done + np.arange(b))
+        ctrs = ctr + done + np.arange(b, dtype=np.uint64)
+        if m > _STEP_MAJOR_SURVIVORS:
+            steps = offs[step_index(cum, counter_u64_array(keys[idx],
+                                                           ctrs[:, None]))]
+            live = np.ones(m, dtype=bool)
+            left = []
+            for row in steps:
+                at += row
+                np.logical_and(live, at >= lo, out=live)
+                left.append(np.count_nonzero(live))
+                done += 1
+                if hit is not None:
+                    visits[idx[live & (at == hit)]] += 1
+                if not left[-1] or (stop and stop(left[-1])):
+                    break
+            alive.append(np.array(left))
+            idx, at = idx[live], at[live]
+            continue
         # displacement within the block; bounds shifted per replica instead
-        move = np.cumsum(offs[step_index(cum, u)], axis=1)
-        del u                           # block arrays: keep few alive at once
+        move = np.cumsum(offs[step_index(cum, counter_u64_array(
+            keys[idx, None], ctrs))], axis=1)
         kill = _first_true(move < (lo - at)[:, None])
         left = m - np.cumsum(np.bincount(kill, minlength=b + 1)[:b])
         ends = left == 0
@@ -571,11 +605,15 @@ def _chain_draws(spec: PerturbedChainSpec, keys: np.ndarray, k0: int,
                  k1: int) -> tuple:
     """The selector uniforms sel[j] and base steps base[j] (one row per
     replica) of chain step k0 + j + 1, j < k1 - k0, for replicas with keys
-    `keys`: counters 3 (k0 + j) and 3 (k0 + j) + 1, one call each."""
+    `keys`: counters 3 (k0 + j) and 3 (k0 + j) + 1, one call each.  The
+    base steps come from raw draws, which rng.step_index compares with the
+    base table's integer thresholds (computed for the first block and
+    cached); the selectors stay uniforms, for _chain_steps to compare with
+    p_pert."""
     ctr = np.arange(3 * k0, 3 * k1, 3, dtype=np.uint64)[:, None]
     sel = counter_u01_array(keys, ctr)
     base = np.ascontiguousarray(spec.base_offsets.T).take(step_index(
-        np.cumsum(spec.base_probs), counter_u01_array(keys, ctr + 1)), axis=1)
+        np.cumsum(spec.base_probs), counter_u64_array(keys, ctr + 1)), axis=1)
     # base[j][i, q] = base[q, j, i]: coordinate q of replica i's step
     return sel, base.transpose(1, 2, 0)
 
@@ -589,8 +627,8 @@ def _chain_steps(spec: PerturbedChainSpec, pos: np.ndarray, n2: np.ndarray,
     the step moves pos and writes the new squared norms to n2[1].  sel and
     steps are row j = ctr - k0 of a _chain_draws(spec, keys, k0, k1) block.
     A replica is perturbed when sel < p_pert(n2[0]); its row of `steps` is
-    then replaced by an alt step drawn from counter 3 ctr + 2 of its key (a
-    one-step alt law needs no draw).
+    then replaced by an alt step picked by the raw draw at counter
+    3 ctr + 2 of its key (a one-step alt law needs no draw).
     """
     # p_pert does not grow with the norm, so the table's last entry bounds
     # it past the table (where p_pert exceeds 2**-54, the least uniform,
@@ -605,7 +643,7 @@ def _chain_steps(spec: PerturbedChainSpec, pos: np.ndarray, n2: np.ndarray,
         alt = np.zeros(hit.size, dtype=np.intp)
         if len(spec.alt_probs) > 1:
             alt = step_index(np.cumsum(spec.alt_probs),
-                             counter_u01_array(keys[hit], 3 * ctr + 2))
+                             counter_u64_array(keys[hit], 3 * ctr + 2))
         steps[hit] = spec.alt_offsets[alt]
     pos += steps
     np.add.reduce(np.square(pos), axis=1, out=n2[1])
@@ -709,6 +747,18 @@ def _chain_exit_times(spec: PerturbedChainSpec, keys: np.ndarray, r: int,
     return exit_time, int(idx.size)
 
 
+def check_exit_radii(r_grid) -> None:
+    """Raise ValueError unless every r_grid entry r is >= 0 and its step
+    cap, _EXIT_CAP_FACTOR (r + 1)^2 + 1000, fits the int64 exit times."""
+    if min(r_grid, default=0) < 0:
+        raise ValueError(f"r_grid entries must be >= 0 (got {r_grid})")
+    r = max(r_grid, default=0)
+    if _EXIT_CAP_FACTOR * (r + 1) ** 2 + 1000 > np.iinfo(np.int64).max:
+        raise ValueError(f"r_grid entry {r} would cap its exit times at "
+                         f"{_EXIT_CAP_FACTOR} (r + 1)^2 + 1000 steps, more "
+                         "than 2**63 - 1")
+
+
 def cube_exit_time(spec: PerturbedChainSpec, r_grid, reps: int = 512,
                    seed: int = 0) -> dict:
     """Monte Carlo mean exit times from centered cubes of radius r >= 0, over
@@ -716,8 +766,7 @@ def cube_exit_time(spec: PerturbedChainSpec, r_grid, reps: int = 512,
     if reps < 1:
         raise ValueError(f"reps must be >= 1 for a mean (got {reps})")
     r_grid = sorted(int(r) for r in r_grid)
-    if r_grid and r_grid[0] < 0:
-        raise ValueError(f"r_grid entries must be >= 0 (got {r_grid})")
+    check_exit_radii(r_grid)
     means = []
     truncated = {}
     for r in r_grid:

@@ -18,6 +18,7 @@ overflow.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 
 import numpy as np
@@ -179,12 +180,17 @@ def site_u01(prefix_key: int, site, k: int, ctr: int = 0) -> list:
     return out
 
 
+def counter_u64_array(keys, ctrs) -> np.ndarray:
+    """The raw uint64 draws at (key, counter) pairs, `keys` broadcast
+    against `ctrs`: one key across counters, or keys[:, None] across a
+    (m, B) counter block.  counter_u01_array returns their _u01 images."""
+    return mix64_array(_u64_1d(keys) + _u64_1d(ctrs) * _U_GAMMA)
+
+
 def counter_u01_array(keys, ctrs) -> np.ndarray:
     """Uniforms in [2**-54, U01_MAX] at (key, counter) pairs, `keys`
-    broadcast against `ctrs`: one key across counters, or keys[:, None]
-    across a (m, B) counter block.  Entry-wise equal to
-    stream_u01(key, ctr)."""
-    return _u01(mix64_array(_u64_1d(keys) + _u64_1d(ctrs) * _U_GAMMA))
+    broadcast against `ctrs`.  Entry-wise equal to stream_u01(key, ctr)."""
+    return _u01(counter_u64_array(keys, ctrs))
 
 
 def _block_len(m: int, left: int | None = None) -> int:
@@ -198,16 +204,48 @@ def stream_u01_array(keys: np.ndarray, ctr: int) -> np.ndarray:
     return counter_u01_array(keys, ctr)
 
 
+@functools.lru_cache(maxsize=64)
+def _draw_thresholds(cum: bytes) -> np.ndarray:
+    """For each entry c of the float64 table cum[:-1] (given as bytes), the
+    least uint64 draw v with _u01(v) > c.  Entries that no draw exceeds
+    (c >= U01_MAX) are left out; they end a nondecreasing table.
+
+    _u01(v) depends on the top 53 bits w = v >> 11 alone, through a rounded
+    float w + 0.5 (to even from 2**52 on), and never decreases in w, so w is
+    bisected on the formula itself: exact at every entry."""
+    c = np.frombuffer(cum)[:-1]
+    lo = np.zeros(len(c), dtype=np.uint64)         # the least w is in
+    hi = np.full(len(c), 1 << 53, dtype=np.uint64)  # [lo, hi]; 2**53: none
+    while (lo < hi).any():
+        mid = (lo + hi) >> np.uint64(1)
+        above = _u01(mid << _U_11) > c
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid + np.uint64(1))
+    cut = lo[lo < 1 << 53] << _U_11
+    cut.flags.writeable = False                     # shared by the cache
+    return cut
+
+
 def step_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """min(searchsorted(cum, u, side="left"), len(cum) - 1): the inverse CDF
     of one cumulative table at an array of uniforms, clipped to the last
     entry for a u above a last component rounded below 1.  Short tables
-    count the thresholds cum[:-1] below u instead of searching."""
+    count the thresholds cum[:-1] below u instead of searching.
+
+    `u` may instead hold raw uint64 draws (counter_u64_array), which then
+    stand for their _u01 images: a draw passes entry c exactly when it is
+    at least _draw_thresholds' integer threshold of c, computed once per
+    table, so the uniforms are never formed."""
+    if u.dtype == np.uint64:
+        cut = _draw_thresholds(np.asarray(cum, dtype=np.float64).tobytes())
+        passes, side = np.greater_equal, "right"
+    else:
+        cut, passes, side = cum[:-1], np.greater, "left"
     if len(cum) > _SHORT_TABLE:
-        return np.minimum(np.searchsorted(cum, u, side="left"), len(cum) - 1)
+        return np.searchsorted(cut, u, side=side)
     idx = np.zeros(u.shape, dtype=np.intp)
-    for c in cum[:-1]:
-        idx += u > c
+    for c in cut:
+        idx += passes(u, c)
     return idx
 
 

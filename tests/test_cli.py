@@ -452,6 +452,12 @@ D2 = {"dimension": 2, "steps": [[1, 0], [0, 1], [0, -1]], "u_hat": [1, 0],
         {"kind": "exit-time", "params": {
             "chain": {**CHAIN, "alt_offsets": [[2**63, 0]], "alt_probs": [1]},
             "r_grid": [2]}}, "params.chain", id="cfg44-params.chain"),
+    # a step cap 400 (r + 1)^2 + 1000 past int64 validated, and the run
+    # then died with "Python int too large to convert to C long"
+    pytest.param(
+        {"kind": "exit-time", "params": {"chain": CHAIN,
+                                         "r_grid": [0, 1000000000]}},
+        "params.r_grid", id="cfg45-params.r_grid"),
 ])
 def test_invalid_config_exits_1_naming_field(tmp_path, capsys, cfg, field):
     path = _write(tmp_path, "cfg.json", cfg)

@@ -326,6 +326,19 @@ def test_first_passage_tail_rejects_no_replica_and_empty_grid():
     assert first_passage_tail(walk, [1], reps=0)["tail"] == {1: 1.0}
 
 
+def test_cube_exit_time_rejects_radii_whose_cap_overflows():
+    # the step cap 400 (r + 1)^2 + 1000 of the largest radius must fit the
+    # int64 exit times: 151,850,023 is the last radius that does
+    spec = PerturbedChainSpec(dimension=1,
+                              base_offsets=np.array([[-1], [1]]),
+                              base_probs=np.array([0.5, 0.5]),
+                              p1=16.0, c_pert=0.0)
+    for r_grid in ([0, 151_850_024], [10**9, 2], [10**30]):
+        with pytest.raises(ValueError, match=r"r_grid entry \d+ would cap"):
+            cube_exit_time(spec, r_grid, reps=2, seed=1)
+    green.check_exit_radii([0, 151_850_023])
+
+
 def test_cube_exit_time_exponent():
     spec = PerturbedChainSpec(dimension=1,
                               base_offsets=np.array([[-1], [1]]),
@@ -487,6 +500,20 @@ def _at_each_block_size(monkeypatch, run):
     return results
 
 
+# _killed_walk's crossover at both extremes: every block step-major, or
+# none (more survivors than any run below has); the runs below have at
+# most 64 replicas, so at the default crossover they never go step-major
+STEP_MAJOR_SURVIVORS = (0, 1 << 20)
+
+
+def _at_each_block_size_and_loop_order(monkeypatch, run):
+    results = []
+    for survivors in STEP_MAJOR_SURVIVORS:
+        monkeypatch.setattr(green, "_STEP_MAJOR_SURVIVORS", survivors)
+        results += _at_each_block_size(monkeypatch, run)
+    return results
+
+
 @pytest.mark.parametrize("walk,r0,s,t,reps,seed,max_steps,tail_tol", [
     # fewer than 32 replicas leave batches empty and the se NaN, which
     # compares unequal to itself, so every case has at least 32
@@ -508,20 +535,58 @@ def test_half_line_green_mc_matches_one_counter_loop(
                                       tail_tol=tail_tol)
     ref = _ref_half_line_green_mc(walk, r0, s, t, reps, seed, max_steps,
                                   tail_tol)
-    assert _at_each_block_size(monkeypatch, run) == [ref] * len(BLOCK_CELLS)
+    assert _at_each_block_size_and_loop_order(monkeypatch, run) == \
+        [ref] * len(BLOCK_CELLS) * len(STEP_MAJOR_SURVIVORS)
 
 
 @pytest.mark.parametrize("walk,a_grid,reps,seed", [
     (simple_walk(), [1, 2, 3, 9, 40, 41, 150], 64, 11),
-    (two_range_walk(), [5, 17, 18, 300], 30, 12),
-    (simple_walk(), [2, 3000], 4, 13),                    # all die early
+    (two_range_walk(), [5, 17, 18, 300], 30, 12),   # all die by step 46
+    (simple_walk(), [2, 3000], 4, 13),              # 1 of 4 reaches the cap
 ])
 def test_first_passage_tail_mc_matches_one_counter_loop(
         monkeypatch, walk, a_grid, reps, seed):
-    got = _at_each_block_size(monkeypatch, lambda: first_passage_tail(
-        walk, a_grid, mode="monte-carlo", reps=reps, seed=seed)["tail"])
+    got = _at_each_block_size_and_loop_order(
+        monkeypatch, lambda: first_passage_tail(
+            walk, a_grid, mode="monte-carlo", reps=reps, seed=seed)["tail"])
     ref = _ref_first_passage_mc(walk, a_grid, reps, seed)
-    assert got == [ref] * len(BLOCK_CELLS)
+    assert got == [ref] * len(BLOCK_CELLS) * len(STEP_MAJOR_SURVIVORS)
+
+
+def test_step_major_blocks_end_at_a_stop_or_the_cap(monkeypatch):
+    # every block step-major, at the default block size: the tail_tol stop
+    # of the first one-counter case above falls inside a block (its block
+    # drew rows past the stop), and the n_steps cap of the max_steps case
+    # cuts its one block from 16384 // 48 rows to the cap (the block length
+    # never passes the cap); each run equals the (m, b) blocks'
+    walk = simple_walk()
+    green_bound = half_line_green_solve(walk, 0, 1, 1)
+    runs = {
+        "tail_tol": (rng.derive_key_range(3, green._TAG_GREEN_MC, n=64),
+                     dict(start=1, lo=1, hit=1, n_steps=2_000_000,
+                          stop=lambda alive: alive * green_bound <= 6.4)),
+        "n_steps": (rng.derive_key_range(7, green._TAG_GREEN_MC, n=48),
+                    dict(start=3, lo=1, hit=2, n_steps=37)),
+    }
+    rows = []
+
+    def draws(keys, ctrs):
+        rows.append(len(ctrs))
+        return rng.counter_u64_array(keys, ctrs)
+    monkeypatch.setattr(green, "counter_u64_array", draws)
+    for name, (keys, kw) in runs.items():
+        got = {}
+        for survivors in STEP_MAJOR_SURVIVORS:
+            monkeypatch.setattr(green, "_STEP_MAJOR_SURVIVORS", survivors)
+            rows.clear()
+            alive, visits = green._killed_walk(walk, keys, ctr=0, **kw)
+            got[survivors] = (alive.tolist(), visits.tolist())
+        steps = len(alive) - 1
+        assert got[0] == got[1 << 20]
+        if name == "tail_tol":
+            assert alive[-1] > 0 and sum(rows) > steps
+        else:
+            assert steps == 37 and rows == [37]
 
 
 def _chain(d, **kw):
@@ -605,3 +670,36 @@ def test_step_index_matches_searchsorted(k):
     want = np.minimum(np.searchsorted(cum, u, side="left"), k - 1)
     assert np.array_equal(rng.step_index(cum, u.reshape(-1, 1)),
                           want.reshape(-1, 1))
+
+
+# entries of a cumulative table that need the integer thresholds' edge
+# cases: below the least uniform 2**-54, 0.5 (the simple walk, whose
+# threshold lies where w + 0.5 rounds to even above 2**52), repeated (an
+# offset of probability 0), U01_MAX and above (no draw passes them)
+_EDGE_ENTRIES = [2.0**-60, 2.0**-54, 0.5, 0.5, rng.U01_MAX, 1.0,
+                 1.0 + 2.0**-52]
+
+
+@pytest.mark.parametrize("k", [2, len(_EDGE_ENTRIES), rng._SHORT_TABLE,
+                               rng._SHORT_TABLE + 1, 81])
+def test_step_index_raw_draws_match_their_uniforms(k):
+    # both sides of the short-table switch; the draws at the ends and the
+    # middle of the uint64 range and on both sides of every threshold
+    if k == 2:
+        cum = simple_walk().cum
+    else:
+        rand = np.random.default_rng(k).random(k - len(_EDGE_ENTRIES))
+        cum = np.sort(np.concatenate([rand, _EDGE_ENTRIES]))
+    assert len(cum) == k
+    cut = rng._draw_thresholds(cum.tobytes())
+    draws = np.concatenate([
+        np.array([0, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64),
+        cut - np.uint64(1), cut, cut + np.uint64(1),
+        np.random.default_rng(k + 1).integers(0, 2**64, 500, np.uint64)])
+    want = rng.step_index(cum, rng._u01(draws.copy()))
+    assert np.array_equal(rng.step_index(cum, draws), want)
+    block = draws[:len(draws) // 2 * 2].reshape(2, -1)
+    assert np.array_equal(rng.step_index(cum, block),
+                          want[:block.size].reshape(2, -1))
+    if k == 2:                      # 2**52 + 0.5 rounds down to 2**52
+        assert cut.tolist() == [2**63 + 2**11]

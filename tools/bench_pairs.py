@@ -2,19 +2,23 @@
 BENCH_<label>.json.
 
 Each side is a git revision, extracted with ``git archive`` into a fresh
-directory, or an existing directory holding a checkout.  Pair i of a
-workload runs both sides at seed ``first_seed + i``; the side that goes
-first alternates from pair to pair, so a drift in machine speed falls on
-both.  Every run is a fresh ``python3 perfbench/run.py`` process in its
-side's directory.  With ``--trace-seed`` each side also makes one traced run
-per workload, whose per-layer numbers are recorded as measured.  For each
+directory, or an existing directory holding a checkout.  One call runs
+the workloads named after ``--workload`` (every workload BENCHMARK.json
+declares when it is left out), one after another, and writes them all to
+one file.  Pair i of a workload runs both sides at seed
+``first_seed + i``; the side that goes first alternates from pair to pair,
+so a drift in machine speed falls on both.  Every run is a fresh
+``python3 perfbench/run.py`` process in its side's directory.  With
+``--trace-seed`` each side also makes one traced run per workload, whose
+per-layer numbers are recorded as measured.  For each
 end-to-end metric and each per-kind ``exp_s.<kind>``, a workload records in
 how many pairs the change read lower (``change_lower_in_pairs``).
 
-Example, the commit against its parent, 10 pairs of killed-walk:
+Example, the commit against its parent, 10 pairs of each of two
+workloads:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD \\
-        --workload killed-walk --pairs 10 --first-seed 501 \\
+        --workload killed-walk shared-env --pairs 10 --first-seed 501 \\
         --label chain-kernels --code "what the change does" --trace-seed 1
 """
 
@@ -113,7 +117,9 @@ def main(argv=None) -> int:
                     help="git revision or checkout directory")
     ap.add_argument("--change", required=True,
                     help="git revision or checkout directory")
-    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--workload", action="extend", nargs="+",
+                    help="one or more workloads (default: every workload "
+                         "of BENCHMARK.json)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, required=True,
                     help="pair i runs at this seed + i")
@@ -124,6 +130,9 @@ def main(argv=None) -> int:
     ap.add_argument("--code", default="", help="what the change does")
     ap.add_argument("--out", help="default: BENCH_<label>.json in the repo")
     args = ap.parse_args(argv)
+    if not args.workload:
+        bench_json = json.loads((ROOT / "BENCHMARK.json").read_text())
+        args.workload = [w["name"] for w in bench_json["workloads"]]
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         dirs = {side: checkout(getattr(args, side), Path(tmp), side)
                 for side in SIDES}
