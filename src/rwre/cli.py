@@ -38,6 +38,7 @@ from .environment import (EnvironmentModel, StepSupport, check_hypotheses,
                           env_key_range, make_environment, derive_env_seed)
 from .clt import clt_check, quenched_mean_variance, quenched_samples
 from .envprocess import ergodic_runs, variation_proxy
+from .fitting import check_grid
 from .green import (PerturbedChainSpec, SymmetricWalk1D, build_ladder_tables,
                     check_exit_radii, check_ladder_size, check_solve_size,
                     cube_exit_time, green_bound_experiment, half_line_green,
@@ -203,13 +204,9 @@ def _in_V(*shape):
 
 
 def _grid(lo, least=1):
-    """At least `least` (2 for a fit) distinct integers >= lo."""
-    def check(v, p, model):
-        g = _lists(v, partial(_integer, lo=lo), [None])
-        if len(set(g)) < max(least, len(g)):
-            raise _fail(f"a list of {least} or more distinct values", v)
-        return g
-    return check
+    """A list of integers that fitting.check_grid reads with lo and least."""
+    return lambda v, p, model: check_grid(_lists(v, _integer, [None]), lo,
+                                          "list", least)
 
 
 def _tail_cut(v, p, model):
@@ -236,9 +233,7 @@ def _mc_reps(v, p, model):
 
 
 def _exit_radii(v, p, model):
-    g = _grid(0)(v, p, model)
-    check_exit_radii(g)
-    return g
+    return check_exit_radii(_grid(0)(v, p, model))
 
 
 def _green_walk(v, p, model):
@@ -260,6 +255,12 @@ def _points(v, p, model):
 # ---------------------------------------------------------------------------
 # runners take (model, parsed params, seed, workers); tasks are module
 # level so that they pickle for the library's parallel map, rng._pmap
+
+
+def _fit_fields(fit) -> dict:
+    """The fit_slope and fit_slope_se summary fields, None for no fit."""
+    return {"fit_slope": fit.slope if fit else None,
+            "fit_slope_se": fit.slope_se if fit else None}
 
 
 def _regen_path_task(i, model, seed, horizon, margin, tail_cut):
@@ -323,8 +324,7 @@ def _run_quenched_mean(model, params, seed, workers):
             for n, corrected, trace, se in res["rows"]]
     header = ["n"] + [f"var_corrected_{j+1}"
                       for j in range(model.support.dimension)] + ["trace", "se"]
-    summary = {"fit_slope": fit.slope if fit else None,
-               "fit_slope_se": fit.slope_se if fit else None,
+    summary = {**_fit_fields(fit),
                "fit_intercept": fit.intercept if fit else None,
                "floored": res["floored"],
                "hypotheses": check_hypotheses(model).__dict__}
@@ -335,9 +335,8 @@ def _run_intersections(model, params, seed, workers):
     res = intersection_curve(model, params["n_grid"], params["reps"],
                              seed=derive_key(seed, 301))
     rows = list(zip(res["n_grid"], res["mean"].tolist(), res["se"].tolist()))
-    summary = {"fit_slope": res["fit"].slope,
-               "fit_slope_se": res["fit"].slope_se}
-    return {"intersections": (["n", "mean", "se"], rows)}, summary
+    return ({"intersections": (["n", "mean", "se"], rows)},
+            _fit_fields(res["fit"]))
 
 
 def _joint_regen_task(i, model, seed, x0, margin, horizon):
@@ -440,8 +439,7 @@ def _run_green_bound(model, params, seed, workers):
     res = green_bound_experiment(params["chain"], params["n_grid"],
                                  params["reps"], derive_key(seed, 802))
     rows = list(zip(res["n_grid"], res["curve"].tolist()))
-    summary = {"fit_slope": res["fit"].slope,
-               "fit_slope_se": res["fit"].slope_se,
+    summary = {**_fit_fields(res["fit"]),
                "theorem_exponent": res["theorem_exponent"],
                "exploratory": res["exploratory"]}
     return {"green_bound": (["n", "sum_h_mean"], rows)}, summary
@@ -451,8 +449,7 @@ def _run_exit_time(model, params, seed, workers):
     res = cube_exit_time(params["chain"], params["r_grid"],
                          reps=params["reps"], seed=derive_key(seed, 803))
     rows = list(zip(res["r_grid"], res["mean_exit"]))
-    summary = {"fit_slope": res["fit"].slope if res["fit"] else None,
-               "fit_slope_se": res["fit"].slope_se if res["fit"] else None,
+    summary = {**_fit_fields(res["fit"]),
                "truncated": {str(k): v for k, v in res["truncated"].items()}}
     return {"exit_time": (["r", "mean_exit"], rows)}, summary
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import special as _sps
 
 from .environment import EnvironmentModel, env_key_range
-from .fitting import fit_exponent
+from .fitting import check_grid, fit_exponent
 from .ks import ks_norm_pvalue
 from .rng import (TAG_ENV, _pmap, derive_key_array, derive_key_range,
                   fold_key_array)
@@ -61,6 +61,8 @@ def quenched_samples(model: EnvironmentModel, env_keys, n: int, m_walks: int,
     `workers` blocks, one engine call each, run through rng._pmap's one
     pool; the result does not depend on `workers`.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1 to scale by sqrt(n) (got {n})")
     env_keys = np.asarray(env_keys, dtype=np.uint64)
     prefixes = derive_key_array(np.asarray(seeds, dtype=np.uint64), _TAG_QS)
     items = [(envs, env_keys, prefixes, n)
@@ -194,7 +196,7 @@ def quenched_mean_variance(model: EnvironmentModel, n_grid, n_env: int,
         raise ValueError("need n_env >= 30 environments")
     if m_walks < 2:
         raise ValueError("need m_walks >= 2")
-    n_grid = sorted(int(n) for n in n_grid)
+    n_grid = check_grid(n_grid, 1, "n_grid")
     env_blocks = _env_blocks(n_env, workers)
     d = model.support.dimension
     keys = [(env_key_range(seed, TAG_ENV, _TAG_QMV, ni, n=n_env),
@@ -231,11 +233,8 @@ def quenched_mean_variance(model: EnvironmentModel, n_grid, n_env: int,
         se = float(np.sqrt((n_env - 1) / n_env * ((jk - jk.mean()) ** 2).sum()))
         rows.append((n, corrected, trace, se))
     trace_curve = np.array([r[2] for r in rows])
-    fit = None
-    if (trace_curve > 0).sum() >= 2:
-        fit = fit_exponent(n_grid, trace_curve)
     return {"n_grid": n_grid, "rows": rows, "trace": trace_curve,
-            "fit": fit, "floored": floored}
+            "fit": fit_exponent(n_grid, trace_curve), "floored": floored}
 
 
 def _two_sided_pvalue(z: float) -> float:
@@ -256,7 +255,7 @@ def centered_mean_bound(model: EnvironmentModel, n_grid, v_hat, reps: int = 4000
     if reps < 2:
         raise ValueError(f"reps must be >= 2 for a standard error "
                          f"(got {reps})")
-    n_grid = sorted(int(n) for n in n_grid)
+    n_grid = check_grid(n_grid, 1, "n_grid", least=2)
     v_hat = np.asarray(v_hat, dtype=float)
     u_hat = np.asarray(model.support.u_hat, dtype=float)
     d = model.support.dimension

@@ -16,7 +16,7 @@ import numpy as np
 
 from .environment import (EnvironmentModel, derive_env_seed, env_key_range,
                           make_environment)
-from .fitting import fit_exponent
+from .fitting import check_grid, fit_exponent
 from .rng import (TAG_ENV, _pmap, derive_key, derive_key_range,
                   fold_key_array, site_keys)
 from .walk import list_seed_array, simulate, simulate_level_stats_many_envs
@@ -33,8 +33,9 @@ def ergodic_average(model: EnvironmentModel, n: int, seed: int,
     if checkpoints is None:
         checkpoints = [n]
     checkpoints = sorted(set(int(c) for c in checkpoints))
-    if checkpoints[-1] > n or checkpoints[0] < 1:
-        raise ValueError("checkpoints must lie in [1, n]")
+    if not checkpoints or checkpoints[-1] > n or checkpoints[0] < 1:
+        raise ValueError("checkpoints must be one or more times in [1, n] "
+                         f"(got {checkpoints} for n = {n})")
     env = make_environment(model, derive_env_seed(seed, _TAG_ERG))
     path = simulate(env, np.zeros(model.support.dimension, dtype=np.int64),
                     n - 1, derive_key(seed, _TAG_ERG, 1))
@@ -75,11 +76,11 @@ def variation_proxy(model: EnvironmentModel, n: int, ell_grid, reps: int,
     Common random numbers across the ell grid: the indicator events are
     nested, so monotonicity in ell holds exactly sample by sample, and
     `monotone` is the exact test diff(i_hat) <= 0.  `fit` is the log-log fit
-    of i_hat against ell, None below two positive points.
+    of i_hat against ell (fitting.fit_exponent).
     """
     if reps < 1000:
         raise ValueError("reps must be at least 1000")
-    ell_grid = sorted(int(l) for l in ell_grid)
+    ell_grid = check_grid(ell_grid, 1, "ell_grid")
     d = model.support.dimension
     env_keys = env_key_range(seed, TAG_ENV, _TAG_VAR, n=reps)
     wseeds = list_seed_array(derive_key_range(seed, _TAG_VAR, n=reps))
@@ -93,7 +94,6 @@ def variation_proxy(model: EnvironmentModel, n: int, ell_grid, reps: int,
         half = 1.959963984540054 * float(np.sqrt(p * (1 - p) / reps))
         rows.append((ell, p, max(0.0, p - half), min(1.0, p + half)))
     i_hat = np.array([r[1] for r in rows])
-    fit = fit_exponent(ell_grid, i_hat) if (i_hat > 0).sum() >= 2 else None
-    return {"n": n, "reps": reps, "rows": rows,
-            "ell_grid": ell_grid, "i_hat": i_hat, "fit": fit,
+    return {"n": n, "reps": reps, "rows": rows, "ell_grid": ell_grid,
+            "i_hat": i_hat, "fit": fit_exponent(ell_grid, i_hat),
             "monotone": bool(np.all(np.diff(i_hat) <= 0))}

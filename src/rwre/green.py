@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fitting import fit_exponent
+from .fitting import check_grid, fit_exponent
 from .rng import (_block_len, counter_u01_array, counter_u64_array,
                   derive_key_range, step_index)
 
@@ -434,9 +434,7 @@ def first_passage_tail(walk: SymmetricWalk1D, a_grid, mode: str = "exact",
     stay nonnegative, in O(a * states) time; it is capped in states and in
     state updates.  Monte Carlo mode simulates with survivor filtering.
     """
-    a_grid = sorted(int(a) for a in a_grid)
-    if not a_grid or a_grid[0] < 1:
-        raise ValueError(f"a_grid entries must be >= 1 (got {a_grid})")
+    a_grid = check_grid(a_grid, 1, "a_grid")
     out = {}
     if mode == "exact":
         M = walk.max_step
@@ -662,9 +660,7 @@ def green_bound_experiment(spec: PerturbedChainSpec, n_grid, reps: int = 256,
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1 for a mean (got {reps})")
-    n_grid = sorted(int(n) for n in n_grid)
-    if not n_grid or n_grid[0] < 1:
-        raise ValueError(f"n_grid entries must be >= 1 (got {n_grid})")
+    n_grid = check_grid(n_grid, 1, "n_grid", least=2)
     n_max = n_grid[-1]
     d = spec.dimension
     keys = derive_key_range(seed, _TAG_CHAIN, n=reps)
@@ -697,11 +693,10 @@ def green_bound_experiment(spec: PerturbedChainSpec, n_grid, reps: int = 256,
             if k0 + 2 <= n <= k1 + 1:
                 curve[n] = float(sums[n - 2 - k0].mean())
     ys = np.array([curve[n] for n in n_grid])
-    fit = fit_exponent(n_grid, ys)
     return {
         "n_grid": n_grid,
         "curve": ys,
-        "fit": fit,
+        "fit": fit_exponent(n_grid, ys),
         "theorem_exponent": spec.theorem_exponent(),
         "exploratory": spec.p1 <= 15,
     }
@@ -747,26 +742,24 @@ def _chain_exit_times(spec: PerturbedChainSpec, keys: np.ndarray, r: int,
     return exit_time, int(idx.size)
 
 
-def check_exit_radii(r_grid) -> None:
-    """Raise ValueError unless every r_grid entry r is >= 0 and its step
-    cap, _EXIT_CAP_FACTOR (r + 1)^2 + 1000, fits the int64 exit times."""
-    if min(r_grid, default=0) < 0:
-        raise ValueError(f"r_grid entries must be >= 0 (got {r_grid})")
-    r = max(r_grid, default=0)
+def check_exit_radii(r_grid) -> list:
+    """r_grid, or ValueError unless the step cap of every entry r,
+    _EXIT_CAP_FACTOR (r + 1)^2 + 1000, fits the int64 exit times."""
+    r = max(r_grid)
     if _EXIT_CAP_FACTOR * (r + 1) ** 2 + 1000 > np.iinfo(np.int64).max:
         raise ValueError(f"r_grid entry {r} would cap its exit times at "
                          f"{_EXIT_CAP_FACTOR} (r + 1)^2 + 1000 steps, more "
                          "than 2**63 - 1")
+    return r_grid
 
 
 def cube_exit_time(spec: PerturbedChainSpec, r_grid, reps: int = 512,
                    seed: int = 0) -> dict:
     """Monte Carlo mean exit times from centered cubes of radius r >= 0, over
-    reps >= 1 replicas (_chain_exit_times), with a power fit."""
+    reps >= 1 replicas (_chain_exit_times), with a power fit over r > 0."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1 for a mean (got {reps})")
-    r_grid = sorted(int(r) for r in r_grid)
-    check_exit_radii(r_grid)
+    r_grid = check_exit_radii(check_grid(r_grid, 0, "r_grid"))
     means = []
     truncated = {}
     for r in r_grid:
@@ -774,10 +767,5 @@ def cube_exit_time(spec: PerturbedChainSpec, r_grid, reps: int = 512,
         keys = derive_key_range(seed, _TAG_EXIT, r, n=reps)
         exit_time, truncated[r] = _chain_exit_times(spec, keys, r, cap)
         means.append(float(exit_time.mean()))
-    positive = [r for r in r_grid if r > 0]
-    fit = None
-    if len(positive) >= 2:
-        ys = [m for r, m in zip(r_grid, means) if r > 0]
-        fit = fit_exponent(positive, ys)
-    return {"r_grid": r_grid, "mean_exit": means, "fit": fit,
-            "truncated": truncated}
+    return {"r_grid": r_grid, "mean_exit": means,
+            "fit": fit_exponent(r_grid, means), "truncated": truncated}

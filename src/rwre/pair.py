@@ -21,6 +21,7 @@ import numpy as np
 
 from .environment import (Environment, EnvironmentModel, compute_h,
                           env_key_range, make_environment)
+from .fitting import check_grid, fit_exponent
 from .rng import (_pmap, derive_key, derive_key_range, fold_key_array,
                   site_keys, site_u01)
 from .walk import (_SeqWalk, _TimeSource, list_seed_array,
@@ -101,7 +102,7 @@ def intersection_curve(model: EnvironmentModel, n_grid, reps: int,
     if reps < 2:
         raise ValueError(f"reps must be >= 2 for a standard error "
                          f"(got {reps})")
-    n_grid = sorted(int(n) for n in n_grid)
+    n_grid = check_grid(n_grid, 1, "n_grid", least=2)
     d = model.support.dimension
     means, ses = [], []
     for ni, n in enumerate(n_grid):
@@ -121,10 +122,8 @@ def intersection_curve(model: EnvironmentModel, n_grid, reps: int,
             counts[c0:c1] = _pair_common_sites(paths)
         means.append(float(counts.mean()))
         ses.append(float(counts.std(ddof=1) / np.sqrt(reps)))
-    from .fitting import fit_exponent
-    fit = fit_exponent(n_grid, means)
     return {"n_grid": n_grid, "mean": np.array(means), "se": np.array(ses),
-            "fit": fit}
+            "fit": fit_exponent(n_grid, means)}
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +420,8 @@ def coupling_decay(model: EnvironmentModel, x0_list, reps: int, seed: int,
     has the seed derive_key(..., j, i) for the prefix key seed =
     derive_key(...); one map (rng._pmap, at most one fork pool of
     `workers` processes) runs the replicas of every start."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1 for a frequency (got {reps})")
     seeds = fold_key_array(fold_key_array(
         seed, np.arange(len(x0_list), dtype=np.uint64))[:, None],
         np.arange(reps, dtype=np.uint64)).tolist()

@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .fitting import check_grid
 from .walk import WalkPath
 
 
@@ -149,26 +150,18 @@ def renewal_diagnostics(records, p: float = 2.0, n_grid=(4, 16, 64, 256),
     """
     if not records:
         raise ValueError("records must be nonempty")
-    n_grid = sorted(int(m) for m in n_grid)
+    n_grid = check_grid(n_grid, 1, "n_grid")
 
+    taus = [r.tau[r.confirmed] for r in records]
     # E[tau_l^p] / l^p, l limited by the fewest confirmed regenerations
-    min_count = min(int(r.confirmed.sum()) for r in records)
-    tau_ratio = []
-    for ell in n_grid:
-        if ell < 1 or ell > min_count:
-            continue
-        vals = [float(r.tau[r.confirmed][ell - 1]) ** p for r in records]
-        tau_ratio.append((ell, float(np.mean(vals)) / ell ** p))
+    min_count = min(len(t) for t in taus)
+    tau_ratio = [(ell, float(np.mean([float(t[ell - 1]) ** p for t in taus]))
+                  / ell ** p) for ell in n_grid if ell <= min_count]
 
     overshoot = []
     for m in n_grid:
-        vals = []
-        for r in records:
-            taus = r.tau[r.confirmed]
-            if taus.size == 0 or taus[-1] < m:
-                continue
-            j = int(np.searchsorted(taus, m, side="left"))
-            vals.append(abs(float(taus[j]) - m) ** p)
+        vals = [abs(float(t[np.searchsorted(t, m, side="left")]) - m) ** p
+                for t in taus if t.size and t[-1] >= m]
         if vals:
             overshoot.append((m, float(np.mean(vals)), len(vals)))
 
@@ -188,12 +181,8 @@ def _path_diagnostics(level_seqs, p: float, n_grid: list) -> dict:
     over a sorted grid."""
     backtrack = []
     for m in n_grid:
-        vals = []
-        for lev in level_seqs:
-            if m >= len(lev):
-                continue
-            depth = float(lev[m] - lev[m:].min())
-            vals.append(depth ** p)
+        vals = [float(lev[m] - lev[m:].min()) ** p for lev in level_seqs
+                if m < len(lev)]
         if vals:
             backtrack.append((m, float(np.mean(vals)), len(vals)))
     ldp = []
@@ -201,11 +190,8 @@ def _path_diagnostics(level_seqs, p: float, n_grid: list) -> dict:
         worst = 0.0
         worst_m = None
         for m in n_grid:
-            hits = []
-            for lev in level_seqs:
-                if m + n >= len(lev):
-                    continue
-                hits.append(float(lev[m + n] - lev[m]) <= np.sqrt(n))
+            hits = [float(lev[m + n] - lev[m]) <= np.sqrt(n)
+                    for lev in level_seqs if m + n < len(lev)]
             if hits:
                 f = float(np.mean(hits))
                 if worst_m is None or f > worst:

@@ -377,7 +377,6 @@ def _iter_positions(model: EnvironmentModel, env_keys, starts: np.ndarray,
     least _CACHE_WALKERS_PER_ENV walkers per distinct environment, and
     straight from cum_bounds_from_keys otherwise.
     """
-    starts = np.asarray(starts, dtype=np.int64)
     pos = starts.copy()
     m = pos.shape[0]
     seeds = walk_seed_array(walk_seeds)
@@ -427,10 +426,17 @@ def _iter_positions(model: EnvironmentModel, env_keys, starts: np.ndarray,
         yield t, pos
 
 
+def _starts(starts, n: int) -> np.ndarray:
+    """starts as int64 once n is checked, before the engine allocates."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative (got {n})")
+    return np.asarray(starts, dtype=np.int64)
+
+
 def _paths(model: EnvironmentModel, env_keys, starts, n: int,
            walk_seeds) -> np.ndarray:
     """Site arrays (n+1, m, d) of the walks of _iter_positions."""
-    starts = np.asarray(starts, dtype=np.int64)
+    starts = _starts(starts, n)
     out = np.empty((n + 1,) + starts.shape, dtype=np.int64)
     out[0] = starts
     for t, pos in _iter_positions(model, env_keys, starts, n, walk_seeds):
@@ -441,7 +447,7 @@ def _paths(model: EnvironmentModel, env_keys, starts, n: int,
 def _finals(model: EnvironmentModel, env_keys, starts, n: int,
             walk_seeds) -> np.ndarray:
     """Final positions (m, d) of the walks of _iter_positions."""
-    pos = np.asarray(starts, dtype=np.int64)
+    pos = _starts(starts, n)
     for _, pos in _iter_positions(model, env_keys, pos, n, walk_seeds):
         pass
     return pos.copy()
@@ -478,7 +484,7 @@ def simulate_level_stats_many_envs(model: EnvironmentModel, env_keys, starts,
                                    n: int, walk_seeds) -> dict:
     """Final level and running maximum of the level (m,) for m walks, each
     in its own environment."""
-    starts = np.asarray(starts, dtype=np.int64)
+    starts = _starts(starts, n)
     u_hat = np.asarray(model.support.u_hat, dtype=np.int64)
     lev = starts @ u_hat
     max_lev = lev.copy()

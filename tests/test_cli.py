@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,20 @@ def test_validate_ok():
     cfg = {"kind": "check", "model": DRIFT_MODEL, "params": {},
            "master_seed": 1}
     assert validate_config(cfg) == []
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs")
+                 .glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_validates(path):
+    assert validate_config(json.loads(path.read_text())) == []
+
+
+def test_shipped_configs_are_found():
+    # an empty glob would parametrize no validation at all
+    assert CONFIGS
 
 
 def test_int64_bounds_and_any_master_seed():

@@ -158,8 +158,8 @@ def test_fit_exponent_exact_power_data():
     fit = fit_exponent(n, y)
     assert abs(fit.slope - 1.234) < 1e-12
     assert fit.slope_se < 1e-12
-    with pytest.raises(ValueError):
-        fit_exponent([2, 4], [0.0, -1.0])
+    # no positive y: no fit
+    assert fit_exponent([2, 4], [0.0, -1.0]) is None
 
 
 def test_quenched_mean_variance_deterministic_kind_is_zero():
@@ -222,6 +222,21 @@ def test_quenched_mean_variance_validation():
         quenched_mean_variance(drift_model(), [16], n_env=1, m_walks=10)
 
 
+def test_quenched_mean_variance_rejects_repeated_or_zero_horizons():
+    # [4, 4] divided by zero in the jackknife's environment split; n = 0
+    # walked no step
+    for grid in ([4, 4], [0, 4], []):
+        with pytest.raises(ValueError, match="n_grid entries must be >= 1"):
+            quenched_mean_variance(drift_model(), grid, 30, 2)
+
+
+def test_quenched_samples_rejects_zero_steps():
+    # n = 0 scaled by 1/sqrt(0): NaN samples
+    keys = _env_keys(drift_model(), [1, 2])
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        quenched_samples(drift_model(), keys, 0, 4, (0.5, 0.0), [1, 2])
+
+
 def test_centered_mean_point_mass_exact():
     res = centered_mean_bound(_point_mass_model(), [8, 32, 128],
                               v_hat=(1.0, 0.0), reps=50, seed=1)
@@ -243,6 +258,14 @@ def test_centered_mean_needs_two_reps():
     res = centered_mean_bound(drift_model(), [8, 16], v_hat=(0.5, 0.0),
                               reps=2)
     assert np.isfinite(res["se"]).all()
+
+
+def test_centered_mean_needs_two_distinct_horizons():
+    # one horizon, repeated or alone, gave a NaN trend slope
+    for grid in ([4, 4], [4]):
+        with pytest.raises(ValueError, match="n_grid entries must be >= 1"):
+            centered_mean_bound(drift_model(), grid, v_hat=(0.5, 0.0),
+                                reps=8)
 
 
 def test_two_sided_pvalue_matches_scipy_stats_bitwise():

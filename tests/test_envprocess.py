@@ -1,5 +1,6 @@
 
 import numpy as np
+import pytest
 
 from rwre.environment import derive_env_seed, make_environment
 from rwre.envprocess import (_TAG_ERG, ergodic_average, ergodic_runs,
@@ -66,6 +67,21 @@ def test_ergodic_runs_single_run_has_zero_spread():
     assert res["checkpoints"] == [50]
     assert res["across_run_sd"] == {50: 0.0}
     assert res["terminal_se"] == 0.0
+
+
+def test_ergodic_checkpoints_must_be_given():
+    # an empty list raised IndexError
+    with pytest.raises(ValueError, match="checkpoints must be one or more"):
+        ergodic_average(drift_model(), 50, seed=1, checkpoints=[])
+    with pytest.raises(ValueError, match="checkpoints must be one or more"):
+        ergodic_runs(drift_model(), 50, 2, 1, [])
+
+
+def test_variation_proxy_rejects_zero_or_repeated_ell():
+    # ell = 0 gave a fit with slope NaN; a repeated ell was reported twice
+    for grid in ([0, 2, 4, 8], [2, 2, 4]):
+        with pytest.raises(ValueError, match="ell_grid entries must be >= 1"):
+            variation_proxy(backtracking_model(), 64, grid, 1000)
 
 
 def test_variation_proxy_monotone_models_zero():

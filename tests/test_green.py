@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rwre import green, rng
+from rwre.fitting import fit_exponent
 from rwre.green import (PerturbedChainSpec, SymmetricWalk1D,
                         build_ladder_tables, cube_exit_time,
                         first_passage_tail, green_bound_experiment,
@@ -324,6 +325,33 @@ def test_first_passage_tail_rejects_no_replica_and_empty_grid():
             first_passage_tail(walk, [0, 4], mode=mode, reps=8)
     # reps is a Monte Carlo parameter: exact mode ignores it
     assert first_passage_tail(walk, [1], reps=0)["tail"] == {1: 1.0}
+
+
+def test_grid_experiments_reject_repeated_entries():
+    # a repeated n or r divided by zero in the fit; a repeated a was
+    # reported once
+    offs, probs = product_symmetric_base(simple_walk(), 2)
+    spec = PerturbedChainSpec(dimension=2, base_offsets=offs,
+                              base_probs=probs, p1=16.0)
+    for n_grid in ([4, 4], [4], [0, 4]):
+        with pytest.raises(ValueError, match="n_grid entries must be >= 1"):
+            green_bound_experiment(spec, n_grid, reps=2, seed=1)
+    with pytest.raises(ValueError, match="r_grid entries must be >= 0"):
+        cube_exit_time(spec, [3, 3], reps=2, seed=1)
+    for mode in ("exact", "monte-carlo"):
+        with pytest.raises(ValueError, match="a_grid entries must be >= 1"):
+            first_passage_tail(simple_walk(), [4, 4], mode=mode, reps=8)
+
+
+def test_cube_exit_time_fits_positive_radii_only():
+    # r = 0 has no log; one positive radius has no fit
+    spec = PerturbedChainSpec(dimension=1,
+                              base_offsets=np.array([[-1], [1]]),
+                              base_probs=np.array([0.5, 0.5]),
+                              p1=16.0, c_pert=0.0)
+    assert cube_exit_time(spec, [0, 4], reps=4, seed=1)["fit"] is None
+    res = cube_exit_time(spec, [0, 2, 4], reps=4, seed=1)
+    assert res["fit"] == fit_exponent([2, 4], res["mean_exit"][1:])
 
 
 def test_cube_exit_time_rejects_radii_whose_cap_overflows():

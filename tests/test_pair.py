@@ -72,6 +72,19 @@ def test_intersection_curve_needs_two_reps():
     assert np.isfinite(res["se"]).all()
 
 
+def test_intersection_curve_needs_two_distinct_positive_horizons():
+    # n = 0 gave an IndexError and [4, 4] a ZeroDivisionError in the fit
+    for grid in ([0, 4], [4, 4], [4]):
+        with pytest.raises(ValueError, match="n_grid entries must be >= 1"):
+            intersection_curve(drift_model(), grid, reps=2)
+
+
+def test_coupling_decay_needs_a_replica():
+    # reps = 0 divided by zero
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        coupling_decay(drift_model(), [(0, 1)], 0, 1, 10, 100)
+
+
 def test_first_joint_regeneration_monotone_pair():
     env = make_environment(_point_mass_model(), 5)
     rec = first_joint_regeneration(env, (0, 0), (0, 5))

@@ -164,6 +164,15 @@ def test_renewal_diagnostics_point_mass():
         assert val == 0.0
 
 
+def test_renewal_diagnostics_rejects_repeated_or_zero_marks():
+    # a repeated mark was reported twice; 0 was skipped for tau_l and used
+    # for the other moments
+    rec = detect_regenerations(_levels_path(range(100)), margin=5)
+    for grid in ([4, 4], [0, 4], []):
+        with pytest.raises(ValueError, match="n_grid entries must be >= 1"):
+            renewal_diagnostics([rec], n_grid=grid)
+
+
 def test_ldp_frequency_binomial_oracle():
     from scipy import stats
     # exact oracle: P(Bin(400, 1/2) <= 20) is astronomically small

@@ -272,6 +272,22 @@ def _five_engines(env, keys):
 @pytest.mark.parametrize("model", [backtracking_model(),
                                    dirichlet_drift_model()],
                          ids=["deterministic", "dirichlet"])
+def test_engines_reject_negative_steps(model):
+    # n = -1 gave an IndexError and n <= -2 numpy's unnamed "negative
+    # dimensions" in the paths engines; the others returned the starts
+    env = make_environment(model, 3)
+    starts = np.zeros((2, 2), dtype=np.int64)
+    keys = np.full(2, env.env_key, dtype=np.uint64)
+    for engine in _five_engines(env, keys):
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match=f"n must be nonnegative "
+                                                 rf"\(got {n}\)"):
+                engine(starts, n, [1, 2])
+
+
+@pytest.mark.parametrize("model", [backtracking_model(),
+                                   dirichlet_drift_model()],
+                         ids=["deterministic", "dirichlet"])
 def test_engines_reject_seed_and_key_lists_of_another_length(model):
     # a short list used to broadcast: one seed gave three identical walks,
     # and two env keys for three starts a bare numpy broadcast error

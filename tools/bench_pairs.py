@@ -14,6 +14,12 @@ per-layer numbers are recorded as measured.  For each
 end-to-end metric and each per-kind ``exp_s.<kind>``, a workload records in
 how many pairs the change read lower (``change_lower_in_pairs``).
 
+A run that exits nonzero, or prints nothing, ends the session: the file is
+still written with every run collected so far, the failed run is recorded
+under ``failed_run`` (workload, side, seed, exit code and the last lines
+of its stderr), its side is marked ``correct: false``, and the tool exits
+with status 1.
+
 Example, the commit against its parent, 10 pairs of each of two
 workloads:
 
@@ -37,6 +43,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
 _ROW = re.compile(r"^  (\S+)\s+(\S+) (\S+)$")
+_STDERR_TAIL = 20
+
+
+class RunFailed(Exception):
+    """A perfbench run that exited nonzero or printed nothing; args[0] is
+    its record."""
 
 
 def checkout(rev: str, workdir: Path, side: str) -> Path:
@@ -52,18 +64,21 @@ def checkout(rev: str, workdir: Path, side: str) -> Path:
     return dest
 
 
-def bench(where: Path, workload: str, seed: int, seconds: int,
+def bench(dirs: dict, side: str, workload: str, seed: int, seconds: int,
           trace: int) -> dict:
-    """One perfbench run: its printed rows, machine line and result."""
+    """One perfbench run of a side: its printed rows, machine line and
+    result, or RunFailed."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
          "--trace", str(trace)],
-        cwd=where, capture_output=True, text=True)
+        cwd=dirs[side], capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode or not lines:
-        raise SystemExit(f"{where} {workload} seed {seed}: exit "
-                         f"{proc.returncode}\n{proc.stderr}")
+        raise RunFailed({
+            "workload": workload, "side": side, "seed": seed, "trace": trace,
+            "exit_code": proc.returncode,
+            "stderr_tail": proc.stderr.splitlines()[-_STDERR_TAIL:]})
     rows = {}
     for line in lines:
         m = _ROW.match(line)
@@ -91,6 +106,8 @@ def _exp_rows(run: dict) -> tuple:
 
 def _side(runs: dict) -> dict:
     """Summaries of one side's runs, {seed: bench(...)}."""
+    if not runs:
+        return {"runs": 0}
     out = {"runs": len(runs),
            "correct": all(r["correct"] for r in runs.values()),
            "failed": sum(r["failed"] for r in runs.values())}
@@ -140,39 +157,63 @@ def main(argv=None) -> int:
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}")
+    if "failed_run" in doc:
+        failed = doc["failed_run"]
+        print(f"failed: {failed['workload']} {failed['side']} seed "
+              f"{failed['seed']}: exit {failed['exit_code']}\n"
+              + "\n".join(failed["stderr_tail"]), file=sys.stderr)
+        return 1
     return 0
 
 
+def _entry(runs: dict, first: dict) -> dict:
+    """A workload's record from its runs {side: {seed: bench(...)}} and the
+    side that went first in each pair, {seed: side}; only pairs with both
+    runs count in change_lower_in_pairs."""
+    entry = {side: _side(runs[side]) for side in SIDES}
+    paired = [s for s in first if all(s in runs[side] for side in SIDES)]
+    names = END_TO_END + (_exp_rows(runs["change"][paired[-1]])
+                          if paired else ())
+    entry["change_lower_in_pairs"] = {name: "%d/%d" % (sum(
+        runs["change"][s]["rows"][name] < runs["parent"][s]["rows"][name]
+        for s in paired), len(paired)) for name in names}
+    entry["first_in_pair"] = first
+    return entry
+
+
 def collect(args, dirs: dict) -> dict:
+    """Every pair of every workload, then its traced runs; a failed run
+    ends the collection with what was collected so far."""
     machine = None
     workloads, traced = {}, {}
+    failed = None
     for w in args.workload:
         runs = {side: {} for side in SIDES}
         first = {}
-        for i in range(args.pairs):
-            seed = str(args.first_seed + i)
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            first[seed] = order[0]
-            for side in order:
-                r = bench(dirs[side], w, int(seed), args.seconds, 0)
-                runs[side][seed] = r
-                machine = machine or r["machine"]
-                print(f"{w} seed {seed} {side}: wall_s "
-                      f"{r['rows']['wall_s']:.4f} correct {r['correct']}",
-                      flush=True)
-        entry = {side: _side(runs[side]) for side in SIDES}
-        entry["change_lower_in_pairs"] = {name: "%d/%d" % (sum(
-            runs["change"][s]["rows"][name] < runs["parent"][s]["rows"][name]
-            for s in first), len(first))
-            for name in END_TO_END + _exp_rows(runs["change"][seed])}
-        entry["first_in_pair"] = first
-        workloads[w] = entry
-        if args.trace_seed is not None:
-            traced[w] = {}
-            for side in SIDES:
-                r = bench(dirs[side], w, args.trace_seed, args.seconds, 1)
-                traced[w][side] = {"correct": r["correct"], **{
-                    k: round(v, 4) for k, v in r["rows"].items()}}
+        try:
+            for i in range(args.pairs):
+                seed = str(args.first_seed + i)
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                first[seed] = order[0]
+                for side in order:
+                    r = bench(dirs, side, w, int(seed), args.seconds, 0)
+                    runs[side][seed] = r
+                    machine = machine or r["machine"]
+                    print(f"{w} seed {seed} {side}: wall_s "
+                          f"{r['rows']['wall_s']:.4f} correct "
+                          f"{r['correct']}", flush=True)
+            if args.trace_seed is not None:
+                traced[w] = {}
+                for side in SIDES:
+                    r = bench(dirs, side, w, args.trace_seed, args.seconds, 1)
+                    traced[w][side] = {"correct": r["correct"], **{
+                        k: round(v, 4) for k, v in r["rows"].items()}}
+        except RunFailed as e:
+            failed = e.args[0]
+        workloads[w] = _entry(runs, first)
+        if failed:
+            workloads[w][failed["side"]]["correct"] = False
+            break
     seeds = f"seeds {args.first_seed}-{args.first_seed + args.pairs - 1}"
     return {
         "label": args.label,
@@ -191,6 +232,7 @@ def collect(args, dirs: dict) -> dict:
         "workloads": workloads,
         **({"traced_seed_%d" % args.trace_seed: traced}
            if args.trace_seed is not None else {}),
+        **({"failed_run": failed} if failed else {}),
     }
 
 
