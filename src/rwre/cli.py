@@ -37,7 +37,7 @@ from . import __version__
 from .environment import (EnvironmentModel, StepSupport, check_hypotheses,
                           env_key_range, make_environment, derive_env_seed)
 from .clt import clt_check, quenched_mean_variance, quenched_samples
-from .envprocess import ergodic_runs, variation_proxy
+from .envprocess import ergodic_checkpoints, ergodic_runs, variation_proxy
 from .fitting import check_grid
 from .green import (PerturbedChainSpec, SymmetricWalk1D, build_ladder_tables,
                     check_exit_radii, check_ladder_size, check_solve_size,
@@ -216,13 +216,10 @@ def _tail_cut(v, p, model):
 
 
 def _checkpoints(v, p, model):
-    n = p.get("n")
-    if v in (None, []):
-        return [max(1, n // 100), n] if n else None
-    cps = _lists(v, partial(_integer, lo=1), [None])
-    if n and (cps[-1] > n or cps != sorted(cps)):
-        raise _fail(f"nondecreasing and <= n = {n}", v)
-    return cps
+    """A list of integers, or None, read by envprocess.ergodic_checkpoints
+    once n is valid."""
+    cps = None if v is None else _ints(v, "")
+    return ergodic_checkpoints(cps, p["n"]) if "n" in p else cps
 
 
 def _mc_reps(v, p, model):
@@ -488,7 +485,7 @@ KIND_TABLE = {
         "horizon": (_int(1), 20_000)}),
     "ergodic": (_run_ergodic, True, {
         "n": (_int(1), 100_000), "n_runs": (_int(1), 20),
-        "checkpoints": (_checkpoints, None)}),  # None: [max(1, n // 100), n]
+        "checkpoints": (_checkpoints, None)}),
     "variation": (_run_variation, True, {
         "n": (_int(1), 1024), "ell_grid": (_grid(1), _REQUIRED),
         "reps": (_int(1000), 10_000)}),

@@ -19,7 +19,7 @@ from .fitting import check_grid, fit_exponent
 from .ks import ks_norm_pvalue
 from .rng import (TAG_ENV, _pmap, derive_key_array, derive_key_range,
                   fold_key_array)
-from .walk import list_seed_array, simulate_finals_many_envs
+from .walk import _from_origin, simulate_finals_many_envs
 
 _TAG_QS = 0x9D01
 _TAG_QMV = 0x9D02
@@ -35,19 +35,15 @@ def _env_blocks(n_env: int, blocks: int) -> list:
 
 def _finals_block(item, model=None, m_walks=0):
     """Final positions (len(envs), m_walks, d) of the walks of a contiguous
-    block `envs` of environment indices, all walked n steps in one engine
-    call, for an item (envs, env_keys, prefixes, n).  Walk i of environment
-    j has the seed derive_key(prefixes[j], i), each environment's seed list
-    read as one list (walk.list_seed_array)."""
+    block `envs` of environment indices, for an item (envs, env_keys,
+    prefixes, n): one walk._from_origin call walks them n steps, walk i of
+    environment j seeded derive_key(prefixes[j], i), one seed list each."""
     envs, env_keys, prefixes, n = item
-    d = model.support.dimension
     wkeys = fold_key_array(prefixes[envs][:, None],
                            np.arange(m_walks, dtype=np.uint64))
-    finals = simulate_finals_many_envs(
-        model, np.repeat(env_keys[envs], m_walks),
-        np.zeros((len(envs) * m_walks, d), dtype=np.int64), n,
-        list_seed_array(wkeys).ravel())
-    return finals.reshape(len(envs), m_walks, d)
+    finals = _from_origin(simulate_finals_many_envs, model,
+                          np.repeat(env_keys[envs], m_walks), wkeys, n)
+    return finals.reshape(len(envs), m_walks, model.support.dimension)
 
 
 def quenched_samples(model: EnvironmentModel, env_keys, n: int, m_walks: int,
@@ -198,7 +194,6 @@ def quenched_mean_variance(model: EnvironmentModel, n_grid, n_env: int,
         raise ValueError("need m_walks >= 2")
     n_grid = check_grid(n_grid, 1, "n_grid")
     env_blocks = _env_blocks(n_env, workers)
-    d = model.support.dimension
     keys = [(env_key_range(seed, TAG_ENV, _TAG_QMV, ni, n=n_env),
              derive_key_range(seed, _TAG_QMV, ni, n=n_env))
             for ni in range(len(n_grid))]
@@ -211,25 +206,20 @@ def quenched_mean_variance(model: EnvironmentModel, n_grid, n_env: int,
     floored = []
     for ni, n in enumerate(n_grid):
         finals = np.concatenate(parts[ni * nb:(ni + 1) * nb]).astype(float)
-        env_means = np.empty((n_env, d))
-        within = np.empty((n_env, d))
-        for e, f in enumerate(finals):
-            env_means[e] = f.mean(axis=0)
-            within[e] = f.var(axis=0, ddof=1)
+        env_means = finals.mean(axis=1)
+        within = finals.var(axis=1, ddof=1)
         between = env_means.var(axis=0, ddof=1)
         corrected = between - within.mean(axis=0) / m_walks
-        flag = bool((corrected < 0).any())
-        if flag:
+        if (corrected < 0).any():
             floored.append(n)
         corrected = np.maximum(corrected, 0.0)
         trace = float(corrected.sum())
         # delete-one-environment jackknife for the trace
         jk = np.empty(n_env)
         for e in range(n_env):
-            mask = np.arange(n_env) != e
-            b = env_means[mask].var(axis=0, ddof=1)
-            c = np.maximum(b - within[mask].mean(axis=0) / m_walks, 0.0)
-            jk[e] = c.sum()
+            b = np.delete(env_means, e, 0).var(axis=0, ddof=1)
+            c = np.delete(within, e, 0).mean(axis=0) / m_walks
+            jk[e] = np.maximum(b - c, 0.0).sum()
         se = float(np.sqrt((n_env - 1) / n_env * ((jk - jk.mean()) ** 2).sum()))
         rows.append((n, corrected, trace, se))
     trace_curve = np.array([r[2] for r in rows])
@@ -258,19 +248,16 @@ def centered_mean_bound(model: EnvironmentModel, n_grid, v_hat, reps: int = 4000
     n_grid = check_grid(n_grid, 1, "n_grid", least=2)
     v_hat = np.asarray(v_hat, dtype=float)
     u_hat = np.asarray(model.support.u_hat, dtype=float)
-    d = model.support.dimension
     ys, ses = [], []
     for ni, n in enumerate(n_grid):
-        env_keys = env_key_range(seed, TAG_ENV, _TAG_CMB, ni, n=reps)
-        wseeds = list_seed_array(derive_key_range(seed, _TAG_CMB, ni, n=reps))
-        finals = simulate_finals_many_envs(
-            model, env_keys, np.zeros((reps, d), dtype=np.int64), n, wseeds)
+        finals = _from_origin(
+            simulate_finals_many_envs, model,
+            env_key_range(seed, TAG_ENV, _TAG_CMB, ni, n=reps),
+            derive_key_range(seed, _TAG_CMB, ni, n=reps), n)
         lev = finals.astype(float) @ u_hat
-        y = float(lev.mean() - n * float(v_hat @ u_hat))
-        ys.append(y)
+        ys.append(float(lev.mean() - n * float(v_hat @ u_hat)))
         ses.append(float(lev.std(ddof=1) / np.sqrt(reps)))
-    ys = np.array(ys)
-    ses = np.array(ses)
+    ys, ses = np.array(ys), np.array(ses)
     w = 1.0 / np.maximum(ses, 1e-12) ** 2
     x = np.array(n_grid, dtype=float)
     xw = (w * x).sum() / w.sum()

@@ -16,26 +16,33 @@ import numpy as np
 
 from .environment import (EnvironmentModel, derive_env_seed, env_key_range,
                           make_environment)
-from .fitting import check_grid, fit_exponent
+from .fitting import check_grid, fit_exponent, int_list
 from .rng import (TAG_ENV, _pmap, derive_key, derive_key_range,
                   fold_key_array, site_keys)
-from .walk import list_seed_array, simulate, simulate_level_stats_many_envs
+from .walk import _from_origin, simulate, simulate_level_stats_many_envs
 
 _TAG_ERG = 0xE401
 _TAG_VAR = 0xE402
+
+
+def ergodic_checkpoints(checkpoints, n: int) -> list:
+    """The checkpoint rule of the ergodic runs: integer times in [1, n],
+    one or more, read as a sorted list of distinct ints; None stands for
+    [max(1, n // 100), n].  Else ValueError."""
+    cps = sorted(set(int_list([max(1, n // 100), n] if checkpoints is None
+                              else checkpoints, "checkpoints")))
+    if not cps or cps[0] < 1 or cps[-1] > n:
+        raise ValueError("checkpoints must be one or more times in [1, n] "
+                         f"(got {cps} for n = {n})")
+    return cps
 
 
 def ergodic_average(model: EnvironmentModel, n: int, seed: int,
                     checkpoints=None) -> dict:
     """Running Cesaro means of Psi(T_{X_j} omega) along one quenched
     trajectory, where Psi(omega) = sum_z omega(0, z) z.u_hat is the local
-    drift along u_hat."""
-    if checkpoints is None:
-        checkpoints = [n]
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    if not checkpoints or checkpoints[-1] > n or checkpoints[0] < 1:
-        raise ValueError("checkpoints must be one or more times in [1, n] "
-                         f"(got {checkpoints} for n = {n})")
+    drift along u_hat, at ergodic_checkpoints(checkpoints, n)."""
+    checkpoints = ergodic_checkpoints(checkpoints, n)
     env = make_environment(model, derive_env_seed(seed, _TAG_ERG))
     path = simulate(env, np.zeros(model.support.dimension, dtype=np.int64),
                     n - 1, derive_key(seed, _TAG_ERG, 1))
@@ -57,6 +64,7 @@ def ergodic_runs(model: EnvironmentModel, n: int, n_runs: int, seed: int,
     checkpoint (0.0 for one run), and the terminal mean with its se."""
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1 (got {n_runs})")
+    checkpoints = ergodic_checkpoints(checkpoints, n)
     seeds = fold_key_array(seed, np.arange(n_runs, dtype=np.uint64))
     runs = _pmap(partial(ergodic_average, model, n, checkpoints=checkpoints),
                  seeds.tolist(), workers)
@@ -81,11 +89,9 @@ def variation_proxy(model: EnvironmentModel, n: int, ell_grid, reps: int,
     if reps < 1000:
         raise ValueError("reps must be at least 1000")
     ell_grid = check_grid(ell_grid, 1, "ell_grid")
-    d = model.support.dimension
-    env_keys = env_key_range(seed, TAG_ENV, _TAG_VAR, n=reps)
-    wseeds = list_seed_array(derive_key_range(seed, _TAG_VAR, n=reps))
-    stats = simulate_level_stats_many_envs(
-        model, env_keys, np.zeros((reps, d), dtype=np.int64), n, wseeds)
+    stats = _from_origin(simulate_level_stats_many_envs, model,
+                         env_key_range(seed, TAG_ENV, _TAG_VAR, n=reps),
+                         derive_key_range(seed, _TAG_VAR, n=reps), n)
     overshoot = stats["max_level"] - stats["final_level"]
     rows = []
     for ell in ell_grid:

@@ -25,10 +25,19 @@ class ExponentFit:
     slope_se: float
 
 
+def int_list(values, name: str) -> list:
+    """values, Python or numpy integers, as a list of Python ints, or a
+    ValueError naming `name` at the first entry that is not one."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} entries must be integers (got {v!r})")
+    return [int(v) for v in values]
+
+
 def check_grid(values, lo: int, name: str, least: int = 1) -> list:
     """values as a sorted list of distinct ints >= lo, at least `least` of
-    them, or ValueError."""
-    grid = sorted(int(v) for v in values)
+    them, or ValueError; a float, string or bool entry is not truncated."""
+    grid = sorted(int_list(values, name))
     if len(set(grid)) < max(least, len(grid)) or grid[0] < lo:
         raise ValueError(f"{name} entries must be >= {lo} and distinct, "
                          f"{least} or more of them (got {grid})")

@@ -24,7 +24,7 @@ from .environment import (Environment, EnvironmentModel, compute_h,
 from .fitting import check_grid, fit_exponent
 from .rng import (_pmap, derive_key, derive_key_range, fold_key_array,
                   site_keys, site_u01)
-from .walk import (_SeqWalk, _TimeSource, list_seed_array,
+from .walk import (_from_origin, _SeqWalk, _TimeSource,
                    simulate_paths_many_envs, walk_key)
 
 _TAG_PAIR = 0xAA01
@@ -35,9 +35,9 @@ _TAG_INTER = 0xAA05
 _TAG_STEPS = 0xAA06
 
 # Replicas per engine call in intersection_curve.  Each call's 2 x
-# _INTER_CHUNK walk seeds are read as one list (walk.list_seed_array), so
-# this size is part of the realized walks.  One call for all replicas would
-# also hold all their paths at once.
+# _INTER_CHUNK walk seeds are one seed list (walk._from_origin), so this
+# size is part of the realized walks.  One call for all replicas would also
+# hold all their paths at once.
 _INTER_CHUNK = 250
 # The coupling extends X to _LOOKAHEAD times Xbar's length plus a pad of
 # 4 margin steps, and gives up after _MAX_TRIPLES triples.
@@ -103,7 +103,6 @@ def intersection_curve(model: EnvironmentModel, n_grid, reps: int,
         raise ValueError(f"reps must be >= 2 for a standard error "
                          f"(got {reps})")
     n_grid = check_grid(n_grid, 1, "n_grid", least=2)
-    d = model.support.dimension
     means, ses = [], []
     for ni, n in enumerate(n_grid):
         counts = np.empty(reps)
@@ -115,11 +114,9 @@ def intersection_curve(model: EnvironmentModel, n_grid, reps: int,
             derive_key_range(seed, _TAG_INTER, ni, n=reps)[:, None], (1, 2))
         for c0 in range(0, reps, _INTER_CHUNK):
             c1 = min(c0 + _INTER_CHUNK, reps)
-            starts = np.zeros((2 * (c1 - c0), d), dtype=np.int64)
-            paths = simulate_paths_many_envs(
-                model, pair_keys[2 * c0:2 * c1], starts, n - 1,
-                list_seed_array(wkeys[c0:c1].ravel()))
-            counts[c0:c1] = _pair_common_sites(paths)
+            counts[c0:c1] = _pair_common_sites(_from_origin(
+                simulate_paths_many_envs, model, pair_keys[2 * c0:2 * c1],
+                wkeys[c0:c1].ravel(), n - 1))
         means.append(float(counts.mean()))
         ses.append(float(counts.std(ddof=1) / np.sqrt(reps)))
     return {"n_grid": n_grid, "mean": np.array(means), "se": np.array(ses),

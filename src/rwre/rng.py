@@ -124,29 +124,30 @@ def derive_key_range(seed: int, *parts: int, n: int) -> np.ndarray:
                           np.arange(n, dtype=np.uint64))
 
 
+def _fold_sites(h: np.ndarray, sites) -> np.ndarray:
+    """Keys h (n,) folded with the columns of sites (n, d) as derive_key
+    folds parts.  The site-key functions share it, and neither calls the
+    other: perfbench/tracer.py would count a nested call's keys twice."""
+    for j in range(sites.shape[1]):
+        c = sites[:, j].astype(np.int64).view(np.uint64)
+        h = mix64_array((h + _U_GAMMA) ^ c)
+    return h
+
+
 def site_keys(env_key: int, sites: np.ndarray) -> np.ndarray:
     """Keys for lattice sites, one per row of `sites` (n, d) int array.
 
     Matches derive_key(env_key, *site) coordinate by coordinate.
     """
-    sites = np.asarray(sites)
-    if sites.ndim == 1:
-        sites = sites[None, :]
-    h = np.full(sites.shape[0], mix64(env_key + GAMMA), dtype=np.uint64)
-    for j in range(sites.shape[1]):
-        c = sites[:, j].astype(np.int64).view(np.uint64)
-        h = mix64_array((h + _U_GAMMA) ^ c)
-    return h
+    sites = np.atleast_2d(sites)      # one site (d,) as one row
+    return _fold_sites(np.full(sites.shape[0], mix64(env_key + GAMMA),
+                               dtype=np.uint64), sites)
 
 
 def site_keys_mixed(env_keys: np.ndarray, sites: np.ndarray) -> np.ndarray:
     """Like site_keys but with a separate environment key per row."""
-    sites = np.asarray(sites)
-    h = mix64_array(_u64_1d(env_keys) + _U_GAMMA)
-    for j in range(sites.shape[1]):
-        c = sites[:, j].astype(np.int64).view(np.uint64)
-        h = mix64_array((h + _U_GAMMA) ^ c)
-    return h
+    return _fold_sites(mix64_array(_u64_1d(env_keys) + _U_GAMMA),
+                       np.asarray(sites))
 
 
 def stream_u01(key: int, ctr: int) -> float:

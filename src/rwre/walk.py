@@ -25,8 +25,7 @@ from .environment import (Environment, EnvironmentModel, StepSupport,
                           cum_bounds_from_keys, cum_vectors_from_keys,
                           exact_cum_rule)
 from .rng import (MASK64, TAG_WALK, _block_len, counter_u01_array,
-                  derive_key, derive_key_array, site_keys, site_keys_mixed,
-                  step_index)
+                  derive_key, derive_key_array, site_keys_mixed, step_index)
 
 
 @dataclass
@@ -52,17 +51,12 @@ def walk_key(walk_seed: int) -> int:
 
 
 def walk_seed_array(walk_seeds) -> np.ndarray:
-    """Walk seeds as the many-walk engines read them, as uint64 (mod 2**64,
-    which leaves walk_key unchanged).
-
-    The engines read a seed sequence through np.asarray; list_seed_array
-    gives what that makes of a Python list, and a caller that batches
-    several seed lists into one engine call converts each list there.  An
-    integer array is read exactly, and an object array (a list holding
-    ints outside 64 bits) one seed at a time.  A float array holds integral
-    values in [-2**63, 2**64]: those from 2**63 up are read as the value
-    minus 2**64, which is exact, so a rounded 2**64 wraps to 0.
-    """
+    """Walk seeds as the many-walk engines read them, through np.asarray,
+    as uint64 (mod 2**64, which leaves walk_key unchanged): an integer
+    array exactly, an object array (a list holding ints outside 64 bits)
+    one seed at a time, and a float array (what list_seed_array describes)
+    as integral values in [-2**63, 2**64], those from 2**63 up as the value
+    minus 2**64, which is exact, so a rounded 2**64 wraps to 0."""
     a = np.asarray(walk_seeds)
     if a.dtype.kind == "f":
         a = np.where(a >= 2.0**63, a - 2.0**64, a).astype(np.int64)
@@ -365,9 +359,10 @@ def _iter_positions(model: EnvironmentModel, env_keys, starts: np.ndarray,
                     n: int, walk_seeds) -> "iterator":
     """Advance m walkers in lockstep, yielding positions after each step.
 
-    env_keys may be a scalar (shared environment) or one key per walker,
-    and walk_seeds holds one seed per walker.  A step's index is the number
-    of cumulative components below the walker's uniform, clipped to the
+    env_keys may be a scalar (one environment, broadcast to every walker)
+    or one key per walker, and walk_seeds holds one seed per walker.  A
+    step's index is the number of cumulative components below the
+    walker's uniform, clipped to the
     last step for a u above a last component rounded below 1, so it
     depends only on cum_0..cum_{k-2}.  It is read from bounds on them
     wherever every one is surely below u (upper bound < u) or surely not
@@ -385,29 +380,24 @@ def _iter_positions(model: EnvironmentModel, env_keys, starts: np.ndarray,
                          f"{seeds.shape} for {m} starts")
     wkeys = derive_key_array(seeds, TAG_WALK)
     steps_arr = model.support.steps_array
-    shared = np.isscalar(env_keys)
-    if not shared:
-        env_keys = np.asarray(env_keys, dtype=np.uint64)
-        if env_keys.shape != (m,):
-            raise ValueError(f"env_keys must be a scalar or hold one key per "
-                             f"start: shape {env_keys.shape} for {m} starts")
+    env_keys = np.asarray(np.full(m, env_keys) if np.isscalar(env_keys)
+                          else env_keys, dtype=np.uint64)
+    if env_keys.shape != (m,):
+        raise ValueError(f"env_keys must be a scalar or hold one key per "
+                         f"start: shape {env_keys.shape} for {m} starts")
     if model.kind == "deterministic":
         cum = np.cumsum(np.array(model.probs))
         for t, u in _uniform_rows(wkeys, n):
             pos += steps_arr[step_index(cum, u)]
             yield t, pos
         return
-    envs = 1 if shared else len(np.unique(env_keys))
-    if m >= _CACHE_WALKERS_PER_ENV * max(envs, 1):
+    if m >= _CACHE_WALKERS_PER_ENV * max(len(np.unique(env_keys)), 1):
         sites = _SiteCache(model, m)
     else:
         sites = _SiteBounds(model)
     c = sites.cols
     for t, u in _uniform_rows(wkeys, n):
-        if shared:
-            keys = site_keys(env_keys, pos)
-        else:
-            keys = site_keys_mixed(env_keys, pos)
+        keys = site_keys_mixed(env_keys, pos)
         b = sites.bounds(keys)
         # idx counts the components surely below u, sure adds those surely
         # not; a NaN bound is neither
@@ -451,6 +441,17 @@ def _finals(model: EnvironmentModel, env_keys, starts, n: int,
     for _, pos in _iter_positions(model, env_keys, pos, n, walk_seeds):
         pass
     return pos.copy()
+
+
+def _from_origin(engine, model: EnvironmentModel, env_keys, seed_rows,
+                 n: int):
+    """The library's one way into the engines: a public *_many_envs engine,
+    passed at call time so that a traced one counts, runs one walker per
+    env key from the origin, their seeds the rows (last axis) of seed_rows
+    laid end to end, each row read as one seed list (list_seed_array)."""
+    starts = np.zeros((len(env_keys), model.support.dimension), dtype=np.int64)
+    return engine(model, env_keys, starts, n,
+                  list_seed_array(seed_rows).ravel())
 
 
 # The public engines are one-line entries: none calls another, so a traced

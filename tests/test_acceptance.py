@@ -25,7 +25,8 @@ from rwre.pair import coupling_decay, intersection_curve
 from rwre.regen import (detect_regenerations, estimate_diffusion,
                         estimate_velocity)
 from rwre.rng import TAG_ENV, derive_key, derive_key_range
-from rwre.walk import WalkPath, simulate, simulate_paths_many_envs
+from rwre.walk import (WalkPath, _from_origin, simulate,
+                       simulate_paths_many_envs)
 
 SEED = 20240817
 N_WORKERS = 8
@@ -38,12 +39,11 @@ def dirichlet_estimates():
     model = dirichlet_drift_model()
     records = []
     for c in range(4):
-        env_keys = np.array(
-            [make_environment(model, derive_env_seed(SEED, 90, c, i)).env_key
-             for i in range(16)], dtype=np.uint64)
-        wseeds = [derive_key(SEED, 91, c, i) for i in range(16)]
-        paths = simulate_paths_many_envs(
-            model, env_keys, np.zeros((16, 2), dtype=np.int64), 100_000, wseeds)
+        # environment i has the seed derive_env_seed(SEED, 90, c, i) and its
+        # walk the seed derive_key(SEED, 91, c, i); the 16 seeds are one list
+        paths = _from_origin(simulate_paths_many_envs, model,
+                             env_key_range(SEED, TAG_ENV, 90, c, n=16),
+                             derive_key_range(SEED, 91, c, n=16), 100_000)
         for i in range(16):
             records.append(detect_regenerations(
                 WalkPath(paths[:, i, :], model.support.u_hat), margin=20))

@@ -11,21 +11,31 @@ from pathlib import Path
 
 import numpy as np
 
-from rwre import green, pair, rng, walk
-from rwre.environment import Environment, make_environment
+from rwre import clt, envprocess, green, pair, rng, walk
+from rwre.environment import Environment, env_key_range, make_environment
 from rwre.models import dirichlet_drift_model, drift_model
+from rwre.rng import TAG_ENV
 from rwre.walk import (simulate_finals_many, simulate_finals_many_envs,
                        simulate_level_stats_many_envs, simulate_paths_many,
                        simulate_paths_many_envs)
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+ENGINES = ("simulate_paths_many", "simulate_finals_many",
+           "simulate_paths_many_envs", "simulate_finals_many_envs",
+           "simulate_level_stats_many_envs")
+
+
+def _load(path: Path, name: str):
+    """A perfbench module, executed from its source (no bytecode written)."""
+    mod = types.ModuleType(name)
+    exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
+    return mod
 
 
 def _load_tracer():
-    """The tracer module, executed from its source (no bytecode written)."""
-    mod = types.ModuleType("_perfbench_tracer")
-    exec(compile(TRACER.read_text(), str(TRACER), "exec"), mod.__dict__)
-    return mod
+    return _load(TRACER, "_perfbench_tracer")
 
 
 def _argument_reads() -> dict:
@@ -86,6 +96,64 @@ def test_traced_engines_count_each_walker_step_once():
     assert tr.stats["walk.engine"].calls == 5
     assert tr.stats["walk.engine"].units == 5 * 4 * 7
     assert ("walk.engine", "walk.engine") not in tr.edges
+
+
+def _engine_units(tracer, run) -> int:
+    """walk.engine units of run() under a freshly installed tracer."""
+    tr = tracer.Tracer()
+    undo = tracer.install(tr)
+    try:
+        run()
+    finally:
+        tracer.uninstall(undo)
+    return tr.stats["walk.engine"].units
+
+
+def test_library_engine_calls_count_their_walker_steps():
+    # the traced run holds walk.engine.walker_steps to
+    # perfbench/workloads.expected_walker_steps: every library walk goes
+    # through a traced public engine, taken when called (walk._from_origin)
+    tracer = _load_tracer()
+    expected = _load(WORKLOADS, "_perfbench_workloads").expected_walker_steps
+    model = dirichlet_drift_model()
+    keys = env_key_range(5, TAG_ENV, n=2)
+
+    def steps(kind, **params):
+        return expected([{"kind": kind, "params": params}])
+
+    assert _engine_units(tracer, lambda: clt.quenched_samples(
+        model, keys, 6, 3, (0.6, 0.0), [1, 2])) == \
+        steps("clt", n=6, m_walks=3, n_env=2) == 36
+    assert _engine_units(tracer, lambda: clt.quenched_mean_variance(
+        model, [3, 5], 30, 2, seed=1)) == \
+        steps("quenched-mean", n_grid=[3, 5], n_env=30, m_walks=2) == 480
+    assert _engine_units(tracer, lambda: pair.intersection_curve(
+        model, [3, 5], 3, seed=1)) == \
+        steps("intersections", n_grid=[3, 5], reps=3) == 2 * 3 * (2 + 4)
+    assert _engine_units(tracer, lambda: envprocess.variation_proxy(
+        model, 4, [1, 2], 1000, seed=1)) == \
+        steps("variation", n=4, reps=1000) == 4000
+    # no benchmark kind runs it; reps walks per grid point
+    assert _engine_units(tracer, lambda: clt.centered_mean_bound(
+        model, [2, 4], (0.6, 0.0), reps=3, seed=1)) == 3 * (2 + 4)
+
+
+def test_only_walk_reads_seed_lists_and_calls_the_engines():
+    # the seed-list rule (walk.list_seed_array) and the origin starts have
+    # one home: every other module hands an engine to walk._from_origin
+    for path in sorted((ROOT / "src" / "rwre").glob("*.py")):
+        if path.name == "walk.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree)
+                  if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert "list_seed_array" not in names, path.name
+        called = {getattr(n.func, "id", getattr(n.func, "attr", None))
+                  for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        assert not called.intersection(ENGINES), path.name
 
 
 def test_traced_simulate_counts_n_and_pair_walks_open_no_simulate_span():

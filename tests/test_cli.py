@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rwre.cli import KINDS, main, run, validate_config
+from rwre.cli import KINDS, main, parse_config, run, validate_config
 
 DRIFT_MODEL = {"dimension": 2, "steps": [[1, 0], [0, 1], [0, -1]],
                "u_hat": [1, 0], "law": "deterministic",
@@ -473,6 +473,11 @@ D2 = {"dimension": 2, "steps": [[1, 0], [0, 1], [0, -1]], "u_hat": [1, 0],
         {"kind": "exit-time", "params": {"chain": CHAIN,
                                          "r_grid": [0, 1000000000]}},
         "params.r_grid", id="cfg45-params.r_grid"),
+    # an empty list was read as the default checkpoints
+    pytest.param(
+        {"kind": "ergodic", "model": D2,
+         "params": {"checkpoints": [], "n": 50}}, "params.checkpoints",
+        id="cfg46-params.checkpoints"),
 ])
 def test_invalid_config_exits_1_naming_field(tmp_path, capsys, cfg, field):
     path = _write(tmp_path, "cfg.json", cfg)
@@ -501,6 +506,20 @@ def test_chain_error_names_the_chain_field(chain, reason):
                               "params": {"chain": chain, "r_grid": [2]}})
     assert len(errors) == 1
     assert errors[0].startswith(f"params.chain: {reason}")
+
+
+def test_ergodic_checkpoints_follow_the_library_rule():
+    # envprocess.ergodic_checkpoints: an unsorted list, which validation
+    # rejected, is read sorted and distinct, and an omitted one defaults to
+    # [max(1, n // 100), n]
+    def checkpoints(params):
+        cfg = {"kind": "ergodic", "model": D2, "params": params}
+        model, params, errors = parse_config(cfg)
+        assert errors == []
+        return params["checkpoints"]
+    assert checkpoints({"n": 50, "checkpoints": [40, 10, 10]}) == [10, 40]
+    assert checkpoints({"n": 12_000}) == [120, 12_000]
+    assert checkpoints({}) == [1000, 100_000]
 
 
 def test_intersections_reps_defaults_from_table(tmp_path):

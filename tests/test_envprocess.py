@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from rwre.environment import derive_env_seed, make_environment
-from rwre.envprocess import (_TAG_ERG, ergodic_average, ergodic_runs,
-                             variation_proxy)
+from rwre.envprocess import (_TAG_ERG, ergodic_average, ergodic_checkpoints,
+                             ergodic_runs, variation_proxy)
 from rwre.fitting import fit_exponent
 from rwre.models import (backtracking_model, degenerate_direction_model,
                          dirichlet_backtracking_model, dirichlet_drift_model,
@@ -64,8 +64,8 @@ def test_ergodic_runs_are_ergodic_averages_under_any_map():
 
 def test_ergodic_runs_single_run_has_zero_spread():
     res = ergodic_runs(drift_model(), 50, 1, 3, None)
-    assert res["checkpoints"] == [50]
-    assert res["across_run_sd"] == {50: 0.0}
+    assert res["checkpoints"] == [1, 50]
+    assert res["across_run_sd"] == {1: 0.0, 50: 0.0}
     assert res["terminal_se"] == 0.0
 
 
@@ -75,6 +75,26 @@ def test_ergodic_checkpoints_must_be_given():
         ergodic_average(drift_model(), 50, seed=1, checkpoints=[])
     with pytest.raises(ValueError, match="checkpoints must be one or more"):
         ergodic_runs(drift_model(), 50, 2, 1, [])
+
+
+def test_ergodic_checkpoints_one_rule_and_one_default():
+    # the CLI validated nondecreasing lists and defaulted to
+    # [max(1, n // 100), n], the library sorted any list and defaulted to [n]
+    assert ergodic_checkpoints([40, 10, 40], 50) == [10, 40]
+    assert ergodic_checkpoints(np.array([3, 1]), 3) == [1, 3]
+    assert ergodic_checkpoints(None, 12_000) == [120, 12_000]
+    assert ergodic_checkpoints(None, 50) == [1, 50]
+    assert ergodic_checkpoints(None, 1) == [1]
+    for cps in ([], [0, 10], [10, 51]):
+        with pytest.raises(ValueError, match="checkpoints must be one or more"):
+            ergodic_checkpoints(cps, 50)
+    # a float or string was truncated or parsed by int()
+    for cps in ([2.5, 10], ["10"], [True, 10]):
+        with pytest.raises(ValueError, match="checkpoints entries must be "
+                                             "integers"):
+            ergodic_checkpoints(cps, 50)
+    res = ergodic_average(drift_model(), 300, seed=2, checkpoints=None)
+    assert res["checkpoints"] == [3, 300]
 
 
 def test_variation_proxy_rejects_zero_or_repeated_ell():

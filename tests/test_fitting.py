@@ -24,6 +24,31 @@ def test_check_grid_names_the_grid(values, lo, least):
         check_grid(values, lo, "n_grid", least=least)
 
 
+def test_check_grid_refuses_a_float_entry():
+    # [2.7, 4.2] was truncated to [2, 4]
+    with pytest.raises(ValueError, match="ell_grid entries must be integers"):
+        check_grid([2.7, 4.2], 1, "ell_grid")
+
+
+def test_check_grid_refuses_a_string_entry():
+    # ["4", 8] was parsed to [4, 8]
+    with pytest.raises(ValueError, match="n_grid entries must be integers"):
+        check_grid(["4", 8], 1, "n_grid")
+
+
+def test_check_grid_refuses_a_bool_entry():
+    # [True, 3] was read as [1, 3]
+    for values in ([True, 3], np.array([True, False])):
+        with pytest.raises(ValueError, match="r_grid entries must be "
+                                             "integers"):
+            check_grid(values, 0, "r_grid")
+
+
+def test_check_grid_reads_python_and_numpy_integers():
+    assert check_grid([np.int64(8), np.uint32(2), 4], 1, "n_grid") == [2, 4, 8]
+    assert check_grid(np.arange(1, 4, dtype=np.int16), 1, "g") == [1, 2, 3]
+
+
 def test_fit_exponent_drops_points_without_logs():
     # n = 0 gave log 0 = -inf and a NaN slope; only n > 0, y > 0 count
     want = fit_exponent([2, 4], [2.0, 4.0])
