@@ -63,6 +63,10 @@ _FROM_REGEN = _Required("required: clt needs v and D as estimated by a "
                         "regen run; run it first or supply them inline")
 
 
+class _Rule(str):
+    """Default a run works out; the text states it, the check gets None."""
+
+
 def _fail(what, v, name="") -> ValueError:
     return ValueError(f"{name} must be {what} (got {_show(v)})".lstrip())
 
@@ -456,14 +460,14 @@ def _run_check(model, params, seed, workers):
 
 
 # ---------------------------------------------------------------------------
-# kind -> (runner, needs a model, {params field: (check, default or
-# _REQUIRED)}); check(value, params parsed so far, model) returns the parsed
-# value.  Fields, defaults included, are checked in table order.
+# kind -> (runner, needs a model, {params field: (check, default, a _Rule
+# or _REQUIRED)}); check(value, params parsed so far, model) returns the
+# parsed value.  Fields, defaults included, are checked in table order.
 
 KIND_TABLE = {
     "regen": (_run_regen, True, {
         "n_paths": (_int(1), 8), "horizon": (_int(1), 100_000),
-        "margin": (_int(1), 20), "tail_cut": (_tail_cut, None),
+        "margin": (_int(1), 20), "tail_cut": (_tail_cut, _Rule("margin")),
         "p": (_plain(partial(_real, above=0)), 2.0),
         "n_grid": (_grid(1), [4, 16, 64, 256])}),
     "clt": (_run_clt, True, {
@@ -485,7 +489,7 @@ KIND_TABLE = {
         "horizon": (_int(1), 20_000)}),
     "ergodic": (_run_ergodic, True, {
         "n": (_int(1), 100_000), "n_runs": (_int(1), 20),
-        "checkpoints": (_checkpoints, None)}),
+        "checkpoints": (_checkpoints, _Rule("[max(1, n // 100), n]"))}),
     "variation": (_run_variation, True, {
         "n": (_int(1), 1024), "ell_grid": (_grid(1), _REQUIRED),
         "reps": (_int(1000), 10_000)}),
@@ -555,7 +559,8 @@ def parse_config(cfg, kind=None, workers=None) -> tuple:
         try:
             if isinstance(v, _Required):
                 raise ValueError(v)
-            params[field] = check(v, params, model)
+            params[field] = check(None if isinstance(v, _Rule) else v,
+                                  params, model)
         except _MALFORMED as e:
             errors.append(f"params.{field}: {_reason(e)}")
     return model, params, errors
@@ -656,6 +661,7 @@ def _fields_help(kind: str) -> str:
     _, needs_model, fields = KIND_TABLE[kind]
     rows = [("model", "required")] if needs_model else []
     rows += [(f"params.{name}", "required" if isinstance(default, _Required)
+              else f"default {default}" if isinstance(default, _Rule)
               else f"default {json.dumps(default)}")
              for name, (_, default) in fields.items()]
     width = max((len(name) for name, _ in rows), default=0) + 2

@@ -61,6 +61,9 @@ def quenched_samples(model: EnvironmentModel, env_keys, n: int, m_walks: int,
         raise ValueError(f"n must be >= 1 to scale by sqrt(n) (got {n})")
     env_keys = np.asarray(env_keys, dtype=np.uint64)
     prefixes = derive_key_array(np.asarray(seeds, dtype=np.uint64), _TAG_QS)
+    if prefixes.shape != env_keys.shape:
+        raise ValueError(f"seeds must hold one seed per env key: shape "
+                         f"{prefixes.shape} for {env_keys.shape} keys")
     items = [(envs, env_keys, prefixes, n)
              for envs in _env_blocks(len(env_keys), workers)]
     finals = np.concatenate(_pmap(

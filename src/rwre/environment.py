@@ -1,11 +1,13 @@
 """Environment laws and lazy seed-deterministic realizations.
 
 An environment assigns to every lattice site a probability vector over the
-finite step set J.  Realizations are never precomputed: the vector at site
-x is a pure function of (env_seed, x) computed through keyed counter
-streams, so any number of walkers can share one environment over an
-unbounded region.  Dirichlet components use inverse-CDF gamma sampling
-(one uniform per component, fixed counters), which keeps values
+finite step set J, drawn i.i.d. from one of two law families: Dirichlet,
+or a finite mixture of fixed vectors (atoms), a deterministic law being
+the mixture with one atom.  Realizations are never precomputed: the
+vector at site x is a pure function of (env_seed, x) computed through
+keyed counter streams, so any number of walkers can share one environment
+over an unbounded region.  Dirichlet components use inverse-CDF gamma
+sampling (one uniform per component, fixed counters), which keeps values
 independent of query order.
 
 There is one exact evaluation, _vectors_from_keys, for arrays of site
@@ -37,6 +39,7 @@ from typing import Optional
 import numpy as np
 from scipy import special as _sps
 
+from .fitting import int_list
 from .rng import (TAG_ENV, TAG_SITE, U01_MAX, counter_u01_array, derive_key,
                   derive_key_array, derive_key_range, site_u01, step_index,
                   stream_u01_array)
@@ -53,9 +56,10 @@ class StepSupport:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
-        steps = tuple(tuple(int(c) for c in z) for z in self.steps)
+        steps = tuple(tuple(int_list(z, "steps")) for z in self.steps)
         object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "u_hat", tuple(int(c) for c in self.u_hat))
+        u_hat = tuple(int_list(self.u_hat, "u_hat"))
+        object.__setattr__(self, "u_hat", u_hat)
         if len(steps) == 0:
             raise ValueError("step set J must be nonempty")
         for z in steps:
@@ -100,13 +104,15 @@ def compute_h(support: StepSupport) -> int:
 
 @dataclass(frozen=True)
 class EnvironmentModel:
-    """Law of the i.i.d. site vectors.
+    """Law of the i.i.d. site vectors, one of two families.
 
     kind:
-      - "deterministic": probs (one fixed vector, site-independent)
       - "dirichlet": alpha weights, optional ellipticity floor kappa
         (vector = kappa * uniform + (1 - kappa) * Dirichlet(alpha))
       - "mixture": finite list of (probs, weight) atoms
+      - "deterministic": probs, one fixed vector at every site; the model
+        is the mixture with the one atom (probs, 1.0), which it keeps in
+        `atoms`, so every law rule reads it as a mixture
     """
 
     support: StepSupport
@@ -124,6 +130,7 @@ class EnvironmentModel:
             if any(x <= 0 for x in p):
                 raise ValueError("deterministic model must give positive "
                                  "probability to every step in J")
+            object.__setattr__(self, "atoms", ((p, 1.0),))
         elif self.kind == "dirichlet":
             if self.alpha is None or len(self.alpha) != k:
                 raise ValueError("alpha must have one weight per step")
@@ -231,7 +238,7 @@ def exact_cum_rule(model: EnvironmentModel):
                 return tuple(accumulate([x / total * scale + lift
                                          for x in g]))
             return tuple(accumulate([x / total for x in g]))
-    elif model.kind == "mixture":
+    else:
         atom_w = np.cumsum([w for _, w in model.atoms]).tolist()
         atom_cums = [tuple(np.cumsum(p).tolist()) for p, _ in model.atoms]
         last = len(atom_cums) - 1
@@ -239,11 +246,6 @@ def exact_cum_rule(model: EnvironmentModel):
         def cum(h: int, site=()) -> tuple:
             i = bisect_left(atom_w, site_u01(h, site, 1)[0])
             return atom_cums[min(i, last)]
-    else:
-        const = tuple(np.cumsum(model.probs).tolist())
-
-        def cum(h: int, site=()) -> tuple:
-            return const
     return cum
 
 
@@ -255,13 +257,10 @@ def _underflow(model: EnvironmentModel) -> ValueError:
 
 def _vectors_from_keys(model: EnvironmentModel, keys: np.ndarray) -> np.ndarray:
     keys = np.asarray(keys, dtype=np.uint64)
-    n = keys.shape[0]
-    k = len(model.support.steps)
-    if model.kind == "deterministic":
-        return np.broadcast_to(np.array(model.probs), (n, k)).copy()
     if model.kind == "dirichlet":
+        k = len(model.support.steps)
         return _dirichlet_vectors(model, _site_uniforms(keys, k))
-    # mixture: one uniform picks the atom
+    # atoms: one uniform picks the atom
     idx = step_index(np.cumsum([w for _, w in model.atoms]),
                      stream_u01_array(keys, 0))
     return np.array([p for p, _ in model.atoms])[idx]
@@ -394,8 +393,8 @@ def cum_bounds_from_keys(model: EnvironmentModel, keys: np.ndarray) -> np.ndarra
     """Bounds (n, 2c) on the first c = max(k - 1, 1) cumulative components
     of the site vectors of site keys (n,): column 2j holds a lower bound of
     cum_j, column 2j + 1 an upper bound.  Dirichlet bounds bracket the
-    exact values (_dirichlet_cum_bounds); the other laws, and a Dirichlet
-    law on one step, give the exact values in both columns."""
+    exact values (_dirichlet_cum_bounds); atom laws, and a Dirichlet law
+    on one step, give the exact values in both columns."""
     keys = np.asarray(keys, dtype=np.uint64)
     k = len(model.support.steps)
     if model.kind == "dirichlet" and k > 1:
@@ -430,10 +429,7 @@ def check_hypotheses(model: EnvironmentModel) -> HypothesisReport:
     incs = sup.level_increments.astype(float)
     k = len(sup.steps)
 
-    if model.kind == "deterministic":
-        deltas = [float(np.dot(model.probs, incs))]
-        kappa = min(model.probs)
-    elif model.kind == "dirichlet":
+    if model.kind == "dirichlet":
         mean_inc = incs.mean()
         deltas = [model.floor * mean_inc + (1.0 - model.floor) * float(z)
                   for z in incs]
@@ -474,13 +470,9 @@ def _is_restricted_path(model: EnvironmentModel) -> bool:
                    if q > 0 and z != zero]
         return len(nonzero) <= 1
 
-    if model.kind == "deterministic":
-        return restricted(model.probs)
     if model.kind == "dirichlet":
         # all components are a.s. positive (plus any floor)
-        interior = tuple(1.0 / len(model.support.steps)
-                         for _ in model.support.steps)
-        return restricted(interior)
+        return restricted((1.0,) * len(model.support.steps))
     return all(restricted(p) for p, _ in model.atoms)
 
 

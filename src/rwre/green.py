@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fitting import check_grid, fit_exponent
+from .fitting import check_grid, fit_exponent, int_list
 from .rng import (_block_len, counter_u01_array, counter_u64_array,
                   derive_key_range, step_index)
 
@@ -70,7 +70,7 @@ class SymmetricWalk1D:
     probs: tuple
 
     def __post_init__(self):
-        offs = tuple(int(z) for z in self.offsets)
+        offs = tuple(int_list(self.offsets, "offsets"))
         p = tuple(float(q) for q in self.probs)
         if len(offs) != len(p) or not offs:
             raise ValueError("offsets and probs must align and be nonempty")
@@ -502,10 +502,8 @@ class PerturbedChainSpec:
     allow_low_p1: bool = False
 
     def __post_init__(self):
-        self.base_offsets = np.asarray(self.base_offsets, dtype=np.int64)
-        self.base_probs = np.asarray(self.base_probs, dtype=float)
-        _check_steps(self.base_offsets, self.base_probs, self.dimension,
-                     "base")
+        self.base_offsets, self.base_probs = _step_law(
+            self.base_offsets, self.base_probs, self.dimension, "base")
         # symmetry of the base pmf
         pmf = {tuple(z): p for z, p in zip(self.base_offsets.tolist(),
                                            self.base_probs)}
@@ -523,15 +521,10 @@ class PerturbedChainSpec:
                              "(set allow_low_p1 for exploratory runs)")
         if self.alt_offsets is None and self.alt_probs is None:
             # default bias: push along the first coordinate
-            e0 = np.zeros(self.dimension, dtype=np.int64)
-            e0[0] = 1
-            self.alt_offsets = e0[None, :]
-            self.alt_probs = np.array([1.0])
-        else:
-            self.alt_offsets = np.asarray(self.alt_offsets, dtype=np.int64)
-            self.alt_probs = np.asarray(self.alt_probs, dtype=float)
-            _check_steps(self.alt_offsets, self.alt_probs, self.dimension,
-                         "alt")
+            self.alt_offsets = np.eye(1, self.dimension, dtype=np.int64)
+            self.alt_probs = [1.0]
+        self.alt_offsets, self.alt_probs = _step_law(
+            self.alt_offsets, self.alt_probs, self.dimension, "alt")
 
     def h(self, norm: np.ndarray) -> np.ndarray:
         """The test function at states of Euclidean norm `norm`."""
@@ -545,9 +538,13 @@ class PerturbedChainSpec:
                    0.5 + 13.0 / denom)
 
 
-def _check_steps(offsets, probs, d: int, name: str) -> None:
-    """Offsets must be (k, d) rows with one probability each, and the
-    probabilities a pmf."""
+def _step_law(offsets, probs, d: int, name: str) -> tuple:
+    """offsets as (k, d) int64 rows, each entry read by fitting.int_list,
+    and probs as floats, one per row, that form a pmf; or a ValueError."""
+    a = np.asarray(offsets)
+    offsets = np.array(int_list(a.ravel().tolist(), f"{name}_offsets"),
+                       dtype=np.int64).reshape(a.shape)
+    probs = np.asarray(probs, dtype=float)
     if offsets.ndim != 2 or offsets.shape[1] != d \
             or probs.shape != (len(offsets),):
         raise ValueError(f"{name} offsets must be rows of length {d} with "
@@ -555,6 +552,7 @@ def _check_steps(offsets, probs, d: int, name: str) -> None:
     if not np.all(probs >= 0) or abs(probs.sum() - 1.0) > 1e-12:
         raise ValueError(f"{name} probabilities must be nonnegative and "
                          "sum to 1")
+    return offsets, probs
 
 
 def product_symmetric_base(walk: SymmetricWalk1D, d: int) -> tuple:

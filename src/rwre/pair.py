@@ -97,12 +97,12 @@ def _pair_common_sites(paths: np.ndarray) -> np.ndarray:
 def intersection_curve(model: EnvironmentModel, n_grid, reps: int,
                        seed: int = 0) -> dict:
     """Mean number of common points of two walks in a common environment,
-    over a horizon grid, with independent replicas (at least 2, for a
-    standard error) per grid point."""
+    over a grid of horizons >= 2 (n = 1 has no randomness), with independent
+    replicas (at least 2, for a standard error) per grid point."""
     if reps < 2:
         raise ValueError(f"reps must be >= 2 for a standard error "
                          f"(got {reps})")
-    n_grid = check_grid(n_grid, 1, "n_grid", least=2)
+    n_grid = check_grid(n_grid, 2, "n_grid", least=2)
     means, ses = [], []
     for ni, n in enumerate(n_grid):
         counts = np.empty(reps)

@@ -1,0 +1,78 @@
+"""Verdicts of tools/bench_pairs.py on synthetic parent/change runs."""
+
+from pathlib import Path
+import types
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+
+def _tool():
+    """tools/bench_pairs.py, executed from its source (no bytecode)."""
+    mod = types.ModuleType("_bench_pairs")
+    mod.__file__ = str(TOOL)
+    exec(compile(TOOL.read_text(), str(TOOL), "exec"), mod.__dict__)
+    return mod
+
+
+def _runs(values) -> dict:
+    """{seed: value} at seeds 1, 2, ..."""
+    return {str(i + 1): v for i, v in enumerate(values)}
+
+
+# the parent: median 1.0, quartiles 0.99625-1.00375 (spread 0.0075)
+PARENT = [0.99, 0.995, 0.995, 1.0, 1.0, 1.0, 1.0, 1.005, 1.005, 1.01]
+
+
+@pytest.mark.parametrize("parent, change, bound, better, want", [
+    # median 1.3 against 1.0, over the 25% bound
+    (PARENT, [1.3] * 10, 0.25, "lower", "worse"),
+    # the same runs of a higher-is-better metric
+    (PARENT, [0.7] * 10, 0.25, "higher", "worse"),
+    # spread 0.0075 over a 0.5% bound, and a change run above a parent run
+    (PARENT, [0.996] * 10, 0.005, "lower", "unresolved"),
+    # ... unless every change run beats every parent run
+    (PARENT, [0.98] * 10, 0.005, "lower", "gain"),
+    # lower in 9/10 pairs, medians 0.05 apart against a 0.0075 spread
+    (PARENT, [0.95] * 9 + [1.2], 0.25, "lower", "gain"),
+    # lower in 8/10 pairs only
+    (PARENT, [0.95] * 8 + [1.2, 1.2], 0.25, "lower", "no regression"),
+    # lower in 10/10 pairs, but medians only 0.005 apart
+    ([v + 0.006 for v in PARENT], [v + 0.001 for v in PARENT], 0.25,
+     "lower", "no regression"),
+    # ties count for neither side: 8 wins of 10 pairs
+    (PARENT, [v - 0.05 for v in PARENT[:8]] + PARENT[8:], 0.25, "lower",
+     "no regression"),
+    # 5/5 wins: fewer than 10 pairs make no gain
+    (PARENT[:5], [0.9] * 5, 0.25, "lower", "no regression"),
+    # a small slowdown inside the bound
+    (PARENT, [1.02] * 10, 0.25, "lower", "no regression"),
+])
+def test_verdict(parent, change, bound, better, want):
+    assert _tool().verdict(_runs(parent), _runs(change), bound,
+                           better) == want
+
+
+def test_entry_gives_every_end_to_end_metric_a_verdict():
+    tool = _tool()
+    metrics = {"wall_s": {"name": "wall_s", "better": "lower", "bound": 0.25},
+               "setup_s": {"name": "setup_s", "better": "lower",
+                           "bound": 0.25},
+               "peak_rss_mb": {"name": "peak_rss_mb", "better": "lower",
+                               "bound": 0.1}}
+
+    def run(wall):
+        return {"rows": {"wall_s": wall, "setup_s": 0.5, "peak_rss_mb": 60.0},
+                "correct": True, "failed": 0}
+
+    runs = {"parent": {s: run(v) for s, v in _runs(PARENT).items()},
+            "change": {s: run(2 * v) for s, v in _runs(PARENT).items()}}
+    first = {s: "parent" for s in runs["parent"]}
+    entry = tool._entry(runs, first, metrics)
+    assert entry["verdict"] == {"wall_s": "worse",
+                                "setup_s": "no regression",
+                                "peak_rss_mb": "no regression"}
+    # a failed first run leaves one side empty: no verdict
+    runs["change"] = {}
+    assert "verdict" not in tool._entry(runs, {"1": "change"}, metrics)

@@ -628,3 +628,18 @@ def test_kind_help_lists_params_fields(capsys):
         line = next(ln for ln in out.splitlines()
                     if ln.split()[:1] == [f"params.{field}"])
         assert line.split(None, 1)[1] == text
+
+
+@pytest.mark.parametrize("kind, field, text", [
+    # both printed "default null", which a run never reads
+    ("ergodic", "checkpoints", "default [max(1, n // 100), n]"),
+    ("regen", "tail_cut", "default margin"),
+])
+def test_kind_help_states_the_rule_of_a_worked_out_default(capsys, kind,
+                                                           field, text):
+    with pytest.raises(SystemExit) as exc:
+        main([kind, "--help"])
+    assert exc.value.code == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.split()[:1] == [f"params.{field}"])
+    assert line.split(None, 1)[1] == text

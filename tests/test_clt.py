@@ -237,6 +237,14 @@ def test_quenched_samples_rejects_zero_steps():
         quenched_samples(drift_model(), keys, 0, 4, (0.5, 0.0), [1, 2])
 
 
+@pytest.mark.parametrize("seeds", [[1], [1, 2, 3]])
+def test_quenched_samples_needs_one_seed_per_env_key(seeds):
+    # one seed short gave an IndexError, extra seeds were ignored
+    keys = _env_keys(drift_model(), [1, 2])
+    with pytest.raises(ValueError, match="seeds must hold one seed per env"):
+        quenched_samples(drift_model(), keys, 4, 2, (0.5, 0.0), seeds)
+
+
 def test_centered_mean_point_mass_exact():
     res = centered_mean_bound(_point_mass_model(), [8, 32, 128],
                               v_hat=(1.0, 0.0), reps=50, seed=1)

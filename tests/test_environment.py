@@ -9,9 +9,11 @@ from rwre.environment import (EnvironmentModel, StepSupport,
                               check_hypotheses, compute_h,
                               cum_bounds_from_keys, cum_vectors_from_keys,
                               derive_env_seed, env_key_range, make_environment)
-from rwre.models import (dirichlet_drift_model, drift_model, support_2d)
+from rwre.models import (backtracking_model, dirichlet_drift_model,
+                         drift_model, support_2d)
+from rwre.pair import first_joint_regeneration
 from rwre.rng import TAG_ENV, U01_MAX, derive_key, site_keys
-from rwre.walk import simulate_paths_many
+from rwre.walk import simulate, simulate_paths_many, simulate_paths_many_envs
 
 
 def _vectors(env, sites):
@@ -83,6 +85,25 @@ def test_support_validation():
         StepSupport(dimension=2, steps=((1, 0), (1, 0)), u_hat=(1, 0))
 
 
+@pytest.mark.parametrize("steps, u_hat, field", [
+    # (1.7, 0) was read as (1, 0) and (1.9, 0.2) as (1, 0)
+    ([(1.7, 0), (0, 1)], (1, 0), "steps"),
+    ([(1, 0), (0, 1)], (1.9, 0.2), "u_hat"),
+    ([("1", 0), (0, 1)], (1, 0), "steps"),
+    ([(True, 0), (0, 1)], (1, 0), "steps"),
+    ([(1, 0), (0, 1)], (True, 0), "u_hat"),
+])
+def test_support_refuses_entries_that_are_not_integers(steps, u_hat, field):
+    with pytest.raises(ValueError, match=f"{field} entries must be integers"):
+        StepSupport(2, steps, u_hat)
+
+
+def test_support_takes_numpy_integers():
+    sup = StepSupport(2, np.array([[1, 0], [0, 1]]), np.array([1, 0]))
+    assert sup.steps == ((1, 0), (0, 1)) and sup.u_hat == (1, 0)
+    assert all(type(c) is int for z in sup.steps + (sup.u_hat,) for c in z)
+
+
 def test_model_validation():
     sup = support_2d([(1, 0), (0, 1)])
     with pytest.raises(ValueError):
@@ -104,6 +125,40 @@ def test_check_hypotheses_point_mass():
     assert not rep.R_span
     assert rep.non_nestling == (True, 1.0)
     assert not rep.R_restricted_path
+
+
+def test_deterministic_model_keeps_its_one_atom():
+    m = backtracking_model()
+    assert m.atoms == ((m.probs, 1.0),)
+
+
+def test_deterministic_law_is_the_mixture_with_one_atom():
+    """A deterministic model and mixtures of its one vector give the same
+    walks, site vectors, hypotheses and joint regenerations."""
+    det = backtracking_model()
+    p = det.probs
+    models = [det] + [EnvironmentModel(support=det.support, kind="mixture",
+                                       atoms=atoms)
+                      for atoms in (((p, 1.0),), ((p, 0.3), (p, 0.7)))]
+    sites = np.array([[i, (-1) ** i * i] for i in range(40)])
+    starts = np.zeros((6, 2), dtype=np.int64)
+    env_keys = np.arange(6, dtype=np.uint64) // 2 + 17
+
+    def outputs(m):
+        env = make_environment(m, 9)
+        return (simulate(env, (0, 0), 300, 4).sites.tolist(),
+                simulate_paths_many_envs(m, env_keys, starts, 50,
+                                         np.arange(6)).tolist(),
+                [env.cum_at(tuple(x)) for x in sites.tolist()],
+                cum_vectors_from_keys(m, site_keys(env.env_key,
+                                                   sites)).tolist(),
+                check_hypotheses(m).__dict__,
+                first_joint_regeneration(env, (0, 0), (0, 3), margin=5,
+                                         seed=2).__dict__)
+
+    want = outputs(det)
+    for m in models[1:]:
+        assert outputs(m) == want
 
 
 def test_check_hypotheses_drift_model():

@@ -28,6 +28,14 @@ def test_walk_validation():
         SymmetricWalk1D(offsets=(-1, 1), probs=(0.4, 0.4))
 
 
+@pytest.mark.parametrize("offsets", [(-1.5, 1.5), ("-1", "1"),
+                                     (-1, True)])
+def test_walk_refuses_offsets_that_are_not_integers(offsets):
+    # (-1.5, 1.5) was read as (-1, 1)
+    with pytest.raises(ValueError, match="offsets entries must be integers"):
+        SymmetricWalk1D(offsets=offsets, probs=(0.5, 0.5))
+
+
 def test_ladder_simple_walk():
     lh = ladder_heights(simple_walk())
     assert set(lh["pmf"]) == {1}
@@ -264,6 +272,24 @@ def test_chain_spec_validation():
     spec = PerturbedChainSpec(dimension=2, base_offsets=offs,
                               base_probs=probs, p1=10.0, allow_low_p1=True)
     assert spec.theorem_exponent() > 0.5
+
+
+def test_chain_spec_refuses_offsets_that_are_not_integers():
+    offs, probs = product_symmetric_base(simple_walk(), 2)
+    # base offsets +-1.5 were truncated to +-1
+    with pytest.raises(ValueError, match="base_offsets entries must be "
+                                         "integers"):
+        PerturbedChainSpec(dimension=2, base_offsets=offs * 1.5,
+                           base_probs=probs, p1=16.0)
+    with pytest.raises(ValueError, match="alt_offsets entries must be "
+                                         "integers"):
+        PerturbedChainSpec(dimension=2, base_offsets=offs, base_probs=probs,
+                           p1=16.0, alt_offsets=[[0.5, 0]], alt_probs=[1.0])
+    spec = PerturbedChainSpec(dimension=2, base_offsets=offs.tolist(),
+                              base_probs=probs, p1=16.0,
+                              alt_offsets=[[np.int32(1), 0]], alt_probs=[1.0])
+    assert spec.base_offsets.dtype == spec.alt_offsets.dtype == np.int64
+    assert np.array_equal(spec.base_offsets, offs)
 
 
 def test_green_bound_recurrent_2d():

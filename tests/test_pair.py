@@ -73,9 +73,10 @@ def test_intersection_curve_needs_two_reps():
 
 
 def test_intersection_curve_needs_two_distinct_positive_horizons():
-    # n = 0 gave an IndexError and [4, 4] a ZeroDivisionError in the fit
-    for grid in ([0, 4], [4, 4], [4]):
-        with pytest.raises(ValueError, match="n_grid entries must be >= 1"):
+    # n = 0 gave an IndexError and [4, 4] a ZeroDivisionError in the fit;
+    # n = 1 has no randomness: its mean was the constant 1
+    for grid in ([0, 4], [4, 4], [4], [1, 4]):
+        with pytest.raises(ValueError, match="n_grid entries must be >= 2"):
             intersection_curve(drift_model(), grid, reps=2)
 
 

@@ -12,7 +12,9 @@ so a drift in machine speed falls on both.  Every run is a fresh
 ``--trace-seed`` each side also makes one traced run per workload, whose
 per-layer numbers are recorded as measured.  For each
 end-to-end metric and each per-kind ``exp_s.<kind>``, a workload records in
-how many pairs the change read lower (``change_lower_in_pairs``).
+how many pairs the change read lower (``change_lower_in_pairs``), and for
+each end-to-end metric a ``verdict`` (see ``verdict``), its ``bound`` in
+BENCHMARK.json read as a fraction of the parent's median.
 
 A run that exits nonzero, or prints nothing, ends the session: the file is
 still written with every run collected so far, the failed run is recorded
@@ -91,10 +93,46 @@ def bench(dirs: dict, side: str, workload: str, seed: int, seconds: int,
             "failed": result["failed"], "stderr": proc.stderr.strip()}
 
 
+def _quartiles(vals: list) -> list:
+    """[q1, median, q3] of vals, the median three times for one value."""
+    return (statistics.quantiles(vals, n=4, method="inclusive")
+            if len(vals) > 1 else vals * 3)
+
+
+def verdict(parent: dict, change: dict, bound: float, better: str) -> str:
+    """The verdict on one end-to-end metric of one workload, from each
+    side's runs {seed: value}, bound a fraction of the parent's median and
+    better "lower" or "higher":
+
+    - 'worse': the change's median is worse than the parent's by more
+      than bound;
+    - 'unresolved': not worse, but the parent's quartile spread exceeds
+      bound, unless every change run is better than every parent run;
+    - 'gain': of at least 10 pairs (runs of both sides at one seed), the
+      change is better in 9/10 or more, ties counting for neither, and
+      the medians differ by more than the parent's quartile spread;
+    - 'no regression': anything else.
+    """
+    sign = 1.0 if better == "lower" else -1.0   # lower is then better
+    p = {s: sign * v for s, v in parent.items()}
+    c = {s: sign * v for s, v in change.items()}
+    q1, med, q3 = _quartiles(list(p.values()))
+    change_med = statistics.median(c.values())
+    allowed = bound * abs(med)
+    if change_med - med > allowed:
+        return "worse"
+    if q3 - q1 > allowed and max(c.values()) >= min(p.values()):
+        return "unresolved"
+    paired = [s for s in p if s in c]
+    wins = sum(c[s] < p[s] for s in paired)
+    if len(paired) >= 10 and 10 * wins >= 9 * len(paired) \
+            and med - change_med > q3 - q1:
+        return "gain"
+    return "no regression"
+
+
 def _summary(per_seed: dict) -> dict:
-    vals = list(per_seed.values())
-    q1, med, q3 = (statistics.quantiles(vals, n=4, method="inclusive")
-                   if len(vals) > 1 else vals * 3)
+    q1, med, q3 = _quartiles(list(per_seed.values()))
     return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4),
             "per_seed": {s: round(v, 4) for s, v in per_seed.items()}}
 
@@ -147,16 +185,20 @@ def main(argv=None) -> int:
     ap.add_argument("--code", default="", help="what the change does")
     ap.add_argument("--out", help="default: BENCH_<label>.json in the repo")
     args = ap.parse_args(argv)
+    bench_json = json.loads((ROOT / "BENCHMARK.json").read_text())
     if not args.workload:
-        bench_json = json.loads((ROOT / "BENCHMARK.json").read_text())
         args.workload = [w["name"] for w in bench_json["workloads"]]
+    metrics = {m["name"]: m for m in bench_json["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         dirs = {side: checkout(getattr(args, side), Path(tmp), side)
                 for side in SIDES}
-        doc = collect(args, dirs)
+        doc = collect(args, dirs, metrics)
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}")
+    for w, entry in doc["workloads"].items():
+        for name, text in entry.get("verdict", {}).items():
+            print(f"{w} {name}: {text}")
     if "failed_run" in doc:
         failed = doc["failed_run"]
         print(f"failed: {failed['workload']} {failed['side']} seed "
@@ -166,10 +208,11 @@ def main(argv=None) -> int:
     return 0
 
 
-def _entry(runs: dict, first: dict) -> dict:
-    """A workload's record from its runs {side: {seed: bench(...)}} and the
-    side that went first in each pair, {seed: side}; only pairs with both
-    runs count in change_lower_in_pairs."""
+def _entry(runs: dict, first: dict, metrics: dict) -> dict:
+    """A workload's record from its runs {side: {seed: bench(...)}}, the
+    side that went first in each pair, {seed: side}, and the end-to-end
+    metrics of BENCHMARK.json by name; only pairs with both runs count in
+    change_lower_in_pairs, and a verdict needs runs on both sides."""
     entry = {side: _side(runs[side]) for side in SIDES}
     paired = [s for s in first if all(s in runs[side] for side in SIDES)]
     names = END_TO_END + (_exp_rows(runs["change"][paired[-1]])
@@ -177,11 +220,16 @@ def _entry(runs: dict, first: dict) -> dict:
     entry["change_lower_in_pairs"] = {name: "%d/%d" % (sum(
         runs["change"][s]["rows"][name] < runs["parent"][s]["rows"][name]
         for s in paired), len(paired)) for name in names}
+    if all(runs[side] for side in SIDES):
+        entry["verdict"] = {name: verdict(
+            *({s: r["rows"][name] for s, r in runs[side].items()}
+              for side in SIDES), m["bound"], m["better"])
+            for name, m in metrics.items()}
     entry["first_in_pair"] = first
     return entry
 
 
-def collect(args, dirs: dict) -> dict:
+def collect(args, dirs: dict, metrics: dict) -> dict:
     """Every pair of every workload, then its traced runs; a failed run
     ends the collection with what was collected so far."""
     machine = None
@@ -210,7 +258,7 @@ def collect(args, dirs: dict) -> dict:
                         k: round(v, 4) for k, v in r["rows"].items()}}
         except RunFailed as e:
             failed = e.args[0]
-        workloads[w] = _entry(runs, first)
+        workloads[w] = _entry(runs, first, metrics)
         if failed:
             workloads[w][failed["side"]]["correct"] = False
             break
