@@ -21,7 +21,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import platform
 import sys
@@ -38,7 +37,7 @@ from .environment import (EnvironmentModel, StepSupport, check_hypotheses,
                           env_key_range, make_environment, derive_env_seed)
 from .clt import clt_check, quenched_mean_variance, quenched_samples
 from .envprocess import ergodic_checkpoints, ergodic_runs, variation_proxy
-from .fitting import check_grid
+from .fitting import check_grid, integer, nested, real, refusal
 from .green import (PerturbedChainSpec, SymmetricWalk1D, build_ladder_tables,
                     check_exit_radii, check_ladder_size, check_solve_size,
                     cube_exit_time, green_bound_experiment, half_line_green,
@@ -67,39 +66,17 @@ class _Rule(str):
     """Default a run works out; the text states it, the check gets None."""
 
 
-def _fail(what, v, name="") -> ValueError:
-    return ValueError(f"{name} must be {what} (got {_show(v)})".lstrip())
-
-
 def _whole(v, name=""):
     """An int, not a bool, of any size (derive_key reads a seed mod 2**64)."""
     if not isinstance(v, int) or isinstance(v, bool):
-        raise _fail("an integer", v, name)
+        raise refusal("an integer", v, name)
     return v
-
-
-def _integer(v, lo=None, name=""):
-    """v, an int64 >= lo: numpy holds the field as one or sizes by it."""
-    if not -2**63 <= _whole(v, name) < 2**63:
-        raise _fail("an integer in [-2**63, 2**63)", v, name)
-    if lo is not None and v < lo:
-        raise _fail(f">= {lo}", v, name)
-    return v
-
-
-def _real(v, name="", above=None):
-    if not isinstance(v, (int, float)) or isinstance(v, bool) \
-            or not math.isfinite(v):
-        raise _fail("a finite number", v, name)
-    if above is not None and v <= above:
-        raise _fail(f"> {above}", v, name)
-    return float(v)
 
 
 def _typed(kind, what):
     def check(v, name=""):
         if not isinstance(v, kind):
-            raise _fail(what, v, name)
+            raise refusal(what, v, name)
         return v
     return check
 
@@ -107,24 +84,6 @@ def _typed(kind, what):
 _flag = _typed(bool, "true or false")
 _object = _typed(dict, "an object")
 _text = _typed(str, "a string")
-
-
-def _lists(v, item, shape, name="") -> list:
-    """Nested nonempty lists of item(entry); shape: lengths, None for any."""
-    if not shape:
-        return item(v, name=name)
-    if not isinstance(v, list) or not v or shape[0] not in (None, len(v)):
-        raise _fail(f"a list of {shape[0] or 'one or more'} entries", v, name)
-    return [_lists(x, item, shape[1:], name) for x in v]
-
-
-def _ints(v, name, depth=1) -> list:
-    return _lists(v, _integer, [None] * depth, name)
-
-
-def _reals(v, name):
-    """An optional list of finite numbers: None stays None."""
-    return None if v is None else _lists(v, _real, [None], name)
 
 
 def _known(v, fields) -> dict:
@@ -140,37 +99,28 @@ def build_model(mcfg) -> EnvironmentModel:
     m = _known(mcfg, ("dimension", "steps", "u_hat", "law", "probs", "alpha",
                       "floor", "atoms"))
     if m.get("law") not in ("deterministic", "dirichlet", "mixture"):
-        raise _fail("deterministic, dirichlet or mixture", m.get("law"), "law")
+        raise refusal("deterministic, dirichlet or mixture", m.get("law"),
+                      "law")
     atoms = [_known(a, ("probs", "weight")) for a in m.get("atoms") or ()]
     return EnvironmentModel(
-        support=StepSupport(_integer(m["dimension"], 1, "dimension"),
-                            _ints(m["steps"], "steps", 2),
-                            _ints(m["u_hat"], "u_hat")),
-        kind=m["law"], probs=_reals(m.get("probs"), "probs"),
-        alpha=_reals(m.get("alpha"), "alpha"),
-        floor=_real(m.get("floor", 0.0), "floor"),
-        atoms=tuple((_reals(a["probs"], "probs"), _real(a["weight"], "weight"))
-                    for a in atoms))
+        support=StepSupport(m["dimension"], m["steps"], m["u_hat"]),
+        kind=m["law"], probs=m.get("probs"), alpha=m.get("alpha"),
+        floor=m.get("floor", 0.0),
+        atoms=tuple((a["probs"], a["weight"]) for a in atoms))
 
 
 def build_walk(wcfg) -> SymmetricWalk1D:
     w = _known(wcfg, ("offsets", "probs"))
-    return SymmetricWalk1D(_ints(w["offsets"], "offsets"),
-                           _lists(w["probs"], _real, [None], "probs"))
+    return SymmetricWalk1D(w["offsets"], w["probs"])
 
 
 def build_chain_spec(ccfg) -> PerturbedChainSpec:
     """PerturbedChainSpec(**ccfg), its base the product of the walk base_1d."""
     c = dict(_known(ccfg, ("dimension", "base_1d", "p1", "p2", "c_pert",
                            "alt_offsets", "alt_probs", "allow_low_p1")))
-    d = c["dimension"] = _integer(c.get("dimension", 1), 1, "dimension")
-    for k, check in (("p1", _real), ("c_pert", _real),
-                     ("p2", lambda v, k: np.inf if v in ("inf", None)
-                      else _real(v, k)), ("allow_low_p1", _flag),
-                     ("alt_offsets", partial(_ints, depth=2)),
-                     ("alt_probs", _reals)):
-        if k in c:
-            c[k] = check(c[k], k)
+    d = c["dimension"] = integer(c.get("dimension", 1), "dimension", 1)
+    if c.get("p2", "inf") in ("inf", None):
+        c["p2"] = np.inf
     walk = build_walk(c.pop("base_1d"))
     # len(offsets) ** d product rows; with 2+ offsets, d > 16 is over
     if d > 16 or len(walk.offsets) ** d > 1 << 16:
@@ -181,7 +131,7 @@ def build_chain_spec(ccfg) -> PerturbedChainSpec:
 
 
 def _int(lo=None):
-    return lambda v, p, model: _integer(v, lo)
+    return lambda v, p, model: integer(v, lo=lo)
 
 
 def _plain(check):
@@ -189,48 +139,47 @@ def _plain(check):
 
 
 def _nested(item, *shape):
-    """_lists check; a shape entry "d" is the model's dimension."""
-    return lambda v, p, model: _lists(v, item, [
+    """fitting.nested check; a shape entry "d" is the model's dimension."""
+    return lambda v, p, model: nested(v, item, [
         model.support.dimension if n == "d" else n for n in shape])
 
 
 def _in_V(*shape):
     """_nested integer starts x in the hyperplane V_d: x . u_hat = 0."""
-    nested = _nested(_integer, *shape)
+    read = _nested(integer, *shape)
 
     def check(v, p, model):
-        starts = nested(v, p, model)
+        starts = read(v, p, model)
         for x in starts if len(shape) > 1 else [starts]:
             if model.support.dot_u(x) != 0:
-                raise _fail("in the hyperplane V_d (x0 . u_hat = 0)", x)
+                raise refusal("in the hyperplane V_d (x0 . u_hat = 0)", x)
         return starts
     return check
 
 
 def _grid(lo, least=1):
     """A list of integers that fitting.check_grid reads with lo and least."""
-    return lambda v, p, model: check_grid(_lists(v, _integer, [None]), lo,
-                                          "list", least)
+    return lambda v, p, model: check_grid(v, lo, "", least)
 
 
 def _tail_cut(v, p, model):
-    if v is not None and _integer(v) < p.get("margin", 1):
-        raise _fail(f">= margin = {p.get('margin', 1)}", v)
+    if v is not None and integer(v) < p.get("margin", 1):
+        raise refusal(f">= margin = {p.get('margin', 1)}", v)
     return v
 
 
 def _checkpoints(v, p, model):
     """A list of integers, or None, read by envprocess.ergodic_checkpoints
     once n is valid."""
-    cps = None if v is None else _ints(v, "")
+    cps = None if v is None else nested(v, integer, [None])
     return ergodic_checkpoints(cps, p["n"]) if "n" in p else cps
 
 
 def _mc_reps(v, p, model):
     """Replicas of the green Monte Carlo: its standard error needs two."""
-    if p.get("mc") and _integer(v) < 2:
-        raise _fail(">= 2 when mc is true", v)
-    return _integer(v, 1)
+    if p.get("mc") and integer(v) < 2:
+        raise refusal(">= 2 when mc is true", v)
+    return integer(v, lo=1)
 
 
 def _exit_radii(v, p, model):
@@ -244,10 +193,10 @@ def _green_walk(v, p, model):
 
 
 def _points(v, p, model):
-    pts = _lists(v, _integer, [None, 2])
+    pts = nested(v, integer, [None, 2])
     for pt in pts:
         if "r0" in p and min(pt) <= p["r0"]:
-            raise _fail(f"[s, t] pairs above r0 = {p['r0']}", pt)
+            raise refusal(f"[s, t] pairs above r0 = {p['r0']}", pt)
         if "r0" in p and "walk" in p:
             check_solve_size(p["walk"], p["r0"], *pt)
     return pts
@@ -468,13 +417,13 @@ KIND_TABLE = {
     "regen": (_run_regen, True, {
         "n_paths": (_int(1), 8), "horizon": (_int(1), 100_000),
         "margin": (_int(1), 20), "tail_cut": (_tail_cut, _Rule("margin")),
-        "p": (_plain(partial(_real, above=0)), 2.0),
+        "p": (_plain(partial(real, above=0)), 2.0),
         "n_grid": (_grid(1), [4, 16, 64, 256])}),
     "clt": (_run_clt, True, {
         "n": (_int(1), 4096), "m_walks": (_int(2), 2000),
         "n_env": (_int(2), 5),
-        "v": (_nested(_real, "d"), _FROM_REGEN),
-        "D": (_nested(_real, "d", "d"), _FROM_REGEN)}),
+        "v": (_nested(real, "d"), _FROM_REGEN),
+        "D": (_nested(real, "d", "d"), _FROM_REGEN)}),
     "quenched-mean": (_run_quenched_mean, True, {
         "n_grid": (_grid(1), _REQUIRED), "n_env": (_int(30), 200),
         "m_walks": (_int(2), 200)}),

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import special as _sps
 
 from .environment import EnvironmentModel, env_key_range
-from .fitting import check_grid, fit_exponent
+from .fitting import check_grid, fit_exponent, integer, nested, real
 from .ks import ks_norm_pvalue
 from .rng import (TAG_ENV, _pmap, derive_key_array, derive_key_range,
                   fold_key_array)
@@ -57,8 +57,9 @@ def quenched_samples(model: EnvironmentModel, env_keys, n: int, m_walks: int,
     `workers` blocks, one engine call each, run through rng._pmap's one
     pool; the result does not depend on `workers`.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1 to scale by sqrt(n) (got {n})")
+    n = integer(n, "n", 1)   # to scale by sqrt(n)
+    m_walks = integer(m_walks, "m_walks", 1)
+    v = np.array(nested(v, real, [model.support.dimension], "v"))
     env_keys = np.asarray(env_keys, dtype=np.uint64)
     prefixes = derive_key_array(np.asarray(seeds, dtype=np.uint64), _TAG_QS)
     if prefixes.shape != env_keys.shape:
@@ -68,7 +69,7 @@ def quenched_samples(model: EnvironmentModel, env_keys, n: int, m_walks: int,
              for envs in _env_blocks(len(env_keys), workers)]
     finals = np.concatenate(_pmap(
         partial(_finals_block, model=model, m_walks=m_walks), items, workers))
-    return (finals - n * np.asarray(v, dtype=float)) / np.sqrt(n)
+    return (finals - n * v) / np.sqrt(n)
 
 
 def _null_space(a: np.ndarray) -> np.ndarray:
@@ -127,7 +128,7 @@ def clt_check(samples_per_env, D_hat, support, level: float = 0.01) -> QuenchedC
     if min(len(samples) for samples in samples_per_env) < 2:
         raise ValueError("need at least 2 samples in every environment for "
                          "its covariance")
-    D_hat = np.asarray(D_hat, dtype=float)
+    D_hat = np.array(nested(D_hat, real, [support.dimension] * 2, "D_hat"))
     dirs = projection_directions(support)
     n_env = len(samples_per_env)
     pvals = np.full((n_env, len(dirs)), np.nan)
@@ -191,10 +192,8 @@ def quenched_mean_variance(model: EnvironmentModel, n_grid, n_env: int,
     of (seed, n index, environment, walk), so the result does not depend
     on `workers`.
     """
-    if n_env < 30:
-        raise ValueError("need n_env >= 30 environments")
-    if m_walks < 2:
-        raise ValueError("need m_walks >= 2")
+    n_env = integer(n_env, "n_env", 30)
+    m_walks = integer(m_walks, "m_walks", 2)
     n_grid = check_grid(n_grid, 1, "n_grid")
     env_blocks = _env_blocks(n_env, workers)
     keys = [(env_key_range(seed, TAG_ENV, _TAG_QMV, ni, n=n_env),
@@ -245,11 +244,9 @@ def centered_mean_bound(model: EnvironmentModel, n_grid, v_hat, reps: int = 4000
     per-point standard errors, reporting a two-sided normal p-value for
     slope = 0.
     """
-    if reps < 2:
-        raise ValueError(f"reps must be >= 2 for a standard error "
-                         f"(got {reps})")
+    reps = integer(reps, "reps", 2)   # for a standard error
     n_grid = check_grid(n_grid, 1, "n_grid", least=2)
-    v_hat = np.asarray(v_hat, dtype=float)
+    v_hat = np.array(nested(v_hat, real, [model.support.dimension], "v_hat"))
     u_hat = np.asarray(model.support.u_hat, dtype=float)
     ys, ses = [], []
     for ni, n in enumerate(n_grid):

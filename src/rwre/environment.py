@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import accumulate
 from operator import add
 from typing import Optional
@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 from scipy import special as _sps
 
-from .fitting import int_list
+from .fitting import integer, nested, real
 from .rng import (TAG_ENV, TAG_SITE, U01_MAX, counter_u01_array, derive_key,
                   derive_key_array, derive_key_range, site_u01, step_index,
                   stream_u01_array)
@@ -54,21 +54,15 @@ class StepSupport:
     u_hat: tuple  # integer direction, nonzero
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
-        steps = tuple(tuple(int_list(z, "steps")) for z in self.steps)
-        object.__setattr__(self, "steps", steps)
-        u_hat = tuple(int_list(self.u_hat, "u_hat"))
-        object.__setattr__(self, "u_hat", u_hat)
-        if len(steps) == 0:
-            raise ValueError("step set J must be nonempty")
-        for z in steps:
-            if len(z) != self.dimension:
-                raise ValueError(f"step {z} has wrong dimension")
+        d = integer(self.dimension, "dimension", 1)
+        steps = tuple(map(tuple, nested(self.steps, integer, [None, d],
+                                        "steps")))
+        u_hat = tuple(nested(self.u_hat, integer, [d], "u_hat"))
+        for name, value in (("dimension", d), ("steps", steps),
+                            ("u_hat", u_hat)):
+            object.__setattr__(self, name, value)
         if len(set(steps)) != len(steps):
             raise ValueError("duplicate steps in J")
-        if len(self.u_hat) != self.dimension:
-            raise ValueError("u_hat has wrong dimension")
         if all(c == 0 for c in self.u_hat):
             raise ValueError("u_hat must be nonzero")
         if not any(self.dot_u(z) > 0 for z in steps):
@@ -124,6 +118,7 @@ class EnvironmentModel:
 
     def __post_init__(self):
         k = len(self.support.steps)
+        object.__setattr__(self, "floor", real(self.floor, "floor"))
         if self.kind == "deterministic":
             p = _check_prob_vector(self.probs, k, "probs")
             object.__setattr__(self, "probs", p)
@@ -132,13 +127,9 @@ class EnvironmentModel:
                                  "probability to every step in J")
             object.__setattr__(self, "atoms", ((p, 1.0),))
         elif self.kind == "dirichlet":
-            if self.alpha is None or len(self.alpha) != k:
-                raise ValueError("alpha must have one weight per step")
-            a = tuple(float(x) for x in self.alpha)
-            if not all(0 < x < math.inf for x in a):
-                raise ValueError("alpha weights must be positive and finite")
-            object.__setattr__(self, "alpha", a)
-            if not (0.0 <= self.floor < 1.0):
+            object.__setattr__(self, "alpha", tuple(nested(
+                self.alpha, partial(real, above=0), [k], "alpha")))
+            if not 0.0 <= self.floor < 1.0:
                 raise ValueError("floor must lie in [0, 1)")
         elif self.kind == "mixture":
             if not self.atoms:
@@ -146,12 +137,8 @@ class EnvironmentModel:
             atoms = []
             wsum = 0.0
             for probs, w in self.atoms:
-                p = _check_prob_vector(probs, k, "atom probs")
-                w = float(w)
-                if not 0 < w < math.inf:
-                    raise ValueError("atom weights must be positive and "
-                                     "finite")
-                atoms.append((p, w))
+                w = real(w, "weight", above=0)
+                atoms.append((_check_prob_vector(probs, k, "probs"), w))
                 wsum += w
             atoms = tuple((p, w / wsum) for p, w in atoms)
             object.__setattr__(self, "atoms", atoms)
@@ -164,10 +151,8 @@ class EnvironmentModel:
 
 
 def _check_prob_vector(probs, k: int, name: str) -> tuple:
-    if probs is None or len(probs) != k:
-        raise ValueError(f"{name} must have one entry per step in J")
-    p = tuple(float(x) for x in probs)
-    if not all(x >= 0 for x in p):   # also rejects NaN
+    p = tuple(nested(probs, real, [k], name))
+    if not all(x >= 0 for x in p):
         raise ValueError(f"{name} entries must be nonnegative")
     if abs(sum(p) - 1.0) > 1e-12:
         raise ValueError(f"{name} must sum to 1 (got {sum(p)})")

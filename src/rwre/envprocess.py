@@ -16,7 +16,7 @@ import numpy as np
 
 from .environment import (EnvironmentModel, derive_env_seed, env_key_range,
                           make_environment)
-from .fitting import check_grid, fit_exponent, int_list
+from .fitting import check_grid, fit_exponent, integer
 from .rng import (TAG_ENV, _pmap, derive_key, derive_key_range,
                   fold_key_array, site_keys)
 from .walk import _from_origin, simulate, simulate_level_stats_many_envs
@@ -29,8 +29,9 @@ def ergodic_checkpoints(checkpoints, n: int) -> list:
     """The checkpoint rule of the ergodic runs: integer times in [1, n],
     one or more, read as a sorted list of distinct ints; None stands for
     [max(1, n // 100), n].  Else ValueError."""
-    cps = sorted(set(int_list([max(1, n // 100), n] if checkpoints is None
-                              else checkpoints, "checkpoints")))
+    n = integer(n, "n", 1)
+    cps = sorted({integer(c, "checkpoints") for c in (
+        [max(1, n // 100), n] if checkpoints is None else checkpoints)})
     if not cps or cps[0] < 1 or cps[-1] > n:
         raise ValueError("checkpoints must be one or more times in [1, n] "
                          f"(got {cps} for n = {n})")
@@ -62,8 +63,7 @@ def ergodic_runs(model: EnvironmentModel, n: int, n_runs: int, seed: int,
     prefix key seed = derive_key(...), run through rng._pmap's one pool:
     per-run means {checkpoint: [run 0, ...]}, the across-run sd at each
     checkpoint (0.0 for one run), and the terminal mean with its se."""
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1 (got {n_runs})")
+    n_runs = integer(n_runs, "n_runs", 1)
     checkpoints = ergodic_checkpoints(checkpoints, n)
     seeds = fold_key_array(seed, np.arange(n_runs, dtype=np.uint64))
     runs = _pmap(partial(ergodic_average, model, n, checkpoints=checkpoints),
@@ -86,8 +86,8 @@ def variation_proxy(model: EnvironmentModel, n: int, ell_grid, reps: int,
     `monotone` is the exact test diff(i_hat) <= 0.  `fit` is the log-log fit
     of i_hat against ell (fitting.fit_exponent).
     """
-    if reps < 1000:
-        raise ValueError("reps must be at least 1000")
+    n = integer(n, "n", 1)
+    reps = integer(reps, "reps", 1000)
     ell_grid = check_grid(ell_grid, 1, "ell_grid")
     stats = _from_origin(simulate_level_stats_many_envs, model,
                          env_key_range(seed, TAG_ENV, _TAG_VAR, n=reps),

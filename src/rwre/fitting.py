@@ -1,5 +1,10 @@
-"""The one grid rule and the one fit rule of the exponent experiments.
+"""The value rules, the one grid rule and the one fit rule.
 
+Value rules (integer, real, nested): every number and nested list a
+model, walk, chain or experiment takes is read by one of them, or a
+ValueError names the field.  An integer is a Python or numpy int, not a
+bool, in int64; a real is a finite Python or numpy int or float, not a
+bool; nested lists are nonempty lists, tuples or arrays.
 Grid rule (check_grid): a grid of horizons, levels or radii is read as a
 sorted list of distinct ints >= lo, at least `least` of them (2 where a
 fit or trend test needs them), or raises a ValueError naming it.
@@ -10,7 +15,9 @@ is None.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from reprlib import repr as _show
 from typing import Optional
 
 import numpy as np
@@ -25,22 +32,62 @@ class ExponentFit:
     slope_se: float
 
 
-def int_list(values, name: str) -> list:
-    """values, Python or numpy integers, as a list of Python ints, or a
-    ValueError naming `name` at the first entry that is not one."""
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"{name} entries must be integers (got {v!r})")
-    return [int(v) for v in values]
+def refusal(what, v, name="") -> ValueError:
+    """The error of a value rule: `name` must be `what`, and what it got."""
+    return ValueError(f"{name} must be {what} (got {_show(v)})".lstrip())
+
+
+def integer(v, name="", lo=None) -> int:
+    """v, a Python or numpy int, not a bool, in [-2**63, 2**63) (numpy
+    holds the field as one or sizes by it) and >= lo, as a Python int."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise refusal("an integer", v, name)
+    if not -2**63 <= v < 2**63:
+        raise refusal("an integer in [-2**63, 2**63)", v, name)
+    if lo is not None and v < lo:
+        raise refusal(f">= {lo}", v, name)
+    return int(v)
+
+
+def real(v, name="", above=None) -> float:
+    """v, a finite Python or numpy int or float, not a bool, and > above,
+    as a float."""
+    if isinstance(v, bool) or not isinstance(
+            v, (int, float, np.integer, np.floating)) or not math.isfinite(v):
+        raise refusal("a finite number", v, name)
+    if above is not None and v <= above:
+        raise refusal(f"> {above}", v, name)
+    return float(v)
+
+
+def nested(v, item, shape, name="") -> list:
+    """v as nested lists of item(entry, name): nonempty lists, tuples or
+    arrays, shape[i] the length at level i (None for any).  A numeric
+    array of that shape is read whole: each entry has its dtype's type,
+    so item(min) and item(max) check them all (NaN reaches both)."""
+    if isinstance(v, np.ndarray):
+        if v.dtype.kind in "iuf" and v.ndim == len(shape) and v.size and all(
+                n in (None, m) for n, m in zip(shape, v.shape)):
+            low = item(v.min(), name)
+            item(v.max(), name)
+            return v.astype(type(low)).tolist()
+        v = v.tolist()
+    if not shape:
+        return item(v, name)
+    if not isinstance(v, (list, tuple)) or not v \
+            or shape[0] not in (None, len(v)):
+        raise refusal(f"a list of {shape[0] or 'one or more'} entries", v,
+                      name)
+    return [nested(x, item, shape[1:], name) for x in v]
 
 
 def check_grid(values, lo: int, name: str, least: int = 1) -> list:
     """values as a sorted list of distinct ints >= lo, at least `least` of
-    them, or ValueError; a float, string or bool entry is not truncated."""
-    grid = sorted(int_list(values, name))
+    them, each read by `integer`, or ValueError."""
+    grid = sorted(integer(v, name) for v in values)
     if len(set(grid)) < max(least, len(grid)) or grid[0] < lo:
         raise ValueError(f"{name} entries must be >= {lo} and distinct, "
-                         f"{least} or more of them (got {grid})")
+                         f"{least} or more of them (got {grid})".lstrip())
     return grid
 
 

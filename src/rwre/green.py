@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fitting import check_grid, fit_exponent, int_list
+from .fitting import (check_grid, fit_exponent, integer, nested, real,
+                      refusal)
 from .rng import (_block_len, counter_u01_array, counter_u64_array,
                   derive_key_range, step_index)
 
@@ -70,16 +71,12 @@ class SymmetricWalk1D:
     probs: tuple
 
     def __post_init__(self):
-        offs = tuple(int_list(self.offsets, "offsets"))
-        p = tuple(float(q) for q in self.probs)
-        if len(offs) != len(p) or not offs:
-            raise ValueError("offsets and probs must align and be nonempty")
+        offs = tuple(nested(self.offsets, integer, [None], "offsets"))
+        p = tuple(nested(self.probs, real, [len(offs)], "probs"))
         if len(set(offs)) != len(offs):
             raise ValueError("duplicate offsets")
-        if not all(q >= 0 for q in p):   # also rejects NaN
-            raise ValueError("probabilities must be nonnegative numbers")
-        if abs(sum(p) - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1")
+        if min(p) < 0 or abs(sum(p) - 1.0) > 1e-12:
+            raise ValueError("probabilities must be nonnegative and sum to 1")
         pmf = dict(zip(offs, p))
         for z, q in pmf.items():
             if abs(q - pmf.get(-z, 0.0)) > 1e-12:
@@ -392,9 +389,7 @@ def half_line_green_mc(walk: SymmetricWalk1D, r0: int, s: int, t: int,
     add more than tail_tol.  Otherwise the estimate is biased downward by
     at most tail_tol; comparisons should allow 3 se + tail_tol.
     """
-    if reps < 2:
-        raise ValueError(f"reps must be >= 2 for a standard error "
-                         f"(got {reps})")
+    reps = integer(reps, "reps", 2)   # for a standard error
     if t <= r0 or s <= r0:
         return 0.0, 0.0
     keys = derive_key_range(seed, _TAG_GREEN_MC, n=reps)
@@ -465,8 +460,7 @@ def first_passage_tail(walk: SymmetricWalk1D, a_grid, mode: str = "exact",
         return {"mode": "exact", "tail": out}
     if mode != "monte-carlo":
         raise ValueError("mode must be 'exact' or 'monte-carlo'")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1 for a tail (got {reps})")
+    reps = integer(reps, "reps", 1)
     keys = derive_key_range(seed, _TAG_TAIL, n=reps)
     # step k draws counter k; P{Tbar >= a} counts survivors of a - 1 steps
     alive, _ = _killed_walk(walk, keys, 0, 1, lo=0, n_steps=max(a_grid) - 1)
@@ -502,6 +496,7 @@ class PerturbedChainSpec:
     allow_low_p1: bool = False
 
     def __post_init__(self):
+        self.dimension = integer(self.dimension, "dimension", 1)
         self.base_offsets, self.base_probs = _step_law(
             self.base_offsets, self.base_probs, self.dimension, "base")
         # symmetry of the base pmf
@@ -511,11 +506,15 @@ class PerturbedChainSpec:
             neg = tuple(-c for c in z)
             if abs(p - pmf.get(neg, 0.0)) > 1e-12:
                 raise ValueError("base pmf must be symmetric")
-        if not (2 < self.p1 < np.inf and 0 <= self.c_pert < np.inf):
-            raise ValueError("need finite p1 > 2 (the theorem exponent "
-                             "divides by 2 p1 - 4) and finite c_pert >= 0")
-        if not self.p2 > 0:   # also rejects NaN
-            raise ValueError("test function must decay: p2 > 0 required")
+        # the theorem exponent divides by 2 p1 - 4; h must decay
+        self.p1 = real(self.p1, "p1", above=2)
+        self.c_pert = real(self.c_pert, "c_pert")
+        if self.c_pert < 0:
+            raise ValueError(f"c_pert must be >= 0 (got {self.c_pert})")
+        if self.p2 != np.inf:
+            self.p2 = real(self.p2, "p2", above=0)
+        if not isinstance(self.allow_low_p1, bool):
+            raise refusal("true or false", self.allow_low_p1, "allow_low_p1")
         if self.p1 <= 15 and not self.allow_low_p1:
             raise ValueError("p1 > 15 required for the Green-bound regime "
                              "(set allow_low_p1 for exploratory runs)")
@@ -539,16 +538,11 @@ class PerturbedChainSpec:
 
 
 def _step_law(offsets, probs, d: int, name: str) -> tuple:
-    """offsets as (k, d) int64 rows, each entry read by fitting.int_list,
-    and probs as floats, one per row, that form a pmf; or a ValueError."""
-    a = np.asarray(offsets)
-    offsets = np.array(int_list(a.ravel().tolist(), f"{name}_offsets"),
-                       dtype=np.int64).reshape(a.shape)
-    probs = np.asarray(probs, dtype=float)
-    if offsets.ndim != 2 or offsets.shape[1] != d \
-            or probs.shape != (len(offsets),):
-        raise ValueError(f"{name} offsets must be rows of length {d} with "
-                         "one probability each")
+    """offsets as (k, d) int64 rows and probs, one per row, as floats that
+    form a pmf, each read by the fitting rules; or a ValueError."""
+    offsets = np.array(nested(offsets, integer, [None, d], f"{name}_offsets"),
+                       dtype=np.int64)
+    probs = np.array(nested(probs, real, [len(offsets)], f"{name}_probs"))
     if not np.all(probs >= 0) or abs(probs.sum() - 1.0) > 1e-12:
         raise ValueError(f"{name} probabilities must be nonnegative and "
                          "sum to 1")
@@ -656,8 +650,7 @@ def green_bound_experiment(spec: PerturbedChainSpec, n_grid, reps: int = 256,
     rng._BLOCK_CELLS (step, replica) cells; h is read by squared norm and
     summed along the block's steps in the order of a one-step loop.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1 for a mean (got {reps})")
+    reps = integer(reps, "reps", 1)
     n_grid = check_grid(n_grid, 1, "n_grid", least=2)
     n_max = n_grid[-1]
     d = spec.dimension
@@ -755,8 +748,7 @@ def cube_exit_time(spec: PerturbedChainSpec, r_grid, reps: int = 512,
                    seed: int = 0) -> dict:
     """Monte Carlo mean exit times from centered cubes of radius r >= 0, over
     reps >= 1 replicas (_chain_exit_times), with a power fit over r > 0."""
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1 for a mean (got {reps})")
+    reps = integer(reps, "reps", 1)
     r_grid = check_exit_radii(check_grid(r_grid, 0, "r_grid"))
     means = []
     truncated = {}

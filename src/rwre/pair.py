@@ -21,7 +21,7 @@ import numpy as np
 
 from .environment import (Environment, EnvironmentModel, compute_h,
                           env_key_range, make_environment)
-from .fitting import check_grid, fit_exponent
+from .fitting import check_grid, fit_exponent, integer, nested
 from .rng import (_pmap, derive_key, derive_key_range, fold_key_array,
                   site_keys, site_u01)
 from .walk import (_from_origin, _SeqWalk, _TimeSource,
@@ -99,9 +99,7 @@ def intersection_curve(model: EnvironmentModel, n_grid, reps: int,
     """Mean number of common points of two walks in a common environment,
     over a grid of horizons >= 2 (n = 1 has no randomness), with independent
     replicas (at least 2, for a standard error) per grid point."""
-    if reps < 2:
-        raise ValueError(f"reps must be >= 2 for a standard error "
-                         f"(got {reps})")
+    reps = integer(reps, "reps", 2)
     n_grid = check_grid(n_grid, 2, "n_grid", least=2)
     means, ses = [], []
     for ni, n in enumerate(n_grid):
@@ -203,6 +201,8 @@ def first_joint_regeneration(env: Environment, x, y, margin: int = 20,
                              horizon: int = 20_000,
                              seed: int = 0) -> JointRegenRecord:
     """First joint regeneration record of two fresh walks from x and y."""
+    margin = integer(margin, "margin", 1)
+    horizon = integer(horizon, "horizon", 1)
     sup = env.model.support
     lev = sup.dot_u(x)
     if sup.dot_u(y) != lev:
@@ -221,9 +221,10 @@ def first_joint_regeneration(env: Environment, x, y, margin: int = 20,
 
 def _in_V(model: EnvironmentModel, x0) -> tuple:
     """x0 as a tuple of ints, checked to lie in V_d."""
+    x0 = tuple(nested(x0, integer, [None], "x0"))
     if model.support.dot_u(x0) != 0:
         raise ValueError("x0 must lie in the hyperplane V_d (x0.u_hat = 0)")
-    return tuple(int(c) for c in x0)
+    return x0
 
 
 def _slab_difference(rec: JointRegenRecord, wa: _SeqWalk,
@@ -253,6 +254,7 @@ def _one_q_step(model: EnvironmentModel, y: tuple, seed: int, margin: int,
 def _sample_chain(model: EnvironmentModel, x0, K: int, seed: int, margin: int,
                   independent_envs: bool, tag: int) -> YChainSample:
     y = _in_V(model, x0)
+    margin = integer(margin, "margin", 1)
     out = []
     rejections = 0
     for k in range(K):
@@ -367,6 +369,8 @@ def coupled_triple(model: EnvironmentModel, x0, seed: int,
     triple whose (X, Xbar) pair never backtracks.
     """
     x0 = _in_V(model, x0)
+    margin = integer(margin, "margin", 1)
+    horizon = integer(horizon, "horizon", 1)
     sup = model.support
     h = compute_h(sup)
     origin = tuple(0 for _ in range(sup.dimension))
@@ -417,8 +421,9 @@ def coupling_decay(model: EnvironmentModel, x0_list, reps: int, seed: int,
     has the seed derive_key(..., j, i) for the prefix key seed =
     derive_key(...); one map (rng._pmap, at most one fork pool of
     `workers` processes) runs the replicas of every start."""
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1 for a frequency (got {reps})")
+    reps = integer(reps, "reps", 1)
+    margin = integer(margin, "margin", 1)
+    horizon = integer(horizon, "horizon", 1)
     seeds = fold_key_array(fold_key_array(
         seed, np.arange(len(x0_list), dtype=np.uint64))[:, None],
         np.arange(reps, dtype=np.uint64)).tolist()

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fitting import check_grid
+from .fitting import check_grid, integer, real
 from .walk import WalkPath
 
 
@@ -61,12 +61,9 @@ def detect_regenerations(path: WalkPath, margin: int = 20,
     confirmed when the walk subsequently reaches levels[n] + margin and
     levels[n] does not exceed (final running max - tail_cut).
     """
-    if margin < 1:
-        raise ValueError("margin must be >= 1")
-    if tail_cut is None:
-        tail_cut = margin
-    if tail_cut < margin:
-        raise ValueError("tail_cut must be >= margin")
+    margin = integer(margin, "margin", 1)
+    tail_cut = integer(margin if tail_cut is None else tail_cut, "tail_cut",
+                       margin)
     lev = path.levels
     n = len(lev)
     # suffix minima over [k, end]
@@ -150,6 +147,7 @@ def renewal_diagnostics(records, p: float = 2.0, n_grid=(4, 16, 64, 256),
     """
     if not records:
         raise ValueError("records must be nonempty")
+    p = real(p, "p", above=0)
     n_grid = check_grid(n_grid, 1, "n_grid")
 
     taus = [r.tau[r.confirmed] for r in records]

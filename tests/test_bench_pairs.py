@@ -64,7 +64,7 @@ def test_entry_gives_every_end_to_end_metric_a_verdict():
 
     def run(wall):
         return {"rows": {"wall_s": wall, "setup_s": 0.5, "peak_rss_mb": 60.0},
-                "correct": True, "failed": 0}
+                "correct": True, "attempted": 4, "failed": 0}
 
     runs = {"parent": {s: run(v) for s, v in _runs(PARENT).items()},
             "change": {s: run(2 * v) for s, v in _runs(PARENT).items()}}
@@ -76,3 +76,44 @@ def test_entry_gives_every_end_to_end_metric_a_verdict():
     # a failed first run leaves one side empty: no verdict
     runs["change"] = {}
     assert "verdict" not in tool._entry(runs, {"1": "change"}, metrics)
+
+
+def _counted_runs(parent, change) -> dict:
+    """Runs {side: {seed: run}} from (correct, attempted, failed) triples,
+    one per seed."""
+    def run(correct, attempted, failed):
+        return {"rows": {"wall_s": 1.0, "setup_s": 0.5, "peak_rss_mb": 60.0},
+                "correct": correct, "attempted": attempted, "failed": failed}
+    return {side: {str(i + 1): run(*t) for i, t in enumerate(triples)}
+            for side, triples in (("parent", parent), ("change", change))}
+
+
+@pytest.mark.parametrize("parent, change, want", [
+    # correct runs, no failure on either side
+    ([(True, 4, 0)] * 2, [(True, 4, 0)] * 2, []),
+    # a change run that printed correct: false
+    ([(True, 4, 0)] * 2, [(True, 4, 0), (False, 4, 0)],
+     ["change seed 2: correct false"]),
+    # a parent run that printed correct: false is listed too
+    ([(False, 4, 0), (True, 4, 0)], [(True, 4, 0)] * 2,
+     ["parent seed 1: correct false"]),
+    # 1 of 8 experiments failed against 0 of 8
+    ([(True, 4, 0)] * 2, [(False, 4, 1), (True, 4, 0)],
+     ["change seed 1: correct false",
+      "failed share 0.125 of the change exceeds the parent's 0"]),
+    # the same share on both sides is no rejection of the change
+    ([(True, 4, 1), (True, 4, 0)], [(True, 4, 0), (True, 4, 1)], []),
+    # nor is a smaller one
+    ([(True, 4, 2)] * 2, [(True, 4, 1)] * 2, []),
+])
+def test_entry_lists_the_rejection_rules_its_runs_break(parent, change,
+                                                        want):
+    tool = _tool()
+    runs = _counted_runs(parent, change)
+    metrics = {"wall_s": {"name": "wall_s", "better": "lower", "bound": 0.25}}
+    entry = tool._entry(runs, {s: "parent" for s in runs["parent"]}, metrics)
+    assert entry["rejects"] == want
+    shares = [sum(t[2] for t in side) / sum(t[1] for t in side)
+              for side in (parent, change)]
+    assert [entry[side]["failed_share"] for side in ("parent", "change")] \
+        == shares

@@ -245,6 +245,24 @@ def test_quenched_samples_needs_one_seed_per_env_key(seeds):
         quenched_samples(drift_model(), keys, 4, 2, (0.5, 0.0), seeds)
 
 
+def test_clt_vectors_are_read_as_real_vectors_of_the_dimension():
+    # a NaN in D_hat flagged no environment, and v = [0.6] on a d = 2 model
+    # centred both coordinates at 0.6 n
+    model = drift_model()
+    samples = quenched_samples(model, _env_keys(model, [1, 2]), 16, 4,
+                               v=(0.5, 0.0), seeds=[1, 2])
+    for D_hat in ([[np.nan, 0], [0, 0.3]], [[1.0, 0.0]], np.eye(3),
+                  [["1", 0], [0, 1]]):
+        with pytest.raises(ValueError, match="D_hat must be"):
+            clt_check(samples, D_hat, model.support)
+    keys = _env_keys(model, [1, 2])
+    for v in ([0.6], (0.5, np.inf), (True, 0.0)):
+        with pytest.raises(ValueError, match="v must be"):
+            quenched_samples(model, keys, 16, 4, v, [1, 2])
+        with pytest.raises(ValueError, match="v_hat must be"):
+            centered_mean_bound(model, [8, 16], v_hat=v, reps=2)
+
+
 def test_centered_mean_point_mass_exact():
     res = centered_mean_bound(_point_mass_model(), [8, 32, 128],
                               v_hat=(1.0, 0.0), reps=50, seed=1)

@@ -94,7 +94,7 @@ def test_support_validation():
     ([(1, 0), (0, 1)], (True, 0), "u_hat"),
 ])
 def test_support_refuses_entries_that_are_not_integers(steps, u_hat, field):
-    with pytest.raises(ValueError, match=f"{field} entries must be integers"):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
         StepSupport(2, steps, u_hat)
 
 

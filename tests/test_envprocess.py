@@ -90,8 +90,7 @@ def test_ergodic_checkpoints_one_rule_and_one_default():
             ergodic_checkpoints(cps, 50)
     # a float or string was truncated or parsed by int()
     for cps in ([2.5, 10], ["10"], [True, 10]):
-        with pytest.raises(ValueError, match="checkpoints entries must be "
-                                             "integers"):
+        with pytest.raises(ValueError, match="checkpoints must be an integer"):
             ergodic_checkpoints(cps, 50)
     res = ergodic_average(drift_model(), 300, seed=2, checkpoints=None)
     assert res["checkpoints"] == [3, 300]

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from rwre.fitting import check_grid, fit_exponent
+from rwre.clt import quenched_mean_variance
+from rwre.environment import EnvironmentModel, StepSupport
+from rwre.envprocess import ergodic_runs, variation_proxy
+from rwre.fitting import check_grid, fit_exponent, integer, nested, real
+from rwre.green import (PerturbedChainSpec, SymmetricWalk1D,
+                        product_symmetric_base, simple_walk)
+from rwre.models import drift_model, support_2d
+from rwre.pair import coupled_triple, intersection_curve
 
 
 def test_check_grid_sorts_distinct_ints():
@@ -26,21 +33,20 @@ def test_check_grid_names_the_grid(values, lo, least):
 
 def test_check_grid_refuses_a_float_entry():
     # [2.7, 4.2] was truncated to [2, 4]
-    with pytest.raises(ValueError, match="ell_grid entries must be integers"):
+    with pytest.raises(ValueError, match="ell_grid must be an integer"):
         check_grid([2.7, 4.2], 1, "ell_grid")
 
 
 def test_check_grid_refuses_a_string_entry():
     # ["4", 8] was parsed to [4, 8]
-    with pytest.raises(ValueError, match="n_grid entries must be integers"):
+    with pytest.raises(ValueError, match="n_grid must be an integer"):
         check_grid(["4", 8], 1, "n_grid")
 
 
 def test_check_grid_refuses_a_bool_entry():
     # [True, 3] was read as [1, 3]
     for values in ([True, 3], np.array([True, False])):
-        with pytest.raises(ValueError, match="r_grid entries must be "
-                                             "integers"):
+        with pytest.raises(ValueError, match="r_grid must be an integer"):
             check_grid(values, 0, "r_grid")
 
 
@@ -63,3 +69,113 @@ def test_fit_exponent_needs_two_distinct_n():
     assert fit_exponent([4], [1.0]) is None
     assert fit_exponent([0, 4], [1.0, 2.0]) is None
     assert fit_exponent([], []) is None
+
+
+def _chain(**kw):
+    offs, probs = product_symmetric_base(simple_walk(), 2)
+    return PerturbedChainSpec(**{"dimension": 2, "base_offsets": offs,
+                                 "base_probs": probs, "p1": 16.0, **kw})
+
+
+def _dirichlet(**kw):
+    return EnvironmentModel(support=drift_model().support, kind="dirichlet",
+                            **{"alpha": (1.0, 1.0, 1.0), **kw})
+
+
+# inputs the library misread before it read them through integer, real
+# and nested: each was parsed, truncated, let past a guard, or raised
+# something other than a ValueError naming its field
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: EnvironmentModel(
+        support=drift_model().support, kind="deterministic",
+        probs=("0.5", "0.25", "0.25")), "probs", id="probs-strings"),
+    pytest.param(lambda: _dirichlet(alpha=(True, 1, 1)), "alpha",
+                 id="alpha-bool"),
+    pytest.param(lambda: _dirichlet(floor="0.1"), "floor", id="floor-string"),
+    pytest.param(lambda: _chain(p1="16"), "p1", id="p1-string"),
+    pytest.param(lambda: SymmetricWalk1D((-1, 1), ("0.5", "0.5")), "probs",
+                 id="walk-probs-strings"),
+    pytest.param(lambda: _chain(p1=3.0, allow_low_p1="no"), "allow_low_p1",
+                 id="allow_low_p1-string"),
+    pytest.param(lambda: _chain(alt_offsets=[[1, 0]], alt_probs=[True]),
+                 "alt_probs", id="alt_probs-bool"),
+    pytest.param(lambda: support_2d([(1, 0), (0, 2**63)]), "steps",
+                 id="steps-outside-int64"),
+    pytest.param(lambda: StepSupport(2.0, [(1, 0), (0, 1)], (1, 0)),
+                 "dimension", id="support-dimension-float"),
+    pytest.param(lambda: _chain(dimension=2.0), "dimension",
+                 id="chain-dimension-float"),
+    pytest.param(lambda: variation_proxy(drift_model(), 0, [1], 1000), "n",
+                 id="variation_proxy-n0"),
+    pytest.param(lambda: variation_proxy(drift_model(), 8, [1], 1000.0),
+                 "reps", id="variation_proxy-reps-float"),
+    pytest.param(lambda: intersection_curve(drift_model(), [2, 4], 2.5),
+                 "reps", id="intersection_curve-reps-float"),
+    pytest.param(lambda: ergodic_runs(drift_model(), 8, 2.0, 1, None),
+                 "n_runs", id="ergodic_runs-n_runs-float"),
+    pytest.param(lambda: quenched_mean_variance(drift_model(), [4], 30.5, 2),
+                 "n_env", id="quenched_mean_variance-n_env-float"),
+    # x0 = (0.6, 1) was truncated to (0, 1)
+    pytest.param(lambda: coupled_triple(drift_model(), (0.6, 1), 1), "x0",
+                 id="coupled_triple-x0-float"),
+])
+def test_library_refuses_what_it_misread(build, field):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        build()
+
+
+@pytest.mark.parametrize("v", [1, np.int64(-3), np.uint64(2**63 - 1),
+                               -2**63])
+def test_integer_takes_python_and_numpy_ints_in_int64(v):
+    assert integer(v, "k") == v and type(integer(v, "k")) is int
+
+
+@pytest.mark.parametrize("v", [True, np.True_, 2.0, "2", None, 2**63,
+                               np.uint64(2**63), -2**63 - 1])
+def test_integer_refuses_the_rest(v):
+    with pytest.raises(ValueError, match="^k must be an integer"):
+        integer(v, "k")
+
+
+def test_integer_and_real_bounds():
+    assert integer(3, "k", lo=3) == 3
+    with pytest.raises(ValueError, match=r"^k must be >= 4 \(got 3\)"):
+        integer(3, "k", lo=4)
+    assert real(np.float32(0.5), "x", above=0) == 0.5
+    with pytest.raises(ValueError, match=r"^x must be > 0 \(got 0\)"):
+        real(0, "x", above=0)
+    for v in (np.nan, np.inf, -np.inf, True, np.False_, "1", 1j, None):
+        with pytest.raises(ValueError, match="^x must be a finite number"):
+            real(v, "x")
+
+
+@pytest.mark.parametrize("v", [
+    [[1, 2], [3, 4]], ((1, 2), (3, 4)), np.array([[1, 2], [3, 4]]),
+    np.array([[1, 2], [3, 4]], dtype=np.uint8), [np.array([1, 2]), (3, 4)],
+    np.array([[1, 2], [3, 4]], dtype=object)])
+def test_nested_reads_lists_tuples_and_arrays_alike(v):
+    got = nested(v, integer, [None, 2], "rows")
+    assert got == [[1, 2], [3, 4]]
+    assert all(type(x) is int for row in got for x in row)
+    reals = nested(v, real, [2, 2], "rows")
+    assert reals == [[1.0, 2.0], [3.0, 4.0]]
+    assert all(type(x) is float for row in reals for x in row)
+
+
+@pytest.mark.parametrize("v, item, shape, what", [
+    ([], integer, [None], "a list of one or more entries"),
+    ([[1, 2], [3]], integer, [None, 2], "a list of 2 entries"),
+    ([1, 2], integer, [3], "a list of 3 entries"),
+    (5, integer, [None], "a list of one or more entries"),
+    (np.zeros((2, 3)), real, [2, 2], "a list of 2 entries"),
+    (np.array([[1, 2], [3, 4]], dtype=bool), integer, [2, 2],
+     "an integer"),
+    (np.array([1.0, 2.0]), integer, [2], "an integer"),
+    (np.array([1.0, np.nan, 2.0]), real, [3], "a finite number"),
+    (np.array([2**63], dtype=np.uint64), integer, [1],
+     r"an integer in \[-2\*\*63, 2\*\*63\)"),
+    (np.array(["1", "2"]), integer, [2], "an integer"),
+])
+def test_nested_refuses_by_level(v, item, shape, what):
+    with pytest.raises(ValueError, match=f"^rows must be {what}"):
+        nested(v, item, shape, "rows")

@@ -32,7 +32,7 @@ def test_walk_validation():
                                      (-1, True)])
 def test_walk_refuses_offsets_that_are_not_integers(offsets):
     # (-1.5, 1.5) was read as (-1, 1)
-    with pytest.raises(ValueError, match="offsets entries must be integers"):
+    with pytest.raises(ValueError, match="offsets must be an integer"):
         SymmetricWalk1D(offsets=offsets, probs=(0.5, 0.5))
 
 
@@ -232,12 +232,14 @@ def test_dense_solves_capped_before_allocating():
     # points here never reach np.zeros
     cap = green._DENSE_UNKNOWNS
     wide = SymmetricWalk1D(offsets=(-1000, 1000), probs=(0.5, 0.5))
-    huge = SymmetricWalk1D(offsets=(-10**30, 10**30), probs=(0.5, 0.5))
-    for walk in (wide, huge):
-        with pytest.raises(ValueError, match=f"limit {cap}"):
-            ladder_heights(walk)
-        with pytest.raises(ValueError, match=f"limit {cap}"):
-            build_ladder_tables(walk)
+    with pytest.raises(ValueError, match=f"limit {cap}"):
+        ladder_heights(wide)
+    with pytest.raises(ValueError, match=f"limit {cap}"):
+        build_ladder_tables(wide)
+    # offsets outside int64 are refused when the walk is built
+    with pytest.raises(ValueError, match=r"offsets must be an integer in "
+                                         r"\[-2\*\*63, 2\*\*63\)"):
+        SymmetricWalk1D(offsets=(-10**30, 10**30), probs=(0.5, 0.5))
     # the bound trunc + max_step + 1 crosses the cap between these steps
     M = (cap - 1) // 11
     ok = SymmetricWalk1D(offsets=(-M, M), probs=(0.5, 0.5))
@@ -277,12 +279,10 @@ def test_chain_spec_validation():
 def test_chain_spec_refuses_offsets_that_are_not_integers():
     offs, probs = product_symmetric_base(simple_walk(), 2)
     # base offsets +-1.5 were truncated to +-1
-    with pytest.raises(ValueError, match="base_offsets entries must be "
-                                         "integers"):
+    with pytest.raises(ValueError, match="base_offsets must be an integer"):
         PerturbedChainSpec(dimension=2, base_offsets=offs * 1.5,
                            base_probs=probs, p1=16.0)
-    with pytest.raises(ValueError, match="alt_offsets entries must be "
-                                         "integers"):
+    with pytest.raises(ValueError, match="alt_offsets must be an integer"):
         PerturbedChainSpec(dimension=2, base_offsets=offs, base_probs=probs,
                            p1=16.0, alt_offsets=[[0.5, 0]], alt_probs=[1.0])
     spec = PerturbedChainSpec(dimension=2, base_offsets=offs.tolist(),
@@ -408,9 +408,13 @@ def test_cube_exit_time_rejects_radii_whose_cap_overflows():
                               base_offsets=np.array([[-1], [1]]),
                               base_probs=np.array([0.5, 0.5]),
                               p1=16.0, c_pert=0.0)
-    for r_grid in ([0, 151_850_024], [10**9, 2], [10**30]):
+    for r_grid in ([0, 151_850_024], [10**9, 2]):
         with pytest.raises(ValueError, match=r"r_grid entry \d+ would cap"):
             cube_exit_time(spec, r_grid, reps=2, seed=1)
+    # a radius outside int64 is refused when the grid is read
+    with pytest.raises(ValueError, match=r"r_grid must be an integer in "
+                                         r"\[-2\*\*63, 2\*\*63\)"):
+        cube_exit_time(spec, [10**30], reps=2, seed=1)
     green.check_exit_radii([0, 151_850_023])
 
 

@@ -86,6 +86,46 @@ def test_coupling_decay_needs_a_replica():
         coupling_decay(drift_model(), [(0, 1)], 0, 1, 10, 100)
 
 
+@pytest.mark.parametrize("search, kwargs, field", [
+    # margin 0 and -3 returned confirmed records with no confirmation,
+    # horizon -5 an unconfirmed one, margin 0 a coupling outcome
+    pytest.param(lambda **kw: first_joint_regeneration(
+        make_environment(drift_model(), 1), (0, 0), (0, 2), **kw),
+        {"margin": 0}, "margin", id="first_joint_regeneration-margin0"),
+    pytest.param(lambda **kw: first_joint_regeneration(
+        make_environment(drift_model(), 1), (0, 0), (0, 2), **kw),
+        {"margin": -3}, "margin", id="first_joint_regeneration-margin-3"),
+    pytest.param(lambda **kw: first_joint_regeneration(
+        make_environment(drift_model(), 1), (0, 0), (0, 2), **kw),
+        {"horizon": -5}, "horizon", id="first_joint_regeneration-horizon"),
+    pytest.param(lambda **kw: coupled_triple(drift_model(), (0, 1), 1, **kw),
+                 {"margin": 0}, "margin", id="coupled_triple-margin"),
+    pytest.param(lambda **kw: coupled_triple(drift_model(), (0, 1), 1, **kw),
+                 {"horizon": 0}, "horizon", id="coupled_triple-horizon"),
+    pytest.param(lambda **kw: coupling_decay(
+        drift_model(), [(0, 1)], 2, 1, **{"margin": 10, "horizon": 100, **kw}),
+        {"margin": 0}, "margin", id="coupling_decay-margin"),
+    pytest.param(lambda **kw: coupling_decay(
+        drift_model(), [(0, 1)], 2, 1, **{"margin": 10, "horizon": 100, **kw}),
+        {"horizon": 0}, "horizon", id="coupling_decay-horizon"),
+    pytest.param(lambda **kw: sample_Y_chain(drift_model(), (0, 1), 1, **kw),
+                 {"margin": 0}, "margin", id="sample_Y_chain"),
+    pytest.param(lambda **kw: sample_Ybar_chain(drift_model(), (0, 1), 1,
+                                                **kw),
+                 {"margin": 0}, "margin", id="sample_Ybar_chain"),
+    pytest.param(lambda **kw: support_inheritance_check(
+        drift_model(), (0, 1), 2, **kw),
+        {"margin": 0}, "margin", id="support_inheritance_check"),
+])
+def test_pair_searches_need_a_margin_and_horizon_of_one(search, kwargs,
+                                                        field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        search(**kwargs)
+    # a float is refused too, not compared
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        search(**{field: 12.0})
+
+
 def test_first_joint_regeneration_monotone_pair():
     env = make_environment(_point_mass_model(), 5)
     rec = first_joint_regeneration(env, (0, 0), (0, 5))

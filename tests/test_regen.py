@@ -187,3 +187,11 @@ def test_ldp_frequency_binomial_oracle():
                               paths=[p.levels for p in env_paths])
     for n, freq, m in rep["ldp_frequency"]:
         assert freq == 0.0
+
+
+def test_renewal_diagnostics_needs_a_positive_finite_moment():
+    # p = -1.0 raised ZeroDivisionError
+    rec = detect_regenerations(_levels_path(range(100)), margin=5)
+    for p in (-1.0, 0, np.nan, "2"):
+        with pytest.raises(ValueError, match="p must be"):
+            renewal_diagnostics([rec], p=p, n_grid=[4, 16])

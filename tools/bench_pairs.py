@@ -14,7 +14,10 @@ per-layer numbers are recorded as measured.  For each
 end-to-end metric and each per-kind ``exp_s.<kind>``, a workload records in
 how many pairs the change read lower (``change_lower_in_pairs``), and for
 each end-to-end metric a ``verdict`` (see ``verdict``), its ``bound`` in
-BENCHMARK.json read as a fraction of the parent's median.
+BENCHMARK.json read as a fraction of the parent's median.  Each side
+records its failed share, failed / attempted experiments over all its
+runs, and a workload lists under ``rejects`` the rules beyond the metric
+bounds that its runs break (see ``rejects``).
 
 A run that exits nonzero, or prints nothing, ends the session: the file is
 still written with every run collected so far, the failed run is recorded
@@ -90,7 +93,8 @@ def bench(dirs: dict, side: str, workload: str, seed: int, seconds: int,
                    if "machine: " in line)
     result = json.loads(lines[-1])
     return {"rows": rows, "machine": machine, "correct": result["correct"],
-            "failed": result["failed"], "stderr": proc.stderr.strip()}
+            "attempted": result["attempted"], "failed": result["failed"],
+            "stderr": proc.stderr.strip()}
 
 
 def _quartiles(vals: list) -> list:
@@ -146,9 +150,12 @@ def _side(runs: dict) -> dict:
     """Summaries of one side's runs, {seed: bench(...)}."""
     if not runs:
         return {"runs": 0}
+    attempted = sum(r["attempted"] for r in runs.values())
+    failed = sum(r["failed"] for r in runs.values())
     out = {"runs": len(runs),
            "correct": all(r["correct"] for r in runs.values()),
-           "failed": sum(r["failed"] for r in runs.values())}
+           "attempted": attempted, "failed": failed,
+           "failed_share": failed / attempted if attempted else 0.0}
     for name in END_TO_END:
         out[name] = _summary({s: r["rows"][name] for s, r in runs.items()})
     kinds = _exp_rows(next(iter(runs.values())))
@@ -199,6 +206,8 @@ def main(argv=None) -> int:
     for w, entry in doc["workloads"].items():
         for name, text in entry.get("verdict", {}).items():
             print(f"{w} {name}: {text}")
+        for text in entry["rejects"]:
+            print(f"{w} rejects: {text}")
     if "failed_run" in doc:
         failed = doc["failed_run"]
         print(f"failed: {failed['workload']} {failed['side']} seed "
@@ -225,8 +234,23 @@ def _entry(runs: dict, first: dict, metrics: dict) -> dict:
             *({s: r["rows"][name] for s, r in runs[side].items()}
               for side in SIDES), m["bound"], m["better"])
             for name, m in metrics.items()}
+    entry["rejects"] = rejects(runs, entry)
     entry["first_in_pair"] = first
     return entry
+
+
+def rejects(runs: dict, entry: dict) -> list:
+    """The rejection rules beyond the metric bounds that a workload's runs
+    break: every run of either side that printed correct: false, and a
+    change whose failed share (failed / attempted over all its runs)
+    exceeds the parent's."""
+    out = [f"{side} seed {s}: correct false" for side in SIDES
+           for s, r in runs[side].items() if not r["correct"]]
+    share = {side: entry[side].get("failed_share", 0.0) for side in SIDES}
+    if share["change"] > share["parent"]:
+        out.append(f"failed share {share['change']:.4g} of the change "
+                   f"exceeds the parent's {share['parent']:.4g}")
+    return out
 
 
 def collect(args, dirs: dict, metrics: dict) -> dict:
