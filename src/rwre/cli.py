@@ -43,7 +43,8 @@ from .green import (PerturbedChainSpec, SymmetricWalk1D, build_ladder_tables,
                     cube_exit_time, green_bound_experiment, half_line_green,
                     half_line_green_mc, half_line_green_solve,
                     product_symmetric_base)
-from .pair import coupling_decay, first_joint_regeneration, intersection_curve
+from .pair import (_in_V, coupling_decay, first_joint_regeneration,
+                   intersection_curve)
 from .regen import (detect_regenerations, estimate_diffusion,
                     estimate_velocity, renewal_diagnostics)
 from .rng import TAG_ENV, _pmap, derive_key, derive_key_range
@@ -101,12 +102,14 @@ def build_model(mcfg) -> EnvironmentModel:
     if m.get("law") not in ("deterministic", "dirichlet", "mixture"):
         raise refusal("deterministic, dirichlet or mixture", m.get("law"),
                       "law")
-    atoms = [_known(a, ("probs", "weight")) for a in m.get("atoms") or ()]
+    atoms = m.get("atoms")
+    if atoms is not None:
+        atoms = [_known(a, ("probs", "weight")) for a in atoms]
+        atoms = tuple((a["probs"], a["weight"]) for a in atoms)
     return EnvironmentModel(
         support=StepSupport(m["dimension"], m["steps"], m["u_hat"]),
         kind=m["law"], probs=m.get("probs"), alpha=m.get("alpha"),
-        floor=m.get("floor", 0.0),
-        atoms=tuple((a["probs"], a["weight"]) for a in atoms))
+        floor=m.get("floor", 0.0), atoms=atoms)
 
 
 def build_walk(wcfg) -> SymmetricWalk1D:
@@ -118,15 +121,10 @@ def build_chain_spec(ccfg) -> PerturbedChainSpec:
     """PerturbedChainSpec(**ccfg), its base the product of the walk base_1d."""
     c = dict(_known(ccfg, ("dimension", "base_1d", "p1", "p2", "c_pert",
                            "alt_offsets", "alt_probs", "allow_low_p1")))
-    d = c["dimension"] = integer(c.get("dimension", 1), "dimension", 1)
     if c.get("p2", "inf") in ("inf", None):
         c["p2"] = np.inf
-    walk = build_walk(c.pop("base_1d"))
-    # len(offsets) ** d product rows; with 2+ offsets, d > 16 is over
-    if d > 16 or len(walk.offsets) ** d > 1 << 16:
-        raise ValueError(f"dimension {d} with {len(walk.offsets)} base_1d "
-                         "offsets gives more than 65536 product steps")
-    c["base_offsets"], c["base_probs"] = product_symmetric_base(walk, d)
+    c["base_offsets"], c["base_probs"] = product_symmetric_base(
+        build_walk(c.pop("base_1d")), c.setdefault("dimension", 1))
     return PerturbedChainSpec(**c)
 
 
@@ -144,17 +142,9 @@ def _nested(item, *shape):
         model.support.dimension if n == "d" else n for n in shape])
 
 
-def _in_V(*shape):
-    """_nested integer starts x in the hyperplane V_d: x . u_hat = 0."""
-    read = _nested(integer, *shape)
-
-    def check(v, p, model):
-        starts = read(v, p, model)
-        for x in starts if len(shape) > 1 else [starts]:
-            if model.support.dot_u(x) != 0:
-                raise refusal("in the hyperplane V_d (x0 . u_hat = 0)", x)
-        return starts
-    return check
+def _x0(many=False):
+    """A start, or with many a list of them, read by pair._in_V."""
+    return lambda v, p, model: _in_V(model.support, v, "", many)
 
 
 def _grid(lo, least=1):
@@ -292,9 +282,8 @@ def _run_intersections(model, params, seed, workers):
 def _joint_regen_task(i, model, seed, x0, margin, horizon):
     env = make_environment(model, derive_env_seed(seed, 401, i))
     return first_joint_regeneration(
-        env, np.zeros(model.support.dimension, dtype=np.int64),
-        np.asarray(x0, dtype=np.int64), margin=margin, horizon=horizon,
-        seed=derive_key(seed, 402, i))
+        env, (0,) * model.support.dimension, x0, margin=margin,
+        horizon=horizon, seed=derive_key(seed, 402, i))
 
 
 # the levels m of joint-regen's tail P{Lambda > m}
@@ -430,10 +419,10 @@ KIND_TABLE = {
     "intersections": (_run_intersections, True, {
         "n_grid": (_grid(2, least=2), _REQUIRED), "reps": (_int(2), 1000)}),
     "joint-regen": (_run_joint_regen, True, {
-        "x0": (_in_V("d"), _REQUIRED), "reps": (_int(1), 200),
+        "x0": (_x0(), _REQUIRED), "reps": (_int(1), 200),
         "margin": (_int(1), 20), "horizon": (_int(1), 20_000)}),
     "coupling": (_run_coupling, True, {
-        "x0_list": (_in_V(None, "d"), _REQUIRED),
+        "x0_list": (_x0(many=True), _REQUIRED),
         "reps": (_int(1), 1000), "margin": (_int(1), 12),
         "horizon": (_int(1), 20_000)}),
     "ergodic": (_run_ergodic, True, {

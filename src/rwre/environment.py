@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 from scipy import special as _sps
 
-from .fitting import integer, nested, real
+from .fitting import integer, nested, pmf, real, refusal
 from .rng import (TAG_ENV, TAG_SITE, U01_MAX, counter_u01_array, derive_key,
                   derive_key_array, derive_key_range, site_u01, step_index,
                   stream_u01_array)
@@ -51,23 +51,26 @@ class StepSupport:
 
     dimension: int
     steps: tuple  # tuple of d-tuples of ints
-    u_hat: tuple  # integer direction, nonzero
+    u_hat: tuple  # integer direction, some step z with z.u_hat > 0
 
     def __post_init__(self):
-        d = integer(self.dimension, "dimension", 1)
-        steps = tuple(map(tuple, nested(self.steps, integer, [None, d],
-                                        "steps")))
-        u_hat = tuple(nested(self.u_hat, integer, [d], "u_hat"))
-        for name, value in (("dimension", d), ("steps", steps),
-                            ("u_hat", u_hat)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "dimension",
+                           integer(self.dimension, "dimension", 1))
+        steps = tuple(map(tuple, self.point(self.steps, "steps", many=True)))
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "u_hat", self.point(self.u_hat, "u_hat"))
         if len(set(steps)) != len(steps):
             raise ValueError("duplicate steps in J")
-        if all(c == 0 for c in self.u_hat):
-            raise ValueError("u_hat must be nonzero")
         if not any(self.dot_u(z) > 0 for z in steps):
             raise ValueError("no step with z.u_hat > 0: transience in "
                              "direction u_hat is impossible")
+
+    def point(self, x, name="x", many=False):
+        """x as a tuple of d Python ints (fitting.nested); with many, a
+        nonempty list of such points as lists, an int array read whole."""
+        if many:
+            return nested(x, integer, [None, self.dimension], name)
+        return tuple(nested(x, integer, [self.dimension], name))
 
     def dot_u(self, z) -> int:
         return sum(int(a) * int(b) for a, b in zip(z, self.u_hat))
@@ -82,18 +85,14 @@ class StepSupport:
 
 
 def compute_h(support: StepSupport) -> int:
-    """gcd of the nonzero per-step level increments |z.u_hat|.
+    """gcd of the per-step level increments z.u_hat (one is positive).
 
     Equals the gcd of the set of accessible levels: under an i.i.d. product
     law every finite step word has positive probability, so the accessible
     levels are exactly the nonnegative integer combinations of the
     increments.
     """
-    incs = [abs(support.dot_u(z)) for z in support.steps if support.dot_u(z) != 0]
-    if not incs:
-        raise ValueError("all steps have z.u_hat = 0: direction degenerate "
-                         "for this support")
-    return math.gcd(*incs)
+    return math.gcd(*(support.dot_u(z) for z in support.steps))
 
 
 @dataclass(frozen=True)
@@ -107,6 +106,9 @@ class EnvironmentModel:
       - "deterministic": probs, one fixed vector at every site; the model
         is the mixture with the one atom (probs, 1.0), which it keeps in
         `atoms`, so every law rule reads it as a mixture
+
+    A law refuses a field it does not read (_READS) unless it is unset
+    (None, or a floor of 0).
     """
 
     support: StepSupport
@@ -115,12 +117,20 @@ class EnvironmentModel:
     alpha: Optional[tuple] = None
     floor: float = 0.0
     atoms: Optional[tuple] = None  # tuple of (probs tuple, weight)
+    _READS = {"deterministic": ("probs",), "dirichlet": ("alpha", "floor"),
+              "mixture": ("atoms",)}
 
     def __post_init__(self):
         k = len(self.support.steps)
         object.__setattr__(self, "floor", real(self.floor, "floor"))
+        if self.kind not in tuple(self._READS):
+            raise ValueError(f"unknown model kind {self.kind!r}")
+        for name, v in (("probs", self.probs), ("alpha", self.alpha),
+                        ("atoms", self.atoms), ("floor", self.floor or None)):
+            if v is not None and name not in self._READS[self.kind]:
+                raise refusal(f"unset for a {self.kind} law", v, name)
         if self.kind == "deterministic":
-            p = _check_prob_vector(self.probs, k, "probs")
+            p = tuple(pmf(self.probs, k, "probs"))
             object.__setattr__(self, "probs", p)
             if any(x <= 0 for x in p):
                 raise ValueError("deterministic model must give positive "
@@ -131,32 +141,18 @@ class EnvironmentModel:
                 self.alpha, partial(real, above=0), [k], "alpha")))
             if not 0.0 <= self.floor < 1.0:
                 raise ValueError("floor must lie in [0, 1)")
-        elif self.kind == "mixture":
+        else:
             if not self.atoms:
                 raise ValueError("mixture needs at least one atom")
-            atoms = []
-            wsum = 0.0
-            for probs, w in self.atoms:
-                w = real(w, "weight", above=0)
-                atoms.append((_check_prob_vector(probs, k, "probs"), w))
-                wsum += w
+            atoms = [(tuple(pmf(p, k, "probs")), real(w, "weight", above=0))
+                     for p, w in self.atoms]
+            wsum = reduce(add, [w for _, w in atoms])     # left to right
             atoms = tuple((p, w / wsum) for p, w in atoms)
             object.__setattr__(self, "atoms", atoms)
             mean = np.sum([np.array(p) * w for p, w in atoms], axis=0)
             if np.any(mean <= 0):
                 raise ValueError("every step in J must have positive mean "
                                  "probability")
-        else:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-
-
-def _check_prob_vector(probs, k: int, name: str) -> tuple:
-    p = tuple(nested(probs, real, [k], name))
-    if not all(x >= 0 for x in p):
-        raise ValueError(f"{name} entries must be nonnegative")
-    if abs(sum(p) - 1.0) > 1e-12:
-        raise ValueError(f"{name} must sum to 1 (got {sum(p)})")
-    return p
 
 
 class Environment:

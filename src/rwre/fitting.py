@@ -1,10 +1,13 @@
-"""The value rules, the one grid rule and the one fit rule.
+"""The value, step-law, grid and fit rules: one rule each.
 
 Value rules (integer, real, nested): every number and nested list a
 model, walk, chain or experiment takes is read by one of them, or a
 ValueError names the field.  An integer is a Python or numpy int, not a
 bool, in int64; a real is a finite Python or numpy int or float, not a
 bool; nested lists are nonempty lists, tuples or arrays.
+Step-law rules (pmf, symmetric): a pmf is nonnegative reals whose
+math.fsum, the same in any order, lies within 1e-12 of 1; a symmetric law
+gives -z the mass of z within 1e-12.
 Grid rule (check_grid): a grid of horizons, levels or radii is read as a
 sorted list of distinct ints >= lo, at least `least` of them (2 where a
 fit or trend test needs them), or raises a ValueError naming it.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import neg
 from reprlib import repr as _show
 from typing import Optional
 
@@ -52,8 +56,13 @@ def integer(v, name="", lo=None) -> int:
 def real(v, name="", above=None) -> float:
     """v, a finite Python or numpy int or float, not a bool, and > above,
     as a float."""
-    if isinstance(v, bool) or not isinstance(
-            v, (int, float, np.integer, np.floating)) or not math.isfinite(v):
+    finite = not isinstance(v, bool) and isinstance(
+        v, (int, float, np.integer, np.floating))
+    try:
+        finite = finite and math.isfinite(v)
+    except OverflowError:       # an int beyond the float range
+        finite = False
+    if not finite:
         raise refusal("a finite number", v, name)
     if above is not None and v <= above:
         raise refusal(f"> {above}", v, name)
@@ -79,6 +88,28 @@ def nested(v, item, shape, name="") -> list:
         raise refusal(f"a list of {shape[0] or 'one or more'} entries", v,
                       name)
     return [nested(x, item, shape[1:], name) for x in v]
+
+
+def pmf(v, k=None, name="") -> list:
+    """v as k floats (any number for None) read by `real`, nonnegative,
+    with a math.fsum within 1e-12 of 1."""
+    p = nested(v, real, [k], name)
+    if min(p) < 0 or abs(math.fsum(p) - 1.0) > 1e-12:
+        raise refusal("nonnegative numbers that sum to 1", v, name)
+    return p
+
+
+def symmetric(offsets, probs, name="") -> None:
+    """ValueError naming `name` unless the law giving offsets[i] (tuples of
+    ints) the mass probs[i] gives each -z the mass of z within 1e-12."""
+    mass: dict = {}
+    for z, q in zip(offsets, probs):
+        mass[z] = mass.get(z, 0.0) + q
+    for z, q in mass.items():
+        mz = tuple(map(neg, z))
+        if abs(q - mass.get(mz, 0.0)) > 1e-12:
+            raise refusal("symmetric, giving -z the mass of z",
+                          {z: q, mz: mass.get(mz, 0.0)}, name)
 
 
 def check_grid(values, lo: int, name: str, least: int = 1) -> list:

@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fitting import (check_grid, fit_exponent, integer, nested, real,
-                      refusal)
+from .fitting import (check_grid, fit_exponent, integer, nested, pmf, real,
+                      refusal, symmetric)
 from .rng import (_block_len, counter_u01_array, counter_u64_array,
                   derive_key_range, step_index)
 
@@ -72,16 +72,11 @@ class SymmetricWalk1D:
 
     def __post_init__(self):
         offs = tuple(nested(self.offsets, integer, [None], "offsets"))
-        p = tuple(nested(self.probs, real, [len(offs)], "probs"))
+        p = tuple(pmf(self.probs, len(offs), "probs"))
         if len(set(offs)) != len(offs):
             raise ValueError("duplicate offsets")
-        if min(p) < 0 or abs(sum(p) - 1.0) > 1e-12:
-            raise ValueError("probabilities must be nonnegative and sum to 1")
-        pmf = dict(zip(offs, p))
-        for z, q in pmf.items():
-            if abs(q - pmf.get(-z, 0.0)) > 1e-12:
-                raise ValueError("step pmf must be symmetric")
-        if all(z == 0 or q == 0 for z, q in pmf.items()):
+        symmetric(zip(offs), p, "probs")
+        if all(z == 0 or q == 0 for z, q in zip(offs, p)):
             raise ValueError("walk must be nondegenerate")
         object.__setattr__(self, "offsets", offs)
         object.__setattr__(self, "probs", p)
@@ -499,13 +494,8 @@ class PerturbedChainSpec:
         self.dimension = integer(self.dimension, "dimension", 1)
         self.base_offsets, self.base_probs = _step_law(
             self.base_offsets, self.base_probs, self.dimension, "base")
-        # symmetry of the base pmf
-        pmf = {tuple(z): p for z, p in zip(self.base_offsets.tolist(),
-                                           self.base_probs)}
-        for z, p in pmf.items():
-            neg = tuple(-c for c in z)
-            if abs(p - pmf.get(neg, 0.0)) > 1e-12:
-                raise ValueError("base pmf must be symmetric")
+        symmetric(map(tuple, self.base_offsets.tolist()),
+                  self.base_probs.tolist(), "base_probs")
         # the theorem exponent divides by 2 p1 - 4; h must decay
         self.p1 = real(self.p1, "p1", above=2)
         self.c_pert = real(self.c_pert, "c_pert")
@@ -538,28 +528,25 @@ class PerturbedChainSpec:
 
 
 def _step_law(offsets, probs, d: int, name: str) -> tuple:
-    """offsets as (k, d) int64 rows and probs, one per row, as floats that
-    form a pmf, each read by the fitting rules; or a ValueError."""
+    """offsets as (k, d) int64 rows and probs, one per row, as a float
+    array read by fitting.pmf; or a ValueError."""
     offsets = np.array(nested(offsets, integer, [None, d], f"{name}_offsets"),
                        dtype=np.int64)
-    probs = np.array(nested(probs, real, [len(offsets)], f"{name}_probs"))
-    if not np.all(probs >= 0) or abs(probs.sum() - 1.0) > 1e-12:
-        raise ValueError(f"{name} probabilities must be nonnegative and "
-                         "sum to 1")
-    return offsets, probs
+    return offsets, np.array(pmf(probs, len(offsets), f"{name}_probs"))
 
 
 def product_symmetric_base(walk: SymmetricWalk1D, d: int) -> tuple:
-    """Extend a 1-d symmetric walk to Z^d as a product step distribution."""
-    offs = [np.array(o, dtype=np.int64) for o in np.array(
-        np.meshgrid(*([walk.offsets] * d), indexing="ij")).reshape(d, -1).T]
-    probs = np.ones(len(offs))
-    pv = np.array(walk.probs)
-    grid = np.array(np.meshgrid(*([np.arange(len(walk.offsets))] * d),
-                                indexing="ij")).reshape(d, -1).T
-    for j in range(d):
-        probs *= pv[grid[:, j]]
-    return np.array(offs), probs
+    """Extend a 1-d symmetric walk to Z^d as a product step distribution,
+    of at most 65536 steps, or a ValueError."""
+    d = integer(d, "dimension", 1)
+    # len(offsets) ** d product rows; with 2+ offsets, d > 16 is over
+    if d > 16 or len(walk.offsets) ** d > 1 << 16:
+        raise ValueError(f"dimension {d} with {len(walk.offsets)} offsets "
+                         "gives more than 65536 product steps")
+    offs = np.array(np.meshgrid(*([walk.offsets] * d), indexing="ij"),
+                    dtype=np.int64).reshape(d, -1).T
+    probs = np.prod(np.meshgrid(*([walk.probs] * d), indexing="ij"), axis=0)
+    return offs, probs.ravel()
 
 
 def _pert_prob(spec: PerturbedChainSpec, norm: np.ndarray) -> np.ndarray:

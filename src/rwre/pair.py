@@ -21,7 +21,7 @@ import numpy as np
 
 from .environment import (Environment, EnvironmentModel, compute_h,
                           env_key_range, make_environment)
-from .fitting import check_grid, fit_exponent, integer, nested
+from .fitting import check_grid, fit_exponent, integer, refusal
 from .rng import (_pmap, derive_key, derive_key_range, fold_key_array,
                   site_keys, site_u01)
 from .walk import (_from_origin, _SeqWalk, _TimeSource,
@@ -204,6 +204,7 @@ def first_joint_regeneration(env: Environment, x, y, margin: int = 20,
     margin = integer(margin, "margin", 1)
     horizon = integer(horizon, "horizon", 1)
     sup = env.model.support
+    x, y = sup.point(x, "x"), sup.point(y, "y")
     lev = sup.dot_u(x)
     if sup.dot_u(y) != lev:
         raise ValueError("joint regeneration requires equal start levels")
@@ -219,11 +220,12 @@ def first_joint_regeneration(env: Environment, x, y, margin: int = 20,
 # canonical difference chains
 
 
-def _in_V(model: EnvironmentModel, x0) -> tuple:
-    """x0 as a tuple of ints, checked to lie in V_d."""
-    x0 = tuple(nested(x0, integer, [None], "x0"))
-    if model.support.dot_u(x0) != 0:
-        raise ValueError("x0 must lie in the hyperplane V_d (x0.u_hat = 0)")
+def _in_V(support, x0, name="x0", many=False):
+    """x0 (with many, a list of points) read by support.point and in V_d."""
+    x0 = support.point(x0, name, many)
+    for x in x0 if many else [x0]:
+        if support.dot_u(x) != 0:
+            raise refusal("in the hyperplane V_d (x0 . u_hat = 0)", x, name)
     return x0
 
 
@@ -253,7 +255,7 @@ def _one_q_step(model: EnvironmentModel, y: tuple, seed: int, margin: int,
 
 def _sample_chain(model: EnvironmentModel, x0, K: int, seed: int, margin: int,
                   independent_envs: bool, tag: int) -> YChainSample:
-    y = _in_V(model, x0)
+    y = _in_V(model.support, x0)
     margin = integer(margin, "margin", 1)
     out = []
     rejections = 0
@@ -368,7 +370,7 @@ def coupled_triple(model: EnvironmentModel, x0, seed: int,
     triple whose (X, Xtilde) pair never backtracks, Ybar_1 from the first
     triple whose (X, Xbar) pair never backtracks.
     """
-    x0 = _in_V(model, x0)
+    x0 = _in_V(model.support, x0)
     margin = integer(margin, "margin", 1)
     horizon = integer(horizon, "horizon", 1)
     sup = model.support

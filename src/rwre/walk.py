@@ -24,6 +24,7 @@ import numpy as np
 from .environment import (Environment, EnvironmentModel, StepSupport,
                           cum_bounds_from_keys, cum_vectors_from_keys,
                           exact_cum_rule)
+from .fitting import integer
 from .rng import (MASK64, TAG_WALK, _block_len, counter_u01_array,
                   derive_key, derive_key_array, site_keys_mixed, step_index)
 
@@ -90,10 +91,9 @@ def list_seed_array(seeds) -> np.ndarray:
 
 def simulate(env: Environment, start, n: int, walk_seed: int) -> WalkPath:
     """Sample an n-step path under P^omega_start."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = integer(n, "n", 0)
     sup = env.model.support
-    start = _site(sup, start)
+    start = sup.point(start, "start")
     if env.model.kind == "deterministic":
         # one law at every site: all n steps at once, sites by one cumsum
         u = counter_u01_array(walk_key(walk_seed),
@@ -113,14 +113,6 @@ def simulate(env: Environment, start, n: int, walk_seed: int) -> WalkPath:
 
 # ---------------------------------------------------------------------------
 # the scalar walker
-
-
-def _site(sup: StepSupport, x) -> tuple:
-    """x as a tuple of Python ints of the support's dimension."""
-    site = tuple(int(c) for c in x)
-    if len(site) != sup.dimension:
-        raise ValueError(f"start {site} is not of dimension {sup.dimension}")
-    return site
 
 
 class _TimeSource:
@@ -145,16 +137,15 @@ class _TimeSource:
 
 
 class _SeqWalk:
-    """A lazily extended walk stepping by cum_fn(site) and the uniforms
-    source.draw(site, t), with its levels, running top, minimum level and
-    fresh-level map (fresh[l]: the time it first rose to level l)."""
+    """A lazily extended walk from a read start (StepSupport.point), stepping
+    by cum_fn(site) and source.draw(site, t), with its levels, running top,
+    minimum level and fresh map (fresh[l]: the time it first rose to l)."""
 
     def __init__(self, cum_fn, start, source, support: StepSupport):
         self.cum_fn = cum_fn
         self.draw = source.draw
         self.steps = support.steps
         self.incs = [support.dot_u(z) for z in support.steps]
-        start = _site(support, start)
         lev = support.dot_u(start)
         self.positions = [start]
         self.levels = [lev]
@@ -416,17 +407,20 @@ def _iter_positions(model: EnvironmentModel, env_keys, starts: np.ndarray,
         yield t, pos
 
 
-def _starts(starts, n: int) -> np.ndarray:
-    """starts as int64 once n is checked, before the engine allocates."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative (got {n})")
+def _starts(model: EnvironmentModel, starts, n: int) -> np.ndarray:
+    """starts as an int64 array (m, d), m >= 0, read by StepSupport.point
+    unless it is one, once n is checked, before the engine allocates."""
+    integer(n, "n", 0)
+    if not isinstance(starts, np.ndarray) or starts.dtype != np.int64 \
+            or starts.shape[1:] != (model.support.dimension,):
+        starts = model.support.point(starts, "starts", many=True)
     return np.asarray(starts, dtype=np.int64)
 
 
 def _paths(model: EnvironmentModel, env_keys, starts, n: int,
            walk_seeds) -> np.ndarray:
     """Site arrays (n+1, m, d) of the walks of _iter_positions."""
-    starts = _starts(starts, n)
+    starts = _starts(model, starts, n)
     out = np.empty((n + 1,) + starts.shape, dtype=np.int64)
     out[0] = starts
     for t, pos in _iter_positions(model, env_keys, starts, n, walk_seeds):
@@ -437,7 +431,7 @@ def _paths(model: EnvironmentModel, env_keys, starts, n: int,
 def _finals(model: EnvironmentModel, env_keys, starts, n: int,
             walk_seeds) -> np.ndarray:
     """Final positions (m, d) of the walks of _iter_positions."""
-    pos = _starts(starts, n)
+    pos = _starts(model, starts, n)
     for _, pos in _iter_positions(model, env_keys, pos, n, walk_seeds):
         pass
     return pos.copy()
@@ -485,7 +479,7 @@ def simulate_level_stats_many_envs(model: EnvironmentModel, env_keys, starts,
                                    n: int, walk_seeds) -> dict:
     """Final level and running maximum of the level (m,) for m walks, each
     in its own environment."""
-    starts = _starts(starts, n)
+    starts = _starts(model, starts, n)
     u_hat = np.asarray(model.support.u_hat, dtype=np.int64)
     lev = starts @ u_hat
     max_lev = lev.copy()

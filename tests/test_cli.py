@@ -548,16 +548,39 @@ def test_chain_dimension_cap_named(tmp_path, capsys):
     assert "error: params.chain:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, reason", [
+    # each validated: the deterministic law never read alpha or floor
+    pytest.param({**D2, "alpha": ["x"]}, "model: alpha must be unset for a "
+                 "deterministic law (got ['x'])", id="deterministic-alpha"),
+    pytest.param({**D2, "floor": 0.5}, "model: floor must be unset for a "
+                 "deterministic law (got 0.5)", id="deterministic-floor"),
+    pytest.param({**D2, "law": "dirichlet", "alpha": [1, 1, 1],
+                  "probs": [1, 0, 0]},
+                 "model: probs must be unset for a dirichlet law",
+                 id="dirichlet-probs"),
+    # an int beyond the float range: "int too large to convert to float"
+    pytest.param({**D2, "law": "dirichlet", "alpha": [1, 1, 1],
+                  "floor": 10**400}, "model: floor must be a finite number",
+                 id="floor-beyond-float"),
+])
+def test_model_field_errors_name_the_field(tmp_path, capsys, model, reason):
+    path = _write(tmp_path, "cfg.json", {"kind": "check", "model": model})
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {reason}")
+
+
 def _containers(inner):
     return st.lists(inner, max_size=4) | st.dictionaries(
         st.text(max_size=8), inner, max_size=4)
 
 
-# arbitrary JSON values, non-finite floats included
+# arbitrary JSON values, non-finite floats and integers beyond the float
+# range included
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=8)
-    | st.floats(allow_nan=True, allow_infinity=True), _containers,
-    max_leaves=12)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.integers(min_value=2**1024) | st.integers(max_value=-2**1024),
+    _containers, max_leaves=12)
 
 
 def _paths(obj, prefix=()):

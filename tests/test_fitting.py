@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from rwre.clt import quenched_mean_variance
-from rwre.environment import EnvironmentModel, StepSupport
+from rwre.environment import EnvironmentModel, StepSupport, make_environment
 from rwre.envprocess import ergodic_runs, variation_proxy
-from rwre.fitting import check_grid, fit_exponent, integer, nested, real
+from rwre.fitting import (check_grid, fit_exponent, integer, nested, pmf,
+                          real, symmetric)
 from rwre.green import (PerturbedChainSpec, SymmetricWalk1D,
                         product_symmetric_base, simple_walk)
-from rwre.models import drift_model, support_2d
-from rwre.pair import coupled_triple, intersection_curve
+from rwre.models import dirichlet_drift_model, drift_model, support_2d
+from rwre.pair import (coupled_triple, first_joint_regeneration,
+                       intersection_curve, sample_Ybar_chain)
+from rwre.walk import simulate, simulate_finals_many
 
 
 def test_check_grid_sorts_distinct_ints():
@@ -118,6 +121,52 @@ def _dirichlet(**kw):
     # x0 = (0.6, 1) was truncated to (0, 1)
     pytest.param(lambda: coupled_triple(drift_model(), (0.6, 1), 1), "x0",
                  id="coupled_triple-x0-float"),
+    # each walked from (0, 0): a start was read with int()
+    pytest.param(lambda: simulate(make_environment(drift_model(), 1),
+                                  (0.7, 0), 3, 1), "start",
+                 id="simulate-start-float"),
+    pytest.param(lambda: simulate(make_environment(
+        dirichlet_drift_model(), 1), (0.7, 0), 3, 1), "start",
+        id="simulate-start-float-dirichlet"),
+    pytest.param(lambda: simulate_finals_many(make_environment(
+        dirichlet_drift_model(), 1), [[0.7, 0.0]], 3, [1]), "starts",
+        id="engine-starts-float"),
+    pytest.param(lambda: simulate_finals_many(make_environment(
+        drift_model(), 1), np.array([[0.7, 0.0]]), 3, [1]), "starts",
+        id="engine-starts-float-array"),
+    pytest.param(lambda: first_joint_regeneration(make_environment(
+        drift_model(), 1), (0.5, 0), (0, 0)), "x",
+        id="first_joint_regeneration-x-float"),
+    pytest.param(lambda: first_joint_regeneration(make_environment(
+        drift_model(), 1), (0, 0), (0, 2.0)), "y",
+        id="first_joint_regeneration-y-float"),
+    pytest.param(lambda: sample_Ybar_chain(drift_model(), (0, 1.5), 1), "x0",
+                 id="sample_Ybar_chain-x0-float"),
+    # a float n took 3 steps for 2.5 or raised a TypeError
+    pytest.param(lambda: simulate(make_environment(drift_model(), 1),
+                                  (0, 0), 2.5, 1), "n", id="simulate-n-float"),
+    pytest.param(lambda: simulate_finals_many(make_environment(
+        drift_model(), 1), [[0, 0]], 2.0, [1]), "n", id="engine-n-float"),
+    # fields the law does not read were accepted and ignored
+    pytest.param(lambda: EnvironmentModel(
+        support=drift_model().support, kind="deterministic",
+        probs=(0.5, 0.25, 0.25), alpha=("x",)), "alpha",
+        id="deterministic-alpha"),
+    pytest.param(lambda: EnvironmentModel(
+        support=drift_model().support, kind="deterministic",
+        probs=(0.5, 0.25, 0.25), floor=0.5), "floor",
+        id="deterministic-floor"),
+    pytest.param(lambda: _dirichlet(probs=(0.5, 0.25, 0.25)), "probs",
+                 id="dirichlet-probs"),
+    pytest.param(lambda: _dirichlet(atoms=()), "atoms", id="dirichlet-atoms"),
+    pytest.param(lambda: EnvironmentModel(
+        support=drift_model().support, kind="mixture",
+        atoms=(((0.5, 0.25, 0.25), 1.0),), floor=0.1), "floor",
+        id="mixture-floor"),
+    # an int beyond the float range raised OverflowError
+    pytest.param(lambda: _dirichlet(floor=10**400), "floor",
+                 id="floor-beyond-float"),
+    pytest.param(lambda: real(-10**400, "p"), "p", id="real-beyond-float"),
 ])
 def test_library_refuses_what_it_misread(build, field):
     with pytest.raises(ValueError, match=f"^{field} must be "):
@@ -179,3 +228,78 @@ def test_nested_reads_lists_tuples_and_arrays_alike(v):
 def test_nested_refuses_by_level(v, item, shape, what):
     with pytest.raises(ValueError, match=f"^rows must be {what}"):
         nested(v, item, shape, "rows")
+
+
+# the one pmf message, whichever step law it reads
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda p: EnvironmentModel(
+        support=support_2d([(1, 0), (-1, 0)]), kind="deterministic",
+        probs=p), "probs", id="EnvironmentModel"),
+    pytest.param(lambda p: EnvironmentModel(
+        support=support_2d([(1, 0), (-1, 0)]), kind="mixture",
+        atoms=((p, 1.0),)), "probs", id="EnvironmentModel-atom"),
+    pytest.param(lambda p: SymmetricWalk1D((-1, 1), p), "probs",
+                 id="SymmetricWalk1D"),
+    pytest.param(lambda p: PerturbedChainSpec(
+        1, [[-1], [1]], p, 16.0), "base_probs", id="PerturbedChainSpec"),
+    pytest.param(lambda p: _chain(alt_offsets=[[1, 0], [0, 1]],
+                                  alt_probs=p), "alt_probs",
+                 id="PerturbedChainSpec-alt"),
+])
+@pytest.mark.parametrize("p", [(0.5, 0.6), (1.5, -0.5)],
+                         ids=["sum", "negative"])
+def test_step_laws_give_one_pmf_message(build, field, p):
+    with pytest.raises(ValueError, match=rf"^{field} must be nonnegative "
+                                         r"numbers that sum to 1 \(got "):
+        build(p)
+
+
+def test_pmf_reads_lists_and_arrays_alike():
+    walk = SymmetricWalk1D((-1, 0, 1), (0.25, 0.5, 0.25))
+    offs, probs = product_symmetric_base(walk, 10)     # 59,049 rows
+    assert pmf(probs, len(offs), "p") == probs.tolist()
+    assert pmf(probs[::-1].tolist(), None, "p") == probs[::-1].tolist()
+    with pytest.raises(ValueError, match="^p must be a list of 3 entries"):
+        pmf([0.5, 0.5], 3, "p")
+    with pytest.raises(ValueError, match="^p must be nonnegative"):
+        pmf([0.5, 0.5 + 2e-12], 2, "p")
+
+
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: SymmetricWalk1D((-1, 1), (0.4, 0.6)), "probs",
+                 id="SymmetricWalk1D"),
+    pytest.param(lambda: PerturbedChainSpec(1, [[-1], [2]], [0.5, 0.5], 16.0),
+                 "base_probs", id="PerturbedChainSpec"),
+])
+def test_step_laws_give_one_symmetry_message(build, field):
+    with pytest.raises(ValueError, match=f"^{field} must be symmetric"):
+        build()
+
+
+def test_symmetric_sums_repeated_offsets():
+    symmetric([(1, 0), (-1, 0), (-1, 0)], [0.5, 0.25, 0.25], "p")
+    symmetric(zip([0, 2, -2]), [0.5, 0.25, 0.25], "p")
+    with pytest.raises(ValueError, match="^p must be symmetric"):
+        symmetric([(1, 0), (-1, 0), (0, 1)], [0.5, 0.25, 0.25], "p")
+
+
+def test_point_reads_one_point_or_many():
+    sup = drift_model().support
+    assert sup.point(np.array([3, -1]), "x") == (3, -1)
+    assert all(type(c) is int for c in sup.point(np.array([3, -1]), "x"))
+    assert sup.point(np.zeros((2, 2), dtype=np.int64), "xs", many=True) == \
+        [[0, 0], [0, 0]]
+    for x, what in [((0, 0, 1), "a list of 2 entries"), ((0.5, 0), "an "
+                    "integer"), ((True, 0), "an integer"), (5, "a list")]:
+        with pytest.raises(ValueError, match=f"^x must be {what}"):
+            sup.point(x, "x")
+
+
+def test_product_base_cap_is_the_library_s():
+    # 2 ** 17 product steps, refused before the meshgrid allocates
+    with pytest.raises(ValueError, match="more than 65536 product steps"):
+        product_symmetric_base(simple_walk(), 17)
+    with pytest.raises(ValueError, match="^dimension must be an integer"):
+        product_symmetric_base(simple_walk(), 2.0)
+    offs, probs = product_symmetric_base(simple_walk(), 16)
+    assert offs.shape == (65536, 16) and offs.dtype == np.int64

@@ -40,7 +40,8 @@ def test_zero_steps():
 def test_simulate_rejects_wrong_dimension_start(model):
     env = make_environment(model, 2)
     for start in ((0, 0, 7), (1,)):
-        with pytest.raises(ValueError, match="dimension 2"):
+        with pytest.raises(ValueError, match="^start must be a list of 2 "
+                                             "entries"):
             simulate(env, start, 5, 1)
 
 
@@ -280,7 +281,7 @@ def test_engines_reject_negative_steps(model):
     keys = np.full(2, env.env_key, dtype=np.uint64)
     for engine in _five_engines(env, keys):
         for n in (-1, -2):
-            with pytest.raises(ValueError, match=f"n must be nonnegative "
+            with pytest.raises(ValueError, match=rf"^n must be >= 0 "
                                                  rf"\(got {n}\)"):
                 engine(starts, n, [1, 2])
 
