@@ -295,7 +295,7 @@ def test_point_reads_one_point_or_many():
             sup.point(x, "x")
 
 
-def test_product_base_cap_is_the_library_s():
+def test_product_base_caps_its_rows():
     # 2 ** 17 product steps, refused before the meshgrid allocates
     with pytest.raises(ValueError, match="more than 65536 product steps"):
         product_symmetric_base(simple_walk(), 17)
