@@ -13,24 +13,26 @@ independent of query order.
 There is one exact evaluation, _vectors_from_keys, for arrays of site
 keys; exact_cum_rule repeats its float operations for one site at a time
 in the same order, bit for bit.  Environment.cum_at memoizes what that
-rule gives for every site it has been asked for, so an Environment grows
-by one entry per distinct site it serves.  The vectorized walk engine
-(walk._iter_positions) needs only each step's index, so it first asks
-cum_bounds_from_keys for cheap bounds on a site's cumulative vector: a
-Dirichlet component's uniform lies between two knots of a per-alpha table
-of gammaincinv, and gammaincinv is monotone, so the knots bracket the
-gamma draw.  Only a walker whose uniform falls inside a bracket needs the
-exact vector, which the engine gets from exact_cum_rule, or from
-_vectors_from_keys for more than a few sites.  Nothing here keeps the
-bounds: the engine caches them in its own bounded table when walkers share
-environments, and recomputes them at every step otherwise.
+rule gives in two generations of at most _MEMO_GENERATION sites each, so
+an Environment's memory is bounded however long the walks it serves; a
+site evicted from both is computed again, bit for bit.  The vectorized
+walk engine (walk._iter_positions) needs only each step's index, so it
+first asks cum_bounds_from_keys for cheap bounds on a site's cumulative
+vector: a Dirichlet component's uniform lies between two knots of a
+per-alpha table of gammaincinv, and gammaincinv is monotone, so the knots
+bracket the gamma draw.  Only a walker whose uniform falls inside a
+bracket needs the exact vector, which the engine gets from
+exact_cum_rule, or from _vectors_from_keys for more than a few sites.
+Nothing here keeps the bounds: the engine caches them in its own bounded
+table when walkers share environments, and recomputes them at every step
+otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from itertools import accumulate
 from operator import add
@@ -104,11 +106,14 @@ class EnvironmentModel:
         (vector = kappa * uniform + (1 - kappa) * Dirichlet(alpha))
       - "mixture": finite list of (probs, weight) atoms
       - "deterministic": probs, one fixed vector at every site; the model
-        is the mixture with the one atom (probs, 1.0), which it keeps in
-        `atoms`, so every law rule reads it as a mixture
+        is the mixture with the one atom (probs, 1.0)
 
     A law refuses a field it does not read (_READS) unless it is unset
-    (None, or a floor of 0).
+    (None, or a floor of 0).  The fields keep what was given, read by the
+    value rules; law_atoms, derived and not a constructor argument, holds
+    the atom law that every law rule reads: a mixture's atoms with their
+    weights divided by their total, or a deterministic law's one atom.
+    So dataclasses.replace builds the model that the constructor would.
     """
 
     support: StepSupport
@@ -117,6 +122,7 @@ class EnvironmentModel:
     alpha: Optional[tuple] = None
     floor: float = 0.0
     atoms: Optional[tuple] = None  # tuple of (probs tuple, weight)
+    law_atoms: Optional[tuple] = field(init=False, repr=False, compare=False)
     _READS = {"deterministic": ("probs",), "dirichlet": ("alpha", "floor"),
               "mixture": ("atoms",)}
 
@@ -135,38 +141,57 @@ class EnvironmentModel:
             if any(x <= 0 for x in p):
                 raise ValueError("deterministic model must give positive "
                                  "probability to every step in J")
-            object.__setattr__(self, "atoms", ((p, 1.0),))
+            object.__setattr__(self, "law_atoms", ((p, 1.0),))
         elif self.kind == "dirichlet":
             object.__setattr__(self, "alpha", tuple(nested(
                 self.alpha, partial(real, above=0), [k], "alpha")))
             if not 0.0 <= self.floor < 1.0:
                 raise ValueError("floor must lie in [0, 1)")
+            object.__setattr__(self, "law_atoms", None)
         else:
             if not self.atoms:
                 raise ValueError("mixture needs at least one atom")
             atoms = [(tuple(pmf(p, k, "probs")), real(w, "weight", above=0))
                      for p, w in self.atoms]
+            object.__setattr__(self, "atoms", tuple(atoms))
             wsum = reduce(add, [w for _, w in atoms])     # left to right
             atoms = tuple((p, w / wsum) for p, w in atoms)
-            object.__setattr__(self, "atoms", atoms)
+            object.__setattr__(self, "law_atoms", atoms)
             mean = np.sum([np.array(p) * w for p, w in atoms], axis=0)
             if np.any(mean <= 0):
                 raise ValueError("every step in J must have positive mean "
                                  "probability")
 
 
+# Sites per generation of Environment.cum_at's memo, which keeps at most
+# two generations, about 300 bytes a site (k = 3 or 4, d = 2).  Exact
+# evaluations against an unbounded memo's, per generation size G:
+#   seed-1 pass-0 `sequential` benchmark configs, unbounded: coupling
+#   17,476, joint-regen 11,094, regen 18,455, ergodic 22,139; G = 16 gives
+#   coupling 20,921 and joint-regen 11,419, G = 64 coupling 17,483, and
+#   G = 128 to 4,096 all four unbounded counts;
+#   four 100,000-step simulate walks on each Dirichlet model of
+#   rwre.models: unbounded (368,780 and 230,618) from G = 64 on;
+#   two 100,000-step walks at weak drift (alpha (1.3, 1, 1, 1), floor
+#   0.05, steps +-e1, +-e2): 65,341 at G = 256, unbounded (65,065) from
+#   G = 1,024 on.
+_MEMO_GENERATION = 1024
+
+
 class Environment:
     """A realization omega, determined by (model, env_seed).
 
-    The vector at site x is a pure function of (env_seed, x); an internal
-    memo cache only accelerates revisits.  Instances are immutable apart from
-    the cache and safe to share between readers.
+    The vector at site x is a pure function of (env_seed, x); a memo of
+    two generations of at most _MEMO_GENERATION sites each only
+    accelerates revisits.  Instances are immutable apart from the memo and
+    safe to share between readers.
     """
 
     def __init__(self, model: EnvironmentModel, env_seed: int):
         self.model = model
         self.env_key = derive_key(int(env_seed), TAG_SITE)
-        self._cum_cache: dict = {}
+        self._memo: dict = {}       # the current generation
+        self._memo_old: dict = {}   # the one before it
         # the environment's part of every site key, derive_key(env_key)
         self._site_h = derive_key(self.env_key)
         self._new_cum = exact_cum_rule(model)
@@ -184,11 +209,19 @@ class Environment:
         as a tuple of floats.
 
         Equal to the running sum of site's row of _vectors_from_keys, as
-        a tuple, bit for bit (exact_cum_rule).
+        a tuple, bit for bit (exact_cum_rule).  A site missing from the
+        current generation of the memo is looked up in the old one before
+        it is computed, and joins the current one; a full current
+        generation becomes the old one, and the old one is dropped.
         """
-        cum = self._cum_cache.get(site)
+        cum = self._memo.get(site)
         if cum is None:
-            cum = self._cum_cache[site] = self._new_cum(self._site_h, site)
+            cum = self._memo_old.get(site)
+            if cum is None:
+                cum = self._new_cum(self._site_h, site)
+            if len(self._memo) >= _MEMO_GENERATION:
+                self._memo_old, self._memo = self._memo, {}
+            self._memo[site] = cum
         return cum
 
 
@@ -220,8 +253,8 @@ def exact_cum_rule(model: EnvironmentModel):
                                          for x in g]))
             return tuple(accumulate([x / total for x in g]))
     else:
-        atom_w = np.cumsum([w for _, w in model.atoms]).tolist()
-        atom_cums = [tuple(np.cumsum(p).tolist()) for p, _ in model.atoms]
+        atom_w = np.cumsum([w for _, w in model.law_atoms]).tolist()
+        atom_cums = [tuple(np.cumsum(p).tolist()) for p, _ in model.law_atoms]
         last = len(atom_cums) - 1
 
         def cum(h: int, site=()) -> tuple:
@@ -242,9 +275,9 @@ def _vectors_from_keys(model: EnvironmentModel, keys: np.ndarray) -> np.ndarray:
         k = len(model.support.steps)
         return _dirichlet_vectors(model, _site_uniforms(keys, k))
     # atoms: one uniform picks the atom
-    idx = step_index(np.cumsum([w for _, w in model.atoms]),
+    idx = step_index(np.cumsum([w for _, w in model.law_atoms]),
                      stream_u01_array(keys, 0))
-    return np.array([p for p, _ in model.atoms])[idx]
+    return np.array([p for p, _ in model.law_atoms])[idx]
 
 
 def _site_uniforms(keys: np.ndarray, k: int) -> np.ndarray:
@@ -416,8 +449,8 @@ def check_hypotheses(model: EnvironmentModel) -> HypothesisReport:
                   for z in incs]
         kappa = model.floor / k
     else:
-        deltas = [float(np.dot(p, incs)) for p, _ in model.atoms]
-        kappa = min(min(p) for p, _ in model.atoms)
+        deltas = [float(np.dot(p, incs)) for p, _ in model.law_atoms]
+        kappa = min(min(p) for p, _ in model.law_atoms)
 
     delta = min(deltas)
     non_nestling = (delta > 0, delta)
@@ -454,7 +487,7 @@ def _is_restricted_path(model: EnvironmentModel) -> bool:
     if model.kind == "dirichlet":
         # all components are a.s. positive (plus any floor)
         return restricted((1.0,) * len(model.support.steps))
-    return all(restricted(p) for p, _ in model.atoms)
+    return all(restricted(p) for p, _ in model.law_atoms)
 
 
 def make_environment(model: EnvironmentModel, env_seed: int) -> Environment:

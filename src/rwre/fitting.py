@@ -37,8 +37,13 @@ class ExponentFit:
 
 
 def refusal(what, v, name="") -> ValueError:
-    """The error of a value rule: `name` must be `what`, and what it got."""
-    return ValueError(f"{name} must be {what} (got {_show(v)})".lstrip())
+    """The error of a value rule: `name` must be `what`, and what it got,
+    an array with its dtype and shape."""
+    got = _show(v)
+    if isinstance(v, np.ndarray):
+        got = f"{_show(v.tolist())}, array of dtype {v.dtype} and shape " \
+            f"{v.shape}"
+    return ValueError(f"{name} must be {what} (got {got})".lstrip())
 
 
 def integer(v, name="", lo=None) -> int:
@@ -73,7 +78,9 @@ def nested(v, item, shape, name="") -> list:
     """v as nested lists of item(entry, name): nonempty lists, tuples or
     arrays, shape[i] the length at level i (None for any).  A numeric
     array of that shape is read whole: each entry has its dtype's type,
-    so item(min) and item(max) check them all (NaN reaches both)."""
+    so item(min) and item(max) check them all (NaN reaches both).  A
+    refusal shows v as given."""
+    given = v
     if isinstance(v, np.ndarray):
         if v.dtype.kind in "iuf" and v.ndim == len(shape) and v.size and all(
                 n in (None, m) for n, m in zip(shape, v.shape)):
@@ -85,8 +92,8 @@ def nested(v, item, shape, name="") -> list:
         return item(v, name)
     if not isinstance(v, (list, tuple)) or not v \
             or shape[0] not in (None, len(v)):
-        raise refusal(f"a list of {shape[0] or 'one or more'} entries", v,
-                      name)
+        raise refusal(f"a list of {shape[0] or 'one or more'} entries",
+                      given, name)
     return [nested(x, item, shape[1:], name) for x in v]
 
 

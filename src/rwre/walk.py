@@ -6,17 +6,20 @@ one draw per time step.  Steps are selected by inverse CDF over the fixed
 ordering of J, so a path is a pure function of (env_seed, walk_seed, start)
 and simulating n' < n steps yields the prefix of the n-step path.
 
-_SeqWalk is the one scalar walker, grown step by step with its level
-records; simulate grows it to n steps (a deterministic law takes one
-cumsum) and rwre.pair's walks grow it lazily.  The simulate_*_many*
-engines advance many walkers in lockstep and take the same steps.
+simulate keeps only its walker's site and one step index per step, and
+builds the sites by one cumsum of the steps; under a deterministic law all
+n indices come from one array call.  _SeqWalk is the scalar walker that
+rwre.pair's walks grow lazily, step by step with its level records.  Both
+read site vectors through Environment.cum_at, whose memo is bounded.  The
+simulate_*_many* engines advance many walkers in lockstep and take the
+same steps.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 from operator import add
 
 import numpy as np
@@ -94,21 +97,35 @@ def simulate(env: Environment, start, n: int, walk_seed: int) -> WalkPath:
     n = integer(n, "n", 0)
     sup = env.model.support
     start = sup.point(start, "start")
+    key = walk_key(walk_seed)
     if env.model.kind == "deterministic":
-        # one law at every site: all n steps at once, sites by one cumsum
-        u = counter_u01_array(walk_key(walk_seed),
-                              np.arange(n, dtype=np.uint64))
+        # one law at every site: all n steps at once
+        u = counter_u01_array(key, np.arange(n, dtype=np.uint64))
         idx = step_index(np.cumsum(env.model.probs), u)
-        return WalkPath(np.cumsum(np.vstack([start, sup.steps_array[idx]]),
-                                  axis=0), sup.u_hat)
-    source = _TimeSource(walk_key(walk_seed))
-    if n:
-        source.draw(None, n - 1)        # all n uniforms in one call
-    w = _SeqWalk(env.cum_at, start, source, sup)
-    w.extend_to(n, n)
-    d = sup.dimension     # np.fromiter reads tuples 3x faster than np.array
-    flat = np.fromiter(chain.from_iterable(w.positions), np.int64, (n + 1) * d)
-    return WalkPath(flat.reshape(n + 1, d), sup.u_hat)
+    else:
+        # env.cum_at is looked up on the instance, so a traced one counts
+        idx = _step_indices(env.cum_at, start, n, key, sup.steps)
+    return WalkPath(np.cumsum(np.vstack([start, sup.steps_array[idx]]),
+                              axis=0), sup.u_hat)
+
+
+def _step_indices(cum_fn, pos: tuple, n: int, key: int,
+                  steps: tuple) -> np.ndarray:
+    """The step indices (n,) of the walk from pos stepping by cum_fn(site)
+    and the uniforms of walk key `key`, as _SeqWalk steps: kept one per
+    step in the least unsigned type that holds every index of `steps`,
+    with the uniforms drawn per block of rng._block_len(1) counters, so
+    that only the indices grow with n."""
+    last = len(steps) - 1
+    idx = array("B" if last < 1 << 8 else "H" if last < 1 << 16 else "Q")
+    b = _block_len(1)
+    for t0 in range(0, n, b):
+        for u in counter_u01_array(key, np.arange(
+                t0, min(t0 + b, n), dtype=np.uint64)).tolist():
+            i = bisect_left(cum_fn(pos), u, 0, last)
+            idx.append(i)
+            pos = tuple(map(add, pos, steps[i]))
+    return np.frombuffer(idx, dtype=idx.typecode)
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +135,8 @@ def simulate(env: Environment, start, n: int, walk_seed: int) -> WalkPath:
 class _TimeSource:
     """Per-walk uniform stream indexed by time, drawn ahead in blocks of
     one counter_u01_array call: a draw past the stream extends it to at
-    least t + 1 draws, twice its length and 64, so a walk that asks for its
-    last counter first makes one call.  A draw is a pure function of
-    (key, t), so drawing ahead changes no value."""
+    least t + 1 draws, twice its length and 64.  A draw is a pure function
+    of (key, t), so drawing ahead changes no value."""
 
     __slots__ = ("key", "_u")
 
@@ -408,13 +424,21 @@ def _iter_positions(model: EnvironmentModel, env_keys, starts: np.ndarray,
 
 
 def _starts(model: EnvironmentModel, starts, n: int) -> np.ndarray:
-    """starts as an int64 array (m, d), m >= 0, read by StepSupport.point
-    unless it is one, once n is checked, before the engine allocates."""
+    """starts as an int64 array (m, d), once n is checked, before the
+    engine allocates: an int64 array (m, d) as it is, any other nonempty
+    spelling read by StepSupport.point.  Zero walkers run in every
+    spelling: an empty list or tuple, or an array of shape (0,) or
+    (0, d) of any dtype."""
     integer(n, "n", 0)
-    if not isinstance(starts, np.ndarray) or starts.dtype != np.int64 \
-            or starts.shape[1:] != (model.support.dimension,):
-        starts = model.support.point(starts, "starts", many=True)
-    return np.asarray(starts, dtype=np.int64)
+    d = model.support.dimension
+    if isinstance(starts, np.ndarray) and starts.shape[1:] == (d,) \
+            and starts.dtype == np.int64:
+        return starts
+    if isinstance(starts, (list, tuple)) and not starts or \
+            isinstance(starts, np.ndarray) and starts.shape in ((0,), (0, d)):
+        return np.zeros((0, d), dtype=np.int64)
+    return np.array(model.support.point(starts, "starts", many=True),
+                    dtype=np.int64)
 
 
 def _paths(model: EnvironmentModel, env_keys, starts, n: int,

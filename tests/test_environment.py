@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import special
@@ -128,8 +130,33 @@ def test_check_hypotheses_point_mass():
 
 
 def test_deterministic_model_keeps_its_one_atom():
+    # in the derived law_atoms, not in the atoms field it refuses
     m = backtracking_model()
-    assert m.atoms == ((m.probs, 1.0),)
+    assert m.law_atoms == ((m.probs, 1.0),)
+    assert m.atoms is None
+
+
+_MIXTURE = EnvironmentModel(
+    support=support_2d([(1, 0), (0, 1), (0, -1)]), kind="mixture",
+    atoms=(((0.8, 0.1, 0.1), 1.0), ((0.2, 0.4, 0.4), 3.0)))
+
+
+@pytest.mark.parametrize("model,changes", [
+    (drift_model(), {"probs": (0.6, 0.2, 0.2)}),
+    (dirichlet_drift_model(), {"alpha": (2.0, 1.0, 1.0), "floor": 0.2}),
+    (_MIXTURE, {"atoms": (((0.5, 0.25, 0.25), 0.1), ((0.9, 0.05, 0.05),
+                                                     0.3))}),
+    (_MIXTURE, {})], ids=["deterministic", "dirichlet", "mixture",
+                          "mixture-unchanged"])
+def test_replace_builds_the_model_the_constructor_builds(model, changes):
+    law = {f: getattr(model, f) for f in ("probs", "alpha", "floor", "atoms")
+           if f in EnvironmentModel._READS[model.kind]}
+    want = EnvironmentModel(support=model.support, kind=model.kind,
+                            **{**law, **changes})
+    got = dataclasses.replace(model, **changes)
+    assert got == want
+    assert got.law_atoms == want.law_atoms
+    assert repr(got) == repr(want)
 
 
 def test_deterministic_law_is_the_mixture_with_one_atom():
@@ -249,8 +276,28 @@ def test_cum_at_matches_site_vectors_bitwise(name, model):
     got = [env.cum_at(tuple(s)) for s in sites.tolist()]
     for s, g, w in zip(sites.tolist(), got, want):
         assert g == tuple(w.tolist()), s
-    # cache hits return the same tuples
+    # sites read again, evicted from the memo by then, return equal tuples
     assert [env.cum_at(tuple(s)) for s in sites[:50].tolist()] == got[:50]
+
+
+def test_cum_at_recomputes_an_evicted_site_bit_for_bit():
+    # 2G new sites after a site push it out of both memo generations; a
+    # site read again from the old generation joins the current one
+    g = environment._MEMO_GENERATION
+    for model in (dirichlet_drift_model(), _MIXTURE):
+        env = make_environment(model, 4)
+        first = env.cum_at((0, 0))
+        kept = env.cum_at((0, 1))
+        for x in range(1, 2 * g + 1):
+            env.cum_at((x, 0))
+            if x == g:
+                assert (0, 1) in env._memo_old
+                env.cum_at((0, 1))
+                assert (0, 1) in env._memo
+        assert (0, 0) not in env._memo and (0, 0) not in env._memo_old
+        assert env.cum_at((0, 1)) is kept
+        assert env.cum_at((0, 0)) == first
+        assert len(env._memo) <= g and len(env._memo_old) <= g
 
 
 def test_dirichlet_underflow_raises_on_both_paths():

@@ -1,11 +1,13 @@
 import hashlib
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from rwre import pair
-from rwre.environment import EnvironmentModel, compute_h, make_environment
+from rwre import environment, pair
+from rwre.environment import (EnvironmentModel, compute_h, exact_cum_rule,
+                              make_environment)
 from rwre.models import (dirichlet_backtracking_model, dirichlet_drift_model,
                          drift_model, support_2d)
 from rwre.pair import (_joint_regen, _pair_common_sites, coupled_triple,
@@ -13,7 +15,7 @@ from rwre.pair import (_joint_regen, _pair_common_sites, coupled_triple,
                        intersection_curve, sample_Y_chain, sample_Ybar_chain,
                        support_inheritance_check)
 from rwre.regen import detect_regenerations
-from rwre.rng import derive_key, site_keys
+from rwre.rng import _block_len, derive_key, site_keys
 from rwre.walk import (WalkPath, _SeqWalk, _TimeSource, simulate,
                        simulate_paths_many_envs, walk_key)
 
@@ -164,7 +166,7 @@ def _mixture_backtracking_model():
                          ids=["dirichlet_drift", "dirichlet_backtracking",
                               "mixture"])
 def test_seq_walk_matches_simulate(model):
-    # the scalar walker that simulate and the pair walks grow, against the
+    # simulate and the scalar walker that the pair walks grow, against the
     # one-walker engine position by position, across the time source's
     # draw-ahead blocks (64, 128, 256, ... draws) and revisits; its level
     # records against the WalkPath's levels and running max, also for a
@@ -197,6 +199,16 @@ def test_seq_walk_matches_simulate(model):
                                **{int(path.levels[t]): int(t)
                                   for t in records}}
         assert len(w.positions) - len(set(w.positions)) > 50   # revisits
+    # past one block of simulate's uniforms and through more distinct
+    # sites than the memo's two generations hold, against a walker that
+    # evaluates every site afresh
+    n = _block_len(1) + 1000
+    fresh = partial(exact_cum_rule(model), derive_key(env.env_key))
+    w = _SeqWalk(fresh, (3, -2), _TimeSource(walk_key(5)), sup)
+    w.extend_to(n, n)
+    assert len(set(w.positions)) > 2 * environment._MEMO_GENERATION
+    assert simulate(env, (3, -2), n, 5).sites.tolist() == \
+        [list(x) for x in w.positions]
 
 
 def test_seq_walk_reads_each_site_after_appending_it():

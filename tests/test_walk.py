@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,16 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rwre import environment, rng, walk
-from rwre.environment import (EnvironmentModel, cum_bounds_from_keys,
-                              cum_vectors_from_keys, make_environment)
+from rwre.environment import (EnvironmentModel, StepSupport,
+                              cum_bounds_from_keys, cum_vectors_from_keys,
+                              exact_cum_rule, make_environment)
 from rwre.models import (backtracking_model, dirichlet_backtracking_model,
                          dirichlet_drift_model, drift_model, support_2d)
-from rwre.rng import MASK64, derive_key_range
-from rwre.walk import (WalkPath, _outward32, _SiteBounds, _SiteCache,
-                       diffusive_scale,
+from rwre.rng import MASK64, derive_key, derive_key_range
+from rwre.walk import (WalkPath, _outward32, _SeqWalk, _SiteBounds,
+                       _SiteCache, _TimeSource, diffusive_scale,
                        simulate, simulate_finals_many,
                        simulate_finals_many_envs, simulate_level_stats_many_envs,
-                       simulate_paths_many, simulate_paths_many_envs)
+                       simulate_paths_many, simulate_paths_many_envs,
+                       walk_key)
 
 
 def _point_mass_env(seed=0):
@@ -33,6 +37,39 @@ def test_point_mass_path():
 def test_zero_steps():
     path = simulate(_point_mass_env(), (2, 3), 0, 1)
     assert path.sites.tolist() == [[2, 3]]
+
+
+def test_simulate_keeps_step_indices_past_one_byte():
+    # 300 steps: indices from 256 on need a wider buffer than bytes
+    sup = StepSupport(1, [(i,) for i in range(-100, 200)], (1,))
+    flat = (1 / 300,) * 300
+    tilted = tuple(np.linspace(1, 2, 300) / np.linspace(1, 2, 300).sum())
+    model = EnvironmentModel(support=sup, kind="mixture",
+                             atoms=((flat, 1.0), (tilted, 1.0)))
+    env = make_environment(model, 2)
+    fresh = partial(exact_cum_rule(model), derive_key(env.env_key))
+    w = _SeqWalk(fresh, (0,), _TimeSource(walk_key(7)), sup)
+    w.extend_to(2000, 2000)
+    path = simulate(env, (0,), 2000, 7)
+    assert path.sites.tolist() == [list(x) for x in w.positions]
+    assert (np.diff(path.sites[:, 0]) >= 156).sum() > 100   # index >= 256
+
+
+def test_simulate_memory_is_bounded():
+    # a 100,000-step walk keeps one step index per step, one block of
+    # uniforms and at most two memo generations besides its path (3.2 MB
+    # of sites, levels and running maxima); a walker keeping a tuple per
+    # position and every site's vector peaked at 42 MB
+    env = make_environment(dirichlet_drift_model(), 5)
+    tracemalloc.start()
+    try:
+        simulate(env, (0, 0), 100_000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert len(env._memo) + len(env._memo_old) <= \
+        2 * environment._MEMO_GENERATION
 
 
 @pytest.mark.parametrize("model", [drift_model(), dirichlet_drift_model()],
@@ -256,6 +293,19 @@ def test_engines_take_zero_walkers_and_zero_steps(model):
     stats = simulate_level_stats_many_envs(model, keys, starts, 0, [1, 2])
     assert stats["final_level"].tolist() == stats["max_level"].tolist() == \
         [0, 2]
+
+
+@pytest.mark.parametrize("none", [[], np.zeros((0, 2)),
+                                  np.zeros((0, 2), dtype=np.int64)],
+                         ids=["list", "float-array", "int64-array"])
+def test_engines_read_every_spelling_of_zero_walkers(none):
+    env = make_environment(dirichlet_drift_model(), 3)
+    assert simulate_paths_many(env, none, 5, []).shape == (6, 0, 2)
+    assert simulate_finals_many(env, none, 5, []).shape == (0, 2)
+    # an empty array of another shape is refused, and shown as given
+    with pytest.raises(ValueError, match=r"^starts .*got \[\], array of "
+                                         r"dtype float64 and shape \(0, 3\)"):
+        simulate_finals_many(env, np.zeros((0, 3)), 5, [])
 
 
 def _five_engines(env, keys):
