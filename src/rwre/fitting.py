@@ -39,10 +39,8 @@ class ExponentFit:
 def refusal(what, v, name="") -> ValueError:
     """The error of a value rule: `name` must be `what`, and what it got,
     an array with its dtype and shape."""
-    got = _show(v)
-    if isinstance(v, np.ndarray):
-        got = f"{_show(v.tolist())}, array of dtype {v.dtype} and shape " \
-            f"{v.shape}"
+    got = (f"{_show(v.tolist())}, array of dtype {v.dtype} and shape "
+           f"{v.shape}" if isinstance(v, np.ndarray) else _show(v))
     return ValueError(f"{name} must be {what} (got {got})".lstrip())
 
 
