@@ -41,7 +41,8 @@ from typing import Optional
 import numpy as np
 from scipy import special as _sps
 
-from .fitting import integer, nested, pmf, real, refusal
+from .fitting import (integer, mixture_atoms, nested, pmf, real,
+                      refusal)
 from .rng import (TAG_ENV, TAG_SITE, U01_MAX, counter_u01_array, derive_key,
                   derive_key_array, derive_key_range, site_u01, step_index,
                   stream_u01_array)
@@ -149,10 +150,7 @@ class EnvironmentModel:
                 raise ValueError("floor must lie in [0, 1)")
             object.__setattr__(self, "law_atoms", None)
         else:
-            if not self.atoms:
-                raise ValueError("mixture needs at least one atom")
-            atoms = [(tuple(pmf(p, k, "probs")), real(w, "weight", above=0))
-                     for p, w in self.atoms]
+            atoms = mixture_atoms(self.atoms, k, "atoms")
             object.__setattr__(self, "atoms", tuple(atoms))
             wsum = reduce(add, [w for _, w in atoms])     # left to right
             atoms = tuple((p, w / wsum) for p, w in atoms)

@@ -5,9 +5,10 @@ model, walk, chain or experiment takes is read by one of them, or a
 ValueError names the field.  An integer is a Python or numpy int, not a
 bool, in int64; a real is a finite Python or numpy int or float, not a
 bool; nested lists are nonempty lists, tuples or arrays.
-Step-law rules (pmf, symmetric): a pmf is nonnegative reals whose
-math.fsum, the same in any order, lies within 1e-12 of 1; a symmetric law
-gives -z the mass of z within 1e-12.
+Step-law rules (pmf, symmetric, mixture_atoms): a pmf is nonnegative
+reals whose math.fsum, the same in any order, lies within 1e-12 of 1; a
+symmetric law gives -z the mass of z within 1e-12; a mixture's atoms are
+a nonempty list or tuple of (probs, weight) pairs, a pmf and a real > 0.
 Grid rule (check_grid): a grid of horizons, levels or radii is read as a
 sorted list of distinct ints >= lo, at least `least` of them (2 where a
 fit or trend test needs them), or raises a ValueError naming it.
@@ -102,6 +103,17 @@ def pmf(v, k=None, name="") -> list:
     if min(p) < 0 or abs(math.fsum(p) - 1.0) > 1e-12:
         raise refusal("nonnegative numbers that sum to 1", v, name)
     return p
+
+
+def mixture_atoms(v, k, name) -> list:
+    """v, a nonempty list or tuple of (probs, weight) pairs, as a list of
+    (tuple, float) pairs: probs read by pmf with k entries, weight by
+    real, > 0."""
+    if not isinstance(v, (list, tuple)) or not v or not all(
+            isinstance(a, (list, tuple)) and len(a) == 2 for a in v):
+        raise refusal("a list of one or more (probs, weight) pairs", v, name)
+    return [(tuple(pmf(p, k, "probs")), real(w, "weight", above=0))
+            for p, w in v]
 
 
 def symmetric(offsets, probs, name="") -> None:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rwre import environment, pair
+from rwre import environment, pair, rng
 from rwre.environment import (EnvironmentModel, compute_h, exact_cum_rule,
                               make_environment)
 from rwre.models import (dirichlet_backtracking_model, dirichlet_drift_model,
@@ -42,17 +42,36 @@ def _common_sites_loop(paths):
     return np.array(counts)
 
 
-@pytest.mark.parametrize("t", [2, 3, 40, 257])
-def test_pair_common_sites_matches_loop(t):
-    # lazy walks revisit sites; every other pair is shifted far apart, so
-    # it shares no site, and one pair is a walker and its own copy
-    rng = np.random.default_rng(t)
-    paths = np.cumsum(rng.integers(-1, 2, size=(t, 24, 2)), axis=0)
+def _lazy_pair_paths(t):
+    """Lazy walks (t, 24, 2), which revisit sites.  Every other pair is
+    shifted far apart, so it shares no site, and pair 1 is walker 2 and
+    its own copy."""
+    gen = np.random.default_rng(t)
+    paths = np.cumsum(gen.integers(-1, 2, size=(t, 24, 2)), axis=0)
     paths[:, 1::4] += 10 * t
     paths[:, 3] = paths[:, 2]
+    return paths
+
+
+@pytest.mark.parametrize("t", [2, 3, 40, 257])
+def test_pair_common_sites_matches_loop(t):
+    paths = _lazy_pair_paths(t)
     got = _pair_common_sites(paths)
     want = _common_sites_loop(paths)
     assert got.tolist() == want.tolist()
+    assert (want[::2] == 0).all()
+    assert want[1] == np.unique(site_keys(0, paths[:, 2])).size
+
+
+@pytest.mark.parametrize("t", [3, 41])
+def test_pair_common_sites_matches_loop_over_key_slices(t, monkeypatch):
+    # 24 walkers on 48 cells fill the key buffer two steps at a time, so
+    # with odd t the last slice is one step and the others end mid-path
+    monkeypatch.setattr(rng, "_BLOCK_CELLS", 48)
+    assert _block_len(24) == 2
+    paths = _lazy_pair_paths(t)
+    want = _common_sites_loop(paths)
+    assert _pair_common_sites(paths).tolist() == want.tolist()
     assert (want[::2] == 0).all()
     assert want[1] == np.unique(site_keys(0, paths[:, 2])).size
 
@@ -126,6 +145,22 @@ def test_pair_searches_need_a_margin_and_horizon_of_one(search, kwargs,
     # a float is refused too, not compared
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         search(**{field: 12.0})
+
+
+@pytest.mark.parametrize("sample, field", [
+    (lambda v: sample_Y_chain(drift_model(), (0, 1), v), "K"),
+    (lambda v: sample_Ybar_chain(drift_model(), (0, 1), v), "K"),
+    (lambda v: support_inheritance_check(drift_model(), (0, 1), v),
+     "n_samples"),
+], ids=["sample_Y_chain", "sample_Ybar_chain", "support_inheritance_check"])
+def test_pair_chains_need_a_count_of_one(sample, field):
+    # K = 1.5 raised a TypeError, K = -1 gave an empty chain of shape
+    # (0,), n_samples = 0 a ZeroDivisionError
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        sample(1.5)
+    for v in (0, -1):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
+            sample(v)
 
 
 def test_first_joint_regeneration_monotone_pair():

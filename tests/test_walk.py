@@ -13,6 +13,7 @@ from rwre.environment import (EnvironmentModel, StepSupport,
                               exact_cum_rule, make_environment)
 from rwre.models import (backtracking_model, dirichlet_backtracking_model,
                          dirichlet_drift_model, drift_model, support_2d)
+from rwre.pair import intersection_curve
 from rwre.rng import MASK64, derive_key, derive_key_range
 from rwre.walk import (WalkPath, _outward32, _SeqWalk, _SiteBounds,
                        _SiteCache, _TimeSource, diffusive_scale,
@@ -70,6 +71,20 @@ def test_simulate_memory_is_bounded():
     assert peak < 8e6
     assert len(env._memo) + len(env._memo_old) <= \
         2 * environment._MEMO_GENERATION
+
+
+def test_intersection_curve_memory_is_bounded():
+    # besides one chunk's paths (2 MB of sites at n = 256) a count keeps
+    # one uint64 key per site, sorted and merged in place, and one slice's
+    # hash temporaries: 3.6 MB; a full key array with a sorted and a
+    # merged copy peaked at 6.2 MB
+    tracemalloc.start()
+    try:
+        intersection_curve(dirichlet_drift_model(), [64, 256], 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("model", [drift_model(), dirichlet_drift_model()],
