@@ -41,8 +41,7 @@ from typing import Optional
 import numpy as np
 from scipy import special as _sps
 
-from .fitting import (integer, mixture_atoms, nested, pmf, real,
-                      refusal)
+from .fitting import integer, mixture_atoms, nested, pmf, real, refusal
 from .rng import (TAG_ENV, TAG_SITE, U01_MAX, counter_u01_array, derive_key,
                   derive_key_array, derive_key_range, site_u01, step_index,
                   stream_u01_array)

@@ -168,15 +168,15 @@ def _dirichlet(**kw):
         support=drift_model().support, kind="mixture",
         atoms=(((0.5, 0.25, 0.25), 1.0),), floor=0.1), "floor",
         id="mixture-floor"),
-    # an int beyond the float range raised OverflowError
     # malformed atoms raised errors that did not name the field: an
     # unpacking ValueError, a TypeError, an ambiguous truth value
-    pytest.param(lambda: _mixture(((0.5, 0.25, 0.25),)), "atoms",
+    pytest.param(lambda: _mixture((((0.5, 0.25, 0.25),),)), "atoms",
                  id="mixture-atom-without-weight"),
     pytest.param(lambda: _mixture(5), "atoms", id="mixture-atoms-int"),
     pytest.param(lambda: _mixture(np.array([[(0.5, 0.25, 0.25), 1.0]],
                                            dtype=object)), "atoms",
                  id="mixture-atoms-array"),
+    # an int beyond the float range raised OverflowError
     pytest.param(lambda: _dirichlet(floor=10**400), "floor",
                  id="floor-beyond-float"),
     pytest.param(lambda: real(-10**400, "p"), "p", id="real-beyond-float"),
