@@ -37,7 +37,7 @@ from .environment import (EnvironmentModel, StepSupport, check_hypotheses,
                           env_key_range, make_environment, derive_env_seed)
 from .clt import clt_check, quenched_mean_variance, quenched_samples
 from .envprocess import ergodic_checkpoints, ergodic_runs, variation_proxy
-from .fitting import check_grid, integer, nested, real, refusal
+from .fitting import check_grid, integer, nested, real, refusal, whole
 from .green import (PerturbedChainSpec, SymmetricWalk1D, build_ladder_tables,
                     check_exit_radii, check_ladder_size, check_solve_size,
                     cube_exit_time, green_bound_experiment, half_line_green,
@@ -65,13 +65,6 @@ _FROM_REGEN = _Required("required: clt needs v and D as estimated by a "
 
 class _Rule(str):
     """Default a run works out; the text states it, the check gets None."""
-
-
-def _whole(v, name=""):
-    """An int, not a bool, of any size (derive_key reads a seed mod 2**64)."""
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise refusal("an integer", v, name)
-    return v
 
 
 def _typed(kind, what):
@@ -472,7 +465,7 @@ def parse_config(cfg, kind=None, workers=None) -> tuple:
     errors = []
     # top-level fields, and the --workers flag that overrides "workers"
     given = {**cfg, "--workers": 1 if workers is None else workers}
-    for name, check in (("master_seed", _plain(_whole)), ("workers", _int(1)),
+    for name, check in (("master_seed", _plain(whole)), ("workers", _int(1)),
                         ("--workers", _int(1)), ("out_dir", _plain(_text))):
         if name in given:
             try:

@@ -15,7 +15,8 @@ import numpy as np
 from scipy import special as _sps
 
 from .environment import EnvironmentModel, env_key_range
-from .fitting import check_grid, fit_exponent, integer, nested, real
+from .fitting import (check_grid, fit_exponent, integer, nested, real,
+                      refusal)
 from .ks import ks_norm_pvalue
 from .rng import (TAG_ENV, _pmap, derive_key_array, derive_key_range,
                   fold_key_array)
@@ -129,6 +130,8 @@ def clt_check(samples_per_env, D_hat, support, level: float = 0.01) -> QuenchedC
         raise ValueError("need at least 2 samples in every environment for "
                          "its covariance")
     D_hat = np.array(nested(D_hat, real, [support.dimension] * 2, "D_hat"))
+    if not 0 < real(level, "level") < 1:
+        raise refusal("in (0, 1)", level, "level")
     dirs = projection_directions(support)
     n_env = len(samples_per_env)
     pvals = np.full((n_env, len(dirs)), np.nan)

@@ -12,10 +12,10 @@ independent of query order.
 
 There is one exact evaluation, _vectors_from_keys, for arrays of site
 keys; exact_cum_rule repeats its float operations for one site at a time
-in the same order, bit for bit.  Environment.cum_at memoizes what that
-rule gives in two generations of at most _MEMO_GENERATION sites each, so
-an Environment's memory is bounded however long the walks it serves; a
-site evicted from both is computed again, bit for bit.  The vectorized
+in the same order, bit for bit.  Environment.cum_at reads that rule
+through one functools.lru_cache of at most _MEMO_SITES sites, so an
+Environment's memory is bounded however long the walks it serves; an
+evicted site is computed again, bit for bit.  The vectorized
 walk engine (walk._iter_positions) needs only each step's index, so it
 first asks cum_bounds_from_keys for cheap bounds on a site's cumulative
 vector: a Dirichlet component's uniform lies between two knots of a
@@ -41,7 +41,8 @@ from typing import Optional
 import numpy as np
 from scipy import special as _sps
 
-from .fitting import integer, mixture_atoms, nested, pmf, real, refusal
+from .fitting import (integer, mixture_atoms, nested, pmf, real, refusal,
+                      whole)
 from .rng import (TAG_ENV, TAG_SITE, U01_MAX, counter_u01_array, derive_key,
                   derive_key_array, derive_key_range, site_u01, step_index,
                   stream_u01_array)
@@ -160,66 +161,44 @@ class EnvironmentModel:
                                  "probability")
 
 
-# Sites per generation of Environment.cum_at's memo, which keeps at most
-# two generations, about 300 bytes a site (k = 3 or 4, d = 2).  Exact
-# evaluations against an unbounded memo's, per generation size G:
+# Sites in Environment.cum_at's LRU memo, about 300 bytes a site (k = 3
+# or 4, d = 2).  Exact evaluations per memo size G, against an unbounded
+# memo's:
 #   seed-1 pass-0 `sequential` benchmark configs, unbounded: coupling
 #   17,476, joint-regen 11,094, regen 18,455, ergodic 22,139; G = 16 gives
-#   coupling 20,921 and joint-regen 11,419, G = 64 coupling 17,483, and
-#   G = 128 to 4,096 all four unbounded counts;
+#   coupling 20,933 and joint-regen 11,760, G = 64 coupling 18,793 and
+#   joint-regen 11,108, and G = 128 to 2,048 all four unbounded counts;
 #   four 100,000-step simulate walks on each Dirichlet model of
-#   rwre.models: unbounded (368,780 and 230,618) from G = 64 on;
+#   rwre.models (environment seeds 100-103, walk seeds 200-203):
+#   unbounded (368,768 and 230,680) from G = 128 on;
 #   two 100,000-step walks at weak drift (alpha (1.3, 1, 1, 1), floor
-#   0.05, steps +-e1, +-e2): 65,341 at G = 256, unbounded (65,065) from
-#   G = 1,024 on.
-_MEMO_GENERATION = 1024
+#   0.05, steps +-e1, +-e2; the same seeds): 64,990 at G = 256, unbounded
+#   (64,698) from G = 512 on.
+_MEMO_SITES = 2048
 
 
 class Environment:
     """A realization omega, determined by (model, env_seed).
 
-    The vector at site x is a pure function of (env_seed, x); a memo of
-    two generations of at most _MEMO_GENERATION sites each only
-    accelerates revisits.  Instances are immutable apart from the memo and
-    safe to share between readers.
+    The vector at site x is a pure function of (env_seed, x); an LRU memo
+    of at most _MEMO_SITES sites only accelerates revisits.  Instances are
+    immutable apart from the memo and safe to share between readers.
     """
 
     def __init__(self, model: EnvironmentModel, env_seed: int):
         self.model = model
-        self.env_key = derive_key(int(env_seed), TAG_SITE)
-        self._memo: dict = {}       # the current generation
-        self._memo_old: dict = {}   # the one before it
-        # the environment's part of every site key, derive_key(env_key)
-        self._site_h = derive_key(self.env_key)
-        self._new_cum = exact_cum_rule(model)
-
-    # -- vectorized core ---------------------------------------------------
-
-    def vectors_from_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Probability vectors (n, k) for an array of site keys."""
-        return _vectors_from_keys(self.model, keys)
-
-    # -- scalar path (cached cumulative vectors, used by sequential code) --
+        self.env_key = derive_key(whole(env_seed, "env_seed"), TAG_SITE)
+        # a partial, not a bound method, so the cache keeps no cycle
+        # through self; the environment's part of every site key is
+        # derive_key(env_key)
+        self._cum = lru_cache(maxsize=_MEMO_SITES)(
+            partial(exact_cum_rule(model), derive_key(self.env_key)))
 
     def cum_at(self, site: tuple) -> tuple:
         """Cumulative probability vector at `site` (a tuple of Python ints)
-        as a tuple of floats.
-
-        Equal to the running sum of site's row of _vectors_from_keys, as
-        a tuple, bit for bit (exact_cum_rule).  A site missing from the
-        current generation of the memo is looked up in the old one before
-        it is computed, and joins the current one; a full current
-        generation becomes the old one, and the old one is dropped.
-        """
-        cum = self._memo.get(site)
-        if cum is None:
-            cum = self._memo_old.get(site)
-            if cum is None:
-                cum = self._new_cum(self._site_h, site)
-            if len(self._memo) >= _MEMO_GENERATION:
-                self._memo_old, self._memo = self._memo, {}
-            self._memo[site] = cum
-        return cum
+        as a tuple of floats: the running sum of site's row of
+        _vectors_from_keys, as a tuple, bit for bit (exact_cum_rule)."""
+        return self._cum(site)
 
 
 def exact_cum_rule(model: EnvironmentModel):
@@ -245,10 +224,7 @@ def exact_cum_rule(model: EnvironmentModel):
             total = reduce(add, g)
             if total == 0.0:
                 raise _underflow(model)
-            if lift:
-                return tuple(accumulate([x / total * scale + lift
-                                         for x in g]))
-            return tuple(accumulate([x / total for x in g]))
+            return tuple(accumulate([x / total * scale + lift for x in g]))
     else:
         atom_w = np.cumsum([w for _, w in model.law_atoms]).tolist()
         atom_cums = [tuple(np.cumsum(p).tolist()) for p, _ in model.law_atoms]
@@ -294,9 +270,8 @@ def _dirichlet_vectors(model: EnvironmentModel, u: np.ndarray) -> np.ndarray:
     if not total.all():
         raise _underflow(model)
     g /= total[:, None]
-    if model.floor:
-        g *= 1.0 - model.floor
-        g += model.floor / k
+    g *= 1.0 - model.floor
+    g += model.floor / k
     return g
 
 
@@ -394,8 +369,7 @@ def _dirichlet_cum_bounds(model: EnvironmentModel, u: np.ndarray) -> np.ndarray:
     if not ok.all():
         out[~ok] = np.nan       # and not 0 / 0, which would warn
     np.divide(g @ num, out, out=out)
-    if model.floor:
-        out *= 1.0 - model.floor
+    out *= 1.0 - model.floor
     out += shift
     return out
 

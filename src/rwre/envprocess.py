@@ -14,8 +14,8 @@ from functools import partial
 
 import numpy as np
 
-from .environment import (EnvironmentModel, derive_env_seed, env_key_range,
-                          make_environment)
+from .environment import (EnvironmentModel, _vectors_from_keys,
+                          derive_env_seed, env_key_range, make_environment)
 from .fitting import check_grid, fit_exponent, integer
 from .rng import (TAG_ENV, _pmap, derive_key, derive_key_range,
                   fold_key_array, site_keys)
@@ -49,7 +49,7 @@ def ergodic_average(model: EnvironmentModel, n: int, seed: int,
                     n - 1, derive_key(seed, _TAG_ERG, 1))
     keys, inverse = np.unique(site_keys(env.env_key, path.sites),
                               return_inverse=True)
-    vals = env.vectors_from_keys(keys)[inverse] @ \
+    vals = _vectors_from_keys(model, keys)[inverse] @ \
         model.support.level_increments.astype(float)
     csum = np.cumsum(vals)
     means = {c: float(csum[c - 1] / c) for c in checkpoints}

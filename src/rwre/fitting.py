@@ -1,10 +1,11 @@
 """The value, step-law, grid and fit rules: one rule each.
 
-Value rules (integer, real, nested): every number and nested list a
-model, walk, chain or experiment takes is read by one of them, or a
+Value rules (integer, whole, real, nested): every number and nested list
+a model, walk, chain or experiment takes is read by one of them, or a
 ValueError names the field.  An integer is a Python or numpy int, not a
-bool, in int64; a real is a finite Python or numpy int or float, not a
-bool; nested lists are nonempty lists, tuples or arrays.
+bool, in int64; a whole number (a seed) is one of any size; a real is a
+finite Python or numpy int or float, not a bool; nested lists are
+nonempty lists, tuples or arrays.
 Step-law rules (pmf, symmetric, mixture_atoms): a pmf is nonnegative
 reals whose math.fsum, the same in any order, lies within 1e-12 of 1; a
 symmetric law gives -z the mass of z within 1e-12; a mixture's atoms are
@@ -54,6 +55,14 @@ def integer(v, name="", lo=None) -> int:
         raise refusal("an integer in [-2**63, 2**63)", v, name)
     if lo is not None and v < lo:
         raise refusal(f">= {lo}", v, name)
+    return int(v)
+
+
+def whole(v, name="") -> int:
+    """v, a Python or numpy int, not a bool, of any size (derive_key reads
+    a seed mod 2**64), as a Python int."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise refusal("an integer", v, name)
     return int(v)
 
 

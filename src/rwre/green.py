@@ -257,6 +257,15 @@ def _closed_window(walk: SymmetricWalk1D, lo: int, hi: int,
     return A_mat, exits
 
 
+def _green_point(r0, s, t, killed_ok=False) -> tuple:
+    """(r0, s, t), each read by fitting.integer, with s and t above the
+    kill level r0 unless killed_ok."""
+    r0, s, t = integer(r0, "r0"), integer(s, "s"), integer(t, "t")
+    if not killed_ok and (s <= r0 or t <= r0):
+        raise ValueError("s and t must exceed the kill level r0")
+    return r0, s, t
+
+
 def half_line_green_solve(walk: SymmetricWalk1D, r0: int, s: int, t: int) -> float:
     """Expected visits to t before entering (-infty, r0], from s.
 
@@ -265,8 +274,7 @@ def half_line_green_solve(walk: SymmetricWalk1D, r0: int, s: int, t: int) -> flo
     true solution obeys exactly beyond t + step range (bounded solutions of
     the homogeneous constant-coefficient recurrence).
     """
-    if s <= r0 or t <= r0:
-        raise ValueError("s and t must exceed the kill level r0")
+    r0, s, t = _green_point(r0, s, t)
     check_solve_size(walk, r0, s, t)
     x0, y0 = s - r0, t - r0                  # shifted states >= 1
     lams = _decaying_modes(walk)
@@ -285,8 +293,7 @@ def half_line_green(walk: SymmetricWalk1D, r0: int, s: int, t: int,
                     tables: LadderTables) -> float:
     """Half-line Green function via the ladder representation, from the
     tables build_ladder_tables(walk) made."""
-    if s <= r0 or t <= r0:
-        raise ValueError("s and t must exceed the kill level r0")
+    r0, s, t = _green_point(r0, s, t)
     if tables.walk != walk:
         raise ValueError("ladder tables were built for another walk")
     x, y = s - r0 - 1, t - r0 - 1
@@ -385,6 +392,10 @@ def half_line_green_mc(walk: SymmetricWalk1D, r0: int, s: int, t: int,
     at most tail_tol; comparisons should allow 3 se + tail_tol.
     """
     reps = integer(reps, "reps", 2)   # for a standard error
+    r0, s, t = _green_point(r0, s, t, killed_ok=True)
+    tail_tol = real(tail_tol, "tail_tol")
+    if tail_tol < 0:
+        raise refusal(">= 0", tail_tol, "tail_tol")
     if t <= r0 or s <= r0:
         return 0.0, 0.0
     keys = derive_key_range(seed, _TAG_GREEN_MC, n=reps)

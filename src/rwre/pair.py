@@ -443,6 +443,8 @@ def coupling_decay(model: EnvironmentModel, x0_list, reps: int, seed: int,
     has the seed derive_key(..., j, i) for the prefix key seed =
     derive_key(...); one map (rng._pmap, at most one fork pool of
     `workers` processes) runs the replicas of every start."""
+    x0_list = list(map(tuple, _in_V(model.support, x0_list, "x0_list",
+                                    many=True)))
     reps = integer(reps, "reps", 1)
     margin = integer(margin, "margin", 1)
     horizon = integer(horizon, "horizon", 1)

@@ -125,12 +125,14 @@ def derive_key_range(seed: int, *parts: int, n: int) -> np.ndarray:
 
 
 def _fold_sites(h: np.ndarray, sites) -> np.ndarray:
-    """Keys h (n,) folded with the columns of sites (n, d) as derive_key
-    folds parts.  The site-key functions share it, and neither calls the
-    other: perfbench/tracer.py would count a nested call's keys twice."""
+    """Fresh keys h (n,) folded, in place, with the columns of sites (n, d)
+    as derive_key folds parts.  The site-key functions share it, and
+    neither calls the other: perfbench/tracer.py would count a nested
+    call's keys twice."""
     for j in range(sites.shape[1]):
-        c = sites[:, j].astype(np.int64).view(np.uint64)
-        h = mix64_array((h + _U_GAMMA) ^ c)
+        h += _U_GAMMA
+        h ^= sites[:, j].astype(np.int64, copy=False).view(np.uint64)
+        h = mix64_array(h)
     return h
 
 
@@ -146,8 +148,9 @@ def site_keys(env_key: int, sites: np.ndarray) -> np.ndarray:
 
 def site_keys_mixed(env_keys: np.ndarray, sites: np.ndarray) -> np.ndarray:
     """Like site_keys but with a separate environment key per row."""
-    return _fold_sites(mix64_array(_u64_1d(env_keys) + _U_GAMMA),
-                       np.asarray(sites))
+    sites = np.asarray(sites)
+    env_keys = np.broadcast_to(_u64_1d(env_keys), sites.shape[:1])
+    return _fold_sites(mix64_array(env_keys + _U_GAMMA), sites)
 
 
 def stream_u01(key: int, ctr: int) -> float:

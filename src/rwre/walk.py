@@ -27,7 +27,7 @@ import numpy as np
 from .environment import (Environment, EnvironmentModel, StepSupport,
                           cum_bounds_from_keys, cum_vectors_from_keys,
                           exact_cum_rule)
-from .fitting import integer
+from .fitting import integer, nested, real
 from .rng import (MASK64, TAG_WALK, _block_len, counter_u01_array,
                   derive_key, derive_key_array, site_keys_mixed, step_index)
 
@@ -203,10 +203,12 @@ class _SeqWalk:
 
 
 def diffusive_scale(path: WalkPath, v, n: int, t_grid) -> np.ndarray:
-    """B_n(t) = (X_[nt] - [nt] v) / sqrt(n) on the given t grid."""
-    if not n > 0:
+    """B_n(t) = (X_[nt] - [nt] v) / sqrt(n) on the given t grid: v is d
+    reals and n an integer >= 1."""
+    n = integer(n, "n")
+    if n < 1:
         raise ValueError(f"n must be > 0 for a diffusive scale (got {n})")
-    v = np.asarray(v, dtype=float)
+    v = np.array(nested(v, real, [path.sites.shape[1]], "v"))
     t_grid = np.asarray(t_grid, dtype=float)
     if not np.all((t_grid >= 0) & (t_grid < np.inf)):    # also rejects NaN
         raise ValueError("t_grid entries must be finite nonnegative numbers")

@@ -281,23 +281,24 @@ def test_cum_at_matches_site_vectors_bitwise(name, model):
 
 
 def test_cum_at_recomputes_an_evicted_site_bit_for_bit():
-    # 2G new sites after a site push it out of both memo generations; a
-    # site read again from the old generation joins the current one
-    g = environment._MEMO_GENERATION
+    # the memo is an LRU of G sites: G + 1 newer sites after a site push it
+    # out, and it is computed again; a site read again in between stays
+    g = environment._MEMO_SITES
     for model in (dirichlet_drift_model(), _MIXTURE):
         env = make_environment(model, 4)
         first = env.cum_at((0, 0))
         kept = env.cum_at((0, 1))
-        for x in range(1, 2 * g + 1):
+        for x in range(1, g + 1):
             env.cum_at((x, 0))
-            if x == g:
-                assert (0, 1) in env._memo_old
+            if x == g // 2:
                 env.cum_at((0, 1))
-                assert (0, 1) in env._memo
-        assert (0, 0) not in env._memo and (0, 0) not in env._memo_old
+        info = env._cum.cache_info()
+        assert info.maxsize == g and info.currsize == g
         assert env.cum_at((0, 1)) is kept
+        assert env._cum.cache_info().misses == info.misses
         assert env.cum_at((0, 0)) == first
-        assert len(env._memo) <= g and len(env._memo_old) <= g
+        assert env._cum.cache_info().misses == info.misses + 1
+        assert env._cum.cache_info().currsize <= g
 
 
 def test_dirichlet_underflow_raises_on_both_paths():

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from rwre.environment import derive_env_seed, make_environment
+from rwre.environment import (_vectors_from_keys, derive_env_seed,
+                              make_environment)
 from rwre.envprocess import (_TAG_ERG, ergodic_average, ergodic_checkpoints,
                              ergodic_runs, variation_proxy)
 from rwre.fitting import fit_exponent
@@ -34,8 +35,8 @@ def test_ergodic_average_is_the_cesaro_mean_of_the_local_drift():
     incs = [model.support.dot_u(z) for z in model.support.steps]
     total, means = 0.0, {}
     for j, x in enumerate(path.sites.tolist(), start=1):
-        vec = env.vectors_from_keys(site_keys(env.env_key,
-                                              np.array([x])))[0]
+        vec = _vectors_from_keys(model, site_keys(env.env_key,
+                                                  np.array([x])))[0]
         total += sum(p * z for p, z in zip(vec.tolist(), incs))
         means[j] = total / j
     assert res["checkpoints"] == [1, 37, 500]

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
-from rwre.clt import quenched_mean_variance
+from rwre.clt import clt_check, quenched_mean_variance
 from rwre.environment import EnvironmentModel, StepSupport, make_environment
 from rwre.envprocess import ergodic_runs, variation_proxy
 from rwre.fitting import (check_grid, fit_exponent, integer, nested, pmf,
-                          real, symmetric)
+                          real, symmetric, whole)
 from rwre.green import (PerturbedChainSpec, SymmetricWalk1D,
+                        build_ladder_tables, half_line_green,
+                        half_line_green_mc, half_line_green_solve,
                         product_symmetric_base, simple_walk)
 from rwre.models import dirichlet_drift_model, drift_model, support_2d
-from rwre.pair import (coupled_triple, first_joint_regeneration,
-                       intersection_curve, sample_Ybar_chain)
-from rwre.walk import simulate, simulate_finals_many
+from rwre.pair import (coupled_triple, coupling_decay,
+                       first_joint_regeneration, intersection_curve,
+                       sample_Ybar_chain)
+from rwre.walk import (WalkPath, diffusive_scale, simulate,
+                       simulate_finals_many)
 
 
 def test_check_grid_sorts_distinct_ints():
@@ -83,6 +87,9 @@ def _chain(**kw):
 def _mixture(atoms):
     return EnvironmentModel(support=drift_model().support, kind="mixture",
                             atoms=atoms)
+
+
+_PATH = WalkPath(np.array([[k, 0] for k in range(11)]), (1, 0))
 
 
 def _dirichlet(**kw):
@@ -180,6 +187,35 @@ def _dirichlet(**kw):
     pytest.param(lambda: _dirichlet(floor=10**400), "floor",
                  id="floor-beyond-float"),
     pytest.param(lambda: real(-10**400, "p"), "p", id="real-beyond-float"),
+    # a string level raised a TypeError; 0 or NaN never flagged anything
+    pytest.param(lambda: clt_check([[[0.0, 0.0]] * 2] * 2, np.eye(2),
+                                   support_2d([(1, 0), (0, 1)]), level=0),
+                 "level", id="clt_check-level-0"),
+    # a negative tolerance ran silently
+    pytest.param(lambda: half_line_green_mc(simple_walk(), 0, 1, 1, reps=10,
+                                            tail_tol=-1), "tail_tol",
+                 id="half_line_green_mc-tail_tol-negative"),
+    # a float point returned (1.0, 0.0) or 1.1, or raised a TypeError or
+    # an IndexError
+    pytest.param(lambda: half_line_green_mc(simple_walk(), 0.5, 1, 1,
+                                            reps=10), "r0",
+                 id="half_line_green_mc-r0-float"),
+    pytest.param(lambda: half_line_green(simple_walk(), 0, 1.5, 1,
+                                         build_ladder_tables(simple_walk())),
+                 "s", id="half_line_green-s-float"),
+    pytest.param(lambda: half_line_green_solve(simple_walk(), 0, 1, "3"),
+                 "t", id="half_line_green_solve-t-string"),
+    # a 1-entry v broadcast over d = 2, and n = 10.5 was read
+    pytest.param(lambda: diffusive_scale(_PATH, (0.5,), 10, [1.0]), "v",
+                 id="diffusive_scale-v-short"),
+    pytest.param(lambda: diffusive_scale(_PATH, (0.5, 0), 10.5, [1.0]), "n",
+                 id="diffusive_scale-n-float"),
+    # an empty start list returned p_neq == []
+    pytest.param(lambda: coupling_decay(drift_model(), [], 2, 1, 10, 100),
+                 "x0_list", id="coupling_decay-x0_list-empty"),
+    # int() read 1.5 and "1" as seed 1
+    pytest.param(lambda: make_environment(drift_model(), 1.5), "env_seed",
+                 id="environment-env_seed-float"),
 ])
 def test_library_refuses_what_it_misread(build, field):
     with pytest.raises(ValueError, match=f"^{field} must be "):
@@ -197,6 +233,19 @@ def test_integer_takes_python_and_numpy_ints_in_int64(v):
 def test_integer_refuses_the_rest(v):
     with pytest.raises(ValueError, match="^k must be an integer"):
         integer(v, "k")
+
+
+@pytest.mark.parametrize("v", [2**64 + 3, -1, np.uint64(2**64 - 1),
+                               np.int32(7)])
+def test_whole_takes_python_and_numpy_ints_of_any_size(v):
+    assert whole(v, "seed") == v and type(whole(v, "seed")) is int
+
+
+@pytest.mark.parametrize("v", [True, np.True_, 1.5, np.float64(1.0), "1",
+                               None])
+def test_whole_refuses_the_rest(v):
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        whole(v, "seed")
 
 
 def test_integer_and_real_bounds():

@@ -235,13 +235,13 @@ def test_seq_walk_matches_simulate(model):
                                   for t in records}}
         assert len(w.positions) - len(set(w.positions)) > 50   # revisits
     # past one block of simulate's uniforms and through more distinct
-    # sites than the memo's two generations hold, against a walker that
-    # evaluates every site afresh
+    # sites than the memo holds, against a walker that evaluates every
+    # site afresh
     n = _block_len(1) + 1000
     fresh = partial(exact_cum_rule(model), derive_key(env.env_key))
     w = _SeqWalk(fresh, (3, -2), _TimeSource(walk_key(5)), sup)
     w.extend_to(n, n)
-    assert len(set(w.positions)) > 2 * environment._MEMO_GENERATION
+    assert len(set(w.positions)) > environment._MEMO_SITES
     assert simulate(env, (3, -2), n, 5).sites.tolist() == \
         [list(x) for x in w.positions]
 

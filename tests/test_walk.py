@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 from functools import partial
@@ -58,8 +59,8 @@ def test_simulate_keeps_step_indices_past_one_byte():
 
 def test_simulate_memory_is_bounded():
     # a 100,000-step walk keeps one step index per step, one block of
-    # uniforms and at most two memo generations besides its path (3.2 MB
-    # of sites, levels and running maxima); a walker keeping a tuple per
+    # uniforms and its environment's LRU memo besides its path (3.2 MB of
+    # sites, levels and running maxima); a walker keeping a tuple per
     # position and every site's vector peaked at 42 MB
     env = make_environment(dirichlet_drift_model(), 5)
     tracemalloc.start()
@@ -69,8 +70,9 @@ def test_simulate_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
-    assert len(env._memo) + len(env._memo_old) <= \
-        2 * environment._MEMO_GENERATION
+    info = env._cum.cache_info()
+    assert info.maxsize == environment._MEMO_SITES
+    assert info.currsize <= info.maxsize
 
 
 def test_intersection_curve_memory_is_bounded():
@@ -504,6 +506,10 @@ GOLDEN_PATHS = {
         "56a1175e3323f4aac4d9374c44f2dcc1ac90a9e5a7859b4129ae053b847fd87c",
     "dirichlet":
         "e4b9f20241ef2151263d93440fa4331e7da0d9a6c5c792506ab0d6554dbda38c",
+    # dirichlet_backtracking_model at floor 0, recorded while floor 0 was
+    # a branch of its own: scaling by 1.0 and adding 0.0 change no bit
+    "dirichlet-floor0":
+        "2255759f92cd20915a7c52461eb15fc14f8230ee77228924b7edc919ef1bcce3",
     "mixture":
         "a46c7d92de7765b670a78fd90b157abbcc8f1f9746246370ea98e0977706fc2c",
 }
@@ -513,6 +519,8 @@ GOLDEN_PATHS = {
 def test_golden_paths_digest(law):
     model = {"deterministic": backtracking_model(),
              "dirichlet": dirichlet_backtracking_model(),
+             "dirichlet-floor0": dataclasses.replace(
+                 dirichlet_backtracking_model(), floor=0.0),
              "mixture": _mixture_backtracking_model()}[law]
     keys = np.repeat([make_environment(model, s).env_key for s in (11, 12, 13)],
                      3).astype(np.uint64)
