@@ -34,7 +34,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
-from itertools import accumulate
 from operator import add
 from typing import Optional
 
@@ -55,6 +54,9 @@ class StepSupport:
     dimension: int
     steps: tuple  # tuple of d-tuples of ints
     u_hat: tuple  # integer direction, some step z with z.u_hat > 0
+    # the level increments z.u_hat of the steps, in order, as Python ints;
+    # derived, so dataclasses.replace recomputes them
+    increments: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dimension",
@@ -64,7 +66,8 @@ class StepSupport:
         object.__setattr__(self, "u_hat", self.point(self.u_hat, "u_hat"))
         if len(set(steps)) != len(steps):
             raise ValueError("duplicate steps in J")
-        if not any(self.dot_u(z) > 0 for z in steps):
+        object.__setattr__(self, "increments", tuple(map(self.dot_u, steps)))
+        if not any(inc > 0 for inc in self.increments):
             raise ValueError("no step with z.u_hat > 0: transience in "
                              "direction u_hat is impossible")
 
@@ -84,7 +87,7 @@ class StepSupport:
 
     @property
     def level_increments(self) -> np.ndarray:
-        return np.array([self.dot_u(z) for z in self.steps], dtype=np.int64)
+        return np.array(self.increments, dtype=np.int64)
 
 
 def compute_h(support: StepSupport) -> int:
@@ -95,7 +98,7 @@ def compute_h(support: StepSupport) -> int:
     levels are exactly the nonnegative integer combinations of the
     increments.
     """
-    return math.gcd(*(support.dot_u(z) for z in support.steps))
+    return math.gcd(*support.increments)
 
 
 @dataclass(frozen=True)
@@ -210,21 +213,31 @@ def exact_cum_rule(model: EnvironmentModel):
 
     Equal to the running sum of the key's row of _vectors_from_keys, bit
     for bit.  A call costs one rng call and at most one scipy call, and its
-    float operations are _vectors_from_keys's in the same order: the gamma
-    draws totalled left to right, then one division, floor and running sum
-    per component.
+    float operations are _vectors_from_keys's in the same order, done in
+    two plain loops over the gamma draws: the draws totalled left to right
+    from the first, then per component one division, floor and running
+    sum, the sum starting at 0.0, which adds no bit to a nonnegative
+    component.  Python's sum is not used: from 3.12 on it compensates.
     """
     k = len(model.support.steps)
     if model.kind == "dirichlet":
         alpha = np.array(model.alpha)
         scale, lift = 1.0 - model.floor, model.floor / k
+        gammaincinv = _sps.gammaincinv
 
         def cum(h: int, site=()) -> tuple:
-            g = _sps.gammaincinv(alpha, site_u01(h, site, k)).tolist()
-            total = reduce(add, g)
+            g = gammaincinv(alpha, site_u01(h, site, k)).tolist()
+            total = g[0]
+            for x in g[1:]:
+                total += x
             if total == 0.0:
                 raise _underflow(model)
-            return tuple(accumulate([x / total * scale + lift for x in g]))
+            out = []
+            run = 0.0
+            for x in g:
+                run += x / total * scale + lift
+                out.append(run)
+            return tuple(out)
     else:
         atom_w = np.cumsum([w for _, w in model.law_atoms]).tolist()
         atom_cums = [tuple(np.cumsum(p).tolist()) for p, _ in model.law_atoms]

@@ -190,7 +190,9 @@ def check_ladder_size(walk: SymmetricWalk1D):
 
 def check_solve_size(walk: SymmetricWalk1D, r0: int, s: int, t: int):
     """Raise ValueError when half_line_green_solve(walk, r0, s, t) would need
-    more than _DENSE_UNKNOWNS unknowns (max(s, t) - r0 + M + 2J + 9)."""
+    more than _DENSE_UNKNOWNS unknowns (max(s, t) - r0 + M + 2J + 9); the
+    point is read by _green_point, at or below r0 too."""
+    r0, s, t = _green_point(r0, s, t, killed_ok=True)
     _check_dense(max(s, t) - r0 + 3 * walk.max_step + 7,
                  f"point ({s}, {t}) lies {max(s, t) - r0} above r0 = {r0}: "
                  "the exact solve")

@@ -184,13 +184,15 @@ def _joint_regen(wa: _SeqWalk, wb: _SeqWalk, h: int, margin: int,
         lambdas.append(lam)
         # joint no-backtracking test with a confirmation margin.  Every
         # level before ta (tb) is below lam, so top_a (top_b) is the
-        # walk's running top at ta + off (tb + off).
+        # walk's running top at ta + off (tb + off).  Both tops have
+        # reached lam, so growing to level lam binds only the time, as
+        # extend_to does, one frame fewer per step.
         top_a = top_b = lam
         off = 0
         while True:
             off += 1
-            if not (wa.extend_to(ta + off, horizon)
-                    and wb.extend_to(tb + off, horizon)):
+            if not (wa._grow(ta + off, lam, horizon)
+                    and wb._grow(tb + off, lam, horizon)):
                 return JointRegenRecord(lambdas, None, None, None, False)
             la = wa.levels[ta + off]
             lb = wb.levels[tb + off]

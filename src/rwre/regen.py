@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fitting import check_grid, integer, real
+from .fitting import check_grid, integer, nested, real
 from .walk import WalkPath
 
 
@@ -123,12 +123,12 @@ def estimate_velocity(records) -> VelocityEstimate:
 
 
 def estimate_diffusion(records, v) -> DiffusionEstimate:
-    """Slab covariance estimator of the diffusion matrix."""
+    """Slab covariance estimator of the diffusion matrix; v is d reals."""
     dtau, dx = _gather_slabs(records)
     n = len(dtau)
     if n < 2:
         raise ValueError("need at least 2 confirmed slabs")
-    v = np.asarray(v, dtype=float)
+    v = np.array(nested(v, real, [dx.shape[1]], "v"))
     resid = dx - dtau[:, None] * v
     D = (resid.T @ resid) / n / dtau.mean()
     return DiffusionEstimate(D_hat=(D + D.T) / 2.0)

@@ -27,7 +27,7 @@ import numpy as np
 from .environment import (Environment, EnvironmentModel, StepSupport,
                           cum_bounds_from_keys, cum_vectors_from_keys,
                           exact_cum_rule)
-from .fitting import integer, nested, real
+from .fitting import integer, nested, real, refusal
 from .rng import (MASK64, TAG_WALK, _block_len, counter_u01_array,
                   derive_key, derive_key_array, site_keys_mixed, step_index)
 
@@ -161,7 +161,7 @@ class _SeqWalk:
         self.cum_fn = cum_fn
         self.draw = source.draw
         self.steps = support.steps
-        self.incs = [support.dot_u(z) for z in support.steps]
+        self.incs = support.increments
         lev = support.dot_u(start)
         self.positions = [start]
         self.levels = [lev]
@@ -209,7 +209,15 @@ def diffusive_scale(path: WalkPath, v, n: int, t_grid) -> np.ndarray:
     if n < 1:
         raise ValueError(f"n must be > 0 for a diffusive scale (got {n})")
     v = np.array(nested(v, real, [path.sites.shape[1]], "v"))
-    t_grid = np.asarray(t_grid, dtype=float)
+    # entries are read by type first: np.asarray would parse strings and
+    # read a bool as 0 or 1
+    ts = t_grid.tolist() if isinstance(t_grid, np.ndarray) else t_grid
+    if not isinstance(ts, (list, tuple)) or not all(
+            isinstance(t, (int, float, np.integer, np.floating))
+            and not isinstance(t, bool) for t in ts):
+        raise refusal("a list of numbers, not strings or bools", t_grid,
+                      "t_grid")
+    t_grid = np.asarray(ts, dtype=float)
     if not np.all((t_grid >= 0) & (t_grid < np.inf)):    # also rejects NaN
         raise ValueError("t_grid entries must be finite nonnegative numbers")
     # checked as floats: a time past the path may not fit an index, and

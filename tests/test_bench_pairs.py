@@ -54,6 +54,52 @@ def test_verdict(parent, change, bound, better, want):
                            better) == want
 
 
+@pytest.mark.parametrize("parent, change, better, want", [
+    # 2% slower in 10/10 pairs, inside any bound: medians 0.02 apart
+    # against a 0.0075 spread
+    (PARENT, [1.02] * 10, "lower", "slower"),
+    (PARENT, [v + 0.02 for v in PARENT], "lower", "slower"),
+    # the same runs of a higher-is-better metric
+    (PARENT, [0.98] * 10, "higher", "slower"),
+    # worse in 9/10 pairs
+    (PARENT, [1.05] * 9 + [0.9], "lower", "slower"),
+    # worse in 8/10 pairs only
+    (PARENT, [1.05] * 8 + [0.9, 0.9], "lower", "none"),
+    # worse in 10/10 pairs, but medians only 0.005 apart
+    ([v + 0.001 for v in PARENT], [v + 0.006 for v in PARENT], "lower",
+     "none"),
+    # ties count for neither side: 8 losses of 10 pairs
+    (PARENT, [v + 0.05 for v in PARENT[:8]] + PARENT[8:], "lower", "none"),
+    # 5/5 losses: fewer than 10 pairs make no drift
+    (PARENT[:5], [1.1] * 5, "lower", "none"),
+    # a gain is no drift
+    (PARENT, [0.95] * 10, "lower", "none"),
+])
+def test_drift(parent, change, better, want):
+    assert _tool().drift(_runs(parent), _runs(change), better) == want
+
+
+def test_entry_records_a_slowdown_inside_the_bound_as_drift():
+    tool = _tool()
+    metrics = {"wall_s": {"name": "wall_s", "better": "lower", "bound": 0.25},
+               "setup_s": {"name": "setup_s", "better": "lower",
+                           "bound": 0.25}}
+
+    def run(wall):
+        return {"rows": {"wall_s": wall, "setup_s": 0.5, "peak_rss_mb": 60.0},
+                "correct": True, "attempted": 4, "failed": 0}
+
+    runs = {"parent": {s: run(v) for s, v in _runs(PARENT).items()},
+            "change": {s: run(1.02 * v) for s, v in _runs(PARENT).items()}}
+    entry = tool._entry(runs, {s: "parent" for s in runs["parent"]}, metrics)
+    assert entry["verdict"] == {"wall_s": "no regression",
+                                "setup_s": "no regression"}
+    assert entry["drift"] == {"wall_s": "slower", "setup_s": "none"}
+    # a failed first run leaves one side empty: no drift either
+    runs["change"] = {}
+    assert "drift" not in tool._entry(runs, {"1": "change"}, metrics)
+
+
 def test_entry_gives_every_end_to_end_metric_a_verdict():
     tool = _tool()
     metrics = {"wall_s": {"name": "wall_s", "better": "lower", "bound": 0.25},

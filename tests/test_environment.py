@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import pickle
 
 import numpy as np
 import pytest
@@ -104,6 +106,36 @@ def test_support_takes_numpy_integers():
     sup = StepSupport(2, np.array([[1, 0], [0, 1]]), np.array([1, 0]))
     assert sup.steps == ((1, 0), (0, 1)) and sup.u_hat == (1, 0)
     assert all(type(c) is int for z in sup.steps + (sup.u_hat,) for c in z)
+
+
+@pytest.mark.parametrize("steps, u_hat", [
+    # increments 1, 0, 0
+    (((1, 0), (0, 1), (0, -1)), (1, 0)),
+    # 1, -1, 0, 0
+    (((1, 0), (-1, 0), (0, 1), (0, -1)), (1, 0)),
+    # 1, -4, 1 and 2, 0, -2 along u_hat (1, -1) and (2, 0)
+    (((2, 1), (-1, 3), (0, -1)), (1, -1)),
+    (((1, 0), (0, 1), (-1, 0)), (2, 0)),
+])
+def test_support_increments_are_the_level_increments(steps, u_hat):
+    sup = StepSupport(2, steps, u_hat)
+    want = [sup.dot_u(z) for z in sup.steps]
+    assert sup.increments == tuple(want)
+    assert all(type(i) is int for i in sup.increments)
+    assert sup.level_increments.tolist() == want
+    assert sup.level_increments.dtype == np.int64
+    assert compute_h(sup) == math.gcd(*want)
+    # derived, not a field to compare or construct
+    assert sup == StepSupport(2, steps, u_hat)
+    assert hash(sup) == hash(StepSupport(2, steps, u_hat))
+    assert "increments" not in repr(sup)
+    # replace recomputes them, pickling (the _pmap workers) keeps them
+    moved = dataclasses.replace(sup, u_hat=(0, 1))
+    assert moved.increments == tuple(moved.dot_u(z) for z in steps)
+    for back in (pickle.loads(pickle.dumps(sup)),
+                 pickle.loads(pickle.dumps(EnvironmentModel(
+                     sup, "dirichlet", alpha=(1.0,) * len(steps)))).support):
+        assert back == sup and back.increments == sup.increments
 
 
 def test_model_validation():

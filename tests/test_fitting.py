@@ -7,7 +7,7 @@ from rwre.envprocess import ergodic_runs, variation_proxy
 from rwre.fitting import (check_grid, fit_exponent, integer, nested, pmf,
                           real, symmetric, whole)
 from rwre.green import (PerturbedChainSpec, SymmetricWalk1D,
-                        build_ladder_tables, half_line_green,
+                        build_ladder_tables, check_solve_size, half_line_green,
                         half_line_green_mc, half_line_green_solve,
                         product_symmetric_base, simple_walk)
 from rwre.models import dirichlet_drift_model, drift_model, support_2d
@@ -210,6 +210,13 @@ def _dirichlet(**kw):
                  id="diffusive_scale-v-short"),
     pytest.param(lambda: diffusive_scale(_PATH, (0.5, 0), 10.5, [1.0]), "n",
                  id="diffusive_scale-n-float"),
+    # check_solve_size let s = 1.5 pass and raised a TypeError on t = "2"
+    pytest.param(lambda: check_solve_size(simple_walk(), 0, 1.5, 1), "s",
+                 id="check_solve_size-s-float"),
+    pytest.param(lambda: check_solve_size(simple_walk(), 0, 1, "2"), "t",
+                 id="check_solve_size-t-string"),
+    pytest.param(lambda: check_solve_size(simple_walk(), True, 1, 1), "r0",
+                 id="check_solve_size-r0-bool"),
     # an empty start list returned p_neq == []
     pytest.param(lambda: coupling_decay(drift_model(), [], 2, 1, 10, 100),
                  "x0_list", id="coupling_decay-x0_list-empty"),

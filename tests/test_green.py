@@ -249,6 +249,7 @@ def test_dense_solves_capped_before_allocating():
             SymmetricWalk1D(offsets=(-M - 1, M + 1), probs=(0.5, 0.5)))
     # the solve's bound max(s, t) - r0 + 3 max_step + 7, simple walk: 10
     green.check_solve_size(simple_walk(), -3, cap - 13, 1)
+    green.check_solve_size(simple_walk(), np.int64(-3), np.int32(1), -3)
     for s, t in [(cap - 12, 1), (4, cap)]:
         with pytest.raises(ValueError, match=f"limit {cap}"):
             half_line_green_solve(simple_walk(), -3, s, t)

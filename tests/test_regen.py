@@ -3,8 +3,9 @@ import pytest
 
 from rwre.environment import EnvironmentModel, make_environment
 from rwre.models import backtracking_model, drift_model, support_2d
-from rwre.regen import (detect_regenerations, estimate_diffusion,
-                        estimate_velocity, renewal_diagnostics)
+from rwre.regen import (RegenerationRecord, detect_regenerations,
+                        estimate_diffusion, estimate_velocity,
+                        renewal_diagnostics)
 from rwre.walk import WalkPath, simulate
 
 
@@ -121,6 +122,24 @@ def test_diffusion_degenerate_direction_exact():
     de = estimate_diffusion(rec, estimate_velocity(rec).v_hat)
     u = np.array([1.0, 1.0]) / np.sqrt(2)
     assert abs(u @ de.D_hat @ u) < 1e-12
+
+
+def test_estimate_diffusion_reads_v_as_d_reals():
+    rec = RegenerationRecord(
+        tau=np.array([2, 5, 9]), confirmed=np.ones(3, dtype=bool),
+        slab_dtau=np.array([3, 4]), slab_dx=np.array([[2, 1], [3, -1]]),
+        margin=1)
+    # None and a string raised a TypeError, a scalar was broadcast
+    for v in (None, "1", 0.5, [0.5], [0.5, 0.0, 0.0], [0.5, "0"],
+              [0.5, np.nan]):
+        with pytest.raises(ValueError, match="^v must be "):
+            estimate_diffusion(rec, v)
+    want = estimate_diffusion(rec, np.array([0.75, 0.0])).D_hat
+    dx = rec.slab_dx - rec.slab_dtau[:, None] * np.array([0.75, 0.0])
+    D = dx.T @ dx / 2 / rec.slab_dtau.mean()
+    assert np.array_equal(want, (D + D.T) / 2.0)
+    for v in ([0.75, 0], (0.75, 0.0), np.array([0.75, 0.0], np.float32)):
+        assert np.array_equal(estimate_diffusion(rec, v).D_hat, want)
 
 
 def test_estimators_need_slabs():

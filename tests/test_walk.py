@@ -575,6 +575,24 @@ def test_diffusive_scale_rejects_negative_times():
             diffusive_scale(path, (0.5, 0), 100, t_grid)
 
 
+def test_diffusive_scale_refuses_strings_and_bools_in_t_grid():
+    # ['0.5', '1'] was parsed and [True, 0.5] read as [1.0, 0.5]
+    path = WalkPath(np.array([[k, 0] for k in range(101)]), (1, 0))
+    for t_grid in (["0.5", "1"], [0.25, "1"], [True, 0.5], (np.True_,),
+                   np.array(["0.5"]), np.array([True, False]), [None],
+                   [[0.5]], 0.5):
+        with pytest.raises(ValueError, match="^t_grid must be a list of "
+                                             "numbers"):
+            diffusive_scale(path, (0.5, 0), 100, t_grid)
+    # Python and numpy numbers, in a list, tuple or array, as before
+    want = diffusive_scale(path, (0.5, 0), 100, [0.5, 1.0])
+    for t_grid in ((0.5, 1), [np.float32(0.5), np.int64(1)],
+                   np.array([0.5, 1.0]), np.array([0.5, 1.0], np.float32)):
+        assert np.array_equal(diffusive_scale(path, (0.5, 0), 100, t_grid),
+                              want)
+    assert diffusive_scale(path, (0.5, 0), 100, []).shape == (0, 2)
+
+
 def test_diffusive_scale_rejects_nonpositive_n():
     # n = 0 would divide by sqrt(0), a negative n take sqrt(n < 0)
     path = WalkPath(np.array([[k, 0] for k in range(11)]), (1, 0))

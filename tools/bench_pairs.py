@@ -14,10 +14,11 @@ per-layer numbers are recorded as measured.  For each
 end-to-end metric and each per-kind ``exp_s.<kind>``, a workload records in
 how many pairs the change read lower (``change_lower_in_pairs``), and for
 each end-to-end metric a ``verdict`` (see ``verdict``), its ``bound`` in
-BENCHMARK.json read as a fraction of the parent's median.  Each side
-records its failed share, failed / attempted experiments over all its
-runs, and a workload lists under ``rejects`` the rules beyond the metric
-bounds that its runs break (see ``rejects``).
+BENCHMARK.json read as a fraction of the parent's median, and a ``drift``
+(see ``drift``), which records a consistent slowdown the bound allows.
+Each side records its failed share, failed / attempted experiments over
+all its runs, and a workload lists under ``rejects`` the rules beyond the
+metric bounds that its runs break (see ``rejects``).
 
 A run that exits nonzero, or prints nothing, ends the session: the file is
 still written with every run collected so far, the failed run is recorded
@@ -127,12 +128,34 @@ def verdict(parent: dict, change: dict, bound: float, better: str) -> str:
         return "worse"
     if q3 - q1 > allowed and max(c.values()) >= min(p.values()):
         return "unresolved"
-    paired = [s for s in p if s in c]
-    wins = sum(c[s] < p[s] for s in paired)
-    if len(paired) >= 10 and 10 * wins >= 9 * len(paired) \
-            and med - change_med > q3 - q1:
+    if _consistently_lower(c, p, q3 - q1):
         return "gain"
     return "no regression"
+
+
+def drift(parent: dict, change: dict, better: str) -> str:
+    """The mirror of a 'gain' on one end-to-end metric of one workload,
+    from each side's runs {seed: value}: 'slower' when, of at least 10
+    pairs, the change is worse in 9/10 or more, ties counting for neither,
+    and the medians differ by more than the parent's quartile spread; else
+    'none'.  So a consistent slowdown inside the bound, which verdict
+    calls 'no regression', is recorded too."""
+    sign = 1.0 if better == "lower" else -1.0   # lower is then better
+    p = {s: sign * v for s, v in parent.items()}
+    c = {s: sign * v for s, v in change.items()}
+    q1, _, q3 = _quartiles(list(p.values()))
+    return "slower" if _consistently_lower(p, c, q3 - q1) else "none"
+
+
+def _consistently_lower(low: dict, high: dict, spread: float) -> bool:
+    """Of at least 10 pairs (runs {seed: value} of both at one seed), low
+    is lower in 9/10 or more, ties counting for neither, and its median
+    lower than high's by more than spread."""
+    paired = [s for s in low if s in high]
+    wins = sum(low[s] < high[s] for s in paired)
+    return len(paired) >= 10 and 10 * wins >= 9 * len(paired) \
+        and statistics.median(high.values()) \
+        - statistics.median(low.values()) > spread
 
 
 def _summary(per_seed: dict) -> dict:
@@ -206,6 +229,9 @@ def main(argv=None) -> int:
     for w, entry in doc["workloads"].items():
         for name, text in entry.get("verdict", {}).items():
             print(f"{w} {name}: {text}")
+        for name, text in entry.get("drift", {}).items():
+            if text != "none":
+                print(f"{w} {name}: drift {text}")
         for text in entry["rejects"]:
             print(f"{w} rejects: {text}")
     if "failed_run" in doc:
@@ -230,10 +256,13 @@ def _entry(runs: dict, first: dict, metrics: dict) -> dict:
         runs["change"][s]["rows"][name] < runs["parent"][s]["rows"][name]
         for s in paired), len(paired)) for name in names}
     if all(runs[side] for side in SIDES):
-        entry["verdict"] = {name: verdict(
-            *({s: r["rows"][name] for s, r in runs[side].items()}
-              for side in SIDES), m["bound"], m["better"])
-            for name, m in metrics.items()}
+        values = {name: [{s: r["rows"][name] for s, r in runs[side].items()}
+                         for side in SIDES] for name in metrics}
+        entry["verdict"] = {name: verdict(*values[name], m["bound"],
+                                          m["better"])
+                            for name, m in metrics.items()}
+        entry["drift"] = {name: drift(*values[name], m["better"])
+                          for name, m in metrics.items()}
     entry["rejects"] = rejects(runs, entry)
     entry["first_in_pair"] = first
     return entry
