@@ -212,21 +212,24 @@ def exact_cum_rule(model: EnvironmentModel):
     the walk engine's exact fallback a site key and no site.
 
     Equal to the running sum of the key's row of _vectors_from_keys, bit
-    for bit.  A call costs one rng call and at most one scipy call, and its
-    float operations are _vectors_from_keys's in the same order, done in
-    two plain loops over the gamma draws: the draws totalled left to right
+    for bit.  A call costs one rng call and, for a Dirichlet law, k calls
+    of scipy's scalar gammaincinv (scipy.special.cython_special), the
+    ufunc's kernel without the ufunc's array round trip; its float
+    operations are _vectors_from_keys's in the same order, done in two
+    plain loops over the gamma draws: the draws totalled left to right
     from the first, then per component one division, floor and running
     sum, the sum starting at 0.0, which adds no bit to a nonnegative
     component.  Python's sum is not used: from 3.12 on it compensates.
     """
     k = len(model.support.steps)
     if model.kind == "dirichlet":
-        alpha = np.array(model.alpha)
+        # imported here, so that a run with no Dirichlet law never loads it
+        from scipy.special.cython_special import gammaincinv
+        alpha = model.alpha
         scale, lift = 1.0 - model.floor, model.floor / k
-        gammaincinv = _sps.gammaincinv
 
         def cum(h: int, site=()) -> tuple:
-            g = gammaincinv(alpha, site_u01(h, site, k)).tolist()
+            g = list(map(gammaincinv, alpha, site_u01(h, site, k)))
             total = g[0]
             for x in g[1:]:
                 total += x

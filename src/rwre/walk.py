@@ -217,8 +217,12 @@ def diffusive_scale(path: WalkPath, v, n: int, t_grid) -> np.ndarray:
             and not isinstance(t, bool) for t in ts):
         raise refusal("a list of numbers, not strings or bools", t_grid,
                       "t_grid")
-    t_grid = np.asarray(ts, dtype=float)
-    if not np.all((t_grid >= 0) & (t_grid < np.inf)):    # also rejects NaN
+    try:
+        t_grid = np.asarray(ts, dtype=float)
+        finite = np.all((t_grid >= 0) & (t_grid < np.inf))  # and not NaN
+    except OverflowError:       # an int beyond the float range
+        finite = False
+    if not finite:
         raise ValueError("t_grid entries must be finite nonnegative numbers")
     # checked as floats: a time past the path may not fit an index, and
     # n * t may overflow to inf, which the check below rejects

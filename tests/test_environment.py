@@ -392,6 +392,18 @@ def test_bracket_margin_has_headroom_over_gammaincinv():
     assert 10 * worst <= environment._CUM_MARGIN, worst
 
 
+def test_scalar_gammaincinv_is_the_ufunc_bit_for_bit():
+    # exact_cum_rule calls scipy's scalar gammaincinv, _vectors_from_keys
+    # the ufunc: they must agree on every bit, also at the knots, at the
+    # extreme uniforms and where the draws underflow (tiny alpha)
+    from scipy.special import cython_special
+    u = _sweep_uniforms(np.random.default_rng(14))
+    for a in _SWEEP_ALPHAS + [0.001, 0.01]:
+        got = np.array([cython_special.gammaincinv(a, x) for x in u.tolist()])
+        assert np.array_equal(got.view(np.uint64),
+                              special.gammaincinv(a, u).view(np.uint64)), a
+
+
 @pytest.mark.parametrize("floor", [0.0, 0.2])
 def test_brackets_hold_the_exact_cumulative_vector(floor):
     rng = np.random.default_rng(13)

@@ -591,6 +591,9 @@ def test_diffusive_scale_refuses_strings_and_bools_in_t_grid():
         assert np.array_equal(diffusive_scale(path, (0.5, 0), 100, t_grid),
                               want)
     assert diffusive_scale(path, (0.5, 0), 100, []).shape == (0, 2)
+    # an int beyond the float range raised OverflowError
+    with pytest.raises(ValueError, match="finite nonnegative"):
+        diffusive_scale(path, (0.5, 0), 100, [0.5, 10**400])
 
 
 def test_diffusive_scale_rejects_nonpositive_n():
