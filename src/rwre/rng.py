@@ -146,11 +146,19 @@ def site_keys(env_key: int, sites: np.ndarray) -> np.ndarray:
                                dtype=np.uint64), sites)
 
 
-def site_keys_mixed(env_keys: np.ndarray, sites: np.ndarray) -> np.ndarray:
-    """Like site_keys but with a separate environment key per row."""
+def site_keys_mixed(prefix_keys, sites: np.ndarray) -> np.ndarray:
+    """Keys derive_key(env_key, *site), one per row of `sites` (n, d) int
+    array, given the prefix key derive_key(env_key) of each row's
+    environment (n,), or one prefix key for every row (bit-identical).
+
+    The array twin of site_u01's prefix_key: a caller folds its prefixes
+    once, with derive_key_array(env_keys), and each call folds only the
+    site coordinates.
+    """
     sites = np.asarray(sites)
-    env_keys = np.broadcast_to(_u64_1d(env_keys), sites.shape[:1])
-    return _fold_sites(mix64_array(env_keys + _U_GAMMA), sites)
+    h = np.empty(sites.shape[0], dtype=np.uint64)
+    h[:] = _u64_1d(prefix_keys)
+    return _fold_sites(h, sites)
 
 
 def stream_u01(key: int, ctr: int) -> float:

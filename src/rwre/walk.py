@@ -27,7 +27,7 @@ import numpy as np
 from .environment import (Environment, EnvironmentModel, StepSupport,
                           cum_bounds_from_keys, cum_vectors_from_keys,
                           exact_cum_rule)
-from .fitting import integer, nested, real, refusal
+from .fitting import integer, nested, real, refusal, whole
 from .rng import (MASK64, TAG_WALK, _block_len, counter_u01_array,
                   derive_key, derive_key_array, site_keys_mixed, step_index)
 
@@ -97,7 +97,7 @@ def simulate(env: Environment, start, n: int, walk_seed: int) -> WalkPath:
     n = integer(n, "n", 0)
     sup = env.model.support
     start = sup.point(start, "start")
-    key = walk_key(walk_seed)
+    key = walk_key(whole(walk_seed, "walk_seed"))
     if env.model.kind == "deterministic":
         # one law at every site: all n steps at once
         u = counter_u01_array(key, np.arange(n, dtype=np.uint64))
@@ -252,12 +252,17 @@ _CACHE_WALKERS_PER_ENV = 64
 _CACHE_SLOTS_PER_WALKER = 16
 _CACHE_MIN_SLOTS = 64
 _CACHE_MAX_BYTES = 4 << 20
-# Up to this many sites the exact fallback evaluates one at a time, about
-# 13 us each inside the step loop, against about 55 us for one array call
-# (dirichlet_drift_model, 2-vCPU VM).  The exact rows are not written back:
-# a revisit falls inside a bracket about as rarely as the first visit, and
-# the write-back cost more than it saved at 120-10000 walkers.
-_SETTLE_ONE_BY_ONE = 4
+# Up to this many sites the exact fallback evaluates one at a time
+# (exact_cum_rule), else in one array call (cum_vectors_from_keys).  Time
+# one at a time over time in one call, fresh site keys, median of 300
+# interleaved calls per side, 2-vCPU VM, at 1, 2, 3, 4, 5, 6, 8, 12 and 16
+# sites (one site: 5.5 and 7.9 us against 23 and 26 us for a call):
+#   dirichlet_drift_model         0.24 0.42 0.57 0.70 0.83 0.94 1.16 1.50 1.76
+#   dirichlet_backtracking_model  0.30 0.53 0.70 0.83 0.94 1.05 1.24 1.51 1.72
+# The exact rows are not written back: a revisit falls inside a bracket
+# about as rarely as the first visit, and the write-back cost more than it
+# saved at 120-10000 walkers.
+_SETTLE_ONE_BY_ONE = 5
 # moves of a (lower, upper) bound pair before rounding to float32
 _WIDEN32 = np.array([-2.0**-23, 2.0**-23])
 
@@ -417,8 +422,10 @@ def _iter_positions(model: EnvironmentModel, env_keys, starts: np.ndarray,
     else:
         sites = _SiteBounds(model)
     c = sites.cols
+    # each walker's environment prefix derive_key(env_key), folded once
+    prefixes = derive_key_array(env_keys)
     for t, u in _uniform_rows(wkeys, n):
-        keys = site_keys_mixed(env_keys, pos)
+        keys = site_keys_mixed(prefixes, pos)
         b = sites.bounds(keys)
         # idx counts the components surely below u, sure adds those surely
         # not; a NaN bound is neither

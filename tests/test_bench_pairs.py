@@ -163,3 +163,49 @@ def test_entry_lists_the_rejection_rules_its_runs_break(parent, change,
               for side in (parent, change)]
     assert [entry[side]["failed_share"] for side in ("parent", "change")] \
         == shares
+
+
+# what an untraced perfbench run prints, shortened
+_UNTRACED = """\
+perfbench shared-env seed=7 trace=0 scale=full
+  machine: 2 cpus (2 usable), python 3.11.7, numpy 2.4.6, scipy 1.17.1
+  times at reference speed (slowdown 1.224 at set-up), median of 17 \
+passes; 0 of 34 experiments failed
+  wall_s                                        0.145217 s
+  setup_s                                        0.444088 s
+  peak_rss_mb                                     60.4727 MB
+  exp_s.clt                                     0.0802281 s
+{"correct": true, "attempted": 34, "failed": 0, "metrics": {}}
+"""
+
+
+def test_parse_run_reads_the_slowdown_and_passes():
+    tool = _tool()
+    run = tool.parse_run(_UNTRACED)
+    assert run["rows"] == {"wall_s": 0.145217, "setup_s": 0.444088,
+                           "peak_rss_mb": 60.4727, "exp_s.clt": 0.0802281}
+    assert (run["slowdown"], run["passes"]) == (1.224, 17)
+    assert run["machine"].startswith("2 cpus")
+    assert (run["correct"], run["attempted"], run["failed"]) == (True, 34, 0)
+    # a traced run prints no reference speed line
+    traced = _UNTRACED.replace("trace=0", "trace=1").splitlines()
+    del traced[2]
+    run = tool.parse_run("\n".join(traced))
+    assert (run["slowdown"], run["passes"]) == (None, None)
+    assert run["rows"]["wall_s"] == 0.145217
+
+
+def test_side_records_each_runs_slowdown_and_passes():
+    tool = _tool()
+    runs = {}
+    for seed, slowdown in [("1", 1.2), ("2", 1.38), ("3", 1.21)]:
+        run = tool.parse_run(_UNTRACED.replace("1.224", str(slowdown)))
+        runs[seed] = run
+    side = tool._side(runs)
+    assert side["slowdown"] == {"median": 1.21, "q1": 1.205, "q3": 1.295,
+                                "per_seed": {"1": 1.2, "2": 1.38, "3": 1.21}}
+    assert side["passes"] == {"1": 17, "2": 17, "3": 17}
+    # canned runs without the line (traced, or built by hand) record none
+    for run in runs.values():
+        run["slowdown"] = None
+    assert "slowdown" not in tool._side(runs)

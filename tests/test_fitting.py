@@ -223,6 +223,16 @@ def _dirichlet(**kw):
     # int() read 1.5 and "1" as seed 1
     pytest.param(lambda: make_environment(drift_model(), 1.5), "env_seed",
                  id="environment-env_seed-float"),
+    # simulate walked True as seed 1 and raised a TypeError on 1.5 and "1"
+    pytest.param(lambda: simulate(make_environment(drift_model(), 1), (0, 0),
+                                  5, True), "walk_seed",
+                 id="simulate-walk_seed-bool"),
+    pytest.param(lambda: simulate(make_environment(drift_model(), 1), (0, 0),
+                                  5, 1.5), "walk_seed",
+                 id="simulate-walk_seed-float"),
+    pytest.param(lambda: simulate(make_environment(drift_model(), 1), (0, 0),
+                                  5, "1"), "walk_seed",
+                 id="simulate-walk_seed-string"),
 ])
 def test_library_refuses_what_it_misread(build, field):
     with pytest.raises(ValueError, match=f"^{field} must be "):

@@ -25,7 +25,8 @@ def test_derive_key_matches_site_keys():
     vec = site_keys(key, sites)
     for row, k in zip(sites, vec):
         assert derive_key(key, *row.tolist()) == int(k)
-    mixed = site_keys_mixed(np.full(len(sites), key, dtype=np.uint64), sites)
+    mixed = site_keys_mixed(np.full(len(sites), derive_key(key),
+                                    dtype=np.uint64), sites)
     assert np.array_equal(vec, mixed)
 
 
@@ -112,10 +113,33 @@ def test_zero_dim_inputs_wrap_without_warning():
         warnings.simplefilter("error")
         u = stream_u01_array(np.uint64(key), 2**40)
         c = counter_u01_array(key, np.uint64(7))
-        m = site_keys_mixed(np.uint64(key), np.array([[2**62, -1]]))
+        m = site_keys_mixed(np.uint64(derive_key(key)),
+                            np.array([[2**62, -1]]))
     assert u.shape == (1,) and u[0] == stream_u01(key, 2**40)
     assert c.shape == (1,) and c[0] == stream_u01(key, 7)
     assert int(m[0]) == derive_key(key, 2**62, -1)
+
+
+def test_site_keys_mixed_folds_prefix_keys():
+    # env keys on both sides of 2**63, negative coordinates and coordinates
+    # above 2**62: the prefixes derive_key_array(env_keys) folded with each
+    # row's site are derive_key(env_key, *site)
+    env_keys = [0, 5, 2**63 - 1, 2**63, 2**64 - 1, derive_key(9, 0xE27F5EED)]
+    sites = np.array([[0, 0], [-1, 3], [2**62 + 1, -7], [-2**63, 2**63 - 1],
+                      [-5, -2**62 - 3], [11, 2**62]], dtype=np.int64)
+    prefixes = derive_key_array(np.array(env_keys, dtype=np.uint64))
+    assert [int(p) for p in prefixes] == [derive_key(e) for e in env_keys]
+    keys = site_keys_mixed(prefixes, sites)
+    assert [int(k) for k in keys] == [
+        derive_key(e, *row) for e, row in zip(env_keys, sites.tolist())]
+    assert prefixes.tolist() == [derive_key(e) for e in env_keys]  # unchanged
+    # one prefix for every row, as a Python int or a uint64 scalar
+    for prefix in (prefixes[3], int(prefixes[3])):
+        one = site_keys_mixed(prefix, sites)
+        assert [int(k) for k in one] == [derive_key(2**63, *row)
+                                         for row in sites.tolist()]
+    assert np.array_equal(site_keys_mixed(prefixes[3], sites),
+                          site_keys(2**63, sites))
 
 
 def test_derive_key_array_matches_scalar():

@@ -204,6 +204,38 @@ def test_mixed_key_engines_match_scalar(model, per_env, monkeypatch):
     assert np.array_equal(shared, paths[:, 0::e, :])
 
 
+@pytest.mark.parametrize("shared", [True, False])
+def test_engine_folds_environment_prefixes_once_per_call(shared,
+                                                         monkeypatch):
+    # derive_key_array runs a fixed number of times per engine call (the
+    # walk keys and the environment prefixes), whatever n; every step's
+    # site keys fold the same prefixes, derive_key(env_key) per walker
+    folds, prefixes = [], []
+    derive, mixed = walk.derive_key_array, walk.site_keys_mixed
+    monkeypatch.setattr(walk, "derive_key_array",
+                        lambda *a: folds.append(a) or derive(*a))
+    monkeypatch.setattr(walk, "site_keys_mixed",
+                        lambda p, sites: prefixes.append(p) or mixed(p, sites))
+    model = dirichlet_drift_model()
+    envs = [make_environment(model, s) for s in (3, 4, 5)]
+    starts = np.zeros((6, 2), dtype=np.int64)
+    keys = np.array([envs[i % 3].env_key for i in range(6)], dtype=np.uint64)
+    want = [derive_key(envs[0 if shared else i % 3].env_key) for i in range(6)]
+    calls = []
+    for n in (1, 50):
+        folds.clear()
+        prefixes.clear()
+        if shared:
+            simulate_finals_many(envs[0], starts, n, list(range(6)))
+        else:
+            simulate_finals_many_envs(model, keys, starts, n, list(range(6)))
+        calls.append(len(folds))
+        assert len(prefixes) == n
+        assert all(p is prefixes[0] for p in prefixes)
+        assert prefixes[0].tolist() == want
+    assert calls == [2, 2]
+
+
 @_LAWS_PER_ENV
 def test_engines_match_scalar_when_brackets_decide_nothing(model, per_env,
                                                            monkeypatch):

@@ -16,6 +16,9 @@ how many pairs the change read lower (``change_lower_in_pairs``), and for
 each end-to-end metric a ``verdict`` (see ``verdict``), its ``bound`` in
 BENCHMARK.json read as a fraction of the parent's median, and a ``drift``
 (see ``drift``), which records a consistent slowdown the bound allows.
+Each side also records per run the slowdown of perfbench's reference
+kernel at set-up and the number of passes its times are the median of,
+so a run slow as a whole shows beside its times.
 Each side records its failed share, failed / attempted experiments over
 all its runs, and a workload lists under ``rejects`` the rules beyond the
 metric bounds that its runs break (see ``rejects``).
@@ -49,6 +52,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
 _ROW = re.compile(r"^  (\S+)\s+(\S+) (\S+)$")
+_TIMES = re.compile(r"times at reference speed \(slowdown (\S+) at set-up\), "
+                    r"median of (\d+) passes")
 _STDERR_TAIL = 20
 
 
@@ -79,12 +84,21 @@ def bench(dirs: dict, side: str, workload: str, seed: int, seconds: int,
          "--seed", str(seed), "--seconds", str(seconds),
          "--trace", str(trace)],
         cwd=dirs[side], capture_output=True, text=True)
-    lines = proc.stdout.splitlines()
-    if proc.returncode or not lines:
+    if proc.returncode or not proc.stdout.strip():
         raise RunFailed({
             "workload": workload, "side": side, "seed": seed, "trace": trace,
             "exit_code": proc.returncode,
             "stderr_tail": proc.stderr.splitlines()[-_STDERR_TAIL:]})
+    return {**parse_run(proc.stdout), "stderr": proc.stderr.strip()}
+
+
+def parse_run(stdout: str) -> dict:
+    """What a perfbench run printed: its rows {name: value}, machine line
+    and result, and for an untraced run the reference kernel's slowdown at
+    set-up and the number of passes its times are the median of (None for
+    a traced run, which prints neither).  A whole run slower or faster
+    than the rest then shows in its slowdown."""
+    lines = stdout.splitlines()
     rows = {}
     for line in lines:
         m = _ROW.match(line)
@@ -92,10 +106,12 @@ def bench(dirs: dict, side: str, workload: str, seed: int, seconds: int,
             rows[m.group(1)] = float(m.group(2))
     machine = next(line.split("machine: ", 1)[1] for line in lines
                    if "machine: " in line)
+    times = next(filter(None, map(_TIMES.search, lines)), None)
     result = json.loads(lines[-1])
     return {"rows": rows, "machine": machine, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
-            "stderr": proc.stderr.strip()}
+            "slowdown": float(times.group(1)) if times else None,
+            "passes": int(times.group(2)) if times else None}
 
 
 def _quartiles(vals: list) -> list:
@@ -184,6 +200,10 @@ def _side(runs: dict) -> dict:
     kinds = _exp_rows(next(iter(runs.values())))
     out["exp_s"] = {k[len("exp_s."):]: _summary(
         {s: r["rows"][k] for s, r in runs.items()}) for k in kinds}
+    if all(r.get("slowdown") is not None for r in runs.values()):
+        out["slowdown"] = _summary({s: r["slowdown"]
+                                    for s, r in runs.items()})
+        out["passes"] = {s: r["passes"] for s, r in runs.items()}
     return out
 
 
