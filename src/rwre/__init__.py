@@ -12,7 +12,8 @@ from .regen import (DiffusionEstimate, RegenerationRecord, VelocityEstimate,
                     estimate_velocity, renewal_diagnostics)
 from .pair import (CouplingOutcome, JointRegenRecord, YChainSample,
                    coupled_triple, coupling_decay, first_joint_regeneration,
-                   intersection_curve, sample_Y_chain, sample_Ybar_chain,
+                   first_joint_regenerations, intersection_curve,
+                   sample_Y_chain, sample_Ybar_chain,
                    support_inheritance_check)
 from .clt import (QuenchedCLTReport, centered_mean_bound, clt_check,
                   degeneracy_directions, quenched_mean_variance,

@@ -11,7 +11,7 @@ opens at most one fork pool per run and returns results in replica-index
 order, so outputs are byte-identical for any worker count.  Each kind's `params` fields, checks
 and defaults are one table, KIND_TABLE; the runners read only its output
 and lay out the statistics of library calls the acceptance suite also
-tests, except regen, joint-regen and green, which reduce replicas here.
+tests, except regen and green, which reduce replicas here.
 Exit codes: 0 ok, 1 validation error, 2 runtime error.
 """
 
@@ -43,7 +43,7 @@ from .green import (PerturbedChainSpec, SymmetricWalk1D, build_ladder_tables,
                     cube_exit_time, green_bound_experiment, half_line_green,
                     half_line_green_mc, half_line_green_solve,
                     product_symmetric_base)
-from .pair import (_in_V, coupling_decay, first_joint_regeneration,
+from .pair import (_in_V, coupling_decay, first_joint_regenerations,
                    intersection_curve)
 from .regen import (detect_regenerations, estimate_diffusion,
                     estimate_velocity, renewal_diagnostics)
@@ -272,31 +272,17 @@ def _run_intersections(model, params, seed, workers):
             _fit_fields(res["fit"]))
 
 
-def _joint_regen_task(i, model, seed, x0, margin, horizon):
-    env = make_environment(model, derive_env_seed(seed, 401, i))
-    return first_joint_regeneration(
-        env, (0,) * model.support.dimension, x0, margin=margin,
-        horizon=horizon, seed=derive_key(seed, 402, i))
-
-
-# the levels m of joint-regen's tail P{Lambda > m}
-_M_GRID = (4, 8, 16, 32, 64)
-
-
 def _run_joint_regen(model, params, seed, workers):
-    reps = params["reps"]
-    task = partial(_joint_regen_task, model=model, seed=seed, x0=params["x0"],
-                   margin=params["margin"], horizon=params["horizon"])
-    recs = _pmap(task, range(reps), workers)
+    # replica i is first_joint_regeneration in make_environment(model,
+    # derive_env_seed(seed, 401, i)) with the seed derive_key(seed, 402, i)
+    res = first_joint_regenerations(
+        model, (0,) * model.support.dimension, params["x0"], params["reps"],
+        seed, params["margin"], params["horizon"], workers=workers)
     rows = [(i, *("" if x is None else x
                   for x in (rec.Lambda, rec.mu1, rec.mu1_tilde)),
-             int(rec.confirmed)) for i, rec in enumerate(recs)]
-    lam = np.array([r.Lambda for r in recs if r.confirmed], dtype=float)
-    tail = {int(m): float((lam > m).mean()) if lam.size else None
-            for m in _M_GRID}
-    summary = {"confirmed_fraction": sum(r.confirmed for r in recs) / reps,
-               "mean_Lambda": float(lam.mean()) if lam.size else None,
-               "tail_P_Lambda_gt": tail}
+             int(rec.confirmed)) for i, rec in enumerate(res["records"])]
+    summary = {k: res[k] for k in ("confirmed_fraction", "mean_Lambda",
+                                   "tail_P_Lambda_gt")}
     return {"joint_regen": (["rep", "Lambda", "mu1", "mu1_tilde", "confirmed"],
                             rows)}, summary
 

@@ -9,6 +9,10 @@ so far.  Levels live on the h-lattice of the accessible level set.
 
 Every walk is a walk._SeqWalk reading a walk._TimeSource, one uniform per
 time step, except the coupled Xtilde and Xbar, which read a _SiteSource.
+A time-source walk is a pure function of (env key, walk key, time), so
+first_joint_regenerations grows the first steps of every replica's two
+walks together in one engine call (walk._time_walk_block) and the search
+reads the same values.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ import numpy as np
 
 from .environment import (Environment, EnvironmentModel, compute_h,
                           env_key_range, make_environment)
-from .fitting import check_grid, fit_exponent, integer, refusal
-from .rng import (_block_len, _pmap, derive_key, derive_key_range,
-                  fold_key_array, site_keys, site_u01)
-from .walk import (_from_origin, _SeqWalk, _TimeSource,
+from .fitting import check_grid, fit_exponent, integer, refusal, whole
+from .rng import (MASK64, TAG_ENV, TAG_SITE, _block_len, _pmap, derive_key,
+                  derive_key_array, derive_key_range, fold_key_array,
+                  site_keys, site_u01)
+from .walk import (_from_origin, _SeqWalk, _time_walk_block, _TimeSource,
                    simulate_paths_many_envs, walk_key)
 
 _TAG_PAIR = 0xAA01
@@ -47,6 +52,32 @@ _MAX_TRIPLES = 200
 # _CHAIN_HORIZON steps and gives up after _MAX_REJECTIONS rejected slabs
 _CHAIN_HORIZON = 20_000
 _MAX_REJECTIONS = 1000
+# first_joint_regenerations: replica i's environment seed is
+# derive_env_seed(seed, _OP_JOINT_ENV, i) and its walks' seed
+# derive_key(seed, _OP_JOINT_WALKS, i); the tail P{Lambda > m} is read at
+# the levels m of _TAIL_LEVELS
+_OP_JOINT_ENV = 401
+_OP_JOINT_WALKS = 402
+_TAIL_LEVELS = (4, 8, 16, 32, 64)
+# Steps of both walks of every replica of a block grown in one engine call
+# (walk._time_walk_block), capped at the horizon.  Seconds for 150 replicas
+# of dirichlet_backtracking_model from (0, 0) and (0, 2), margin 10, in one
+# block, median of 12 interleaved passes in one process, 2-vCPU VM, at
+# prefix 0 (first_joint_regeneration per replica), 32, 64, 96, 128, 160,
+# 192 and 256 steps:
+#   0.111 0.074 0.048 0.035 0.033 0.034 0.036 0.058
+_JOINT_PREFIX = 128
+# Blocks of fewer replicas run first_joint_regeneration one replica at a
+# time: the engine's 128 steps cost about 6 ms at any block size.  Time of
+# a block through the engine over time one replica at a time, same model
+# and starts, mean of 10-240 interleaved blocks, at 1, 2, 4, 6, 8, 12, 16,
+# 24 and 32 replicas:
+#   margin 10  7.77 4.24 2.22 1.61 1.25 0.89 0.73 0.65 0.52
+#   margin 5  11.23 5.98 3.23 2.24 1.76 1.22 1.00 0.78 0.67
+_JOINT_BLOCK_MIN = 16
+# A block's engine paths, (prefix + 1, 2 x replicas, d) int64, take at
+# most this many bytes
+_JOINT_BLOCK_BYTES = 1 << 20
 # support_inheritance_check flags atoms seen under q above this many counts
 _FLAG_COUNT = 10.0
 
@@ -117,6 +148,7 @@ def intersection_curve(model: EnvironmentModel, n_grid, reps: int,
     plus one uint64 key per site of them (_pair_common_sites): 3.6 MB
     under tracemalloc for dirichlet_drift_model() at n_grid [64, 256]
     and 500 replicas, 2 MB of it the paths."""
+    seed = whole(seed, "seed")
     reps = integer(reps, "reps", 2)
     n_grid = check_grid(n_grid, 2, "n_grid", least=2)
     means, ses = [], []
@@ -217,23 +249,96 @@ def _time_pair_regen(env_a: Environment, env_b: Environment, x, y, key_a: int,
     return _joint_regen(wa, wb, compute_h(sup), margin, horizon), wa, wb
 
 
+def _pair_starts(support, x, y) -> tuple:
+    """x and y read by support.point, on one level of the h-lattice."""
+    x, y = support.point(x, "x"), support.point(y, "y")
+    lev = support.dot_u(x)
+    if support.dot_u(y) != lev:
+        raise ValueError("joint regeneration requires equal start levels")
+    if lev % compute_h(support) != 0:
+        raise ValueError("start level must lie on the h-lattice")
+    return x, y
+
+
 def first_joint_regeneration(env: Environment, x, y, margin: int = 20,
                              horizon: int = 20_000,
                              seed: int = 0) -> JointRegenRecord:
     """First joint regeneration record of two fresh walks from x and y."""
+    seed = whole(seed, "seed")
     margin = integer(margin, "margin", 1)
     horizon = integer(horizon, "horizon", 1)
-    sup = env.model.support
-    x, y = sup.point(x, "x"), sup.point(y, "y")
-    lev = sup.dot_u(x)
-    if sup.dot_u(y) != lev:
-        raise ValueError("joint regeneration requires equal start levels")
-    if lev % compute_h(sup) != 0:
-        raise ValueError("start level must lie on the h-lattice")
+    x, y = _pair_starts(env.model.support, x, y)
     return _time_pair_regen(env, env, x, y,
                             walk_key(derive_key(seed, _TAG_PAIR, 10)),
                             walk_key(derive_key(seed, _TAG_PAIR, 11)),
                             margin, horizon)[0]
+
+
+def _joint_regen_block(block: tuple, model=None, x=(), y=(), seed=0,
+                       margin=0, horizon=0) -> list:
+    """The records of replicas i0 <= i < i1 of first_joint_regenerations,
+    block = (i0, i1): with fewer than _JOINT_BLOCK_MIN replicas one
+    first_joint_regeneration call each, else both walks of every replica
+    grown _JOINT_PREFIX steps (at most horizon) in one engine call and
+    searched replica by replica."""
+    idx = np.arange(*block, dtype=np.uint64)
+    env_seeds = fold_key_array(derive_key(seed, TAG_ENV, _OP_JOINT_ENV), idx)
+    seeds = fold_key_array(derive_key(seed, _OP_JOINT_WALKS), idx)
+    if len(idx) < _JOINT_BLOCK_MIN:
+        return [first_joint_regeneration(
+            make_environment(model, e), x, y, margin=margin, horizon=horizon,
+            seed=s) for e, s in zip(env_seeds.tolist(), seeds.tolist())]
+    # walkers 2i and 2i + 1 are replica i's walks from x and y, with the
+    # walk seeds first_joint_regeneration derives from its seed
+    walker = _time_walk_block(
+        model, np.repeat(derive_key_array(env_seeds, TAG_SITE), 2),
+        np.array([x, y] * len(idx), dtype=np.int64),
+        min(_JOINT_PREFIX, horizon),
+        fold_key_array(derive_key_array(seeds, _TAG_PAIR)[:, None],
+                       (10, 11)).ravel())
+    h = compute_h(model.support)
+    out = []
+    for i, env_seed in enumerate(env_seeds.tolist()):
+        cum_at = make_environment(model, env_seed).cum_at
+        out.append(_joint_regen(walker(2 * i, cum_at),
+                                walker(2 * i + 1, cum_at), h, margin,
+                                horizon))
+    return out
+
+
+def first_joint_regenerations(model: EnvironmentModel, x, y, reps: int,
+                              seed: int, margin: int, horizon: int,
+                              workers: int = 1) -> dict:
+    """`reps` first joint regeneration records from x and y and their
+    statistics: the confirmed fraction, the mean Lambda of the confirmed
+    records and the tail P{Lambda > m} over _TAIL_LEVELS (None without a
+    confirmed record).
+
+    Record i is first_joint_regeneration(make_environment(model,
+    derive_env_seed(seed, 401, i)), x, y, margin, horizon,
+    seed=derive_key(seed, 402, i)), bit for bit.  One map (rng._pmap, at
+    most one fork pool of `workers` processes) runs blocks of replicas
+    (_joint_regen_block), at least one per worker and each holding at
+    most _JOINT_BLOCK_BYTES of engine paths."""
+    seed = whole(seed, "seed")
+    reps = integer(reps, "reps", 1)
+    margin = integer(margin, "margin", 1)
+    horizon = integer(horizon, "horizon", 1)
+    x, y = _pair_starts(model.support, x, y)
+    path_bytes = 16 * (min(_JOINT_PREFIX, horizon) + 1) * len(x)
+    n_blocks = max(-(-reps // max(_JOINT_BLOCK_BYTES // path_bytes, 1)),
+                   min(workers, reps))
+    edges = [reps * b // n_blocks for b in range(n_blocks + 1)]
+    task = partial(_joint_regen_block, model=model, x=x, y=y, seed=seed,
+                   margin=margin, horizon=horizon)
+    recs = [r for block in _pmap(task, list(zip(edges, edges[1:])), workers)
+            for r in block]
+    lam = np.array([r.Lambda for r in recs if r.confirmed], dtype=float)
+    return {"records": recs,
+            "confirmed_fraction": sum(r.confirmed for r in recs) / reps,
+            "mean_Lambda": float(lam.mean()) if lam.size else None,
+            "tail_P_Lambda_gt": {m: float((lam > m).mean()) if lam.size
+                                 else None for m in _TAIL_LEVELS}}
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +382,7 @@ def _sample_chain(model: EnvironmentModel, x0, K: int, seed: int, margin: int,
                   independent_envs: bool, tag: int) -> YChainSample:
     y = _in_V(model.support, x0)
     K = integer(K, "K", 1)
+    seed = whole(seed, "seed")
     margin = integer(margin, "margin", 1)
     out = []
     rejections = 0
@@ -328,6 +434,7 @@ def support_inheritance_check(model: EnvironmentModel, x0, n_samples: int,
     """
     from collections import Counter
     n_samples = integer(n_samples, "n_samples", 1)
+    seed = whole(seed, "seed")
     cq: Counter = Counter()
     cqb: Counter = Counter()
     for i in range(n_samples):
@@ -393,6 +500,7 @@ def coupled_triple(model: EnvironmentModel, x0, seed: int,
     triple whose (X, Xbar) pair never backtracks.
     """
     x0 = _in_V(model.support, x0)
+    seed = whole(seed, "seed")
     margin = integer(margin, "margin", 1)
     horizon = integer(horizon, "horizon", 1)
     sup = model.support
@@ -448,6 +556,7 @@ def coupling_decay(model: EnvironmentModel, x0_list, reps: int, seed: int,
     x0_list = list(map(tuple, _in_V(model.support, x0_list, "x0_list",
                                     many=True)))
     reps = integer(reps, "reps", 1)
+    seed = whole(seed, "seed") & MASK64     # a key, as derive_key reads it
     margin = integer(margin, "margin", 1)
     horizon = integer(horizon, "horizon", 1)
     seeds = fold_key_array(fold_key_array(

@@ -35,9 +35,13 @@ class RegenerationRecord:
     def n_unconfirmed(self) -> int:
         return int((~self.confirmed).sum())
 
-    def slab_csv_rows(self):
-        for k in range(self.n_slabs):
-            yield (k + 1, int(self.slab_dtau[k]), *self.slab_dx[k].tolist(), 1)
+    def slab_csv_rows(self) -> list:
+        """Rows [k, dtau, dx_1..dx_d, 1] of the slabs, k from 1, as lists
+        of Python ints, built in one array call."""
+        n = self.n_slabs
+        return np.column_stack([np.arange(1, n + 1), self.slab_dtau,
+                                self.slab_dx, np.ones(n, dtype=np.int64)
+                                ]).astype(np.int64, copy=False).tolist()
 
 
 @dataclass

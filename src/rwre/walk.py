@@ -202,6 +202,39 @@ class _SeqWalk:
         return now >= t and top >= level
 
 
+def _time_walk_block(model: EnvironmentModel, env_keys, starts: np.ndarray,
+                     n: int, walk_seeds: np.ndarray):
+    """The m time-source walks of walkers with env keys env_keys (m,),
+    starts (m, d) and uint64 walk seeds (m,), grown together for their
+    first n steps in one _iter_positions call, the seeds read exactly.
+
+    Returns walker(j, cum_fn): the _SeqWalk of walker j on
+    _TimeSource(walk_key(walk_seeds[j])), stepping by cum_fn, the
+    environment of env_keys[j], that has grown through those n steps, with
+    the positions, levels, top, minimum level and fresh map _grow builds;
+    past them it steps as any _SeqWalk.  A walk is a pure function of
+    (env key, walk key, time), so a walk grown ahead equals one grown step
+    by step, and a reader of its first t steps reads the same values."""
+    paths = _paths(model, env_keys, starts, n, walk_seeds)
+    wkeys = derive_key_array(walk_seeds, TAG_WALK).tolist()
+    u_hat = np.asarray(model.support.u_hat, dtype=np.int64)
+
+    def walker(j: int, cum_fn) -> _SeqWalk:
+        path = paths[:, j]
+        w = _SeqWalk(cum_fn, tuple(path[0].tolist()), _TimeSource(wkeys[j]),
+                     model.support)
+        levels = path @ u_hat
+        top = np.maximum.accumulate(levels)
+        # fresh[l] = t where the level first rose above the running top
+        rise = np.flatnonzero(levels[1:] > top[:-1]) + 1
+        w.positions = list(map(tuple, path.tolist()))
+        w.levels = levels.tolist()
+        w.top, w.min_level = int(top[-1]), int(levels.min())
+        w.fresh.update(zip(levels[rise].tolist(), rise.tolist()))
+        return w
+    return walker
+
+
 def diffusive_scale(path: WalkPath, v, n: int, t_grid) -> np.ndarray:
     """B_n(t) = (X_[nt] - [nt] v) / sqrt(n) on the given t grid: v is d
     reals and n an integer >= 1."""

@@ -13,7 +13,8 @@ import numpy as np
 
 from rwre import clt, envprocess, green, pair, rng, walk
 from rwre.environment import Environment, env_key_range, make_environment
-from rwre.models import dirichlet_drift_model, drift_model
+from rwre.models import (dirichlet_backtracking_model,
+                         dirichlet_drift_model, drift_model)
 from rwre.rng import TAG_ENV
 from rwre.walk import (simulate_finals_many, simulate_finals_many_envs,
                        simulate_level_stats_many_envs, simulate_paths_many,
@@ -136,6 +137,28 @@ def test_library_engine_calls_count_their_walker_steps():
     # no benchmark kind runs it; reps walks per grid point
     assert _engine_units(tracer, lambda: clt.centered_mean_bound(
         model, [2, 4], (0.6, 0.0), reps=3, seed=1)) == 3 * (2 + 4)
+
+
+def test_joint_regenerations_open_no_engine_span():
+    # the traced run holds walk.engine.walker_steps to expected_walker_steps,
+    # which counts no joint-regen steps: the batch grows its prefixes
+    # through the private engine, and blocks below the replica threshold
+    # call the traced first_joint_regeneration once per replica
+    tracer = _load_tracer()
+    expected = _load(WORKLOADS, "_perfbench_workloads").expected_walker_steps
+    model = dirichlet_backtracking_model()
+    for reps, scalar_calls in ((pair._JOINT_BLOCK_MIN, 0), (3, 3)):
+        tr = tracer.Tracer()
+        undo = tracer.install(tr)
+        try:
+            pair.first_joint_regenerations(model, (0, 0), (0, 2), reps, 1, 10,
+                                           20_000)
+        finally:
+            tracer.uninstall(undo)
+        assert tr.stats["walk.engine"].calls == 0
+        assert tr.stats["pair.joint_regen"].calls == scalar_calls
+        assert expected([{"kind": "joint-regen", "params": {
+            "x0": [0, 2], "reps": reps, "margin": 10}}]) == 0
 
 
 def test_only_walk_reads_seed_lists_and_calls_the_engines():

@@ -209,3 +209,27 @@ def test_side_records_each_runs_slowdown_and_passes():
     for run in runs.values():
         run["slowdown"] = None
     assert "slowdown" not in tool._side(runs)
+
+
+def test_kind_lines_print_each_kinds_medians_and_pairs():
+    tool = _tool()
+    metrics = {"wall_s": {"name": "wall_s", "better": "lower", "bound": 0.25}}
+
+    def run(wall, joint, regen):
+        return {"rows": {"wall_s": wall, "setup_s": 0.5, "peak_rss_mb": 60.0,
+                         "exp_s.joint-regen": joint, "exp_s.regen": regen},
+                "correct": True, "attempted": 4, "failed": 0}
+
+    runs = {"parent": {s: run(v, 0.146, 0.2) for s, v in
+                       _runs(PARENT).items()},
+            "change": {s: run(v - 0.1, 0.05, 0.2 + 0.01 * (int(s) % 2))
+                       for s, v in _runs(PARENT).items()}}
+    entry = tool._entry(runs, {s: "parent" for s in runs["parent"]}, metrics)
+    assert tool.kind_lines("sequential", entry) == [
+        "sequential exp_s.joint-regen: 0.1460 -> 0.0500 s, lower in 10/10 "
+        "pairs",
+        "sequential exp_s.regen: 0.2000 -> 0.2050 s, lower in 0/10 pairs"]
+    # a side with no runs has no medians to print
+    runs["change"] = {}
+    assert tool.kind_lines("sequential", tool._entry(
+        runs, {"1": "change"}, metrics)) == []

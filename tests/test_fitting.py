@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,9 @@ from rwre.green import (PerturbedChainSpec, SymmetricWalk1D,
                         product_symmetric_base, simple_walk)
 from rwre.models import dirichlet_drift_model, drift_model, support_2d
 from rwre.pair import (coupled_triple, coupling_decay,
-                       first_joint_regeneration, intersection_curve,
-                       sample_Ybar_chain)
+                       first_joint_regeneration, first_joint_regenerations,
+                       intersection_curve, sample_Y_chain, sample_Ybar_chain,
+                       support_inheritance_check)
 from rwre.walk import (WalkPath, diffusive_scale, simulate,
                        simulate_finals_many)
 
@@ -233,6 +236,28 @@ def _dirichlet(**kw):
     pytest.param(lambda: simulate(make_environment(drift_model(), 1), (0, 0),
                                   5, "1"), "walk_seed",
                  id="simulate-walk_seed-string"),
+] + [
+    # the pair entries walked True as seed 1 and raised a TypeError on 1.5
+    # and "1"
+    pytest.param(partial(entry, seed), "seed", id=f"{name}-seed-{seed!r}")
+    for name, entry in [
+        ("first_joint_regeneration", lambda s: first_joint_regeneration(
+            make_environment(drift_model(), 1), (0, 0), (0, 2), seed=s)),
+        ("first_joint_regenerations", lambda s: first_joint_regenerations(
+            drift_model(), (0, 0), (0, 2), 2, s, 5, 50)),
+        ("coupled_triple", lambda s: coupled_triple(drift_model(), (0, 1),
+                                                    s)),
+        ("sample_Y_chain", lambda s: sample_Y_chain(drift_model(), (0, 1), 1,
+                                                    seed=s)),
+        ("sample_Ybar_chain", lambda s: sample_Ybar_chain(
+            drift_model(), (0, 1), 1, seed=s)),
+        ("intersection_curve", lambda s: intersection_curve(
+            drift_model(), [2, 4], 2, seed=s)),
+        ("coupling_decay", lambda s: coupling_decay(drift_model(), [(0, 1)],
+                                                    2, s, 5, 50)),
+        ("support_inheritance_check", lambda s: support_inheritance_check(
+            drift_model(), (0, 1), 1, seed=s))]
+    for seed in (True, 1.5, "1")
 ])
 def test_library_refuses_what_it_misread(build, field):
     with pytest.raises(ValueError, match=f"^{field} must be "):

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from rwre import environment, pair, rng
-from rwre.environment import (EnvironmentModel, compute_h, exact_cum_rule,
-                              make_environment)
-from rwre.models import (dirichlet_backtracking_model, dirichlet_drift_model,
-                         drift_model, support_2d)
+from rwre.environment import (EnvironmentModel, compute_h, derive_env_seed,
+                              exact_cum_rule, make_environment)
+from rwre.models import (backtracking_model, dirichlet_backtracking_model,
+                         dirichlet_drift_model, drift_model, support_2d)
 from rwre.pair import (_joint_regen, _pair_common_sites, coupled_triple,
                        coupling_decay, first_joint_regeneration,
-                       intersection_curve, sample_Y_chain, sample_Ybar_chain,
+                       first_joint_regenerations, intersection_curve,
+                       sample_Y_chain, sample_Ybar_chain,
                        support_inheritance_check)
 from rwre.regen import detect_regenerations
 from rwre.rng import _block_len, derive_key, site_keys
@@ -469,6 +470,11 @@ def test_joint_regen_start_level_validation():
                           kind="deterministic", probs=(0.5, 0.5))
     with pytest.raises(ValueError):
         first_joint_regeneration(make_environment(m2, 1), (1, 0), (1, 3))
+    # the batch reads its starts by the same rule
+    with pytest.raises(ValueError, match="equal start levels"):
+        first_joint_regenerations(drift_model(), (0, 0), (1, 0), 3, 1, 5, 50)
+    with pytest.raises(ValueError, match="h-lattice"):
+        first_joint_regenerations(m2, (1, 0), (1, 3), 3, 1, 5, 50)
 
 
 def test_joint_regen_monotone_model_immediate():
@@ -620,6 +626,118 @@ def test_support_inheritance_drift_model():
     rep = support_inheritance_check(dirichlet_drift_model(), (0, 2), 400,
                                     seed=3, margin=8)
     assert rep["flagged"] == []
+
+
+def _joint_regens_one_by_one(model, x, y, reps, seed, margin, horizon):
+    """first_joint_regenerations' records by its stated rule."""
+    return [first_joint_regeneration(
+        make_environment(model, derive_env_seed(seed, 401, i)), x, y,
+        margin, horizon, seed=derive_key(seed, 402, i)) for i in range(reps)]
+
+
+# model, the two starts (same level, on the h-lattice), margin, horizon
+JOINT_CASES = {
+    "dirichlet_drift": (dirichlet_drift_model(), (0, 0), (0, 4), 10, 20_000),
+    "dirichlet_backtracking": (dirichlet_backtracking_model(), (0, 0), (0, 2),
+                               10, 20_000),
+    "backtracking": (backtracking_model(), (0, 0), (0, 2), 5, 20_000),
+    "drift": (drift_model(), (0, 0), (0, 3), 10, 20_000),
+    "mixture": (_mixture_backtracking_model(), (0, 0), (0, 2), 8, 20_000),
+    # starts away from the origin, on a nonzero level
+    "away": (dirichlet_backtracking_model(), (5, -3), (5, 4), 6, 20_000),
+    # the horizon leaves records unconfirmed
+    "horizon_40": (dirichlet_backtracking_model(), (0, 0), (0, 2), 10, 40),
+}
+
+
+def _same_records(got, want):
+    # repr shows every JointRegenRecord field and the type of each number
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("prefix", [0, 1, 7, pair._JOINT_PREFIX, 50_000])
+@pytest.mark.parametrize("case", sorted(JOINT_CASES))
+def test_joint_regenerations_equal_one_call_per_replica(case, prefix,
+                                                        monkeypatch):
+    # a walk grown ahead through the engine is the walk grown step by step,
+    # and the search reads only what it would have grown; 20 replicas make
+    # one block through the engine, 5 run one call each
+    model, x, y, margin, horizon = JOINT_CASES[case]
+    monkeypatch.setattr(pair, "_JOINT_PREFIX", prefix)
+    for reps in (20, 5):
+        want = _joint_regens_one_by_one(model, x, y, reps, 17, margin,
+                                        horizon)
+        res = first_joint_regenerations(model, x, y, reps, 17, margin,
+                                        horizon)
+        _same_records(res["records"], want)
+        confirmed = [r.Lambda for r in want if r.confirmed]
+        assert res["confirmed_fraction"] == len(confirmed) / reps
+        assert res["mean_Lambda"] == (np.mean(confirmed) if confirmed
+                                      else None)
+        assert res["tail_P_Lambda_gt"] == {
+            m: np.mean(np.array(confirmed) > m) if confirmed else None
+            for m in (4, 8, 16, 32, 64)}
+        if reps == 20 and case == "horizon_40":
+            assert 0 < len(confirmed) < reps
+        if reps == 20 and case == "backtracking":
+            assert max(len(r.lambda_levels) for r in want) > 1
+
+
+def test_joint_regenerations_blocks_above_and_below_the_threshold(
+        monkeypatch):
+    model, x, y, margin, horizon = JOINT_CASES["dirichlet_backtracking"]
+    monkeypatch.setattr(pair, "_JOINT_BLOCK_MIN", 16)
+    want = _joint_regens_one_by_one(model, x, y, 47, 3, margin, horizon)
+    engine_blocks = []
+    block = pair._time_walk_block
+
+    def counting_block(model, env_keys, starts, n, walk_seeds):
+        engine_blocks.append(len(starts) // 2)
+        return block(model, env_keys, starts, n, walk_seeds)
+    monkeypatch.setattr(pair, "_time_walk_block", counting_block)
+    # a block's paths take 129 steps x 2 walks x 2 coordinates x 8 bytes
+    # per replica; blocks of 15 replicas or fewer run one call each
+    for per_block, blocks in [(None, [47]), (24, [23, 24]), (16, [16, 16]),
+                              (10, [])]:
+        if per_block is not None:
+            monkeypatch.setattr(pair, "_JOINT_BLOCK_BYTES",
+                                per_block * 129 * 32)
+        engine_blocks.clear()
+        res = first_joint_regenerations(model, x, y, 47, 3, margin, horizon)
+        _same_records(res["records"], want)
+        assert engine_blocks == blocks, per_block
+
+
+def test_joint_regenerations_map_one_block_per_worker(monkeypatch):
+    model, x, y, margin, horizon = JOINT_CASES["dirichlet_backtracking"]
+    maps = []
+
+    def recording_pmap(fn, items, workers):
+        maps.append((list(items), workers))
+        return [fn(it) for it in items]
+    monkeypatch.setattr(pair, "_pmap", recording_pmap)
+    want = first_joint_regenerations(model, x, y, 40, 9, margin, horizon)
+    got = first_joint_regenerations(model, x, y, 40, 9, margin, horizon,
+                                    workers=2)
+    assert got == want
+    assert maps == [([(0, 40)], 1), ([(0, 20), (20, 40)], 2)]
+
+
+def test_joint_regenerations_hold_little_memory():
+    # the benchmark's full joint-regen config: one block of 150 replicas,
+    # whose engine paths take 0.62 MB; 1.06 MB peak when measured
+    import tracemalloc
+    model = dirichlet_backtracking_model()
+    first_joint_regenerations(model, (0, 0), (0, 2), 20, 1, 10, 20_000)
+    tracemalloc.start()
+    try:
+        first_joint_regenerations(model, (0, 0), (0, 2), 150, 2, 10, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_joint_regen_horizon_exhaustion_unconfirmed():

@@ -16,6 +16,8 @@ how many pairs the change read lower (``change_lower_in_pairs``), and for
 each end-to-end metric a ``verdict`` (see ``verdict``), its ``bound`` in
 BENCHMARK.json read as a fraction of the parent's median, and a ``drift``
 (see ``drift``), which records a consistent slowdown the bound allows.
+The console shows the verdicts, any drift, and for each ``exp_s.<kind>``
+its median on both sides and its ``change_lower_in_pairs``.
 Each side also records per run the slowdown of perfbench's reference
 kernel at set-up and the number of passes its times are the median of,
 so a run slow as a whole shows beside its times.
@@ -249,6 +251,8 @@ def main(argv=None) -> int:
     for w, entry in doc["workloads"].items():
         for name, text in entry.get("verdict", {}).items():
             print(f"{w} {name}: {text}")
+        for line in kind_lines(w, entry):
+            print(line)
         for name, text in entry.get("drift", {}).items():
             if text != "none":
                 print(f"{w} {name}: drift {text}")
@@ -286,6 +290,18 @@ def _entry(runs: dict, first: dict, metrics: dict) -> dict:
     entry["rejects"] = rejects(runs, entry)
     entry["first_in_pair"] = first
     return entry
+
+
+def kind_lines(workload: str, entry: dict) -> list:
+    """One console line per exp_s.<kind> of a workload's record: the
+    median on both sides and the pairs in which the change read lower, so
+    a claim that one kind carries shows beside the verdicts."""
+    sides = [entry[side].get("exp_s", {}) for side in SIDES]
+    return [f"{workload} exp_s.{kind}: {sides[0][kind]['median']:.4f} -> "
+            f"{sides[1][kind]['median']:.4f} s, lower in "
+            f"{entry['change_lower_in_pairs'][f'exp_s.{kind}']} pairs"
+            for kind in sides[1] if kind in sides[0]
+            and f"exp_s.{kind}" in entry["change_lower_in_pairs"]]
 
 
 def rejects(runs: dict, entry: dict) -> list:
