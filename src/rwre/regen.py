@@ -41,7 +41,7 @@ class RegenerationRecord:
         n = self.n_slabs
         return np.column_stack([np.arange(1, n + 1), self.slab_dtau,
                                 self.slab_dx, np.ones(n, dtype=np.int64)
-                                ]).astype(np.int64, copy=False).tolist()
+                                ]).tolist()
 
 
 @dataclass

@@ -9,7 +9,8 @@ and simulating n' < n steps yields the prefix of the n-step path.
 simulate keeps only its walker's site and one step index per step, and
 builds the sites by one cumsum of the steps; under a deterministic law all
 n indices come from one array call.  _SeqWalk is the scalar walker that
-rwre.pair's walks grow lazily, step by step with its level records.  Both
+rwre.pair's walks grow lazily, step by step with its level records, from
+the start or from a prefix the engine grew (_time_walk_block).  Both
 read site vectors through Environment.cum_at, whose memo is bounded.  The
 simulate_*_many* engines advance many walkers in lockstep and take the
 same steps.
