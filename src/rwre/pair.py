@@ -9,10 +9,12 @@ so far.  Levels live on the h-lattice of the accessible level set.
 
 Every walk is a walk._SeqWalk reading a walk._TimeSource, one uniform per
 time step, except the coupled Xtilde and Xbar, which read a _SiteSource.
-A time-source walk is a pure function of (env key, walk key, time), so
+A time-source walk is a pure function of (env key, time key, time), so
 first_joint_regenerations grows the first steps of every replica's two
-walks together in one engine call (walk._time_walk_block) and the search
-reads the same values.
+walks, and coupling_decay those of every replica's first X, together in
+one engine call per block of replicas (walk._time_walk_block).  Each
+_SeqWalk reveals those steps only where it would have stepped, so every
+reader, _RangeEnvChooser included, sees the values it saw step by step.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ import numpy as np
 from .environment import (Environment, EnvironmentModel, compute_h,
                           env_key_range, make_environment)
 from .fitting import check_grid, fit_exponent, integer, refusal, whole
-from .rng import (MASK64, TAG_ENV, TAG_SITE, _block_len, _pmap, derive_key,
-                  derive_key_array, derive_key_range, fold_key_array,
-                  site_keys, site_u01)
+from .rng import (MASK64, TAG_ENV, TAG_SITE, TAG_WALK, _block_len, _pmap,
+                  derive_key, derive_key_array, derive_key_range,
+                  fold_key_array, site_keys, site_u01)
 from .walk import (_from_origin, _SeqWalk, _time_walk_block, _TimeSource,
                    simulate_paths_many_envs, walk_key)
 
@@ -59,25 +61,31 @@ _MAX_REJECTIONS = 1000
 _OP_JOINT_ENV = 401
 _OP_JOINT_WALKS = 402
 _TAIL_LEVELS = (4, 8, 16, 32, 64)
-# Steps of both walks of every replica of a block grown in one engine call
-# (walk._time_walk_block), capped at the horizon.  Seconds for 150 replicas
-# of dirichlet_backtracking_model from (0, 0) and (0, 2), margin 10, in one
-# block, median of 12 interleaved passes in one process, 2-vCPU VM, at
-# prefix 0 (first_joint_regeneration per replica), 32, 64, 96, 128, 160,
-# 192 and 256 steps:
-#   0.111 0.074 0.048 0.035 0.033 0.034 0.036 0.058
-_JOINT_PREFIX = 128
-# Blocks of fewer replicas run first_joint_regeneration one replica at a
-# time: the engine's 128 steps cost about 6 ms at any block size.  Time of
-# a block through the engine over time one replica at a time, same model
-# and starts, mean of 10-240 interleaved blocks, at 1, 2, 4, 6, 8, 12, 16,
-# 24 and 32 replicas:
-#   margin 10  7.77 4.24 2.22 1.61 1.25 0.89 0.73 0.65 0.52
-#   margin 5  11.23 5.98 3.23 2.24 1.76 1.22 1.00 0.78 0.67
-_JOINT_BLOCK_MIN = 16
-# A block's engine paths, (prefix + 1, 2 x replicas, d) int64, take at
-# most this many bytes
-_JOINT_BLOCK_BYTES = 1 << 20
+# Steps of the time-source walks of every replica of a block grown in one
+# engine call (walk._time_walk_block), capped at the horizon: both walks of
+# a joint regeneration, the first triple's X of a coupling.  Seconds at
+# prefix 0 (one call per replica), 32, 64, 96, 128, 160, 192 and 256
+# steps, one block per pass, passes interleaved in one process, 2-vCPU VM:
+#   joint, 150 replicas of dirichlet_backtracking_model from (0, 0) and
+#   (0, 2), margin 10, median of 12 passes
+#           0.111 0.074 0.048 0.035 0.033 0.034 0.036 0.058
+#   coupling, 2 x 100 replicas of dirichlet_drift_model from (0, 1) and
+#   (0, 4), margin 10, median of 8 passes
+#           0.168 0.145 0.107 0.084 0.088 0.091 0.100 0.102
+_PREFIX = 128
+# Blocks of fewer replicas run one replica at a time, with no engine call:
+# the engine's 128 steps cost about 6 ms at any block size.  Time of a
+# block through the engine over time one replica at a time, same models
+# and starts as above, mean of 10-480 interleaved blocks, at 1, 2, 4, 6,
+# 8, 12, 16, 24 and 32 replicas:
+#   joint, margin 10     7.77 4.24 2.22 1.61 1.25 0.89 0.73 0.65 0.52
+#   joint, margin 5     11.23 5.98 3.23 2.24 1.76 1.22 1.00 0.78 0.67
+#   coupling, margin 10  7.75 3.66 2.10 1.65 1.35 1.04 0.90 0.77 0.69
+#   coupling, margin 5  13.23 6.03 3.33 2.48 2.01 1.51 1.28 1.05 0.90
+_BLOCK_MIN = 16
+# A block's engine paths, (prefix + 1, walkers, d) int64, take at most this
+# many bytes
+_BLOCK_BYTES = 1 << 20
 # support_inheritance_check flags atoms seen under q above this many counts
 _FLAG_COUNT = 10.0
 
@@ -274,28 +282,39 @@ def first_joint_regeneration(env: Environment, x, y, margin: int = 20,
                             margin, horizon)[0]
 
 
+def _blocks(reps: int, walkers: int, d: int, horizon: int,
+            workers: int) -> list:
+    """Blocks (i0, i1) of `reps` replicas of `walkers` time-source walks
+    each in d dimensions, for one map (rng._pmap): at least one block per
+    worker, each holding at most _BLOCK_BYTES of engine paths."""
+    path_bytes = 8 * (min(_PREFIX, horizon) + 1) * walkers * d
+    n_blocks = max(-(-reps // max(_BLOCK_BYTES // path_bytes, 1)),
+                   min(workers, reps))
+    edges = [reps * b // n_blocks for b in range(n_blocks + 1)]
+    return list(zip(edges, edges[1:]))
+
+
 def _joint_regen_block(block: tuple, model=None, x=(), y=(), seed=0,
                        margin=0, horizon=0) -> list:
     """The records of replicas i0 <= i < i1 of first_joint_regenerations,
-    block = (i0, i1): with fewer than _JOINT_BLOCK_MIN replicas one
+    block = (i0, i1): with fewer than _BLOCK_MIN replicas one
     first_joint_regeneration call each, else both walks of every replica
-    grown _JOINT_PREFIX steps (at most horizon) in one engine call and
-    searched replica by replica."""
+    grown _PREFIX steps (at most horizon) in one engine call and searched
+    replica by replica."""
     idx = np.arange(*block, dtype=np.uint64)
     env_seeds = fold_key_array(derive_key(seed, TAG_ENV, _OP_JOINT_ENV), idx)
     seeds = fold_key_array(derive_key(seed, _OP_JOINT_WALKS), idx)
-    if len(idx) < _JOINT_BLOCK_MIN:
+    if len(idx) < _BLOCK_MIN:
         return [first_joint_regeneration(
             make_environment(model, e), x, y, margin=margin, horizon=horizon,
             seed=s) for e, s in zip(env_seeds.tolist(), seeds.tolist())]
-    # walkers 2i and 2i + 1 are replica i's walks from x and y, with the
-    # walk seeds first_joint_regeneration derives from its seed
+    # walkers 2i and 2i + 1 are replica i's walks from x and y, on the
+    # time keys first_joint_regeneration derives from its seed
     walker = _time_walk_block(
         model, np.repeat(derive_key_array(env_seeds, TAG_SITE), 2),
-        np.array([x, y] * len(idx), dtype=np.int64),
-        min(_JOINT_PREFIX, horizon),
-        fold_key_array(derive_key_array(seeds, _TAG_PAIR)[:, None],
-                       (10, 11)).ravel())
+        np.array([x, y] * len(idx), dtype=np.int64), min(_PREFIX, horizon),
+        derive_key_array(fold_key_array(derive_key_array(
+            seeds, _TAG_PAIR)[:, None], (10, 11)).ravel(), TAG_WALK))
     h = compute_h(model.support)
     out = []
     for i, env_seed in enumerate(env_seeds.tolist()):
@@ -318,20 +337,16 @@ def first_joint_regenerations(model: EnvironmentModel, x, y, reps: int,
     derive_env_seed(seed, 401, i)), x, y, margin, horizon,
     seed=derive_key(seed, 402, i)), bit for bit.  One map (rng._pmap, at
     most one fork pool of `workers` processes) runs blocks of replicas
-    (_joint_regen_block), at least one per worker and each holding at
-    most _JOINT_BLOCK_BYTES of engine paths."""
+    (_blocks, _joint_regen_block)."""
     seed = whole(seed, "seed")
     reps = integer(reps, "reps", 1)
     margin = integer(margin, "margin", 1)
     horizon = integer(horizon, "horizon", 1)
     x, y = _pair_starts(model.support, x, y)
-    path_bytes = 16 * (min(_JOINT_PREFIX, horizon) + 1) * len(x)
-    n_blocks = max(-(-reps // max(_JOINT_BLOCK_BYTES // path_bytes, 1)),
-                   min(workers, reps))
-    edges = [reps * b // n_blocks for b in range(n_blocks + 1)]
     task = partial(_joint_regen_block, model=model, x=x, y=y, seed=seed,
                    margin=margin, horizon=horizon)
-    recs = [r for block in _pmap(task, list(zip(edges, edges[1:])), workers)
+    recs = [r for block in _pmap(task, _blocks(reps, 2, len(x), horizon,
+                                               workers), workers)
             for r in block]
     lam = np.array([r.Lambda for r in recs if r.confirmed], dtype=float)
     return {"records": recs,
@@ -489,7 +504,8 @@ class _RangeEnvChooser:
 
 
 def coupled_triple(model: EnvironmentModel, x0, seed: int,
-                   margin: int = 20, horizon: int = 20_000) -> CouplingOutcome:
+                   margin: int = 20, horizon: int = 20_000,
+                   _first_x=None) -> CouplingOutcome:
     """One coupled sample (Y_1, Ybar_1) from a common start x0 in V_d.
 
     Generates i.i.d. triples (X, Xtilde, Xbar): X from the origin in omega;
@@ -498,6 +514,9 @@ def coupled_triple(model: EnvironmentModel, x0, seed: int,
     through shared per-site visit streams.  Y_1 comes from the first
     triple whose (X, Xtilde) pair never backtracks, Ybar_1 from the first
     triple whose (X, Xbar) pair never backtracks.
+
+    _first_x, private (coupling_decay's blocks), maps X's cum_fn to the
+    first triple's X holding steps grown ahead (walk._time_walk_block).
     """
     x0 = _in_V(model.support, x0)
     seed = whole(seed, "seed")
@@ -514,8 +533,11 @@ def coupled_triple(model: EnvironmentModel, x0, seed: int,
         tseed = derive_key(seed, _TAG_TRIPLE, m)
         env = make_environment(model, derive_key(tseed, 1))
         env_bar = make_environment(model, derive_key(tseed, 2))
-        wx = _SeqWalk(env.cum_at, origin, _TimeSource(derive_key(tseed, 3)),
-                      sup)
+        if m == 1 and _first_x is not None:
+            wx = _first_x(env.cum_at)
+        else:
+            wx = _SeqWalk(env.cum_at, origin,
+                          _TimeSource(derive_key(tseed, 3)), sup)
         shared = derive_key(tseed, 4)
         wt = _SeqWalk(env.cum_at, x0, _SiteSource(shared), sup)
         chooser = _RangeEnvChooser(env, env_bar, wx, pad=4 * margin,
@@ -540,9 +562,25 @@ def coupled_triple(model: EnvironmentModel, x0, seed: int,
                            hit_X_path=hit, n_triples=m)
 
 
-def _coupled_triple_task(item, model=None, margin=0, horizon=0):
-    x0, seed = item
-    return coupled_triple(model, x0, seed, margin=margin, horizon=horizon)
+def _coupling_block(items: list, model=None, margin=0, horizon=0) -> list:
+    """The outcomes of coupling_decay's replicas items, (x0, seed) pairs,
+    each one coupled_triple call, looked up when called so that a traced
+    one counts every replica.  From _BLOCK_MIN replicas on, the first
+    triple's X of every replica is grown _PREFIX steps (at most horizon)
+    in one engine call: the walk of time key derive_key(tseed, 3) from the
+    origin in the environment of seed derive_key(tseed, 1), for tseed =
+    derive_key(seed, _TAG_TRIPLE, 1)."""
+    first_x = [None] * len(items)
+    if len(items) >= _BLOCK_MIN:
+        tseeds = derive_key_array(np.array([s for _, s in items],
+                                           dtype=np.uint64), _TAG_TRIPLE, 1)
+        walker = _time_walk_block(
+            model, derive_key_array(derive_key_array(tseeds, 1), TAG_SITE),
+            np.zeros((len(items), model.support.dimension), dtype=np.int64),
+            min(_PREFIX, horizon), derive_key_array(tseeds, 3))
+        first_x = [partial(walker, j) for j in range(len(items))]
+    return [coupled_triple(model, x0, s, margin=margin, horizon=horizon,
+                           _first_x=f) for (x0, s), f in zip(items, first_x)]
 
 
 def coupling_decay(model: EnvironmentModel, x0_list, reps: int, seed: int,
@@ -552,7 +590,8 @@ def coupling_decay(model: EnvironmentModel, x0_list, reps: int, seed: int,
     within three se of each successive difference.  Replica i of start j
     has the seed derive_key(..., j, i) for the prefix key seed =
     derive_key(...); one map (rng._pmap, at most one fork pool of
-    `workers` processes) runs the replicas of every start."""
+    `workers` processes) runs blocks of the replicas of every start
+    (_blocks, _coupling_block)."""
     x0_list = list(map(tuple, _in_V(model.support, x0_list, "x0_list",
                                     many=True)))
     reps = integer(reps, "reps", 1)
@@ -562,10 +601,13 @@ def coupling_decay(model: EnvironmentModel, x0_list, reps: int, seed: int,
     seeds = fold_key_array(fold_key_array(
         seed, np.arange(len(x0_list), dtype=np.uint64))[:, None],
         np.arange(reps, dtype=np.uint64)).tolist()
-    task = partial(_coupled_triple_task, model=model, margin=margin,
+    items = [(x0, s) for x0, row in zip(x0_list, seeds) for s in row]
+    task = partial(_coupling_block, model=model, margin=margin,
                    horizon=horizon)
-    flat = _pmap(task, [(x0, s) for x0, row in zip(x0_list, seeds)
-                        for s in row], workers)
+    blocks = _blocks(len(items), 1, model.support.dimension, horizon,
+                     workers)
+    flat = [o for block in _pmap(task, [items[i0:i1] for i0, i1 in blocks],
+                                 workers) for o in block]
     outcomes = [flat[j * reps:(j + 1) * reps] for j in range(len(x0_list))]
     ps = [float(np.mean([not o.equal for o in outs])) for outs in outcomes]
     ses = [float(np.sqrt(max(p * (1 - p), 1e-12) / reps)) for p in ps]

@@ -9,9 +9,10 @@ and simulating n' < n steps yields the prefix of the n-step path.
 simulate keeps only its walker's site and one step index per step, and
 builds the sites by one cumsum of the steps; under a deterministic law all
 n indices come from one array call.  _SeqWalk is the scalar walker that
-rwre.pair's walks grow lazily, step by step with its level records, from
-the start or from a prefix the engine grew (_time_walk_block).  Both
-read site vectors through Environment.cum_at, whose memo is bounded.  The
+rwre.pair's walks grow lazily, step by step with its level records; a
+time-source walk may hold steps the engine grew ahead (_time_walk_block),
+which it reveals only where it would have stepped.  Both read site
+vectors through Environment.cum_at, whose memo is bounded.  The
 simulate_*_many* engines advance many walkers in lockstep and take the
 same steps.
 """
@@ -156,13 +157,22 @@ class _TimeSource:
 class _SeqWalk:
     """A lazily extended walk from a read start (StepSupport.point), stepping
     by cum_fn(site) and source.draw(site, t), with its levels, running top,
-    minimum level and fresh map (fresh[l]: the time it first rose to l)."""
+    minimum level and fresh map (fresh[l]: the time it first rose to l).
 
-    def __init__(self, cum_fn, start, source, support: StepSupport):
+    `ahead` holds the walk's own positions and levels from time 0 on, as
+    the engine grew them (_time_walk_block).  _grow reveals them one step
+    at a time where it would have stepped, reading neither cum_fn nor the
+    source, so every attribute holds at every moment what stepping would
+    have given it."""
+
+    def __init__(self, cum_fn, start, source, support: StepSupport,
+                 ahead=((), ())):
         self.cum_fn = cum_fn
         self.draw = source.draw
         self.steps = support.steps
         self.incs = support.increments
+        self.ahead, self.ahead_levels = ahead
+        self.known = len(self.ahead) - 1
         lev = support.dot_u(start)
         self.positions = [start]
         self.levels = [lev]
@@ -181,12 +191,28 @@ class _SeqWalk:
         """Step until time t and top >= level, else False at the horizon.
         Each position is appended before the next cum_fn call, which may
         read how far the walk has come (pair._RangeEnvChooser)."""
-        cum_fn, draw, incs = self.cum_fn, self.draw, self.incs
-        steps, last = self.steps, len(self.steps) - 1
         positions, levels, fresh = self.positions, self.levels, self.fresh
         now = len(positions) - 1
-        pos, lev = positions[-1], levels[-1]
         top, low = self.top, self.min_level
+        if now < self.known:
+            ahead, ahead_levels = self.ahead, self.ahead_levels
+            end = self.known if self.known < horizon else horizon
+            while (now < t or top < level) and now < end:
+                now += 1
+                lev = ahead_levels[now]
+                positions.append(ahead[now])
+                levels.append(lev)
+                if lev > top:
+                    top = lev
+                    fresh[lev] = now
+                elif lev < low:
+                    low = lev
+            self.top, self.min_level = top, low
+            if now < end:       # the goal was reached inside the prefix
+                return True
+        cum_fn, draw, incs = self.cum_fn, self.draw, self.incs
+        steps, last = self.steps, len(self.steps) - 1
+        pos, lev = positions[-1], levels[-1]
         while (now < t or top < level) and now < horizon:
             i = bisect_left(cum_fn(pos), draw(pos, now), 0, last)
             pos = tuple(map(add, pos, steps[i]))
@@ -204,35 +230,26 @@ class _SeqWalk:
 
 
 def _time_walk_block(model: EnvironmentModel, env_keys, starts: np.ndarray,
-                     n: int, walk_seeds: np.ndarray):
+                     n: int, time_keys: np.ndarray):
     """The m time-source walks of walkers with env keys env_keys (m,),
-    starts (m, d) and uint64 walk seeds (m,), grown together for their
-    first n steps in one _iter_positions call, the seeds read exactly.
+    starts (m, d) and uint64 time-source keys time_keys (m,), grown
+    together for their first n steps in one _iter_positions call.
 
     Returns walker(j, cum_fn): the _SeqWalk of walker j on
-    _TimeSource(walk_key(walk_seeds[j])), stepping by cum_fn, the
-    environment of env_keys[j], that has grown through those n steps, with
-    the positions, levels, top, minimum level and fresh map _grow builds;
+    _TimeSource(time_keys[j]), stepping by cum_fn, the environment of
+    env_keys[j], holding those n steps ahead, which it reveals as it grows;
     past them it steps as any _SeqWalk.  A walk is a pure function of
-    (env key, walk key, time), so a walk grown ahead equals one grown step
-    by step, and a reader of its first t steps reads the same values."""
-    paths = _paths(model, env_keys, starts, n, walk_seeds)
-    wkeys = derive_key_array(walk_seeds, TAG_WALK).tolist()
+    (env key, time key, time), so a walk grown ahead equals one grown step
+    by step."""
+    paths = _paths(model, env_keys, starts, n, time_keys, keyed=True)
     u_hat = np.asarray(model.support.u_hat, dtype=np.int64)
+    tkeys = np.asarray(time_keys, dtype=np.uint64).tolist()
 
     def walker(j: int, cum_fn) -> _SeqWalk:
         path = paths[:, j]
-        w = _SeqWalk(cum_fn, tuple(path[0].tolist()), _TimeSource(wkeys[j]),
-                     model.support)
-        levels = path @ u_hat
-        top = np.maximum.accumulate(levels)
-        # fresh[l] = t where the level first rose above the running top
-        rise = np.flatnonzero(levels[1:] > top[:-1]) + 1
-        w.positions = list(map(tuple, path.tolist()))
-        w.levels = levels.tolist()
-        w.top, w.min_level = int(top[-1]), int(levels.min())
-        w.fresh.update(zip(levels[rise].tolist(), rise.tolist()))
-        return w
+        ahead = list(map(tuple, path.tolist()))
+        return _SeqWalk(cum_fn, ahead[0], _TimeSource(tkeys[j]),
+                        model.support, (ahead, (path @ u_hat).tolist()))
     return walker
 
 
@@ -416,15 +433,16 @@ def _uniform_rows(wkeys: np.ndarray, n: int) -> "iterator":
 
 
 def _iter_positions(model: EnvironmentModel, env_keys, starts: np.ndarray,
-                    n: int, walk_seeds) -> "iterator":
+                    n: int, walk_seeds, keyed: bool = False) -> "iterator":
     """Advance m walkers in lockstep, yielding positions after each step.
 
     env_keys may be a scalar (one environment, broadcast to every walker)
-    or one key per walker, and walk_seeds holds one seed per walker.  A
-    step's index is the number of cumulative components below the
-    walker's uniform, clipped to the
-    last step for a u above a last component rounded below 1, so it
-    depends only on cum_0..cum_{k-2}.  It is read from bounds on them
+    or one key per walker, and walk_seeds holds one seed per walker, read
+    by walk_seed_array, or with keyed the walkers' time-source keys
+    themselves, uint64 (_TimeSource).  A step's index is the number of
+    cumulative components below the walker's uniform, clipped to the last
+    step for a u above a last component rounded below 1, so it depends
+    only on cum_0..cum_{k-2}.  It is read from bounds on them
     wherever every one is surely below u (upper bound < u) or surely not
     (lower bound >= u); the few other walkers get their site's exact
     vector (settle), and the result is the exact one either way.  The
@@ -434,11 +452,12 @@ def _iter_positions(model: EnvironmentModel, env_keys, starts: np.ndarray,
     """
     pos = starts.copy()
     m = pos.shape[0]
-    seeds = walk_seed_array(walk_seeds)
+    seeds = (np.asarray(walk_seeds, dtype=np.uint64) if keyed
+             else walk_seed_array(walk_seeds))
     if seeds.shape != (m,):
         raise ValueError(f"walk_seeds must hold one seed per start: shape "
                          f"{seeds.shape} for {m} starts")
-    wkeys = derive_key_array(seeds, TAG_WALK)
+    wkeys = seeds if keyed else derive_key_array(seeds, TAG_WALK)
     steps_arr = model.support.steps_array
     env_keys = np.asarray(np.full(m, env_keys) if np.isscalar(env_keys)
                           else env_keys, dtype=np.uint64)
@@ -497,12 +516,13 @@ def _starts(model: EnvironmentModel, starts, n: int) -> np.ndarray:
 
 
 def _paths(model: EnvironmentModel, env_keys, starts, n: int,
-           walk_seeds) -> np.ndarray:
+           walk_seeds, keyed: bool = False) -> np.ndarray:
     """Site arrays (n+1, m, d) of the walks of _iter_positions."""
     starts = _starts(model, starts, n)
     out = np.empty((n + 1,) + starts.shape, dtype=np.int64)
     out[0] = starts
-    for t, pos in _iter_positions(model, env_keys, starts, n, walk_seeds):
+    for t, pos in _iter_positions(model, env_keys, starts, n, walk_seeds,
+                                  keyed):
         out[t + 1] = pos
     return out
 

@@ -147,7 +147,7 @@ def test_joint_regenerations_open_no_engine_span():
     tracer = _load_tracer()
     expected = _load(WORKLOADS, "_perfbench_workloads").expected_walker_steps
     model = dirichlet_backtracking_model()
-    for reps, scalar_calls in ((pair._JOINT_BLOCK_MIN, 0), (3, 3)):
+    for reps, scalar_calls in ((pair._BLOCK_MIN, 0), (3, 3)):
         tr = tracer.Tracer()
         undo = tracer.install(tr)
         try:
@@ -159,6 +159,30 @@ def test_joint_regenerations_open_no_engine_span():
         assert tr.stats["pair.joint_regen"].calls == scalar_calls
         assert expected([{"kind": "joint-regen", "params": {
             "x0": [0, 2], "reps": reps, "margin": 10}}]) == 0
+
+
+def test_coupling_blocks_count_every_replica_and_open_no_engine_span():
+    # the traced run reads pair.coupled_triple.* per replica and holds
+    # walk.engine.walker_steps to expected_walker_steps, which counts no
+    # coupling steps: a block grows its X prefixes through the private
+    # engine and calls the traced coupled_triple once per replica
+    tracer = _load_tracer()
+    expected = _load(WORKLOADS, "_perfbench_workloads").expected_walker_steps
+    model = dirichlet_drift_model()
+    reps = pair._BLOCK_MIN
+    tr = tracer.Tracer()
+    undo = tracer.install(tr)
+    try:
+        res = pair.coupling_decay(model, [(0, 1), (0, 4)], reps, 1, 10,
+                                  20_000)
+    finally:
+        tracer.uninstall(undo)
+    assert tr.stats["walk.engine"].calls == 0
+    assert tr.stats["pair.coupled_triple"].calls == 2 * reps
+    assert tr.stats["pair.coupled_triple"].units == sum(
+        o.n_triples for outs in res["outcomes"] for o in outs)
+    assert expected([{"kind": "coupling", "params": {
+        "x0_list": [[0, 1], [0, 4]], "reps": reps, "margin": 10}}]) == 0
 
 
 def test_only_walk_reads_seed_lists_and_calls_the_engines():

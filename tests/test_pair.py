@@ -376,7 +376,7 @@ def test_coupling_decay_p_se_and_monotone(neq, monotone, monkeypatch):
     starts = [(0, 1), (0, 2), (0, 3)]
     calls = []
 
-    def fake_triple(model, x0, seed, margin, horizon):
+    def fake_triple(model, x0, seed, margin, horizon, _first_x):
         t = len(calls)
         calls.append(x0)
         return SimpleNamespace(equal=t % 10 >= neq[t // 10])
@@ -657,7 +657,7 @@ def _same_records(got, want):
         assert repr(a) == repr(b)
 
 
-@pytest.mark.parametrize("prefix", [0, 1, 7, pair._JOINT_PREFIX, 50_000])
+@pytest.mark.parametrize("prefix", [0, 1, 7, pair._PREFIX, 50_000])
 @pytest.mark.parametrize("case", sorted(JOINT_CASES))
 def test_joint_regenerations_equal_one_call_per_replica(case, prefix,
                                                         monkeypatch):
@@ -665,7 +665,7 @@ def test_joint_regenerations_equal_one_call_per_replica(case, prefix,
     # and the search reads only what it would have grown; 20 replicas make
     # one block through the engine, 5 run one call each
     model, x, y, margin, horizon = JOINT_CASES[case]
-    monkeypatch.setattr(pair, "_JOINT_PREFIX", prefix)
+    monkeypatch.setattr(pair, "_PREFIX", prefix)
     for reps in (20, 5):
         want = _joint_regens_one_by_one(model, x, y, reps, 17, margin,
                                         horizon)
@@ -688,7 +688,7 @@ def test_joint_regenerations_equal_one_call_per_replica(case, prefix,
 def test_joint_regenerations_blocks_above_and_below_the_threshold(
         monkeypatch):
     model, x, y, margin, horizon = JOINT_CASES["dirichlet_backtracking"]
-    monkeypatch.setattr(pair, "_JOINT_BLOCK_MIN", 16)
+    monkeypatch.setattr(pair, "_BLOCK_MIN", 16)
     want = _joint_regens_one_by_one(model, x, y, 47, 3, margin, horizon)
     engine_blocks = []
     block = pair._time_walk_block
@@ -702,7 +702,7 @@ def test_joint_regenerations_blocks_above_and_below_the_threshold(
     for per_block, blocks in [(None, [47]), (24, [23, 24]), (16, [16, 16]),
                               (10, [])]:
         if per_block is not None:
-            monkeypatch.setattr(pair, "_JOINT_BLOCK_BYTES",
+            monkeypatch.setattr(pair, "_BLOCK_BYTES",
                                 per_block * 129 * 32)
         engine_blocks.clear()
         res = first_joint_regenerations(model, x, y, 47, 3, margin, horizon)
@@ -738,6 +738,109 @@ def test_joint_regenerations_hold_little_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
+
+
+def _couplings_one_by_one(model, starts, reps, seed, margin, horizon):
+    """coupling_decay's outcome fields by its stated rule, for the prefix
+    key derive_key(*seed)."""
+    return [[_fields(coupled_triple(model, x0, seed=derive_key(*seed, j, i),
+                                    margin=margin, horizon=horizon))
+             for i in range(reps)] for j, x0 in enumerate(starts)]
+
+
+COUPLING_MODELS = {
+    "dirichlet_drift": dirichlet_drift_model(),
+    "dirichlet_backtracking": dirichlet_backtracking_model(),
+    "mixture": _mixture_backtracking_model(),
+    "drift": drift_model(),
+}
+
+
+def _counting_time_walk_block(monkeypatch):
+    """Patch pair._time_walk_block to record each engine block's walkers."""
+    blocks = []
+    block = pair._time_walk_block
+
+    def counting_block(model, env_keys, starts, n, time_keys):
+        blocks.append(len(starts))
+        return block(model, env_keys, starts, n, time_keys)
+    monkeypatch.setattr(pair, "_time_walk_block", counting_block)
+    return blocks
+
+
+@pytest.mark.parametrize("margin, horizon", [(3, 60), (10, 150)])
+@pytest.mark.parametrize("case", sorted(COUPLING_MODELS))
+def test_coupling_blocks_equal_one_coupled_triple_per_replica(
+        case, margin, horizon, monkeypatch):
+    # the first triple's X grown ahead through the engine is revealed only
+    # where coupled_triple steps it, so every outcome is the one-by-one
+    # outcome; 2 x 16 replicas make one engine block at workers 1 and two
+    # at workers 2, and below the minimum none
+    model = COUPLING_MODELS[case]
+    starts, seed = [(0, 1), (0, 4)], (31, 7)
+    want = _couplings_one_by_one(model, starts, 16, seed, margin, horizon)
+    blocks = _counting_time_walk_block(monkeypatch)
+    for prefix, workers, block_min, engine in [
+            (1, 1, 16, [32]), (7, 1, 16, [32]), (pair._PREFIX, 1, 16, [32]),
+            (pair._PREFIX, 2, 16, [16, 16]), (pair._PREFIX, 2, 17, [])]:
+        if workers == 2 and case != "dirichlet_backtracking":
+            continue
+        monkeypatch.setattr(pair, "_PREFIX", prefix)
+        monkeypatch.setattr(pair, "_BLOCK_MIN", block_min)
+        blocks.clear()
+        res = coupling_decay(model, starts, 16, derive_key(*seed), margin,
+                             horizon, workers=workers)
+        assert [[_fields(o) for o in outs] for outs in res["outcomes"]] \
+            == want, (prefix, workers, block_min)
+        if workers == 1:
+            assert blocks == engine
+    outs = [o for row in want for o in row]
+    assert any(o[3] for o in outs)            # hits on X's range
+    if "backtracking" in case:
+        assert max(o[4] for o in outs) >= 2   # later triples step scalar
+
+
+def test_coupling_chooser_sees_the_same_x_range_with_a_prefix(monkeypatch):
+    # X's prefix is revealed only as X steps, so at every call of Xbar's
+    # chooser X's length, the range it has put in x_set and hit are what
+    # they are with no prefix
+    model, starts, seed = dirichlet_backtracking_model(), [(0, 1), (0, 4)], 5
+    records = []
+    call = pair._RangeEnvChooser.__call__
+
+    def recording_call(self, site):
+        out = call(self, site)
+        records.append((len(self.x_walk.positions), len(self.x_set),
+                        self.hit))
+        return out
+    monkeypatch.setattr(pair._RangeEnvChooser, "__call__", recording_call)
+    blocks = _counting_time_walk_block(monkeypatch)
+    seen = {}
+    for block_min in (16, 10**9):
+        monkeypatch.setattr(pair, "_BLOCK_MIN", block_min)
+        records.clear()
+        res = coupling_decay(model, starts, 20, seed, 10, 20_000)
+        seen[block_min] = (list(records), [[_fields(o) for o in outs]
+                                           for outs in res["outcomes"]])
+    assert blocks == [40]
+    assert seen[16] == seen[10**9]
+    assert any(hit for _, _, hit in seen[16][0])
+
+
+def test_coupling_blocks_hold_little_memory():
+    # criterion 7's blocks: 50,000 replicas in blocks of 505, whose X
+    # paths take 1 MB; 1.7 MB peak when measured
+    import tracemalloc
+    model = dirichlet_drift_model()
+    assert pair._blocks(50_000, 1, 2, 20_000, 2)[0] == (0, 505)
+    coupling_decay(model, [(0, 1)], 20, 1, 10, 20_000)
+    tracemalloc.start()
+    try:
+        coupling_decay(model, [(0, 1)], 505, 2, 10, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 19
 
 
 def test_joint_regen_horizon_exhaustion_unconfirmed():

@@ -57,6 +57,48 @@ def test_simulate_keeps_step_indices_past_one_byte():
     assert (np.diff(path.sites[:, 0]) >= 156).sum() > 100   # index >= 256
 
 
+def _walk_state(w):
+    return w.positions, w.levels, w.top, w.min_level, w.fresh
+
+
+@pytest.mark.parametrize("model", [dirichlet_backtracking_model(),
+                                   drift_model()],
+                         ids=["dirichlet_backtracking", "drift"])
+def test_seq_walk_reveals_an_engine_prefix_as_it_steps(model):
+    # walk._time_walk_block grows 40 steps ahead, and its walkers reveal
+    # them only where a plain _SeqWalk steps: after every call both hold
+    # the same positions, levels, top, minimum level and fresh map, and
+    # cum_fn is read only past the prefix.  Walker 0 stops inside the
+    # prefix, walker 1 runs past it, walker 2 meets a horizon below it.
+    envs = [make_environment(model, s) for s in (3, 4, 5)]
+    keys = [walk_key(s) for s in (7, 8, 9)]
+    starts = [(0, 0), (2, -1), (-1, 3)]
+    walker = walk._time_walk_block(
+        model, np.array([e.env_key for e in envs], dtype=np.uint64),
+        np.array(starts, dtype=np.int64), 40, np.array(keys, dtype=np.uint64))
+    plans = [[("t", 5), ("level", 3), ("t", 20)],
+             [("t", 10), ("level", 8), ("t", 39), ("t", 41), ("level", 30),
+              ("t", 90)],
+             [("t", 10), ("level", 50), ("t", 30)]]
+    for j, (plan, horizon) in enumerate(zip(plans, (20_000, 20_000, 25))):
+        calls = []
+
+        def counted(site, cum_at=envs[j].cum_at):
+            calls.append(site)
+            return cum_at(site)
+        plain = _SeqWalk(envs[j].cum_at, starts[j], _TimeSource(keys[j]),
+                         model.support)
+        ahead = walker(j, counted)
+        for kind, v in plan:
+            got = [w.extend_to(v, horizon) if kind == "t" else
+                   w.advance_until_max(w.levels[0] + v, horizon)
+                   for w in (plain, ahead)]
+            assert got[0] == got[1]
+            assert _walk_state(plain) == _walk_state(ahead)
+            assert len(calls) == max(len(ahead.positions) - 41, 0)
+    assert len(plain.positions) == 26 and not got[1]
+
+
 def test_simulate_memory_is_bounded():
     # a 100,000-step walk keeps one step index per step, one block of
     # uniforms and its environment's LRU memo besides its path (3.2 MB of
